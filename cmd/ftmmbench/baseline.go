@@ -51,8 +51,8 @@ type benchEntry struct {
 	// the measured cycles (0 for substrate microbenchmarks).
 	Streams int `json:"streams"`
 	// Extra carries b.ReportMetric columns — for the fan-out rows, the
-	// pipeline phase breakdown (mean read/stage µs per cycle and overlap
-	// percentage). Informational; the compare gate ignores it.
+	// pipeline phase breakdown (mean read/stage µs per cycle).
+	// Informational; the compare gate ignores it.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -394,26 +394,6 @@ func baselineSpecs() []baselineSpec {
 				}
 			}
 		}},
-		{"ParityXORIntoWord", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORIntoWord(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ParityXORIntoBlocked", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORIntoBlocked(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"ParityXORIntoRef", 0, func(b *testing.B) {
 			blocks := parityBlocks(2)
 			b.SetBytes(baselineTrack)
@@ -717,15 +697,12 @@ func benchFlashCrowdTracks(b *testing.B, fanout, titles, groups, batchCycles int
 
 // reportPhases turns the front end's pipeline histograms into extra
 // benchmark columns: mean engine-read and staging-pass time per cycle
-// (µs) and the mean share of each read that overlapped the previous
-// cycle's staging (the pipeline's payoff, in percent). The columns ride
-// into the baseline file's "extra" field; they are informational, not
-// gated.
+// (µs). The columns ride into the baseline file's "extra" field; they
+// are informational, not gated.
 func reportPhases(b *testing.B, m *metrics.Registry) {
 	for _, p := range []struct{ hist, unit string }{
 		{"pipe_read_us", "read-us/cycle"},
 		{"pipe_stage_us", "stage-us/cycle"},
-		{"pipe_overlap_pct", "overlap-%"},
 	} {
 		if h := m.Histogram(p.hist); h.Count() > 0 {
 			b.ReportMetric(h.Mean(), p.unit)

@@ -12,6 +12,11 @@
 // (internal/chaos) and exits non-zero on any invariant violation:
 //
 //	ftmmsim -chaos -seed 1 -campaign 50 -chaos-out /tmp/traces
+//
+// With -scenario it replays a JSON scenario file (scenarios/) through
+// the same chaos runner under the default invariant checkers:
+//
+//	ftmmsim -scenario scenarios/nc-failure-drill.json
 package main
 
 import (
@@ -20,18 +25,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"time"
 
 	"ftmm/internal/chaos"
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/scenario"
+	"ftmm/internal/sched"
 	"ftmm/internal/server"
+	"ftmm/internal/trace"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
 )
 
 var (
-	scenarioPath = flag.String("scenario", "", "run a JSON scenario file instead of flag-driven setup (see scenarios/)")
+	scenarioPath = flag.String("scenario", "", "replay a JSON scenario file (see scenarios/) through the chaos runner under the default invariant checkers")
 	chaosMode    = flag.Bool("chaos", false, "run a deterministic chaos campaign instead of a single simulation")
 	campaignRuns = flag.Int("campaign", 20, "chaos: randomized runs in the campaign")
 	chaosNodes   = flag.Int("chaos-nodes", 0, "chaos: fan each run across this many cluster nodes with node kill/drain events (0: single node)")
@@ -224,9 +233,32 @@ func cfgSchemes(cfg chaos.CampaignConfig) []string {
 	return chaos.SchemeNames()
 }
 
-// runScenario executes a declarative JSON scenario file. Cluster specs
-// (nodes > 1) replay through the chaos cluster runner under the full
-// checker set; single-node specs run the classic simulation.
+// scenarioRecorder rides a scenario replay as one more per-node checker:
+// it traces every report for the classic summary and keeps the node's
+// server so the summary can read its stats after the run.
+type scenarioRecorder struct {
+	srv *server.Server
+	rec *trace.Recorder
+}
+
+func (r *scenarioRecorder) Name() string { return "integrity" }
+
+func (r *scenarioRecorder) Begin(rc *chaos.RunContext) (err error) {
+	r.srv = rc.Srv
+	r.rec, err = trace.NewRecorder(rc.Content, rc.TrackSize)
+	return err
+}
+
+func (r *scenarioRecorder) AfterStep(_ *chaos.RunContext, rep *sched.CycleReport) error {
+	r.rec.Observe(rep)
+	return nil
+}
+
+func (r *scenarioRecorder) End(*chaos.RunContext) error { return r.rec.VerifyIntegrity() }
+
+// runScenario replays a declarative JSON scenario file through the
+// chaos runner under the default checkers — one node or many — prints
+// the run summary, and exits non-zero on any invariant breach.
 func runScenario(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -236,41 +268,36 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
-	if spec.Nodes > 1 {
-		return runClusterScenario(path, spec)
-	}
-	res, err := spec.Run()
+	var nodes []*scenarioRecorder
+	res, err := chaos.Run(chaos.RunConfig{
+		Schedule: *chaos.FromSpec(spec),
+		NewCheckers: func() []chaos.Checker {
+			r := &scenarioRecorder{}
+			nodes = append(nodes, r)
+			return append(chaos.DefaultCheckers(), r)
+		},
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s: scheme=%s farm=%dx%d\n", path, spec.Scheme, spec.Disks, spec.ClusterSize)
-	fmt.Printf("requests admitted/rejected: %d/%d\n", res.Admitted, res.Rejected)
-	fmt.Printf("delivered tracks:           %d\n", res.Stats.Delivered)
-	fmt.Printf("hiccups:                    %d\n", res.Summary.Hiccups)
-	for cause, n := range res.Summary.HiccupsByCause {
-		fmt.Printf("  %-40s %d\n", cause, n)
-	}
-	fmt.Printf("reconstructions:            %d\n", res.Stats.Reconstructions)
-	fmt.Printf("streams finished:           %d, terminated: %d\n", res.Stats.Finished, res.Stats.Terminated)
-	fmt.Printf("buffer peak:                %d tracks\n", res.Stats.BufferPeak)
-	fmt.Printf("tertiary stagings:          %d (%v)\n", res.Stats.Stagings, res.StagingTime)
-	if res.IntegrityErr != nil {
-		return fmt.Errorf("INTEGRITY VIOLATION: %w", res.IntegrityErr)
-	}
-	fmt.Println("integrity:                  every delivered byte matched the stored content")
-	return nil
-}
 
-// runClusterScenario replays a cluster spec through the deterministic
-// multi-node chaos runner, exiting non-zero on any invariant breach.
-func runClusterScenario(path string, spec *scenario.Spec) error {
-	sch := chaos.FromSpec(spec)
-	res, err := chaos.RunCluster(chaos.ClusterRunConfig{Schedule: *sch})
-	if err != nil {
-		return err
+	var st server.Stats
+	var staging time.Duration
+	hiccups := map[string]int{}
+	for _, n := range nodes {
+		ns := n.srv.Stats()
+		st.Delivered += ns.Delivered
+		st.Hiccups += ns.Hiccups
+		st.Reconstructions += ns.Reconstructions
+		st.Finished += ns.Finished
+		st.Terminated += ns.Terminated
+		st.BufferPeak = max(st.BufferPeak, ns.BufferPeak)
+		st.Stagings += ns.Stagings
+		staging += n.srv.StagingTime()
+		for cause, c := range n.rec.Summarize().HiccupsByCause {
+			hiccups[cause] += c
+		}
 	}
-	fmt.Printf("cluster scenario %s: scheme=%s nodes=%d replicas=%d farm=%dx%d per node\n",
-		path, spec.Scheme, spec.Nodes, spec.Replicas, spec.Disks, spec.ClusterSize)
 	finished, resumed, lost, cancelled, terminated := 0, 0, 0, 0, 0
 	for _, s := range res.Sessions {
 		if s.Finished {
@@ -281,7 +308,6 @@ func runClusterScenario(path string, spec *scenario.Spec) error {
 		}
 		if s.Lost {
 			lost++
-			fmt.Printf("  session %d (%s) lost: %s\n", s.Ordinal, s.Title, s.LostReason)
 		}
 		if s.Cancelled {
 			cancelled++
@@ -290,13 +316,34 @@ func runClusterScenario(path string, spec *scenario.Spec) error {
 			terminated++
 		}
 	}
-	fmt.Printf("sessions:  %d admitted, %d finished, %d failed over, %d lost, %d cancelled, %d terminated\n",
-		len(res.Sessions), finished, resumed, lost, cancelled, terminated)
-	fmt.Printf("cycles:    %d, drained=%v\n", res.Cycles, res.Drained)
-	if res.Violation != nil {
-		return fmt.Errorf("%s violation at cycle %d: %s",
-			res.Violation.Checker, res.Violation.Cycle, res.Violation.Detail)
+
+	fmt.Printf("scenario %s: scheme=%s nodes=%d farm=%dx%d per node\n", path, spec.Scheme, len(nodes), spec.Disks, spec.ClusterSize)
+	fmt.Printf("requests admitted/rejected: %d/%d\n", len(res.Sessions), len(spec.Requests)-len(res.Sessions))
+	fmt.Printf("delivered tracks:           %d\n", st.Delivered)
+	fmt.Printf("hiccups:                    %d\n", st.Hiccups)
+	causes := make([]string, 0, len(hiccups))
+	for cause := range hiccups {
+		causes = append(causes, cause)
 	}
-	fmt.Println("invariants: per-node checkers and cross-node continuity all held")
+	sort.Strings(causes)
+	for _, cause := range causes {
+		fmt.Printf("  %-40s %d\n", cause, hiccups[cause])
+	}
+	fmt.Printf("reconstructions:            %d\n", st.Reconstructions)
+	fmt.Printf("streams finished:           %d, terminated: %d\n", st.Finished, st.Terminated)
+	fmt.Printf("buffer peak:                %d tracks\n", st.BufferPeak)
+	fmt.Printf("tertiary stagings:          %d (%v)\n", st.Stagings, staging)
+	fmt.Printf("sessions:                   %d finished, %d re-admitted, %d lost, %d cancelled, %d terminated\n",
+		finished, resumed, lost, cancelled, terminated)
+	for _, s := range res.Sessions {
+		if s.Lost {
+			fmt.Printf("  session %d (%s) lost: %s\n", s.Ordinal, s.Title, s.LostReason)
+		}
+	}
+	fmt.Printf("cycles:                     %d, drained=%v\n", res.Cycles, res.Drained)
+	if v := res.Violation; v != nil {
+		return fmt.Errorf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
+	}
+	fmt.Println("invariants:                 every per-node checker, bit-exact delivery and cross-node continuity held")
 	return nil
 }

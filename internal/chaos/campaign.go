@@ -25,13 +25,12 @@ type CampaignConfig struct {
 	// NewCheckers builds a fresh checker set per run (and per shrink
 	// attempt); default DefaultCheckers.
 	NewCheckers func() []Checker
-	// Nodes > 1 runs a cluster campaign: schedules come from
-	// GenerateCluster and execute under RunCluster, with the
-	// NewClusterCheckers set layered across nodes. 0 or 1 is the
-	// classic single-node campaign.
+	// Nodes is how many shards Generate spreads each schedule across
+	// (with node kill/drain events once there is more than one); 0 or 1
+	// is the classic single-server campaign.
 	Nodes int
-	// NewClusterCheckers builds the cluster-level checker set per run;
-	// default DefaultClusterCheckers. Only used when Nodes > 1.
+	// NewClusterCheckers builds the run-wide checker set per run;
+	// default DefaultClusterCheckers.
 	NewClusterCheckers func() []ClusterChecker
 	// Hooks are threaded into every run, letting tests inject engine
 	// bugs the campaign must catch.
@@ -71,13 +70,6 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = SchemeNames()
 	}
-	if cfg.NewCheckers == nil {
-		cfg.NewCheckers = DefaultCheckers
-	}
-	if cfg.NewClusterCheckers == nil {
-		cfg.NewClusterCheckers = DefaultClusterCheckers
-	}
-
 	records := make([]*RunRecord, cfg.Runs)
 	// sched.RunClusters is the repo's deterministic worker pool: work
 	// item i lands in slot i regardless of which worker ran it or when.
@@ -85,41 +77,26 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 		seed := failure.TrialSeed(cfg.Seed, i)
 		rng := rand.New(rand.NewSource(seed))
 		scheme := cfg.Schemes[i%len(cfg.Schemes)]
-		var schedule Schedule
-		var violation *Violation
-		if cfg.Nodes > 1 {
-			schedule = GenerateCluster(rng, scheme, cfg.Nodes)
-			res, err := RunCluster(ClusterRunConfig{
-				Schedule: schedule, NewCheckers: cfg.NewCheckers,
-				ClusterCheckers: cfg.NewClusterCheckers(), Hooks: cfg.Hooks,
-			})
-			if err != nil {
-				return err
-			}
-			violation = res.Violation
-		} else {
-			schedule = Generate(rng, scheme)
-			res, err := Run(RunConfig{Schedule: schedule, Checkers: cfg.NewCheckers(), Hooks: cfg.Hooks})
-			if err != nil {
-				return err
-			}
-			violation = res.Violation
+		run := RunConfig{
+			Schedule:    Generate(rng, scheme, cfg.Nodes),
+			NewCheckers: cfg.NewCheckers, NewClusterCheckers: cfg.NewClusterCheckers,
+			Hooks: cfg.Hooks,
 		}
-		if violation == nil {
+		res, err := Run(run)
+		if err != nil {
+			return err
+		}
+		if res.Violation == nil {
 			return nil
 		}
-		shrunk := schedule
+		shrunk := run.Schedule
 		if !cfg.NoShrink {
-			if cfg.Nodes > 1 {
-				shrunk = ShrinkCluster(schedule, *violation, cfg.NewCheckers, cfg.NewClusterCheckers, cfg.Hooks)
-			} else {
-				shrunk = Shrink(schedule, *violation, cfg.NewCheckers, cfg.Hooks)
-			}
+			shrunk = Shrink(run, *res.Violation)
 		}
 		records[i] = &RunRecord{
 			Run: i, Seed: seed, Scheme: scheme,
-			Events:    len(schedule.Events),
-			Violation: *violation,
+			Events:    len(run.Schedule.Events),
+			Violation: *res.Violation,
 			Shrunk:    shrunk,
 		}
 		return nil

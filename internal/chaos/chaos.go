@@ -18,6 +18,10 @@
 //     live report, delivered bytes match the stored content, and
 //     per-stream delivery advances one consecutive track at a time.
 //
+// Run is the repo's one schedule interpreter: generated schedules and
+// scenario files (FromSpec) alike, on one node or across many, go
+// through it and its single event table (apply).
+//
 // Everything is reproducible from one int64 seed at any worker count.
 // On violation the campaign shrinks the schedule with delta debugging
 // to a 1-minimal reproducing trace and can export it as a scenario file
@@ -48,6 +52,11 @@ const (
 	// EventRebuild replaces Drive and starts the paper's online rebuild
 	// with Budget spare track reads per cycle.
 	EventRebuild EventKind = "rebuild"
+	// EventTertiary replaces Drive and reloads every object touching it
+	// from the tape library — the only way back from a catastrophic
+	// failure (two drives of one parity group), where parity cannot
+	// rebuild.
+	EventTertiary EventKind = "tertiary"
 	// EventCancel hangs up the stream of the Stream-th successful
 	// admission (0-based).
 	EventCancel EventKind = "cancel"
@@ -88,9 +97,9 @@ type Event struct {
 	Drive  int       `json:"drive,omitempty"`
 	Budget int       `json:"budget,omitempty"`
 	Stream int       `json:"stream,omitempty"`
-	// Node is the target node of cluster runs: the killed/drained node
-	// for node events, the shard whose drive a fail/repair/rebuild
-	// hits. Single-node schedules leave it 0.
+	// Node is the target node: the killed/drained node for node events,
+	// the shard whose drive a fail/repair/rebuild/tertiary hits.
+	// Single-node schedules leave it 0.
 	Node int `json:"node,omitempty"`
 	// Rate is the playback multiplier of ff events; Track the absolute
 	// jump target of rewind events.
@@ -115,10 +124,9 @@ type Schedule struct {
 	TitleGroups    int     `json:"title_groups"`
 	MaxCycles      int     `json:"max_cycles"`
 	Events         []Event `json:"events"`
-	// Nodes > 1 spreads the run across a farm-per-node cluster
-	// (RunCluster); 0 or 1 is the classic single-node run. Replicas and
-	// PlacementSeed feed the rendezvous placement that decides which
-	// nodes hold which titles.
+	// Nodes is how many farm-per-node shards the run spreads across; 0
+	// means 1. Replicas and PlacementSeed feed the rendezvous placement
+	// that decides which nodes hold which titles.
 	Nodes         int   `json:"nodes,omitempty"`
 	Replicas      int   `json:"replicas,omitempty"`
 	PlacementSeed int64 `json:"placement_seed,omitempty"`
@@ -173,7 +181,7 @@ func (s *Schedule) Validate() error {
 			if ev.Title == "" {
 				return fmt.Errorf("chaos: admit without title at cycle %d", ev.Cycle)
 			}
-		case EventFail, EventRepair:
+		case EventFail, EventRepair, EventTertiary:
 			if ev.Drive < 0 || ev.Drive >= s.Disks {
 				return fmt.Errorf("chaos: event %+v on drive outside [0,%d)", ev, s.Disks)
 			}
@@ -215,9 +223,10 @@ func (s *Schedule) Validate() error {
 
 // ToSpec converts the schedule into a replayable scenario.Spec: the
 // exact form `ftmmsim -scenario` consumes and the regression corpus
-// under scenarios/ is stored in. Fail events pair with the next repair
-// or rebuild of the same drive; repairs whose failure is absent from
-// the schedule are dropped (the runner treats them as no-ops anyway).
+// under scenarios/ is stored in. Fail events pair with the next repair,
+// rebuild or tape reload of the same drive; repairs whose failure is
+// absent from the schedule are dropped (the runner treats them as
+// no-ops anyway).
 func (s *Schedule) ToSpec() *scenario.Spec {
 	spec := &scenario.Spec{
 		Scheme: s.Scheme, Disks: s.Disks, ClusterSize: s.ClusterSize,
@@ -246,14 +255,13 @@ func (s *Schedule) ToSpec() *scenario.Spec {
 			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "ff", Stream: ev.Stream, Rate: ev.Rate})
 		case EventRewind:
 			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "rewind", Stream: ev.Stream, Track: ev.Track})
-		case EventRepair, EventRebuild:
+		case EventRepair, EventRebuild, EventTertiary:
 			for i := len(spec.Failures) - 1; i >= 0; i-- {
 				f := &spec.Failures[i]
 				if f.Drive == ev.Drive && f.Node == ev.Node && f.RepairCycle == 0 && f.Cycle < ev.Cycle {
 					f.RepairCycle = ev.Cycle
-					if ev.Kind == EventRebuild {
-						f.RebuildBudget = ev.Budget
-					}
+					f.RebuildBudget = ev.Budget
+					f.Tertiary = ev.Kind == EventTertiary
 					break
 				}
 			}
@@ -262,9 +270,9 @@ func (s *Schedule) ToSpec() *scenario.Spec {
 	return spec
 }
 
-// FromSpec converts a scenario back into a chaos schedule, so shipped
-// regression traces can be re-audited by the full checker set (the
-// chaos tests walk scenarios/chaos-*.json through this).
+// FromSpec converts a scenario into a chaos schedule — the only way a
+// scenario file runs: `ftmmsim -scenario` and the corpus test both walk
+// scenarios/*.json through this and Run.
 func FromSpec(spec *scenario.Spec) *Schedule {
 	s := &Schedule{
 		Scheme: spec.Scheme, Disks: spec.Disks, ClusterSize: spec.ClusterSize,
@@ -281,12 +289,15 @@ func FromSpec(spec *scenario.Spec) *Schedule {
 	}
 	for _, f := range spec.Failures {
 		s.Events = append(s.Events, Event{Cycle: f.Cycle, Kind: EventFail, Drive: f.Drive, Node: f.Node})
-		if f.RepairCycle > 0 && !f.Tertiary {
-			kind, budget := EventRepair, 0
-			if f.RebuildBudget > 0 {
-				kind, budget = EventRebuild, f.RebuildBudget
+		if f.RepairCycle > 0 {
+			kind := EventRepair
+			switch {
+			case f.Tertiary:
+				kind = EventTertiary
+			case f.RebuildBudget > 0:
+				kind = EventRebuild
 			}
-			s.Events = append(s.Events, Event{Cycle: f.RepairCycle, Kind: kind, Drive: f.Drive, Budget: budget, Node: f.Node})
+			s.Events = append(s.Events, Event{Cycle: f.RepairCycle, Kind: kind, Drive: f.Drive, Budget: f.RebuildBudget, Node: f.Node})
 		}
 	}
 	for _, ne := range spec.NodeEvents {

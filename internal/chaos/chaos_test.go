@@ -150,30 +150,14 @@ func TestCampaignCatchesInjectedRebuildBug(t *testing.T) {
 		},
 	}
 	hooks := Hooks{AfterRepair: corruptTrackOnDrive}
-	res, err := Run(RunConfig{Schedule: sch, Checkers: DefaultCheckers(), Hooks: hooks})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Violation == nil {
-		t.Fatal("corrupted repair went undetected")
-	}
-	if res.Violation.Checker != "parity" {
-		t.Fatalf("expected the parity checker to fire, got %q: %s", res.Violation.Checker, res.Violation.Detail)
-	}
-	shrunk := Shrink(sch, *res.Violation, DefaultCheckers, hooks)
-	if n := len(shrunk.Events); n > 10 {
-		t.Errorf("shrunk trace has %d events, want <= 10: %s", n, marshal(t, shrunk))
-	}
 	// The minimal reproduction is one admission (titles are staged to
 	// disk only when a stream requests them — without it the farm holds
 	// no tracks to corrupt), the failure, and its corrupted repair.
-	if n := len(shrunk.Events); n != 3 {
-		t.Errorf("shrunk to %d events, ddmin should reach the 3-event minimum: %s", n, marshal(t, shrunk))
-	}
+	shrunk := mustCatchAndShrink(t, RunConfig{Schedule: sch, Hooks: hooks}, "parity", 3)
 	// The shrunk trace must still reproduce when replayed from its
 	// scenario form (the corpus round-trip).
 	replay := FromSpec(shrunk.ToSpec())
-	res2, err := Run(RunConfig{Schedule: *replay, Checkers: DefaultCheckers(), Hooks: hooks})
+	res2, err := Run(RunConfig{Schedule: *replay, Hooks: hooks})
 	if err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
@@ -200,15 +184,16 @@ func TestScheduleSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChaosCorpus replays every committed regression trace under
-// scenarios/chaos-*.json through the full checker set; all must hold.
+// TestChaosCorpus replays every committed scenario under scenarios/ —
+// hand-written drills and shrunk regression traces alike — through the
+// one runner under the full checker set; all must hold.
 func TestChaosCorpus(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "chaos-*.json"))
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Fatal("no chaos regression traces under scenarios/")
+		t.Fatal("no scenarios under scenarios/")
 	}
 	for _, path := range paths {
 		path := path
@@ -221,32 +206,75 @@ func TestChaosCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sch := FromSpec(spec)
-			var violation *Violation
-			if sch.Nodes > 1 {
-				res, err := RunCluster(ClusterRunConfig{Schedule: *sch})
-				if err != nil {
-					t.Fatalf("cluster run: %v", err)
-				}
-				violation = res.Violation
-			} else {
-				res, err := Run(RunConfig{Schedule: *sch, Checkers: DefaultCheckers()})
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				violation = res.Violation
+			res, err := Run(RunConfig{Schedule: *FromSpec(spec)})
+			if err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			if violation != nil {
-				t.Errorf("%s violation at cycle %d: %s",
-					violation.Checker, violation.Cycle, violation.Detail)
+			if v := res.Violation; v != nil {
+				t.Errorf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
 			}
 		})
 	}
+}
+
+// TestCampaignCyclesGolden pins the cycle count of every run of the two
+// CI smoke campaigns to the values the separate single-node and cluster
+// runners produced before they were merged: the one runner must walk
+// the same schedules the same way.
+func TestCampaignCyclesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  []int
+	}{
+		{1, []int{20, 28, 21, 19, 19, 19, 18, 25, 18, 30, 20, 19, 20, 23, 31}},
+		{3, []int{20, 28, 22, 19, 19, 19, 18, 25, 18, 30}},
+	} {
+		schemes := SchemeNames()
+		for i, want := range tc.want {
+			rng := rand.New(rand.NewSource(failure.TrialSeed(1, i)))
+			res, err := Run(RunConfig{Schedule: Generate(rng, schemes[i%len(schemes)], tc.nodes)})
+			if err != nil {
+				t.Fatalf("nodes=%d run %d: %v", tc.nodes, i, err)
+			}
+			if res.Violation != nil {
+				t.Fatalf("nodes=%d run %d: %+v", tc.nodes, i, res.Violation)
+			}
+			if res.Cycles != want {
+				t.Errorf("nodes=%d run %d (%s): %d cycles, want %d", tc.nodes, i, schemes[i%len(schemes)], res.Cycles, want)
+			}
+		}
+	}
+}
+
+// mustCatchAndShrink is the injected-bug tests' shared spine: the run
+// must end in a violation from the named checker, and Shrink must cut
+// the schedule to at most maxEvents events that still reproduce it.
+func mustCatchAndShrink(t *testing.T, cfg RunConfig, checker string, maxEvents int) Schedule {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.Violation == nil {
+		t.Fatalf("injected bug went undetected (want a %s violation)", checker)
+	}
+	if res.Violation.Checker != checker {
+		t.Fatalf("expected the %s checker to fire, got %q: %s", checker, res.Violation.Checker, res.Violation.Detail)
+	}
+	shrunk := Shrink(cfg, *res.Violation)
+	if n := len(shrunk.Events); n > maxEvents {
+		t.Errorf("shrunk to %d events, want <= %d: %s", n, maxEvents, marshal(t, shrunk))
+	}
+	cfg.Schedule = shrunk
+	if res, err := Run(cfg); err != nil || res.Violation == nil || res.Violation.Checker != checker {
+		t.Errorf("shrunk schedule does not reproduce the %s violation: %+v, %v", checker, res, err)
+	}
+	return shrunk
 }
 
 func generateAt(t *testing.T, seed int64, i int) Schedule {
 	t.Helper()
 	schemes := SchemeNames()
 	rng := rand.New(rand.NewSource(failure.TrialSeed(seed, i)))
-	return Generate(rng, schemes[i%len(schemes)])
+	return Generate(rng, schemes[i%len(schemes)], 1)
 }

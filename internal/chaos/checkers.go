@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"ftmm/internal/analytic"
+	"ftmm/internal/disk"
+	"ftmm/internal/layout"
 	"ftmm/internal/rebuild"
 	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
@@ -41,7 +43,10 @@ type lossKey struct {
 // track's cluster, lose at most one parity group's worth of tracks per
 // stream per transition (Figures 6-7), or hit a cluster running
 // unprotected (K exhausted — the paper's degradation of service, whose
-// recurring loss is legitimate).
+// recurring loss is legitimate). Under every scheme the guarantee ends
+// at the paper's catastrophe boundary: a hiccup on a parity group that
+// had two or more member drives failed when it was read is data parity
+// cannot rebuild, and is accepted.
 type ContinuityChecker struct {
 	isNC, isIB bool
 	// lossCap is the per-stream per-transition hiccup bound: C-1 for the
@@ -51,7 +56,9 @@ type ContinuityChecker struct {
 	// window is how many cycles past a failure (or past leaving
 	// unprotected mode) a hiccup may still surface: marking happens at
 	// read time, delivery up to a group's width later, plus slack.
-	window          int
+	window int
+	// lastFailed maps a drive to the last cycle it was seen failed.
+	lastFailed      map[int]int
 	dataFail        map[int][]int
 	lastUnprotected map[int]int
 	losses          map[lossKey]int
@@ -76,6 +83,7 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 		c.lossCap = 1
 	}
 	c.window = rc.Schedule.ClusterSize + 4
+	c.lastFailed = make(map[int]int)
 	c.dataFail = make(map[int][]int)
 	c.lastUnprotected = make(map[int]int)
 	c.losses = make(map[lossKey]int)
@@ -102,23 +110,21 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 	if !c.isIB && len(rep.Terminated) > 0 {
 		return fmt.Errorf("stream %d terminated by a scheme that must never degrade service", rep.Terminated[0])
 	}
-	if !c.isNC {
-		if len(rep.Hiccups) > 0 {
-			h := rep.Hiccups[0]
-			return fmt.Errorf("hiccup on stream %d track %d (%s): scheme must mask failures with zero hiccups",
-				h.StreamID, h.Track, h.Reason)
+	// Events apply before the Step, so the farm still shows the drive
+	// states this cycle's reads met.
+	farm := rc.Srv.Farm()
+	for d := 0; d < farm.Size(); d++ {
+		if drv, err := farm.Drive(d); err == nil && drv.State() == disk.Failed {
+			c.lastFailed[d] = rc.Cycle
 		}
-		return nil
 	}
-
-	// Non-clustered: refresh the unprotected-cluster trail, then
-	// attribute every hiccup.
-	unprot, _ := rc.Srv.Engine().(interface{ ClusterUnprotected(int) bool })
-	clusters := rc.Schedule.Disks / rc.Schedule.ClusterSize
-	if unprot != nil {
-		for cl := 0; cl < clusters; cl++ {
-			if unprot.ClusterUnprotected(cl) {
-				c.lastUnprotected[cl] = rc.Cycle
+	if c.isNC {
+		// Refresh the unprotected-cluster trail before attributing hiccups.
+		if unprot, ok := rc.Srv.Engine().(interface{ ClusterUnprotected(int) bool }); ok {
+			for cl := 0; cl < rc.Schedule.Disks/rc.Schedule.ClusterSize; cl++ {
+				if unprot.ClusterUnprotected(cl) {
+					c.lastUnprotected[cl] = rc.Cycle
+				}
 			}
 		}
 	}
@@ -129,7 +135,15 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 		if !ok {
 			return fmt.Errorf("hiccup on stream %d references unknown object %q", h.StreamID, h.ObjectID)
 		}
-		cl := obj.Groups[h.Track/width].Cluster
+		g := &obj.Groups[h.Track/width]
+		if c.catastrophic(rc.Cycle, g) {
+			continue
+		}
+		if !c.isNC {
+			return fmt.Errorf("hiccup on stream %d track %d (%s): scheme must mask failures with zero hiccups",
+				h.StreamID, h.Track, h.Reason)
+		}
+		cl := g.Cluster
 		if last, saw := c.lastUnprotected[cl]; saw && rc.Cycle-last <= c.window {
 			continue // degradation of service: recurring loss is legitimate
 		}
@@ -153,6 +167,26 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 	return nil
 }
 
+// catastrophic reports whether two or more of the parity group's member
+// drives were failed inside the window a hiccup delivered now could
+// have been read in.
+func (c *ContinuityChecker) catastrophic(cycle int, g *layout.Group) bool {
+	wasDown := func(drive int) bool {
+		last, saw := c.lastFailed[drive]
+		return saw && cycle-last <= c.window
+	}
+	down := 0
+	if wasDown(g.Parity.Disk) {
+		down++
+	}
+	for _, loc := range g.Data {
+		if wasDown(loc.Disk) {
+			down++
+		}
+	}
+	return down >= 2
+}
+
 // End implements Checker.
 func (c *ContinuityChecker) End(*RunContext) error { return nil }
 
@@ -160,8 +194,9 @@ func (c *ContinuityChecker) End(*RunContext) error { return nil }
 // Parity consistency after repair and rebuild.
 
 // ParityChecker audits the parity equation of every group a repaired
-// drive touches — immediately after an instant repair, and at the cycle
-// an online rebuild completes — and the whole farm once the run drains.
+// drive touches — immediately after an instant repair or a tape
+// reload, and at the cycle an online rebuild completes — and the whole
+// farm once the run drains.
 // A rebuild that skips a write leaves an unreadable (never-written)
 // track in a fully-operational group, which the strict check flags.
 type ParityChecker struct {
@@ -183,7 +218,7 @@ func (p *ParityChecker) Begin(*RunContext) error {
 // OnEvent implements EventObserver.
 func (p *ParityChecker) OnEvent(rc *RunContext, ev Event) error {
 	switch ev.Kind {
-	case EventRepair:
+	case EventRepair, EventTertiary:
 		return rebuild.CheckDrive(rc.Srv.Farm(), rc.Srv.Catalog().Layout(), ev.Drive)
 	case EventRebuild:
 		p.pending = append(p.pending, ev.Drive)

@@ -40,7 +40,7 @@ func TestClusterRunFailover(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			res, err := RunCluster(ClusterRunConfig{Schedule: killSchedule(scheme)})
+			res, err := Run(RunConfig{Schedule: killSchedule(scheme)})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestClusterRunDrain(t *testing.T) {
 		{Cycle: 1, Kind: EventAdmit, Title: "title2"},
 		{Cycle: 2, Kind: EventNodeDrain, Node: 1},
 	}
-	res, err := RunCluster(ClusterRunConfig{Schedule: sch})
+	res, err := Run(RunConfig{Schedule: sch})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -104,19 +104,11 @@ func TestClusterRunDrain(t *testing.T) {
 // acceptance test: a failover that restarts one group too far forward
 // must be flagged by the cross-node continuity checker as a gap.
 func TestClusterCatchesBrokenFailover(t *testing.T) {
-	res, err := RunCluster(ClusterRunConfig{
+	// Minimal reproduction: one admission on the victim, and the kill.
+	mustCatchAndShrink(t, RunConfig{
 		Schedule: killSchedule("sr"),
 		Hooks:    Hooks{ResumeGroupOffset: 1},
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Violation == nil {
-		t.Fatal("a failover skipping one parity group went undetected")
-	}
-	if res.Violation.Checker != "cluster-continuity" {
-		t.Fatalf("expected the cluster-continuity checker to fire, got %q: %s", res.Violation.Checker, res.Violation.Detail)
-	}
+	}, "cluster-continuity", 2)
 }
 
 // TestClusterCatchesInjectedRepairBug: the per-node checker set keeps
@@ -130,19 +122,12 @@ func TestClusterCatchesInjectedRepairBug(t *testing.T) {
 		{Cycle: 2, Kind: EventFail, Drive: 1, Node: 2},
 		{Cycle: 4, Kind: EventRepair, Drive: 1, Node: 2},
 	}
-	res, err := RunCluster(ClusterRunConfig{
+	// As on one node, the minimum is an admission that stages a title
+	// on the shard, the failure, and its corrupted repair.
+	mustCatchAndShrink(t, RunConfig{
 		Schedule: sch,
 		Hooks:    Hooks{AfterRepair: corruptTrackOnDrive},
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Violation == nil {
-		t.Fatal("corrupted repair on a shard went undetected")
-	}
-	if res.Violation.Checker != "parity" {
-		t.Fatalf("expected the parity checker, got %q: %s", res.Violation.Checker, res.Violation.Detail)
-	}
+	}, "parity", 3)
 }
 
 // TestClusterCampaignClean: every scheme survives randomized cluster
@@ -191,7 +176,7 @@ func TestClusterScheduleSpecRoundTrip(t *testing.T) {
 	schemes := SchemeNames()
 	for i := 0; i < 30; i++ {
 		rng := rand.New(rand.NewSource(failure.TrialSeed(*seedFlag, i)))
-		sch := GenerateCluster(rng, schemes[i%len(schemes)], 3)
+		sch := Generate(rng, schemes[i%len(schemes)], 3)
 		spec := sch.ToSpec()
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("schedule %d: exported spec invalid: %v\n%s", i, err, marshal(t, sch))

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 )
 
-// Generate draws one randomized schedule for the scheme from the rng.
+// Generate draws one randomized schedule for the scheme from the rng,
+// spread across nodes shards (at most one: the classic single-server
+// schedule; more: drive faults pinned to shards and node kill/drain
+// events layered on top, see fanOut).
 // Schedules are interesting but never catastrophic by construction —
 // the invariants under test are the paper's single-failure guarantees,
 // and a two-disks-in-one-parity-group catastrophe would legitimately
@@ -26,7 +29,7 @@ import (
 // Non-clustered schedules may exceed K concurrent data-disk failures on
 // purpose: running out of buffer servers is the paper's degradation of
 // service, and the continuity checker exempts unprotected clusters.
-func Generate(rng *rand.Rand, scheme string) Schedule {
+func Generate(rng *rand.Rand, scheme string, nodes int) Schedule {
 	const c = 4
 	s := Schedule{
 		Scheme:      scheme,
@@ -139,7 +142,50 @@ func Generate(rng *rand.Rand, scheme string) Schedule {
 	// catalog's tracks as rebuild slack, plus a full replay per rewind
 	// (a rewound stream may walk the title again), plus margin.
 	s.MaxCycles = lastEvent + titleTracks + s.Titles*s.TitleGroups + nVcr*titleTracks + 40
+	if nodes > 1 {
+		fanOut(rng, &s, nodes)
+	}
 	return s
+}
+
+// fanOut spreads a single-server schedule across nodes shards.
+func fanOut(rng *rand.Rand, s *Schedule, nodes int) {
+	s.Nodes = nodes
+	s.Replicas = 2
+	s.PlacementSeed = rng.Int63()
+	// Pin each drive-fault chain (fail → repair/rebuild) to one shard,
+	// so pairs stay pairs.
+	driveNode := make(map[int]int)
+	for i := range s.Events {
+		ev := &s.Events[i]
+		switch ev.Kind {
+		case EventFail, EventRepair, EventRebuild:
+			n, ok := driveNode[ev.Drive]
+			if !ok {
+				n = rng.Intn(nodes)
+				driveNode[ev.Drive] = n
+			}
+			ev.Node = n
+		}
+	}
+	// Usually one kill; sometimes a drain elsewhere. Killing and
+	// draining down to one node is interesting, not catastrophic:
+	// unplaceable sessions are the admitted loss the checker exempts.
+	victim := -1
+	if rng.Float64() < 0.75 {
+		victim = rng.Intn(nodes)
+		s.Events = append(s.Events, Event{Cycle: 3 + rng.Intn(8), Kind: EventNodeKill, Node: victim})
+	}
+	if rng.Float64() < 0.40 {
+		d := rng.Intn(nodes)
+		if d == victim {
+			d = (d + 1) % nodes
+		}
+		s.Events = append(s.Events, Event{Cycle: 4 + rng.Intn(10), Kind: EventNodeDrain, Node: d})
+	}
+	// Failovers rewind up to a group per resume; pad the tail so
+	// resumed sessions can still play out.
+	s.MaxCycles += s.TitleGroups * (s.ClusterSize - 1)
 }
 
 // SchemeNames lists every scheme name campaigns rotate through by

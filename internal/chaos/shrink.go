@@ -1,6 +1,6 @@
 package chaos
 
-// Shrink minimizes a violating schedule with delta debugging (ddmin):
+// Shrink minimizes cfg's violating schedule with delta debugging (ddmin):
 // it searches for a 1-minimal subset of the event list that still
 // reproduces a violation from the same checker, then additionally trims
 // MaxCycles to just past the violation. The predicate is a pure
@@ -12,26 +12,30 @@ package chaos
 // keeps shrinking effective when removing events shifts cycle numbers
 // or stream IDs inside the message while the underlying breach is the
 // same.
-func Shrink(sch Schedule, orig Violation, newCheckers func() []Checker, hooks Hooks) Schedule {
-	reproduces := func(s Schedule) bool {
-		res, err := Run(RunConfig{Schedule: s, Checkers: newCheckers(), Hooks: hooks})
-		return err == nil && res.Violation != nil && res.Violation.Checker == orig.Checker
+func Shrink(cfg RunConfig, orig Violation) Schedule {
+	sch := cfg.Schedule
+	run := func(s Schedule) *Violation {
+		cfg.Schedule = s
+		res, err := Run(cfg)
+		if err != nil || res.Violation == nil || res.Violation.Checker != orig.Checker {
+			return nil
+		}
+		return res.Violation
 	}
 
 	out := sch
 	out.Events = ddmin(sch.Events, func(sub []Event) bool {
 		s := sch
 		s.Events = sub
-		return reproduces(s)
+		return run(s) != nil
 	})
 
 	// Trim the tail: re-run to find where the violation now fires and
 	// cut MaxCycles just past it.
-	if res, err := Run(RunConfig{Schedule: out, Checkers: newCheckers(), Hooks: hooks}); err == nil &&
-		res.Violation != nil && res.Violation.Checker == orig.Checker {
+	if v := run(out); v != nil {
 		trimmed := out
-		trimmed.MaxCycles = res.Violation.Cycle + 2
-		if trimmed.MaxCycles < out.MaxCycles && reproduces(trimmed) {
+		trimmed.MaxCycles = v.Cycle + 2
+		if trimmed.MaxCycles < out.MaxCycles && run(trimmed) != nil {
 			out = trimmed
 		}
 	}

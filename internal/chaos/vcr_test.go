@@ -1,35 +1,6 @@
 package chaos
 
-import (
-	"testing"
-
-	"ftmm/internal/sched"
-)
-
-// vcrCounter counts applied VCR events, so tests can assert the verbs
-// actually took effect instead of being skipped by the best-effort
-// contract.
-type vcrCounter struct {
-	pauses, resumes, ffs, rewinds int
-}
-
-func (v *vcrCounter) Name() string                                    { return "vcr-counter" }
-func (v *vcrCounter) Begin(*RunContext) error                         { return nil }
-func (v *vcrCounter) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
-func (v *vcrCounter) End(*RunContext) error                           { return nil }
-func (v *vcrCounter) OnEvent(_ *RunContext, ev Event) error {
-	switch ev.Kind {
-	case EventPause:
-		v.pauses++
-	case EventVcrResume:
-		v.resumes++
-	case EventFF:
-		v.ffs++
-	case EventRewind:
-		v.rewinds++
-	}
-	return nil
-}
+import "testing"
 
 // vcrSchedule builds a deterministic single-node schedule that walks a
 // stream through pause → resume → rewind while a second stream
@@ -62,10 +33,10 @@ func vcrSchedule(scheme string) Schedule {
 func TestVcrScheduleAllSchemes(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
-			counter := &vcrCounter{}
+			counter := newProbe()
 			res, err := Run(RunConfig{
-				Schedule: vcrSchedule(scheme),
-				Checkers: append(DefaultCheckers(), counter),
+				Schedule:    vcrSchedule(scheme),
+				NewCheckers: func() []Checker { return append(DefaultCheckers(), counter) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -74,16 +45,16 @@ func TestVcrScheduleAllSchemes(t *testing.T) {
 				t.Fatalf("%s violation at cycle %d: %s",
 					res.Violation.Checker, res.Violation.Cycle, res.Violation.Detail)
 			}
-			if counter.pauses != 1 || counter.resumes != 1 || counter.rewinds != 1 {
+			if n := counter.applied; n[EventPause] != 1 || n[EventVcrResume] != 1 || n[EventRewind] != 1 {
 				t.Errorf("applied pauses/resumes/rewinds = %d/%d/%d, want 1/1/1",
-					counter.pauses, counter.resumes, counter.rewinds)
+					n[EventPause], n[EventVcrResume], n[EventRewind])
 			}
 			wantFF := 0
 			if scheme == "sr" || scheme == "dc" {
 				wantFF = 1
 			}
-			if counter.ffs != wantFF {
-				t.Errorf("applied ffs = %d, want %d", counter.ffs, wantFF)
+			if got := counter.applied[EventFF]; got != wantFF {
+				t.Errorf("applied ffs = %d, want %d", got, wantFF)
 			}
 		})
 	}
@@ -102,7 +73,7 @@ func TestVcrPauseDrainNoLeak(t *testing.T) {
 			{Cycle: 3, Kind: EventPause, Stream: 0},
 		},
 	}
-	res, err := Run(RunConfig{Schedule: s, Checkers: DefaultCheckers()})
+	res, err := Run(RunConfig{Schedule: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +110,7 @@ func clusterVcrSchedule() Schedule {
 // resume and any failover), the rewound session replayed, and every
 // session ended finished or lost-with-justification.
 func TestVcrClusterLedger(t *testing.T) {
-	res, err := RunCluster(ClusterRunConfig{Schedule: clusterVcrSchedule()})
+	res, err := Run(RunConfig{Schedule: clusterVcrSchedule()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,29 +137,26 @@ func TestVcrClusterLedger(t *testing.T) {
 	}
 }
 
-// TestVcrClusterCheckerCatchesBrokenResume proves the cross-node
-// continuity checker audits VCR re-admissions with its own ledger: a
-// handoff deliberately shifted one group forward must be flagged as a
-// position jump.
-func TestVcrClusterCheckerCatchesBrokenResume(t *testing.T) {
-	s := Schedule{
-		Scheme: "sr", ClusterSize: 4, Disks: 8, K: 1,
-		Titles: 2, TitleGroups: 6, MaxCycles: 160,
-		Nodes: 3, Replicas: 2, PlacementSeed: 7,
-		Events: []Event{
-			{Cycle: 0, Kind: EventAdmit, Title: "title0"},
-			{Cycle: 3, Kind: EventPause, Stream: 0},
-			{Cycle: 5, Kind: EventVcrResume, Stream: 0},
-		},
-	}
-	res, err := RunCluster(ClusterRunConfig{
-		Schedule: s,
-		Hooks:    Hooks{ResumeGroupOffset: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation == nil || res.Violation.Checker != "cluster-continuity" {
-		t.Fatalf("shifted VCR resume not caught; violation = %+v", res.Violation)
+// TestVcrCheckerCatchesBrokenResume proves the cross-node continuity
+// checker audits VCR re-admissions with its own ledger, on one node as
+// on three: a handoff deliberately shifted one group forward must be
+// flagged as a position jump and shrunk to admit, pause, resume.
+func TestVcrCheckerCatchesBrokenResume(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		mustCatchAndShrink(t, RunConfig{
+			Schedule: Schedule{
+				Scheme: "sr", ClusterSize: 4, Disks: 8, K: 1,
+				Titles: 2, TitleGroups: 6, MaxCycles: 160,
+				Nodes: nodes, Replicas: 2, PlacementSeed: 7,
+				Events: []Event{
+					{Cycle: 0, Kind: EventAdmit, Title: "title0"},
+					{Cycle: 1, Kind: EventAdmit, Title: "title1"},
+					{Cycle: 3, Kind: EventPause, Stream: 0},
+					{Cycle: 4, Kind: EventFF, Stream: 1, Rate: 2},
+					{Cycle: 5, Kind: EventVcrResume, Stream: 0},
+				},
+			},
+			Hooks: Hooks{ResumeGroupOffset: 1},
+		}, "cluster-continuity", 3)
 	}
 }

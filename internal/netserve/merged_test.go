@@ -41,31 +41,26 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 // same cycle (the Zipf head, lockstep) plus a witness on another title
 // all receive bit-exact content. Under Streaming RAID the pack's bursts
 // are physically shared (one staged run fanned out to every session —
-// asserted via net_merged_tracks); under the other schemes, and under SR
-// with merging disabled, the same wire contract holds over the
-// per-session path, so shared and private delivery are interchangeable
-// byte for byte.
+// asserted via net_merged_tracks); under the other schemes the same
+// wire contract holds over the per-session path, so shared and private
+// delivery are interchangeable byte for byte.
 func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	const nHot = 4
 	for _, tc := range []struct {
-		name       string
 		scheme     string
-		noMerge    bool
 		wantShared bool
 	}{
-		{"sr-merged", "sr", false, true},
-		{"sr-unmerged", "sr", true, false},
-		{"sg", "sg", false, false},
-		{"nc-simple", "nc-simple", false, false},
-		{"ib", "ib", false, false},
+		{"sr", true},
+		{"sg", false},
+		{"nc-simple", false},
+		{"ib", false},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.scheme, func(t *testing.T) {
 			cfg := defaultRig()
 			// Room for the pack: nHot viewers of title0 land on one
 			// cluster in the same cycle.
 			cfg.slotsPerDisk = nHot + 2
 			cfg.groups = 6
-			cfg.noMergedReads = tc.noMerge
 			r, results, merged := runHotTitle(t, tc.scheme, cfg, nHot)
 			for i := 0; i < nHot; i++ {
 				verifyBitExact(t, r, r.titles[0], results[i])

@@ -68,12 +68,6 @@ type Options struct {
 	// /debug/pprof/ on Handler's mux. Opt-in: profile endpoints can
 	// stall a loaded server and should not be exposed by default.
 	EnablePprof bool
-	// NoPipeline disables the two-stage cycle pipeline: StepCycle stages,
-	// flushes, and closes out the cycle's deliveries before returning,
-	// exactly as the pre-pipeline loop did, instead of overlapping them
-	// with the next cycle's engine reads. Bisection/debug knob — the
-	// bytes every client sees are bit-identical either way.
-	NoPipeline bool
 	// BatchCycles, when > 0, batches flash-crowd starts: a fresh ADMIT
 	// parks for up to this many engine cycles so that same-title arrivals
 	// inside the window admit together at one cycle boundary — their
@@ -174,14 +168,14 @@ type NetServer struct {
 	batchedStarts, batchRuns *metrics.Counter
 	batchWaitMs              *metrics.Histogram
 	// Pipeline phase histograms: engine read time, pass staging time,
-	// per-burst socket write time (all µs), and the share of each Step
-	// that overlapped the previous cycle's staging (percent).
-	phaseRead, phaseStage, phaseFlush, phaseOverlap *metrics.Histogram
+	// and per-burst socket write time (all µs).
+	phaseRead, phaseStage, phaseFlush *metrics.Histogram
 
 	// reportHook, when non-nil, receives a Clone of every stepped
 	// cycle's report before its pass is dispatched. Tests use it to
-	// compare pipelined and NoPipeline runs report-for-report; set it
-	// before the first StepCycle and leave it alone after.
+	// compare the pipelined front end report-for-report against a
+	// directly stepped server; set it before the first StepCycle and
+	// leave it alone after.
 	reportHook func(*sched.CycleReport)
 
 	stop chan struct{}
@@ -212,12 +206,9 @@ type stagePass struct {
 	done    chan struct{}
 	start   time.Time
 	// idle marks a pass whose report touched no shard (nothing staged,
-	// finished inline). Idle passes skip the stage/overlap histograms so
-	// drain-spin cycles don't dilute the phase means with zeros.
+	// finished inline). Idle passes skip the stage histogram so
+	// drain-spin cycles don't dilute the phase mean with zeros.
 	idle bool
-	// doneAt is the pass-completion wall time in UnixNanos (0 while
-	// running) — the next Step reads it to compute the overlap ratio.
-	doneAt atomic.Int64
 
 	// shared maps a run's first payload ref to its staged shared frames
 	// within this pass. Sessions whose delivered run is pointer-identical
@@ -540,7 +531,6 @@ func New(opts Options) (*NetServer, error) {
 	ns.phaseRead = m.Histogram("pipe_read_us", usBounds...)
 	ns.phaseStage = m.Histogram("pipe_stage_us", usBounds...)
 	ns.phaseFlush = m.Histogram("pipe_flush_us", usBounds...)
-	ns.phaseOverlap = m.Histogram("pipe_overlap_pct", 0, 10, 25, 50, 75, 90)
 	for w := range ns.stagers {
 		ns.stagers[w] = make(chan *stagePass, 2) // ≥ the pipeline depth: dispatch never blocks
 		ns.wg.Add(1)
@@ -1721,9 +1711,8 @@ func (ns *NetServer) idleLocked() bool {
 // deepest overlap that never races a buffer release.
 //
 // In manual mode (no Clock) this is the only way cycles happen; with a
-// Clock it also serves as a test hook. With Options.NoPipeline (or once
-// draining, where callers poll completion state between steps) the call
-// waits for its own pass, restoring the strictly serial loop.
+// Clock it also serves as a test hook. Once draining, where callers
+// poll completion state between steps, the call waits for its own pass.
 func (ns *NetServer) StepCycle() error {
 	ns.stepMu.Lock()
 	defer ns.stepMu.Unlock()
@@ -1781,7 +1770,6 @@ func (ns *NetServer) StepCycle() error {
 	ns.mu.Unlock()
 
 	ns.phaseRead.Observe(stepDur.Microseconds())
-	ns.observeOverlap(start, stepDur)
 	if ns.reportHook != nil {
 		ns.reportHook(rep.Clone())
 	}
@@ -1801,47 +1789,13 @@ func (ns *NetServer) StepCycle() error {
 			}
 		}
 	}
-	if ns.opts.NoPipeline || draining {
+	if draining {
 		select {
 		case <-p.done:
 		case <-ns.stop:
 		}
 	}
 	return nil
-}
-
-// observeOverlap records how much of the Step that just finished ran
-// while the previous cycle's staging pass was still working — the
-// pipeline's payoff, as a percentage of the Step. Called between the
-// Step and the pass swap, so curPass is still cycle N−1's pass.
-func (ns *NetServer) observeOverlap(start time.Time, stepDur time.Duration) {
-	prev := ns.curPass
-	if prev == nil {
-		return
-	}
-	if prev.idle {
-		// Nothing was staged last cycle, so there was nothing to overlap
-		// with; recording 0 here would just dilute the payoff metric with
-		// drain-spin cycles.
-		return
-	}
-	overlapped := stepDur
-	if doneAt := prev.doneAt.Load(); doneAt != 0 {
-		// The pass finished mid-Step (or before it): overlap is the
-		// leading slice of the Step, clamped to [0, stepDur].
-		d := time.Duration(doneAt - start.UnixNano())
-		if d < 0 {
-			d = 0
-		}
-		if d < overlapped {
-			overlapped = d
-		}
-	}
-	pct := int64(100)
-	if stepDur > 0 {
-		pct = int64(100 * overlapped / stepDur)
-	}
-	ns.phaseOverlap.Observe(pct)
 }
 
 // newPass opens a staging pass over one cycle's report; pending is
@@ -1853,7 +1807,6 @@ func (ns *NetServer) newPass(rep *sched.CycleReport, mask uint32) *stagePass {
 	}
 	p.rep = rep
 	p.start = time.Now()
-	p.doneAt.Store(0)
 	p.idle = mask == 0
 	p.pending.Store(int32(bits.OnesCount32(mask)))
 	p.done = make(chan struct{})
@@ -1972,8 +1925,8 @@ func (ns *NetServer) stageShard(p *stagePass, w int) {
 }
 
 // finishPass runs on the last worker out of a pass: release the pass's
-// holds on its shared runs, stamp the stage histogram and completion
-// time, re-check drain completion (sessions may have finished or shed
+// holds on its shared runs, stamp the stage histogram, re-check drain
+// completion (sessions may have finished or shed
 // this pass), and wake anyone waiting on the pass.
 func (ns *NetServer) finishPass(p *stagePass) {
 	for key, sf := range p.shared {
@@ -1983,7 +1936,6 @@ func (ns *NetServer) finishPass(p *stagePass) {
 	if !p.idle {
 		ns.phaseStage.Observe(time.Since(p.start).Microseconds())
 	}
-	p.doneAt.Store(time.Now().UnixNano())
 	ns.mu.Lock()
 	ns.checkDrainedLocked()
 	ns.mu.Unlock()

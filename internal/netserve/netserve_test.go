@@ -19,7 +19,6 @@ type rigConfig struct {
 	disks, cluster, k int
 	titles, groups    int
 	slotsPerDisk      int
-	noMergedReads     bool
 	ns                Options // Clock/SendQueue/WriteTimeout/WriteBufferBytes knobs
 }
 
@@ -38,7 +37,10 @@ type loopRig struct {
 	trackCount int
 }
 
-func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
+// newRigServer builds the rig's farm and archives its titles: the back
+// end newLoopRig fronts with a NetServer, and the twin the pipeline
+// test steps directly.
+func newRigServer(t *testing.T, schemeName string, cfg rigConfig) (*server.Server, []string) {
 	t.Helper()
 	scheme, policy, err := server.ParseScheme(schemeName)
 	if err != nil {
@@ -50,14 +52,12 @@ func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
 	srv, err := server.New(server.Options{
 		Disks: cfg.disks, ClusterSize: cfg.cluster,
 		DiskParams: p, Scheme: scheme, K: cfg.k, NCPolicy: policy,
-		SlotsPerDisk:       cfg.slotsPerDisk,
-		DisableMergedReads: cfg.noMergedReads,
+		SlotsPerDisk: cfg.slotsPerDisk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trackSize := int(p.TrackSize)
-	titleSize := cfg.groups * (cfg.cluster - 1) * trackSize
+	titleSize := cfg.groups * (cfg.cluster - 1) * int(p.TrackSize)
 	names := workload.ObjectNames("title", cfg.titles)
 	for i, id := range names {
 		content := workload.SyntheticContent(id, titleSize)
@@ -65,6 +65,12 @@ func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
 			t.Fatal(err)
 		}
 	}
+	return srv, names
+}
+
+func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
+	t.Helper()
+	srv, names := newRigServer(t, schemeName, cfg)
 	nsOpts := cfg.ns
 	nsOpts.Server = srv
 	ns, err := New(nsOpts)
@@ -72,9 +78,10 @@ func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ns.Close() })
+	trackSize := int(srv.Farm().Params().TrackSize)
 	return &loopRig{
 		srv: srv, ns: ns, titles: names,
-		trackSize: trackSize, titleSize: titleSize,
+		trackSize: trackSize, titleSize: cfg.groups * (cfg.cluster - 1) * trackSize,
 		trackCount: cfg.groups * (cfg.cluster - 1),
 	}
 }

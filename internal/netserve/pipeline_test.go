@@ -1,7 +1,6 @@
 package netserve
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -11,10 +10,11 @@ import (
 )
 
 // activeReport reports whether a cycle did any engine work. Trailing
-// idle cycles differ between pipelined and serial runs — the pipelined
-// front end removes finished sessions asynchronously, so its driver may
-// issue an extra empty step or two before seeing the farm quiesce — and
-// carry no delivery content, so the equality check trims them.
+// idle cycles differ between the pipelined front end and a directly
+// stepped server — the front end removes finished sessions
+// asynchronously, so its driver may issue an extra empty step or two
+// before seeing the farm quiesce — and carry no delivery content, so
+// the equality check trims them.
 func activeReport(r *sched.CycleReport) bool {
 	return len(r.Delivered) > 0 || len(r.Hiccups) > 0 ||
 		len(r.Finished) > 0 || len(r.Terminated) > 0 ||
@@ -29,13 +29,17 @@ func trimIdle(reports []*sched.CycleReport) []*sched.CycleReport {
 	return reports[:n]
 }
 
+// pipelineFailCycle and pipelineFailDrive are the mid-stream failure
+// both sides of the pipeline comparison inject.
+const pipelineFailCycle, pipelineFailDrive = 3, 0
+
 // runPipelineWorkload streams every title of a fresh rig to its own
 // client, fails a drive mid-stream, and runs the farm to completion,
 // capturing a Clone of every cycle report via the test hook.
-func runPipelineWorkload(t *testing.T, scheme string, noPipeline bool) (*loopRig, map[string]*clientResult, []*sched.CycleReport) {
+func runPipelineWorkload(t *testing.T, scheme string) (*loopRig, map[string]*clientResult, []*sched.CycleReport) {
 	t.Helper()
 	cfg := defaultRig()
-	cfg.ns = Options{NoPipeline: noPipeline, Logf: t.Logf}
+	cfg.ns = Options{Logf: t.Logf}
 	r := newLoopRig(t, scheme, cfg)
 	var reports []*sched.CycleReport
 	r.ns.reportHook = func(rep *sched.CycleReport) { reports = append(reports, rep) }
@@ -48,7 +52,7 @@ func runPipelineWorkload(t *testing.T, scheme string, noPipeline bool) (*loopRig
 		go func(c *Client) { ch <- consume(c) }(c)
 		chans[title] = ch
 	}
-	r.ns.ScheduleFailure(3, 0)
+	r.ns.ScheduleFailure(pipelineFailCycle, pipelineFailDrive)
 	r.stepUntilIdle(t, 400)
 	res := make(map[string]*clientResult, len(chans))
 	for title, ch := range chans {
@@ -57,49 +61,80 @@ func runPipelineWorkload(t *testing.T, scheme string, noPipeline bool) (*loopRig
 	return r, res, reports
 }
 
-// TestPipelineBitExactVsNoPipeline is the pipeline's correctness
-// anchor: the same workload — every title streaming, a drive failing
-// mid-stream — run pipelined and with NoPipeline must deliver
-// bit-identical bytes to every client and produce Equal cycle reports,
-// cycle for cycle. Run at two GOMAXPROCS settings so the race detector
-// (in CI's -race pass) sees both a starved and a parallel schedule.
-func TestPipelineBitExactVsNoPipeline(t *testing.T) {
+// runTwinServer is the reference the pipelined front end is held to:
+// the same farm with no network layer at all, given the same admissions
+// in the same order and the same drive failure, stepped directly.
+func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
+	t.Helper()
+	srv, titles := newRigServer(t, scheme, defaultRig())
+	for _, title := range titles {
+		if _, _, err := srv.Request(title); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reports []*sched.CycleReport
+	for cycle := 0; srv.Engine().Active() > 0; cycle++ {
+		if cycle == pipelineFailCycle {
+			if err := srv.FailDisk(pipelineFailDrive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cycle >= 400 {
+			t.Fatal("twin server not idle after 400 cycles")
+		}
+		rep, err := srv.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep.Clone())
+	}
+	return reports
+}
+
+// TestPipelineBitExactVsDirectStep is the pipeline's correctness
+// anchor: a workload — every title streaming, a drive failing
+// mid-stream — run through the pipelined front end must deliver
+// bit-exact bytes to every client and produce cycle reports Equal,
+// cycle for cycle, to those of a twin server stepped directly with no
+// front end (and so no pipeline) at all. Run at two GOMAXPROCS settings
+// so the race detector (in CI's -race pass) sees both a starved and a
+// parallel schedule.
+func TestPipelineBitExactVsDirectStep(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, scheme := range []string{"sr", "nc"} {
 				t.Run(scheme, func(t *testing.T) {
-					pipeRig, pipeRes, pipeReps := runPipelineWorkload(t, scheme, false)
-					serRig, serRes, serReps := runPipelineWorkload(t, scheme, true)
-
-					for _, title := range pipeRig.titles {
-						verifyBitExact(t, pipeRig, title, pipeRes[title])
-						verifyBitExact(t, serRig, title, serRes[title])
-						p, s := pipeRes[title], serRes[title]
-						if p.bye != s.bye {
-							t.Errorf("%s: bye %q pipelined vs %q serial", title, p.bye, s.bye)
-						}
-						if len(p.tracks) != len(s.tracks) {
-							t.Errorf("%s: %d tracks pipelined vs %d serial", title, len(p.tracks), len(s.tracks))
-						}
-						for track, data := range p.tracks {
-							if !bytes.Equal(data, s.tracks[track]) {
-								t.Errorf("%s: track %d bytes differ between pipelined and serial runs", title, track)
-							}
-						}
-						if len(p.hiccups) != len(s.hiccups) {
-							t.Errorf("%s: %d hiccups pipelined vs %d serial", title, len(p.hiccups), len(s.hiccups))
+					rig, res, pipeReps := runPipelineWorkload(t, scheme)
+					for _, title := range rig.titles {
+						verifyBitExact(t, rig, title, res[title])
+						if bye := res[title].bye; bye != "finished" {
+							t.Errorf("%s: bye %q, want finished", title, bye)
 						}
 					}
 
-					a, b := trimIdle(pipeReps), trimIdle(serReps)
+					a, b := trimIdle(pipeReps), trimIdle(runTwinServer(t, scheme))
 					if len(a) != len(b) {
-						t.Fatalf("%d active cycles pipelined vs %d serial", len(a), len(b))
+						t.Fatalf("%d active cycles pipelined vs %d stepped directly", len(a), len(b))
 					}
+					delivered, hiccups := 0, 0
 					for i := range a {
 						if !a[i].Equal(b[i]) {
-							t.Errorf("cycle %d: reports differ between pipelined and serial runs", a[i].Cycle)
+							t.Errorf("cycle %d: report differs between the pipelined front end and the directly stepped twin", a[i].Cycle)
 						}
+						delivered += len(b[i].Delivered)
+						hiccups += len(b[i].Hiccups)
+					}
+					// What reached the clients is what the twin's reports say
+					// the engine delivered and lost.
+					gotTracks, gotHiccups := 0, 0
+					for _, r := range res {
+						gotTracks += len(r.tracks)
+						gotHiccups += len(r.hiccups)
+					}
+					if gotTracks != delivered || gotHiccups != hiccups {
+						t.Errorf("clients saw %d tracks and %d hiccups; the twin's reports list %d and %d",
+							gotTracks, gotHiccups, delivered, hiccups)
 					}
 				})
 			}

@@ -100,107 +100,96 @@ func TestFFCapacityRejectThenPauseAdmits(t *testing.T) {
 
 // TestPauseResumeBitExact plays a title with a pause/resume round-trip
 // in the middle and checks the viewer still ends up with every track of
-// the title, bit-exact — under both the pipelined cycle loop and the
-// NoPipeline staging path, since resume rekeys the session mid-flight
-// and the pipeline holds staged frames for the old stream ID.
+// the title, bit-exact: resume rekeys the session mid-flight while the
+// pipeline holds staged frames for the old stream ID.
 func TestPauseResumeBitExact(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		noPipeline bool
-	}{
-		{name: "pipelined"},
-		{name: "no-pipeline", noPipeline: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := defaultRig()
-			cfg.groups = 6
-			cfg.ns = Options{NoPipeline: tc.noPipeline, Logf: t.Logf}
-			r := newLoopRig(t, "sr", cfg)
+	cfg := defaultRig()
+	cfg.groups = 6
+	cfg.ns = Options{Logf: t.Logf}
+	r := newLoopRig(t, "sr", cfg)
 
-			c, ok := r.connect(t, r.titles[0])
-			defer c.Close()
-			done := make(chan *clientResult, 1)
-			resumed := make(chan struct{}, 1)
-			go func() {
-				// The reader collects tracks and drives the VCR handshake:
-				// on the pause ack it asks to play on (the re-admission
-				// may bounce off a momentarily full farm; retries ride the
-				// VcrReject arm), and on the resume ack it unblocks the
-				// cycle driver.
-				res := &clientResult{tracks: map[int][]byte{}}
-				for {
-					ev, err := c.Next()
-					if err != nil {
+	c, ok := r.connect(t, r.titles[0])
+	defer c.Close()
+	done := make(chan *clientResult, 1)
+	resumed := make(chan struct{}, 1)
+	go func() {
+		// The reader collects tracks and drives the VCR handshake:
+		// on the pause ack it asks to play on (the re-admission
+		// may bounce off a momentarily full farm; retries ride the
+		// VcrReject arm), and on the resume ack it unblocks the
+		// cycle driver.
+		res := &clientResult{tracks: map[int][]byte{}}
+		for {
+			ev, err := c.Next()
+			if err != nil {
+				res.err = err
+				done <- res
+				return
+			}
+			switch {
+			case ev.Bye != nil:
+				res.bye = ev.Bye.Reason
+				done <- res
+				return
+			case ev.Vcr != nil:
+				switch ev.Vcr.Verb {
+				case "pause":
+					if err := c.ResumePlay(); err != nil {
 						res.err = err
 						done <- res
 						return
 					}
-					switch {
-					case ev.Bye != nil:
-						res.bye = ev.Bye.Reason
-						done <- res
-						return
-					case ev.Vcr != nil:
-						switch ev.Vcr.Verb {
-						case "pause":
-							if err := c.ResumePlay(); err != nil {
-								res.err = err
-								done <- res
-								return
-							}
-						case "resume":
-							resumed <- struct{}{}
-						}
-					case ev.VcrReject != nil:
-						time.Sleep(time.Duration(ev.VcrReject.RetryAfterMillis) * time.Millisecond)
-						if err := c.ResumePlay(); err != nil {
-							res.err = err
-							done <- res
-							return
-						}
-					case ev.Hiccup != nil:
-						res.hiccups = append(res.hiccups, *ev.Hiccup)
-					default:
-						res.tracks[ev.Track] = ev.Data
-					}
+				case "resume":
+					resumed <- struct{}{}
 				}
-			}()
+			case ev.VcrReject != nil:
+				time.Sleep(time.Duration(ev.VcrReject.RetryAfterMillis) * time.Millisecond)
+				if err := c.ResumePlay(); err != nil {
+					res.err = err
+					done <- res
+					return
+				}
+			case ev.Hiccup != nil:
+				res.hiccups = append(res.hiccups, *ev.Hiccup)
+			default:
+				res.tracks[ev.Track] = ev.Data
+			}
+		}
+	}()
 
-			// Play the stream a few tracks in, then stop the clock — the
-			// pause must land mid-flight, and the VCR round-trip needs no
-			// cycles (verbs are handled on the session's reader).
-			for i := 0; ; i++ {
-				next, _, live := r.ns.StreamProgress(ok.StreamID)
-				if !live {
-					t.Fatal("stream finished before the pause point")
-				}
-				if next >= 5 {
-					break
-				}
-				if i >= 100 {
-					t.Fatalf("stream stuck at track %d", next)
-				}
-				if err := r.ns.StepCycle(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Pause(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-resumed:
-			case <-time.After(20 * time.Second):
-				t.Fatal("pause/resume handshake never completed")
-			}
-			r.stepUntilIdle(t, 600)
-			res := <-done
-			if res.bye != "finished" {
-				t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
-			}
-			verifyBitExact(t, r, r.titles[0], res)
-			if len(res.hiccups) != 0 {
-				t.Errorf("pause/resume caused %d hiccups: %v", len(res.hiccups), res.hiccups)
-			}
-		})
+	// Play the stream a few tracks in, then stop the clock — the
+	// pause must land mid-flight, and the VCR round-trip needs no
+	// cycles (verbs are handled on the session's reader).
+	for i := 0; ; i++ {
+		next, _, live := r.ns.StreamProgress(ok.StreamID)
+		if !live {
+			t.Fatal("stream finished before the pause point")
+		}
+		if next >= 5 {
+			break
+		}
+		if i >= 100 {
+			t.Fatalf("stream stuck at track %d", next)
+		}
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-resumed:
+	case <-time.After(20 * time.Second):
+		t.Fatal("pause/resume handshake never completed")
+	}
+	r.stepUntilIdle(t, 600)
+	res := <-done
+	if res.bye != "finished" {
+		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
+	}
+	verifyBitExact(t, r, r.titles[0], res)
+	if len(res.hiccups) != 0 {
+		t.Errorf("pause/resume caused %d hiccups: %v", len(res.hiccups), res.hiccups)
 	}
 }

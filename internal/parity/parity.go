@@ -7,22 +7,16 @@
 // it can verify, bit for bit, that data delivered during degraded-mode
 // operation equals the data that was stored.
 //
-// Four implementations of the XOR fold coexist, forming a differential
-// oracle chain from slowest/most-obvious to fastest: the byte-wise
-// reference (XORIntoRef), the word-wise kernel (XORIntoWord, eight
-// 64-bit lanes per unrolled iteration through encoding/binary loads),
-// the register-blocked kernel (XORIntoBlocked, four words loaded into
-// locals per iteration so the compiler keeps the whole block in
-// registers), and the production entry point XORInto, which dispatches
-// to crypto/subtle.XORBytes — the stdlib's architecture-tuned (SIMD on
-// amd64/arm64) XOR that is still portable Go API. Each implementation
-// is tested bit-for-bit against the one below it, so the hot path's
+// Two implementations of the XOR fold coexist: the production entry
+// point XORInto, which dispatches to crypto/subtle.XORBytes — the
+// stdlib's architecture-tuned (SIMD on amd64/arm64) XOR that is still
+// portable Go API — and the byte-wise reference XORIntoRef, the oracle
+// XORInto is tested and fuzzed against bit for bit, so the hot path's
 // speed never rests on unverified code.
 package parity
 
 import (
 	"crypto/subtle"
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -33,103 +27,15 @@ var ErrSizeMismatch = errors.New("parity: blocks in a group must have equal leng
 // ErrEmptyGroup is returned for groups with no data blocks.
 var ErrEmptyGroup = errors.New("parity: group needs at least one data block")
 
-// xorWords is the word-wise XOR kernel: dst[i] ^= src[i] for equally
-// sized slices, eight uint64 lanes per unrolled iteration with a
-// word-wise then byte-wise tail. Callers guarantee len(dst) == len(src).
-func xorWords(dst, src []byte) {
-	n := len(dst)
-	i := 0
-	// Main loop: 64 bytes (8 words) per iteration.
-	for ; i+64 <= n; i += 64 {
-		d := dst[i : i+64 : i+64]
-		s := src[i : i+64 : i+64]
-		binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^binary.LittleEndian.Uint64(s[0:8]))
-		binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^binary.LittleEndian.Uint64(s[8:16]))
-		binary.LittleEndian.PutUint64(d[16:24], binary.LittleEndian.Uint64(d[16:24])^binary.LittleEndian.Uint64(s[16:24]))
-		binary.LittleEndian.PutUint64(d[24:32], binary.LittleEndian.Uint64(d[24:32])^binary.LittleEndian.Uint64(s[24:32]))
-		binary.LittleEndian.PutUint64(d[32:40], binary.LittleEndian.Uint64(d[32:40])^binary.LittleEndian.Uint64(s[32:40]))
-		binary.LittleEndian.PutUint64(d[40:48], binary.LittleEndian.Uint64(d[40:48])^binary.LittleEndian.Uint64(s[40:48]))
-		binary.LittleEndian.PutUint64(d[48:56], binary.LittleEndian.Uint64(d[48:56])^binary.LittleEndian.Uint64(s[48:56]))
-		binary.LittleEndian.PutUint64(d[56:64], binary.LittleEndian.Uint64(d[56:64])^binary.LittleEndian.Uint64(s[56:64]))
-	}
-	// Word tail.
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:i+8], binary.LittleEndian.Uint64(dst[i:i+8])^binary.LittleEndian.Uint64(src[i:i+8]))
-	}
-	// Byte tail.
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
-}
-
-// xorWordsBlocked is the 4-way register-blocked XOR kernel: each
-// iteration loads four destination and four source words into locals,
-// folds them, and stores the results, so the working set of one block
-// lives entirely in registers instead of bouncing through memory
-// between the load and the store of each lane. Callers guarantee
-// len(dst) == len(src).
-func xorWordsBlocked(dst, src []byte) {
-	n := len(dst)
-	i := 0
-	// Main loop: 32 bytes (4 words) per register block.
-	for ; i+32 <= n; i += 32 {
-		d := dst[i : i+32 : i+32]
-		s := src[i : i+32 : i+32]
-		d0 := binary.LittleEndian.Uint64(d[0:8])
-		d1 := binary.LittleEndian.Uint64(d[8:16])
-		d2 := binary.LittleEndian.Uint64(d[16:24])
-		d3 := binary.LittleEndian.Uint64(d[24:32])
-		s0 := binary.LittleEndian.Uint64(s[0:8])
-		s1 := binary.LittleEndian.Uint64(s[8:16])
-		s2 := binary.LittleEndian.Uint64(s[16:24])
-		s3 := binary.LittleEndian.Uint64(s[24:32])
-		binary.LittleEndian.PutUint64(d[0:8], d0^s0)
-		binary.LittleEndian.PutUint64(d[8:16], d1^s1)
-		binary.LittleEndian.PutUint64(d[16:24], d2^s2)
-		binary.LittleEndian.PutUint64(d[24:32], d3^s3)
-	}
-	// Word tail.
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:i+8], binary.LittleEndian.Uint64(dst[i:i+8])^binary.LittleEndian.Uint64(src[i:i+8]))
-	}
-	// Byte tail.
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // XORInto xors src into dst element-wise: dst[i] ^= src[i]. It performs
 // no allocations and dispatches to crypto/subtle.XORBytes, whose exact
 // dst==x aliasing contract matches this in-place fold and whose
-// amd64/arm64 implementations run SIMD-wide — roughly 2x the word
-// kernel on track-sized blocks.
+// amd64/arm64 implementations run SIMD-wide.
 func XORInto(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: dst %d bytes, src %d", ErrSizeMismatch, len(dst), len(src))
 	}
 	subtle.XORBytes(dst, dst, src)
-	return nil
-}
-
-// XORIntoWord is the word-wise 8-lane kernel behind the pre-subtle
-// XORInto, kept exported as a differential oracle and benchmark rung
-// between the byte-wise reference and the production path.
-func XORIntoWord(dst, src []byte) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d", ErrSizeMismatch, len(dst), len(src))
-	}
-	xorWords(dst, src)
-	return nil
-}
-
-// XORIntoBlocked is the 4-way register-blocked kernel — the fastest
-// pure-Go rung of the oracle chain, and the portable fallback a build
-// without a tuned subtle.XORBytes would use.
-func XORIntoBlocked(dst, src []byte) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d", ErrSizeMismatch, len(dst), len(src))
-	}
-	xorWordsBlocked(dst, src)
 	return nil
 }
 

@@ -5,8 +5,7 @@ import (
 )
 
 // FuzzParse hardens the scenario JSON surface: arbitrary input must
-// either parse into a spec that passes Validate, or error — never panic,
-// and never produce a spec that Run would crash on structurally.
+// either parse into a spec that passes Validate, or error — never panic.
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(validJSON))
 	f.Add([]byte(`{}`))

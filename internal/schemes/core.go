@@ -251,8 +251,9 @@ type engineStream interface {
 
 // streamProgress reports a stream's delivery progress: the next track
 // owed to the client and the object's total tracks. ok is false for
-// streams the engine never knew or has forgotten; finished and
-// terminated streams still report (next pinned at total for finished).
+// streams the engine never knew or has forgotten: an ended stream still
+// reports (next pinned at total for finished) until the next Step's
+// dropEnded.
 func streamProgress[S engineStream](streams []S, id int) (next, total int, ok bool) {
 	for _, s := range streams {
 		if st := s.stream(); st.ID == id {
@@ -260,6 +261,25 @@ func streamProgress[S engineStream](streams []S, id int) (next, total int, ok bo
 		}
 	}
 	return 0, 0, false
+}
+
+// dropEnded forgets, order preserved, every stream that finished, was
+// cancelled or was terminated, so the per-cycle walks over the stream
+// list — and the list itself — stay proportional to the streams being
+// served, not to every stream ever admitted. An ended stream holds no
+// buffers (delivery, cancel and terminate all release them on the way
+// to setting the flag) and every walk already skips it, so reports are
+// unchanged. Engines call it at the top of Step: a stream that ended in
+// one cycle stays visible to StreamProgress until the next.
+func dropEnded[S engineStream](streams []S) []S {
+	kept := streams[:0]
+	for _, s := range streams {
+		if st := s.stream(); !st.Done && !st.Terminated {
+			kept = append(kept, s)
+		}
+	}
+	clear(streams[len(kept):])
+	return kept
 }
 
 // checkStartGroup validates an AddStreamAt origin: it must index an

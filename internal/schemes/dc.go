@@ -115,8 +115,9 @@ func (e *Declustered) Step() (*sched.CycleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.streams = dropEnded(e.streams)
 
-	merge := !e.cfg.DisableMergedReads
+	merge := !e.cfg.disableMergedReads
 	if merge {
 		e.ensureStageCaches()
 	}

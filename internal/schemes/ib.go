@@ -173,6 +173,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
 	var groups []*ibGroupRead

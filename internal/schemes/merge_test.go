@@ -28,7 +28,7 @@ func runMergeScenario(t *testing.T, r *rig, workers int, disableMerge bool) merg
 	cfg := r.config()
 	cfg.Workers = workers
 	cfg.SlotsPerDisk = 8
-	cfg.DisableMergedReads = disableMerge
+	cfg.disableMergedReads = disableMerge
 	e, err := NewStreamingRAID(cfg)
 	if err != nil {
 		t.Fatal(err)

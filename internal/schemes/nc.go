@@ -380,6 +380,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.streams = dropEnded(e.streams)
 
 	degraded := 0
 	for _, c := range e.clusters {

@@ -91,16 +91,16 @@ type Config struct {
 	// GOMAXPROCS, 1 runs fully serial. Any value produces bit-identical
 	// cycle reports for the same inputs.
 	Workers int
-	// DisableMergedReads turns off same-title read merging in the
-	// Streaming RAID engine (streams staging the same parity group in
-	// the same cycle share one physical read). Merging never changes
-	// reports — every sharer still pays slots, pool tracks, and read
-	// counters — so this knob exists for benchmarking the unmerged path
-	// and bisecting, not for correctness.
-	DisableMergedReads bool
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (see sched.NewRecorder for the instrument set).
 	Metrics *metrics.Registry
+	// disableMergedReads turns off same-title read merging in the
+	// whole-group engines (streams staging the same parity group in the
+	// same cycle share one physical read). Merging never changes reports
+	// — every sharer still pays slots, pool tracks, and read counters —
+	// and the unmerged path exists only as the reference in-package
+	// tests prove that against.
+	disableMergedReads bool
 }
 
 func (c Config) validate() error {

@@ -126,6 +126,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
 	// Read pass: streams at their phase read their next whole group. As

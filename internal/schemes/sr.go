@@ -104,6 +104,7 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.streams = dropEnded(e.streams)
 
 	// Read phase: each active stream reads its next whole parity group.
 	// A stream's reads stay on one cluster this cycle, so clusters are
@@ -113,7 +114,7 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	// viewers of one hot title in lockstep) share one physical read via
 	// the per-cluster stage cache; see stageGroup for why reports stay
 	// bit-identical to the unmerged path.
-	merge := !e.cfg.DisableMergedReads
+	merge := !e.cfg.disableMergedReads
 	if merge {
 		e.ensureStageCaches()
 	}

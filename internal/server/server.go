@@ -60,10 +60,6 @@ type Options struct {
 	// Workers bounds the engine's per-cluster parallelism within a cycle:
 	// 0 uses GOMAXPROCS, 1 runs serial. Reports are identical either way.
 	Workers int
-	// DisableMergedReads turns off the Streaming RAID engine's same-title
-	// read merging (see schemes.Config.DisableMergedReads); reports are
-	// identical either way.
-	DisableMergedReads bool
 	// Metrics receives the engine's instruments; nil installs a fresh
 	// registry (exposed via Metrics/MetricsSnapshot).
 	Metrics *metrics.Registry
@@ -181,10 +177,9 @@ func New(opts Options) (*Server, error) {
 	}
 	cfg := schemes.Config{
 		Farm: farm, Layout: cat.Layout(), Rate: opts.Rate,
-		SlotsPerDisk:       opts.SlotsPerDisk,
-		Workers:            opts.Workers,
-		DisableMergedReads: opts.DisableMergedReads,
-		Metrics:            opts.Metrics,
+		SlotsPerDisk: opts.SlotsPerDisk,
+		Workers:      opts.Workers,
+		Metrics:      opts.Metrics,
 	}
 	var engine schemes.Simulator
 	switch opts.Scheme {
