@@ -40,7 +40,7 @@ type loopRig struct {
 // newRigServer builds the rig's farm and archives its titles: the back
 // end newLoopRig fronts with a NetServer, and the twin the pipeline
 // test steps directly.
-func newRigServer(t *testing.T, schemeName string, cfg rigConfig) (*server.Server, []string) {
+func newRigServer(t testing.TB, schemeName string, cfg rigConfig) (*server.Server, []string) {
 	t.Helper()
 	scheme, policy, err := server.ParseScheme(schemeName)
 	if err != nil {
@@ -68,7 +68,7 @@ func newRigServer(t *testing.T, schemeName string, cfg rigConfig) (*server.Serve
 	return srv, names
 }
 
-func newLoopRig(t *testing.T, schemeName string, cfg rigConfig) *loopRig {
+func newLoopRig(t testing.TB, schemeName string, cfg rigConfig) *loopRig {
 	t.Helper()
 	srv, names := newRigServer(t, schemeName, cfg)
 	nsOpts := cfg.ns
@@ -190,6 +190,23 @@ func (r *loopRig) stepUntilIdle(t *testing.T, maxCycles int) {
 		}
 	}
 	t.Fatalf("farm not idle after %d cycles (%d sessions)", maxCycles, r.ns.Sessions())
+}
+
+// stepUntilBuffersHome idle-steps until every arena buffer has been
+// returned: the engine holds delivered refs for two further Steps, and
+// writer goroutines may still be unwinding.
+func (r *loopRig) stepUntilBuffersHome(t testing.TB) {
+	t.Helper()
+	arena := r.srv.Engine().Arena()
+	for deadline := time.Now().Add(10 * time.Second); arena.Outstanding() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("arena has %d buffers outstanding after drain", arena.Outstanding())
+		}
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestLoopbackMidStreamFailure is the end-to-end acceptance test: under

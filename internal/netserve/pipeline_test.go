@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"ftmm/internal/sched"
 )
@@ -186,16 +185,5 @@ func TestPipelinedDrainNoLeak(t *testing.T) {
 			t.Fatalf("client %d: err=%v bye=%q, want a finished playout", i, res.err, res.bye)
 		}
 	}
-	// The engine holds delivered refs for two further Steps; idle-step
-	// until every buffer is home.
-	deadline := time.Now().Add(10 * time.Second)
-	for arena.Outstanding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("arena has %d buffers outstanding after drain", arena.Outstanding())
-		}
-		if err := r.ns.StepCycle(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r.stepUntilBuffersHome(t)
 }

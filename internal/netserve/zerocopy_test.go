@@ -72,19 +72,7 @@ func TestArenaNoLeakAfterShedAndDisconnect(t *testing.T) {
 		t.Fatalf("healthy stream: err=%v bye=%q", h.err, h.bye)
 	}
 
-	// The engine holds the last cycle's delivered refs until the next
-	// Step, and writer goroutines may still be unwinding; step idle
-	// cycles and poll until every buffer is home.
-	deadline := time.Now().Add(10 * time.Second)
-	for arena.Outstanding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("arena has %d buffers outstanding after idle", arena.Outstanding())
-		}
-		if err := r.ns.StepCycle(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r.stepUntilBuffersHome(t)
 }
 
 // chunkConn is a net.Conn stub whose Write accepts at most cap bytes

@@ -146,3 +146,62 @@ func manyObjectsRig(t *testing.T, n int, placement layout.Placement) *rig {
 	}
 	return r
 }
+
+// TestDegradedCapacity pins how many streams each scheme admits with
+// one drive down, on one farm so the rows compare: 18 drives, parity
+// groups of C = 3, and for dc two G = 9 declustering groups. Drive 0 is
+// failed and latched with one cycle, then streams are admitted
+// round-robin over six titles until the engine refuses.
+func TestDegradedCapacity(t *testing.T) {
+	const d, c, g, titles, groupsEach = 18, 3, 9, 6, 12
+	clustered := func(p layout.Placement) func(*testing.T) *rig {
+		return func(t *testing.T) *rig { return newRig(t, d, c, titles, groupsEach, p) }
+	}
+	for _, tc := range []struct {
+		name  string
+		rig   func(*testing.T) *rig
+		build func(Config) (Simulator, error)
+		want  int
+	}{
+		{"sr", clustered(layout.DedicatedParity),
+			func(cfg Config) (Simulator, error) { return NewStreamingRAID(cfg) }, 150},
+		{"sg", clustered(layout.DedicatedParity),
+			func(cfg Config) (Simulator, error) { return NewStaggeredGroup(cfg) }, 72},
+		{"nc", clustered(layout.DedicatedParity),
+			func(cfg Config) (Simulator, error) { return NewNonClustered(cfg, AlternateSwitchover, 1) }, 72},
+		{"nc-simple", clustered(layout.DedicatedParity),
+			func(cfg Config) (Simulator, error) { return NewNonClustered(cfg, SimpleSwitchover, 1) }, 72},
+		{"ib", clustered(layout.IntermixedParity),
+			func(cfg Config) (Simulator, error) { return NewImprovedBandwidth(cfg, 1) }, 144},
+		// dc is the "conservative floor" of Declustered.AddStreamAt: each
+		// G-drive group is capped at one disk's slot budget, so two
+		// groups of 25 slots admit a third of what sr does on the same
+		// drives. ROADMAP item 2 derives the cap from the design's
+		// replication number instead; that change edits this one number.
+		{"dc", func(t *testing.T) *rig { return newDeclusteredRig(t, d, g, c, titles, groupsEach) },
+			func(cfg Config) (Simulator, error) { return NewDeclustered(cfg) }, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.rig(t)
+			e, err := tc.build(r.config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.FailDisk(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			admitted := 0
+			for ; admitted < 10_000; admitted++ {
+				if _, err := e.AddStream(r.object(t, admitted%titles)); err != nil {
+					break
+				}
+			}
+			if admitted != tc.want {
+				t.Errorf("%s admits %d streams with one drive down, want %d", tc.name, admitted, tc.want)
+			}
+		})
+	}
+}
