@@ -226,8 +226,8 @@ func TestCampaignCyclesGolden(t *testing.T) {
 		nodes int
 		want  []int
 	}{
-		{1, []int{20, 28, 21, 19, 19, 19, 18, 25, 18, 30, 20, 19, 20, 23, 31}},
-		{3, []int{20, 28, 22, 19, 19, 19, 18, 25, 18, 30}},
+		{1, []int{19, 27, 20, 18, 18, 18, 17, 24, 17, 29, 19, 18, 19, 22, 30}},
+		{3, []int{19, 27, 21, 18, 18, 18, 17, 24, 17, 29}},
 	} {
 		schemes := SchemeNames()
 		for i, want := range tc.want {

@@ -391,23 +391,20 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		r.advanceLedger(reps)
 
 		if cycle >= lastEvent && r.allIdle() {
-			// Two drain steps per surviving node: engines hold a report's
-			// buffers for two Steps (the double-buffered report window the
-			// pipelined front end stages from), and the leak checkers need
-			// both generations released.
-			for extra := 1; extra <= 2; extra++ {
-				crc.Cycle = cycle + extra
-				for _, nd := range crc.Nodes {
-					if nd.State == NodeDead {
-						continue
-					}
-					nd.RC.Cycle = cycle + extra
-					if _, err := nd.Srv.Step(); err != nil {
-						return violate("run-error", nd.ID, err), nil
-					}
+			// One drain step per surviving node: an engine holds its last
+			// report's buffers until the next Step, and the leak checkers
+			// need them released.
+			crc.Cycle = cycle + 1
+			for _, nd := range crc.Nodes {
+				if nd.State == NodeDead {
+					continue
 				}
-				res.Cycles++
+				nd.RC.Cycle = cycle + 1
+				if _, err := nd.Srv.Step(); err != nil {
+					return violate("run-error", nd.ID, err), nil
+				}
 			}
+			res.Cycles++
 			crc.Drained = true
 			break
 		}

@@ -4,38 +4,19 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"ftmm/internal/sched"
 )
 
-// activeReport reports whether a cycle did any engine work. Trailing
-// idle cycles differ between the pipelined front end and a directly
-// stepped server — the front end removes finished sessions
-// asynchronously, so its driver may issue an extra empty step or two
-// before seeing the farm quiesce — and carry no delivery content, so
-// the equality check trims them.
-func activeReport(r *sched.CycleReport) bool {
-	return len(r.Delivered) > 0 || len(r.Hiccups) > 0 ||
-		len(r.Finished) > 0 || len(r.Terminated) > 0 ||
-		r.DataReads > 0 || r.ParityReads > 0 || r.Reconstructions > 0
-}
+// twinFailCycle and twinFailDrive are the mid-stream failure both sides
+// of the front-end/twin comparison inject.
+const twinFailCycle, twinFailDrive = 3, 0
 
-func trimIdle(reports []*sched.CycleReport) []*sched.CycleReport {
-	n := len(reports)
-	for n > 0 && !activeReport(reports[n-1]) {
-		n--
-	}
-	return reports[:n]
-}
-
-// pipelineFailCycle and pipelineFailDrive are the mid-stream failure
-// both sides of the pipeline comparison inject.
-const pipelineFailCycle, pipelineFailDrive = 3, 0
-
-// runPipelineWorkload streams every title of a fresh rig to its own
+// runFrontEndWorkload streams every title of a fresh rig to its own
 // client, fails a drive mid-stream, and runs the farm to completion,
 // capturing a Clone of every cycle report via the test hook.
-func runPipelineWorkload(t *testing.T, scheme string) (*loopRig, map[string]*clientResult, []*sched.CycleReport) {
+func runFrontEndWorkload(t *testing.T, scheme string) (*loopRig, map[string]*clientResult, []*sched.CycleReport) {
 	t.Helper()
 	cfg := defaultRig()
 	cfg.ns = Options{Logf: t.Logf}
@@ -51,7 +32,7 @@ func runPipelineWorkload(t *testing.T, scheme string) (*loopRig, map[string]*cli
 		go func(c *Client) { ch <- consume(c) }(c)
 		chans[title] = ch
 	}
-	r.ns.ScheduleFailure(pipelineFailCycle, pipelineFailDrive)
+	r.ns.ScheduleFailure(twinFailCycle, twinFailDrive)
 	r.stepUntilIdle(t, 400)
 	res := make(map[string]*clientResult, len(chans))
 	for title, ch := range chans {
@@ -60,9 +41,9 @@ func runPipelineWorkload(t *testing.T, scheme string) (*loopRig, map[string]*cli
 	return r, res, reports
 }
 
-// runTwinServer is the reference the pipelined front end is held to:
-// the same farm with no network layer at all, given the same admissions
-// in the same order and the same drive failure, stepped directly.
+// runTwinServer is the reference the front end is held to: the same
+// farm with no network layer at all, given the same admissions in the
+// same order and the same drive failure, stepped directly.
 func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 	t.Helper()
 	srv, titles := newRigServer(t, scheme, defaultRig())
@@ -73,8 +54,8 @@ func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 	}
 	var reports []*sched.CycleReport
 	for cycle := 0; srv.Engine().Active() > 0; cycle++ {
-		if cycle == pipelineFailCycle {
-			if err := srv.FailDisk(pipelineFailDrive); err != nil {
+		if cycle == twinFailCycle {
+			if err := srv.FailDisk(twinFailDrive); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -90,21 +71,22 @@ func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 	return reports
 }
 
-// TestPipelineBitExactVsDirectStep is the pipeline's correctness
+// TestPipelineBitExactVsDirectStep is the cycle loop's correctness
 // anchor: a workload — every title streaming, a drive failing
-// mid-stream — run through the pipelined front end must deliver
-// bit-exact bytes to every client and produce cycle reports Equal,
-// cycle for cycle, to those of a twin server stepped directly with no
-// front end (and so no pipeline) at all. Run at two GOMAXPROCS settings
-// so the race detector (in CI's -race pass) sees both a starved and a
-// parallel schedule.
+// mid-stream — run through the front end must deliver bit-exact bytes
+// to every client and produce cycle reports Equal, cycle for cycle, to
+// those of a twin server stepped directly with no front end at all —
+// the same number of them, since a finished session is gone before its
+// StepCycle returns. Run at two GOMAXPROCS settings so the race
+// detector (in CI's -race pass) sees the writers release against the
+// cycle's staging on both a starved and a parallel schedule.
 func TestPipelineBitExactVsDirectStep(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, scheme := range []string{"sr", "nc"} {
 				t.Run(scheme, func(t *testing.T) {
-					rig, res, pipeReps := runPipelineWorkload(t, scheme)
+					rig, res, a := runFrontEndWorkload(t, scheme)
 					for _, title := range rig.titles {
 						verifyBitExact(t, rig, title, res[title])
 						if bye := res[title].bye; bye != "finished" {
@@ -112,14 +94,14 @@ func TestPipelineBitExactVsDirectStep(t *testing.T) {
 						}
 					}
 
-					a, b := trimIdle(pipeReps), trimIdle(runTwinServer(t, scheme))
+					b := runTwinServer(t, scheme)
 					if len(a) != len(b) {
-						t.Fatalf("%d active cycles pipelined vs %d stepped directly", len(a), len(b))
+						t.Fatalf("%d cycles through the front end vs %d stepped directly", len(a), len(b))
 					}
 					delivered, hiccups := 0, 0
 					for i := range a {
 						if !a[i].Equal(b[i]) {
-							t.Errorf("cycle %d: report differs between the pipelined front end and the directly stepped twin", a[i].Cycle)
+							t.Errorf("cycle %d: report differs between the front end and the directly stepped twin", a[i].Cycle)
 						}
 						delivered += len(b[i].Delivered)
 						hiccups += len(b[i].Hiccups)
@@ -141,13 +123,12 @@ func TestPipelineBitExactVsDirectStep(t *testing.T) {
 	}
 }
 
-// TestPipelinedDrainNoLeak checks the arena accounting across a
-// graceful drain in pipelined mode: admissions stop mid-stream, live
-// streams play out through the overlapped staging passes, and once the
-// farm idles every track buffer must be back in the arena. (The
-// shed and mid-stream disconnect legs of the same invariant run
-// pipelined too, in TestArenaNoLeakAfterShedAndDisconnect.)
-func TestPipelinedDrainNoLeak(t *testing.T) {
+// TestDrainNoLeak checks the arena accounting across a graceful drain:
+// admissions stop mid-stream, live streams play out, and once the farm
+// idles every track buffer must be back in the arena. (The shed and
+// mid-stream disconnect legs of the same invariant are in
+// TestArenaNoLeakAfterShedAndDisconnect.)
+func TestDrainNoLeak(t *testing.T) {
 	cfg := defaultRig()
 	cfg.groups = 10
 	cfg.ns = Options{Logf: t.Logf}
@@ -186,4 +167,64 @@ func TestPipelinedDrainNoLeak(t *testing.T) {
 		}
 	}
 	r.stepUntilBuffersHome(t)
+}
+
+// TestGoroutineBudget pins what a NetServer keeps running: the accept
+// loop and the timer wheel, the pacer when a Clock is set, and a reader
+// and a writer per admitted session. Cycles run on their driver's
+// goroutine, so nothing else is parked per node, and Close leaves
+// nothing behind.
+func TestGoroutineBudget(t *testing.T) {
+	// Let stragglers of earlier tests (client readers, closing wheels)
+	// exit before taking the baseline.
+	base := runtime.NumGoroutine()
+	for stable := 0; stable < 20; {
+		time.Sleep(5 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, stable = n, 0
+		} else {
+			stable++
+		}
+	}
+	expect := func(when string, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine()-base != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines over the baseline, want %d", when, runtime.NumGoroutine()-base, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	srv, titles := newRigServer(t, "sr", defaultRig())
+	ns, err := New(Options{Server: srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	expect("New with a manual clock", 2)
+	for i := 1; i <= 3; i++ {
+		c, err := Dial(ns.Addr().String(), 20*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Admit(titles[i%len(titles)]); err != nil {
+			t.Fatal(err)
+		}
+		expect(fmt.Sprintf("%d sessions admitted", i), 2+2*i)
+	}
+	ns.Close()
+	expect("Close", 0)
+
+	srv, _ = newRigServer(t, "sr", defaultRig())
+	paced, err := New(Options{Server: srv, Clock: WallClock(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paced.Close()
+	expect("New with a Clock", 3)
+	paced.Close()
+	expect("Close of the paced server", 0)
 }

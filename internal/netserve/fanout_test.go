@@ -189,13 +189,12 @@ func TestFanoutAllocsFlatInSessions(t *testing.T) {
 		co := admitFanoutCohort(t, r, fanout)
 		perCycle := fanout * (fanoutCluster - 1)
 		base := ns.tracksSent.Value() // earlier cohorts' frames
-		// step drives one cycle in lockstep: its staging pass is done and
-		// the consumers have read everything sent before it returns, so
-		// the bursts and track buffers in flight — and with them the
-		// free lists' high-water marks — never exceed one cycle's.
+		// step drives one cycle in lockstep: the consumers have read
+		// everything sent before it returns, so the bursts and track
+		// buffers in flight — and with them the free lists' high-water
+		// marks — never exceed one cycle's.
 		step := func() {
 			co.drive(t, ns, perCycle)
-			<-ns.curPass.done
 			sent := ns.tracksSent.Value() - base
 			for deadline := time.Now().Add(time.Minute); co.frames.Load() < sent; {
 				if time.Now().After(deadline) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"strconv"
 	"sync"
@@ -119,9 +118,8 @@ type NetServer struct {
 
 	// mu is the engine lock, shrunk to control-plane work: it guards
 	// srv (admit/cancel/step), schedule, view, drain state, VCR session
-	// state (paused/rate/resumeTrack), the batch table, and the retired
-	// stream-ID queue. Delivery staging runs outside it, on the shard
-	// workers.
+	// state (paused/rate/resumeTrack), the batch table, and the alias
+	// table. Delivery staging runs outside it, under stepMu.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	schedule []scheduledEvent
@@ -131,10 +129,9 @@ type NetServer struct {
 	// connections so the pacer keeps stepping toward the flush.
 	batches        map[string]*titleBatch
 	pendingWaiters int
-	// retired queues a resumed session's old stream-ID alias for removal
-	// once every pipeline pass that might still stage under it has
-	// drained (two cycles; see resumeSessionLocked).
-	retired []retiredID
+	// aliases holds resumed sessions' old stream IDs, still registered in
+	// sessions until the next StepCycle (see resumeSessionLocked).
+	aliases map[int]*session
 	// pausedSessions counts sessions parked by PAUSE (no engine stream);
 	// the net_sessions_paused gauge mirrors it.
 	pausedSessions int
@@ -146,77 +143,37 @@ type NetServer struct {
 	closed   bool
 
 	// stepMu serializes cycle drivers (the pacer, tests, the chaos
-	// harness) and guards the pipeline's pass pointers. It is never held
-	// while waiting on mu's owner, and staging holds neither lock, so
-	// HELLO/ADMIT only ever queue behind the engine's read phase.
-	stepMu  sync.Mutex
-	curPass *stagePass // the last stepped cycle's pass; may still be staging
-	prvPass *stagePass // the pass before it; must finish before the next Step
+	// harness) and guards the staging state below. Staging runs under it
+	// but outside mu, so HELLO/ADMIT only ever queue behind the engine's
+	// read phase. Lock order: stepMu before mu.
+	stepMu sync.Mutex
+	// shared maps a run's first payload ref to its staged shared frames
+	// within the cycle being staged: sessions whose delivered run is
+	// pointer-identical (the engine merged their reads) attach the same
+	// sharedFrames instead of re-staging it.
+	shared map[*buffer.Ref]*sharedFrames
+	// touched lists the sessions with a burst staged this cycle.
+	touched []*session
 
-	// stagers feed the per-shard staging workers (one per session-table
-	// shard); scratch[w] is worker w's private touched/finishing lists.
-	stagers  [sessionShards]chan *stagePass
-	scratch  [sessionShards]stageScratch
-	passPool sync.Pool
-
-	// Cached hot-path instruments (a registry lookup per track would
-	// contend across 16 workers).
+	// Cached hot-path instruments (no registry lookup per track).
 	tracksSent, bytesSent, hiccupsSent, mergedTracks *metrics.Counter
 	// Flash-crowd batching instruments: admitted-through-a-batch count,
 	// flush count, and per-waiter wait time (ms) whose percentiles ride
 	// /metricsz.
 	batchedStarts, batchRuns *metrics.Counter
 	batchWaitMs              *metrics.Histogram
-	// Pipeline phase histograms: engine read time, pass staging time,
-	// and per-burst socket write time (all µs).
+	// Cycle phase histograms: engine read time, staging time of a cycle
+	// that staged anything, and per-burst socket write time (all µs).
 	phaseRead, phaseStage, phaseFlush *metrics.Histogram
 
 	// reportHook, when non-nil, receives a Clone of every stepped
-	// cycle's report before its pass is dispatched. Tests use it to
-	// compare the pipelined front end report-for-report against a
-	// directly stepped server; set it before the first StepCycle and
-	// leave it alone after.
+	// cycle's report before it is staged. Tests use it to compare the
+	// front end report-for-report against a directly stepped server; set
+	// it before the first StepCycle and leave it alone after.
 	reportHook func(*sched.CycleReport)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-}
-
-// stageScratch is one shard worker's private per-pass scratch: sessions
-// with a burst staged this pass, and sessions whose queue closes once
-// that burst is flushed. Only worker w touches scratch[w].
-type stageScratch struct {
-	touched   []*session
-	finishing []*session
-}
-
-// stagePass is one cycle's delivery staging, fanned across the shard
-// workers while the engine may already be computing the next cycle.
-// The pass owns nothing of the report's buffers directly — each staged
-// frame retains its track's ref — but it does hold one reference on
-// every sharedFrames it creates (see sharedFor) until the pass
-// completes, so concurrent workers can attach to a shared run without
-// racing its teardown.
-type stagePass struct {
-	rep *sched.CycleReport
-	// pending counts shard workers still staging; the last one out
-	// releases the pass holds, observes the stage histogram, re-checks
-	// drain, and closes done.
-	pending atomic.Int32
-	done    chan struct{}
-	start   time.Time
-	// idle marks a pass whose report touched no shard (nothing staged,
-	// finished inline). Idle passes skip the stage histogram so
-	// drain-spin cycles don't dilute the phase mean with zeros.
-	idle bool
-
-	// shared maps a run's first payload ref to its staged shared frames
-	// within this pass. Sessions whose delivered run is pointer-identical
-	// (the engine merged their reads) attach the same sharedFrames
-	// instead of re-staging it. Guarded by sharedMu: runs merge across
-	// stream IDs, so workers on different shards reach the same entry.
-	sharedMu sync.Mutex
-	shared   map[*buffer.Ref]*sharedFrames
 }
 
 // sessionTable is a lock-striped stream-ID → session map.
@@ -242,29 +199,36 @@ func (t *sessionTable) get(id int) *session {
 	return sess
 }
 
-func (t *sessionTable) put(sess *session) { t.putID(sess.id, sess) }
+// put registers a newly admitted session under its stream ID.
+func (t *sessionTable) put(sess *session) {
+	t.putID(sess.id, sess)
+	t.count.Add(1)
+}
 
-// putID registers the session under an explicit stream ID. A session
-// resumed from pause briefly lives under two IDs: the new stream's (its
-// identity from here on) and its pre-pause stream's, kept as an alias
-// until the pipeline passes that might still stage old-ID tracks drain.
+// putID maps a stream ID to the session without counting it: count
+// follows sessions, not entries. A session resumed from pause briefly
+// lives under two IDs, the new stream's (sess.id from here on) and its
+// pre-pause stream's, kept as an alias until the next StepCycle.
 func (t *sessionTable) putID(id int, sess *session) {
 	sh := &t.shards[uint(id)%sessionShards]
 	sh.mu.Lock()
 	sh.m[id] = sess
 	sh.mu.Unlock()
-	t.count.Add(1)
 }
 
 // remove unregisters the session, reporting whether this call was the
 // one that removed it (teardown can race from reader, writer, and cycle
 // loop; exactly one caller wins and does the back-end cancel).
 func (t *sessionTable) remove(sess *session) bool {
-	return t.removeID(sess.id, sess)
+	if !t.removeID(sess.id, sess) {
+		return false
+	}
+	t.count.Add(-1)
+	return true
 }
 
-// removeID unregisters one (id → sess) entry, pointer-checked so a
-// reused stream ID belonging to a different session is never evicted.
+// removeID deletes one (id → sess) entry, count untouched, pointer-checked
+// so a reused stream ID belonging to a different session is never evicted.
 func (t *sessionTable) removeID(id int, sess *session) bool {
 	sh := &t.shards[uint(id)%sessionShards]
 	sh.mu.Lock()
@@ -273,11 +237,7 @@ func (t *sessionTable) removeID(id int, sess *session) bool {
 		delete(sh.m, id)
 	}
 	sh.mu.Unlock()
-	if ok && cur == sess {
-		t.count.Add(-1)
-		return true
-	}
-	return false
+	return ok && cur == sess
 }
 
 // forEach visits every registered session (aliased sessions may be
@@ -295,14 +255,16 @@ func (t *sessionTable) forEach(f func(*session)) {
 
 func (t *sessionTable) len() int { return int(t.count.Load()) }
 
-// drainAll empties the table, invoking f on each removed session.
+// drainAll empties the table, invoking f on each removed entry's session.
 func (t *sessionTable) drainAll(f func(*session)) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for id, sess := range sh.m {
 			delete(sh.m, id)
-			t.count.Add(-1)
+			if id == sess.id { // an alias entry was never counted
+				t.count.Add(-1)
+			}
 			f(sess)
 		}
 		sh.mu.Unlock()
@@ -326,9 +288,9 @@ type outFrame struct {
 // written by every session whose delivery this cycle is the same merged
 // run (same refcounted buffers, in order — the engine's same-title read
 // merging makes these pointer-identical across sessions). holders counts
-// the staging pass (which holds one reference from creation until the
-// pass completes) plus the bursts that still owe a release; the last one
-// to let go releases the refs and recycles the container, slab and all.
+// the cycle (which holds one reference from creation until every session
+// is staged) plus the bursts that still owe a release; the last one to
+// let go releases the refs and recycles the container, slab and all.
 type sharedFrames struct {
 	frames  []outFrame
 	hdrs    []byte // TRACK-header slab, reused across cycles
@@ -417,15 +379,6 @@ type titleBatch struct {
 	waiters []*batchWaiter
 }
 
-// retiredID is a resumed session's old stream-ID alias, removable once
-// the engine cycle reaches at (two cycles past the resume, by which
-// point every pass that could stage old-ID tracks has been awaited).
-type retiredID struct {
-	id   int
-	sess *session
-	at   int
-}
-
 // abort closes the connection and releases the writer immediately.
 func (s *session) abort() {
 	s.once.Do(func() {
@@ -511,6 +464,8 @@ func New(opts Options) (*NetServer, error) {
 		wheel:      NewTimerWheel(wheelTick, wheelSlots),
 		hbConns:    make(map[net.Conn]struct{}),
 		batches:    make(map[string]*titleBatch),
+		aliases:    make(map[int]*session),
+		shared:     make(map[*buffer.Ref]*sharedFrames),
 		drained:    make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
@@ -531,11 +486,6 @@ func New(opts Options) (*NetServer, error) {
 	ns.phaseRead = m.Histogram("pipe_read_us", usBounds...)
 	ns.phaseStage = m.Histogram("pipe_stage_us", usBounds...)
 	ns.phaseFlush = m.Histogram("pipe_flush_us", usBounds...)
-	for w := range ns.stagers {
-		ns.stagers[w] = make(chan *stagePass, 2) // ≥ the pipeline depth: dispatch never blocks
-		ns.wg.Add(1)
-		go ns.stageWorker(w)
-	}
 	ns.wg.Add(1)
 	go ns.acceptLoop()
 	if opts.Clock != nil {
@@ -835,12 +785,12 @@ func (ns *NetServer) releaseBurst(b *burst) {
 	ns.burstPool.Put(b)
 }
 
-// releaseShared drops one holder of a shared run. The staging pass holds
-// a reference from the moment the run is created until the pass
-// completes, and every burst's hold is counted before that release, so
-// the decrement that reaches zero is genuinely the last one; it releases
+// releaseShared drops one holder of a shared run. The cycle holds a
+// reference from the moment the run is created until every session is
+// staged, and every burst's hold is counted before that release, so the
+// decrement that reaches zero is genuinely the last one; it releases
 // the run's refs and recycles the container with its header slab. Called
-// from writer goroutines and shard workers, hence the atomic.
+// from writer goroutines and the cycle driver, hence the atomic.
 func (ns *NetServer) releaseShared(sf *sharedFrames) {
 	if sf.holders.Add(-1) != 0 {
 		return
@@ -873,22 +823,18 @@ func runMatches(sf *sharedFrames, run []sched.Delivery) bool {
 	return true
 }
 
-// sharedFor finds or stages the pass's shared frames for a merged run.
-// The pass table is shared across shard workers (merged runs span
-// stream IDs, hence shards), so lookup-or-create runs under sharedMu;
-// a newly created run starts with one holder — the pass's own, released
-// when the pass completes — so a concurrent writer finishing early can
-// never tear the run down while another shard is still attaching.
-func (p *stagePass) sharedFor(ns *NetServer, run []sched.Delivery) (sf *sharedFrames, merged bool) {
+// sharedFor finds or stages the cycle's shared frames for a merged run.
+// A newly created run starts with one holder — the cycle's own, released
+// once every session is staged — so a writer finishing early can never
+// tear the run down while a later session is still to attach.
+func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged bool) {
 	key := run[0].Buf
-	p.sharedMu.Lock()
-	defer p.sharedMu.Unlock()
-	if sf := p.shared[key]; sf != nil {
+	if sf := ns.shared[key]; sf != nil {
 		if runMatches(sf, run) {
 			return sf, true
 		}
 		// A different run under the same first buffer cannot happen with
-		// the engine's merging; if it ever does, drop the pass's hold on
+		// the engine's merging; if it ever does, drop the cycle's hold on
 		// the superseded entry rather than leak it.
 		ns.releaseShared(sf)
 	}
@@ -901,7 +847,7 @@ func (p *stagePass) sharedFor(ns *NetServer, run []sched.Delivery) (sf *sharedFr
 		sf.frames = append(sf.frames, outFrame{hdr: h, payload: d.Data, ref: d.Buf})
 	}
 	sf.holders.Store(1)
-	p.shared[key] = sf
+	ns.shared[key] = sf
 	return sf, false
 }
 
@@ -909,22 +855,20 @@ func (p *stagePass) sharedFor(ns *NetServer, run []sched.Delivery) (sf *sharedFr
 // Runs whose payloads carry refcounts are staged once per distinct run
 // and shared by every session delivering the same buffers — one set of
 // headers, retains, and frame bookkeeping for the whole title group
-// instead of O(sessions) copies of it. Shard worker only.
-func (ns *NetServer) stageRun(p *stagePass, sc *stageScratch, sess *session, run []sched.Delivery) {
-	if len(run) == 0 {
-		return
-	}
-	b := ns.burstFor(sc, sess)
+// instead of O(sessions) copies of it. Cycle driver only, like every
+// stage* function below.
+func (ns *NetServer) stageRun(sess *session, run []sched.Delivery) {
+	b := ns.burstFor(sess)
 	if run[0].Buf == nil || b.shared != nil {
 		// No refcount to share (copy-path engine), or the session already
 		// carries a shared run this cycle (engines deliver one contiguous
 		// run per stream per cycle; tolerate more): stage privately.
 		for i := range run {
-			ns.stageTrack(sc, sess, &run[i])
+			ns.stageTrack(sess, &run[i])
 		}
 		return
 	}
-	sf, merged := p.sharedFor(ns, run)
+	sf, merged := ns.sharedFor(run)
 	if merged {
 		ns.mergedTracks.Add(int64(len(run)))
 	}
@@ -932,25 +876,23 @@ func (ns *NetServer) stageRun(p *stagePass, sc *stageScratch, sess *session, run
 	b.shared = sf
 }
 
-// burstFor returns the session's in-progress burst for this pass,
+// burstFor returns the session's in-progress burst for this cycle,
 // opening one (and remembering the session for the flush sweep) on
-// first use. Shard worker only: a session belongs to exactly one shard,
-// and each worker consumes passes in dispatch order, so sess.cur is
-// single-threaded even with two passes in flight.
-func (ns *NetServer) burstFor(sc *stageScratch, sess *session) *burst {
+// first use.
+func (ns *NetServer) burstFor(sess *session) *burst {
 	if sess.cur == nil {
 		sess.cur = ns.newBurst()
-		sc.touched = append(sc.touched, sess)
+		ns.touched = append(ns.touched, sess)
 	}
 	return sess.cur
 }
 
-// stageTrack adds one delivered track to the session's pass burst,
+// stageTrack adds one delivered track to the session's cycle burst,
 // retaining the engine's refcounted buffer instead of copying it. The
 // reference is released after the vectored write completes (or when the
 // burst is discarded on shed/teardown).
-func (ns *NetServer) stageTrack(sc *stageScratch, sess *session, d *sched.Delivery) {
-	b := ns.burstFor(sc, sess)
+func (ns *NetServer) stageTrack(sess *session, d *sched.Delivery) {
+	b := ns.burstFor(sess)
 	var h []byte
 	b.hdrs, h = appendTrackHeader(b.hdrs, d.Track, len(d.Data))
 	f := outFrame{hdr: h, payload: d.Data}
@@ -965,15 +907,15 @@ func (ns *NetServer) stageTrack(sc *stageScratch, sess *session, d *sched.Delive
 	b.frames = append(b.frames, f)
 }
 
-// stageCtrl adds a control frame to the session's pass burst.
-func (ns *NetServer) stageCtrl(sc *stageScratch, sess *session, f outFrame) {
-	b := ns.burstFor(sc, sess)
+// stageCtrl adds a control frame to the session's cycle burst.
+func (ns *NetServer) stageCtrl(sess *session, f outFrame) {
+	b := ns.burstFor(sess)
 	b.frames = append(b.frames, f)
 }
 
 // flushStaged hands the session's staged burst to its writer. Overflow
-// sheds the session; a dead session's burst is simply released. Runs on
-// shard workers, outside the engine lock — only the shed path takes it.
+// sheds the session; a dead session's burst is simply released. Runs
+// outside the engine lock — only the shed path takes it.
 func (ns *NetServer) flushStaged(sess *session) {
 	b := sess.cur
 	sess.cur = nil
@@ -1217,8 +1159,9 @@ func (ns *NetServer) handlePause(sess *session) {
 
 // resumeSessionLocked re-admits a paused session at the parity-group
 // floor of track, rekeying its table entry to the new stream ID. The
-// old ID stays registered as an alias for two cycles: a still-staging
-// pipeline pass may hold pre-pause deliveries under it, and dropping
+// old ID stays registered as an alias until the next StepCycle: the
+// stage call that may be running right now (it holds stepMu, not mu)
+// can still be looking up pre-pause deliveries under it, and dropping
 // the key early would strand those tracks. Returns the VCR-OK to send,
 // or the REJECT when the farm cannot take the stream back (the session
 // stays paused; Retry-After rides the refusal).
@@ -1240,8 +1183,8 @@ func (ns *NetServer) resumeSessionLocked(sess *session, verb string, track, rate
 	}
 	oldID := sess.id
 	sess.id = id
-	ns.sessions.put(sess)
-	ns.retired = append(ns.retired, retiredID{id: oldID, sess: sess, at: ns.srv.Engine().Cycle() + 2})
+	ns.sessions.putID(id, sess)
+	ns.aliases[oldID] = sess
 	if sess.paused {
 		ns.pausedSessions--
 	}
@@ -1699,32 +1642,18 @@ func (ns *NetServer) idleLocked() bool {
 	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && ns.pendingWaiters == 0
 }
 
-// StepCycle runs one transmission cycle. Under the engine lock it
-// applies due scheduled events and steps the engine (the read/XOR
-// phase); the cycle's deliveries, hiccups, and completions are then
-// staged and flushed by the shard workers as a pipelined pass, outside
-// the lock, while the next StepCycle is free to run the engine again.
-// The pipeline is two deep: before stepping cycle N, the driver waits
-// for pass N−2 — the engine's double-buffered report keeps cycle N−1's
-// buffers and report struct intact across exactly one further Step, so
-// "pass N−1 may still be staging while the engine computes N" is the
-// deepest overlap that never races a buffer release.
+// StepCycle runs one transmission cycle on the caller's goroutine. Under
+// the engine lock it applies due scheduled events and steps the engine
+// (the read/XOR phase); outside it, it stages the cycle's deliveries,
+// hiccups, and completions into the sessions' send queues. The report
+// expires at the next Step, and staging has retained every buffer it
+// ships by then; the socket flush overlaps that Step on the writers.
 //
 // In manual mode (no Clock) this is the only way cycles happen; with a
-// Clock it also serves as a test hook. Once draining, where callers
-// poll completion state between steps, the call waits for its own pass.
+// Clock it also serves as a test hook.
 func (ns *NetServer) StepCycle() error {
 	ns.stepMu.Lock()
 	defer ns.stepMu.Unlock()
-	if p := ns.prvPass; p != nil {
-		select {
-		case <-p.done:
-			ns.recyclePass(p)
-		case <-ns.stop:
-			return nil
-		}
-		ns.prvPass = nil
-	}
 
 	ns.mu.Lock()
 	if ns.closed {
@@ -1732,20 +1661,12 @@ func (ns *NetServer) StepCycle() error {
 		return nil
 	}
 	cycle := ns.srv.Engine().Cycle()
-	// Retire resumed sessions' old stream-ID aliases once the passes
-	// that might still stage under them have drained (the pipeline-depth
-	// wait above guarantees it for entries two cycles old).
-	keptIDs := ns.retired[:0]
-	for _, r := range ns.retired {
-		if r.at > cycle {
-			keptIDs = append(keptIDs, r)
-			continue
-		}
-		if ns.sessions.removeID(r.id, r.sess) {
-			ns.gaugeSessions()
-		}
+	// Retire resumed sessions' old stream-ID aliases: holding stepMu, no
+	// stage call that could still look one up is running.
+	for id, sess := range ns.aliases {
+		ns.sessions.removeID(id, sess)
+		delete(ns.aliases, id)
 	}
-	ns.retired = keptIDs
 	ns.flushBatchesLocked(cycle)
 	kept := ns.schedule[:0]
 	for _, ev := range ns.schedule {
@@ -1766,186 +1687,64 @@ func (ns *NetServer) StepCycle() error {
 		return err
 	}
 	stepDur := time.Since(start)
-	draining := ns.draining
 	ns.mu.Unlock()
 
 	ns.phaseRead.Observe(stepDur.Microseconds())
 	if ns.reportHook != nil {
 		ns.reportHook(rep.Clone())
 	}
-
-	mask := passShardMask(rep)
-	p := ns.newPass(rep, mask)
-	ns.prvPass, ns.curPass = ns.curPass, p
-	if mask == 0 {
-		// Idle cycle (common while a cohort drains its queues): nothing
-		// to stage, so complete the pass inline rather than waking any
-		// workers.
-		ns.finishPass(p)
-	} else {
-		for w := range ns.stagers {
-			if mask&(1<<uint(w)) != 0 {
-				ns.stagers[w] <- p
-			}
-		}
+	// Idle cycles (common while a cohort drains its queues) skip the
+	// stage histogram so they don't dilute the phase mean with zeros.
+	if len(rep.Delivered)+len(rep.Hiccups)+len(rep.Finished)+len(rep.Terminated) > 0 {
+		start = time.Now()
+		ns.stage(rep)
+		ns.phaseStage.Observe(time.Since(start).Microseconds())
 	}
-	if draining {
-		select {
-		case <-p.done:
-		case <-ns.stop:
-		}
-	}
+	// Sessions may have finished or shed this cycle.
+	ns.mu.Lock()
+	ns.checkDrainedLocked()
+	ns.mu.Unlock()
 	return nil
 }
 
-// newPass opens a staging pass over one cycle's report; pending is
-// sized to the shard mask so only the dispatched workers are waited on.
-func (ns *NetServer) newPass(rep *sched.CycleReport, mask uint32) *stagePass {
-	p, _ := ns.passPool.Get().(*stagePass)
-	if p == nil {
-		p = &stagePass{shared: make(map[*buffer.Ref]*sharedFrames)}
-	}
-	p.rep = rep
-	p.start = time.Now()
-	p.idle = mask == 0
-	p.pending.Store(int32(bits.OnesCount32(mask)))
-	p.done = make(chan struct{})
-	return p
-}
-
-// passShardMask returns the set of session shards a report touches.
-// Dispatch wakes only those workers: on small cycles — a single
-// stream, hiccup-only cycles, the idle steps while a cohort drains —
-// most shards have nothing to do, and sixteen channel sends plus
-// goroutine wakeups per cycle would dwarf the actual staging work.
-func passShardMask(rep *sched.CycleReport) uint32 {
-	var mask uint32
-	for i := range rep.Delivered {
-		mask |= 1 << (uint(rep.Delivered[i].StreamID) % sessionShards)
-	}
-	for i := range rep.Hiccups {
-		mask |= 1 << (uint(rep.Hiccups[i].StreamID) % sessionShards)
-	}
-	for _, id := range rep.Finished {
-		mask |= 1 << (uint(id) % sessionShards)
-	}
-	for _, id := range rep.Terminated {
-		mask |= 1 << (uint(id) % sessionShards)
-	}
-	return mask
-}
-
-func (ns *NetServer) recyclePass(p *stagePass) {
-	p.rep = nil
-	ns.passPool.Put(p)
-}
-
-// stageWorker is one shard's staging goroutine: it consumes passes in
-// dispatch order (preserving per-session burst order across cycles) and
-// stages the slice of each cycle owed to its shard's sessions. On stop
-// it finishes anything already dispatched so every pass completes.
-func (ns *NetServer) stageWorker(w int) {
-	defer ns.wg.Done()
-	work := func(p *stagePass) {
-		ns.stageShard(p, w)
-		if p.pending.Add(-1) == 0 {
-			ns.finishPass(p)
-		}
-	}
-	for {
-		select {
-		case p := <-ns.stagers[w]:
-			work(p)
-		case <-ns.stop:
-			for {
-				select {
-				case p := <-ns.stagers[w]:
-					work(p)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// stageShard stages one pass's deliveries, hiccups, and completions for
-// the sessions of shard w, then flushes its touched sessions and closes
-// finishing queues. Every worker scans the whole report — the per-entry
-// shard test is a mask against a slice walk, far cheaper than building
-// sixteen sub-lists under a lock — and Delivered is in stream order, so
-// one stream's tracks form one contiguous run.
-func (ns *NetServer) stageShard(p *stagePass, w int) {
-	sc := &ns.scratch[w]
-	rep := p.rep
+// stage stages one cycle's deliveries, hiccups, and completions, hands
+// every touched session's burst to its writer, and drops the cycle's
+// holds on its shared runs. Delivered is in stream order, so one
+// stream's tracks form one contiguous run.
+func (ns *NetServer) stage(rep *sched.CycleReport) {
 	for i := 0; i < len(rep.Delivered); {
 		id := rep.Delivered[i].StreamID
 		j := i + 1
 		for j < len(rep.Delivered) && rep.Delivered[j].StreamID == id {
 			j++
 		}
-		if uint(id)%sessionShards == uint(w) {
-			if sess := ns.sessions.get(id); sess != nil {
-				ns.stageRun(p, sc, sess, rep.Delivered[i:j])
-			}
+		if sess := ns.sessions.get(id); sess != nil {
+			ns.stageRun(sess, rep.Delivered[i:j])
 		}
 		i = j
 	}
 	for _, h := range rep.Hiccups {
-		if uint(h.StreamID)%sessionShards != uint(w) {
-			continue
-		}
 		sess := ns.sessions.get(h.StreamID)
 		if sess == nil {
 			continue
 		}
-		ns.stageCtrl(sc, sess, ns.hiccupFrame(h.Track, h.Reason))
+		ns.stageCtrl(sess, ns.hiccupFrame(h.Track, h.Reason))
 		ns.hiccupsSent.Inc()
 	}
 	for _, id := range rep.Finished {
-		if uint(id)%sessionShards == uint(w) {
-			ns.stageFinish(sc, id, byeFinished)
-		}
+		ns.stageFinish(id, byeFinished)
 	}
 	for _, id := range rep.Terminated {
-		if uint(id)%sessionShards == uint(w) {
-			ns.stageFinish(sc, id, byeTerminated)
-		}
+		ns.stageFinish(id, byeTerminated)
 	}
-	for _, sess := range sc.touched {
+	for _, sess := range ns.touched {
 		ns.flushStaged(sess)
 	}
-	clearSessions(sc.touched)
-	sc.touched = sc.touched[:0]
-	for _, sess := range sc.finishing {
-		sess.closeQueue()
-	}
-	clearSessions(sc.finishing)
-	sc.finishing = sc.finishing[:0]
-}
-
-// finishPass runs on the last worker out of a pass: release the pass's
-// holds on its shared runs, stamp the stage histogram, re-check drain
-// completion (sessions may have finished or shed
-// this pass), and wake anyone waiting on the pass.
-func (ns *NetServer) finishPass(p *stagePass) {
-	for key, sf := range p.shared {
+	clear(ns.touched)
+	ns.touched = ns.touched[:0]
+	for key, sf := range ns.shared {
 		ns.releaseShared(sf)
-		delete(p.shared, key)
-	}
-	if !p.idle {
-		ns.phaseStage.Observe(time.Since(p.start).Microseconds())
-	}
-	ns.mu.Lock()
-	ns.checkDrainedLocked()
-	ns.mu.Unlock()
-	close(p.done)
-}
-
-// clearSessions drops pointers from a scratch list before truncation.
-func clearSessions(list []*session) {
-	for i := range list {
-		list[i] = nil
+		delete(ns.shared, key)
 	}
 }
 
@@ -1983,17 +1782,18 @@ func (ns *NetServer) hiccupFrame(track int, reason string) outFrame {
 }
 
 // stageFinish ends a session gracefully: a BYE rides in the session's
-// final burst, the session is unregistered, and after the flush sweep
-// its queue closes so the writer flushes everything and hangs up.
-func (ns *NetServer) stageFinish(sc *stageScratch, id int, bye []byte) {
+// final burst, the session is unregistered, and its queue closes behind
+// that burst so the writer flushes everything and hangs up.
+func (ns *NetServer) stageFinish(id int, bye []byte) {
 	sess := ns.sessions.get(id)
 	if sess == nil {
 		return
 	}
-	ns.stageCtrl(sc, sess, outFrame{ctrl: bye})
+	ns.stageCtrl(sess, outFrame{ctrl: bye})
 	ns.sessions.remove(sess)
 	ns.gaugeSessions()
-	sc.finishing = append(sc.finishing, sess)
+	ns.flushStaged(sess)
+	sess.closeQueue()
 }
 
 // shedLocked evicts a slow client: its queue overflowed, meaning the

@@ -38,8 +38,8 @@ type loopRig struct {
 }
 
 // newRigServer builds the rig's farm and archives its titles: the back
-// end newLoopRig fronts with a NetServer, and the twin the pipeline
-// test steps directly.
+// end newLoopRig fronts with a NetServer, and the twin
+// TestPipelineBitExactVsDirectStep steps directly.
 func newRigServer(t testing.TB, schemeName string, cfg rigConfig) (*server.Server, []string) {
 	t.Helper()
 	scheme, policy, err := server.ParseScheme(schemeName)
@@ -193,7 +193,7 @@ func (r *loopRig) stepUntilIdle(t *testing.T, maxCycles int) {
 }
 
 // stepUntilBuffersHome idle-steps until every arena buffer has been
-// returned: the engine holds delivered refs for two further Steps, and
+// returned: the engine holds delivered refs until its next Step, and
 // writer goroutines may still be unwinding.
 func (r *loopRig) stepUntilBuffersHome(t testing.TB) {
 	t.Helper()

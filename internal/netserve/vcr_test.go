@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -100,8 +101,9 @@ func TestFFCapacityRejectThenPauseAdmits(t *testing.T) {
 
 // TestPauseResumeBitExact plays a title with a pause/resume round-trip
 // in the middle and checks the viewer still ends up with every track of
-// the title, bit-exact: resume rekeys the session mid-flight while the
-// pipeline holds staged frames for the old stream ID.
+// the title, bit-exact: resume rekeys the session mid-flight, possibly
+// while a stage call is still looking up deliveries under the old
+// stream ID.
 func TestPauseResumeBitExact(t *testing.T) {
 	cfg := defaultRig()
 	cfg.groups = 6
@@ -191,5 +193,70 @@ func TestPauseResumeBitExact(t *testing.T) {
 	verifyBitExact(t, r, r.titles[0], res)
 	if len(res.hiccups) != 0 {
 		t.Errorf("pause/resume caused %d hiccups: %v", len(res.hiccups), res.hiccups)
+	}
+}
+
+// TestSessionsCountsSessionsNotAliases pins Sessions() and the
+// net_sessions_active gauge across a resume: the rekeyed session is
+// briefly registered under two stream IDs but is one session — the
+// figure the coordinator's least-loaded routing and the drain check
+// read — from the VCR-OK through every cycle to its BYE.
+func TestSessionsCountsSessionsNotAliases(t *testing.T) {
+	cfg := defaultRig()
+	cfg.groups = 6
+	r := newLoopRig(t, "sr", cfg)
+	check := func(when string, want int) {
+		t.Helper()
+		if got := r.ns.Sessions(); got != want {
+			t.Fatalf("%s: Sessions() = %d, want %d", when, got, want)
+		}
+		if got := r.srv.Metrics().Gauge("net_sessions_active").Value(); got != int64(want) {
+			t.Fatalf("%s: net_sessions_active = %d, want %d", when, got, want)
+		}
+	}
+
+	c, _ := r.connect(t, r.titles[0])
+	defer c.Close()
+	check("after admit", 1)
+	for i := 0; i < 3; i++ {
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitVcr(t, c); ev.Vcr == nil || ev.Vcr.Verb != "pause" {
+		t.Fatalf("pause not acknowledged: %+v", ev)
+	}
+	check("paused", 1)
+	if err := c.ResumePlay(); err != nil {
+		t.Fatal(err)
+	}
+	ev := waitVcr(t, c)
+	if ev.Vcr == nil || ev.Vcr.Verb != "resume" {
+		t.Fatalf("resume not acknowledged: %+v", ev)
+	}
+	check("after the resume VCR-OK", 1)
+
+	done := make(chan *clientResult, 1)
+	go func() { done <- consume(c) }()
+	for cycle := 0; ; cycle++ {
+		if cycle >= 200 {
+			t.Fatal("resumed stream still live after 200 cycles")
+		}
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+		// A stream that ended this cycle stays visible, fully played,
+		// until the next Step.
+		if next, total, live := r.ns.StreamProgress(ev.Vcr.StreamID); !live || next >= total {
+			break
+		}
+		check(fmt.Sprintf("cycle %d after resume", cycle), 1)
+	}
+	check("after the final cycle", 0)
+	if res := <-done; res.bye != "finished" {
+		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
 	}
 }

@@ -412,13 +412,11 @@ func TestClusterLiveDrain(t *testing.T) {
 	if eng.Active() != 0 {
 		t.Errorf("drained node %s still has %d active streams", victim, eng.Active())
 	}
-	// Two idle cycles release the engine's double-buffered delivery refs
-	// (reports stay valid for two Steps); only then is a held buffer a
-	// leak.
-	for i := 0; i < 2; i++ {
-		if err := n.NS().StepCycle(); err != nil {
-			t.Fatal(err)
-		}
+	// One idle cycle releases the engine's refs on its last report's
+	// deliveries (a report stays valid until the next Step); only then
+	// is a held buffer a leak.
+	if err := n.NS().StepCycle(); err != nil {
+		t.Fatal(err)
 	}
 	if out := eng.Arena().Outstanding(); out != 0 {
 		t.Errorf("drained node %s leaks %d arena buffers", victim, out)

@@ -80,14 +80,6 @@ type CycleContext struct {
 	Pool  *buffer.Pool
 	Rep   *CycleReport
 	Rec   *Recorder
-	// spare is the off-duty half of the double-buffered report pair.
-	// Reset swaps it with Rep, so the report handed out by one Step stays
-	// untouched while the following Step assembles into the other one —
-	// a consumer may keep reading cycle N's report (and, with the
-	// engine's matching delivered-ref retention, its track bytes) while
-	// the engine computes cycle N+1. See CycleReport.Clone for the
-	// resulting two-Step validity window.
-	spare *CycleReport
 }
 
 // NewCycleContext starts a cycle's context.
@@ -98,24 +90,17 @@ func NewCycleContext(cycle int, slots *Slots, pool *buffer.Pool, rec *Recorder) 
 		Pool:  pool,
 		Rep:   &CycleReport{Cycle: cycle},
 		Rec:   rec,
-		spare: &CycleReport{},
 	}
 }
 
 // Reset rewinds the context for a new cycle: slot budgets clear and the
-// report pair rotates — the spare report (last touched two cycles ago)
-// empties and becomes current, while the report most recently handed out
-// is parked untouched. Engines call this from a persistent context each
-// Step instead of allocating fresh state, which is why reports handed
-// out by Step are valid until the second-next Step, not forever (see
+// report empties in place. Engines call this from a persistent context
+// each Step instead of allocating fresh state, which is why a report
+// handed out by Step is valid only until the next Step (see
 // CycleReport.Clone).
 func (c *CycleContext) Reset(cycle int) {
 	c.Cycle = cycle
 	c.Slots.Reset()
-	if c.spare == nil {
-		c.spare = &CycleReport{}
-	}
-	c.Rep, c.spare = c.spare, c.Rep
 	c.Rep.Reset(cycle)
 }
 

@@ -104,11 +104,9 @@ type Delivery struct {
 	// Data is the delivered track content.
 	Data []byte
 	// Buf, when non-nil, is the refcounted handle behind Data. The
-	// engine holds its own reference for two Steps (which is what bounds
-	// the report's validity — the pipelined front end overlaps cycle
-	// N's delivery with cycle N+1's reads); a consumer that needs Data
-	// to outlive that window calls Buf.Retain and later Release instead
-	// of copying.
+	// engine holds its own reference until the next Step (which is what
+	// bounds the report's validity); a consumer that needs Data to
+	// outlive that calls Buf.Retain and later Release instead of copying.
 	Buf *buffer.Ref
 	// Reconstructed marks tracks rebuilt from parity rather than read.
 	Reconstructed bool
@@ -162,12 +160,12 @@ func (r *CycleReport) Reset(cycle int) {
 }
 
 // Clone deep-copies the report, including every Delivery's Data bytes.
-// Engines rotate between two report structs and hold their delivered
-// track buffers for two Steps, so a report (and the Data it references)
-// is valid until the second-next Step — long enough for a pipelined
-// consumer to stage cycle N's deliveries while the engine computes
-// cycle N+1 — and no longer; callers that retain reports further must
-// Clone them first.
+// This is the one statement of report validity: an engine reuses its
+// report struct and releases its references on the delivered track
+// buffers at the start of the next Step, so a report (and the Data it
+// references) is valid until the next Step and no longer. Callers that
+// keep a report further must Clone it first; callers that keep only
+// track bytes Retain the Delivery's Buf.
 func (r *CycleReport) Clone() *CycleReport {
 	out := *r
 	out.Delivered = make([]Delivery, len(r.Delivered))

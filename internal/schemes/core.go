@@ -32,21 +32,14 @@ type engineCore struct {
 	rec     *sched.Recorder
 	workers int
 	// ctx and shards are the persistent cycle context and per-cluster
-	// shards, reset each Step instead of reallocated. The context
-	// double-buffers its report, so a report returned by Step is valid
-	// until the second-next Step (then its struct is reused).
+	// shards, reset each Step instead of reallocated — hence a report's
+	// one-Step validity (sched.CycleReport.Clone).
 	ctx    *sched.CycleContext
 	shards []*sched.CycleContext
 	// delivered holds the engine's own reference on every track buffer
-	// shared into the last Step's report; deliveredPrev holds the
-	// references for the Step before that. beginCycle releases the older
-	// generation and rotates, so delivered bytes stay intact for two
-	// Steps — matching the double-buffered report — which lets a
-	// pipelined consumer stage cycle N's tracks while the engine reads
-	// cycle N+1. Consumers that need a track longer Retain its
-	// Delivery.Buf.
-	delivered     []*buffer.Ref
-	deliveredPrev []*buffer.Ref
+	// shared into the last Step's report; beginCycle releases them.
+	// Consumers that need a track longer Retain its Delivery.Buf.
+	delivered []*buffer.Ref
 	// stageCaches[cl] maps group → staged bufferedGroup for same-title
 	// read merging within one cycle's read phase. One map per cluster:
 	// a group lives on exactly one cluster, and the read phase shards by
@@ -91,8 +84,7 @@ func (c *engineCore) BufferInUse() int { return c.pool.InUse() }
 func (c *engineCore) Arena() *buffer.Arena { return c.arena }
 
 // shareDelivered wraps a delivered track buffer in a refcounted handle.
-// The engine keeps its own reference until the second-next Step's
-// beginCycle (the delivered/deliveredPrev rotation).
+// The engine keeps its own reference until the next Step's beginCycle.
 func (c *engineCore) shareDelivered(buf []byte) *buffer.Ref {
 	ref := c.arena.Share(buf)
 	c.delivered = append(c.delivered, ref)
@@ -118,19 +110,16 @@ func (c *engineCore) allocStreamID() int {
 
 // beginCycle opens the cycle's context: cleared slot budgets, the shared
 // pool, an emptied report, and the recorder. The context is persistent —
-// reset, not reallocated — and double-buffered, so the report Step hands
-// out is valid until the second-next Step.
+// reset, not reallocated.
 func (c *engineCore) beginCycle() (*sched.CycleContext, error) {
-	// Drop the engine's references on the delivered tracks from two
-	// cycles ago; buffers with no other holders return to the arena
-	// here, before this cycle's reads can reuse them. Last cycle's
-	// tracks rotate into the about-to-be-released slot, keeping them —
-	// and the report that lists them — intact across this whole Step.
-	for i, ref := range c.deliveredPrev {
+	// Drop the engine's references on last cycle's delivered tracks;
+	// buffers with no other holders return to the arena here, before
+	// this cycle's reads can reuse them.
+	for i, ref := range c.delivered {
 		ref.Release()
-		c.deliveredPrev[i] = nil
+		c.delivered[i] = nil
 	}
-	c.delivered, c.deliveredPrev = c.deliveredPrev[:0], c.delivered
+	c.delivered = c.delivered[:0]
 	if c.ctx == nil {
 		slots, err := sched.NewSlots(c.cfg.Farm.Size(), c.slotsPerDisk)
 		if err != nil {

@@ -79,13 +79,11 @@ func runMergeScenario(t *testing.T, r *rig, workers int, disableMerge bool) merg
 	if e.Active() != 0 {
 		t.Fatal("streams still active after 60 cycles")
 	}
-	// Two more Steps release the engine's refs on the last deliveries
-	// (the double-buffered report keeps them for two cycles); after that
+	// One more Step releases the engine's refs on the last deliveries
+	// (a report's buffers are held until the next Step); after that
 	// every track buffer must be back home.
-	for i := 0; i < 2; i++ {
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
 	}
 	if n := e.BufferInUse(); n != 0 {
 		t.Fatalf("buffer pool still holds %d tracks after drain", n)

@@ -10,7 +10,7 @@ import (
 
 // TestReportRetentionNeedsClone pins the buffer ownership contract from
 // the package doc: a CycleReport and the Data it references are valid
-// only until the second-next Step, because the engine recycles delivery
+// only until the next Step, because the engine recycles delivery
 // buffers through its arena. A caller that retains reports across
 // cycles must Clone them — and a Clone must stay intact even when the
 // original's buffers are recycled and scribbled over.
@@ -66,12 +66,10 @@ func TestReportRetentionNeedsClone(t *testing.T) {
 }
 
 // TestReportBackingReused documents why retention without Clone is
-// unsafe — and pins the exact window. The engine ping-pongs between two
-// CycleReport structs: consecutive Steps hand out different structs
-// (cycle N's report survives cycle N+1's assembly, which is what the
-// pipelined front end stages from), but the second-next Step reuses the
-// first struct, so a pointer retained that long silently shows the
-// newest cycle's contents.
+// unsafe — and pins the exact window. The engine assembles every cycle
+// into one CycleReport struct: consecutive Steps hand out the same
+// pointer, so a report retained across a Step silently shows the newest
+// cycle's contents.
 func TestReportBackingReused(t *testing.T) {
 	r := newRig(t, 8, 4, 1, 4, layout.DedicatedParity)
 	e, err := NewStreamingRAID(r.config())
@@ -88,14 +86,13 @@ func TestReportBackingReused(t *testing.T) {
 		}
 		return rep
 	}
-	first, second, third := step(), step(), step()
-	if first == second {
-		t.Fatal("consecutive Steps returned the same report struct; the double-buffer window is gone")
+	first := step()
+	cycle := first.Cycle
+	second := step()
+	if first != second {
+		t.Fatal("consecutive Steps returned different report structs; the engine keeps a generation the one-Step contract has no use for")
 	}
-	if first != third {
-		t.Skip("engine no longer rotates two report structs; retention rule may be relaxed")
-	}
-	if first.Cycle != third.Cycle {
-		t.Errorf("aliased reports disagree on cycle: %d vs %d", first.Cycle, third.Cycle)
+	if first.Cycle != cycle+1 {
+		t.Errorf("retained report shows cycle %d after the next Step, want %d", first.Cycle, cycle+1)
 	}
 }

@@ -30,9 +30,10 @@
 // through a buffer.Arena (DESIGN.md, "Zero-alloc data path"). A caller
 // that holds a report across Steps must deep-copy it first with
 // CycleReport.Clone; trace.Recorder.Observe copies delivered bytes for
-// the same reason, and the network layer copies them into wire frames
-// at the socket boundary. Reading a stale report is a use-after-free
-// the race detector cannot see — the bytes stay valid, just wrong.
+// the same reason, and the network layer Retains the Buf of every
+// Delivery it ships before its cycle returns. Reading a stale report is
+// a use-after-free the race detector cannot see — the bytes stay
+// valid, just wrong.
 package schemes
 
 import (

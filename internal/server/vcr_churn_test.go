@@ -157,12 +157,10 @@ func TestVcrChurnHoldsWeightedBound(t *testing.T) {
 				if n := s.Engine().Active(); n != 0 {
 					t.Fatalf("%d streams still active after drain", n)
 				}
-				// Two more steps: the engine retains a report's buffers
-				// across the double-buffered report window.
-				for i := 0; i < 2; i++ {
-					if _, err := s.Step(); err != nil {
-						t.Fatal(err)
-					}
+				// One more step: the engine holds its last report's
+				// buffers until the next Step.
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
 				}
 				if n := s.Engine().Arena().Outstanding(); n != 0 {
 					t.Errorf("%d arena buffers leaked through pause/ff churn", n)
