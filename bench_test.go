@@ -2,6 +2,7 @@ package ftmm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ftmm/internal/analytic"
@@ -10,6 +11,7 @@ import (
 	"ftmm/internal/experiments"
 	"ftmm/internal/layout"
 	"ftmm/internal/parity"
+	"ftmm/internal/rebuild"
 	"ftmm/internal/schemes"
 	"ftmm/internal/server"
 	"ftmm/internal/units"
@@ -373,7 +375,11 @@ func BenchmarkRebuildDrive(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := layout.RebuildDrive(farm, lay, 0); err != nil {
+		r, err := rebuild.New(farm, lay, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Step(math.MaxInt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,8 @@
 // farms (Streaming RAID, Staggered-group, Non-clustered, and
 // Improved-bandwidth), the analytic model comparing them, the cost model
 // used for system sizing, and byte-accurate cycle-driven simulators of
-// all four schemes over a simulated disk farm and tape library.
+// all five schemes — the paper's four and declustered parity — over a
+// simulated disk farm and tape library.
 //
 // The implementation lives under internal/ (see DESIGN.md for the layer
 // map); cmd/ftmmbench regenerates every table and figure of the paper's

@@ -254,11 +254,15 @@ func (p *ParityChecker) End(rc *RunContext) error {
 // ----------------------------------------------------------------------
 // Buffer accounting.
 
-// LeakChecker asserts that a drained server holds no buffers: every
-// refcounted arena buffer was Released and the track-accounting pool is
-// back to zero. It only fires when the run actually drained — a
-// schedule truncated by MaxCycles with streams still playing legitimately
-// holds buffers.
+// LeakChecker asserts that a run leaves nothing held. A drained server
+// holds no buffers: every refcounted arena buffer was Released and the
+// track-accounting pool is back to zero (only checked when the run
+// actually drained — a schedule truncated by MaxCycles with streams still
+// playing legitimately holds buffers). And a farm restored to health
+// holds no degraded state: with every drive operational and no rebuild
+// running, no cluster may still run degraded — a restore path that forgot
+// to tell the engine leaks the cluster's buffer server and keeps it
+// reconstructing tracks that sit whole on disk.
 type LeakChecker struct{}
 
 // NewLeakChecker builds the checker.
@@ -276,6 +280,15 @@ func (l *LeakChecker) AfterStep(*RunContext, *sched.CycleReport) error { return 
 // End implements Checker.
 func (l *LeakChecker) End(rc *RunContext) error {
 	eng := rc.Srv.Engine()
+	farm := rc.Srv.Farm()
+	if deg, ok := eng.(interface{ ClusterDegraded(int) bool }); ok &&
+		len(farm.FailedDrives()) == 0 && rc.Srv.RebuildRemaining() == 0 {
+		for cl := 0; cl < farm.Clusters(); cl++ {
+			if deg.ClusterDegraded(cl) {
+				return fmt.Errorf("cluster %d still degraded with every drive restored", cl)
+			}
+		}
+	}
 	if eng.Active() != 0 {
 		return nil
 	}

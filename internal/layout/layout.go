@@ -475,83 +475,6 @@ func (l *Layout) AllObjects() []*Object {
 	return out
 }
 
-// RebuildDrive restores every track of a replaced drive from the
-// surviving members of each parity group (the paper's rebuild mode,
-// without going back to tertiary storage): data tracks are reconstructed
-// via parity, parity tracks re-encoded from their data. The drive must be
-// operational (already replaced) and all other drives intact.
-func RebuildDrive(f *disk.Farm, l *Layout, driveID int) error {
-	drv, err := f.Drive(driveID)
-	if err != nil {
-		return err
-	}
-	for _, obj := range l.AllObjects() {
-		for gi := range obj.Groups {
-			g := &obj.Groups[gi]
-			// Data tracks on the failed drive.
-			for off, loc := range g.Data {
-				if loc.Disk != driveID {
-					continue
-				}
-				survivors := make([][]byte, 0, len(g.Data))
-				for j, other := range g.Data {
-					if j == off {
-						continue
-					}
-					od, err := f.Drive(other.Disk)
-					if err != nil {
-						return err
-					}
-					blk, err := od.ReadTrack(other.Track)
-					if err != nil {
-						return fmt.Errorf("layout: rebuild of drive %d needs drive %d: %w", driveID, other.Disk, err)
-					}
-					survivors = append(survivors, blk)
-				}
-				pd, err := f.Drive(g.Parity.Disk)
-				if err != nil {
-					return err
-				}
-				pblk, err := pd.ReadTrack(g.Parity.Track)
-				if err != nil {
-					return fmt.Errorf("layout: rebuild of drive %d needs parity drive %d: %w", driveID, g.Parity.Disk, err)
-				}
-				survivors = append(survivors, pblk)
-				rec, err := parity.Reconstruct(survivors)
-				if err != nil {
-					return err
-				}
-				if err := drv.WriteTrack(loc.Track, rec); err != nil {
-					return err
-				}
-			}
-			// Parity track on the failed drive.
-			if g.Parity.Disk == driveID {
-				blocks := make([][]byte, 0, len(g.Data))
-				for _, other := range g.Data {
-					od, err := f.Drive(other.Disk)
-					if err != nil {
-						return err
-					}
-					blk, err := od.ReadTrack(other.Track)
-					if err != nil {
-						return fmt.Errorf("layout: rebuild of parity on drive %d needs drive %d: %w", driveID, other.Disk, err)
-					}
-					blocks = append(blocks, blk)
-				}
-				p, err := parity.Encode(blocks)
-				if err != nil {
-					return err
-				}
-				if err := drv.WriteTrack(g.Parity.Track, p); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // ReconstructDataTrack rebuilds data track i of the object from the rest
 // of its parity group, without touching the drive that holds it. This is
 // the on-the-fly degraded-mode read of Observation 2.

@@ -378,86 +378,6 @@ func TestReconstructDoubleFailureFails(t *testing.T) {
 	}
 }
 
-// RebuildDrive must restore a replaced drive's exact contents — data and
-// parity tracks — for both placements.
-func TestRebuildDrive(t *testing.T) {
-	for _, placement := range []Placement{DedicatedParity, IntermixedParity} {
-		f := newTestFarm(t, 10, 5, 60)
-		l, _ := ForFarm(f, placement)
-		trackSize := int(f.Params().TrackSize)
-		contents := map[string][]byte{}
-		for i, id := range []string{"X", "Y"} {
-			content := make([]byte, 12*trackSize)
-			rand.New(rand.NewSource(int64(i))).Read(content)
-			contents[id] = content
-			obj, err := l.AddObject(id, 12, i, units.MPEG1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteObject(f, obj, content); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, victim := range []int{0, 4, 7} { // data, parity, other-cluster
-			drv, _ := f.Drive(victim)
-			if err := drv.Fail(); err != nil {
-				t.Fatal(err)
-			}
-			if err := drv.Replace(); err != nil {
-				t.Fatal(err)
-			}
-			if err := RebuildDrive(f, l, victim); err != nil {
-				t.Fatalf("%v: rebuild drive %d: %v", placement, victim, err)
-			}
-			// Everything reads back directly, bit for bit, and parity
-			// still verifies (reconstruction works for every track).
-			for id, content := range contents {
-				obj, _ := l.Object(id)
-				for i := 0; i < obj.Tracks; i++ {
-					blk, err := ReadDataTrack(f, obj, i)
-					if err != nil {
-						t.Fatalf("%v: after rebuild of %d: read %s/%d: %v", placement, victim, id, i, err)
-					}
-					if !bytes.Equal(blk, content[i*trackSize:(i+1)*trackSize]) {
-						t.Fatalf("%v: after rebuild of %d: %s/%d differs", placement, victim, id, i)
-					}
-					rec, err := ReconstructDataTrack(f, obj, i)
-					if err != nil || !bytes.Equal(rec, blk) {
-						t.Fatalf("%v: parity inconsistent after rebuild of %d (%s/%d): %v", placement, victim, id, i, err)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRebuildDriveErrors(t *testing.T) {
-	f := newTestFarm(t, 10, 5, 60)
-	l, _ := ForFarm(f, DedicatedParity)
-	obj, _ := l.AddObject("X", 8, 0, units.MPEG1)
-	if err := WriteObject(f, obj, make([]byte, 8*int(f.Params().TrackSize))); err != nil {
-		t.Fatal(err)
-	}
-	if err := RebuildDrive(f, l, 99); err == nil {
-		t.Error("bad drive id accepted")
-	}
-	// Rebuilding while a second drive in the group is down must fail.
-	d0, _ := f.Drive(0)
-	if err := d0.Fail(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d0.Replace(); err != nil {
-		t.Fatal(err)
-	}
-	d1, _ := f.Drive(1)
-	if err := d1.Fail(); err != nil {
-		t.Fatal(err)
-	}
-	if err := RebuildDrive(f, l, 0); err == nil {
-		t.Error("rebuild with a second failure succeeded")
-	}
-}
-
 func TestPlacementString(t *testing.T) {
 	if DedicatedParity.String() != "dedicated-parity" || IntermixedParity.String() != "intermixed-parity" {
 		t.Error("placement names")

@@ -2,6 +2,7 @@ package rebuild
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ftmm/internal/disk"
@@ -14,13 +15,18 @@ import (
 // rig: 10 drives x 60 tracks, C=5, two 12-track objects.
 func testRig(t *testing.T) (*disk.Farm, *layout.Layout, map[string][]byte) {
 	t.Helper()
+	return placedRig(t, layout.DedicatedParity)
+}
+
+func placedRig(t *testing.T, placement layout.Placement) (*disk.Farm, *layout.Layout, map[string][]byte) {
+	t.Helper()
 	p := diskmodel.Table1()
 	p.Capacity = 60 * p.TrackSize
 	farm, err := disk.NewFarm(10, 5, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := layout.ForFarm(farm, layout.DedicatedParity)
+	lay, err := layout.ForFarm(farm, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +146,54 @@ func TestIncrementalRebuildRestoresExactBytes(t *testing.T) {
 		if cycles != wantCycles {
 			t.Fatalf("cycles = %d, want %d", cycles, wantCycles)
 		}
-		// Everything reads back bit-exact and parity verifies.
-		trackSize := int(farm.Params().TrackSize)
-		for id, c := range content {
-			obj, _ := lay.Object(id)
-			for i := 0; i < obj.Tracks; i++ {
-				blk, err := layout.ReadDataTrack(farm, obj, i)
-				if err != nil {
-					t.Fatalf("victim %d: %s/%d: %v", victim, id, i, err)
-				}
-				if !bytes.Equal(blk, c[i*trackSize:(i+1)*trackSize]) {
-					t.Fatalf("victim %d: %s/%d content differs", victim, id, i)
-				}
-				rec, err := layout.ReconstructDataTrack(farm, obj, i)
-				if err != nil || !bytes.Equal(rec, blk) {
-					t.Fatalf("victim %d: parity inconsistent at %s/%d: %v", victim, id, i, err)
-				}
+		verifyWhole(t, farm, lay, content, victim)
+	}
+}
+
+// verifyWhole checks that after the victim's rebuild every track reads
+// back bit-exact and parity verifies (every track reconstructs to what
+// it reads).
+func verifyWhole(t *testing.T, farm *disk.Farm, lay *layout.Layout, content map[string][]byte, victim int) {
+	t.Helper()
+	trackSize := int(farm.Params().TrackSize)
+	for id, c := range content {
+		obj, _ := lay.Object(id)
+		for i := 0; i < obj.Tracks; i++ {
+			blk, err := layout.ReadDataTrack(farm, obj, i)
+			if err != nil {
+				t.Fatalf("%v victim %d: %s/%d: %v", lay.Placement(), victim, id, i, err)
 			}
+			if !bytes.Equal(blk, c[i*trackSize:(i+1)*trackSize]) {
+				t.Fatalf("%v victim %d: %s/%d content differs", lay.Placement(), victim, id, i)
+			}
+			rec, err := layout.ReconstructDataTrack(farm, obj, i)
+			if err != nil || !bytes.Equal(rec, blk) {
+				t.Fatalf("%v victim %d: parity inconsistent at %s/%d: %v", lay.Placement(), victim, id, i, err)
+			}
+		}
+	}
+}
+
+// An unbounded budget is the instant repair (what Server.RepairDisk
+// runs): one Step restores the whole drive — data and parity tracks —
+// under both clustered placements, one victim after another on the same
+// farm.
+func TestInstantRebuildRestoresExactBytes(t *testing.T) {
+	for _, placement := range []layout.Placement{layout.DedicatedParity, layout.IntermixedParity} {
+		farm, lay, content := placedRig(t, placement)
+		for _, victim := range []int{0, 4, 7} { // data, parity, other-cluster
+			failAndReplace(t, farm, victim)
+			r, err := New(farm, lay, victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Step(math.MaxInt); err != nil {
+				t.Fatalf("%v: rebuild drive %d: %v", placement, victim, err)
+			}
+			if !r.Done() {
+				t.Fatalf("%v: drive %d: %d tracks left after an unbounded Step", placement, victim, r.Remaining())
+			}
+			verifyWhole(t, farm, lay, content, victim)
 		}
 	}
 }

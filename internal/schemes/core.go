@@ -3,6 +3,7 @@ package schemes
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"ftmm/internal/buffer"
 	"ftmm/internal/layout"
@@ -15,10 +16,11 @@ import (
 // decide whether a retry later can succeed.
 var ErrCapacity = errors.New("schemes: capacity")
 
-// engineCore is the chassis shared by the four scheme engines: the
+// engineCore is the chassis shared by the five scheme engines: the
 // validated configuration, the per-disk slot budget, the cycle counter,
-// stream-ID allocation, the buffer pool, the metrics recorder, and the
-// bounded per-cluster worker pool. Engines embed it and keep only their
+// stream-ID allocation, the buffer pool, the metrics recorder, the
+// bounded per-cluster worker pool, the one track read (readTrack) and the
+// one delivery (emit). Engines embed it and keep only their
 // scheme-specific scheduling logic.
 type engineCore struct {
 	cfg          Config
@@ -83,14 +85,6 @@ func (c *engineCore) BufferInUse() int { return c.pool.InUse() }
 // refcount leak accounting.
 func (c *engineCore) Arena() *buffer.Arena { return c.arena }
 
-// shareDelivered wraps a delivered track buffer in a refcounted handle.
-// The engine keeps its own reference until the next Step's beginCycle.
-func (c *engineCore) shareDelivered(buf []byte) *buffer.Ref {
-	ref := c.arena.Share(buf)
-	c.delivered = append(c.delivered, ref)
-	return ref
-}
-
 // FailDisk implements Simulator for engines with no extra failure
 // bookkeeping (the Non-clustered engine overrides this).
 func (c *engineCore) FailDisk(id int) error {
@@ -106,6 +100,70 @@ func (c *engineCore) allocStreamID() int {
 	id := c.nextID
 	c.nextID++
 	return id
+}
+
+// readTrack is the one scheduled track read: a slot on the track's drive,
+// the read into an arena buffer, the report counter (DataReads or
+// ParityReads) bumped. It returns nil — slot kept, as the arm was
+// scheduled — when the drive's budget is spent or the drive has failed.
+func (c *engineCore) readTrack(ctx *sched.CycleContext, loc layout.Location, reads *int) []byte {
+	if !ctx.Slots.Take(loc.Disk) {
+		return nil
+	}
+	return c.read(loc, reads)
+}
+
+// read is readTrack's second half, for stageGroup, which takes a whole
+// group's slots before it reads any of them.
+func (c *engineCore) read(loc layout.Location, reads *int) []byte {
+	drv, err := c.cfg.Farm.Drive(loc.Disk)
+	if err != nil {
+		return nil
+	}
+	buf := c.arena.Get()
+	if err := drv.ReadTrackInto(buf, loc.Track); err != nil {
+		c.arena.Put(buf)
+		return nil
+	}
+	*reads++
+	return buf
+}
+
+// holdBriefly accounts a buffer that lives only within this cycle (a
+// parity block folded into a reconstruction): it counts toward the
+// pool's peak but not its occupancy.
+func (c *engineCore) holdBriefly() error {
+	if err := c.pool.Acquire(1); err != nil {
+		return err
+	}
+	return c.pool.Release(1)
+}
+
+// emit is the one delivery: the stream's track goes out sharing buf — or
+// ref, when an earlier sharer of a merged read already minted the handle
+// (a second Share of one buffer would double-free it) — and a track with
+// neither hiccups for the given reason. It returns the handle delivered,
+// which now owns buf; the engine keeps its own reference on it until the
+// next Step's beginCycle.
+func (c *engineCore) emit(rep *sched.CycleReport, st *sched.Stream, track int, buf []byte, ref *buffer.Ref, reconstructed bool, reason string) *buffer.Ref {
+	switch {
+	case ref != nil:
+		ref.Retain()
+		buf = ref.Bytes()
+	case buf != nil:
+		ref = c.arena.Share(buf)
+	default:
+		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{
+			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason,
+		})
+		return nil
+	}
+	c.delivered = append(c.delivered, ref)
+	rep.Delivered = append(rep.Delivered, sched.Delivery{
+		StreamID: st.ID, ObjectID: st.Obj.ID, Track: track,
+		Data: buf, Buf: ref, Reconstructed: reconstructed,
+	})
+	return ref
 }
 
 // beginCycle opens the cycle's context: cleared slot budgets, the shared
@@ -211,6 +269,7 @@ func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 		}
 		bg.shares = 0
 		bg.pooled = 0
+		bg.refs = nil
 		c.recycleGroup(bg)
 	}
 	return nil
@@ -308,8 +367,9 @@ func findActive[S engineStream](streams []S, id int) (S, error) {
 }
 
 // groupStream is the double-buffered stream state shared by the
-// whole-group engines (Streaming RAID and Improved-bandwidth): the group
-// read this cycle is staged; the group read last cycle is delivering.
+// whole-group engines (Streaming RAID, Declustered and
+// Improved-bandwidth): the group read this cycle is staged; the group
+// read last cycle is delivering.
 type groupStream struct {
 	sched.Stream
 	// nextGroup is the next parity-group index to read.
@@ -336,12 +396,67 @@ func ffRate(s *groupStream) int {
 	return 1
 }
 
-// groupClusterLoad counts the normal-rate streams whose next group read
-// lands on each cluster. Fast-forward streams are excluded: their draw
-// is not tied to one cluster (a rate-r stream touches up to r clusters
-// per cycle) and is accounted separately by ffClusterDraw.
-func (c *engineCore) groupClusterLoad(streams []*groupStream) []int {
-	return c.groupClusterLoadOmit(streams, nil)
+// groupEngine is the whole-group chassis: every active stream reads one
+// entire parity group per cycle and delivers the group read the cycle
+// before. Streaming RAID, Declustered and Improved-bandwidth embed it and
+// differ only in how a cycle's reads are scheduled and what a failure
+// costs; admission, cancellation and progress are the same for all.
+type groupEngine struct {
+	engineCore
+	streams []*groupStream
+	// reserve is the per-drive slot count admission holds back (the
+	// headroom Improved-bandwidth's shift needs; 0 elsewhere).
+	reserve int
+}
+
+// CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
+// group size.
+func (e *groupEngine) CycleTime() time.Duration {
+	return e.cfg.Farm.Params().CycleTime(e.cfg.Layout.GroupWidth(), e.cfg.Rate)
+}
+
+// Active implements Simulator.
+func (e *groupEngine) Active() int { return activeCount(e.streams) }
+
+// StreamProgress implements Simulator.
+func (e *groupEngine) StreamProgress(id int) (next, total int, ok bool) {
+	return streamProgress(e.streams, id)
+}
+
+// AddStream implements Simulator.
+func (e *groupEngine) AddStream(obj *layout.Object) (int, error) {
+	return e.AddStreamAt(obj, 0)
+}
+
+// AddStreamAt implements Simulator. A stream consumes one track read on
+// every drive of its current cluster each cycle, and every active stream
+// advances one cluster per cycle, so per-cluster stream counts are
+// invariant over time: admission only needs the start cluster's current
+// count to be under the per-disk budget less the reserve. A stream
+// started at group g is indistinguishable from one admitted earlier that
+// has advanced to g, so only the start cluster moves.
+//
+// Under declustered parity the "cluster" is the declustering group: a
+// stream's reads land on the C drives of one block within it, and which
+// block varies per group, so in the worst case every stream of the
+// declustering group reads the same drive in the same cycle. The same
+// cap keeps that worst case schedulable — a deliberately conservative
+// floor under the analytic N, which assumes the design spreads load
+// evenly.
+func (e *groupEngine) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
+	if err := checkStartGroup(obj, startGroup); err != nil {
+		return 0, err
+	}
+	start := obj.Groups[startGroup].Cluster
+	if limit := e.slotsPerDisk - e.reserve; e.clusterLoad(nil)[start] >= limit {
+		return 0, fmt.Errorf("schemes: cluster %d is at its %d-stream capacity", start, limit)
+	}
+	id := e.allocStreamID()
+	e.streams = append(e.streams, &groupStream{
+		Stream:    sched.Stream{ID: id, Obj: obj, NextDeliver: startGroup * e.cfg.Layout.GroupWidth()},
+		nextGroup: startGroup,
+	})
+	return id, nil
 }
 
 // ffClusterDraw bounds the extra per-cluster slot draw of every active
@@ -353,10 +468,10 @@ func (c *engineCore) groupClusterLoad(streams []*groupStream) []int {
 // streams gives a per-cluster draw bound that holds on every cluster in
 // every future cycle, which is what lets admission treat FF draw as a
 // position-independent surcharge on top of the rotating rate-1 loads.
-func (c *engineCore) ffClusterDraw(streams []*groupStream, skip *groupStream) int {
-	n := c.cfg.Layout.Clusters()
+func (e *groupEngine) ffClusterDraw(skip *groupStream) int {
+	n := e.cfg.Layout.Clusters()
 	draw := 0
-	for _, s := range streams {
+	for _, s := range e.streams {
 		if s == skip || s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
 		}
@@ -367,19 +482,21 @@ func (c *engineCore) ffClusterDraw(streams []*groupStream, skip *groupStream) in
 	return draw
 }
 
-// setGroupStreamRate changes a stream's playback multiplier for the
-// whole-group engines. Dropping the rate (or holding it) always
+// setStreamRate changes a stream's playback multiplier (1 = normal,
+// r > 1 = fast-forward reading r groups per cycle). Only the engines
+// that read parity with every group export it: Improved-bandwidth's shift
+// has no fast-forward story. Dropping the rate (or holding it) always
 // succeeds — it only releases draw. Raising it re-runs the admission
 // argument: the worst-case cluster must absorb the stream's new
 // ceil(rate/N) draw on top of every other stream's, or the change is
 // refused wrapping ErrCapacity (the caller can retry after capacity
 // frees up). The stream's current seat — one rate-1 slot or its old FF
 // draw — is excluded from the check, since the new draw replaces it.
-func (c *engineCore) setGroupStreamRate(streams []*groupStream, id, rate int) error {
+func (e *groupEngine) setStreamRate(id, rate int) error {
 	if rate < 1 {
 		return fmt.Errorf("schemes: rate %d must be at least 1", rate)
 	}
-	s, err := findActive(streams, id)
+	s, err := findActive(e.streams, id)
 	if err != nil {
 		return err
 	}
@@ -387,27 +504,30 @@ func (c *engineCore) setGroupStreamRate(streams []*groupStream, id, rate int) er
 		s.rate = rate
 		return nil
 	}
-	n := c.cfg.Layout.Clusters()
+	n := e.cfg.Layout.Clusters()
 	maxLoad := 0
-	for _, l := range c.groupClusterLoadOmit(streams, s) {
+	for _, l := range e.clusterLoad(s) {
 		if l > maxLoad {
 			maxLoad = l
 		}
 	}
 	need := (rate + n - 1) / n
-	if maxLoad+c.ffClusterDraw(streams, s)+need > c.slotsPerDisk {
+	if maxLoad+e.ffClusterDraw(s)+need > e.slotsPerDisk {
 		return fmt.Errorf("%w: rate %d needs %d slots over the worst cluster's %d-of-%d budget",
-			ErrCapacity, rate, need, maxLoad+c.ffClusterDraw(streams, s), c.slotsPerDisk)
+			ErrCapacity, rate, need, maxLoad+e.ffClusterDraw(s), e.slotsPerDisk)
 	}
 	s.rate = rate
 	return nil
 }
 
-// groupClusterLoadOmit is groupClusterLoad with one stream left out —
-// the stream whose seat is being re-priced by a rate change.
-func (c *engineCore) groupClusterLoadOmit(streams []*groupStream, skip *groupStream) []int {
-	load := make([]int, c.cfg.Layout.Clusters())
-	for _, s := range streams {
+// clusterLoad counts the normal-rate streams whose next group read lands
+// on each cluster, leaving out skip — the stream whose seat a rate change
+// is re-pricing (nil at admission). Fast-forward streams are excluded:
+// their draw is not tied to one cluster (a rate-r stream touches up to r
+// clusters per cycle) and is accounted separately by ffClusterDraw.
+func (e *groupEngine) clusterLoad(skip *groupStream) []int {
+	load := make([]int, e.cfg.Layout.Clusters())
+	for _, s := range e.streams {
 		if s == skip || s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) || ffRate(s) > 1 {
 			continue
 		}
@@ -419,9 +539,9 @@ func (c *engineCore) groupClusterLoadOmit(streams []*groupStream, skip *groupStr
 // weightedActive sums max(rate, 1) over active streams: the per-cycle
 // k′ draw the farm is actually committed to, which is what the paper's
 // N_p bound constrains once fast-forward multiplies a viewer's draw.
-func weightedActive(streams []*groupStream) int {
+func (e *groupEngine) weightedActive() int {
 	n := 0
-	for _, s := range streams {
+	for _, s := range e.streams {
 		if s.Done || s.Terminated {
 			continue
 		}
@@ -430,23 +550,23 @@ func weightedActive(streams []*groupStream) int {
 	return n
 }
 
-// cancelGroupStream implements CancelStream for double-buffered engines:
-// the stream stops immediately (a client hanging up, not a degradation
-// event) and its buffers are returned.
-func (c *engineCore) cancelGroupStream(streams []*groupStream, id int) error {
-	s, err := findActive(streams, id)
+// CancelStream implements Simulator: the stream stops immediately (a
+// client hanging up, not a degradation event) and its buffers are
+// returned.
+func (e *groupEngine) CancelStream(id int) error {
+	s, err := findActive(e.streams, id)
 	if err != nil {
 		return err
 	}
 	s.Done = true
-	if err := c.releaseGroups(s.staged, s.delivering); err != nil {
+	if err := e.releaseGroups(s.staged, s.delivering); err != nil {
 		return err
 	}
 	s.staged, s.delivering = nil, nil
-	if err := c.releaseGroups(s.stagedExtra...); err != nil {
+	if err := e.releaseGroups(s.stagedExtra...); err != nil {
 		return err
 	}
-	if err := c.releaseGroups(s.deliveringExtra...); err != nil {
+	if err := e.releaseGroups(s.deliveringExtra...); err != nil {
 		return err
 	}
 	s.stagedExtra, s.deliveringExtra = s.stagedExtra[:0], s.deliveringExtra[:0]
@@ -470,14 +590,11 @@ type groupReadEntry struct {
 // each entry's private slot — two entries of one stream can land on the
 // same cluster (rate > cluster count) and are then staged serially by
 // that cluster's one worker, while entries on different clusters write
-// disjoint slots. want filters which streams read this cycle.
-func (c *engineCore) groupReadPlan(streams []*groupStream, want func(*groupStream) bool) [][]groupReadEntry {
-	plan := make([][]groupReadEntry, c.cfg.Layout.Clusters())
-	for _, s := range streams {
+// disjoint slots.
+func (e *groupEngine) groupReadPlan() [][]groupReadEntry {
+	plan := make([][]groupReadEntry, e.cfg.Layout.Clusters())
+	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
-			continue
-		}
-		if want != nil && !want(s) {
 			continue
 		}
 		rate := ffRate(s)
@@ -528,12 +645,7 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 		ok = false
 	}
 	if !ok {
-		return &bufferedGroup{
-			group:         g,
-			data:          make([][]byte, len(g.Data)),
-			reconstructed: make([]bool, len(g.Data)),
-			shares:        1,
-		}, nil
+		return newBufferedGroup(g), nil
 	}
 	if bg := cache[g]; bg != nil {
 		bg.shares++
@@ -547,16 +659,14 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 		}
 		return bg, nil
 	}
-	staged := &bufferedGroup{
-		group:         g,
-		reconstructed: make([]bool, len(g.Data)),
-		shares:        1,
+	staged := newBufferedGroup(g)
+	gr := groupRead{data: staged.data}
+	for i, loc := range g.Data {
+		gr.data[i] = c.read(loc, &staged.dataReads)
 	}
-	gr := readGroup(c.cfg.Farm, g, true, c.arena)
-	staged.dataReads = gr.dataReads
-	staged.parityReads = gr.parityReads
-	ctx.Rep.DataReads += gr.dataReads
-	ctx.Rep.ParityReads += gr.parityReads
+	gr.par = c.read(g.Parity, &staged.parityReads)
+	ctx.Rep.DataReads += staged.dataReads
+	ctx.Rep.ParityReads += staged.parityReads
 	if rec, recErr := gr.recoverGroup(); recErr == nil && rec >= 0 {
 		staged.reconstructed[rec] = true
 		staged.recovered = true
@@ -565,8 +675,6 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 	// The parity buffer's only post-read use is the recovery above (which
 	// consumes it on success); recycle whatever is left.
 	c.arena.Put(gr.par)
-	gr.par = nil
-	staged.data = gr.data
 	staged.pooled = len(g.Data) + 1
 	if err := c.pool.Acquire(staged.pooled); err != nil {
 		return nil, err
@@ -582,8 +690,8 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 // could not be read or rebuilt (hiccupReason labels the loss). A
 // fast-forward stream delivers its primary group and then its extras in
 // group order, so the tracks on the wire stay consecutive.
-func (c *engineCore) deliverDouble(ctx *sched.CycleContext, streams []*groupStream, hiccupReason string) error {
-	for _, s := range streams {
+func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string) error {
+	for _, s := range e.streams {
 		if s.Terminated || s.Done {
 			continue
 		}
@@ -592,7 +700,7 @@ func (c *engineCore) deliverDouble(ctx *sched.CycleContext, streams []*groupStre
 		s.delivering, s.staged = s.staged, nil
 		s.deliveringExtra, s.stagedExtra = s.stagedExtra, extras[:0]
 		if bg != nil {
-			if err := c.deliverGroup(ctx, s, bg, hiccupReason); err != nil {
+			if err := e.deliverGroup(ctx, s, bg, hiccupReason); err != nil {
 				return err
 			}
 		}
@@ -601,7 +709,7 @@ func (c *engineCore) deliverDouble(ctx *sched.CycleContext, streams []*groupStre
 			if ebg == nil {
 				continue
 			}
-			if err := c.deliverGroup(ctx, s, ebg, hiccupReason); err != nil {
+			if err := e.deliverGroup(ctx, s, ebg, hiccupReason); err != nil {
 				return err
 			}
 		}
@@ -623,57 +731,28 @@ func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *b
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
 		var ref *buffer.Ref
-		var data []byte
-		switch {
-		case bg.refs != nil && bg.refs[off] != nil:
-			// An earlier sharer already minted the ref for this track;
-			// retain the SAME ref (a second Share would double-free).
+		if bg.refs != nil {
 			ref = bg.refs[off]
-			ref.Retain()
-			c.delivered = append(c.delivered, ref)
-			data = ref.Bytes()
-		case bg.data[off] != nil:
-			data = bg.data[off]
-			ref = c.shareDelivered(data)
-			if bg.shares > 1 {
-				if bg.refs == nil {
-					bg.refs = make([]*buffer.Ref, len(bg.data))
-				}
-				bg.refs[off] = ref
-			}
-			// Ownership moved to the Ref; clear the slot so recycleGroup
-			// below does not Put the buffer behind the report's back.
-			bg.data[off] = nil
-		default:
-			ctx.Rep.Hiccups = append(ctx.Rep.Hiccups, sched.Hiccup{
-				StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
-				Reason: hiccupReason,
-			})
+		}
+		ref = c.emit(ctx.Rep, &s.Stream, base+off, bg.data[off], ref, bg.reconstructed[off], hiccupReason)
+		if bg.data[off] == nil {
 			continue
 		}
-		ctx.Rep.Delivered = append(ctx.Rep.Delivered, sched.Delivery{
-			StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
-			Data: data, Buf: ref, Reconstructed: bg.reconstructed[off],
-		})
-	}
-	if bg.pooled > 0 {
-		if err := c.pool.Release(bg.pooled); err != nil {
-			return err
-		}
-	}
-	if bg.shares > 1 {
-		bg.shares--
-	} else {
-		bg.shares = 0
-		bg.pooled = 0
-		// Delivered slots were handed to refs above; recycle only the
-		// leftovers (failed reads, padding past ValidTracks).
-		c.recycleGroup(bg)
-		if bg.refs != nil {
-			for i := range bg.refs {
-				bg.refs[i] = nil
+		// Ownership moved to the Ref; clear the slot so recycleGroup
+		// below does not Put the buffer behind the report's back, and
+		// leave the handle for the group's other sharers.
+		bg.data[off] = nil
+		if bg.shares > 1 {
+			if bg.refs == nil {
+				bg.refs = make([]*buffer.Ref, len(bg.data))
 			}
+			bg.refs[off] = ref
 		}
+	}
+	// Delivered slots were handed to refs above; the last sharer recycles
+	// only the leftovers (failed reads, padding past ValidTracks).
+	if err := c.releaseGroups(bg); err != nil {
+		return err
 	}
 	s.Advance(bg.group.ValidTracks)
 	return nil

@@ -2,7 +2,6 @@ package schemes
 
 import (
 	"fmt"
-	"time"
 
 	"ftmm/internal/disk"
 	"ftmm/internal/layout"
@@ -29,9 +28,7 @@ import (
 // paper's one-time isolated hiccups; from the next cycle on, the shift
 // masks the failure completely.
 type ImprovedBandwidth struct {
-	engineCore
-	reserve int
-	streams []*groupStream
+	groupEngine
 	// midFail, when >= 0, is a drive that fails midway through the next
 	// cycle's reads.
 	midFail int
@@ -73,64 +70,17 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 	if reserve < 0 || reserve >= core.slotsPerDisk {
 		return nil, fmt.Errorf("schemes: reserve %d must be in [0,%d)", reserve, core.slotsPerDisk)
 	}
-	return &ImprovedBandwidth{engineCore: core, reserve: reserve, midFail: -1}, nil
+	return &ImprovedBandwidth{groupEngine: groupEngine{engineCore: core, reserve: reserve}, midFail: -1}, nil
 }
 
 // Name implements Simulator.
 func (e *ImprovedBandwidth) Name() string { return "Improved-bandwidth" }
 
-// CycleTime implements Simulator: Tcyc = (C-1)·B/b0.
-func (e *ImprovedBandwidth) CycleTime() time.Duration {
-	return e.cfg.Farm.Params().CycleTime(e.cfg.Layout.GroupWidth(), e.cfg.Rate)
-}
-
 // Reserve returns the per-drive reserved slot count.
 func (e *ImprovedBandwidth) Reserve() int { return e.reserve }
 
-// Active implements Simulator.
-func (e *ImprovedBandwidth) Active() int { return activeCount(e.streams) }
-
-// StreamProgress reports the next track owed to the stream and its
-// object's total tracks; ok is false for unknown streams.
-func (e *ImprovedBandwidth) StreamProgress(id int) (next, total int, ok bool) {
-	return streamProgress(e.streams, id)
-}
-
 // Terminations counts streams killed by degradation of service.
 func (e *ImprovedBandwidth) Terminations() int { return e.terminations }
-
-// AddStream implements Simulator. Admission caps each cluster at the
-// per-drive budget minus the reserve, leaving the headroom the shift
-// needs under failure.
-func (e *ImprovedBandwidth) AddStream(obj *layout.Object) (int, error) {
-	return e.AddStreamAt(obj, 0)
-}
-
-// AddStreamAt admits a stream beginning at the given parity group — the
-// session-resume seam. The reserve-capped per-cluster check moves to the
-// start group's cluster; everything else matches an aged stream.
-func (e *ImprovedBandwidth) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
-	if err := checkStartGroup(obj, startGroup); err != nil {
-		return 0, err
-	}
-	start := obj.Groups[startGroup].Cluster
-	cap := e.slotsPerDisk - e.reserve
-	if e.groupClusterLoad(e.streams)[start] >= cap {
-		return 0, fmt.Errorf("schemes: cluster %d is at its %d-stream capacity (reserve %d)", start, cap, e.reserve)
-	}
-	id := e.allocStreamID()
-	e.streams = append(e.streams, &groupStream{
-		Stream:    sched.Stream{ID: id, Obj: obj, NextDeliver: startGroup * e.cfg.Layout.GroupWidth()},
-		nextGroup: startGroup,
-	})
-	return id, nil
-}
-
-// CancelStream stops serving a stream immediately and returns its
-// buffers.
-func (e *ImprovedBandwidth) CancelStream(id int) error {
-	return e.cancelGroupStream(e.streams, id)
-}
 
 // FailDiskMidCycle schedules the drive to fail halfway through the next
 // cycle's reads: tracks it had already read are fine, the rest hiccup
@@ -144,27 +94,41 @@ func (e *ImprovedBandwidth) FailDiskMidCycle(id int) error {
 }
 
 // readGroupBlocks runs one group's phase-1 data reads, recording into
-// ctx (a per-cluster shard when the phase runs parallel).
-func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleContext) error {
+// ctx (a per-cluster shard when the phase runs parallel). midDisk, when
+// >= 0, is the drive failing partway through this cycle: it serves
+// *allowance more of its scheduled reads, then dies, and what it had
+// left to serve is lost with no time to shift.
+func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleContext, midDisk int, allowance *int) error {
 	for j, loc := range gr.g.Data {
-		if !ctx.Slots.Take(loc.Disk) {
+		onVictim := loc.Disk == midDisk && ctx.Slots.Free(loc.Disk) > 0
+		if onVictim && e.midFail >= 0 {
+			if *allowance == 0 {
+				if err := e.failMidCycle(); err != nil {
+					return err
+				}
+			} else {
+				*allowance--
+			}
+		}
+		blk := e.readTrack(ctx, loc, &ctx.Rep.DataReads)
+		if blk == nil {
 			gr.missing = append(gr.missing, j)
+			if onVictim {
+				gr.unmaskable[j] = true
+			}
 			continue
 		}
-		drv, err := e.cfg.Farm.Drive(loc.Disk)
-		if err != nil {
-			return err
-		}
-		blk, err := readTrackArena(drv, loc.Track, e.arena)
-		if err != nil {
-			gr.missing = append(gr.missing, j)
-			continue
-		}
-		ctx.Rep.DataReads++
 		gr.bg.data[j] = blk
 		gr.reads = append(gr.reads, ibRead{offset: j, disk: loc.Disk})
 	}
 	return nil
+}
+
+// failMidCycle fails the scheduled mid-cycle victim now.
+func (e *ImprovedBandwidth) failMidCycle() error {
+	id := e.midFail
+	e.midFail = -1
+	return e.FailDisk(id)
 }
 
 // Step implements Simulator.
@@ -184,13 +148,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		g := &s.Obj.Groups[s.nextGroup]
 		s.nextGroup++
 		groups = append(groups, &ibGroupRead{
-			s: s, g: g,
-			bg: &bufferedGroup{
-				group:         g,
-				data:          make([][]byte, len(g.Data)),
-				reconstructed: make([]bool, len(g.Data)),
-				shares:        1,
-			},
+			s: s, g: g, bg: newBufferedGroup(g),
 			unmaskable: map[int]bool{},
 		})
 	}
@@ -200,9 +158,26 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	// except under a scheduled mid-cycle failure, whose semantics (the
 	// victim drive serves exactly half of its scheduled reads, in
 	// schedule order) depend on a serial read order.
-	if e.midFail >= 0 {
-		if err := e.stepMidFailReads(groups, ctx); err != nil {
-			return nil, err
+	if midDisk := e.midFail; midDisk >= 0 {
+		scheduled := 0
+		for _, gr := range groups {
+			for _, loc := range gr.g.Data {
+				if loc.Disk == midDisk {
+					scheduled++
+				}
+			}
+		}
+		allowance := scheduled / 2
+		for _, gr := range groups {
+			if err := e.readGroupBlocks(gr, ctx, midDisk, &allowance); err != nil {
+				return nil, err
+			}
+		}
+		if e.midFail >= 0 {
+			// The drive had no scheduled reads this cycle; fail it now.
+			if err := e.failMidCycle(); err != nil {
+				return nil, err
+			}
 		}
 	} else {
 		byCluster := make([][]*ibGroupRead, e.cfg.Layout.Clusters())
@@ -211,7 +186,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		}
 		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
 			for _, gr := range byCluster[cl] {
-				if err := e.readGroupBlocks(gr, shard); err != nil {
+				if err := e.readGroupBlocks(gr, shard, -1, nil); err != nil {
 					return err
 				}
 			}
@@ -243,77 +218,11 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	}
 
 	// Delivery of last cycle's groups.
-	if err := e.deliverDouble(ctx, e.streams, "unmasked failure"); err != nil {
+	if err := e.deliverDouble(ctx, "unmasked failure"); err != nil {
 		return nil, err
 	}
 
 	return e.endCycle(ctx), nil
-}
-
-// stepMidFailReads is the serial phase-1 variant under a scheduled
-// mid-cycle failure: the victim drive fails after serving half of its
-// scheduled reads.
-func (e *ImprovedBandwidth) stepMidFailReads(groups []*ibGroupRead, ctx *sched.CycleContext) error {
-	midDisk := e.midFail
-	scheduled := 0
-	for _, gr := range groups {
-		for _, loc := range gr.g.Data {
-			if loc.Disk == midDisk {
-				scheduled++
-			}
-		}
-	}
-	midAllowance := scheduled / 2
-	for _, gr := range groups {
-		for j, loc := range gr.g.Data {
-			if !ctx.Slots.Take(loc.Disk) {
-				gr.missing = append(gr.missing, j)
-				continue
-			}
-			if loc.Disk == midDisk && e.midFail >= 0 {
-				if midAllowance == 0 {
-					drv, err := e.cfg.Farm.Drive(midDisk)
-					if err != nil {
-						return err
-					}
-					if err := drv.Fail(); err != nil {
-						return err
-					}
-					e.midFail = -1
-				} else {
-					midAllowance--
-				}
-			}
-			drv, err := e.cfg.Farm.Drive(loc.Disk)
-			if err != nil {
-				return err
-			}
-			blk, err := readTrackArena(drv, loc.Track, e.arena)
-			if err != nil {
-				gr.missing = append(gr.missing, j)
-				if loc.Disk == midDisk {
-					// Lost to the mid-cycle failure: no time to shift.
-					gr.unmaskable[j] = true
-				}
-				continue
-			}
-			ctx.Rep.DataReads++
-			gr.bg.data[j] = blk
-			gr.reads = append(gr.reads, ibRead{offset: j, disk: loc.Disk})
-		}
-	}
-	if e.midFail >= 0 {
-		// The drive had no scheduled reads this cycle; fail it now.
-		drv, err := e.cfg.Farm.Drive(e.midFail)
-		if err != nil {
-			return err
-		}
-		if err := drv.Fail(); err != nil {
-			return err
-		}
-		e.midFail = -1
-	}
-	return nil
 }
 
 // resolve recovers a group's missing blocks via the parity shift. visited
@@ -372,15 +281,11 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, groups []*ibGroupRead, ctx 
 // catastrophic hiccup; no victim: degradation).
 func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, ctx *sched.CycleContext, visited map[int]bool) []byte {
 	pDisk := gr.g.Parity.Disk
-	drv, err := e.cfg.Farm.Drive(pDisk)
-	if err != nil {
-		return nil
-	}
-	if drv.State() != disk.Operational {
+	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() != disk.Operational {
 		// Adjacent-cluster double failure: the paper's data-loss case.
 		return nil
 	}
-	if !ctx.Slots.Take(pDisk) {
+	if ctx.Slots.Free(pDisk) == 0 {
 		// Drop a victim's local read on this drive in favor of parity.
 		victim := e.pickVictim(groups, pDisk, gr)
 		if victim == nil {
@@ -399,21 +304,17 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, c
 				break
 			}
 		}
+		ctx.Slots.Put(pDisk)
 		defer e.resolve(victim, groups, ctx, visited)
 	}
-	blk, err := readTrackArena(drv, gr.g.Parity.Track, e.arena)
-	if err != nil {
+	blk := e.readTrack(ctx, gr.g.Parity, &ctx.Rep.ParityReads)
+	if blk == nil {
 		return nil
 	}
-	ctx.Rep.ParityReads++
 	// The parity block occupies a buffer only within this cycle. The
 	// caller owns the returned arena buffer (resolve transfers it into
 	// the reconstructed slot).
-	if err := e.pool.Acquire(1); err != nil {
-		e.arena.Put(blk)
-		return nil
-	}
-	if err := e.pool.Release(1); err != nil {
+	if err := e.holdBriefly(); err != nil {
 		e.arena.Put(blk)
 		return nil
 	}
@@ -445,14 +346,6 @@ func (e *ImprovedBandwidth) terminate(s *groupStream, rep *sched.CycleReport) {
 	s.Terminated = true
 	e.terminations++
 	rep.Terminated = append(rep.Terminated, s.ID)
-	for _, bg := range []*bufferedGroup{s.delivering, s.staged} {
-		if bg != nil {
-			if bg.pooled > 0 {
-				_ = e.pool.Release(bg.pooled)
-				bg.pooled = 0
-			}
-			e.recycleGroup(bg)
-		}
-	}
+	_ = e.releaseGroups(s.delivering, s.staged)
 	s.delivering, s.staged = nil, nil
 }

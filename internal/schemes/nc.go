@@ -62,6 +62,10 @@ type ncCluster struct {
 	// failedOffset is the in-cluster index of the failed data drive
 	// (0..C-2), meaningful in ncDegraded/ncUnprotected.
 	failedOffset int
+	// down[o] marks the cluster's drives (offset C-1 is parity) failed and
+	// not yet reported restored. Drive state cannot stand in for it: a
+	// replaced drive reads Operational while its rebuild is still running.
+	down []bool
 }
 
 type ncStaged struct {
@@ -123,9 +127,12 @@ func NewNonClustered(cfg Config, policy TransitionPolicy, k int) (*NonClustered,
 	if err != nil {
 		return nil, err
 	}
+	clusters := make([]ncCluster, cfg.Layout.Clusters())
+	for i := range clusters {
+		clusters[i].down = make([]bool, cfg.Farm.ClusterSize())
+	}
 	return &NonClustered{
-		engineCore: core, policy: policy, servers: servers,
-		clusters: make([]ncCluster, cfg.Layout.Clusters()),
+		engineCore: core, policy: policy, servers: servers, clusters: clusters,
 	}, nil
 }
 
@@ -233,6 +240,12 @@ func (e *NonClustered) CancelStream(id int) error {
 		return err
 	}
 	s.Done = true
+	return e.dropBuffers(s)
+}
+
+// dropBuffers returns everything an ended stream still holds: staged
+// tracks and any XOR accumulator.
+func (e *NonClustered) dropBuffers(s *ncStream) error {
 	for r, st := range s.staged {
 		delete(s.staged, r)
 		e.arena.Put(st.data)
@@ -259,14 +272,15 @@ func (e *NonClustered) FailDisk(id int) error {
 		return err
 	}
 	offset := id % e.cfg.Farm.ClusterSize()
+	st := &e.clusters[cl]
+	st.down[offset] = true
 	if offset == e.cfg.Farm.ClusterSize()-1 {
 		// Dedicated parity drive: no operational impact in normal mode.
-		if e.clusters[cl].mode == ncNormal {
-			e.clusters[cl].mode = ncParityLost
+		if st.mode == ncNormal {
+			st.mode = ncParityLost
 		}
 		return nil
 	}
-	st := &e.clusters[cl]
 	st.failedOffset = offset
 	if err := e.servers.Attach(cl); err != nil {
 		if errors.Is(err, buffer.ErrExhausted) {
@@ -294,10 +308,7 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 		if s.Obj.Groups[g].Cluster != cl || o == 0 {
 			continue
 		}
-		groupEnd := (g + 1) * width
-		if groupEnd > s.Obj.Tracks {
-			groupEnd = s.Obj.Tracks
-		}
+		groupEnd := min((g+1)*width, s.Obj.Tracks)
 		switch e.policy {
 		case SimpleSwitchover:
 			// Drop every remaining track of the current group.
@@ -317,41 +328,37 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 	}
 }
 
-// RepairDisk replaces the failed drive, rebuilds its contents from
-// parity (rebuild mode), returns the cluster to normal operation, and
-// frees its buffer server.
-func (e *NonClustered) RepairDisk(id int) error {
-	drv, err := e.cfg.Farm.Drive(id)
-	if err != nil {
-		return err
-	}
-	if err := drv.Replace(); err != nil {
-		return err
-	}
-	if err := layout.RebuildDrive(e.cfg.Farm, e.cfg.Layout, id); err != nil {
-		return err
-	}
-	return e.OnDriveRebuilt(id)
-}
-
-// OnDriveRebuilt tells the engine a drive's contents are whole again
-// (after an external — possibly incremental — rebuild): the cluster
-// returns to normal operation and its buffer server is released.
+// OnDriveRebuilt tells the engine a drive's contents are whole again —
+// rebuilt from parity, instantly or incrementally, or reloaded from tape.
+// Restores arrive one drive at a time (tape reload is the paper's answer
+// to two failures in one cluster), so the cluster's mode follows from
+// what is still down: another data drive keeps it degraded on that
+// offset, server and all; a lone parity drive costs it only its
+// protection (ncParityLost); otherwise it returns to normal and frees its
+// buffer server.
 func (e *NonClustered) OnDriveRebuilt(id int) error {
 	cl, err := e.cfg.Farm.ClusterOf(id)
 	if err != nil {
 		return err
 	}
 	st := &e.clusters[cl]
-	switch st.mode {
-	case ncDegraded:
+	st.down[id%len(st.down)] = false
+	parity := len(st.down) - 1
+	for o, down := range st.down[:parity] {
+		if down {
+			st.failedOffset = o
+			return nil
+		}
+	}
+	if st.mode == ncDegraded {
 		if err := e.servers.Detach(cl); err != nil {
 			return err
 		}
-	case ncParityLost, ncUnprotected, ncNormal:
-		// nothing extra
 	}
 	st.mode = ncNormal
+	if st.down[parity] {
+		st.mode = ncParityLost
+	}
 	// Streams finishing a group in a special mode revert to plain reads.
 	for _, s := range e.streams {
 		if s.xorGroup >= 0 && s.Obj.Groups[s.xorGroup].Cluster == cl {
@@ -440,39 +447,27 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 			continue
 		}
 		r := s.NextDeliver
-		if st, ok := s.staged[r]; ok {
-			ref := e.shareDelivered(st.data)
-			ctx.Rep.Delivered = append(ctx.Rep.Delivered, sched.Delivery{
-				StreamID: s.ID, ObjectID: s.Obj.ID, Track: r,
-				Data: st.data, Buf: ref, Reconstructed: st.reconstructed,
-			})
+		st, staged := s.staged[r]
+		reason := "track not staged (overload)"
+		if s.lost[r] {
+			reason = "track lost in degraded-mode transition"
+		}
+		e.emit(ctx.Rep, &s.Stream, r, st.data, nil, st.reconstructed, reason)
+		if staged {
 			delete(s.staged, r)
 			if err := e.pool.Release(1); err != nil {
 				return nil, err
 			}
 		} else {
-			reason := "track lost in degraded-mode transition"
-			if !s.lost[r] {
-				reason = "track not staged (overload)"
-			}
 			delete(s.lost, r)
-			ctx.Rep.Hiccups = append(ctx.Rep.Hiccups, sched.Hiccup{
-				StreamID: s.ID, ObjectID: s.Obj.ID, Track: r, Reason: reason,
-			})
 		}
 		s.Advance(1)
 		if s.Done {
 			ctx.Rep.Finished = append(ctx.Rep.Finished, s.ID)
-			// Release anything still staged (early reads past the end
-			// cannot exist, but be defensive) and the accumulator.
-			for r, st := range s.staged {
-				delete(s.staged, r)
-				e.arena.Put(st.data)
-				if err := e.pool.Release(1); err != nil {
-					return nil, err
-				}
+			// Early reads past the end cannot exist, but be defensive.
+			if err := e.dropBuffers(s); err != nil {
+				return nil, err
 			}
-			e.dropXOR(s)
 		}
 	}
 
@@ -561,21 +556,11 @@ func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error
 // track is lost.
 func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *sched.CycleContext) error {
 	s.read++
-	loc := grp.Data[o]
-	if !ctx.Slots.Take(loc.Disk) {
+	blk := e.readTrack(ctx, grp.Data[o], &ctx.Rep.DataReads)
+	if blk == nil {
 		s.lost[r] = true
 		return nil
 	}
-	drv, err := e.cfg.Farm.Drive(loc.Disk)
-	if err != nil {
-		return err
-	}
-	blk, err := readTrackArena(drv, loc.Track, e.arena)
-	if err != nil {
-		s.lost[r] = true
-		return nil
-	}
-	ctx.Rep.DataReads++
 	if err := e.pool.Acquire(1); err != nil {
 		return err
 	}
@@ -588,42 +573,19 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *
 func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset int, ctx *sched.CycleContext) error {
 	width := e.width()
 	base := g * width
-	groupEnd := base + width
-	if groupEnd > s.Obj.Tracks {
-		groupEnd = s.Obj.Tracks
-	}
+	groupEnd := min(base+width, s.Obj.Tracks)
 	s.read = groupEnd
 
 	// Every offset of the group is read, padding tracks included (they
 	// exist on disk as zeros and are needed for reconstruction).
 	gr := groupRead{data: make([][]byte, len(grp.Data))}
 	for j, loc := range grp.Data {
-		if j == failedOffset {
-			continue
-		}
-		if !ctx.Slots.Take(loc.Disk) {
-			continue
-		}
-		drv, err := e.cfg.Farm.Drive(loc.Disk)
-		if err != nil {
-			return err
-		}
-		if blk, err := readTrackArena(drv, loc.Track, e.arena); err == nil {
-			gr.data[j] = blk
-			ctx.Rep.DataReads++
+		if j != failedOffset {
+			gr.data[j] = e.readTrack(ctx, loc, &ctx.Rep.DataReads)
 		}
 	}
 	reconstructedIdx := -1
-	hadPar := false
-	if ctx.Slots.Take(grp.Parity.Disk) {
-		if drv, err := e.cfg.Farm.Drive(grp.Parity.Disk); err == nil {
-			if blk, err := readTrackArena(drv, grp.Parity.Track, e.arena); err == nil {
-				gr.par = blk
-				hadPar = true
-				ctx.Rep.ParityReads++
-			}
-		}
-	}
+	gr.par = e.readTrack(ctx, grp.Parity, &ctx.Rep.ParityReads)
 	if gr.par != nil {
 		// recoverGroup consumes the parity buffer on success (it becomes
 		// the reconstructed track); otherwise recycle it below.
@@ -632,14 +594,8 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 			ctx.Rep.Reconstructions++
 		}
 		e.arena.Put(gr.par)
-		gr.par = nil
-	}
-	// Parity occupied a buffer during the read; account and drop it.
-	if hadPar {
-		if err := e.pool.Acquire(1); err != nil {
-			return err
-		}
-		if err := e.pool.Release(1); err != nil {
+		// Parity occupied a buffer during the read; account and drop it.
+		if err := e.holdBriefly(); err != nil {
 			return err
 		}
 	}
@@ -705,10 +661,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 
 	// o == failedOffset: the reconstruction cycle. Read every remaining
 	// track of the group plus parity, reconstruct, stage the lot.
-	groupEnd := base + width
-	if groupEnd > s.Obj.Tracks {
-		groupEnd = s.Obj.Tracks
-	}
+	groupEnd := min(base+width, s.Obj.Tracks)
 	failedTrack := base + failedOffset
 	s.read = groupEnd
 
@@ -724,24 +677,12 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
-		j := r - base
-		loc := grp.Data[j]
-		if !ctx.Slots.Take(loc.Disk) {
+		blk := e.readTrack(ctx, grp.Data[r-base], &ctx.Rep.DataReads)
+		if blk == nil {
 			s.lost[r] = true
 			canRecon = false
 			continue
 		}
-		drv, err := e.cfg.Farm.Drive(loc.Disk)
-		if err != nil {
-			return err
-		}
-		blk, err := readTrackArena(drv, loc.Track, e.arena)
-		if err != nil {
-			s.lost[r] = true
-			canRecon = false
-			continue
-		}
-		ctx.Rep.DataReads++
 		if err := e.pool.Acquire(1); err != nil {
 			return err
 		}
@@ -752,15 +693,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			}
 		}
 	}
-	var par []byte
-	if ctx.Slots.Take(grp.Parity.Disk) {
-		if drv, err := e.cfg.Farm.Drive(grp.Parity.Disk); err == nil {
-			if blk, err := readTrackArena(drv, grp.Parity.Track, e.arena); err == nil {
-				par = blk
-				ctx.Rep.ParityReads++
-			}
-		}
-	}
+	par := e.readTrack(ctx, grp.Parity, &ctx.Rep.ParityReads)
 	if canRecon && par != nil && s.xor != nil && failedTrack < s.Obj.Tracks {
 		if err := parity.XORInto(s.xor, par); err != nil {
 			return err

@@ -387,8 +387,8 @@ func TestNCBufferServerExhaustion(t *testing.T) {
 	verifyStream(t, r, r.object(t, 0), deliveries[id], lost)
 }
 
-// RepairDisk rebuilds the drive from parity, frees the buffer server, and
-// restores hiccup-free normal operation.
+// A repair (replace, rebuild from parity, OnDriveRebuilt) frees the
+// buffer server and restores hiccup-free normal operation.
 func TestNCRepairDisk(t *testing.T) {
 	r := figureRig(t, 10)
 	e := newNC(t, r, SimpleSwitchover, 1, 1)
@@ -401,7 +401,7 @@ func TestNCRepairDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid, midHiccups, _ := stepN(t, e, 8)
-	if err := e.RepairDisk(2); err != nil {
+	if err := repairDrive(e, r, 2); err != nil {
 		t.Fatal(err)
 	}
 	if e.ClusterDegraded(0) {

@@ -1,5 +1,6 @@
-// Package schemes implements the paper's four fault-tolerance schemes as
-// operational cycle-driven simulators over a real (simulated) disk farm:
+// Package schemes implements the paper's four fault-tolerance schemes,
+// and a fifth beyond it, as operational cycle-driven simulators over a
+// real (simulated) disk farm:
 //
 //   - StreamingRAID (§2): whole parity group read per stream per cycle,
 //     delivered the next cycle; single failures masked with zero hiccups.
@@ -13,10 +14,10 @@
 //     parity bandwidth spent in normal mode; failures masked by a chained
 //     "shift to the right" into reserved capacity.
 //
-// A fifth scheme extends the paper: Declustered (dc.go) keeps SR's
-// group-at-a-time cycle but maps parity groups onto block-design
-// subsets of G-drive declustering groups, spreading rebuild load over
-// every survivor instead of C-1 cluster mates.
+// The fifth scheme extends the paper: Declustered (NewDeclustered) is
+// the StreamingRAID engine over a layout that maps parity groups onto
+// block-design subsets of G-drive declustering groups, spreading rebuild
+// load over every survivor instead of C-1 cluster mates.
 //
 // Every simulator moves real bytes: deliveries carry track content that
 // tests compare against the originally written object data, so masking a
@@ -50,7 +51,7 @@ import (
 	"ftmm/internal/units"
 )
 
-// Simulator is the behaviour common to all four scheme engines.
+// Simulator is the behaviour common to all five scheme engines.
 type Simulator interface {
 	// Name returns the paper's name for the scheme.
 	Name() string
@@ -61,6 +62,17 @@ type Simulator interface {
 	// AddStream admits a stream for a placed object, returning its ID.
 	// Admission fails when the scheme's bandwidth budget is exhausted.
 	AddStream(obj *layout.Object) (int, error)
+	// AddStreamAt admits a stream whose delivery begins at the given
+	// parity group instead of the title's start — the session-resume seam
+	// cluster failover rides on. Group 0 is AddStream.
+	AddStreamAt(obj *layout.Object, startGroup int) (int, error)
+	// CancelStream stops serving a stream immediately (a client hanging
+	// up, not a degradation event) and returns its buffers.
+	CancelStream(id int) error
+	// StreamProgress reports the next track owed to the stream and its
+	// object's total tracks; ok is false for streams the engine never
+	// knew or has forgotten.
+	StreamProgress(id int) (next, total int, ok bool)
 	// Step simulates one cycle: reads, failure handling, deliveries.
 	Step() (*sched.CycleReport, error)
 	// FailDisk fails a drive at the upcoming cycle boundary.
@@ -135,54 +147,11 @@ func (c Config) slotsFor(kPrime int) (int, error) {
 }
 
 // groupRead is the outcome of reading one parity group with failures
-// tolerated: per-track data (nil where unreadable), the parity block (nil
-// if unreadable), and how many track reads succeeded.
+// tolerated: per-track data (nil where unreadable) and the parity block
+// (nil if unreadable).
 type groupRead struct {
-	data        [][]byte
-	par         []byte
-	dataReads   int
-	parityReads int
-}
-
-// readTrackArena reads one track into a buffer from the arena, returning
-// the buffer to the arena on failure. A nil arena falls back to plain
-// allocation (used by tests poking at helpers directly).
-func readTrackArena(drv *disk.Drive, track int, arena *buffer.Arena) ([]byte, error) {
-	if arena == nil {
-		return drv.ReadTrack(track)
-	}
-	buf := arena.Get()
-	if err := drv.ReadTrackInto(buf, track); err != nil {
-		arena.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readGroup reads every block of a parity group from the farm into arena
-// buffers, tolerating failed drives.
-func readGroup(f *disk.Farm, g *layout.Group, withParity bool, arena *buffer.Arena) groupRead {
-	out := groupRead{data: make([][]byte, len(g.Data))}
-	for i, loc := range g.Data {
-		drv, err := f.Drive(loc.Disk)
-		if err != nil {
-			continue
-		}
-		blk, err := readTrackArena(drv, loc.Track, arena)
-		if err == nil {
-			out.data[i] = blk
-			out.dataReads++
-		}
-	}
-	if withParity {
-		if drv, err := f.Drive(g.Parity.Disk); err == nil {
-			if blk, err := readTrackArena(drv, g.Parity.Track, arena); err == nil {
-				out.par = blk
-				out.parityReads++
-			}
-		}
-	}
-	return out
+	data [][]byte
+	par  []byte
 }
 
 // recoverGroup fills in a single missing data block from the others plus
@@ -252,6 +221,17 @@ type bufferedGroup struct {
 	dataReads   int
 	parityReads int
 	recovered   bool
+}
+
+// newBufferedGroup returns the group's staging record with nothing read
+// yet, held by one stream.
+func newBufferedGroup(g *layout.Group) *bufferedGroup {
+	return &bufferedGroup{
+		group:         g,
+		data:          make([][]byte, len(g.Data)),
+		reconstructed: make([]bool, len(g.Data)),
+		shares:        1,
+	}
 }
 
 // newPool builds the unbounded accounting pool every engine uses.

@@ -216,20 +216,9 @@ func (e *StaggeredGroup) deliverOne(s *sgStream, rep *sched.CycleReport) {
 	base := bg.group.Index * width
 	off := bg.next
 	bg.next++
-	if bg.data[off] == nil {
-		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{
-			StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
-			Reason: "parity group unrecoverable",
-		})
-	} else {
-		ref := e.shareDelivered(bg.data[off])
-		rep.Delivered = append(rep.Delivered, sched.Delivery{
-			StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
-			Data: bg.data[off], Buf: ref, Reconstructed: bg.reconstructed[off],
-		})
-		// Ownership moved to the Ref (released at the next Step's
-		// beginCycle); clear the slot so group recycling skips it.
-		bg.data[off] = nil
-	}
+	e.emit(rep, &s.Stream, base+off, bg.data[off], nil, bg.reconstructed[off], "parity group unrecoverable")
+	// Ownership moved to the Ref (released at the next Step's
+	// beginCycle); clear the slot so group recycling skips it.
+	bg.data[off] = nil
 	s.Advance(1)
 }

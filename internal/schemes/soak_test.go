@@ -2,10 +2,12 @@ package schemes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"ftmm/internal/layout"
+	"ftmm/internal/rebuild"
 	"ftmm/internal/trace"
 )
 
@@ -147,12 +149,10 @@ func soakOnce(t *testing.T, seed int64, placement layout.Placement, build func(*
 	}
 }
 
-// repairDrive uses the engine's own repair when it has one (NC must
-// release its buffer server) and a plain replace+rebuild otherwise.
+// repairDrive is an instant repair the way the server does one: replace
+// the drive, run the online rebuilder with an unbounded budget, tell the
+// engine (NC must release its buffer server).
 func repairDrive(e Simulator, r *rig, id int) error {
-	if nc, ok := e.(*NonClustered); ok {
-		return nc.RepairDisk(id)
-	}
 	drv, err := r.farm.Drive(id)
 	if err != nil {
 		return err
@@ -160,7 +160,17 @@ func repairDrive(e Simulator, r *rig, id int) error {
 	if err := drv.Replace(); err != nil {
 		return err
 	}
-	return layout.RebuildDrive(r.farm, r.lay, id)
+	rb, err := rebuild.New(r.farm, r.lay, id)
+	if err != nil {
+		return err
+	}
+	if _, err := rb.Step(math.MaxInt); err != nil {
+		return err
+	}
+	if n, ok := e.(interface{ OnDriveRebuilt(int) error }); ok {
+		return n.OnDriveRebuilt(id)
+	}
+	return nil
 }
 
 // bufferInUse reads the current occupancy off any engine.

@@ -2,101 +2,69 @@ package schemes
 
 import (
 	"fmt"
-	"time"
 
 	"ftmm/internal/layout"
 	"ftmm/internal/sched"
 )
 
-// StreamingRAID is the §2 baseline engine: for every active stream, every
-// cycle, one entire parity group (C-1 data tracks plus parity, one track
-// from each drive of one cluster) is read, and the group read in the
-// previous cycle is delivered. Because the parity block is always in
-// memory together with its group, any single drive failure per cluster is
-// masked with zero hiccups, whenever it strikes.
+// StreamingRAID is the whole-group engine behind two schemes that differ
+// only in where the layout puts parity groups, not in the cycle.
+//
+// Streaming RAID, the §2 baseline: for every active stream, every cycle,
+// one entire parity group (C-1 data tracks plus parity, one track from
+// each drive of one cluster) is read, and the group read in the previous
+// cycle is delivered. Because the parity block is always in memory
+// together with its group, any single drive failure per cluster is masked
+// with zero hiccups, whenever it strikes.
+//
+// Declustered parity, the fifth scheme beyond the paper's four: the
+// layout maps each group onto a C-drive block of a BIBD over a G-drive
+// declustering group (layout.NewDeclustered), so consecutive groups touch
+// different drive subsets and a failed drive's rebuild reads every
+// survivor of its group at rate (C-1)/(G-1) instead of saturating C-1
+// cluster mates. The rebuild window shrinks by the same factor; with the
+// default G = 2C-1 it halves. A block that lost two drives is
+// unrecoverable and surfaces as hiccups.
 type StreamingRAID struct {
-	engineCore
-	streams []*groupStream
+	groupEngine
+	name string
 }
 
-// NewStreamingRAID builds the engine. The layout must use dedicated
-// parity placement.
+// NewStreamingRAID builds the engine over a dedicated-parity layout.
 func NewStreamingRAID(cfg Config) (*StreamingRAID, error) {
-	if cfg.Layout != nil && cfg.Layout.Placement() != layout.DedicatedParity {
-		return nil, fmt.Errorf("schemes: Streaming RAID needs dedicated parity, got %v", cfg.Layout.Placement())
+	return newWholeGroup(cfg, "Streaming RAID", layout.DedicatedParity)
+}
+
+// NewDeclustered builds the engine over a declustered-parity layout (the
+// farm's clusters are the G-drive declustering groups).
+func NewDeclustered(cfg Config) (*StreamingRAID, error) {
+	return newWholeGroup(cfg, "Declustered-parity", layout.DeclusteredParity)
+}
+
+func newWholeGroup(cfg Config, name string, placement layout.Placement) (*StreamingRAID, error) {
+	if cfg.Layout != nil && cfg.Layout.Placement() != placement {
+		return nil, fmt.Errorf("schemes: %s needs %v, got %v", name, placement, cfg.Layout.Placement())
 	}
 	core, err := newEngineCore(cfg, cfg.Layout.GroupWidth())
 	if err != nil {
 		return nil, err
 	}
-	return &StreamingRAID{engineCore: core}, nil
+	return &StreamingRAID{groupEngine: groupEngine{engineCore: core}, name: name}, nil
 }
 
 // Name implements Simulator.
-func (e *StreamingRAID) Name() string { return "Streaming RAID" }
-
-// CycleTime implements Simulator: Tcyc = (C-1)·B/b0.
-func (e *StreamingRAID) CycleTime() time.Duration {
-	return e.cfg.Farm.Params().CycleTime(e.cfg.Layout.GroupWidth(), e.cfg.Rate)
-}
-
-// Active implements Simulator.
-func (e *StreamingRAID) Active() int { return activeCount(e.streams) }
-
-// StreamProgress reports the next track owed to the stream and its
-// object's total tracks; ok is false for unknown streams.
-func (e *StreamingRAID) StreamProgress(id int) (next, total int, ok bool) {
-	return streamProgress(e.streams, id)
-}
-
-// AddStream implements Simulator. A stream consumes one track read on
-// every drive of its current cluster each cycle, and every active stream
-// advances one cluster per cycle, so per-cluster stream counts are
-// invariant over time: admission only needs the start cluster's current
-// count to be under the per-disk budget.
-func (e *StreamingRAID) AddStream(obj *layout.Object) (int, error) {
-	return e.AddStreamAt(obj, 0)
-}
-
-// AddStreamAt admits a stream whose delivery begins at the given parity
-// group instead of the title's start — the session-resume seam cluster
-// failover rides on. A stream started at group g is indistinguishable
-// from one admitted earlier that has advanced to g, so the per-cluster
-// admission invariant is unchanged; only the start cluster moves.
-func (e *StreamingRAID) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
-	if err := checkStartGroup(obj, startGroup); err != nil {
-		return 0, err
-	}
-	start := obj.Groups[startGroup].Cluster
-	if e.groupClusterLoad(e.streams)[start] >= e.slotsPerDisk {
-		return 0, fmt.Errorf("schemes: cluster %d is at its %d-stream capacity", start, e.slotsPerDisk)
-	}
-	id := e.allocStreamID()
-	e.streams = append(e.streams, &groupStream{
-		Stream:    sched.Stream{ID: id, Obj: obj, NextDeliver: startGroup * e.cfg.Layout.GroupWidth()},
-		nextGroup: startGroup,
-	})
-	return id, nil
-}
-
-// CancelStream stops serving a stream immediately (a client hanging
-// up); its buffers are returned. It is not a degradation event.
-func (e *StreamingRAID) CancelStream(id int) error {
-	return e.cancelGroupStream(e.streams, id)
-}
+func (e *StreamingRAID) Name() string { return e.name }
 
 // SetStreamRate sets a stream's playback multiplier (1 = normal, r > 1
 // = fast-forward reading r parity groups per cycle). Raising the rate
 // re-runs the admission argument and fails wrapping ErrCapacity when
 // the extra ceil(r/clusters) per-cluster draw would not fit; lowering
 // it always succeeds.
-func (e *StreamingRAID) SetStreamRate(id, rate int) error {
-	return e.setGroupStreamRate(e.streams, id, rate)
-}
+func (e *StreamingRAID) SetStreamRate(id, rate int) error { return e.setStreamRate(id, rate) }
 
 // WeightedActive sums max(rate,1) over active streams — the true
 // per-cycle k′ draw the admission bound constrains under fast-forward.
-func (e *StreamingRAID) WeightedActive() int { return weightedActive(e.streams) }
+func (e *StreamingRAID) WeightedActive() int { return e.weightedActive() }
 
 // Step implements Simulator.
 func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
@@ -118,7 +86,7 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	if merge {
 		e.ensureStageCaches()
 	}
-	plan := e.groupReadPlan(e.streams, nil)
+	plan := e.groupReadPlan()
 	if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
 		var cache map[*layout.Group]*bufferedGroup
 		if merge && len(plan[cl]) > 1 {
@@ -141,7 +109,7 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	}
 
 	// Delivery phase: groups read in the previous cycle go out now.
-	if err := e.deliverDouble(ctx, e.streams, "parity group unrecoverable"); err != nil {
+	if err := e.deliverDouble(ctx, "parity group unrecoverable"); err != nil {
 		return nil, err
 	}
 

@@ -193,3 +193,59 @@ func TestCatastrophicFailureAndTertiaryRecovery(t *testing.T) {
 		t.Fatalf("%d hiccups after tertiary recovery", got)
 	}
 }
+
+// Tape reload is the paper's answer to two failures in one cluster, and
+// it restores one drive at a time: the Non-clustered cluster must stay
+// degraded on the drive still down, and return to normal — buffer server
+// freed, no parity read, no hiccup — once the second reload lands.
+func TestTertiaryReloadRestoresNonClustered(t *testing.T) {
+	opts := testOptions(analytic.NonClustered)
+	opts.K = 1
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadTitles(t, s, 1, 32)
+	play := func() {
+		t.Helper()
+		if _, _, err := s.Request("movie0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntilIdle(300); err != nil {
+			t.Fatal(err)
+		}
+	}
+	play() // stages the title onto the farm
+	nc := s.Engine().(*schemes.NonClustered)
+	for _, id := range []int{1, 2} { // two data drives of cluster 0
+		if err := s.FailDisk(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.RebuildFromTertiary(1); err != nil {
+		t.Fatal(err)
+	}
+	if !nc.ClusterDegraded(0) {
+		t.Fatal("cluster 0 left degraded mode with drive 2 still down")
+	}
+	if _, err := s.RebuildFromTertiary(2); err != nil {
+		t.Fatal(err)
+	}
+	if nc.ClusterDegraded(0) {
+		t.Fatal("cluster 0 still degraded after both drives were reloaded")
+	}
+	before := s.Stats()
+	play()
+	after := s.Stats()
+	if after.Hiccups != before.Hiccups || after.ParityReads != before.ParityReads {
+		t.Fatalf("playback after reload: %d hiccups, %d parity reads, want none",
+			after.Hiccups-before.Hiccups, after.ParityReads-before.ParityReads)
+	}
+	// The one buffer server is free again: a failure elsewhere gets it.
+	if err := s.FailDisk(6); err != nil {
+		t.Fatal(err)
+	}
+	if nc.Degradations() != 0 || nc.ClusterUnprotected(1) {
+		t.Fatal("tape reload never released cluster 0's buffer server")
+	}
+}

@@ -7,13 +7,16 @@
 // A Request stages the title from tape if needed (evicting cold titles),
 // pins it, and admits a stream under the active scheme's bandwidth
 // budget. Step advances one scheduling cycle. Failures are injected with
-// FailDisk and repaired with RepairDisk, which replaces the drive and
-// rebuilds its contents from parity.
+// FailDisk and repaired three ways — RepairDisk (instantly, from parity),
+// StartOnlineRebuild (from parity, a few tracks per cycle) and
+// RebuildFromTertiary (from tape) — which all end by telling the engine
+// the drive is whole again.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -130,14 +133,9 @@ type Server struct {
 	draining bool
 }
 
-// repairer is implemented by engines that coordinate their own repair
-// (the Non-clustered engine, which must also release its buffer server).
-type repairer interface {
-	RepairDisk(int) error
-}
-
 // rebuiltNotifier is implemented by engines that track per-cluster
-// degraded state and must learn when an incremental rebuild completes.
+// degraded state (Non-clustered, which must also release its buffer
+// server) and must learn when a drive's contents are whole again.
 type rebuiltNotifier interface {
 	OnDriveRebuilt(int) error
 }
@@ -257,19 +255,12 @@ func (s *Server) Request(id string) (int, time.Duration, error) {
 	return s.RequestAt(id, 0)
 }
 
-// resumer is implemented by engines that can admit a stream beginning
-// at a parity-group boundary instead of the title's start (all four
-// paper engines). The cluster layer's session failover rides on it: a
-// client that lost its node resumes on a replica from the group
-// boundary at or before its next owed track.
-type resumer interface {
-	AddStreamAt(obj *layout.Object, startGroup int) (int, error)
-}
-
 // RequestAt admits a new stream whose delivery begins at the given
-// parity group (group 0 is a plain Request). Staging and pinning match
-// Request; a start group outside the title's extent is an error, not a
-// rejection.
+// parity group (group 0 is a plain Request). The cluster layer's session
+// failover rides on it: a client that lost its node resumes on a replica
+// from the group boundary at or before its next owed track. Staging and
+// pinning match Request; a start group outside the title's extent is an
+// error, not a rejection.
 func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error) {
 	if s.draining {
 		return 0, 0, ErrDraining
@@ -278,19 +269,10 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 	if err != nil {
 		return 0, 0, err
 	}
-	var streamID int
-	if startGroup == 0 {
-		streamID, err = s.engine.AddStream(obj)
-	} else {
-		r, ok := s.engine.(resumer)
-		if !ok {
-			return 0, cost, errors.New("server: engine cannot admit mid-title")
-		}
-		if startGroup < 0 || startGroup >= len(obj.Groups) {
-			return 0, cost, fmt.Errorf("server: start group %d outside [0,%d) of %s", startGroup, len(obj.Groups), id)
-		}
-		streamID, err = r.AddStreamAt(obj, startGroup)
+	if startGroup < 0 || startGroup >= len(obj.Groups) {
+		return 0, cost, fmt.Errorf("server: start group %d outside [0,%d) of %s", startGroup, len(obj.Groups), id)
 	}
+	streamID, err := s.engine.AddStreamAt(obj, startGroup)
 	if err != nil {
 		return 0, cost, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
@@ -373,11 +355,9 @@ func (s *Server) RunUntilIdle(maxCycles int) error {
 func (s *Server) FailDisk(id int) error { return s.engine.FailDisk(id) }
 
 // RepairDisk replaces a failed drive and rebuilds its contents from the
-// surviving parity groups (rebuild mode).
+// surviving parity groups at once: an online rebuild with an unbounded
+// budget.
 func (s *Server) RepairDisk(id int) error {
-	if r, ok := s.engine.(repairer); ok {
-		return r.RepairDisk(id)
-	}
 	drv, err := s.farm.Drive(id)
 	if err != nil {
 		return err
@@ -385,7 +365,24 @@ func (s *Server) RepairDisk(id int) error {
 	if err := drv.Replace(); err != nil {
 		return err
 	}
-	return layout.RebuildDrive(s.farm, s.cat.Layout(), id)
+	r, err := rebuild.New(s.farm, s.cat.Layout(), id)
+	if err != nil {
+		return err
+	}
+	if _, err := r.Step(math.MaxInt); err != nil {
+		return err
+	}
+	return s.driveRestored(id)
+}
+
+// driveRestored is the one tail of every restore path — instant repair,
+// online-rebuild completion, tertiary reload: the drive's contents are
+// whole again, and an engine that tracks degraded state is told so.
+func (s *Server) driveRestored(id int) error {
+	if n, ok := s.engine.(rebuiltNotifier); ok {
+		return n.OnDriveRebuilt(id)
+	}
+	return nil
 }
 
 // StartOnlineRebuild replaces a failed drive and begins restoring its
@@ -434,12 +431,8 @@ func (s *Server) stepRebuild() error {
 		return err
 	}
 	if s.rebuilder.Done() {
-		if n, ok := s.engine.(rebuiltNotifier); ok {
-			if err := n.OnDriveRebuilt(s.rebuildDrive); err != nil {
-				return err
-			}
-		}
 		s.rebuilder = nil
+		return s.driveRestored(s.rebuildDrive)
 	}
 	return nil
 }
@@ -487,7 +480,7 @@ func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
 			return total, err
 		}
 	}
-	return total, nil
+	return total, s.driveRestored(id)
 }
 
 // Stats returns the lifetime aggregate counters, merging in catalog
@@ -550,18 +543,9 @@ func ParseScheme(name string) (analytic.Scheme, schemes.TransitionPolicy, error)
 	}
 }
 
-// canceller is implemented by all engines: stop one stream immediately.
-type canceller interface {
-	CancelStream(int) error
-}
-
 // Cancel stops a stream (client hang-up) and unpins its title.
 func (s *Server) Cancel(streamID int) error {
-	c, ok := s.engine.(canceller)
-	if !ok {
-		return errors.New("server: engine cannot cancel streams")
-	}
-	if err := c.CancelStream(streamID); err != nil {
+	if err := s.engine.CancelStream(streamID); err != nil {
 		return err
 	}
 	s.release(streamID)
@@ -658,21 +642,11 @@ func (s *Server) ActiveStreamIDs() []int {
 	return ids
 }
 
-// progresser is implemented by all engines: per-stream delivery
-// progress for status surfaces and pacing front-ends.
-type progresser interface {
-	StreamProgress(id int) (next, total int, ok bool)
-}
-
 // StreamProgress reports how far a stream has played: the next track
 // owed to the client and the object's total tracks. ok is false for
 // streams the engine no longer knows.
 func (s *Server) StreamProgress(streamID int) (next, total int, ok bool) {
-	p, o := s.engine.(progresser)
-	if !o {
-		return 0, 0, false
-	}
-	return p.StreamProgress(streamID)
+	return s.engine.StreamProgress(streamID)
 }
 
 // drainQueue retries parked requests in order, stopping at the first
