@@ -315,10 +315,11 @@ func BenchmarkParityEncode(b *testing.B) {
 	for i := range blocks {
 		blocks[i] = workload.SyntheticContent(fmt.Sprintf("b%d", i), 50_000)
 	}
+	dst := make([]byte, 50_000)
 	b.SetBytes(4 * 50_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parity.Encode(blocks); err != nil {
+		if err := parity.EncodeInto(dst, blocks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,6 +351,7 @@ func BenchmarkParityReconstruct(b *testing.B) {
 func BenchmarkRebuildDrive(b *testing.B) {
 	p := diskmodel.Table1()
 	p.Capacity = 120 * p.TrackSize
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		farm, err := disk.NewFarm(10, 5, p)
@@ -380,6 +382,41 @@ func BenchmarkRebuildDrive(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := r.Step(math.MaxInt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStageTitle measures the tape → platter path for one 60-group
+// title the way node.Start and the cycle benchmark prestage: archive it,
+// admit a stream (which stages it) and cancel. B/op over the title's size
+// is how many times a byte is copied on the way.
+func BenchmarkStageTitle(b *testing.B) {
+	const groups, c = 60, 5
+	p := diskmodel.Table1()
+	p.Capacity = units.ByteSize(2*groups+50) * p.TrackSize
+	size := units.ByteSize(groups*(c-1)) * p.TrackSize
+	content := workload.SyntheticContent("t", int(size))
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := server.New(server.Options{
+			Disks: 2 * c, ClusterSize: c, DiskParams: p,
+			Scheme: analytic.StreamingRAID,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := srv.AddTitle("t", size, 0, content); err != nil {
+			b.Fatal(err)
+		}
+		sid, _, err := srv.Request("t")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Cancel(sid); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -79,7 +80,9 @@ func (d *Drive) State() State {
 // Tracks returns the drive's track count.
 func (d *Drive) Tracks() int { return d.params.TracksPerDisk() }
 
-// WriteTrack stores one track of data. The data is copied.
+// WriteTrack stores one track of data. The data is copied — the one copy
+// a byte pays on its way to a platter — into a fresh slice that replaces
+// the track's previous one.
 func (d *Drive) WriteTrack(track int, data []byte) error {
 	if track < 0 || track >= d.Tracks() {
 		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
@@ -99,14 +102,41 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 	return nil
 }
 
+// View lends one track's stored bytes, read-only, and counts a read. It
+// is the drive's one lookup; ReadTrack and ReadTrackInto are a clone and
+// a copy of it.
+//
+// Invariant: a stored track's slice is replaced, never written into.
+// WriteTrack installs a fresh slice, Fail and Replace drop the whole
+// map, and nothing else touches the bytes. A view therefore keeps
+// reading what the track held when it was taken, with no lock held,
+// whatever happens to the drive afterwards. The caller must not write
+// into it.
+func (d *Drive) View(track int) ([]byte, error) {
+	if track < 0 || track >= d.Tracks() {
+		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state == Failed {
+		return nil, fmt.Errorf("drive %d: %w", d.id, ErrFailed)
+	}
+	data, ok := d.tracks[track]
+	if !ok {
+		return nil, fmt.Errorf("drive %d track %d: %w", d.id, track, ErrEmptyTrack)
+	}
+	d.reads++
+	return data, nil
+}
+
 // ReadTrack returns a copy of one track's data. Allocation-sensitive
-// callers use ReadTrackInto with a recycled buffer instead.
+// callers use ReadTrackInto with a recycled buffer, or View.
 func (d *Drive) ReadTrack(track int) ([]byte, error) {
-	out := make([]byte, int(d.params.TrackSize))
-	if err := d.ReadTrackInto(out, track); err != nil {
+	data, err := d.View(track)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return bytes.Clone(data), nil
 }
 
 // ReadTrackInto copies one track's data into dst, which must be exactly
@@ -114,23 +144,14 @@ func (d *Drive) ReadTrack(track int) ([]byte, error) {
 // allocation read path: pair it with a buffer.Arena to recycle track
 // buffers across cycles.
 func (d *Drive) ReadTrackInto(dst []byte, track int) error {
-	if track < 0 || track >= d.Tracks() {
-		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
-	}
 	if len(dst) != int(d.params.TrackSize) {
 		return fmt.Errorf("%w: dst is %d bytes, track is %d", ErrBadSize, len(dst), d.params.TrackSize)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state == Failed {
-		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
-	}
-	data, ok := d.tracks[track]
-	if !ok {
-		return fmt.Errorf("drive %d track %d: %w", d.id, track, ErrEmptyTrack)
+	data, err := d.View(track)
+	if err != nil {
+		return err
 	}
 	copy(dst, data)
-	d.reads++
 	return nil
 }
 

@@ -276,3 +276,57 @@ func TestStateString(t *testing.T) {
 		t.Error("unknown state name")
 	}
 }
+
+// The replace-never-mutate invariant behind View: a view taken before the
+// track is rewritten, or the drive failed or replaced, still reads the
+// bytes the track held then. A View counts as a read.
+func TestViewOutlivesWriteFailReplace(t *testing.T) {
+	d := NewDrive(0, testParams())
+	view := func(want []byte) []byte {
+		t.Helper()
+		if err := d.WriteTrack(0, want); err != nil {
+			t.Fatal(err)
+		}
+		reads, _ := d.Counters()
+		v, err := d.View(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := d.Counters(); after != reads+1 {
+			t.Fatalf("View moved the read counter %d -> %d, want +1", reads, after)
+		}
+		if !bytes.Equal(v, want) {
+			t.Fatal("view differs from write")
+		}
+		return v
+	}
+	old := track(0x11)
+
+	v := view(old)
+	if err := d.WriteTrack(0, track(0x22)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v, old) {
+		t.Fatal("WriteTrack wrote into a lent track")
+	}
+
+	v = view(old)
+	if err := d.Fail(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.View(0); !errors.Is(err, ErrFailed) {
+		t.Fatalf("View of a failed drive: %v", err)
+	}
+	if err := d.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.View(0); !errors.Is(err, ErrEmptyTrack) {
+		t.Fatalf("View of a blank replacement: %v", err)
+	}
+	if err := d.WriteTrack(0, track(0x33)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v, old) {
+		t.Fatal("a lent track changed across Fail, Replace and a rewrite")
+	}
+}

@@ -35,6 +35,7 @@
 package layout
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -92,6 +93,20 @@ type Group struct {
 	// ValidTracks is how many of Data hold real object content (the rest
 	// is padding in the object's final group).
 	ValidTracks int
+}
+
+// Touches reports whether the group stores a track, data or parity, on
+// the drive.
+func (g *Group) Touches(drive int) bool {
+	if g.Parity.Disk == drive {
+		return true
+	}
+	for _, loc := range g.Data {
+		if loc.Disk == drive {
+			return true
+		}
+	}
+	return false
 }
 
 // Object is one placed object.
@@ -402,50 +417,102 @@ func (l *Layout) RemoveObject(id string) error {
 	return nil
 }
 
+// AllDrives, as a writer's drive filter, selects every drive.
+const AllDrives = -1
+
 // WriteObject materializes an object's content onto the farm: the byte
 // stream is cut into tracks, the final group zero-padded, and every
 // group's parity computed and written. content longer than the object's
-// track count is rejected.
+// track count is rejected. content is only read: whole tracks are handed
+// to the drives as slices of it, so Drive.WriteTrack's is the only copy.
 func WriteObject(f *disk.Farm, obj *Object, content []byte) error {
+	_, err := writeObject(f, obj, content, AllDrives, false)
+	return err
+}
+
+// WriteObjectTolerant is WriteObject for recovery scenarios: tracks whose
+// home drive is failed are skipped (counted in skipped) instead of
+// aborting the whole write, so a multi-drive catastrophe can be recovered
+// drive by drive. Parity tracks are likewise skipped when their drive is
+// down. With only set to a drive rather than AllDrives, just the tracks
+// whose home is that drive are written — a tape reload of one drive
+// leaves every other platter alone.
+func WriteObjectTolerant(f *disk.Farm, obj *Object, content []byte, only int) (skipped int, err error) {
+	return writeObject(f, obj, content, only, true)
+}
+
+// writeObject is the one writer. It builds two things: a parity scratch
+// track and, when a track of it is actually written, the zero-padded tail
+// (from the first track content does not fill to the end of the last
+// group).
+func writeObject(f *disk.Farm, obj *Object, content []byte, only int, tolerant bool) (skipped int, err error) {
 	trackSize := int(f.Params().TrackSize)
 	if len(content) > obj.Tracks*trackSize {
-		return fmt.Errorf("layout: content %d bytes exceeds object's %d tracks", len(content), obj.Tracks)
+		return 0, fmt.Errorf("layout: content %d bytes exceeds object's %d tracks", len(content), obj.Tracks)
 	}
 	width := len(obj.Groups[0].Data)
+	whole := len(content) / trackSize // tracks that are slices of content
+	par := make([]byte, trackSize)
+	var tail []byte
 	trackData := func(i int) []byte {
-		buf := make([]byte, trackSize)
-		start := i * trackSize
-		if start < len(content) {
-			copy(buf, content[start:])
+		if i < whole {
+			return content[i*trackSize : (i+1)*trackSize]
 		}
-		return buf
+		if tail == nil {
+			tail = make([]byte, (len(obj.Groups)*width-whole)*trackSize)
+			copy(tail, content[whole*trackSize:])
+		}
+		return tail[(i-whole)*trackSize:][:trackSize]
 	}
-	for _, g := range obj.Groups {
-		blocks := make([][]byte, 0, width)
+	// home returns the drive a track is to be written to, or nil when the
+	// track is left alone: filtered out, or (tolerant) its drive is down.
+	home := func(loc Location) (*disk.Drive, error) {
+		if only != AllDrives && loc.Disk != only {
+			return nil, nil
+		}
+		drv, err := f.Drive(loc.Disk)
+		if err != nil {
+			return nil, err
+		}
+		if tolerant && drv.State() != disk.Operational {
+			skipped++
+			return nil, nil
+		}
+		return drv, nil
+	}
+	blocks := make([][]byte, width)
+	for gi := range obj.Groups {
+		g := &obj.Groups[gi]
 		for off, loc := range g.Data {
-			buf := trackData(g.Index*width + off)
-			blocks = append(blocks, buf)
-			drv, err := f.Drive(loc.Disk)
+			drv, err := home(loc)
 			if err != nil {
-				return err
+				return skipped, err
 			}
-			if err := drv.WriteTrack(loc.Track, buf); err != nil {
-				return fmt.Errorf("layout: writing %q group %d track %d: %w", obj.ID, g.Index, off, err)
+			if drv == nil {
+				continue
+			}
+			if err := drv.WriteTrack(loc.Track, trackData(g.Index*width+off)); err != nil {
+				return skipped, fmt.Errorf("layout: writing %q group %d track %d: %w", obj.ID, g.Index, off, err)
 			}
 		}
-		p, err := parity.Encode(blocks)
+		drv, err := home(g.Parity)
 		if err != nil {
-			return err
+			return skipped, err
 		}
-		drv, err := f.Drive(g.Parity.Disk)
-		if err != nil {
-			return err
+		if drv == nil {
+			continue
 		}
-		if err := drv.WriteTrack(g.Parity.Track, p); err != nil {
-			return fmt.Errorf("layout: writing %q group %d parity: %w", obj.ID, g.Index, err)
+		for off := range blocks {
+			blocks[off] = trackData(g.Index*width + off)
+		}
+		if err := parity.EncodeInto(par, blocks); err != nil {
+			return skipped, err
+		}
+		if err := drv.WriteTrack(g.Parity.Track, par); err != nil {
+			return skipped, fmt.Errorf("layout: writing %q group %d parity: %w", obj.ID, g.Index, err)
 		}
 	}
-	return nil
+	return skipped, nil
 }
 
 // ReadDataTrack reads data track i of the object directly (no
@@ -455,11 +522,8 @@ func ReadDataTrack(f *disk.Farm, obj *Object, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	drv, err := f.Drive(loc.Disk)
-	if err != nil {
-		return nil, err
-	}
-	return drv.ReadTrack(loc.Track)
+	blk, err := viewTrack(f, loc)
+	return bytes.Clone(blk), err
 }
 
 // AllObjects returns every placed object, sorted by ID. The order is
@@ -477,7 +541,8 @@ func (l *Layout) AllObjects() []*Object {
 
 // ReconstructDataTrack rebuilds data track i of the object from the rest
 // of its parity group, without touching the drive that holds it. This is
-// the on-the-fly degraded-mode read of Observation 2.
+// the on-the-fly degraded-mode read of Observation 2. The survivors are
+// read through views; the result is the one track allocated.
 func ReconstructDataTrack(f *disk.Farm, obj *Object, i int) ([]byte, error) {
 	g, off, err := obj.GroupOf(i)
 	if err != nil {
@@ -488,80 +553,28 @@ func ReconstructDataTrack(f *disk.Farm, obj *Object, i int) ([]byte, error) {
 		if j == off {
 			continue
 		}
-		drv, err := f.Drive(loc.Disk)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := drv.ReadTrack(loc.Track)
+		blk, err := viewTrack(f, loc)
 		if err != nil {
 			return nil, fmt.Errorf("layout: reconstructing %q track %d needs drive %d: %w", obj.ID, i, loc.Disk, err)
 		}
 		survivors = append(survivors, blk)
 	}
-	drv, err := f.Drive(g.Parity.Disk)
-	if err != nil {
-		return nil, err
-	}
-	p, err := drv.ReadTrack(g.Parity.Track)
+	p, err := viewTrack(f, g.Parity)
 	if err != nil {
 		return nil, fmt.Errorf("layout: reconstructing %q track %d needs parity drive %d: %w", obj.ID, i, g.Parity.Disk, err)
 	}
-	survivors = append(survivors, p)
-	return parity.Reconstruct(survivors)
+	rec := make([]byte, len(p))
+	if err := parity.ReconstructInto(rec, append(survivors, p)); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
-// WriteObjectTolerant is WriteObject for recovery scenarios: tracks whose
-// home drive is failed are skipped (counted in skipped) instead of
-// aborting the whole write, so a multi-drive catastrophe can be recovered
-// drive by drive. Parity tracks are likewise skipped when their drive is
-// down.
-func WriteObjectTolerant(f *disk.Farm, obj *Object, content []byte) (skipped int, err error) {
-	trackSize := int(f.Params().TrackSize)
-	if len(content) > obj.Tracks*trackSize {
-		return 0, fmt.Errorf("layout: content %d bytes exceeds object's %d tracks", len(content), obj.Tracks)
+// viewTrack lends the stored track at loc, read-only (disk.Drive.View).
+func viewTrack(f *disk.Farm, loc Location) ([]byte, error) {
+	drv, err := f.Drive(loc.Disk)
+	if err != nil {
+		return nil, err
 	}
-	width := len(obj.Groups[0].Data)
-	trackData := func(i int) []byte {
-		buf := make([]byte, trackSize)
-		start := i * trackSize
-		if start < len(content) {
-			copy(buf, content[start:])
-		}
-		return buf
-	}
-	for gi := range obj.Groups {
-		g := &obj.Groups[gi]
-		blocks := make([][]byte, 0, width)
-		for off, loc := range g.Data {
-			buf := trackData(g.Index*width + off)
-			blocks = append(blocks, buf)
-			drv, derr := f.Drive(loc.Disk)
-			if derr != nil {
-				return skipped, derr
-			}
-			if drv.State() != disk.Operational {
-				skipped++
-				continue
-			}
-			if werr := drv.WriteTrack(loc.Track, buf); werr != nil {
-				return skipped, fmt.Errorf("layout: writing %q group %d track %d: %w", obj.ID, g.Index, off, werr)
-			}
-		}
-		p, perr := parity.Encode(blocks)
-		if perr != nil {
-			return skipped, perr
-		}
-		drv, derr := f.Drive(g.Parity.Disk)
-		if derr != nil {
-			return skipped, derr
-		}
-		if drv.State() != disk.Operational {
-			skipped++
-			continue
-		}
-		if werr := drv.WriteTrack(g.Parity.Track, p); werr != nil {
-			return skipped, fmt.Errorf("layout: writing %q group %d parity: %w", obj.ID, g.Index, werr)
-		}
-	}
-	return skipped, nil
+	return drv.View(loc.Track)
 }

@@ -284,6 +284,95 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// The one writer behind WriteObject and WriteObjectTolerant: a strict
+// write aborts on a failed drive, a tolerant one skips and counts its
+// tracks, and a write filtered to one drive restores exactly that
+// drive's tracks — data, zero padding and parity, bit for bit what the
+// full write put there — and touches no other platter. content is never
+// written into.
+func TestWriteObjectTolerantAndFiltered(t *testing.T) {
+	for _, placement := range []Placement{DedicatedParity, IntermixedParity} {
+		f := newTestFarm(t, 10, 5, 50)
+		l, err := ForFarm(f, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trackSize := int(f.Params().TrackSize)
+		content := make([]byte, 9*trackSize+123) // 3 groups: partial tail track, then 2 of padding
+		rand.New(rand.NewSource(7)).Read(content)
+		pristine := bytes.Clone(content)
+		obj, err := l.AddObject("movie", 10, 0, units.MPEG1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteObject(f, obj, content); err != nil {
+			t.Fatal(err)
+		}
+		// What the full write stored, per location.
+		var locs []Location
+		for _, g := range obj.Groups {
+			locs = append(append(locs, g.Data...), g.Parity)
+		}
+		stored := map[Location][]byte{}
+		on := map[int]int{}
+		for _, loc := range locs {
+			drv, _ := f.Drive(loc.Disk)
+			if stored[loc], err = drv.ReadTrack(loc.Track); err != nil {
+				t.Fatal(err)
+			}
+			on[loc.Disk]++
+		}
+		writes := func() []int64 {
+			out := make([]int64, f.Size())
+			for i := range out {
+				drv, _ := f.Drive(i)
+				_, out[i] = drv.Counters()
+			}
+			return out
+		}
+
+		down := []int{1, 4}
+		for _, id := range down {
+			drv, _ := f.Drive(id)
+			if err := drv.Fail(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := WriteObject(f, obj, content); err == nil {
+			t.Fatalf("%v: strict write onto failed drives succeeded", placement)
+		}
+		skipped, err := WriteObjectTolerant(f, obj, content, AllDrives)
+		if err != nil || skipped != on[1]+on[4] {
+			t.Fatalf("%v: tolerant write skipped %d (%v), want %d", placement, skipped, err, on[1]+on[4])
+		}
+		for _, id := range down {
+			drv, _ := f.Drive(id)
+			if err := drv.Replace(); err != nil {
+				t.Fatal(err)
+			}
+			before := writes()
+			if skipped, err := WriteObjectTolerant(f, obj, content, id); err != nil || skipped != 0 {
+				t.Fatalf("%v: write filtered to drive %d skipped %d: %v", placement, id, skipped, err)
+			}
+			for i, w := range writes() {
+				if want := before[i] + int64(on[id]); (i == id && w != want) || (i != id && w != before[i]) {
+					t.Fatalf("%v: write filtered to drive %d moved drive %d's writes %d -> %d", placement, id, i, before[i], w)
+				}
+			}
+		}
+		for _, loc := range locs {
+			drv, _ := f.Drive(loc.Disk)
+			got, err := drv.ReadTrack(loc.Track)
+			if err != nil || !bytes.Equal(got, stored[loc]) {
+				t.Fatalf("%v: drive %d track %d differs from the full write (%v)", placement, loc.Disk, loc.Track, err)
+			}
+		}
+		if !bytes.Equal(content, pristine) {
+			t.Fatalf("%v: the writer wrote into content", placement)
+		}
+	}
+}
+
 func TestWriteObjectTooLong(t *testing.T) {
 	f := newTestFarm(t, 10, 5, 50)
 	l, _ := ForFarm(f, DedicatedParity)

@@ -108,7 +108,7 @@ func FuzzUpdate(f *testing.F) {
 		if err := g.Update(idx, old, newBlock); err != nil {
 			t.Fatal(err)
 		}
-		want, err := Encode(g.Data)
+		want, err := encodeRef(g.Data)
 		if err != nil {
 			t.Fatal(err)
 		}

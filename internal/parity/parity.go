@@ -16,6 +16,7 @@
 package parity
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -80,33 +81,12 @@ func EncodeInto(dst []byte, data [][]byte) error {
 	return nil
 }
 
-// Encode computes the parity block of the given data blocks. The blocks
-// must be non-empty and equally sized; the result is freshly allocated.
-// Allocation-sensitive callers use EncodeInto.
-func Encode(data [][]byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, ErrEmptyGroup
-	}
-	p := make([]byte, len(data[0]))
-	if err := EncodeInto(p, data); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ReconstructInto rebuilds the missing block of a parity group into dst
 // given every other block (the surviving data blocks and the parity
 // block, in any order), without allocating. It is the same fold as
 // EncodeInto: XOR of all survivors.
 func ReconstructInto(dst []byte, survivors [][]byte) error {
 	return EncodeInto(dst, survivors)
-}
-
-// Reconstruct rebuilds the missing block of a parity group given every
-// other block (the surviving data blocks and the parity block, in any
-// order). It is the same fold as Encode: XOR of all survivors.
-func Reconstruct(survivors [][]byte) ([]byte, error) {
-	return Encode(survivors)
 }
 
 // Group is one parity group: the data blocks of one stripe and their
@@ -119,8 +99,11 @@ type Group struct {
 // NewGroup encodes a parity group over the given data blocks. The data
 // slices are referenced, not copied.
 func NewGroup(data [][]byte) (*Group, error) {
-	p, err := Encode(data)
-	if err != nil {
+	if len(data) == 0 {
+		return nil, ErrEmptyGroup
+	}
+	p := make([]byte, len(data[0]))
+	if err := EncodeInto(p, data); err != nil {
 		return nil, err
 	}
 	return &Group{Data: data, Parity: p}, nil
@@ -128,16 +111,8 @@ func NewGroup(data [][]byte) (*Group, error) {
 
 // Verify reports whether the parity block is consistent with the data.
 func (g *Group) Verify() bool {
-	p, err := Encode(g.Data)
-	if err != nil || len(p) != len(g.Parity) {
-		return false
-	}
-	for i := range p {
-		if p[i] != g.Parity[i] {
-			return false
-		}
-	}
-	return true
+	fresh, err := NewGroup(g.Data)
+	return err == nil && bytes.Equal(fresh.Parity, g.Parity)
 }
 
 // ReconstructData rebuilds data block i from the other data blocks and

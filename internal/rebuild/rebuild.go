@@ -48,6 +48,11 @@ type Rebuilder struct {
 	// the load lands on exactly C-1 drives; under declustered parity it
 	// spreads uniformly over the failed drive's G-1 group mates.
 	readsBy []int
+
+	// scratch is the one track a restore folds into and blocks the C-1
+	// views it folds, both reused from track to track.
+	scratch []byte
+	blocks  [][]byte
 }
 
 // New plans the rebuild of the given drive, which must already be
@@ -64,7 +69,8 @@ func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 	if drv.State() != disk.Operational {
 		return nil, fmt.Errorf("rebuild: drive %d must be replaced before rebuild (state %v)", driveID, drv.State())
 	}
-	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, readsBy: make([]int, farm.Size())}
+	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, readsBy: make([]int, farm.Size()),
+		scratch: make([]byte, farm.Params().TrackSize), blocks: make([][]byte, 0, lay.GroupWidth())}
 	for _, obj := range lay.AllObjects() {
 		for gi := range obj.Groups {
 			g := &obj.Groups[gi]
@@ -239,60 +245,50 @@ func (r *Rebuilder) Run(readBudget, maxCycles int) (int, error) {
 	return maxCycles, nil
 }
 
-// restore rebuilds one track onto the replacement drive.
+// restore rebuilds one track onto the replacement drive: the XOR of the
+// group's other members — for a data track the surviving data plus
+// parity, for a parity track every data track — read through views and
+// folded into the Rebuilder's scratch, so the write is the only copy.
 func (r *Rebuilder) restore(it item) error {
 	g := &it.obj.Groups[it.group]
 	drv, err := r.farm.Drive(r.drive)
 	if err != nil {
 		return err
 	}
-	if it.dataOffset >= 0 {
-		survivors := make([][]byte, 0, len(g.Data))
-		for j, loc := range g.Data {
-			if j == it.dataOffset {
-				continue
-			}
-			blk, err := r.readTrack(loc)
-			if err != nil {
-				return fmt.Errorf("rebuild: %s group %d: %w", it.obj.ID, it.group, err)
-			}
-			survivors = append(survivors, blk)
+	dst := g.Parity
+	blocks := r.blocks[:0]
+	for j, loc := range g.Data {
+		if j == it.dataOffset {
+			dst = loc
+			continue
 		}
-		pblk, err := r.readTrack(g.Parity)
-		if err != nil {
-			return fmt.Errorf("rebuild: %s group %d parity: %w", it.obj.ID, it.group, err)
-		}
-		survivors = append(survivors, pblk)
-		rec, err := parity.Reconstruct(survivors)
-		if err != nil {
-			return err
-		}
-		return drv.WriteTrack(g.Data[it.dataOffset].Track, rec)
-	}
-	// Parity track: re-encode from the group's data.
-	blocks := make([][]byte, 0, len(g.Data))
-	for _, loc := range g.Data {
-		blk, err := r.readTrack(loc)
+		blk, err := r.viewTrack(loc)
 		if err != nil {
 			return fmt.Errorf("rebuild: %s group %d: %w", it.obj.ID, it.group, err)
 		}
 		blocks = append(blocks, blk)
 	}
-	p, err := parity.Encode(blocks)
-	if err != nil {
+	if it.dataOffset >= 0 {
+		pblk, err := r.viewTrack(g.Parity)
+		if err != nil {
+			return fmt.Errorf("rebuild: %s group %d parity: %w", it.obj.ID, it.group, err)
+		}
+		blocks = append(blocks, pblk)
+	}
+	if err := parity.ReconstructInto(r.scratch, blocks); err != nil {
 		return err
 	}
-	return drv.WriteTrack(g.Parity.Track, p)
+	return drv.WriteTrack(dst.Track, r.scratch)
 }
 
-// readTrack reads one surviving track, charging the read to the serving
+// viewTrack lends one surviving track, charging the read to the serving
 // drive's histogram entry.
-func (r *Rebuilder) readTrack(loc layout.Location) ([]byte, error) {
+func (r *Rebuilder) viewTrack(loc layout.Location) ([]byte, error) {
 	drv, err := r.farm.Drive(loc.Disk)
 	if err != nil {
 		return nil, err
 	}
-	blk, err := drv.ReadTrack(loc.Track)
+	blk, err := drv.View(loc.Track)
 	if err != nil {
 		return nil, err
 	}

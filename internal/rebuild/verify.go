@@ -30,13 +30,14 @@ func CheckDrive(farm *disk.Farm, lay *layout.Layout, driveID int) error {
 	if _, err := farm.Drive(driveID); err != nil {
 		return err
 	}
+	scratch := make([]byte, farm.Params().TrackSize)
 	for _, obj := range lay.AllObjects() {
 		for gi := range obj.Groups {
 			g := &obj.Groups[gi]
-			if !groupTouches(g, driveID) {
+			if !g.Touches(driveID) {
 				continue
 			}
-			if err := checkGroup(farm, obj, g); err != nil {
+			if err := checkGroup(farm, obj, g, scratch); err != nil {
 				return err
 			}
 		}
@@ -51,9 +52,10 @@ func CheckAll(farm *disk.Farm, lay *layout.Layout) error {
 	if farm == nil || lay == nil {
 		return fmt.Errorf("rebuild: nil farm or layout")
 	}
+	scratch := make([]byte, farm.Params().TrackSize)
 	for _, obj := range lay.AllObjects() {
 		for gi := range obj.Groups {
-			if err := checkGroup(farm, obj, &obj.Groups[gi]); err != nil {
+			if err := checkGroup(farm, obj, &obj.Groups[gi], scratch); err != nil {
 				return err
 			}
 		}
@@ -61,22 +63,11 @@ func CheckAll(farm *disk.Farm, lay *layout.Layout) error {
 	return nil
 }
 
-// groupTouches reports whether the group stores anything on the drive.
-func groupTouches(g *layout.Group, driveID int) bool {
-	if g.Parity.Disk == driveID {
-		return true
-	}
-	for _, loc := range g.Data {
-		if loc.Disk == driveID {
-			return true
-		}
-	}
-	return false
-}
-
 // checkGroup audits one parity group, skipping it when any member drive
-// is not operational.
-func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group) error {
+// is not operational. The members are read through views and the data
+// folded into scratch (one track, the caller's), so an audit copies
+// nothing.
+func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group, scratch []byte) error {
 	locs := make([]layout.Location, 0, len(g.Data)+1)
 	locs = append(locs, g.Data...)
 	locs = append(locs, g.Parity)
@@ -92,7 +83,7 @@ func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group) error {
 	blocks := make([][]byte, 0, len(g.Data))
 	for off, loc := range g.Data {
 		drv, _ := farm.Drive(loc.Disk)
-		blk, err := drv.ReadTrack(loc.Track)
+		blk, err := drv.View(loc.Track)
 		if err != nil {
 			return fmt.Errorf("rebuild: %s group %d data[%d] on drive %d unreadable in fully-operational group: %w",
 				obj.ID, g.Index, off, loc.Disk, err)
@@ -100,16 +91,15 @@ func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group) error {
 		blocks = append(blocks, blk)
 	}
 	pdrv, _ := farm.Drive(g.Parity.Disk)
-	pblk, err := pdrv.ReadTrack(g.Parity.Track)
+	pblk, err := pdrv.View(g.Parity.Track)
 	if err != nil {
 		return fmt.Errorf("rebuild: %s group %d parity on drive %d unreadable in fully-operational group: %w",
 			obj.ID, g.Index, g.Parity.Disk, err)
 	}
-	want, err := parity.Encode(blocks)
-	if err != nil {
+	if err := parity.EncodeInto(scratch, blocks); err != nil {
 		return err
 	}
-	if !bytes.Equal(want, pblk) {
+	if !bytes.Equal(scratch, pblk) {
 		return fmt.Errorf("rebuild: %s group %d parity on drive %d track %d does not match XOR of its data tracks",
 			obj.ID, g.Index, g.Parity.Disk, g.Parity.Track)
 	}

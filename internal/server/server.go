@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -454,19 +455,7 @@ func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
 	}
 	var total time.Duration
 	for _, obj := range s.cat.Layout().AllObjects() {
-		touched := false
-		for gi := range obj.Groups {
-			g := &obj.Groups[gi]
-			if g.Parity.Disk == id {
-				touched = true
-			}
-			for _, loc := range g.Data {
-				if loc.Disk == id {
-					touched = true
-				}
-			}
-		}
-		if !touched {
+		if !slices.ContainsFunc(obj.Groups, func(g layout.Group) bool { return g.Touches(id) }) {
 			continue
 		}
 		content, cost, err := s.lib.Fetch(obj.ID)
@@ -474,9 +463,11 @@ func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
 			return total, err
 		}
 		total += cost
-		// Tolerant write: in a multi-drive catastrophe the other failed
-		// drives' tracks stay missing until their own rebuilds run.
-		if _, err := layout.WriteObjectTolerant(s.farm, obj, content); err != nil {
+		// Only this drive's tracks are written (parity re-encoded from the
+		// tape view): healthy platters are left alone, and in a
+		// multi-drive catastrophe the other failed drives' tracks stay
+		// missing until their own rebuilds run.
+		if _, err := layout.WriteObjectTolerant(s.farm, obj, content, id); err != nil {
 			return total, err
 		}
 	}

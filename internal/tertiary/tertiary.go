@@ -7,9 +7,14 @@
 // Only the properties the paper's design depends on are modelled: long
 // mount/position latency, low per-drive bandwidth (the footnote prices a
 // ~4 Mbit/s tape drive against a ~32 Mbit/s disk), and the
-// one-object-per-fetch serialization of a tape drive. Fetches return the
-// stored bytes plus the simulated wall-clock time the retrieval costs, so
-// rebuild experiments can account for time without sleeping.
+// one-object-per-fetch serialization of a tape drive. Fetches lend a
+// read-only view of the archived bytes plus the simulated wall-clock time
+// the retrieval costs, so rebuild experiments can account for time
+// without sleeping.
+//
+// The library owns a title's bytes: Store copies them in once, and from
+// then on an archived slice is replaced (a re-Store) but never written
+// into, which is what makes a lent view safe to read without the lock.
 package tertiary
 
 import (
@@ -129,14 +134,19 @@ func (l *Library) IDs() []string {
 }
 
 // Fetch retrieves the object's full content and the simulated time the
-// retrieval took (one mount plus the transfer).
+// retrieval took (one mount plus the transfer). The content is a view,
+// as for FetchRange.
 func (l *Library) Fetch(id string) ([]byte, time.Duration, error) {
 	return l.FetchRange(id, 0, -1)
 }
 
 // FetchRange retrieves length bytes starting at offset (length < 0 means
-// "to the end") and the simulated retrieval time. Partial fetches are
-// what a rebuild issues: only the failed disk's share of each object.
+// "to the end") and the simulated retrieval time. The bytes returned are
+// a read-only view of the archive, not a copy: the caller must not write
+// into them, and its capacity is clipped so an append cannot. The view
+// stays valid, and unchanged, after the object is re-stored. (Nothing in
+// the repo issues a partial fetch today: a tape reload re-reads whole
+// objects, as the paper has it.)
 func (l *Library) FetchRange(id string, offset, length int) ([]byte, time.Duration, error) {
 	if offset < 0 {
 		return nil, 0, fmt.Errorf("tertiary: negative offset %d", offset)
@@ -157,8 +167,7 @@ func (l *Library) FetchRange(id string, offset, length int) ([]byte, time.Durati
 		}
 		end = offset + length
 	}
-	out := make([]byte, end-offset)
-	copy(out, o.content[offset:end])
+	out := o.content[offset:end:end]
 	cost := l.cfg.MountLatency + l.cfg.DriveRate.TimeFor(units.ByteSize(len(out)))
 	l.busy += cost
 	return out, cost, nil

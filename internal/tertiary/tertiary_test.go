@@ -190,3 +190,40 @@ func TestTapesOf(t *testing.T) {
 		t.Errorf("missing object: %v", err)
 	}
 }
+
+// Fetch and FetchRange lend views of the archive: capacity clipped so an
+// append reallocates instead of reaching the library, and untouched by a
+// later re-Store of the same ID (the archive replaces, never overwrites).
+func TestFetchLendsClippedView(t *testing.T) {
+	l := newTestLibrary(t)
+	content := make([]byte, 100)
+	for i := range content {
+		content[i] = byte(i)
+	}
+	if err := l.Store("x", 0, content); err != nil {
+		t.Fatal(err)
+	}
+	whole, _, err := l.Fetch("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, _, err := l.FetchRange("x", 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string][]byte{"Fetch": whole, "FetchRange": part} {
+		if cap(v) != len(v) {
+			t.Errorf("%s view has cap %d, len %d", name, cap(v), len(v))
+		}
+	}
+	_ = append(part, 0xEE) // would land on archive byte 30 were cap not clipped
+	if again, _, _ := l.Fetch("x"); again[30] != 30 {
+		t.Fatalf("an append to a view reached the library: byte 30 = %#x", again[30])
+	}
+	if err := l.Store("x", 0, bytes.Repeat([]byte{0xFF}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole, content) || !bytes.Equal(part, content[10:30]) {
+		t.Fatal("a lent view changed after a re-Store")
+	}
+}
