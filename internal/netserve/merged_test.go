@@ -39,11 +39,11 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 // TestMergedBurstBitExactEveryScheme is the merged-burst acceptance
 // test: under every scheme, a pack of same-title viewers admitted in the
 // same cycle (the Zipf head, lockstep) plus a witness on another title
-// all receive bit-exact content. Under Streaming RAID the pack's bursts
-// are physically shared (one staged run fanned out to every session —
-// asserted via net_merged_tracks); under the other schemes the same
-// wire contract holds over the per-session path, so shared and private
-// delivery are interchangeable byte for byte.
+// all receive bit-exact content. Every scheme's runs take the one
+// staging path; under Streaming RAID the engine merges the pack's reads,
+// so one staged run is fanned out to every session (asserted via
+// net_merged_tracks), while under the other schemes each session's run
+// is its own, staged by the same code and never merged.
 func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	const nHot = 4
 	for _, tc := range []struct {

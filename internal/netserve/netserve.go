@@ -8,7 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
-	"strconv"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,15 +25,6 @@ const (
 	defaultSendQueue    = 64
 	defaultWriteTimeout = 10 * time.Second
 	helloTimeout        = 30 * time.Second
-
-	// sessionShards sizes the session registry's lock striping.
-	sessionShards = 16
-
-	// Timer-wheel resolution for write-stall supervision. Stall
-	// detection only needs coarse accuracy (WriteTimeout is seconds),
-	// so a 25ms tick keeps the wheel goroutine nearly idle.
-	wheelTick  = 25 * time.Millisecond
-	wheelSlots = 256
 )
 
 // Options configures a NetServer.
@@ -56,8 +47,9 @@ type Options struct {
 	// stream cancelled, connection closed) so one stalled client cannot
 	// delay the cycle loop or other streams.
 	SendQueue int
-	// WriteTimeout bounds one burst's socket write; a stalled write is
-	// detected by the shared timer wheel and the connection is cut.
+	// WriteTimeout bounds one burst's socket write: each vectored write
+	// runs under a write deadline, and a write that misses it drops the
+	// session.
 	WriteTimeout time.Duration
 	// WriteBufferBytes shrinks the kernel send buffer on accepted
 	// connections when > 0. Shedding tests use a small value so a
@@ -97,24 +89,17 @@ type NetServer struct {
 	trackSize  int
 	groupWidth int
 
-	// sessions is sharded so admission, teardown from reader/writer
+	// sessions has its own lock so admission, teardown from reader/writer
 	// goroutines, and the HTTP surface do not serialize on the engine
-	// lock at high session counts.
+	// lock.
 	sessions sessionTable
 
-	// wheel supervises every session's in-flight write from a single
-	// goroutine, replacing a per-write SetWriteDeadline syscall pair.
-	wheel *TimerWheel
-
-	// burstPool recycles burst containers; sharedPool recycles shared-run
+	// burstPool recycles burst containers; sharedPool recycles run
 	// containers (each carries its own reusable TRACK-header slab).
 	// Together with refcounted track payloads they make the steady-state
 	// write path allocation-free.
 	burstPool  sync.Pool
 	sharedPool sync.Pool
-	// ctrlPool recycles small per-session control-frame buffers (hiccup
-	// notes) whose contents vary; fixed control frames (BYE) are static.
-	ctrlPool sync.Pool
 
 	// mu is the engine lock, shrunk to control-plane work: it guards
 	// srv (admit/cancel/step), schedule, view, drain state, VCR session
@@ -147,8 +132,8 @@ type NetServer struct {
 	// but outside mu, so HELLO/ADMIT only ever queue behind the engine's
 	// read phase. Lock order: stepMu before mu.
 	stepMu sync.Mutex
-	// shared maps a run's first payload ref to its staged shared frames
-	// within the cycle being staged: sessions whose delivered run is
+	// shared maps a run's first payload ref to its staged frames within
+	// the cycle being staged: sessions whose delivered run is
 	// pointer-identical (the engine merged their reads) attach the same
 	// sharedFrames instead of re-staging it.
 	shared map[*buffer.Ref]*sharedFrames
@@ -176,136 +161,112 @@ type NetServer struct {
 	wg   sync.WaitGroup
 }
 
-// sessionTable is a lock-striped stream-ID → session map.
+// sessionTable is the stream-ID → session map. count follows sessions,
+// not entries: a session resumed from pause briefly lives under two IDs,
+// the new stream's (sess.id from here on) and its pre-pause stream's,
+// kept as an alias until the next StepCycle.
 type sessionTable struct {
-	count  atomic.Int64
-	shards [sessionShards]struct {
-		mu sync.RWMutex
-		m  map[int]*session
-	}
-}
-
-func (t *sessionTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[int]*session)
-	}
+	mu    sync.RWMutex
+	m     map[int]*session
+	count int
 }
 
 func (t *sessionTable) get(id int) *session {
-	sh := &t.shards[uint(id)%sessionShards]
-	sh.mu.RLock()
-	sess := sh.m[id]
-	sh.mu.RUnlock()
-	return sess
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.m[id]
 }
 
 // put registers a newly admitted session under its stream ID.
 func (t *sessionTable) put(sess *session) {
-	t.putID(sess.id, sess)
-	t.count.Add(1)
+	t.mu.Lock()
+	t.m[sess.id] = sess
+	t.count++
+	t.mu.Unlock()
 }
 
-// putID maps a stream ID to the session without counting it: count
-// follows sessions, not entries. A session resumed from pause briefly
-// lives under two IDs, the new stream's (sess.id from here on) and its
-// pre-pause stream's, kept as an alias until the next StepCycle.
+// putID maps an alias stream ID to the session without counting it.
 func (t *sessionTable) putID(id int, sess *session) {
-	sh := &t.shards[uint(id)%sessionShards]
-	sh.mu.Lock()
-	sh.m[id] = sess
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.m[id] = sess
+	t.mu.Unlock()
 }
 
 // remove unregisters the session, reporting whether this call was the
 // one that removed it (teardown can race from reader, writer, and cycle
 // loop; exactly one caller wins and does the back-end cancel).
 func (t *sessionTable) remove(sess *session) bool {
-	if !t.removeID(sess.id, sess) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m[sess.id] != sess {
 		return false
 	}
-	t.count.Add(-1)
+	delete(t.m, sess.id)
+	t.count--
 	return true
 }
 
-// removeID deletes one (id → sess) entry, count untouched, pointer-checked
-// so a reused stream ID belonging to a different session is never evicted.
-func (t *sessionTable) removeID(id int, sess *session) bool {
-	sh := &t.shards[uint(id)%sessionShards]
-	sh.mu.Lock()
-	cur, ok := sh.m[id]
-	if ok && cur == sess {
-		delete(sh.m, id)
+// removeID deletes one alias entry, count untouched, pointer-checked so a
+// reused stream ID belonging to a different session is never evicted.
+func (t *sessionTable) removeID(id int, sess *session) {
+	t.mu.Lock()
+	if t.m[id] == sess {
+		delete(t.m, id)
 	}
-	sh.mu.Unlock()
-	return ok && cur == sess
+	t.mu.Unlock()
 }
 
 // forEach visits every registered session (aliased sessions may be
 // visited twice). Callers must not re-enter the table from f.
 func (t *sessionTable) forEach(f func(*session)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, sess := range sh.m {
-			f(sess)
-		}
-		sh.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, sess := range t.m {
+		f(sess)
 	}
 }
 
-func (t *sessionTable) len() int { return int(t.count.Load()) }
+func (t *sessionTable) len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.count
+}
 
 // drainAll empties the table, invoking f on each removed entry's session.
 func (t *sessionTable) drainAll(f func(*session)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for id, sess := range sh.m {
-			delete(sh.m, id)
-			if id == sess.id { // an alias entry was never counted
-				t.count.Add(-1)
-			}
-			f(sess)
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id, sess := range t.m {
+		delete(t.m, id)
+		f(sess)
 	}
+	t.count = 0
 }
 
-// outFrame is one frame staged into a burst: either a pre-encoded
-// control frame (ctrl, with ctrlp set when its buffer came from the
-// control-frame pool) or a TRACK frame as a header slice into its
-// container's slab plus the payload, where ref (when non-nil) holds the
-// payload's refcount.
-type outFrame struct {
-	ctrl    []byte
-	ctrlp   *[]byte
-	hdr     []byte
-	payload []byte
-	ref     *buffer.Ref
-}
-
-// sharedFrames is one title+cycle's TRACK frames, staged once and
-// written by every session whose delivery this cycle is the same merged
-// run (same refcounted buffers, in order — the engine's same-title read
-// merging makes these pointer-identical across sessions). holders counts
-// the cycle (which holds one reference from creation until every session
-// is staged) plus the bursts that still owe a release; the last one to
-// let go releases the refs and recycles the container, slab and all.
+// sharedFrames is one delivered run's TRACK frames, staged once and
+// written by every session whose delivery this cycle is the same run
+// (same refcounted buffers, in order — the engine's same-title read
+// merging makes these pointer-identical across sessions). iov holds each
+// frame as its header, carved from the hdrs slab, then its payload; refs
+// holds the run's one Retain per track. holders counts the cycle (which
+// holds one reference from creation until every session is staged) plus
+// the bursts that still owe a release; the last one to let go releases
+// the refs and recycles the container, slab and all.
 type sharedFrames struct {
-	frames  []outFrame
+	refs    []*buffer.Ref
+	iov     [][]byte
 	hdrs    []byte // TRACK-header slab, reused across cycles
+	nbytes  int    // payload bytes in the run
 	holders atomic.Int32
 }
 
 // burst is one cycle's worth of frames for one session, written with a
-// single vectored write: an optional shared TRACK-frame run (written
-// first, preserving track-before-control order) plus the session's
-// private frames (control frames, or unshared tracks).
+// single vectored write: its delivered runs' TRACK frames (normally one
+// run), then its control frames, preserving track-before-control order.
 type burst struct {
-	shared *sharedFrames
-	frames []outFrame
-	hdrs   []byte // TRACK-header slab, reused across cycles
-	bufs   net.Buffers
+	runs  []*sharedFrames
+	ctrls [][]byte
+	bufs  net.Buffers
 }
 
 // appendTrackHeader carves the next TRACK header out of slab, returning
@@ -347,9 +308,6 @@ type session struct {
 
 	// cur accumulates the current cycle's frames; cycle loop only.
 	cur *burst
-	// wt is the session's slot on the shared timer wheel, armed around
-	// each vectored write by the write loop.
-	wt *WheelTimer
 
 	// VCR state, guarded by ns.mu. A paused session keeps its connection
 	// and table entry but holds no engine stream — its cycle bandwidth is
@@ -461,7 +419,7 @@ func New(opts Options) (*NetServer, error) {
 		burst:      burstN,
 		trackSize:  trackSize,
 		groupWidth: srv.GroupWidth(),
-		wheel:      NewTimerWheel(wheelTick, wheelSlots),
+		sessions:   sessionTable{m: make(map[int]*session)},
 		hbConns:    make(map[net.Conn]struct{}),
 		batches:    make(map[string]*titleBatch),
 		aliases:    make(map[int]*session),
@@ -469,10 +427,8 @@ func New(opts Options) (*NetServer, error) {
 		drained:    make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
-	ns.sessions.init()
 	ns.burstPool.New = func() any { return new(burst) }
 	ns.sharedPool.New = func() any { return new(sharedFrames) }
-	ns.ctrlPool.New = func() any { b := make([]byte, 0, 64); return &b }
 	ns.cond = sync.NewCond(&ns.mu)
 	m := srv.Metrics()
 	ns.tracksSent = m.Counter("net_tracks_sent")
@@ -657,11 +613,7 @@ func (ns *NetServer) expelPausedLocked() {
 		if !ns.sessions.remove(sess) {
 			continue
 		}
-		b := ns.newBurst()
-		b.frames = append(b.frames, outFrame{ctrl: byeShutdown})
-		if queued, _ := sess.enqueue(b); !queued {
-			ns.releaseBurst(b)
-		}
+		ns.sendCtrl(sess, byeShutdown)
 		sess.paused = false
 		ns.pausedSessions--
 		sess.closeQueue()
@@ -720,8 +672,8 @@ func (ns *NetServer) checkDrainedLocked() {
 }
 
 // Close tears everything down: the listener, the pacer, every live
-// connection, the timer wheel. Pending frames are not flushed — call
-// Drain first for a graceful exit.
+// connection. Pending frames are not flushed — call Drain first for a
+// graceful exit.
 func (ns *NetServer) Close() error {
 	ns.mu.Lock()
 	if ns.closed {
@@ -740,7 +692,6 @@ func (ns *NetServer) Close() error {
 	ns.gaugeSessions()
 	ns.cond.Broadcast()
 	ns.wg.Wait()
-	ns.wheel.Close()
 	return err
 }
 
@@ -754,77 +705,61 @@ func (ns *NetServer) logf(format string, args ...any) {
 
 func (ns *NetServer) newBurst() *burst { return ns.burstPool.Get().(*burst) }
 
-// releaseBurst drops the burst's hold on its shared run (if any),
-// releases every private retained track buffer, returns pooled control
-// buffers, and recycles the container with its header slab. Safe on nil.
+// releaseBurst drops the burst's holds on its runs and recycles the
+// container.
 func (ns *NetServer) releaseBurst(b *burst) {
-	if b == nil {
-		return
+	for _, sf := range b.runs {
+		ns.releaseShared(sf)
 	}
-	if b.shared != nil {
-		ns.releaseShared(b.shared)
-		b.shared = nil
-	}
-	for i := range b.frames {
-		f := &b.frames[i]
-		if f.ref != nil {
-			f.ref.Release()
-		}
-		if f.ctrlp != nil {
-			*f.ctrlp = f.ctrl[:0]
-			ns.ctrlPool.Put(f.ctrlp)
-		}
-		b.frames[i] = outFrame{}
-	}
-	b.frames = b.frames[:0]
-	b.hdrs = b.hdrs[:0]
-	for i := range b.bufs {
-		b.bufs[i] = nil
-	}
+	clear(b.runs)
+	b.runs = b.runs[:0]
+	clear(b.ctrls)
+	b.ctrls = b.ctrls[:0]
+	clear(b.bufs)
 	b.bufs = b.bufs[:0]
 	ns.burstPool.Put(b)
 }
 
-// releaseShared drops one holder of a shared run. The cycle holds a
-// reference from the moment the run is created until every session is
-// staged, and every burst's hold is counted before that release, so the
-// decrement that reaches zero is genuinely the last one; it releases
-// the run's refs and recycles the container with its header slab. Called
-// from writer goroutines and the cycle driver, hence the atomic.
+// releaseShared drops one holder of a run. The cycle holds a reference
+// from the moment the run is created until every session is staged, and
+// every burst's hold is counted before that release, so the decrement
+// that reaches zero is genuinely the last one; it releases the run's refs
+// and recycles the container with its header slab. Called from writer
+// goroutines and the cycle driver, hence the atomic.
 func (ns *NetServer) releaseShared(sf *sharedFrames) {
 	if sf.holders.Add(-1) != 0 {
 		return
 	}
-	for i := range sf.frames {
-		f := &sf.frames[i]
-		if f.ref != nil {
-			f.ref.Release()
-		}
-		sf.frames[i] = outFrame{}
+	for _, ref := range sf.refs {
+		ref.Release()
 	}
-	sf.frames = sf.frames[:0]
+	clear(sf.refs)
+	sf.refs = sf.refs[:0]
+	clear(sf.iov)
+	sf.iov = sf.iov[:0]
 	sf.hdrs = sf.hdrs[:0]
+	sf.nbytes = 0
 	ns.sharedPool.Put(sf)
 }
 
 // runMatches verifies a delivered run is frame-for-frame the same
-// physical payloads as an already-staged shared run. Pointer equality on
-// the refs is exact: the engine's read merging hands sharers the same
-// buffers in the same order, and distinct reads never alias a live ref.
+// physical payloads as an already-staged run. Pointer equality on the
+// refs is exact: the engine's read merging hands sharers the same buffers
+// in the same order, and distinct reads never alias a live ref.
 func runMatches(sf *sharedFrames, run []sched.Delivery) bool {
-	if len(sf.frames) != len(run) {
+	if len(sf.refs) != len(run) {
 		return false
 	}
 	for i := range run {
-		if sf.frames[i].ref != run[i].Buf {
+		if sf.refs[i] != run[i].Buf {
 			return false
 		}
 	}
 	return true
 }
 
-// sharedFor finds or stages the cycle's shared frames for a merged run.
-// A newly created run starts with one holder — the cycle's own, released
+// sharedFor finds or stages the cycle's frames for a delivered run. A
+// newly created run starts with one holder — the cycle's own, released
 // once every session is staged — so a writer finishing early can never
 // tear the run down while a later session is still to attach.
 func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged bool) {
@@ -844,7 +779,9 @@ func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged b
 		var h []byte
 		sf.hdrs, h = appendTrackHeader(sf.hdrs, d.Track, len(d.Data))
 		d.Buf.Retain()
-		sf.frames = append(sf.frames, outFrame{hdr: h, payload: d.Data, ref: d.Buf})
+		sf.refs = append(sf.refs, d.Buf)
+		sf.iov = append(sf.iov, h, d.Data)
+		sf.nbytes += len(d.Data)
 	}
 	sf.holders.Store(1)
 	ns.shared[key] = sf
@@ -852,28 +789,19 @@ func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged b
 }
 
 // stageRun stages one stream's contiguous delivered run for this cycle.
-// Runs whose payloads carry refcounts are staged once per distinct run
-// and shared by every session delivering the same buffers — one set of
-// headers, retains, and frame bookkeeping for the whole title group
+// Every delivery carries its refcounted buffer, so a run is staged once
+// and attached to every session delivering the same buffers — one set of
+// headers, retains, and frame bookkeeping for a whole merged title group
 // instead of O(sessions) copies of it. Cycle driver only, like every
 // stage* function below.
 func (ns *NetServer) stageRun(sess *session, run []sched.Delivery) {
-	b := ns.burstFor(sess)
-	if run[0].Buf == nil || b.shared != nil {
-		// No refcount to share (copy-path engine), or the session already
-		// carries a shared run this cycle (engines deliver one contiguous
-		// run per stream per cycle; tolerate more): stage privately.
-		for i := range run {
-			ns.stageTrack(sess, &run[i])
-		}
-		return
-	}
 	sf, merged := ns.sharedFor(run)
 	if merged {
 		ns.mergedTracks.Add(int64(len(run)))
 	}
 	sf.holders.Add(1)
-	b.shared = sf
+	b := ns.burstFor(sess)
+	b.runs = append(b.runs, sf)
 }
 
 // burstFor returns the session's in-progress burst for this cycle,
@@ -887,30 +815,10 @@ func (ns *NetServer) burstFor(sess *session) *burst {
 	return sess.cur
 }
 
-// stageTrack adds one delivered track to the session's cycle burst,
-// retaining the engine's refcounted buffer instead of copying it. The
-// reference is released after the vectored write completes (or when the
-// burst is discarded on shed/teardown).
-func (ns *NetServer) stageTrack(sess *session, d *sched.Delivery) {
-	b := ns.burstFor(sess)
-	var h []byte
-	b.hdrs, h = appendTrackHeader(b.hdrs, d.Track, len(d.Data))
-	f := outFrame{hdr: h, payload: d.Data}
-	if d.Buf != nil {
-		d.Buf.Retain()
-		f.ref = d.Buf
-	} else {
-		// No refcount available (an engine outside the arena path):
-		// fall back to copying at the socket boundary.
-		f.payload = append([]byte(nil), d.Data...)
-	}
-	b.frames = append(b.frames, f)
-}
-
 // stageCtrl adds a control frame to the session's cycle burst.
-func (ns *NetServer) stageCtrl(sess *session, f outFrame) {
+func (ns *NetServer) stageCtrl(sess *session, frame []byte) {
 	b := ns.burstFor(sess)
-	b.frames = append(b.frames, f)
+	b.ctrls = append(b.ctrls, frame)
 }
 
 // flushStaged hands the session's staged burst to its writer. Overflow
@@ -918,26 +826,17 @@ func (ns *NetServer) stageCtrl(sess *session, f outFrame) {
 // outside the engine lock — only the shed path takes it.
 func (ns *NetServer) flushStaged(sess *session) {
 	b := sess.cur
-	sess.cur = nil
-	if b == nil || (len(b.frames) == 0 && b.shared == nil) {
-		ns.releaseBurst(b)
+	if b == nil {
 		return
 	}
+	sess.cur = nil
 	// Tally before the hand-off: the writer may release b immediately.
-	// Shared-run tracks count once per holder — each session really does
-	// send them on its own socket.
+	// A merged run counts once per holder — each session really does send
+	// it on its own socket.
 	tracks, nbytes := 0, 0
-	if b.shared != nil {
-		for i := range b.shared.frames {
-			tracks++
-			nbytes += len(b.shared.frames[i].payload)
-		}
-	}
-	for i := range b.frames {
-		if b.frames[i].hdr != nil {
-			tracks++
-			nbytes += len(b.frames[i].payload)
-		}
+	for _, sf := range b.runs {
+		tracks += len(sf.refs)
+		nbytes += sf.nbytes
 	}
 	queued, overflow := sess.enqueue(b)
 	switch {
@@ -1087,13 +986,14 @@ func (ns *NetServer) handleConn(conn net.Conn) {
 	}
 }
 
-// sendCtrl enqueues one prebuilt control frame as its own burst — VCR
-// replies ride the session's ordered send queue rather than racing the
-// writer on the socket. Overflow just drops the reply (the session is
-// SendQueue cycles behind; its data bursts will shed it).
+// sendCtrl enqueues one prebuilt control frame as its own burst — the
+// ADMIT-OK, VCR replies and a drain's BYE ride the session's ordered send
+// queue rather than racing the writer on the socket. Overflow just drops
+// the frame (the session is SendQueue cycles behind; its data bursts will
+// shed it).
 func (ns *NetServer) sendCtrl(sess *session, frame []byte) {
 	b := ns.newBurst()
-	b.frames = append(b.frames, outFrame{ctrl: frame})
+	b.ctrls = append(b.ctrls, frame)
 	if queued, _ := sess.enqueue(b); !queued {
 		ns.releaseBurst(b)
 	}
@@ -1104,18 +1004,21 @@ func vcrOKCtrl(verb string, id, next, rate int) []byte {
 	return mustCtrlFrame(frameVcrOK, VcrOK{Verb: verb, StreamID: id, NextTrack: next, Rate: rate})
 }
 
-// vcrRejectCtrl builds a post-admission REJECT control frame, with the
-// cycle-granularity Retry-After hint when the refusal is transient.
-func (ns *NetServer) vcrRejectCtrl(err error) []byte {
+// rejectFor builds the REJECT for a refused admission or re-admission.
+// Capacity frees up at cycle granularity, so a capacity refusal
+// (server.ErrRejected) carries one cycle of real time, at least a
+// millisecond, as its Retry-After hint.
+func (ns *NetServer) rejectFor(err error) Reject {
 	rej := Reject{Reason: err.Error()}
 	if errors.Is(err, server.ErrRejected) {
-		ms := ns.cycleTime.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		rej.RetryAfterMillis = ms
+		rej.RetryAfterMillis = max(ns.cycleTime.Milliseconds(), 1)
 	}
-	return mustCtrlFrame(frameReject, rej)
+	return rej
+}
+
+// vcrRejectCtrl builds a post-admission REJECT control frame.
+func (ns *NetServer) vcrRejectCtrl(err error) []byte {
+	return mustCtrlFrame(frameReject, ns.rejectFor(err))
 }
 
 // handlePause parks a playing session: its engine stream is cancelled
@@ -1422,17 +1325,7 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 	id, _, err := ns.srv.RequestAt(title, startGroup)
 	if err != nil {
 		ns.srv.Metrics().Counter("net_rejects").Inc()
-		rej := Reject{Reason: err.Error()}
-		if errors.Is(err, server.ErrRejected) {
-			// Capacity frees up at cycle granularity: one cycle of real
-			// time (at least a millisecond) is the natural retry hint.
-			ms := ns.cycleTime.Milliseconds()
-			if ms < 1 {
-				ms = 1
-			}
-			rej.RetryAfterMillis = ms
-		}
-		return nil, rej
+		return nil, ns.rejectFor(err)
 	}
 	_, total, _ := ns.srv.StreamProgress(id)
 	size, _ := ns.srv.Library().Size(title)
@@ -1443,13 +1336,6 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 		sendq: make(chan *burst, ns.opts.SendQueue),
 		done:  make(chan struct{}),
 	}
-	sess.wt = ns.wheel.NewTimer(func() {
-		// A vectored write outlived WriteTimeout: the socket is stalled.
-		// Cutting the connection fails the write and the writer sheds
-		// the session through the normal drop path.
-		ns.srv.Metrics().Counter("net_write_timeouts").Inc()
-		sess.abort()
-	})
 	ok, err := jsonFrame(frameAdmitOK, AdmitOK{
 		StreamID:   id,
 		Title:      title,
@@ -1465,11 +1351,7 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 		_ = ns.srv.Cancel(id)
 		return nil, Reject{Reason: "internal: " + err.Error()}
 	}
-	hello := ns.newBurst()
-	hello.frames = append(hello.frames, outFrame{ctrl: ok})
-	if queued, _ := sess.enqueue(hello); !queued {
-		ns.releaseBurst(hello) // unreachable on a fresh queue; be safe
-	}
+	ns.sendCtrl(sess, ok)
 	ns.sessions.put(sess)
 	ns.srv.Metrics().Counter("net_admits").Inc()
 	ns.gaugeSessions()
@@ -1493,8 +1375,14 @@ func (ns *NetServer) writeLoop(sess *session) {
 				return
 			}
 			if err := ns.writeBurst(sess, b); err != nil {
+				reason := "write error"
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					// The socket stalled for WriteTimeout.
+					ns.srv.Metrics().Counter("net_write_timeouts").Inc()
+					reason = "write timeout"
+				}
 				ns.srv.Metrics().Counter("net_write_errors").Inc()
-				ns.dropSession(sess, "write error")
+				ns.dropSession(sess, reason)
 				ns.drainSendq(sess)
 				return
 			}
@@ -1503,33 +1391,22 @@ func (ns *NetServer) writeLoop(sess *session) {
 }
 
 // writeBurst flattens the burst into an iovec list and writes it with
-// one vectored write, supervised by the session's wheel timer. The
-// burst (headers, refs, container) is recycled before returning.
+// one vectored write under a WriteTimeout deadline. Every socket write
+// after admission comes through here, so the deadline is never cleared.
+// The burst is recycled before returning.
 func (ns *NetServer) writeBurst(sess *session, b *burst) error {
 	bufs := b.bufs[:0]
-	if b.shared != nil {
-		// The shared run goes first: tracks were staged before control
-		// frames, and every holder reads sf.frames concurrently but only
-		// mutates its own bufs.
-		for i := range b.shared.frames {
-			f := &b.shared.frames[i]
-			bufs = append(bufs, f.hdr, f.payload)
-		}
+	for _, sf := range b.runs {
+		// Every holder reads sf.iov concurrently; the write consumes only
+		// this burst's own copy of it.
+		bufs = append(bufs, sf.iov...)
 	}
-	for i := range b.frames {
-		f := &b.frames[i]
-		if f.ctrl != nil {
-			bufs = append(bufs, f.ctrl)
-		} else {
-			bufs = append(bufs, f.hdr, f.payload)
-		}
-	}
-	b.bufs = bufs
-	sess.wt.Reset(ns.opts.WriteTimeout)
+	b.bufs = append(bufs, b.ctrls...)
 	start := time.Now()
+	// Only a closed conn refuses a deadline, and then the write fails too.
+	_ = sess.conn.SetWriteDeadline(start.Add(ns.opts.WriteTimeout))
 	err := writeVectored(sess.conn, b.bufs)
 	ns.phaseFlush.Observe(time.Since(start).Microseconds())
-	sess.wt.Stop()
 	ns.releaseBurst(b)
 	return err
 }
@@ -1578,11 +1455,14 @@ func (ns *NetServer) drainSendq(sess *session) {
 	}
 }
 
-// dropSession removes a session whose connection died and cancels its
-// back-end stream if it is still live.
+// dropSession removes a session whose connection died or misbehaved and
+// cancels its back-end stream if it is still live. The call that removes
+// the session logs why; a session a normal finish already removed stays
+// quiet.
 func (ns *NetServer) dropSession(sess *session, reason string) {
 	if ns.sessions.remove(sess) {
 		ns.mu.Lock()
+		ns.logf("netserve: dropping stream %d (%s): %s", sess.id, sess.title, reason)
 		_ = ns.srv.Cancel(sess.id)
 		if sess.paused {
 			sess.paused = false
@@ -1594,7 +1474,6 @@ func (ns *NetServer) dropSession(sess *session, reason string) {
 		ns.gaugeSessions()
 	}
 	sess.kill()
-	_ = reason
 }
 
 func (ns *NetServer) gaugeSessions() {
@@ -1724,12 +1603,10 @@ func (ns *NetServer) stage(rep *sched.CycleReport) {
 		i = j
 	}
 	for _, h := range rep.Hiccups {
-		sess := ns.sessions.get(h.StreamID)
-		if sess == nil {
-			continue
+		if sess := ns.sessions.get(h.StreamID); sess != nil {
+			ns.stageCtrl(sess, mustCtrlFrame(frameHiccup, HiccupNote{Track: h.Track, Reason: h.Reason}))
+			ns.hiccupsSent.Inc()
 		}
-		ns.stageCtrl(sess, ns.hiccupFrame(h.Track, h.Reason))
-		ns.hiccupsSent.Inc()
 	}
 	for _, id := range rep.Finished {
 		ns.stageFinish(id, byeFinished)
@@ -1765,22 +1642,6 @@ func mustCtrlFrame(typ byte, v any) []byte {
 	return buf
 }
 
-// hiccupFrame encodes a HICCUP control frame into a pooled buffer
-// (returned to the pool when the burst releases), replacing a
-// json.Marshal allocation per lost track on the staging path.
-func (ns *NetServer) hiccupFrame(track int, reason string) outFrame {
-	bp := ns.ctrlPool.Get().(*[]byte)
-	buf := append((*bp)[:0], frameHiccup, 0, 0, 0, 0)
-	buf = append(buf, `{"track":`...)
-	buf = strconv.AppendInt(buf, int64(track), 10)
-	buf = append(buf, `,"reason":`...)
-	buf = strconv.AppendQuote(buf, reason)
-	buf = append(buf, '}')
-	binary.BigEndian.PutUint32(buf[1:frameHeaderLen], uint32(len(buf)-frameHeaderLen))
-	*bp = buf
-	return outFrame{ctrl: buf, ctrlp: bp}
-}
-
 // stageFinish ends a session gracefully: a BYE rides in the session's
 // final burst, the session is unregistered, and its queue closes behind
 // that burst so the writer flushes everything and hangs up.
@@ -1789,7 +1650,7 @@ func (ns *NetServer) stageFinish(id int, bye []byte) {
 	if sess == nil {
 		return
 	}
-	ns.stageCtrl(sess, outFrame{ctrl: bye})
+	ns.stageCtrl(sess, bye)
 	ns.sessions.remove(sess)
 	ns.gaugeSessions()
 	ns.flushStaged(sess)

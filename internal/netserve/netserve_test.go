@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ type rigConfig struct {
 	disks, cluster, k int
 	titles, groups    int
 	slotsPerDisk      int
-	ns                Options // Clock/SendQueue/WriteTimeout/WriteBufferBytes knobs
+	ns                Options // front-end options; newLoopRig fills in Server
 }
 
 func defaultRig() rigConfig {
@@ -361,6 +363,84 @@ func TestSlowClientShed(t *testing.T) {
 	if len(h.hiccups) != 0 {
 		t.Errorf("healthy client saw hiccups %v", h.hiccups)
 	}
+}
+
+// TestWriteStallTimeout pins the write deadline: a client that stops
+// reading while its send queue still has room (so overflow cannot shed
+// it first) leaves its writer stuck in one vectored write, and
+// WriteTimeout later that write fails. The session is dropped — counted
+// as a timeout and a write error, not a shed, logged with its reason —
+// its stream is cancelled, and every buffer it held returns to the
+// arena. A client on another title never notices.
+func TestWriteStallTimeout(t *testing.T) {
+	cfg := defaultRig()
+	cfg.groups = 16 // 16 bursts of 150 KB, far more than the socket buffers hold
+	var logMu sync.Mutex
+	var logs []string
+	cfg.ns = Options{
+		SendQueue:        cfg.groups + 8, // holds the whole title: nothing overflows
+		WriteTimeout:     200 * time.Millisecond,
+		WriteBufferBytes: 8 << 10,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	}
+	r := newLoopRig(t, "sr", cfg)
+
+	stalled, sOK := r.connect(t, r.titles[0])
+	defer stalled.Close() // never reads a frame
+	healthy, hOK := r.connect(t, r.titles[1])
+	defer healthy.Close()
+	hRes := make(chan *clientResult, 1)
+	go func() { hRes <- consume(healthy) }()
+
+	// Push half the title, then stop stepping: the deadline has to fire
+	// while the stalled stream is still live, or its normal finish would
+	// unregister it first.
+	for i := 0; i < cfg.groups/2; i++ {
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+		r.waitQueueDrained(hOK.StreamID)
+	}
+	wantLog := fmt.Sprintf("stream %d (%s): write timeout", sOK.StreamID, r.titles[0])
+	logged := func() bool {
+		logMu.Lock()
+		defer logMu.Unlock()
+		for _, l := range logs {
+			if strings.Contains(l, wantLog) {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); !logged(); {
+		if time.Now().After(deadline) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			t.Fatalf("no %q log line 10 s after the stall; logs: %q", wantLog, logs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if r.ns.sessions.get(sOK.StreamID) != nil {
+		t.Error("stalled session still registered after its write timed out")
+	}
+	r.stepUntilIdle(t, 200)
+
+	m := r.srv.Metrics()
+	for name, want := range map[string]int64{"net_write_timeouts": 1, "net_write_errors": 1, "net_sessions_shed": 0} {
+		if got := m.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	h := <-hRes
+	verifyBitExact(t, r, r.titles[1], h)
+	if h.bye != "finished" {
+		t.Errorf("healthy bye = %q, want finished", h.bye)
+	}
+	r.stepUntilBuffersHome(t)
 }
 
 // TestDrain covers graceful shutdown: draining refuses new admissions

@@ -71,9 +71,10 @@ const (
 const (
 	frameHeaderLen = 5
 	// trackHeaderLen covers a TRACK frame's fixed prefix: the frame
-	// header plus the 4-byte track index. The server pools headers of
-	// this size and ships the payload with a vectored write, so a TRACK
-	// frame never exists as one contiguous buffer on the send path.
+	// header plus the 4-byte track index. The server carves headers of
+	// this size from a reusable slab and ships the payload with a
+	// vectored write, so a TRACK frame never exists as one contiguous
+	// buffer on the send path.
 	trackHeaderLen = frameHeaderLen + 4
 	// maxFramePayload bounds a payload: a track plus its index fits with
 	// room to spare; anything larger is a protocol violation, not a read.
@@ -256,8 +257,8 @@ func encodeTrackHeader(hdr *[trackHeaderLen]byte, track, dataLen int) {
 }
 
 // trackFrame encodes a full TRACK wire frame in one contiguous buffer,
-// copying data. The zero-copy server path no longer uses it (it stages
-// pooled headers plus refcounted payloads instead); it remains the
+// copying data. The zero-copy server path does not use it (it stages
+// slab-carved headers plus refcounted payloads instead); it remains the
 // reference encoding, exercised against the vectored path in tests.
 func trackFrame(track int, data []byte) []byte {
 	buf := make([]byte, trackHeaderLen+len(data))

@@ -58,9 +58,8 @@ type Config struct {
 	// Clock paces cycles; nil = manual mode (tests drive StepCycle).
 	Clock netserve.Clock
 	// Front-end tuning, passed through to netserve.
-	SendQueue        int
-	WriteTimeout     time.Duration
-	WriteBufferBytes int
+	SendQueue    int
+	WriteTimeout time.Duration
 	// BatchCycles holds flash-crowd ADMITs per title for up to this many
 	// cycles so same-title arrivals start as one merged cohort (0: off).
 	BatchCycles int
@@ -138,16 +137,15 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	ns, err := netserve.New(netserve.Options{
-		Server:           srv,
-		NodeID:           cfg.ID,
-		Addr:             cfg.Addr,
-		Clock:            cfg.Clock,
-		SendQueue:        cfg.SendQueue,
-		WriteTimeout:     cfg.WriteTimeout,
-		WriteBufferBytes: cfg.WriteBufferBytes,
-		BatchCycles:      cfg.BatchCycles,
-		EnablePprof:      cfg.EnablePprof,
-		Logf:             cfg.Logf,
+		Server:       srv,
+		NodeID:       cfg.ID,
+		Addr:         cfg.Addr,
+		Clock:        cfg.Clock,
+		SendQueue:    cfg.SendQueue,
+		WriteTimeout: cfg.WriteTimeout,
+		BatchCycles:  cfg.BatchCycles,
+		EnablePprof:  cfg.EnablePprof,
+		Logf:         cfg.Logf,
 	})
 	if err != nil {
 		return nil, err

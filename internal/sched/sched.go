@@ -103,7 +103,8 @@ type Delivery struct {
 	Track int
 	// Data is the delivered track content.
 	Data []byte
-	// Buf, when non-nil, is the refcounted handle behind Data. The
+	// Buf is the refcounted handle behind Data; every engine delivery
+	// carries one (netserve ships Data by reference through it). The
 	// engine holds its own reference until the next Step (which is what
 	// bounds the report's validity); a consumer that needs Data to
 	// outlive that calls Buf.Retain and later Release instead of copying.
