@@ -51,7 +51,7 @@ import (
 
 var (
 	addr       = flag.String("addr", "127.0.0.1:5500", "TCP listen address for the session protocol")
-	httpAddr   = flag.String("http", "127.0.0.1:5580", "HTTP listen address for /statusz /metricsz /titlesz /admitz /viewz (empty: disabled)")
+	httpAddr   = flag.String("http", "127.0.0.1:5580", "HTTP listen address for /statusz /metricsz /cyclez /titlesz /admitz /viewz (empty: disabled)")
 	schemeFlag = flag.String("scheme", "sr", "fault-tolerance scheme: sr, sg, nc, nc-simple, ib, dc")
 	disks      = flag.Int("disks", 20, "number of drives")
 	clusterSz  = flag.Int("cluster", 5, "cluster (parity group) size C")
@@ -181,7 +181,7 @@ func runNode() error {
 	}
 
 	if ha := n.HTTPAddr(); ha != "" {
-		fmt.Printf("http   %s  (/statusz /metricsz /titlesz /admitz /viewz)\n", ha)
+		fmt.Printf("http   %s  (/statusz /metricsz /cyclez /titlesz /admitz /viewz)\n", ha)
 	}
 	id := *nodeID
 	if id == "" {

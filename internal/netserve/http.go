@@ -33,6 +33,9 @@ type status struct {
 //	GET  /statusz  — scheme, cycle, sessions, drain state, and (in a
 //	     cluster) node identity, view number, placement summary (JSON)
 //	GET  /metricsz — the full metrics registry (JSON, stable key order)
+//	GET  /cyclez   — the last 64 paced cycles, oldest first: cycle
+//	     number, start lateness, Step, stage and slack µs, live sessions
+//	     (JSON array; empty in manual mode)
 //	GET  /titlesz  — the catalog of admittable titles (JSON array)
 //	GET  /viewz    — the membership view this node holds (JSON; 404
 //	     standalone)
@@ -47,6 +50,7 @@ func (ns *NetServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", ns.handleStatus)
 	mux.HandleFunc("/metricsz", ns.handleMetrics)
+	mux.HandleFunc("/cyclez", ns.handleCycles)
 	mux.HandleFunc("/titlesz", ns.handleTitles)
 	mux.HandleFunc("/admitz", ns.handleAdmit)
 	mux.HandleFunc("/viewz", ns.handleView)
@@ -99,6 +103,10 @@ func (ns *NetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; nothing more to do than note it.
 		ns.logf("netserve: /metricsz: %v", err)
 	}
+}
+
+func (ns *NetServer) handleCycles(w http.ResponseWriter, r *http.Request) {
+	writeHTTPJSON(w, ns.recentCycles())
 }
 
 func (ns *NetServer) handleTitles(w http.ResponseWriter, r *http.Request) {

@@ -63,6 +63,13 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
+	// Manual mode paces nothing, so the flight recorder is empty.
+	code, body = get("/cyclez")
+	var cycles []cycleRecord
+	if code != http.StatusOK || json.Unmarshal(body, &cycles) != nil || len(cycles) != 0 {
+		t.Errorf("/cyclez in manual mode: %d %s, want an empty JSON array", code, body)
+	}
+
 	// Admission probe: success, unknown title, wrong method.
 	resp, err := http.Post(hs.URL+"/admitz?title=title0", "", nil)
 	if err != nil {

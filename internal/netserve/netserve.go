@@ -150,6 +150,18 @@ type NetServer struct {
 	// Cycle phase histograms: engine read time, staging time of a cycle
 	// that staged anything, and per-burst socket write time (all µs).
 	phaseRead, phaseStage, phaseFlush *metrics.Histogram
+	// Deadline instruments of paced cycles: each cycle's slack (µs left
+	// before the next deadline when its work ended, 0 when it overran)
+	// and the count of cycles that overran.
+	cycleSlack    *metrics.Histogram
+	cycleOverruns *metrics.Counter
+
+	// The pacer's record, guarded by stepMu: the /cyclez ring of the last
+	// paced cycles (cycleN counts every record ever written), and whether
+	// the current late episode has logged its overrun and its grid move.
+	cycles                    [cycleRingLen]cycleRecord
+	cycleN                    int
+	loggedOverrun, loggedMove bool
 
 	// reportHook, when non-nil, receives a Clone of every stepped
 	// cycle's report before it is staged. Tests use it to compare the
@@ -442,6 +454,9 @@ func New(opts Options) (*NetServer, error) {
 	ns.phaseRead = m.Histogram("pipe_read_us", usBounds...)
 	ns.phaseStage = m.Histogram("pipe_stage_us", usBounds...)
 	ns.phaseFlush = m.Histogram("pipe_flush_us", usBounds...)
+	// Slack runs up to a whole cycle, which is 0.8–1.1 s at real time.
+	ns.cycleSlack = m.Histogram("cycle_slack_us", append(usBounds, 100000, 250000, 500000, 1000000, 2500000)...)
+	ns.cycleOverruns = m.Counter("cycle_overruns")
 	ns.wg.Add(1)
 	go ns.acceptLoop()
 	if opts.Clock != nil {
@@ -1487,12 +1502,16 @@ func (ns *NetServer) gaugePaused() {
 // ---- the cycle loop ----
 
 // paceLoop drives cycles on the configured clock, idling (no busy spin)
-// while nothing is admitted or scheduled.
+// while nothing is admitted or scheduled. Leaving idle restarts the
+// clock's deadline grid, so the first cycle after an admission comes one
+// full cycle later.
 func (ns *NetServer) paceLoop() {
 	defer ns.wg.Done()
+	restart := true
 	for {
 		ns.mu.Lock()
 		for !ns.closed && ns.idleLocked() {
+			restart = true
 			ns.cond.Wait()
 		}
 		closed := ns.closed
@@ -1500,14 +1519,83 @@ func (ns *NetServer) paceLoop() {
 		if closed {
 			return
 		}
-		if !ns.opts.Clock.Pace(ns.cycleTime, ns.stop) {
+		tick, ok := ns.opts.Clock.Pace(ns.cycleTime, restart, ns.stop)
+		if !ok {
 			return
 		}
-		if err := ns.StepCycle(); err != nil {
+		restart = false
+		ns.stepMu.Lock()
+		err := ns.step(&tick)
+		ns.stepMu.Unlock()
+		if err != nil {
 			ns.logf("netserve: step: %v", err)
 			return
 		}
 	}
+}
+
+// cycleRingLen is how many paced cycles /cyclez remembers.
+const cycleRingLen = 64
+
+// cycleRecord is one paced cycle on /cyclez.
+type cycleRecord struct {
+	Cycle int `json:"cycle"`
+	// LateUs is how far past its deadline the cycle started.
+	LateUs  int64 `json:"late_us"`
+	StepUs  int64 `json:"step_us"`
+	StageUs int64 `json:"stage_us"`
+	// SlackUs is the time left before the next deadline when the cycle's
+	// work ended, 0 when it overran (or the clock keeps no deadlines).
+	SlackUs  int64 `json:"slack_us"`
+	Sessions int   `json:"sessions"`
+}
+
+// recordCycle files a paced cycle, the caller holding stepMu: on the
+// /cyclez ring and, when the clock keeps deadlines, in cycle_slack_us
+// and cycle_overruns. A late episode — cycles overrunning, or a release
+// late enough to move the grid — logs its first overrun and its first
+// grid move once each; a cycle that meets its deadline ends it.
+func (ns *NetServer) recordCycle(cycle int, tick Tick, step, stage time.Duration) {
+	var slack time.Duration
+	if !tick.Next.IsZero() {
+		slack = time.Until(tick.Next)
+		if tick.Moved && !ns.loggedMove {
+			ns.loggedMove = true
+			ns.logf("netserve: node=%s cycle=%d: started %v late, a whole cycle or more; deadline grid moved to now", ns.opts.NodeID, cycle, tick.Late)
+		}
+		if slack < 0 {
+			ns.cycleOverruns.Inc()
+			if !ns.loggedOverrun {
+				ns.loggedOverrun = true
+				ns.logf("netserve: node=%s cycle=%d: work overran the next deadline by %v", ns.opts.NodeID, cycle, -slack)
+			}
+			slack = 0
+		} else {
+			ns.loggedOverrun, ns.loggedMove = false, false
+		}
+		ns.cycleSlack.Observe(slack.Microseconds())
+	}
+	ns.cycles[ns.cycleN%cycleRingLen] = cycleRecord{
+		Cycle:    cycle,
+		LateUs:   tick.Late.Microseconds(),
+		StepUs:   step.Microseconds(),
+		StageUs:  stage.Microseconds(),
+		SlackUs:  slack.Microseconds(),
+		Sessions: ns.sessions.len(),
+	}
+	ns.cycleN++
+}
+
+// recentCycles returns the /cyclez ring, oldest cycle first.
+func (ns *NetServer) recentCycles() []cycleRecord {
+	ns.stepMu.Lock()
+	defer ns.stepMu.Unlock()
+	n := min(ns.cycleN, cycleRingLen)
+	out := make([]cycleRecord, 0, n)
+	for i := ns.cycleN - n; i < ns.cycleN; i++ {
+		out = append(out, ns.cycles[i%cycleRingLen])
+	}
+	return out
 }
 
 // idleLocked gates the pacer: with no sessions, no live streams, and no
@@ -1533,7 +1621,13 @@ func (ns *NetServer) idleLocked() bool {
 func (ns *NetServer) StepCycle() error {
 	ns.stepMu.Lock()
 	defer ns.stepMu.Unlock()
+	return ns.step(nil)
+}
 
+// step is StepCycle's cycle, run under stepMu. The pacer passes the
+// cycle's tick, and the cycle is recorded (recordCycle) once its work
+// is done.
+func (ns *NetServer) step(tick *Tick) error {
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -1566,7 +1660,11 @@ func (ns *NetServer) StepCycle() error {
 		return err
 	}
 	stepDur := time.Since(start)
+	abort := ns.srv.TakeRebuildAbort()
 	ns.mu.Unlock()
+	if abort != nil {
+		ns.logf("netserve: node=%s: %v", ns.opts.NodeID, abort)
+	}
 
 	ns.phaseRead.Observe(stepDur.Microseconds())
 	if ns.reportHook != nil {
@@ -1574,15 +1672,20 @@ func (ns *NetServer) StepCycle() error {
 	}
 	// Idle cycles (common while a cohort drains its queues) skip the
 	// stage histogram so they don't dilute the phase mean with zeros.
+	var stageDur time.Duration
 	if len(rep.Delivered)+len(rep.Hiccups)+len(rep.Finished)+len(rep.Terminated) > 0 {
 		start = time.Now()
 		ns.stage(rep)
-		ns.phaseStage.Observe(time.Since(start).Microseconds())
+		stageDur = time.Since(start)
+		ns.phaseStage.Observe(stageDur.Microseconds())
 	}
 	// Sessions may have finished or shed this cycle.
 	ns.mu.Lock()
 	ns.checkDrainedLocked()
 	ns.mu.Unlock()
+	if tick != nil {
+		ns.recordCycle(rep.Cycle, *tick, stepDur, stageDur)
+	}
 	return nil
 }
 

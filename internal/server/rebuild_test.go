@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ftmm/internal/analytic"
@@ -116,6 +117,84 @@ func TestOnlineRebuildStreamingRAIDWhileServing(t *testing.T) {
 	}
 	if got := s.Stats().Reconstructions - before; got != 0 {
 		t.Fatalf("%d reconstructions after rebuild completed", got)
+	}
+}
+
+// A second failure in the groups an online rebuild restores ends the
+// rebuild, not the service: every later Step still returns its cycle's
+// report, the abort is counted and reported once, the replacement's
+// unwritten tracks are read around like any two-failure loss, and a tape
+// reload still restores both drives.
+func TestOnlineRebuildAbortsOnSecondFailure(t *testing.T) {
+	s, err := New(testOptions(analytic.StreamingRAID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadTitles(t, s, 1, 32)
+	if _, _, err := s.Request("movie0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunFor(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StartOnlineRebuild(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if s.RebuildRemaining() == 0 {
+		t.Fatal("rebuild finished in one cycle; the test needs it still running")
+	}
+	if err := s.FailDisk(2); err != nil { // same cluster as drive 1
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		cycle := s.Engine().Cycle()
+		rep, err := s.Step()
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if rep == nil || rep.Cycle != cycle {
+			t.Fatalf("cycle %d: report %+v", cycle, rep)
+		}
+	}
+	if got := s.Metrics().Counter("rebuild_aborted").Value(); got != 1 {
+		t.Errorf("rebuild_aborted = %d, want 1", got)
+	}
+	if got := s.RebuildRemaining(); got != 0 {
+		t.Errorf("RebuildRemaining = %d after the abort, want 0", got)
+	}
+	if err := s.TakeRebuildAbort(); err == nil || !strings.Contains(err.Error(), "drive 1") {
+		t.Errorf("TakeRebuildAbort = %v, want the abandoned rebuild of drive 1", err)
+	}
+	if err := s.TakeRebuildAbort(); err != nil {
+		t.Errorf("second TakeRebuildAbort = %v, want nil", err)
+	}
+	if err := s.RunUntilIdle(300); err != nil {
+		t.Fatal(err)
+	}
+	crashed := s.Stats()
+	if crashed.Hiccups == 0 {
+		t.Fatal("two drives short in one cluster produced no hiccups")
+	}
+
+	for _, d := range []int{1, 2} {
+		if _, err := s.RebuildFromTertiary(d); err != nil {
+			t.Fatalf("tertiary rebuild of %d: %v", d, err)
+		}
+	}
+	if _, _, err := s.Request("movie0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(300); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Hiccups - crashed.Hiccups; got != 0 {
+		t.Fatalf("%d hiccups after the tape reload", got)
 	}
 }
 

@@ -128,6 +128,9 @@ type Server struct {
 	rebuilder     *rebuild.Rebuilder
 	rebuildDrive  int
 	rebuildBudget int
+	// rebuildAbort says why the last online rebuild was abandoned, until
+	// TakeRebuildAbort hands it to whoever logs it.
+	rebuildAbort error
 	// pending holds queued admission requests (title IDs), FIFO.
 	pending []string
 	// draining, once set, refuses all new admissions (graceful shutdown).
@@ -290,6 +293,8 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 
 // Step advances one scheduling cycle and folds the report into the
 // server's stats. Finished and terminated streams unpin their titles.
+// An online rebuild that cannot continue does not fail the cycle: see
+// stepRebuild.
 func (s *Server) Step() (*sched.CycleReport, error) {
 	s.drainQueue()
 	rep, err := s.engine.Step()
@@ -313,7 +318,7 @@ func (s *Server) Step() (*sched.CycleReport, error) {
 	for _, id := range rep.Terminated {
 		s.release(id)
 	}
-	if err := s.stepRebuild(); err != nil {
+	if err := s.stepRebuild(rep.Cycle); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -423,13 +428,32 @@ func (s *Server) RebuildRemaining() int {
 	return s.rebuilder.Remaining()
 }
 
+// TakeRebuildAbort returns why the last online rebuild was abandoned, or
+// nil, and forgets it: each abort is reported once.
+func (s *Server) TakeRebuildAbort() error {
+	err := s.rebuildAbort
+	s.rebuildAbort = nil
+	return err
+}
+
 // stepRebuild advances an in-progress online rebuild by one cycle.
-func (s *Server) stepRebuild() error {
+//
+// A rebuild step fails when a drive it reads from has failed too — a
+// second failure in the parity groups being restored. Such a rebuild is
+// abandoned, not retried: every later step would fail the same way. The
+// replacement drive's unwritten tracks read as disk.ErrEmptyTrack, so the
+// engine reconstructs or hiccups around them exactly as at any two-failure
+// boundary, and a later StartOnlineRebuild or RebuildFromTertiary can
+// still restore the drive. The abort counts in rebuild_aborted.
+func (s *Server) stepRebuild(cycle int) error {
 	if s.rebuilder == nil || s.rebuilder.Done() {
 		return nil
 	}
 	if _, err := s.rebuilder.Step(s.rebuildBudget); err != nil {
-		return err
+		s.rebuilder = nil
+		s.opts.Metrics.Counter("rebuild_aborted").Inc()
+		s.rebuildAbort = fmt.Errorf("server: online rebuild of drive %d abandoned at cycle %d: %w", s.rebuildDrive, cycle, err)
+		return nil
 	}
 	if s.rebuilder.Done() {
 		s.rebuilder = nil
