@@ -31,7 +31,6 @@ import (
 
 	"ftmm/internal/chaos"
 	"ftmm/internal/diskmodel"
-	"ftmm/internal/scenario"
 	"ftmm/internal/sched"
 	"ftmm/internal/server"
 	"ftmm/internal/trace"
@@ -179,7 +178,7 @@ func run() error {
 
 // runChaos executes a deterministic fault-injection campaign. The exit
 // status is non-zero when any invariant was violated, and -chaos-out
-// saves each shrunk trace as a scenario file that -scenario replays.
+// saves each shrunk schedule as a scenario file that -scenario replays.
 func runChaos() error {
 	cfg := chaos.CampaignConfig{
 		Seed: *seed, Runs: *campaignRuns, Workers: *workers, Nodes: *chaosNodes,
@@ -212,7 +211,7 @@ func runChaos() error {
 			if err := os.MkdirAll(*chaosOut, 0o755); err != nil {
 				return err
 			}
-			data, err := json.MarshalIndent(v.Shrunk.ToSpec(), "", "  ")
+			data, err := json.MarshalIndent(v.Shrunk, "", "  ")
 			if err != nil {
 				return err
 			}
@@ -256,7 +255,7 @@ func (r *scenarioRecorder) AfterStep(_ *chaos.RunContext, rep *sched.CycleReport
 
 func (r *scenarioRecorder) End(*chaos.RunContext) error { return r.rec.VerifyIntegrity() }
 
-// runScenario replays a declarative JSON scenario file through the
+// runScenario replays a scenario file (a chaos schedule) through the
 // chaos runner under the default checkers — one node or many — prints
 // the run summary, and exits non-zero on any invariant breach.
 func runScenario(path string) error {
@@ -264,13 +263,13 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := scenario.Parse(data)
+	sch, err := chaos.ParseSchedule(data)
 	if err != nil {
 		return err
 	}
 	var nodes []*scenarioRecorder
 	res, err := chaos.Run(chaos.RunConfig{
-		Schedule: *chaos.FromSpec(spec),
+		Schedule: *sch,
 		NewCheckers: func() []chaos.Checker {
 			r := &scenarioRecorder{}
 			nodes = append(nodes, r)
@@ -317,8 +316,14 @@ func runScenario(path string) error {
 		}
 	}
 
-	fmt.Printf("scenario %s: scheme=%s nodes=%d farm=%dx%d per node\n", path, spec.Scheme, len(nodes), spec.Disks, spec.ClusterSize)
-	fmt.Printf("requests admitted/rejected: %d/%d\n", len(res.Sessions), len(spec.Requests)-len(res.Sessions))
+	requests := 0
+	for _, ev := range sch.Events {
+		if ev.Kind == chaos.EventAdmit {
+			requests++
+		}
+	}
+	fmt.Printf("scenario %s: scheme=%s nodes=%d farm=%dx%d per node\n", path, sch.Scheme, len(nodes), sch.Disks, sch.ClusterSize)
+	fmt.Printf("requests admitted/rejected: %d/%d\n", len(res.Sessions), requests-len(res.Sessions))
 	fmt.Printf("delivered tracks:           %d\n", st.Delivered)
 	fmt.Printf("hiccups:                    %d\n", st.Hiccups)
 	causes := make([]string, 0, len(hiccups))

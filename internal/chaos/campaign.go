@@ -47,9 +47,9 @@ type RunRecord struct {
 	// Events is the generated schedule's event count, before shrinking.
 	Events    int       `json:"events"`
 	Violation Violation `json:"violation"`
-	// Shrunk is the minimized reproducing schedule; export it with
-	// ToSpec for replay. Equal to the generated schedule when shrinking
-	// is disabled.
+	// Shrunk is the minimized reproducing schedule; its JSON is a
+	// scenario file that replays it. Equal to the generated schedule
+	// when shrinking is disabled.
 	Shrunk Schedule `json:"shrunk"`
 }
 

@@ -18,24 +18,29 @@
 //     live report, delivered bytes match the stored content, and
 //     per-stream delivery advances one consecutive track at a time.
 //
-// Run is the repo's one schedule interpreter: generated schedules and
-// scenario files (FromSpec) alike, on one node or across many, go
-// through it and its single event table (apply).
+// A Schedule is also the scenario file format: ParseSchedule reads the
+// files under scenarios/, and a shrunk trace is written out as the
+// Schedule JSON it is. Run is the repo's one schedule interpreter:
+// generated schedules and scenario files alike, on one node or across
+// many, go through it and its single event table (apply).
 //
 // Everything is reproducible from one int64 seed at any worker count.
 // On violation the campaign shrinks the schedule with delta debugging
-// to a 1-minimal reproducing trace and can export it as a scenario file
-// that cmd/ftmmsim replays (`-scenario`); regression traces live under
-// scenarios/.
+// to a 1-minimal reproducing trace that cmd/ftmmsim can write out and
+// replay (`-scenario`); regression traces live under scenarios/.
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ftmm/internal/analytic"
-	"ftmm/internal/scenario"
+	"ftmm/internal/diskmodel"
 	"ftmm/internal/server"
+	"ftmm/internal/units"
 )
 
 // EventKind names a schedule event type.
@@ -109,7 +114,8 @@ type Event struct {
 
 // Schedule is one complete chaos run description: a farm shape, a
 // catalog, and an event timeline. It is the unit the generator emits,
-// the runner executes, and the shrinker minimizes.
+// the runner executes, the shrinker minimizes, and a scenario file
+// holds. Same-cycle events apply in the order they are listed.
 type Schedule struct {
 	// Scheme is a server.ParseScheme name: sr, sg, nc, nc-simple, ib,
 	// dc.
@@ -143,6 +149,39 @@ func (s *Schedule) FarmUnit() int {
 		return 2*s.ClusterSize - 1
 	}
 	return s.ClusterSize
+}
+
+// DiskParams sizes drives to hold the catalog comfortably. Every node of
+// a run gets this geometry, so a replayed trace reproduces its run byte
+// for byte.
+func (s *Schedule) DiskParams() diskmodel.Params {
+	p := diskmodel.Table1()
+	tracksPerTitle := s.TitleGroups * s.ClusterSize
+	p.Capacity = units.ByteSize((s.Titles*tracksPerTitle)/s.Disks+tracksPerTitle+50) * p.TrackSize
+	return p
+}
+
+// ParseSchedule decodes a scenario file. Unknown fields are rejected so
+// typos fail loudly, and max_cycles defaults to 10 000. A file must
+// admit at least one stream; that rule is the file's alone, because the
+// shrinker's subsets may drop every admission and must still run.
+func ParseSchedule(data []byte) (*Schedule, error) {
+	var s Schedule
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	if s.MaxCycles == 0 {
+		s.MaxCycles = 10_000
+	}
+	if !slices.ContainsFunc(s.Events, func(ev Event) bool { return ev.Kind == EventAdmit }) {
+		return nil, errors.New("chaos: schedule admits no stream")
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &s, nil
 }
 
 // Validate checks the schedule's shape.
@@ -219,108 +258,4 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ToSpec converts the schedule into a replayable scenario.Spec: the
-// exact form `ftmmsim -scenario` consumes and the regression corpus
-// under scenarios/ is stored in. Fail events pair with the next repair,
-// rebuild or tape reload of the same drive; repairs whose failure is
-// absent from the schedule are dropped (the runner treats them as
-// no-ops anyway).
-func (s *Schedule) ToSpec() *scenario.Spec {
-	spec := &scenario.Spec{
-		Scheme: s.Scheme, Disks: s.Disks, ClusterSize: s.ClusterSize,
-		DeclusterGroup: s.DeclusterGroup,
-		K:              s.K, Titles: s.Titles, TitleGroups: s.TitleGroups,
-		MaxCycles: s.MaxCycles,
-		Nodes:     s.Nodes, Replicas: s.Replicas, PlacementSeed: s.PlacementSeed,
-	}
-	for _, ev := range s.Events {
-		switch ev.Kind {
-		case EventAdmit:
-			spec.Requests = append(spec.Requests, scenario.Request{Cycle: ev.Cycle, Title: ev.Title})
-		case EventCancel:
-			spec.Cancels = append(spec.Cancels, scenario.Cancel{Cycle: ev.Cycle, Stream: ev.Stream})
-		case EventFail:
-			spec.Failures = append(spec.Failures, scenario.Failure{Cycle: ev.Cycle, Drive: ev.Drive, Node: ev.Node})
-		case EventNodeKill:
-			spec.NodeEvents = append(spec.NodeEvents, scenario.NodeEvent{Cycle: ev.Cycle, Kind: "kill", Node: ev.Node})
-		case EventNodeDrain:
-			spec.NodeEvents = append(spec.NodeEvents, scenario.NodeEvent{Cycle: ev.Cycle, Kind: "drain", Node: ev.Node})
-		case EventPause:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "pause", Stream: ev.Stream})
-		case EventVcrResume:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "resume", Stream: ev.Stream})
-		case EventFF:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "ff", Stream: ev.Stream, Rate: ev.Rate})
-		case EventRewind:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "rewind", Stream: ev.Stream, Track: ev.Track})
-		case EventRepair, EventRebuild, EventTertiary:
-			for i := len(spec.Failures) - 1; i >= 0; i-- {
-				f := &spec.Failures[i]
-				if f.Drive == ev.Drive && f.Node == ev.Node && f.RepairCycle == 0 && f.Cycle < ev.Cycle {
-					f.RepairCycle = ev.Cycle
-					f.RebuildBudget = ev.Budget
-					f.Tertiary = ev.Kind == EventTertiary
-					break
-				}
-			}
-		}
-	}
-	return spec
-}
-
-// FromSpec converts a scenario into a chaos schedule — the only way a
-// scenario file runs: `ftmmsim -scenario` and the corpus test both walk
-// scenarios/*.json through this and Run.
-func FromSpec(spec *scenario.Spec) *Schedule {
-	s := &Schedule{
-		Scheme: spec.Scheme, Disks: spec.Disks, ClusterSize: spec.ClusterSize,
-		DeclusterGroup: spec.DeclusterGroup,
-		K:              spec.K, Titles: spec.Titles, TitleGroups: spec.TitleGroups,
-		MaxCycles: spec.MaxCycles,
-		Nodes:     spec.Nodes, Replicas: spec.Replicas, PlacementSeed: spec.PlacementSeed,
-	}
-	if s.MaxCycles == 0 {
-		s.MaxCycles = 10_000
-	}
-	for _, r := range spec.Requests {
-		s.Events = append(s.Events, Event{Cycle: r.Cycle, Kind: EventAdmit, Title: r.Title})
-	}
-	for _, f := range spec.Failures {
-		s.Events = append(s.Events, Event{Cycle: f.Cycle, Kind: EventFail, Drive: f.Drive, Node: f.Node})
-		if f.RepairCycle > 0 {
-			kind := EventRepair
-			switch {
-			case f.Tertiary:
-				kind = EventTertiary
-			case f.RebuildBudget > 0:
-				kind = EventRebuild
-			}
-			s.Events = append(s.Events, Event{Cycle: f.RepairCycle, Kind: kind, Drive: f.Drive, Budget: f.RebuildBudget, Node: f.Node})
-		}
-	}
-	for _, ne := range spec.NodeEvents {
-		kind := EventNodeKill
-		if ne.Kind == "drain" {
-			kind = EventNodeDrain
-		}
-		s.Events = append(s.Events, Event{Cycle: ne.Cycle, Kind: kind, Node: ne.Node})
-	}
-	for _, c := range spec.Cancels {
-		s.Events = append(s.Events, Event{Cycle: c.Cycle, Kind: EventCancel, Stream: c.Stream})
-	}
-	for _, v := range spec.VcrEvents {
-		kind := EventPause
-		switch v.Kind {
-		case "resume":
-			kind = EventVcrResume
-		case "ff":
-			kind = EventFF
-		case "rewind":
-			kind = EventRewind
-		}
-		s.Events = append(s.Events, Event{Cycle: v.Cycle, Kind: kind, Stream: v.Stream, Rate: v.Rate, Track: v.Track})
-	}
-	return s
 }

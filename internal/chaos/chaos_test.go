@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ftmm/internal/failure"
-	"ftmm/internal/scenario"
 	"ftmm/internal/server"
 )
 
@@ -154,33 +154,52 @@ func TestCampaignCatchesInjectedRebuildBug(t *testing.T) {
 	// disk only when a stream requests them — without it the farm holds
 	// no tracks to corrupt), the failure, and its corrupted repair.
 	shrunk := mustCatchAndShrink(t, RunConfig{Schedule: sch, Hooks: hooks}, "parity", 3)
-	// The shrunk trace must still reproduce when replayed from its
-	// scenario form (the corpus round-trip).
-	replay := FromSpec(shrunk.ToSpec())
+	// The shrunk trace must still reproduce when replayed from the
+	// scenario file it is exported as.
+	replay, err := ParseSchedule(marshal(t, shrunk))
+	if err != nil {
+		t.Fatalf("exported trace does not parse: %v", err)
+	}
 	res2, err := Run(RunConfig{Schedule: *replay, Hooks: hooks})
 	if err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	if res2.Violation == nil || res2.Violation.Checker != "parity" {
-		t.Errorf("shrunk trace did not reproduce after a scenario round-trip: %+v", res2.Violation)
+		t.Errorf("shrunk trace did not reproduce from its scenario file: %+v", res2.Violation)
 	}
 }
 
-// TestScheduleSpecRoundTrip checks that every generated schedule
-// survives Schedule -> scenario.Spec -> Schedule with its semantics
-// intact (spec validation included — the corpus under scenarios/ is
-// written through this path).
+// TestScheduleSpecRoundTrip: every generated single-node schedule,
+// written out as a scenario file and parsed back, is the same schedule
+// and runs to the same result.
 func TestScheduleSpecRoundTrip(t *testing.T) {
-	for i := 0; i < 30; i++ {
-		sch := generateAt(t, *seedFlag, i)
-		spec := sch.ToSpec()
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("schedule %d: exported spec invalid: %v\n%s", i, err, marshal(t, sch))
-		}
-		back := FromSpec(spec)
-		if err := back.Validate(); err != nil {
-			t.Fatalf("schedule %d: round-tripped schedule invalid: %v", i, err)
-		}
+	for i := 0; i < 200; i++ {
+		assertExportExact(t, generateAt(*seedFlag, i, 1))
+	}
+}
+
+// assertExportExact checks that a schedule exported as JSON (what
+// ftmmsim -chaos-out writes) parses back to an equal schedule whose run
+// result matches the original run's, ledger and all.
+func assertExportExact(t *testing.T, sch Schedule) {
+	t.Helper()
+	back, err := ParseSchedule(marshal(t, sch))
+	if err != nil {
+		t.Fatalf("exported schedule does not parse: %v\n%s", err, marshal(t, sch))
+	}
+	if !reflect.DeepEqual(*back, sch) {
+		t.Fatalf("export changed the schedule:\n%s\n%s", marshal(t, sch), marshal(t, back))
+	}
+	want, err := Run(RunConfig{Schedule: sch})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got, err := Run(RunConfig{Schedule: *back})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if a, b := marshal(t, want), marshal(t, got); string(a) != string(b) {
+		t.Fatalf("replay ran differently:\n%s\n%s", a, b)
 	}
 }
 
@@ -202,11 +221,11 @@ func TestChaosCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, err := scenario.Parse(data)
+			sch, err := ParseSchedule(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(RunConfig{Schedule: *FromSpec(spec)})
+			res, err := Run(RunConfig{Schedule: *sch})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -272,9 +291,9 @@ func mustCatchAndShrink(t *testing.T, cfg RunConfig, checker string, maxEvents i
 	return shrunk
 }
 
-func generateAt(t *testing.T, seed int64, i int) Schedule {
-	t.Helper()
+// generateAt draws the schedule of campaign run i.
+func generateAt(seed int64, i, nodes int) Schedule {
 	schemes := SchemeNames()
 	rng := rand.New(rand.NewSource(failure.TrialSeed(seed, i)))
-	return Generate(rng, schemes[i%len(schemes)], 1)
+	return Generate(rng, schemes[i%len(schemes)], nodes)
 }

@@ -1,11 +1,6 @@
 package chaos
 
-import (
-	"math/rand"
-	"testing"
-
-	"ftmm/internal/failure"
-)
+import "testing"
 
 // killSchedule is the canonical cluster drill: streams on three nodes,
 // one node killed mid-stream, one drained later.
@@ -169,40 +164,12 @@ func TestClusterCampaignReproducible(t *testing.T) {
 	}
 }
 
-// TestClusterScheduleSpecRoundTrip: generated cluster schedules survive
-// Schedule -> scenario.Spec -> Schedule with topology and node events
-// intact (the cluster corpus is written through this path).
+// TestClusterScheduleSpecRoundTrip: the same export check as
+// TestScheduleSpecRoundTrip over three-node schedules, where node kills
+// share cycles with VCR and drive events and their order decides the
+// session ledger.
 func TestClusterScheduleSpecRoundTrip(t *testing.T) {
-	schemes := SchemeNames()
-	for i := 0; i < 30; i++ {
-		rng := rand.New(rand.NewSource(failure.TrialSeed(*seedFlag, i)))
-		sch := Generate(rng, schemes[i%len(schemes)], 3)
-		spec := sch.ToSpec()
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("schedule %d: exported spec invalid: %v\n%s", i, err, marshal(t, sch))
-		}
-		back := FromSpec(spec)
-		if err := back.Validate(); err != nil {
-			t.Fatalf("schedule %d: round-tripped schedule invalid: %v", i, err)
-		}
-		if back.Nodes != sch.Nodes || back.Replicas != sch.Replicas || back.PlacementSeed != sch.PlacementSeed {
-			t.Fatalf("schedule %d: topology lost in round-trip: %+v vs %+v", i, back, sch)
-		}
-		kills := func(s *Schedule) (n, d int) {
-			for _, ev := range s.Events {
-				switch ev.Kind {
-				case EventNodeKill:
-					n++
-				case EventNodeDrain:
-					d++
-				}
-			}
-			return
-		}
-		k1, d1 := kills(&sch)
-		k2, d2 := kills(back)
-		if k1 != k2 || d1 != d2 {
-			t.Fatalf("schedule %d: node events lost in round-trip (%d/%d kills, %d/%d drains)", i, k1, k2, d1, d2)
-		}
+	for i := 0; i < 200; i++ {
+		assertExportExact(t, generateAt(*seedFlag, i, 3))
 	}
 }

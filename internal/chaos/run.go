@@ -73,28 +73,18 @@ type EventObserver interface {
 	OnEvent(rc *RunContext, ev Event) error
 }
 
-// NodeState is a node's lifecycle state during a run.
-type NodeState int
-
-const (
-	// NodeActive nodes take admissions and failovers.
-	NodeActive NodeState = iota
-	// NodeDraining nodes play out their streams but take no placements;
-	// they must end empty and still face the End checkers.
-	NodeDraining
-	// NodeDead nodes never step again and skip the End checkers — the
-	// disposable-node principle: their loss is paid in sessions, never
-	// in cluster invariants.
-	NodeDead
-)
-
 // NodeRun is one node of a run: a complete server holding its placement
 // slice of the catalog, with its own checker set and run context
-// (per-node invariants are per-node facts).
+// (per-node invariants are per-node facts). Active nodes take admissions
+// and failovers. Draining nodes play out their streams but take no
+// placements; they must end empty and still face the End checkers. Dead
+// nodes never step again and skip the End checkers — the disposable-node
+// principle: their loss is paid in sessions, never in cluster
+// invariants.
 type NodeRun struct {
 	Index    int
 	ID       string
-	State    NodeState
+	State    cluster.MemberState
 	Srv      *server.Server
 	RC       *RunContext
 	Checkers []Checker
@@ -237,7 +227,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 
-	params := sch.ToSpec().DiskParams()
+	params := sch.DiskParams()
 	trackSize := int(params.TrackSize)
 	width := sch.ClusterSize - 1
 	titles := make([]string, sch.Titles)
@@ -286,7 +276,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			}
 		}
 		crc.Nodes = append(crc.Nodes, &NodeRun{
-			Index: i, ID: nodeID, Srv: srv,
+			Index: i, ID: nodeID, State: cluster.StateActive, Srv: srv,
 			RC: &RunContext{
 				Srv: srv, Schedule: sch, Content: content, TrackSize: trackSize,
 				ResumeStart: make(map[int]int),
@@ -363,7 +353,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		for i, nd := range crc.Nodes {
 			reps[i] = nil
-			if nd.State == NodeDead {
+			if nd.State == cluster.StateDead {
 				continue
 			}
 			rep, err := nd.Srv.Step()
@@ -396,7 +386,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			// need them released.
 			crc.Cycle = cycle + 1
 			for _, nd := range crc.Nodes {
-				if nd.State == NodeDead {
+				if nd.State == cluster.StateDead {
 					continue
 				}
 				nd.RC.Cycle = cycle + 1
@@ -412,7 +402,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	res.Drained = crc.Drained
 
 	for _, nd := range crc.Nodes {
-		if nd.State == NodeDead {
+		if nd.State == cluster.StateDead {
 			continue // disposable: a killed node's carcass owes nothing
 		}
 		for _, c := range nd.Checkers {
@@ -442,7 +432,7 @@ func holds(pl *cluster.Placement, title, node string) bool {
 // allIdle reports whether every surviving node finished its work.
 func (r *runner) allIdle() bool {
 	for _, nd := range r.crc.Nodes {
-		if nd.State == NodeDead {
+		if nd.State == cluster.StateDead {
 			continue
 		}
 		if nd.Srv.Engine().Active() != 0 || nd.Srv.RebuildRemaining() != 0 {
@@ -452,33 +442,25 @@ func (r *runner) allIdle() bool {
 	return true
 }
 
-// load counts the sessions a node currently serves.
-func (r *runner) load(idx int) int {
-	n := 0
-	for _, s := range r.crc.Sessions {
-		if s.Node == idx {
-			n++
-		}
-	}
-	return n
-}
-
 // candidates returns the nodes that may take a placement for title, in
-// failover preference order refined by load: fewest live sessions
-// first, placement rank breaking ties. Only active nodes qualify —
-// draining nodes are leaving and dead ones are gone.
+// the coordinator's routing order (cluster.View.Candidates) over a view
+// of the run's nodes loaded with their live sessions.
 func (r *runner) candidates(title string) []*NodeRun {
-	var out []*NodeRun
-	for _, holder := range r.crc.Placement.Holders(title) {
-		for _, nd := range r.crc.Nodes {
-			if nd.ID == holder && nd.State == NodeActive {
-				out = append(out, nd)
-			}
+	view := cluster.View{Members: make([]cluster.Member, len(r.crc.Nodes))}
+	byID := make(map[string]*NodeRun, len(r.crc.Nodes))
+	for i, nd := range r.crc.Nodes {
+		view.Members[i] = cluster.Member{ID: nd.ID, State: nd.State}
+		byID[nd.ID] = nd
+	}
+	for _, s := range r.crc.Sessions {
+		if s.Node >= 0 {
+			view.Members[s.Node].Sessions++
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return r.load(out[i].Index) < r.load(out[j].Index)
-	})
+	var out []*NodeRun
+	for _, m := range view.Candidates(r.crc.Placement.Holders(title), nil) {
+		out = append(out, byID[m.ID])
+	}
 	return out
 }
 
@@ -512,8 +494,7 @@ func (r *runner) unseat(ses *Session) *NodeRun {
 // errors are reserved for states no subset of a well-formed schedule
 // can reach — and reports whether it took effect and on which node
 // (nil for run-wide events), so that node's observers see it. A new
-// event kind is one more case here (plus its Validate and ToSpec/
-// FromSpec lines).
+// event kind is one more case here plus one in Validate.
 func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 	crc := r.crc
 	switch ev.Kind {
@@ -537,7 +518,7 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 
 	case EventFail, EventRepair, EventRebuild, EventTertiary:
 		nd := crc.Nodes[ev.Node]
-		if nd.State == NodeDead {
+		if nd.State == cluster.StateDead {
 			return false, nil, nil // shard is gone; its drives with it
 		}
 		drv, err := nd.Srv.Farm().Drive(ev.Drive)
@@ -569,19 +550,19 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 
 	case EventNodeKill:
 		nd := crc.Nodes[ev.Node]
-		if nd.State == NodeDead {
+		if nd.State == cluster.StateDead {
 			return false, nil, nil
 		}
-		nd.State = NodeDead
+		nd.State = cluster.StateDead
 		r.failover(nd)
 		return true, nil, nil
 
 	case EventNodeDrain:
 		nd := crc.Nodes[ev.Node]
-		if nd.State != NodeActive {
+		if nd.State != cluster.StateActive {
 			return false, nil, nil
 		}
-		nd.State = NodeDraining
+		nd.State = cluster.StateDraining
 		return true, nil, nil
 
 	case EventCancel:

@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"ftmm/internal/scenario"
 	"ftmm/internal/sched"
 	"ftmm/internal/server"
 )
@@ -26,6 +28,7 @@ func (p *probe) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
 func (p *probe) End(*RunContext) error                           { return nil }
 func (p *probe) OnEvent(_ *RunContext, ev Event) error           { p.applied[ev.Kind]++; return nil }
 
+// specJSON is a scenario file: a Schedule as JSON.
 const specJSON = `{
   "scheme": "nc",
   "disks": 10,
@@ -33,30 +36,29 @@ const specJSON = `{
   "k": 2,
   "titles": 4,
   "title_groups": 8,
-  "requests": [
-    {"cycle": 0, "title": "title0"},
-    {"cycle": 1, "title": "title1"},
-    {"cycle": 2, "title": "title2"}
-  ],
-  "failures": [
-    {"cycle": 6, "drive": 2, "repair_cycle": 20}
+  "events": [
+    {"cycle": 0, "kind": "admit", "title": "title0"},
+    {"cycle": 1, "kind": "admit", "title": "title1"},
+    {"cycle": 2, "kind": "admit", "title": "title2"},
+    {"cycle": 6, "kind": "fail", "drive": 2},
+    {"cycle": 20, "kind": "repair", "drive": 2}
   ]
 }`
 
 // runSpec parses a scenario and replays it through the one runner under
 // the default checkers plus a probe; the run must be clean.
-func runSpec(t *testing.T, jsonSpec string, edit func(*scenario.Spec)) (*RunResult, *probe) {
+func runSpec(t *testing.T, jsonSpec string, edit func(*Schedule)) (*RunResult, *probe) {
 	t.Helper()
-	spec, err := scenario.Parse([]byte(jsonSpec))
+	sch, err := ParseSchedule([]byte(jsonSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if edit != nil {
-		edit(spec)
+		edit(sch)
 	}
 	p := newProbe()
 	res, err := Run(RunConfig{
-		Schedule:    *FromSpec(spec),
+		Schedule:    *sch,
 		NewCheckers: func() []Checker { return append(DefaultCheckers(), p) },
 	})
 	if err != nil {
@@ -76,6 +78,99 @@ func finished(res *RunResult) int {
 		}
 	}
 	return n
+}
+
+func TestParseValid(t *testing.T) {
+	s, err := ParseSchedule([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Scheme != "nc" || s.Disks != 10 || len(s.Events) != 5 || s.MaxCycles != 10_000 {
+		t.Fatalf("parsed = %+v", s)
+	}
+}
+
+func TestParseRejectsUnknownFields(t *testing.T) {
+	for _, bad := range []string{
+		strings.Replace(specJSON, `"k": 2,`, `"k": 2, "tyop": 1,`, 1),
+		strings.Replace(specJSON, `"drive": 2}`, `"drive": 2, "repair_cycle": 20}`, 1),
+	} {
+		if _, err := ParseSchedule([]byte(bad)); err == nil {
+			t.Fatalf("unknown field accepted:\n%s", bad)
+		}
+	}
+}
+
+func TestParseRejectsBadSpecs(t *testing.T) {
+	cases := []struct{ name, from, to string }{
+		{"bad farm", `"disks": 10`, `"disks": 3`},
+		{"no titles", `"titles": 4`, `"titles": 0`},
+		{"unknown scheme", `"scheme": "nc"`, `"scheme": "zz"`},
+		{"bad drive", `"drive": 2}`, `"drive": 99}`},
+		{"negative event cycle", `{"cycle": 0,`, `{"cycle": -1,`},
+		{"empty title", `"title": "title1"`, `"title": ""`},
+		{"unknown kind", `"kind": "repair"`, `"kind": "mend"`},
+		{"rebuild budget below C-1", `"kind": "repair", "drive": 2}`, `"kind": "rebuild", "drive": 2, "budget": 1}`},
+		{"node event on one node", `"kind": "repair", "drive": 2}`, `"kind": "node-kill"}`},
+	}
+	for _, c := range cases {
+		bad := strings.Replace(specJSON, c.from, c.to, 1)
+		if bad == specJSON {
+			t.Fatalf("%s: replacement did not apply", c.name)
+		}
+		if _, err := ParseSchedule([]byte(bad)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if _, err := ParseSchedule([]byte(`{`)); err == nil {
+		t.Error("truncated JSON accepted")
+	}
+	noAdmits := strings.Replace(specJSON, `{"cycle": 0, "kind": "admit", "title": "title0"},
+    {"cycle": 1, "kind": "admit", "title": "title1"},
+    {"cycle": 2, "kind": "admit", "title": "title2"},`, ``, 1)
+	if noAdmits == specJSON {
+		t.Fatal("no-admits replacement did not apply")
+	}
+	if _, err := ParseSchedule([]byte(noAdmits)); err == nil {
+		t.Error("schedule without an admit accepted")
+	}
+}
+
+// FuzzParse hardens the scenario file surface: arbitrary input must
+// either error or parse into a schedule that passes Validate and comes
+// back unchanged through JSON — never panic. Every committed scenario
+// seeds the corpus.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(specJSON))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"scheme":"sr","disks":10,"cluster_size":5,"titles":1,"title_groups":1,"events":[{"cycle":0,"kind":"admit","title":"title0"}]}`))
+	f.Add([]byte(`{"scheme":"sr","disks":8,"cluster_size":4,"titles":1,"title_groups":2,"events":[{"cycle":0,"kind":"admit","title":"title0"},{"cycle":1,"kind":"pause"},{"cycle":2,"kind":"ff","rate":2},{"cycle":3,"kind":"rewind","track":1},{"cycle":4,"kind":"vcr-resume"}]}`))
+	f.Add([]byte(`{"events":[{"cycle":-1,"kind":"warp","stream":-3,"rate":-9,"track":-1}]}`))
+	f.Add([]byte(`not json at all`))
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSchedule(data)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseSchedule accepted a schedule Validate rejects: %v", err)
+		}
+		back, err := ParseSchedule(marshal(t, s))
+		if err != nil || !reflect.DeepEqual(back, s) {
+			t.Fatalf("schedule did not survive JSON: %v\n%+v\n%+v", err, s, back)
+		}
+	})
 }
 
 func TestSpecEndToEnd(t *testing.T) {
@@ -100,7 +195,7 @@ func TestSpecEndToEnd(t *testing.T) {
 }
 
 func TestSpecTertiaryRepair(t *testing.T) {
-	tert := strings.Replace(specJSON, `"repair_cycle": 20}`, `"repair_cycle": 20, "tertiary": true}`, 1)
+	tert := strings.Replace(specJSON, `"kind": "repair"`, `"kind": "tertiary"`, 1)
 	res, p := runSpec(t, tert, nil)
 	if p.applied[EventTertiary] != 1 {
 		t.Fatalf("tape reload applied %d times, want 1", p.applied[EventTertiary])
@@ -111,7 +206,7 @@ func TestSpecTertiaryRepair(t *testing.T) {
 }
 
 func TestSpecMaxCyclesBound(t *testing.T) {
-	res, _ := runSpec(t, specJSON, func(s *scenario.Spec) { s.MaxCycles = 3 }) // too few to finish
+	res, _ := runSpec(t, specJSON, func(s *Schedule) { s.MaxCycles = 3 }) // too few to finish
 	if res.Cycles != 3 || res.Drained || finished(res) != 0 {
 		t.Fatalf("cycles/drained/finished = %d/%v/%d under a 3-cycle bound", res.Cycles, res.Drained, finished(res))
 	}
@@ -126,46 +221,35 @@ func TestSpecAllSchemes(t *testing.T) {
 	}
 }
 
-// The scenario format leaves the scheme name to the runner, which must
-// refuse one it does not know.
+// A scheme name nobody knows is refused when a scenario file is parsed,
+// and by the runner when a schedule built in code names it.
 func TestSpecUnknownSchemeRejected(t *testing.T) {
-	spec, err := scenario.Parse([]byte(strings.Replace(specJSON, `"scheme": "nc"`, `"scheme": "zz"`, 1)))
+	zz := strings.Replace(specJSON, `"scheme": "nc"`, `"scheme": "zz"`, 1)
+	if _, err := ParseSchedule([]byte(zz)); err == nil {
+		t.Fatal("unknown scheme parsed")
+	}
+	sch, err := ParseSchedule([]byte(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(RunConfig{Schedule: *FromSpec(spec)}); err == nil {
+	sch.Scheme = "zz"
+	if _, err := Run(RunConfig{Schedule: *sch}); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
 
 // TestTertiarySurvivesSpecRoundTrip: a tape reload exported to a
-// scenario comes back as a tape reload, not as nothing (or a parity
-// repair).
+// scenario file comes back as a tape reload, not as nothing (or a
+// parity repair), and replays to the same result.
 func TestTertiarySurvivesSpecRoundTrip(t *testing.T) {
-	sch := Schedule{
+	assertExportExact(t, Schedule{
 		Scheme: "sr", Disks: 8, ClusterSize: 4, K: 1, Titles: 1, TitleGroups: 2, MaxCycles: 40,
 		Events: []Event{
 			{Cycle: 0, Kind: EventAdmit, Title: "title0"},
 			{Cycle: 2, Kind: EventFail, Drive: 1},
 			{Cycle: 5, Kind: EventTertiary, Drive: 1},
 		},
-	}
-	spec := sch.ToSpec()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if f := spec.Failures; len(f) != 1 || !f[0].Tertiary || f[0].RepairCycle != 5 {
-		t.Fatalf("exported failures = %+v, want one tertiary repair at cycle 5", f)
-	}
-	var got []Event
-	for _, ev := range FromSpec(spec).Events {
-		if ev.Kind != EventAdmit && ev.Kind != EventFail {
-			got = append(got, ev)
-		}
-	}
-	if len(got) != 1 || got[0] != sch.Events[2] {
-		t.Fatalf("round-tripped repair events = %+v, want %+v", got, sch.Events[2])
-	}
+	})
 }
 
 // hiccupInjector feeds the continuity checker a report with one extra

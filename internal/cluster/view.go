@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,6 +102,25 @@ func (v *View) Serving() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// Candidates returns the members that may take a session of a title
+// whose placement is holders (home first): active members not named in
+// avoid, least-loaded by Sessions first, placement rank breaking ties so
+// the home node wins when the cluster idles. The coordinator redirects
+// to the first; the chaos runner tries them in order.
+func (v *View) Candidates(holders, avoid []string) []Member {
+	var out []Member
+	for _, id := range holders {
+		if slices.Contains(avoid, id) {
+			continue
+		}
+		if m, ok := v.Member(id); ok && m.State == StateActive {
+			out = append(out, m)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Sessions < out[j].Sessions })
+	return out
 }
 
 // String renders a compact one-line view description.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,7 +185,7 @@ func (c *Coordinator) AddNode(m cluster.Member) error {
 	}
 	m.State = cluster.StateActive
 	c.view.Members = append(c.view.Members, m)
-	if !contains(c.placeIDs, m.ID) {
+	if !slices.Contains(c.placeIDs, m.ID) {
 		c.placeIDs = append(c.placeIDs, m.ID)
 	}
 	c.bumpLocked()
@@ -443,23 +443,15 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 }
 
-// route picks the least-loaded live holder of the title (excluding
-// avoid) and redirects the client there; no live holder is a REJECT —
-// permanent when the title's nodes are gone, transient (Retry-After)
-// when they are merely mid-reconfiguration.
+// route redirects the client to the first of the view's candidates for
+// the title (excluding avoid): least-loaded by last reported sessions.
+// No live holder is a REJECT — permanent when the title's nodes are
+// gone, transient (Retry-After) when they are merely
+// mid-reconfiguration.
 func (c *Coordinator) route(conn net.Conn, title string, avoid []string) {
 	c.mu.Lock()
 	holders := c.placement.Holders(title)
-	var candidates []cluster.Member
-	for _, id := range holders {
-		if contains(avoid, id) {
-			continue
-		}
-		m, ok := c.view.Member(id)
-		if ok && m.State == cluster.StateActive {
-			candidates = append(candidates, m)
-		}
-	}
+	candidates := c.view.Candidates(holders, avoid)
 	c.mu.Unlock()
 	if len(holders) == 0 {
 		_ = writeJSONFrame(conn, frameReject, Reject{Reason: "unknown title"})
@@ -469,22 +461,8 @@ func (c *Coordinator) route(conn net.Conn, title string, avoid []string) {
 		_ = writeJSONFrame(conn, frameReject, Reject{Reason: "no live holder for title"})
 		return
 	}
-	// Least-loaded by last reported sessions; placement preference
-	// order breaks ties, so the home node wins when the cluster idles.
-	sort.SliceStable(candidates, func(i, j int) bool {
-		return candidates[i].Sessions < candidates[j].Sessions
-	})
 	pick := candidates[0]
 	_ = writeJSONFrame(conn, frameRedirect, Redirect{NodeID: pick.ID, Addr: pick.Addr})
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- HTTP admin surface ----

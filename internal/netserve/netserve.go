@@ -301,7 +301,9 @@ func appendTrackHeader(slab []byte, track, dataLen int) ([]byte, []byte) {
 type session struct {
 	id    int
 	title string
-	conn  net.Conn
+	// tracks is the title's length, the bound every seek clamps to.
+	tracks int
+	conn   net.Conn
 
 	// sendq carries one burst per cycle from the cycle loop to the
 	// write loop. The cycle loop closes it on graceful finish so the
@@ -1184,17 +1186,19 @@ func (ns *NetServer) handleFF(sess *session, rate int) {
 func bytesIsVcrOK(frame []byte) bool { return len(frame) > 0 && frame[0] == frameVcrOK }
 
 // handleRewind jumps a session's position backward (or forward — the
-// wire carries an absolute target track). A paused session just moves
-// its held position; a playing one is cancelled and re-admitted at the
-// target's parity-group floor, dropping to normal rate. If the farm
-// cannot take the re-admission the session is left paused at the target
-// with a Retry-After refusal — the position is not lost.
+// wire carries an absolute target track, clamped to the title). A paused
+// session just moves its held position; a playing one is cancelled and
+// re-admitted at the target's parity-group floor, dropping to normal
+// rate. If the farm cannot take the re-admission the session is left
+// paused at the target with a Retry-After refusal — the position is not
+// lost.
 func (ns *NetServer) handleRewind(sess *session, track int) {
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
 		return
 	}
+	track = min(max(track, 0), sess.tracks-1)
 	var reply []byte
 	if sess.paused {
 		sess.resumeTrack = track
@@ -1202,16 +1206,9 @@ func (ns *NetServer) handleRewind(sess *session, track int) {
 		reply = vcrOKCtrl("rewind", 0, track, 1)
 		ns.srv.Metrics().Counter("net_vcr_rewinds").Inc()
 	} else {
-		_, total, ok := ns.srv.StreamProgress(sess.id)
-		if !ok {
+		if _, _, ok := ns.srv.StreamProgress(sess.id); !ok {
 			ns.mu.Unlock()
 			return
-		}
-		if track >= total {
-			track = total - 1
-		}
-		if track < 0 {
-			track = 0
 		}
 		_ = ns.srv.Cancel(sess.id)
 		sess.paused = true
@@ -1345,11 +1342,12 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 	_, total, _ := ns.srv.StreamProgress(id)
 	size, _ := ns.srv.Library().Size(title)
 	sess := &session{
-		id:    id,
-		title: title,
-		conn:  conn,
-		sendq: make(chan *burst, ns.opts.SendQueue),
-		done:  make(chan struct{}),
+		id:     id,
+		title:  title,
+		tracks: total,
+		conn:   conn,
+		sendq:  make(chan *burst, ns.opts.SendQueue),
+		done:   make(chan struct{}),
 	}
 	ok, err := jsonFrame(frameAdmitOK, AdmitOK{
 		StreamID:   id,

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"ftmm/internal/trace"
+	"ftmm/internal/workload"
 )
 
 // waitVcr reads a client's event stream until the next VCR
@@ -258,5 +261,65 @@ func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 	check("after the final cycle", 0)
 	if res := <-done; res.bye != "finished" {
 		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
+	}
+}
+
+// TestPausedRewindPastEndClamps: a paused session rewound past the
+// title's end is held at the last track, so the resume re-admits at the
+// last group's floor and plays the title out bit-exact from there.
+func TestPausedRewindPastEndClamps(t *testing.T) {
+	cfg := defaultRig()
+	cfg.groups = 6
+	r := newLoopRig(t, "sr", cfg)
+	width := cfg.cluster - 1
+	last := r.trackCount - 1
+	floor := last / width * width
+
+	c, _ := r.connect(t, r.titles[0])
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitVcr(t, c); ev.Vcr == nil || ev.Vcr.Verb != "pause" {
+		t.Fatalf("pause not acknowledged: %+v", ev)
+	}
+	if err := c.Rewind(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitVcr(t, c); ev.Vcr == nil || ev.Vcr.Verb != "rewind" || ev.Vcr.NextTrack != last {
+		t.Fatalf("paused rewind past the end: %+v / %+v, want a rewind ack at track %d", ev.Vcr, ev.VcrReject, last)
+	}
+	if err := c.ResumePlay(); err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitVcr(t, c); ev.Vcr == nil || ev.Vcr.Verb != "resume" || ev.Vcr.NextTrack != floor {
+		t.Fatalf("resume after the rewind: %+v / %+v, want a resume ack at track %d", ev.Vcr, ev.VcrReject, floor)
+	}
+
+	done := make(chan *clientResult, 1)
+	go func() { done <- consume(c) }()
+	r.stepUntilIdle(t, 200)
+	res := <-done
+	if res.err != nil || res.bye != "finished" {
+		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
+	}
+	if len(res.hiccups) != 0 {
+		t.Errorf("hiccups after the resume: %v", res.hiccups)
+	}
+	content := workload.SyntheticContent(r.titles[0], r.titleSize)
+	for track := floor; track <= last; track++ {
+		data, ok := res.tracks[track]
+		if !ok {
+			t.Errorf("track %d not delivered after the resume", track)
+			continue
+		}
+		if err := trace.CheckTrack(content, r.trackSize, track, data); err != nil {
+			t.Error(err)
+		}
 	}
 }
