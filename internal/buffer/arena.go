@@ -5,37 +5,41 @@ import (
 	"sync/atomic"
 )
 
-// Arena recycles track-sized byte buffers through a sync.Pool so the
-// steady-state data path stops allocating one slice per track read. It
-// is distinct from Pool: Pool is the paper's track-count *accounting*
-// (capacity and peak, §5's buffer-space penalty), Arena is the Go-level
-// byte-buffer recycler underneath it. The two compose — engines acquire
-// accounting from a Pool and bytes from an Arena.
+// Arena recycles track-sized byte buffers through a free list so the
+// steady-state data path stops allocating one slice per track the engine
+// makes. It is distinct from Pool: Pool is the paper's track-count
+// *accounting* (capacity and peak, §5's buffer-space penalty), Arena is
+// the Go-level byte-buffer recycler underneath it. The two compose —
+// engines acquire accounting from a Pool and bytes from an Arena.
+//
+// The engines take from it only the tracks they make: reconstructions
+// and XOR accumulators. A track read off a platter is lent, not copied
+// (Lend), and never enters the free list.
 //
 // Ownership rule: a buffer obtained from Get/GetZeroed is owned by the
 // caller until it is passed to Put, after which it must not be touched.
 // Put-then-read is the use-after-free of this design; the race detector
-// will not catch it (the pool hands buffers out data-race-free), so the
-// engines follow a strict acquire-at-read, release-at-delivery
+// will not catch it (the free list hands buffers out data-race-free), so
+// the engines follow a strict acquire-at-make, release-at-delivery
 // discipline documented in DESIGN.md.
 type Arena struct {
 	trackSize int
-	pool      sync.Pool
-	gets      atomic.Int64
-	puts      atomic.Int64
-	news      atomic.Int64
+	mu        sync.Mutex
+	// free is a LIFO stack: the most recently returned buffer, the one
+	// most likely still in cache, goes out first. Unlike a sync.Pool it
+	// survives garbage collection and boxes nothing on Put.
+	free [][]byte
+	gets atomic.Int64
+	puts atomic.Int64
+	news atomic.Int64
+	// lent counts Lend Refs not yet released (see Outstanding).
+	lent atomic.Int64
 }
 
 // NewArena creates an arena handing out buffers of exactly trackSize
 // bytes. A nil *Arena is valid: Get allocates fresh and Put discards.
 func NewArena(trackSize int) *Arena {
-	a := &Arena{trackSize: trackSize}
-	a.pool.New = func() any {
-		a.news.Add(1)
-		b := make([]byte, trackSize)
-		return &b
-	}
-	return a
+	return &Arena{trackSize: trackSize}
 }
 
 // TrackSize returns the buffer size this arena hands out.
@@ -46,15 +50,26 @@ func (a *Arena) TrackSize() int {
 	return a.trackSize
 }
 
-// Get returns a track-sized buffer with undefined contents. Callers that
-// fully overwrite the buffer (track reads, parity folds with an initial
-// copy) should use Get; XOR accumulators need GetZeroed.
+// Get returns a track-sized buffer with undefined contents: the last
+// one returned, or a fresh allocation when the free list is empty.
+// Callers that fully overwrite the buffer (parity folds) should use Get;
+// XOR accumulators need GetZeroed.
 func (a *Arena) Get() []byte {
 	if a == nil {
 		return nil
 	}
 	a.gets.Add(1)
-	return *a.pool.Get().(*[]byte)
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		buf := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return buf
+	}
+	a.mu.Unlock()
+	a.news.Add(1)
+	return make([]byte, a.trackSize)
 }
 
 // GetZeroed returns a track-sized buffer with every byte zero, for use
@@ -68,18 +83,22 @@ func (a *Arena) GetZeroed() []byte {
 // Put returns a buffer to the arena. nil buffers and buffers of the
 // wrong size (e.g. slices that came from somewhere else) are ignored, so
 // callers can Put unconditionally at their release points. After Put the
-// caller must not touch the buffer again.
+// caller must not touch the buffer again. A lent view must never be Put:
+// the next Get would hand the platter's bytes out to be written.
 func (a *Arena) Put(buf []byte) {
 	if a == nil || buf == nil || len(buf) != a.trackSize {
 		return
 	}
 	a.puts.Add(1)
-	a.pool.Put(&buf)
+	a.mu.Lock()
+	a.free = append(a.free, buf)
+	a.mu.Unlock()
 }
 
 // Stats reports lifetime counters: buffers handed out, buffers returned,
-// and fresh allocations made because the pool was empty. gets - news is
-// the number of recycled hand-outs.
+// and fresh allocations made because the free list was empty. gets -
+// news is the number of recycled hand-outs. Lent views count in none of
+// them.
 func (a *Arena) Stats() (gets, puts, news int64) {
 	if a == nil {
 		return 0, 0, 0

@@ -85,17 +85,33 @@ func TestArenaConcurrent(t *testing.T) {
 }
 
 // TestArenaSteadyStateAllocs checks that a Get/Put cycle in steady state
-// costs at most the one small header allocation sync.Pool.Put makes for
-// the *[]byte box — not a track-sized buffer.
+// allocates nothing: the free list boxes nothing on Put and, unlike a
+// sync.Pool, is not emptied by a garbage collection.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	a := NewArena(50_000)
-	a.Put(a.Get()) // warm the pool
+	a.Put(a.Get()) // warm the free list
 	n := testing.AllocsPerRun(100, func() {
 		a.Put(a.Get())
 	})
-	// Allow a little slack: a GC during the run may clear the pool and
-	// force one fresh track allocation.
-	if n > 1.5 {
-		t.Errorf("steady-state Get/Put allocates %.1f per run, want ~1", n)
+	if n != 0 {
+		t.Errorf("steady-state Get/Put allocates %.1f per run, want 0", n)
+	}
+	if _, _, news := a.Stats(); news != 1 {
+		t.Errorf("news = %d, want 1 (growth only)", news)
+	}
+}
+
+// TestArenaLIFO pins the free list's order: the buffer returned last is
+// handed out first.
+func TestArenaLIFO(t *testing.T) {
+	a := NewArena(8)
+	b1, b2 := a.Get(), a.Get()
+	a.Put(b1)
+	a.Put(b2)
+	if got := a.Get(); &got[0] != &b2[0] {
+		t.Fatal("Get did not return the most recently Put buffer")
+	}
+	if got := a.Get(); &got[0] != &b1[0] {
+		t.Fatal("second Get did not return the older buffer")
 	}
 }

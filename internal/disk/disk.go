@@ -104,7 +104,9 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 
 // View lends one track's stored bytes, read-only, and counts a read. It
 // is the drive's one lookup; ReadTrack and ReadTrackInto are a clone and
-// a copy of it.
+// a copy of it. Every reader that only reads takes the view: the scheme
+// engines' scheduled reads (which deliver it to clients as is), rebuild
+// and scrub.
 //
 // Invariant: a stored track's slice is replaced, never written into.
 // WriteTrack installs a fresh slice, Fail and Replace drop the whole
@@ -140,9 +142,9 @@ func (d *Drive) ReadTrack(track int) ([]byte, error) {
 }
 
 // ReadTrackInto copies one track's data into dst, which must be exactly
-// one track long. On error dst is left unmodified. This is the zero-
-// allocation read path: pair it with a buffer.Arena to recycle track
-// buffers across cycles.
+// one track long. On error dst is left unmodified. It is for a caller
+// that needs a private, writable copy in a buffer it already owns; a
+// reader that only reads takes View and copies nothing.
 func (d *Drive) ReadTrackInto(dst []byte, track int) error {
 	if len(dst) != int(d.params.TrackSize) {
 		return fmt.Errorf("%w: dst is %d bytes, track is %d", ErrBadSize, len(dst), d.params.TrackSize)

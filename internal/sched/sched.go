@@ -101,7 +101,10 @@ type Delivery struct {
 	ObjectID string
 	// Track is the object-relative data track index.
 	Track int
-	// Data is the delivered track content.
+	// Data is the delivered track content. It is read-only for every
+	// consumer: a track the engine read is the platter's own slice
+	// (disk.Drive.View), so a write into it would change the stored
+	// track for every later reader.
 	Data []byte
 	// Buf is the refcounted handle behind Data; every engine delivery
 	// carries one (netserve ships Data by reference through it). The

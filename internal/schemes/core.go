@@ -7,6 +7,7 @@ import (
 
 	"ftmm/internal/buffer"
 	"ftmm/internal/layout"
+	"ftmm/internal/parity"
 	"ftmm/internal/sched"
 )
 
@@ -28,7 +29,9 @@ type engineCore struct {
 	cycle        int
 	nextID       int
 	pool         *buffer.Pool
-	// arena recycles track-sized byte buffers across cycles; pool above
+	// arena recycles the track-sized buffers the engine makes
+	// (reconstructions, XOR accumulators) across cycles; tracks read off
+	// a platter are lent views and never come from it. pool above
 	// remains the paper's track-count accounting.
 	arena   *buffer.Arena
 	rec     *sched.Recorder
@@ -47,6 +50,11 @@ type engineCore struct {
 	// a group lives on exactly one cluster, and the read phase shards by
 	// cluster, so each map is touched by a single goroutine.
 	stageCaches []map[*layout.Group]*bufferedGroup
+	// spare[cl] holds the headers of finished bufferedGroups of cluster
+	// cl for newGroup to reuse. One list per cluster for the same reason
+	// as stageCaches: the read phase pops only its own cluster's list, and
+	// every release runs outside the read phase.
+	spare [][]*bufferedGroup
 }
 
 // newEngineCore validates the config and builds the chassis for an
@@ -66,6 +74,7 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
 		rec:          sched.NewRecorder(cfg.Metrics),
 		workers:      cfg.Workers,
+		spare:        make([][]*bufferedGroup, cfg.Layout.Clusters()),
 	}, nil
 }
 
@@ -103,7 +112,7 @@ func (c *engineCore) allocStreamID() int {
 }
 
 // readTrack is the one scheduled track read: a slot on the track's drive,
-// the read into an arena buffer, the report counter (DataReads or
+// the platter's view of the track, the report counter (DataReads or
 // ParityReads) bumped. It returns nil — slot kept, as the arm was
 // scheduled — when the drive's budget is spent or the drive has failed.
 func (c *engineCore) readTrack(ctx *sched.CycleContext, loc layout.Location, reads *int) []byte {
@@ -114,19 +123,32 @@ func (c *engineCore) readTrack(ctx *sched.CycleContext, loc layout.Location, rea
 }
 
 // read is readTrack's second half, for stageGroup, which takes a whole
-// group's slots before it reads any of them.
+// group's slots before it reads any of them. The track comes back as
+// the drive's own slice (disk.Drive.View), not a copy: a read track is a
+// view, and nothing in the engine may write into it or Put it.
 func (c *engineCore) read(loc layout.Location, reads *int) []byte {
 	drv, err := c.cfg.Farm.Drive(loc.Disk)
 	if err != nil {
 		return nil
 	}
-	buf := c.arena.Get()
-	if err := drv.ReadTrackInto(buf, loc.Track); err != nil {
-		c.arena.Put(buf)
+	view, err := drv.View(loc.Track)
+	if err != nil {
 		return nil
 	}
 	*reads++
-	return buf
+	return view
+}
+
+// reconstruct makes a group's missing track: the fold of survivors (the
+// parity block and every other data block of the group) into a fresh
+// arena buffer, in one pass. The survivors are views and are only read.
+func (c *engineCore) reconstruct(survivors [][]byte) ([]byte, error) {
+	dst := c.arena.Get()
+	if err := parity.ReconstructInto(dst, survivors); err != nil {
+		c.arena.Put(dst)
+		return nil, err
+	}
+	return dst, nil
 }
 
 // holdBriefly accounts a buffer that lives only within this cycle (a
@@ -139,19 +161,23 @@ func (c *engineCore) holdBriefly() error {
 	return c.pool.Release(1)
 }
 
-// emit is the one delivery: the stream's track goes out sharing buf — or
-// ref, when an earlier sharer of a merged read already minted the handle
-// (a second Share of one buffer would double-free it) — and a track with
-// neither hiccups for the given reason. It returns the handle delivered,
-// which now owns buf; the engine keeps its own reference on it until the
-// next Step's beginCycle.
+// emit is the one delivery: the stream's track goes out in a handle on
+// buf — or on ref, when an earlier sharer of a merged read already
+// minted it (a second handle on one buffer would double-free it) — and a
+// track with neither hiccups for the given reason. The reconstructed
+// flag is also the buffer's kind: a made track is an arena buffer and is
+// Shared, a read track is a platter view and is Lent. It returns the
+// handle delivered, which now owns buf; the engine keeps its own
+// reference on it until the next Step's beginCycle.
 func (c *engineCore) emit(rep *sched.CycleReport, st *sched.Stream, track int, buf []byte, ref *buffer.Ref, reconstructed bool, reason string) *buffer.Ref {
 	switch {
 	case ref != nil:
 		ref.Retain()
 		buf = ref.Bytes()
-	case buf != nil:
+	case buf != nil && reconstructed:
 		ref = c.arena.Share(buf)
+	case buf != nil:
+		ref = c.arena.Lend(buf)
 	default:
 		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{
 			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason,
@@ -252,7 +278,7 @@ func (c *engineCore) stageCacheFor(cl int) map[*layout.Group]*bufferedGroup {
 
 // releaseGroups drops one sharer's hold on the given buffered groups
 // (nils are fine): the sharer's pooled tracks return to the pool, and
-// when the last sharer lets go the byte buffers recycle to the arena.
+// when the last sharer lets go the group is recycled.
 func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 	for _, bg := range bgs {
 		if bg == nil {
@@ -267,28 +293,54 @@ func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 			bg.shares--
 			continue
 		}
-		bg.shares = 0
-		bg.pooled = 0
-		bg.refs = nil
 		c.recycleGroup(bg)
 	}
 	return nil
 }
 
-// recycleGroup hands a buffered group's remaining track buffers back to
-// the arena and clears the slots. Callers must ensure no live CycleReport
-// older than the current Step references the buffers (delivered buffers
-// recycled here stay intact until the next Step's reads reuse them).
+// newGroup returns the staging record for group g with nothing read yet,
+// held by one stream: a recycled header of g's cluster when one is
+// spare, else a fresh one. Only the goroutine working g's cluster may
+// call it during the read phase.
+func (c *engineCore) newGroup(g *layout.Group) *bufferedGroup {
+	// Every group of a layout has the same width, so any spare fits.
+	spare := c.spare[g.Cluster]
+	if n := len(spare); n > 0 {
+		bg := spare[n-1]
+		spare[n-1] = nil
+		c.spare[g.Cluster] = spare[:n-1]
+		bg.group, bg.shares = g, 1
+		return bg
+	}
+	return &bufferedGroup{
+		group:         g,
+		data:          make([][]byte, len(g.Data)),
+		reconstructed: make([]bool, len(g.Data)),
+		shares:        1,
+	}
+}
+
+// recycleGroup ends a buffered group whose last holder let go: the
+// tracks it still holds that the engine made go back to the arena, the
+// read ones (views) are dropped, and the cleared header goes on its
+// cluster's spare list. A track handed to a delivery has already left
+// bg.data (its Ref owns it), so nothing a live report references is
+// recycled here.
 func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	if bg == nil {
 		return
 	}
 	for i, d := range bg.data {
-		if d != nil {
+		if d != nil && bg.reconstructed[i] {
 			c.arena.Put(d)
-			bg.data[i] = nil
 		}
 	}
+	clear(bg.data)
+	clear(bg.reconstructed)
+	clear(bg.refs)
+	cl := bg.group.Cluster
+	*bg = bufferedGroup{data: bg.data, reconstructed: bg.reconstructed, refs: bg.refs}
+	c.spare[cl] = append(c.spare[cl], bg)
 }
 
 // engineStream lets generic helpers reach the embedded sched.Stream of
@@ -407,6 +459,8 @@ type groupEngine struct {
 	// reserve is the per-drive slot count admission holds back (the
 	// headroom Improved-bandwidth's shift needs; 0 elsewhere).
 	reserve int
+	// plan is groupReadPlan's per-cluster table, reset each Step.
+	plan [][]groupReadEntry
 }
 
 // CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
@@ -592,7 +646,13 @@ type groupReadEntry struct {
 // that cluster's one worker, while entries on different clusters write
 // disjoint slots.
 func (e *groupEngine) groupReadPlan() [][]groupReadEntry {
-	plan := make([][]groupReadEntry, e.cfg.Layout.Clusters())
+	if e.plan == nil {
+		e.plan = make([][]groupReadEntry, e.cfg.Layout.Clusters())
+	}
+	plan := e.plan
+	for cl := range plan {
+		plan[cl] = plan[cl][:0]
+	}
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
@@ -645,7 +705,7 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 		ok = false
 	}
 	if !ok {
-		return newBufferedGroup(g), nil
+		return c.newGroup(g), nil
 	}
 	if bg := cache[g]; bg != nil {
 		bg.shares++
@@ -659,22 +719,21 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 		}
 		return bg, nil
 	}
-	staged := newBufferedGroup(g)
+	staged := c.newGroup(g)
 	gr := groupRead{data: staged.data}
 	for i, loc := range g.Data {
 		gr.data[i] = c.read(loc, &staged.dataReads)
 	}
+	// The parity view's only use is the recovery below; it is dropped
+	// with gr.
 	gr.par = c.read(g.Parity, &staged.parityReads)
 	ctx.Rep.DataReads += staged.dataReads
 	ctx.Rep.ParityReads += staged.parityReads
-	if rec, recErr := gr.recoverGroup(); recErr == nil && rec >= 0 {
+	if rec, recErr := gr.recoverGroup(c); recErr == nil && rec >= 0 {
 		staged.reconstructed[rec] = true
 		staged.recovered = true
 		ctx.Rep.Reconstructions++
 	}
-	// The parity buffer's only post-read use is the recovery above (which
-	// consumes it on success); recycle whatever is left.
-	c.arena.Put(gr.par)
 	staged.pooled = len(g.Data) + 1
 	if err := c.pool.Acquire(staged.pooled); err != nil {
 		return nil, err
@@ -750,10 +809,8 @@ func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *b
 		}
 	}
 	// Delivered slots were handed to refs above; the last sharer recycles
-	// only the leftovers (failed reads, padding past ValidTracks).
-	if err := c.releaseGroups(bg); err != nil {
-		return err
-	}
+	// only the leftovers (failed reads, padding past ValidTracks) and the
+	// header, so bg is not touched after the release.
 	s.Advance(bg.group.ValidTracks)
-	return nil
+	return c.releaseGroups(bg)
 }

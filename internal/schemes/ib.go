@@ -5,7 +5,6 @@ import (
 
 	"ftmm/internal/disk"
 	"ftmm/internal/layout"
-	"ftmm/internal/parity"
 	"ftmm/internal/sched"
 )
 
@@ -34,6 +33,16 @@ type ImprovedBandwidth struct {
 	midFail int
 	// terminations counts degradation-of-service stream kills.
 	terminations int
+
+	// Per-Step scratch, reset rather than reallocated each Step:
+	// groups[:n] are this cycle's group reads (the records past n, and
+	// their slices, are reused), byCluster shards them for the parallel
+	// read phase, visited marks the clusters one shift chain has crossed,
+	// and survivors gathers a reconstruction's operands.
+	groups    []*ibGroupRead
+	byCluster [][]*ibGroupRead
+	visited   []bool
+	survivors [][]byte
 }
 
 // ibGroupRead is one group's in-flight read state during a cycle.
@@ -43,12 +52,12 @@ type ibGroupRead struct {
 	bg *bufferedGroup
 	// missing lists in-group offsets that could not be read directly.
 	missing []int
-	// tookOn[disk] counts normal data-read slots this group holds on each
-	// drive (victim bookkeeping for the shift).
+	// reads lists the normal data-read slots this group holds, by offset
+	// and drive (victim bookkeeping for the shift).
 	reads []ibRead
-	// unmaskable marks missing offsets that may not be recovered this
-	// cycle (mid-cycle failure: no time to fetch parity).
-	unmaskable map[int]bool
+	// unmaskable has bit j set when missing offset j may not be recovered
+	// this cycle (mid-cycle failure: no time to fetch parity).
+	unmaskable uint64
 }
 
 type ibRead struct {
@@ -70,7 +79,15 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 	if reserve < 0 || reserve >= core.slotsPerDisk {
 		return nil, fmt.Errorf("schemes: reserve %d must be in [0,%d)", reserve, core.slotsPerDisk)
 	}
-	return &ImprovedBandwidth{groupEngine: groupEngine{engineCore: core, reserve: reserve}, midFail: -1}, nil
+	if w := cfg.Layout.GroupWidth(); w > 64 {
+		return nil, fmt.Errorf("schemes: Improved-bandwidth supports groups of at most 64 data tracks, got %d", w)
+	}
+	return &ImprovedBandwidth{
+		groupEngine: groupEngine{engineCore: core, reserve: reserve},
+		midFail:     -1,
+		byCluster:   make([][]*ibGroupRead, cfg.Layout.Clusters()),
+		visited:     make([]bool, cfg.Layout.Clusters()),
+	}, nil
 }
 
 // Name implements Simulator.
@@ -114,7 +131,7 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleCon
 		if blk == nil {
 			gr.missing = append(gr.missing, j)
 			if onVictim {
-				gr.unmaskable[j] = true
+				gr.unmaskable |= 1 << j
 			}
 			continue
 		}
@@ -140,18 +157,26 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
-	var groups []*ibGroupRead
+	groups := e.groups[:0]
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
 		}
 		g := &s.Obj.Groups[s.nextGroup]
 		s.nextGroup++
-		groups = append(groups, &ibGroupRead{
-			s: s, g: g, bg: newBufferedGroup(g),
-			unmaskable: map[int]bool{},
-		})
+		n := len(groups)
+		if n < cap(groups) {
+			groups = groups[:n+1]
+		} else {
+			groups = append(groups, nil)
+		}
+		if groups[n] == nil {
+			groups[n] = new(ibGroupRead)
+		}
+		gr := groups[n]
+		*gr = ibGroupRead{s: s, g: g, bg: e.newGroup(g), missing: gr.missing[:0], reads: gr.reads[:0]}
 	}
+	e.groups = groups
 
 	// Phase 1: normal data reads (no parity in normal mode). Each group's
 	// reads stay on its own cluster, so the phase fans out per cluster —
@@ -180,12 +205,14 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 			}
 		}
 	} else {
-		byCluster := make([][]*ibGroupRead, e.cfg.Layout.Clusters())
+		for cl := range e.byCluster {
+			e.byCluster[cl] = e.byCluster[cl][:0]
+		}
 		for _, gr := range groups {
-			byCluster[gr.g.Cluster] = append(byCluster[gr.g.Cluster], gr)
+			e.byCluster[gr.g.Cluster] = append(e.byCluster[gr.g.Cluster], gr)
 		}
 		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
-			for _, gr := range byCluster[cl] {
+			for _, gr := range e.byCluster[cl] {
 				if err := e.readGroupBlocks(gr, shard, -1, nil); err != nil {
 					return err
 				}
@@ -200,11 +227,12 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	// crosses clusters (parity lives one cluster to the right, victims
 	// cascade further), so it stays serial in group order.
 	for _, gr := range groups {
-		e.resolve(gr, groups, ctx, map[int]bool{})
+		clear(e.visited)
+		e.resolve(gr, ctx)
 	}
 
 	// Buffer accounting for staged groups (terminated streams drop
-	// theirs without ever acquiring; their buffers go back to the arena).
+	// theirs without ever acquiring; the group is recycled).
 	for _, gr := range groups {
 		if gr.s.Terminated {
 			e.recycleGroup(gr.bg)
@@ -225,52 +253,54 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	return e.endCycle(ctx), nil
 }
 
-// resolve recovers a group's missing blocks via the parity shift. visited
-// guards against wrapping all the way around the clusters.
-func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, groups []*ibGroupRead, ctx *sched.CycleContext, visited map[int]bool) {
+// resolve recovers a group's missing blocks via the parity shift.
+// e.visited, cleared per chain, guards against wrapping all the way
+// around the clusters.
+func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) {
 	if len(gr.missing) == 0 {
 		return
 	}
 	// Count the recoverable missing blocks.
-	var recoverable []int
-	for _, j := range gr.missing {
-		if !gr.unmaskable[j] {
-			recoverable = append(recoverable, j)
+	j, recoverable := -1, 0
+	for _, m := range gr.missing {
+		if gr.unmaskable&(1<<m) == 0 {
+			j = m
+			recoverable++
 		}
 	}
-	gr.missing = nil
-	if len(recoverable) == 0 {
+	gr.missing = gr.missing[:0]
+	if recoverable == 0 {
 		return // only mid-cycle losses: one-time hiccups
 	}
-	if len(recoverable) > 1 {
+	if recoverable > 1 {
 		// Two blocks gone from one group: catastrophic, nothing to do.
 		return
 	}
-	j := recoverable[0]
 	pCluster := e.cfg.Layout.ParityHomeCluster(gr.g.Cluster)
-	if visited[pCluster] {
+	if e.visited[pCluster] {
 		// Wrapped around: no capacity anywhere. Degradation of service.
 		e.terminate(gr.s, ctx.Rep)
 		return
 	}
-	visited[pCluster] = true
+	e.visited[pCluster] = true
 
-	par := e.readParity(gr, groups, ctx, visited)
+	par := e.readParity(gr, ctx)
 	if par == nil {
 		return // terminate/hiccup already handled downstream
 	}
-	// Reconstruct in place: fold the surviving blocks into the parity
-	// buffer, whose ownership then moves to the missing data slot.
+	// Fold the parity view and the surviving blocks into a fresh buffer
+	// for the missing slot.
+	e.survivors = append(e.survivors[:0], par)
 	for k, blk := range gr.bg.data {
-		if k == j || blk == nil {
-			continue
-		}
-		if err := parity.XORInto(par, blk); err != nil {
-			e.arena.Put(par)
-			return
+		if k != j && blk != nil {
+			e.survivors = append(e.survivors, blk)
 		}
 	}
-	gr.bg.data[j] = par
+	rec, err := e.reconstruct(e.survivors)
+	if err != nil {
+		return
+	}
+	gr.bg.data[j] = rec
 	gr.bg.reconstructed[j] = true
 	ctx.Rep.Reconstructions++
 }
@@ -279,7 +309,7 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, groups []*ibGroupRead, ctx 
 // local read in its favor if necessary — and reads the parity block. It
 // returns nil after handling the failure modes (failed parity drive:
 // catastrophic hiccup; no victim: degradation).
-func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, ctx *sched.CycleContext, visited map[int]bool) []byte {
+func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext) []byte {
 	pDisk := gr.g.Parity.Disk
 	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() != disk.Operational {
 		// Adjacent-cluster double failure: the paper's data-loss case.
@@ -287,17 +317,16 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, c
 	}
 	if ctx.Slots.Free(pDisk) == 0 {
 		// Drop a victim's local read on this drive in favor of parity.
-		victim := e.pickVictim(groups, pDisk, gr)
+		victim := e.pickVictim(pDisk, gr)
 		if victim == nil {
 			e.terminate(gr.s, ctx.Rep)
 			return nil
 		}
-		// The victim loses the block it read from pDisk; the freed slot
-		// carries our parity read. The victim's group then shifts right
-		// itself.
+		// The victim loses the block it read from pDisk (a view, so it is
+		// just dropped); the freed slot carries our parity read. The
+		// victim's group then shifts right itself.
 		for vi, vr := range victim.reads {
 			if vr.disk == pDisk {
-				e.arena.Put(victim.bg.data[vr.offset])
 				victim.bg.data[vr.offset] = nil
 				victim.missing = append(victim.missing, vr.offset)
 				victim.reads = append(victim.reads[:vi], victim.reads[vi+1:]...)
@@ -305,26 +334,24 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, c
 			}
 		}
 		ctx.Slots.Put(pDisk)
-		defer e.resolve(victim, groups, ctx, visited)
+		defer e.resolve(victim, ctx)
 	}
 	blk := e.readTrack(ctx, gr.g.Parity, &ctx.Rep.ParityReads)
 	if blk == nil {
 		return nil
 	}
-	// The parity block occupies a buffer only within this cycle. The
-	// caller owns the returned arena buffer (resolve transfers it into
-	// the reconstructed slot).
+	// The parity block counts as a buffer within this cycle in the
+	// paper's accounting, though the view itself takes no arena buffer.
 	if err := e.holdBriefly(); err != nil {
-		e.arena.Put(blk)
 		return nil
 	}
 	return blk
 }
 
-// pickVictim finds a group (other than the requester) holding a normal
-// data-read slot on the drive.
-func (e *ImprovedBandwidth) pickVictim(groups []*ibGroupRead, d int, requester *ibGroupRead) *ibGroupRead {
-	for _, gr := range groups {
+// pickVictim finds a group of this cycle (other than the requester)
+// holding a normal data-read slot on the drive.
+func (e *ImprovedBandwidth) pickVictim(d int, requester *ibGroupRead) *ibGroupRead {
+	for _, gr := range e.groups {
 		if gr == requester || gr.s.Terminated {
 			continue
 		}

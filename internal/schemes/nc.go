@@ -68,6 +68,9 @@ type ncCluster struct {
 	down []bool
 }
 
+// ncStaged is one staged track. reconstructed is also its kind: a
+// reconstructed track is an arena buffer the engine made (an XOR
+// accumulator or a group recovery), any other is a platter view.
 type ncStaged struct {
 	data          []byte
 	reconstructed bool
@@ -248,7 +251,9 @@ func (e *NonClustered) CancelStream(id int) error {
 func (e *NonClustered) dropBuffers(s *ncStream) error {
 	for r, st := range s.staged {
 		delete(s.staged, r)
-		e.arena.Put(st.data)
+		if st.reconstructed {
+			e.arena.Put(st.data)
+		}
 		if err := e.pool.Release(1); err != nil {
 			return err
 		}
@@ -587,13 +592,10 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	reconstructedIdx := -1
 	gr.par = e.readTrack(ctx, grp.Parity, &ctx.Rep.ParityReads)
 	if gr.par != nil {
-		// recoverGroup consumes the parity buffer on success (it becomes
-		// the reconstructed track); otherwise recycle it below.
-		if rec, err := gr.recoverGroup(); err == nil && rec >= 0 {
+		if rec, err := gr.recoverGroup(&e.engineCore); err == nil && rec >= 0 {
 			reconstructedIdx = rec
 			ctx.Rep.Reconstructions++
 		}
-		e.arena.Put(gr.par)
 		// Parity occupied a buffer during the read; account and drop it.
 		if err := e.holdBriefly(); err != nil {
 			return err
@@ -612,9 +614,10 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 		gr.data[j] = nil
 	}
 	// Padding tracks of a short final group were read for reconstruction
-	// but are never staged; recycle them.
-	for _, d := range gr.data {
-		e.arena.Put(d)
+	// but are never staged. They are views, dropped with gr — unless the
+	// failed drive held one, whose reconstruction goes back to the arena.
+	if reconstructedIdx >= 0 {
+		e.arena.Put(gr.data[reconstructedIdx])
 	}
 	return nil
 }
@@ -711,6 +714,5 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		}
 		e.dropXOR(s)
 	}
-	e.arena.Put(par) // parity's only use is the fold above
 	return nil
 }

@@ -10,49 +10,64 @@ import (
 
 // TestReportRetentionNeedsClone pins the buffer ownership contract from
 // the package doc: a CycleReport and the Data it references are valid
-// only until the next Step, because the engine recycles delivery
-// buffers through its arena. A caller that retains reports across
-// cycles must Clone them — and a Clone must stay intact even when the
-// original's buffers are recycled and scribbled over.
+// only until the next Step, because the engine recycles the tracks it
+// makes through its arena. A reconstructed track is the only kind that
+// is recycled (a read track is a platter view), so the test degrades a
+// drive, keeps one delivered reconstruction's slice past its Step, and
+// watches the engine's next reconstruction overwrite it — while a Clone
+// taken in time stays intact. Nothing writes into a delivered slice:
+// Delivery.Data is read-only for every consumer.
 func TestReportRetentionNeedsClone(t *testing.T) {
-	r := newRig(t, 8, 4, 1, 4, layout.DedicatedParity)
+	r := newRig(t, 8, 4, 1, 8, layout.DedicatedParity)
 	e, err := NewStreamingRAID(r.config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	obj := r.object(t, 0)
+	if _, err := e.AddStream(obj); err != nil {
+		t.Fatal(err)
+	}
+	// Every group on the first group's cluster now loses one track.
+	if err := e.FailDisk(obj.Groups[0].Data[0].Disk); err != nil {
 		t.Fatal(err)
 	}
 
-	// The first cycle only reads ahead; step until delivery starts.
+	// The first cycle only reads ahead; step until a reconstructed track
+	// is delivered.
 	var rep *sched.CycleReport
-	for i := 0; i < 4 && (rep == nil || len(rep.Delivered) == 0); i++ {
-		var err error
+	var made []byte
+	for i := 0; i < 4 && made == nil; i++ {
 		if rep, err = e.Step(); err != nil {
 			t.Fatal(err)
 		}
+		for _, d := range rep.Delivered {
+			if d.Reconstructed {
+				made = d.Data
+			}
+		}
 	}
-	if len(rep.Delivered) == 0 {
-		t.Fatal("no deliveries within the warmup window")
+	if made == nil {
+		t.Fatal("no reconstructed delivery within the warmup window")
 	}
 	clone := rep.Clone()
 	want := make(map[int][]byte, len(rep.Delivered))
 	for _, d := range rep.Delivered {
-		want[d.Track] = append([]byte(nil), d.Data...)
+		want[d.Track] = bytes.Clone(d.Data)
 	}
+	madeWas := bytes.Clone(made)
 
-	// Simulate the use-after-free: scribble over the recycled buffers the
-	// original report still points at, then keep stepping so the engine
-	// reuses its report backing arrays too.
-	for i := range rep.Delivered {
-		for j := range rep.Delivered[i].Data {
-			rep.Delivered[i].Data[j] = 0xEE
-		}
-	}
-	for i := 0; i < 3; i++ {
+	// The next Step releases the engine's hold on the reconstruction and
+	// the one after reconstructs into the same arena buffer; keep
+	// stepping until the retained slice shows it.
+	recycled := false
+	for i := 0; i < 4 && !recycled; i++ {
 		if _, err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
+		recycled = !bytes.Equal(made, madeWas)
+	}
+	if !recycled {
+		t.Fatal("the reconstructed track's buffer was never reused; the test no longer exercises recycling")
 	}
 
 	if len(clone.Delivered) != len(want) {

@@ -27,14 +27,16 @@
 //
 // The *sched.CycleReport returned by Step — and every Delivery.Data
 // slice inside it — is valid only until the engine's next Step: engines
-// reuse the report's backing slices and recycle delivered track buffers
-// through a buffer.Arena (DESIGN.md, "Zero-alloc data path"). A caller
-// that holds a report across Steps must deep-copy it first with
-// CycleReport.Clone; trace.Recorder.Observe copies delivered bytes for
-// the same reason, and the network layer Retains the Buf of every
-// Delivery it ships before its cycle returns. Reading a stale report is
-// a use-after-free the race detector cannot see — the bytes stay
-// valid, just wrong.
+// reuse the report's backing slices and recycle the track buffers they
+// make (reconstructions, XOR accumulators) through a buffer.Arena
+// (DESIGN.md, "Zero-alloc data path"). A track read off a platter is
+// delivered as the drive's own slice, so Delivery.Data is read-only for
+// every consumer. A caller that holds a report across Steps must
+// deep-copy it first with CycleReport.Clone; trace.Recorder.Observe
+// copies delivered bytes for the same reason, and the network layer
+// Retains the Buf of every Delivery it ships before its cycle returns.
+// Reading a stale report is a use-after-free the race detector cannot
+// see — the bytes stay valid, just wrong.
 package schemes
 
 import (
@@ -46,7 +48,6 @@ import (
 	"ftmm/internal/disk"
 	"ftmm/internal/layout"
 	"ftmm/internal/metrics"
-	"ftmm/internal/parity"
 	"ftmm/internal/sched"
 	"ftmm/internal/units"
 )
@@ -155,12 +156,12 @@ type groupRead struct {
 }
 
 // recoverGroup fills in a single missing data block from the others plus
-// parity, in place and without allocating: the surviving data blocks are
-// folded into the parity buffer, whose ownership then moves to the
-// missing data slot (par becomes nil). It returns the index recovered,
-// or -1 if nothing was missing, and an error when recovery is impossible
-// (two or more blocks missing, or parity unavailable).
-func (gr *groupRead) recoverGroup() (int, error) {
+// parity: c.reconstruct folds them into a fresh arena buffer, which takes
+// the missing slot. The read blocks, parity included, are views and are
+// only read. It returns the index recovered, or -1 if nothing was
+// missing, and an error when recovery is impossible (two or more blocks
+// missing, or parity unavailable).
+func (gr *groupRead) recoverGroup(c *engineCore) (int, error) {
 	missing := -1
 	for i, d := range gr.data {
 		if d == nil {
@@ -176,16 +177,14 @@ func (gr *groupRead) recoverGroup() (int, error) {
 	if gr.par == nil {
 		return 0, errors.New("schemes: missing block and no parity available")
 	}
-	for i, d := range gr.data {
-		if i == missing {
-			continue
-		}
-		if err := parity.XORInto(gr.par, d); err != nil {
-			return 0, err
-		}
-	}
+	// Parity stands in the missing slot for the fold, so the survivors
+	// are gr.data itself.
 	gr.data[missing] = gr.par
-	gr.par = nil
+	rec, err := c.reconstruct(gr.data)
+	gr.data[missing] = rec
+	if err != nil {
+		return 0, err
+	}
 	return missing, nil
 }
 
@@ -200,7 +199,9 @@ type bufferedGroup struct {
 	// data[i] holds track i of the group, nil where lost (or after its
 	// ownership moved to refs[i] at delivery).
 	data [][]byte
-	// reconstructed[i] marks tracks rebuilt from parity.
+	// reconstructed[i] marks tracks rebuilt from parity. It is also the
+	// track's kind: a reconstructed track is an arena buffer the engine
+	// made, any other is a platter view.
 	reconstructed []bool
 	// next is the next in-group offset to deliver.
 	next int
@@ -213,25 +214,15 @@ type bufferedGroup struct {
 	shares int
 	// refs[i] is the delivery ref for track i, filled by the first
 	// sharer to deliver it; later sharers Retain the same ref instead of
-	// minting a second one (two independent refs on one buffer would
-	// double-free it back to the arena).
+	// minting a second one: one Ref per physical read is what the network
+	// layer merges sessions on, and two independent refs on one made
+	// buffer would double-free it back to the arena.
 	refs []*buffer.Ref
 	// dataReads/parityReads/recovered snapshot the physical read outcome
 	// so sharers staging after the read replay identical report counters.
 	dataReads   int
 	parityReads int
 	recovered   bool
-}
-
-// newBufferedGroup returns the group's staging record with nothing read
-// yet, held by one stream.
-func newBufferedGroup(g *layout.Group) *bufferedGroup {
-	return &bufferedGroup{
-		group:         g,
-		data:          make([][]byte, len(g.Data)),
-		reconstructed: make([]bool, len(g.Data)),
-		shares:        1,
-	}
 }
 
 // newPool builds the unbounded accounting pool every engine uses.
