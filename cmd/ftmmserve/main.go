@@ -59,7 +59,6 @@ var (
 	k          = flag.Int("k", 2, "reserve depth (buffer servers / reserved bandwidth)")
 	titles     = flag.Int("titles", 8, "titles in the tape library (full catalog, popularity order)")
 	groups     = flag.Int("groups", 20, "parity groups per title")
-	workers    = flag.Int("workers", 0, "engine per-cluster worker goroutines (0 = GOMAXPROCS)")
 	speed      = flag.Float64("speed", 1, "wall-clock speedup for the pacer (0: virtual clock, cycles back to back)")
 	queue      = flag.Int("queue", 64, "per-session send queue depth in bursts (overflow sheds the client)")
 	batchCyc   = flag.Int("batch-cycles", 0, "hold flash-crowd ADMITs per title for up to this many cycles so same-title arrivals share one staged read (0: off)")
@@ -133,7 +132,6 @@ func runNode() error {
 		Scheme: *schemeFlag,
 		Disks:  *disks, Cluster: *clusterSz, K: *k,
 		Decluster:    *decluster,
-		Workers:      *workers,
 		GenTitles:    *titles,
 		Groups:       *groups,
 		Addr:         *addr,

@@ -59,7 +59,7 @@ var (
 	repairCycle  = flag.Int("repair-cycle", -1, "cycle at which the drive is repaired (-1: never)")
 	seed         = flag.Int64("seed", 1, "workload seed")
 	zipf         = flag.Float64("zipf", 1.0, "title popularity skew")
-	workers      = flag.Int("workers", 0, "engine per-cluster worker goroutines (0 = GOMAXPROCS)")
+	workers      = flag.Int("workers", 0, "chaos campaign runs executed concurrently (0 = GOMAXPROCS)")
 	showMetrics  = flag.Bool("metrics", false, "print the engine metrics snapshot after the run")
 	metricsJSON  = flag.Bool("metrics-json", false, "emit the metrics snapshot as JSON on stdout after the run")
 )
@@ -92,7 +92,6 @@ func run() error {
 		Disks: *disks, ClusterSize: *cluster,
 		DeclusterGroup: *decluster,
 		DiskParams:     p, Scheme: scheme, K: *k, NCPolicy: policy,
-		Workers: *workers,
 	})
 	if err != nil {
 		return err

@@ -261,7 +261,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			DeclusterGroup: sch.DeclusterGroup,
 			Scheme:         scheme, NCPolicy: policy, K: sch.K,
 			DiskParams: params,
-			Workers:    1, // determinism holds at any count; campaigns parallelize across runs
 		})
 		if err != nil {
 			return nil, err

@@ -72,8 +72,8 @@ func (r *Recorder) observeCycle(rep *CycleReport, slots *Slots) {
 // CycleContext bundles everything one cycle of a scheme engine works
 // against: the per-disk slot budgets, the buffer pool, the report under
 // assembly, and the metrics recorder. Engines receive one per Step from
-// their shared core and, for per-cluster parallel phases, hand each
-// cluster a Shard whose counters are merged back deterministically.
+// their shared core and run the whole cycle against it on the caller's
+// goroutine.
 type CycleContext struct {
 	Cycle int
 	Slots *Slots
@@ -104,39 +104,6 @@ func (c *CycleContext) Reset(cycle int) {
 	c.Rep.Reset(cycle)
 }
 
-// Shard derives a context for one cluster's share of a parallel phase:
-// it shares the slot budgets, pool, and recorder but accumulates into a
-// private report so concurrent clusters never contend, and so the merge
-// order (cluster index) is deterministic regardless of scheduling.
-func (c *CycleContext) Shard() *CycleContext {
-	return &CycleContext{
-		Cycle: c.Cycle,
-		Slots: c.Slots,
-		Pool:  c.Pool,
-		Rep:   &CycleReport{Cycle: c.Cycle},
-		Rec:   c.Rec,
-	}
-}
-
-// MergeShards folds shard reports into this context in argument order.
-// Counters add; list fields append. Callers pass shards in cluster-index
-// order, which fixes the merged report independent of worker count.
-func (c *CycleContext) MergeShards(shards ...*CycleContext) {
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		r := s.Rep
-		c.Rep.DataReads += r.DataReads
-		c.Rep.ParityReads += r.ParityReads
-		c.Rep.Reconstructions += r.Reconstructions
-		c.Rep.Delivered = append(c.Rep.Delivered, r.Delivered...)
-		c.Rep.Hiccups = append(c.Rep.Hiccups, r.Hiccups...)
-		c.Rep.Finished = append(c.Rep.Finished, r.Finished...)
-		c.Rep.Terminated = append(c.Rep.Terminated, r.Terminated...)
-	}
-}
-
 // Finish stamps end-of-cycle state, feeds the recorder, and returns the
 // assembled report.
 func (c *CycleContext) Finish() *CycleReport {
@@ -153,23 +120,19 @@ func Workers(n int) int {
 	return n
 }
 
-// ShardOf is the deterministic engine-shard assignment: cluster cl runs
-// on shard cl mod shards. RunClusters partitions work this way, so
-// which goroutine executes a given cluster is a pure function of the
-// cluster index and the shard count — never of scheduling order — and a
-// chaos replay or report diff at any shard count sees clusters grouped
-// identically run to run.
+// ShardOf is the deterministic work assignment: item cl runs on shard
+// cl mod shards. RunClusters partitions work this way, so which
+// goroutine executes a given item is a pure function of the item index
+// and the shard count — never of scheduling order.
 func ShardOf(cl, shards int) int { return cl % shards }
 
-// RunClusters runs fn(0..n-1) across at most workers engine shards
-// (workers <= 0 means GOMAXPROCS; 1 runs inline). Clusters are
-// statically partitioned by ShardOf — shard w runs clusters w, w+W,
-// w+2W, … in increasing order — rather than pulled from a shared
-// counter, so there is no cross-shard contention point on the dispatch
-// path and the cluster→goroutine mapping is deterministic. Any worker
-// count yields the same outcome for independent per-cluster work: when
-// several clusters fail, the error of the lowest cluster index is
-// returned.
+// RunClusters runs fn(0..n-1), independent work items such as a chaos
+// campaign's runs, across at most workers goroutines (workers <= 0
+// means GOMAXPROCS; 1 runs inline). Items are statically partitioned by
+// ShardOf — shard w runs items w, w+W, w+2W, … in increasing order —
+// rather than pulled from a shared counter, so the item→goroutine
+// mapping is deterministic. Any worker count yields the same outcome:
+// when several items fail, the error of the lowest index is returned.
 func RunClusters(n, workers int, fn func(cl int) error) error {
 	if n <= 0 {
 		return nil

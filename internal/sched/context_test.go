@@ -13,44 +13,6 @@ import (
 	"ftmm/internal/metrics"
 )
 
-func newTestCtx(t *testing.T) *CycleContext {
-	t.Helper()
-	slots, err := NewSlots(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := buffer.NewPool(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewCycleContext(3, slots, pool, NewRecorder(nil))
-}
-
-func TestShardMergeIsOrdered(t *testing.T) {
-	ctx := newTestCtx(t)
-	a := ctx.Shard()
-	b := ctx.Shard()
-	// Shards share slots/pool but have private reports.
-	a.Rep.DataReads = 2
-	a.Rep.Delivered = append(a.Rep.Delivered, Delivery{StreamID: 1})
-	b.Rep.DataReads = 3
-	b.Rep.Delivered = append(b.Rep.Delivered, Delivery{StreamID: 2})
-	b.Rep.Hiccups = append(b.Rep.Hiccups, Hiccup{StreamID: 2})
-	ctx.MergeShards(a, b)
-	if ctx.Rep.DataReads != 5 {
-		t.Fatalf("merged DataReads = %d", ctx.Rep.DataReads)
-	}
-	if len(ctx.Rep.Delivered) != 2 || ctx.Rep.Delivered[0].StreamID != 1 || ctx.Rep.Delivered[1].StreamID != 2 {
-		t.Fatalf("merge order broken: %+v", ctx.Rep.Delivered)
-	}
-	if len(ctx.Rep.Hiccups) != 1 {
-		t.Fatal("hiccups not merged")
-	}
-	if a.Slots != ctx.Slots || a.Pool != ctx.Pool || a.Cycle != ctx.Cycle {
-		t.Fatal("shard does not share slots/pool/cycle")
-	}
-}
-
 func TestFinishStampsBufferAndMetrics(t *testing.T) {
 	reg := metrics.New()
 	slots, _ := NewSlots(2, 3)

@@ -6,21 +6,22 @@ import (
 	"ftmm/internal/layout"
 )
 
-// Steady-state per-cycle allocation budgets. The data path itself is
-// allocation-free (read tracks are lent platter views, made tracks come
+// Steady-state per-cycle allocation budgets. The data path is
+// allocation-free: read tracks are lent platter views, made tracks come
 // from the arena's free list, group headers and per-Step scratch are
-// recycled, report slices reused); what remains is small fixed-size
-// bookkeeping — the per-cluster fan-out closure and, for NC, its reader
-// table and map churn — all independent of track size and of the stream
-// count. Observed on amd64: SR, IB and DC 3, NC 6; under -race up to 7,
-// because the race detector makes sync.Pool drop a share of the Ref
-// headers put back. The budgets sit above both, so they catch a
-// regression back to per-stream or per-track allocation without flaking.
+// recycled, report slices are reused, and a Step runs on its caller's
+// goroutine. Observed on amd64: 0 for every engine. Under -race the
+// detector makes sync.Pool drop a quarter of the Ref headers put back,
+// so an engine allocates about a quarter of its per-cycle deliveries
+// (here SR 2, DC 3, IB 4, SG and NC 0). Each budget sits two above
+// that, so it catches a regression back to per-stream or per-track
+// allocation without flaking.
 const (
-	srCycleAllocBudget = 10
-	ibCycleAllocBudget = 10
-	dcCycleAllocBudget = 10
-	ncCycleAllocBudget = 12
+	srCycleAllocBudget = 4
+	dcCycleAllocBudget = 5
+	ibCycleAllocBudget = 6
+	sgCycleAllocBudget = 2
+	ncCycleAllocBudget = 2
 )
 
 // steadyStateAllocs measures allocations per Step once the engine is
@@ -40,8 +41,7 @@ func steadyStateAllocs(t *testing.T, e Simulator, warmup, runs int) float64 {
 }
 
 // checkCycleAllocBudget admits one stream per object and holds the
-// engine's steady-state allocations per Step to budget. The engine must
-// run with Workers 1: spawning read-phase goroutines allocates by design.
+// engine's steady-state allocations per Step to budget.
 func checkCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects, budget int) {
 	t.Helper()
 	for i := 0; i < objects; i++ {
@@ -64,7 +64,6 @@ func checkCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects, budget in
 func TestSRSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
 	cfg := r.config()
-	cfg.Workers = 1
 	e, err := NewStreamingRAID(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,6 @@ func TestSRSteadyStateCycleAllocBudget(t *testing.T) {
 func TestNCSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
 	cfg := r.config()
-	cfg.Workers = 1
 	e, err := NewNonClustered(cfg, SimpleSwitchover, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +89,6 @@ func TestNCSteadyStateCycleAllocBudget(t *testing.T) {
 func TestIBSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newRig(t, 10, 5, 4, 60, layout.IntermixedParity)
 	cfg := r.config()
-	cfg.Workers = 1
 	e, err := NewImprovedBandwidth(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +101,21 @@ func TestIBSteadyStateCycleAllocBudget(t *testing.T) {
 func TestDCSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newDeclusteredRig(t, 26, 13, 4, 4, 60)
 	cfg := r.config()
-	cfg.Workers = 1
 	e, err := NewDeclustered(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCycleAllocBudget(t, e, r, 4, dcCycleAllocBudget)
+}
+
+// TestSGSteadyStateCycleAllocBudget pins the Staggered-group engine:
+// its read cycles stage whole groups into recycled headers, its other
+// cycles only deliver.
+func TestSGSteadyStateCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
+	e, err := NewStaggeredGroup(r.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCycleAllocBudget(t, e, r, 2, sgCycleAllocBudget)
 }

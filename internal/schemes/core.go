@@ -19,10 +19,11 @@ var ErrCapacity = errors.New("schemes: capacity")
 
 // engineCore is the chassis shared by the five scheme engines: the
 // validated configuration, the per-disk slot budget, the cycle counter,
-// stream-ID allocation, the buffer pool, the metrics recorder, the
-// bounded per-cluster worker pool, the one track read (readTrack) and the
-// one delivery (emit). Engines embed it and keep only their
-// scheme-specific scheduling logic.
+// stream-ID allocation, the buffer pool, the metrics recorder, the one
+// track read (readTrack) and the one delivery (emit). Engines embed it
+// and keep only their scheme-specific scheduling logic. A Step runs on
+// its caller's goroutine: the paper's drives work in parallel, the host
+// only issues their reads.
 type engineCore struct {
 	cfg          Config
 	slotsPerDisk int
@@ -33,28 +34,19 @@ type engineCore struct {
 	// (reconstructions, XOR accumulators) across cycles; tracks read off
 	// a platter are lent views and never come from it. pool above
 	// remains the paper's track-count accounting.
-	arena   *buffer.Arena
-	rec     *sched.Recorder
-	workers int
-	// ctx and shards are the persistent cycle context and per-cluster
-	// shards, reset each Step instead of reallocated — hence a report's
-	// one-Step validity (sched.CycleReport.Clone).
-	ctx    *sched.CycleContext
-	shards []*sched.CycleContext
+	arena *buffer.Arena
+	rec   *sched.Recorder
+	// ctx is the persistent cycle context, reset each Step instead of
+	// reallocated — hence a report's one-Step validity
+	// (sched.CycleReport.Clone).
+	ctx *sched.CycleContext
 	// delivered holds the engine's own reference on every track buffer
 	// shared into the last Step's report; beginCycle releases them.
 	// Consumers that need a track longer Retain its Delivery.Buf.
 	delivered []*buffer.Ref
-	// stageCaches[cl] maps group → staged bufferedGroup for same-title
-	// read merging within one cycle's read phase. One map per cluster:
-	// a group lives on exactly one cluster, and the read phase shards by
-	// cluster, so each map is touched by a single goroutine.
-	stageCaches []map[*layout.Group]*bufferedGroup
-	// spare[cl] holds the headers of finished bufferedGroups of cluster
-	// cl for newGroup to reuse. One list per cluster for the same reason
-	// as stageCaches: the read phase pops only its own cluster's list, and
-	// every release runs outside the read phase.
-	spare [][]*bufferedGroup
+	// spare holds the headers of finished bufferedGroups for newGroup to
+	// reuse.
+	spare []*bufferedGroup
 }
 
 // newEngineCore validates the config and builds the chassis for an
@@ -73,8 +65,6 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 		pool:         newPool(),
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
 		rec:          sched.NewRecorder(cfg.Metrics),
-		workers:      cfg.Workers,
-		spare:        make([][]*bufferedGroup, cfg.Layout.Clusters()),
 	}, nil
 }
 
@@ -224,58 +214,6 @@ func (c *engineCore) endCycle(ctx *sched.CycleContext) *sched.CycleReport {
 	return rep
 }
 
-// runClusters fans one cycle phase out across clusters on the bounded
-// worker pool. Each cluster's work records into a private shard of ctx;
-// shards merge back in cluster-index order, so the assembled report is
-// bit-identical at any worker count. Correct only for phases whose
-// per-cluster work touches disjoint disks (true for every scheme here:
-// a stream's reads stay within its current cluster).
-func (c *engineCore) runClusters(ctx *sched.CycleContext, fn func(shard *sched.CycleContext, cl int) error) error {
-	n := c.cfg.Layout.Clusters()
-	if c.shards == nil {
-		c.shards = make([]*sched.CycleContext, n)
-	}
-	if err := sched.RunClusters(n, c.workers, func(cl int) error {
-		shard := c.shards[cl]
-		if shard == nil {
-			shard = ctx.Shard()
-			c.shards[cl] = shard
-		} else {
-			// Rewind only the shard's private report; slot budgets are
-			// shared with ctx and were reset in beginCycle.
-			shard.Cycle = ctx.Cycle
-			shard.Rep.Reset(ctx.Cycle)
-		}
-		return fn(shard, cl)
-	}); err != nil {
-		return err
-	}
-	ctx.MergeShards(c.shards...)
-	return nil
-}
-
-// ensureStageCaches sizes the per-cluster stage-cache table. Called
-// before the parallel read phase so workers only ever write their own
-// cluster's slot.
-func (c *engineCore) ensureStageCaches() {
-	if c.stageCaches == nil {
-		c.stageCaches = make([]map[*layout.Group]*bufferedGroup, c.cfg.Layout.Clusters())
-	}
-}
-
-// stageCacheFor returns cluster cl's same-title stage cache, emptied for
-// this cycle. Callers must have run ensureStageCaches first and must be
-// the (single) goroutine working cluster cl.
-func (c *engineCore) stageCacheFor(cl int) map[*layout.Group]*bufferedGroup {
-	m := c.stageCaches[cl]
-	if m == nil {
-		m = make(map[*layout.Group]*bufferedGroup, 4)
-		c.stageCaches[cl] = m
-	}
-	clear(m)
-	return m
-}
-
 // releaseGroups drops one sharer's hold on the given buffered groups
 // (nils are fine): the sharer's pooled tracks return to the pool, and
 // when the last sharer lets go the group is recycled.
@@ -299,16 +237,14 @@ func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 }
 
 // newGroup returns the staging record for group g with nothing read yet,
-// held by one stream: a recycled header of g's cluster when one is
-// spare, else a fresh one. Only the goroutine working g's cluster may
-// call it during the read phase.
+// held by one stream: a recycled header when one is spare, else a fresh
+// one.
 func (c *engineCore) newGroup(g *layout.Group) *bufferedGroup {
 	// Every group of a layout has the same width, so any spare fits.
-	spare := c.spare[g.Cluster]
-	if n := len(spare); n > 0 {
-		bg := spare[n-1]
-		spare[n-1] = nil
-		c.spare[g.Cluster] = spare[:n-1]
+	if n := len(c.spare); n > 0 {
+		bg := c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
 		bg.group, bg.shares = g, 1
 		return bg
 	}
@@ -322,10 +258,9 @@ func (c *engineCore) newGroup(g *layout.Group) *bufferedGroup {
 
 // recycleGroup ends a buffered group whose last holder let go: the
 // tracks it still holds that the engine made go back to the arena, the
-// read ones (views) are dropped, and the cleared header goes on its
-// cluster's spare list. A track handed to a delivery has already left
-// bg.data (its Ref owns it), so nothing a live report references is
-// recycled here.
+// read ones (views) are dropped, and the cleared header goes on the
+// spare list. A track handed to a delivery has already left bg.data (its
+// Ref owns it), so nothing a live report references is recycled here.
 func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	if bg == nil {
 		return
@@ -338,9 +273,8 @@ func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	clear(bg.data)
 	clear(bg.reconstructed)
 	clear(bg.refs)
-	cl := bg.group.Cluster
 	*bg = bufferedGroup{data: bg.data, reconstructed: bg.reconstructed, refs: bg.refs}
-	c.spare[cl] = append(c.spare[cl], bg)
+	c.spare = append(c.spare, bg)
 }
 
 // engineStream lets generic helpers reach the embedded sched.Stream of
@@ -459,8 +393,9 @@ type groupEngine struct {
 	// reserve is the per-drive slot count admission holds back (the
 	// headroom Improved-bandwidth's shift needs; 0 elsewhere).
 	reserve int
-	// plan is groupReadPlan's per-cluster table, reset each Step.
-	plan [][]groupReadEntry
+	// stageCache maps group → staged bufferedGroup for same-title read
+	// merging within one cycle's read phase; emptied each Step.
+	stageCache map[*layout.Group]*bufferedGroup
 }
 
 // CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
@@ -627,55 +562,47 @@ func (e *groupEngine) CancelStream(id int) error {
 	return nil
 }
 
-// groupReadEntry is one group read of this cycle's plan: stream s reads
-// group g into its primary staged slot (slot == -1) or stagedExtra[slot]
-// (a fast-forward stream's extra group).
-type groupReadEntry struct {
-	s    *groupStream
-	g    *layout.Group
-	slot int
-}
-
-// groupReadPlan lays out this cycle's group reads by cluster,
-// fast-forward aware: a rate-r stream contributes its next r groups
-// (capped at the object's end), the first to its primary slot and the
-// rest to stagedExtra in group order. nextGroup advances here, in the
-// single-threaded planning pass, so the parallel read phase only writes
-// each entry's private slot — two entries of one stream can land on the
-// same cluster (rate > cluster count) and are then staged serially by
-// that cluster's one worker, while entries on different clusters write
-// disjoint slots.
-func (e *groupEngine) groupReadPlan() [][]groupReadEntry {
-	if e.plan == nil {
-		e.plan = make([][]groupReadEntry, e.cfg.Layout.Clusters())
-	}
-	plan := e.plan
-	for cl := range plan {
-		plan[cl] = plan[cl][:0]
+// stageReads is the whole-group read phase: every active stream stages
+// its next group, and a rate-r stream its next r (capped at the
+// object's end), the first into staged and the rest into stagedExtra in
+// group order. Streams staging the same group this cycle (the Zipf
+// head: many viewers of one hot title in lockstep) share one physical
+// read through the stage cache; see stageGroup for why reports stay
+// bit-identical to the unmerged path.
+func (e *groupEngine) stageReads(ctx *sched.CycleContext) error {
+	var cache map[*layout.Group]*bufferedGroup
+	if !e.cfg.disableMergedReads {
+		if e.stageCache == nil {
+			e.stageCache = make(map[*layout.Group]*bufferedGroup)
+		}
+		clear(e.stageCache)
+		cache = e.stageCache
 	}
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
 		}
-		rate := ffRate(s)
-		if remaining := len(s.Obj.Groups) - s.nextGroup; rate > remaining {
-			rate = remaining
-		}
+		rate := min(ffRate(s), len(s.Obj.Groups)-s.nextGroup)
 		if need := rate - 1; cap(s.stagedExtra) < need {
 			s.stagedExtra = make([]*bufferedGroup, need)
 		} else {
 			s.stagedExtra = s.stagedExtra[:need]
-			for i := range s.stagedExtra {
-				s.stagedExtra[i] = nil
-			}
 		}
 		for j := 0; j < rate; j++ {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
-			plan[g.Cluster] = append(plan[g.Cluster], groupReadEntry{s: s, g: g, slot: j - 1})
+			staged, err := e.stageGroup(ctx, g, cache)
+			if err != nil {
+				return err
+			}
+			if j == 0 {
+				s.staged = staged
+			} else {
+				s.stagedExtra[j-1] = staged
+			}
 		}
 	}
-	return plan
+	return nil
 }
 
 // stageGroup schedules and reads one whole parity group for later
@@ -687,10 +614,10 @@ func (e *groupEngine) groupReadPlan() [][]groupReadEntry {
 // override) the group stays empty and hiccups at delivery.
 //
 // cache, when non-nil, merges same-title reads: a group already staged
-// this cycle on this cluster is shared instead of re-read. Sharing is
-// physical only — every sharer still takes its slots first, Acquires the
-// same pooled track count, and adds the recorded read/reconstruction
-// counters to its shard report — so a merged run's CycleReports are
+// this cycle is shared instead of re-read. Sharing is physical only —
+// every sharer still takes its slots first, Acquires the same pooled
+// track count, and adds the recorded read/reconstruction counters to the
+// report — so a merged run's CycleReports are
 // bit-identical to an unmerged run's. Slot exhaustion is monotone within
 // a cycle, so a sharer that would have failed admission unmerged fails
 // here too, before the cache is consulted.

@@ -36,11 +36,10 @@ type ImprovedBandwidth struct {
 
 	// Per-Step scratch, reset rather than reallocated each Step:
 	// groups[:n] are this cycle's group reads (the records past n, and
-	// their slices, are reused), byCluster shards them for the parallel
-	// read phase, visited marks the clusters one shift chain has crossed,
-	// and survivors gathers a reconstruction's operands.
+	// their slices, are reused), visited marks the clusters one shift
+	// chain has crossed, and survivors gathers a reconstruction's
+	// operands.
 	groups    []*ibGroupRead
-	byCluster [][]*ibGroupRead
 	visited   []bool
 	survivors [][]byte
 }
@@ -85,7 +84,6 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 	return &ImprovedBandwidth{
 		groupEngine: groupEngine{engineCore: core, reserve: reserve},
 		midFail:     -1,
-		byCluster:   make([][]*ibGroupRead, cfg.Layout.Clusters()),
 		visited:     make([]bool, cfg.Layout.Clusters()),
 	}, nil
 }
@@ -110,8 +108,7 @@ func (e *ImprovedBandwidth) FailDiskMidCycle(id int) error {
 	return nil
 }
 
-// readGroupBlocks runs one group's phase-1 data reads, recording into
-// ctx (a per-cluster shard when the phase runs parallel). midDisk, when
+// readGroupBlocks runs one group's phase-1 data reads. midDisk, when
 // >= 0, is the drive failing partway through this cycle: it serves
 // *allowance more of its scheduled reads, then dies, and what it had
 // left to serve is lost with no time to shift.
@@ -178,57 +175,40 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	}
 	e.groups = groups
 
-	// Phase 1: normal data reads (no parity in normal mode). Each group's
-	// reads stay on its own cluster, so the phase fans out per cluster —
-	// except under a scheduled mid-cycle failure, whose semantics (the
-	// victim drive serves exactly half of its scheduled reads, in
-	// schedule order) depend on a serial read order.
-	if midDisk := e.midFail; midDisk >= 0 {
-		scheduled := 0
+	// Phase 1: normal data reads (no parity in normal mode), in group
+	// order. Under a scheduled mid-cycle failure the victim drive serves
+	// exactly half of its scheduled reads, in that order.
+	midDisk, allowance := e.midFail, 0
+	if midDisk >= 0 {
 		for _, gr := range groups {
 			for _, loc := range gr.g.Data {
 				if loc.Disk == midDisk {
-					scheduled++
+					allowance++
 				}
 			}
 		}
-		allowance := scheduled / 2
-		for _, gr := range groups {
-			if err := e.readGroupBlocks(gr, ctx, midDisk, &allowance); err != nil {
-				return nil, err
-			}
+		allowance /= 2
+	}
+	for _, gr := range groups {
+		if err := e.readGroupBlocks(gr, ctx, midDisk, &allowance); err != nil {
+			return nil, err
 		}
-		if e.midFail >= 0 {
-			// The drive had no scheduled reads this cycle; fail it now.
-			if err := e.failMidCycle(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for cl := range e.byCluster {
-			e.byCluster[cl] = e.byCluster[cl][:0]
-		}
-		for _, gr := range groups {
-			e.byCluster[gr.g.Cluster] = append(e.byCluster[gr.g.Cluster], gr)
-		}
-		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
-			for _, gr := range e.byCluster[cl] {
-				if err := e.readGroupBlocks(gr, shard, -1, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+	}
+	if e.midFail >= 0 {
+		// The drive had no scheduled reads this cycle; fail it now.
+		if err := e.failMidCycle(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Phase 2: shift to the right for groups missing blocks. The chain
-	// crosses clusters (parity lives one cluster to the right, victims
-	// cascade further), so it stays serial in group order.
+	// Phase 2: shift to the right for groups missing blocks, in group
+	// order (parity lives one cluster to the right, victims cascade
+	// further).
 	for _, gr := range groups {
 		clear(e.visited)
-		e.resolve(gr, ctx)
+		if err := e.resolve(gr, ctx); err != nil {
+			return nil, err
+		}
 	}
 
 	// Buffer accounting for staged groups (terminated streams drop
@@ -256,9 +236,9 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 // resolve recovers a group's missing blocks via the parity shift.
 // e.visited, cleared per chain, guards against wrapping all the way
 // around the clusters.
-func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) {
+func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) error {
 	if len(gr.missing) == 0 {
-		return
+		return nil
 	}
 	// Count the recoverable missing blocks.
 	j, recoverable := -1, 0
@@ -270,23 +250,32 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) {
 	}
 	gr.missing = gr.missing[:0]
 	if recoverable == 0 {
-		return // only mid-cycle losses: one-time hiccups
+		return nil // only mid-cycle losses: one-time hiccups
 	}
 	if recoverable > 1 {
 		// Two blocks gone from one group: catastrophic, nothing to do.
-		return
+		return nil
 	}
 	pCluster := e.cfg.Layout.ParityHomeCluster(gr.g.Cluster)
 	if e.visited[pCluster] {
 		// Wrapped around: no capacity anywhere. Degradation of service.
-		e.terminate(gr.s, ctx.Rep)
-		return
+		return e.terminate(gr.s, ctx.Rep)
 	}
 	e.visited[pCluster] = true
 
-	par := e.readParity(gr, ctx)
+	par, victim, err := e.readParity(gr, ctx)
+	if err != nil {
+		return err
+	}
+	if victim != nil {
+		// The victim lost its block on the parity drive and shifts right
+		// itself, before this group's fold.
+		if err := e.resolve(victim, ctx); err != nil {
+			return err
+		}
+	}
 	if par == nil {
-		return // terminate/hiccup already handled downstream
+		return nil // terminate/hiccup already handled downstream
 	}
 	// Fold the parity view and the surviving blocks into a fresh buffer
 	// for the missing slot.
@@ -298,33 +287,34 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) {
 	}
 	rec, err := e.reconstruct(e.survivors)
 	if err != nil {
-		return
+		return nil
 	}
 	gr.bg.data[j] = rec
 	gr.bg.reconstructed[j] = true
 	ctx.Rep.Reconstructions++
+	return nil
 }
 
 // readParity secures a slot on the group's parity drive — dropping a
-// local read in its favor if necessary — and reads the parity block. It
-// returns nil after handling the failure modes (failed parity drive:
-// catastrophic hiccup; no victim: degradation).
-func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext) []byte {
+// local read in its favor if necessary — and reads the parity block. par
+// is nil after handling the failure modes (failed parity drive:
+// catastrophic hiccup; no victim: degradation). victim, when non-nil, is
+// the group whose local read gave up its slot; the caller shifts it
+// right.
+func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext) (par []byte, victim *ibGroupRead, err error) {
 	pDisk := gr.g.Parity.Disk
 	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() != disk.Operational {
 		// Adjacent-cluster double failure: the paper's data-loss case.
-		return nil
+		return nil, nil, nil
 	}
 	if ctx.Slots.Free(pDisk) == 0 {
 		// Drop a victim's local read on this drive in favor of parity.
-		victim := e.pickVictim(pDisk, gr)
+		victim = e.pickVictim(pDisk, gr)
 		if victim == nil {
-			e.terminate(gr.s, ctx.Rep)
-			return nil
+			return nil, nil, e.terminate(gr.s, ctx.Rep)
 		}
 		// The victim loses the block it read from pDisk (a view, so it is
-		// just dropped); the freed slot carries our parity read. The
-		// victim's group then shifts right itself.
+		// just dropped); the freed slot carries our parity read.
 		for vi, vr := range victim.reads {
 			if vr.disk == pDisk {
 				victim.bg.data[vr.offset] = nil
@@ -334,18 +324,14 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext)
 			}
 		}
 		ctx.Slots.Put(pDisk)
-		defer e.resolve(victim, ctx)
 	}
-	blk := e.readTrack(ctx, gr.g.Parity, &ctx.Rep.ParityReads)
-	if blk == nil {
-		return nil
+	par = e.readTrack(ctx, gr.g.Parity, &ctx.Rep.ParityReads)
+	if par == nil {
+		return nil, victim, nil
 	}
 	// The parity block counts as a buffer within this cycle in the
 	// paper's accounting, though the view itself takes no arena buffer.
-	if err := e.holdBriefly(); err != nil {
-		return nil
-	}
-	return blk
+	return par, victim, e.holdBriefly()
 }
 
 // pickVictim finds a group of this cycle (other than the requester)
@@ -366,13 +352,14 @@ func (e *ImprovedBandwidth) pickVictim(d int, requester *ibGroupRead) *ibGroupRe
 
 // terminate kills a stream: the paper's degradation of service. Buffers
 // the stream still holds from the previous cycle are returned.
-func (e *ImprovedBandwidth) terminate(s *groupStream, rep *sched.CycleReport) {
+func (e *ImprovedBandwidth) terminate(s *groupStream, rep *sched.CycleReport) error {
 	if s.Terminated {
-		return
+		return nil
 	}
 	s.Terminated = true
 	e.terminations++
 	rep.Terminated = append(rep.Terminated, s.ID)
-	_ = e.releaseGroups(s.delivering, s.staged)
+	err := e.releaseGroups(s.delivering, s.staged)
 	s.delivering, s.staged = nil, nil
+	return err
 }

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"fmt"
 	"testing"
 
 	"ftmm/internal/layout"
@@ -23,10 +24,9 @@ type mergeScenarioResult struct {
 // viewer of obj1, a late joiner who lands exactly on the pack's group, a
 // mid-run drive failure (shared reads must reconstruct), and a mid-run
 // cancellation of one pack member (share-aware release).
-func runMergeScenario(t *testing.T, r *rig, workers int, disableMerge bool) mergeScenarioResult {
+func runMergeScenario(t *testing.T, r *rig, disableMerge bool) mergeScenarioResult {
 	t.Helper()
 	cfg := r.config()
-	cfg.Workers = workers
 	cfg.SlotsPerDisk = 8
 	cfg.disableMergedReads = disableMerge
 	e, err := NewStreamingRAID(cfg)
@@ -101,13 +101,13 @@ func runMergeScenario(t *testing.T, r *rig, workers int, disableMerge bool) merg
 // hiccups, read/reconstruction counters, buffer occupancy — is
 // bit-identical to the unmerged engine's, across admission, a drive
 // failure, and a sharer's cancellation; only the physical arena traffic
-// shrinks. It also pins shard-count invariance of the merged path.
+// shrinks.
 func TestMergedReadsBitExactReports(t *testing.T) {
 	// Fresh rigs per run: FailDisk mutates the farm. newRig is
 	// deterministic, so the runs see identical farms and content.
 	rig := func() *rig { return newRig(t, 10, 5, 2, 12, layout.DedicatedParity) }
-	merged := runMergeScenario(t, rig(), 1, false)
-	unmerged := runMergeScenario(t, rig(), 1, true)
+	merged := runMergeScenario(t, rig(), false)
+	unmerged := runMergeScenario(t, rig(), true)
 
 	if len(merged.reports) != len(unmerged.reports) {
 		t.Fatalf("merged ran %d cycles, unmerged %d", len(merged.reports), len(unmerged.reports))
@@ -128,19 +128,6 @@ func TestMergedReadsBitExactReports(t *testing.T) {
 			merged.arenaGets, unmerged.arenaGets)
 	}
 
-	// Shard-count invariance holds through the merged read path too.
-	for _, workers := range []int{2, 8} {
-		alt := runMergeScenario(t, rig(), workers, false)
-		if len(alt.reports) != len(merged.reports) {
-			t.Fatalf("workers=%d ran %d cycles, serial %d", workers, len(alt.reports), len(merged.reports))
-		}
-		for i := range alt.reports {
-			if !alt.reports[i].Equal(merged.reports[i]) {
-				t.Fatalf("workers=%d cycle %d: report differs from serial merged run", workers, i)
-			}
-		}
-	}
-
 	// Every surviving sharer got the full, byte-exact title. Stream 1
 	// was cancelled mid-run; streams 4 (offset) and 6 (late joiner)
 	// started mid-title, so only the lockstep survivors 0, 2, 3 and the
@@ -150,4 +137,16 @@ func TestMergedReadsBitExactReports(t *testing.T) {
 		verifyStream(t, r, r.object(t, 0), merged.deliveries[id], nil)
 	}
 	verifyStream(t, r, r.object(t, 1), merged.deliveries[5], nil)
+}
+
+// stripData summarizes a report for failure messages without dumping
+// track payloads.
+func stripData(rep *sched.CycleReport) string {
+	tracks := make([]string, 0, len(rep.Delivered))
+	for _, d := range rep.Delivered {
+		tracks = append(tracks, fmt.Sprintf("s%d:%s/%d", d.StreamID, d.ObjectID, d.Track))
+	}
+	return fmt.Sprintf("{cycle %d delivered %v hiccups %d reads %d/%d finished %v terminated %v inuse %d}",
+		rep.Cycle, tracks, len(rep.Hiccups), rep.DataReads, rep.ParityReads,
+		rep.Finished, rep.Terminated, rep.BufferInUse)
 }

@@ -258,8 +258,7 @@ func (e *NonClustered) dropBuffers(s *ncStream) error {
 			return err
 		}
 	}
-	e.dropXOR(s)
-	return nil
+	return e.dropXOR(s)
 }
 
 // FailDisk implements Simulator: the drive fails at the upcoming cycle
@@ -367,7 +366,9 @@ func (e *NonClustered) OnDriveRebuilt(id int) error {
 	// Streams finishing a group in a special mode revert to plain reads.
 	for _, s := range e.streams {
 		if s.xorGroup >= 0 && s.Obj.Groups[s.xorGroup].Cluster == cl {
-			e.dropXOR(s)
+			if err := e.dropXOR(s); err != nil {
+				return err
+			}
 		}
 		if s.legacyGroup >= 0 && s.Obj.Groups[s.legacyGroup].Cluster == cl {
 			s.legacyGroup = -1
@@ -377,13 +378,14 @@ func (e *NonClustered) OnDriveRebuilt(id int) error {
 }
 
 // dropXOR releases a stream's accumulator buffer (accounting and bytes).
-func (e *NonClustered) dropXOR(s *ncStream) {
-	if s.xor != nil {
-		_ = e.pool.Release(1)
-		e.arena.Put(s.xor)
-		s.xor = nil
-	}
+func (e *NonClustered) dropXOR(s *ncStream) error {
 	s.xorGroup = -1
+	if s.xor == nil {
+		return nil
+	}
+	e.arena.Put(s.xor)
+	s.xor = nil
+	return e.pool.Release(1)
 }
 
 // Step implements Simulator.
@@ -402,47 +404,21 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	}
 	e.rec.DegradedClusterCycles.Add(int64(degraded))
 
-	if degraded > 0 {
-		// Degraded-mode work (group reads, XOR accumulators) releases
-		// buffers mid-read and its slot priority depends on pass order,
-		// so degraded cycles keep the engine's original serial two-pass
-		// schedule: deadline-bound degraded reads take slots first.
-		for _, s := range e.streams {
-			if e.readable(s) && e.isDegradedWork(s) {
-				if err := e.readForStream(s, ctx); err != nil {
-					return nil, err
-				}
+	// Two read passes: deadline-bound degraded work (group reads, XOR
+	// accumulators) takes slots first, then every other read. With no
+	// cluster degraded the first pass is empty.
+	for _, s := range e.streams {
+		if e.readable(s) && e.isDegradedWork(s) {
+			if err := e.readForStream(s, ctx); err != nil {
+				return nil, err
 			}
 		}
-		for _, s := range e.streams {
-			if e.readable(s) && !e.isDegradedWork(s) {
-				if err := e.readForStream(s, ctx); err != nil {
-					return nil, err
-				}
+	}
+	for _, s := range e.streams {
+		if e.readable(s) && !e.isDegradedWork(s) {
+			if err := e.readForStream(s, ctx); err != nil {
+				return nil, err
 			}
-		}
-	} else {
-		// Normal steady state: every read is a plain single-track read on
-		// the stream's current cluster — acquire-only on the pool and
-		// disjoint across clusters — so the pass fans out per cluster.
-		readers := make([][]*ncStream, e.cfg.Layout.Clusters())
-		for _, s := range e.streams {
-			if !e.readable(s) {
-				continue
-			}
-			g, _ := e.position(s.read)
-			cl := s.Obj.Groups[g].Cluster
-			readers[cl] = append(readers[cl], s)
-		}
-		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
-			for _, s := range readers[cl] {
-				if err := e.readForStream(s, shard); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
 	}
 
@@ -514,7 +490,7 @@ func (e *NonClustered) isDegradedWork(s *ncStream) bool {
 }
 
 // readForStream performs the stream's reads for this cycle, recording
-// into the given cycle context (a shard in parallel normal-mode passes).
+// into the given cycle context.
 func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error {
 	if s.startCycle < 0 {
 		s.startCycle = e.cycle
@@ -639,7 +615,9 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	if o < failedOffset {
 		if s.xorGroup != g {
 			// Start the accumulator (one buffer).
-			e.dropXOR(s)
+			if err := e.dropXOR(s); err != nil {
+				return err
+			}
 			if err := e.pool.Acquire(1); err != nil {
 				return err
 			}
@@ -657,7 +635,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		} else {
 			// The read failed; the accumulator is now useless for
 			// reconstruction.
-			e.dropXOR(s)
+			return e.dropXOR(s)
 		}
 		return nil
 	}
@@ -712,7 +690,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		if failedTrack < s.Obj.Tracks {
 			s.lost[failedTrack] = true
 		}
-		e.dropXOR(s)
+		return e.dropXOR(s)
 	}
 	return nil
 }

@@ -101,10 +101,6 @@ type Config struct {
 	// SlotsPerDisk overrides the per-disk per-cycle track budget; 0
 	// derives it from the disk model and the scheme's cycle time.
 	SlotsPerDisk int
-	// Workers bounds the per-cluster parallelism inside a cycle: 0 uses
-	// GOMAXPROCS, 1 runs fully serial. Any value produces bit-identical
-	// cycle reports for the same inputs.
-	Workers int
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (see sched.NewRecorder for the instrument set).
 	Metrics *metrics.Registry

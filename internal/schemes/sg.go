@@ -129,36 +129,24 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
-	// Read pass: streams at their phase read their next whole group. As
-	// in Streaming RAID, each reading stream touches exactly one cluster
-	// this cycle, so the pass fans out per cluster; the buffer pool only
-	// grows here, keeping its peak worker-count-independent.
-	readers := make([][]*sgStream, e.cfg.Layout.Clusters())
+	// Read pass: streams at their phase read their next whole group. The
+	// buffer pool only grows here, so its peak is the cycle's.
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || e.cycle%width != s.phase || s.nextGroup >= len(s.Obj.Groups) {
 			continue
 		}
-		cl := s.Obj.Groups[s.nextGroup].Cluster
-		readers[cl] = append(readers[cl], s)
-	}
-	if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
-		for _, s := range readers[cl] {
-			g := &s.Obj.Groups[s.nextGroup]
-			s.nextGroup++
-			// No stage cache: SG streams drain a group over C-1 cycles via a
-			// private cursor, so sharing the struct would tangle cursors.
-			staged, err := e.stageGroup(shard, g, nil)
-			if err != nil {
-				return err
-			}
-			// The staged group holds C-1 data buffers plus the parity
-			// buffer; parity is dropped at the end of this read cycle (its
-			// only post-read use is masking a failure during the read).
-			s.pending = staged
+		g := &s.Obj.Groups[s.nextGroup]
+		s.nextGroup++
+		// No stage cache: SG streams drain a group over C-1 cycles via a
+		// private cursor, so sharing the struct would tangle cursors.
+		staged, err := e.stageGroup(ctx, g, nil)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		// The staged group holds C-1 data buffers plus the parity buffer;
+		// parity is dropped at the end of this read cycle (its only
+		// post-read use is masking a failure during the read).
+		s.pending = staged
 	}
 
 	// Delivery pass: one track per active stream per cycle; releases

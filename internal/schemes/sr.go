@@ -75,36 +75,9 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	e.streams = dropEnded(e.streams)
 
 	// Read phase: each active stream reads its next whole parity group.
-	// A stream's reads stay on one cluster this cycle, so clusters are
-	// independent and run on the worker pool; the buffer pool only grows
-	// during this phase, keeping its peak worker-count-independent.
-	// Streams staging the same group this cycle (the Zipf head: many
-	// viewers of one hot title in lockstep) share one physical read via
-	// the per-cluster stage cache; see stageGroup for why reports stay
-	// bit-identical to the unmerged path.
-	merge := !e.cfg.disableMergedReads
-	if merge {
-		e.ensureStageCaches()
-	}
-	plan := e.groupReadPlan()
-	if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
-		var cache map[*layout.Group]*bufferedGroup
-		if merge && len(plan[cl]) > 1 {
-			cache = e.stageCacheFor(cl)
-		}
-		for _, ent := range plan[cl] {
-			staged, err := e.stageGroup(shard, ent.g, cache)
-			if err != nil {
-				return err
-			}
-			if ent.slot < 0 {
-				ent.s.staged = staged
-			} else {
-				ent.s.stagedExtra[ent.slot] = staged
-			}
-		}
-		return nil
-	}); err != nil {
+	// The buffer pool only grows during this phase, so its peak is the
+	// cycle's.
+	if err := e.stageReads(ctx); err != nil {
 		return nil, err
 	}
 

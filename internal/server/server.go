@@ -61,9 +61,6 @@ type Options struct {
 	Tertiary tertiary.Config
 	// SlotsPerDisk optionally overrides the per-disk per-cycle budget.
 	SlotsPerDisk int
-	// Workers bounds the engine's per-cluster parallelism within a cycle:
-	// 0 uses GOMAXPROCS, 1 runs serial. Reports are identical either way.
-	Workers int
 	// Metrics receives the engine's instruments; nil installs a fresh
 	// registry (exposed via Metrics/MetricsSnapshot).
 	Metrics *metrics.Registry
@@ -180,7 +177,6 @@ func New(opts Options) (*Server, error) {
 	cfg := schemes.Config{
 		Farm: farm, Layout: cat.Layout(), Rate: opts.Rate,
 		SlotsPerDisk: opts.SlotsPerDisk,
-		Workers:      opts.Workers,
 		Metrics:      opts.Metrics,
 	}
 	var engine schemes.Simulator
