@@ -1,22 +1,24 @@
-// Command ftmmsim runs one multimedia-server simulation scenario from
-// flags: build a farm, load a synthetic catalog, admit streams under the
-// chosen fault-tolerance scheme, optionally fail and repair a drive
-// mid-run, and print the delivery/failure report.
+// Command ftmmsim runs multimedia-server simulations through the one
+// chaos runner (internal/chaos) under its invariant checkers. From flags
+// it builds a schedule — a farm, a synthetic catalog, one admission per
+// cycle with titles picked by a seeded Zipf workload, and optionally a
+// drive failure and repair mid-run — prints every event and the
+// delivery/failure report, and exits non-zero on any invariant breach.
 //
 // Example:
 //
 //	ftmmsim -scheme nc -disks 20 -cluster 5 -titles 8 -streams 6 \
 //	        -fail-disk 2 -fail-cycle 40 -repair-cycle 120 -cycles 400
 //
-// With -chaos it instead runs a deterministic fault-injection campaign
-// (internal/chaos) and exits non-zero on any invariant violation:
-//
-//	ftmmsim -chaos -seed 1 -campaign 50 -chaos-out /tmp/traces
-//
-// With -scenario it replays a JSON scenario file (scenarios/) through
-// the same chaos runner under the default invariant checkers:
+// With -scenario it replays a JSON scenario file (scenarios/) the same
+// way:
 //
 //	ftmmsim -scenario scenarios/nc-failure-drill.json
+//
+// With -chaos it instead runs a deterministic fault-injection campaign
+// and exits non-zero on any invariant violation:
+//
+//	ftmmsim -chaos -seed 1 -campaign 50 -chaos-out /tmp/traces
 package main
 
 import (
@@ -30,10 +32,8 @@ import (
 	"time"
 
 	"ftmm/internal/chaos"
-	"ftmm/internal/diskmodel"
 	"ftmm/internal/sched"
 	"ftmm/internal/server"
-	"ftmm/internal/trace"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
 )
@@ -77,102 +77,49 @@ func run() error {
 		return runChaos()
 	}
 	if *scenarioPath != "" {
-		return runScenario(*scenarioPath)
-	}
-	scheme, policy, err := server.ParseScheme(*schemeFlag)
-	if err != nil {
-		return err
-	}
-	p := diskmodel.Table1()
-	// Size drives to hold the catalog comfortably.
-	tracksPerTitle := *titleGroups * *cluster
-	p.Capacity = units.ByteSize((*titles**cluster*tracksPerTitle)/(*disks)+tracksPerTitle+50) * p.TrackSize
-
-	srv, err := server.New(server.Options{
-		Disks: *disks, ClusterSize: *cluster,
-		DeclusterGroup: *decluster,
-		DiskParams:     p, Scheme: scheme, K: *k, NCPolicy: policy,
-	})
-	if err != nil {
-		return err
-	}
-
-	trackSize := int(p.TrackSize)
-	names := workload.ObjectNames("title", *titles)
-	for i, id := range names {
-		size := units.ByteSize(*titleGroups * (*cluster - 1) * trackSize)
-		if err := srv.AddTitle(id, size, i/4, workload.SyntheticContent(id, int(size))); err != nil {
-			return err
-		}
-	}
-	gen, err := workload.New(workload.Config{
-		Seed: *seed, Objects: names, ZipfS: *zipf, ArrivalsPerSecond: 1,
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("scheme=%s  D=%d C=%d K=%d  cycle=%v  slots/disk=%d\n\n",
-		srv.Engine().Name(), *disks, *cluster, *k, srv.CycleTime(), 0)
-
-	admitted := 0
-	for cyc := 0; cyc < *cycles; cyc++ {
-		if admitted < *streams {
-			id := gen.Pick()
-			if sid, staging, err := srv.Request(id); err == nil {
-				fmt.Printf("cycle %4d: admitted stream %d for %s (staging %v)\n", cyc, sid, id, staging)
-				admitted++
-			}
-		}
-		if *failDisk >= 0 && cyc == *failCycle {
-			if err := srv.FailDisk(*failDisk); err != nil {
-				return err
-			}
-			fmt.Printf("cycle %4d: DRIVE %d FAILED\n", cyc, *failDisk)
-		}
-		if *failDisk >= 0 && *repairCycle >= 0 && cyc == *repairCycle {
-			if err := srv.RepairDisk(*failDisk); err != nil {
-				return err
-			}
-			fmt.Printf("cycle %4d: drive %d repaired and rebuilt from parity\n", cyc, *failDisk)
-		}
-		rep, err := srv.Step()
+		data, err := os.ReadFile(*scenarioPath)
 		if err != nil {
 			return err
 		}
-		for _, h := range rep.Hiccups {
-			fmt.Printf("cycle %4d: HICCUP stream %d %s track %d (%s)\n", cyc, h.StreamID, h.ObjectID, h.Track, h.Reason)
-		}
-		for _, id := range rep.Terminated {
-			fmt.Printf("cycle %4d: stream %d TERMINATED (degradation of service)\n", cyc, id)
-		}
-		for _, id := range rep.Finished {
-			fmt.Printf("cycle %4d: stream %d finished\n", cyc, id)
-		}
-		if admitted >= *streams && srv.Engine().Active() == 0 {
-			break
-		}
-	}
-
-	st := srv.Stats()
-	fmt.Printf("\n--- summary after %d cycles (%.1f simulated seconds) ---\n",
-		st.Cycles, float64(st.Cycles)*srv.CycleTime().Seconds())
-	fmt.Printf("delivered tracks:   %d\n", st.Delivered)
-	fmt.Printf("hiccups:            %d\n", st.Hiccups)
-	fmt.Printf("reconstructions:    %d\n", st.Reconstructions)
-	fmt.Printf("streams finished:   %d, terminated: %d\n", st.Finished, st.Terminated)
-	fmt.Printf("disk reads:         %d data, %d parity\n", st.DataReads, st.ParityReads)
-	fmt.Printf("buffer peak:        %d tracks (%v)\n", st.BufferPeak, srv.BufferPeakBytes())
-	fmt.Printf("tertiary stagings:  %d (%v), evictions: %d\n", st.Stagings, srv.StagingTime(), st.Evictions)
-	if *showMetrics {
-		fmt.Printf("\n--- engine metrics ---\n%s", srv.MetricsSnapshot())
-	}
-	if *metricsJSON {
-		if err := srv.Metrics().WriteJSON(os.Stdout); err != nil {
+		sch, err := chaos.ParseSchedule(data)
+		if err != nil {
 			return err
 		}
+		fmt.Printf("scenario %s\n", *scenarioPath)
+		return simulate(sch)
 	}
-	return nil
+	sch, err := flagSchedule()
+	if err != nil {
+		return err
+	}
+	return simulate(sch)
+}
+
+// flagSchedule builds the schedule the simulation flags describe: one
+// admission per cycle for the first -streams cycles, each title picked
+// by the seeded Zipf workload, then the drive failure and repair.
+// Same-cycle events apply in that order, before the cycle's Step.
+func flagSchedule() (*chaos.Schedule, error) {
+	gen, err := workload.New(workload.Config{
+		Seed: *seed, Objects: workload.ObjectNames("title", *titles), ZipfS: *zipf, ArrivalsPerSecond: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sch := &chaos.Schedule{
+		Scheme: *schemeFlag, Disks: *disks, ClusterSize: *cluster, DeclusterGroup: *decluster,
+		K: *k, Titles: *titles, TitleGroups: *titleGroups, MaxCycles: *cycles,
+	}
+	for i := 0; i < *streams; i++ {
+		sch.Events = append(sch.Events, chaos.Event{Cycle: i, Kind: chaos.EventAdmit, Title: gen.Pick()})
+	}
+	if *failDisk >= 0 {
+		sch.Events = append(sch.Events, chaos.Event{Cycle: *failCycle, Kind: chaos.EventFail, Drive: *failDisk})
+		if *repairCycle >= 0 {
+			sch.Events = append(sch.Events, chaos.Event{Cycle: *repairCycle, Kind: chaos.EventRepair, Drive: *failDisk})
+		}
+	}
+	return sch, sch.Validate()
 }
 
 // runChaos executes a deterministic fault-injection campaign. The exit
@@ -231,48 +178,89 @@ func cfgSchemes(cfg chaos.CampaignConfig) []string {
 	return chaos.SchemeNames()
 }
 
-// scenarioRecorder rides a scenario replay as one more per-node checker:
-// it traces every report for the classic summary and keeps the node's
-// server so the summary can read its stats after the run.
-type scenarioRecorder struct {
-	srv *server.Server
-	rec *trace.Recorder
+// printer rides a run as one more cluster checker: it prints the farm
+// header, one line per applied event and per stream outcome, and counts
+// hiccups by cause for the summary. It never fails the run.
+type printer struct {
+	// staged is each node's tertiary staging time at the last event, so
+	// an admission's line shows what staging its title cost.
+	staged  []time.Duration
+	hiccups map[string]int
 }
 
-func (r *scenarioRecorder) Name() string { return "integrity" }
+func (p *printer) Name() string { return "printer" }
 
-func (r *scenarioRecorder) Begin(rc *chaos.RunContext) (err error) {
-	r.srv = rc.Srv
-	r.rec, err = trace.NewRecorder(rc.Content, rc.TrackSize)
-	return err
-}
-
-func (r *scenarioRecorder) AfterStep(_ *chaos.RunContext, rep *sched.CycleReport) error {
-	r.rec.Observe(rep)
+func (p *printer) Begin(crc *chaos.ClusterRunContext) error {
+	sch, eng := crc.Schedule, crc.Nodes[0].Srv.Engine()
+	fmt.Printf("scheme=%s  D=%d C=%d K=%d  cycle=%v  slots/disk=%d  nodes=%d\n\n",
+		eng.Name(), sch.Disks, sch.ClusterSize, sch.K, eng.CycleTime(), eng.SlotsPerDisk(), len(crc.Nodes))
+	p.staged = make([]time.Duration, len(crc.Nodes))
+	p.hiccups = map[string]int{}
 	return nil
 }
 
-func (r *scenarioRecorder) End(*chaos.RunContext) error { return r.rec.VerifyIntegrity() }
+// at prefixes a line with its cycle and, on a cluster run, its node.
+func at(crc *chaos.ClusterRunContext, node int) string {
+	if len(crc.Nodes) > 1 {
+		return fmt.Sprintf("cycle %4d: %s: ", crc.Cycle, crc.Nodes[node].ID)
+	}
+	return fmt.Sprintf("cycle %4d: ", crc.Cycle)
+}
 
-// runScenario replays a scenario file (a chaos schedule) through the
-// chaos runner under the default checkers — one node or many — prints
-// the run summary, and exits non-zero on any invariant breach.
-func runScenario(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+func (p *printer) OnEvent(crc *chaos.ClusterRunContext, ev chaos.Event) error {
+	switch ev.Kind {
+	case chaos.EventAdmit:
+		ses := crc.Sessions[len(crc.Sessions)-1]
+		staging := crc.Nodes[ses.Node].Srv.StagingTime() - p.staged[ses.Node]
+		fmt.Printf("%sadmitted stream %d for %s (staging %v)\n", at(crc, ses.Node), ses.SID, ses.Title, staging)
+	case chaos.EventFail:
+		fmt.Printf("%sDRIVE %d FAILED\n", at(crc, ev.Node), ev.Drive)
+	case chaos.EventRepair:
+		fmt.Printf("%sdrive %d repaired and rebuilt from parity\n", at(crc, ev.Node), ev.Drive)
+	default: // printed in the schedule's own format
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("cycle %4d: event %s\n", crc.Cycle, data)
 	}
-	sch, err := chaos.ParseSchedule(data)
-	if err != nil {
-		return err
+	for i, nd := range crc.Nodes {
+		p.staged[i] = nd.Srv.StagingTime()
 	}
-	var nodes []*scenarioRecorder
+	return nil
+}
+
+func (p *printer) AfterStep(crc *chaos.ClusterRunContext, reps []*sched.CycleReport) error {
+	for i, rep := range reps {
+		if rep == nil {
+			continue
+		}
+		for _, h := range rep.Hiccups {
+			fmt.Printf("%sHICCUP stream %d %s track %d (%s)\n", at(crc, i), h.StreamID, h.ObjectID, h.Track, h.Reason)
+			p.hiccups[h.Reason]++
+		}
+		for _, id := range rep.Terminated {
+			fmt.Printf("%sstream %d TERMINATED (degradation of service)\n", at(crc, i), id)
+		}
+		for _, id := range rep.Finished {
+			fmt.Printf("%sstream %d finished\n", at(crc, i), id)
+		}
+	}
+	return nil
+}
+
+func (p *printer) End(*chaos.ClusterRunContext) error { return nil }
+
+// simulate runs one schedule through the chaos runner under the default
+// checkers plus the printer, prints the summary from every node's
+// server, and returns an error on any invariant breach. The last line of
+// a clean run is the "invariants:" line.
+func simulate(sch *chaos.Schedule) error {
+	out := &printer{}
 	res, err := chaos.Run(chaos.RunConfig{
 		Schedule: *sch,
-		NewCheckers: func() []chaos.Checker {
-			r := &scenarioRecorder{}
-			nodes = append(nodes, r)
-			return append(chaos.DefaultCheckers(), r)
+		NewClusterCheckers: func() []chaos.ClusterChecker {
+			return append(chaos.DefaultClusterCheckers(), out)
 		},
 	})
 	if err != nil {
@@ -281,20 +269,21 @@ func runScenario(path string) error {
 
 	var st server.Stats
 	var staging time.Duration
-	hiccups := map[string]int{}
-	for _, n := range nodes {
-		ns := n.srv.Stats()
+	var peakBytes units.ByteSize
+	for _, nd := range res.Nodes {
+		ns := nd.Srv.Stats()
 		st.Delivered += ns.Delivered
 		st.Hiccups += ns.Hiccups
 		st.Reconstructions += ns.Reconstructions
 		st.Finished += ns.Finished
 		st.Terminated += ns.Terminated
+		st.DataReads += ns.DataReads
+		st.ParityReads += ns.ParityReads
 		st.BufferPeak = max(st.BufferPeak, ns.BufferPeak)
 		st.Stagings += ns.Stagings
-		staging += n.srv.StagingTime()
-		for cause, c := range n.rec.Summarize().HiccupsByCause {
-			hiccups[cause] += c
-		}
+		st.Evictions += ns.Evictions
+		staging += nd.Srv.StagingTime()
+		peakBytes = max(peakBytes, nd.Srv.BufferPeakBytes())
 	}
 	finished, resumed, lost, cancelled, terminated := 0, 0, 0, 0, 0
 	for _, s := range res.Sessions {
@@ -314,29 +303,32 @@ func runScenario(path string) error {
 			terminated++
 		}
 	}
-
 	requests := 0
 	for _, ev := range sch.Events {
 		if ev.Kind == chaos.EventAdmit {
 			requests++
 		}
 	}
-	fmt.Printf("scenario %s: scheme=%s nodes=%d farm=%dx%d per node\n", path, sch.Scheme, len(nodes), sch.Disks, sch.ClusterSize)
+
+	cycleTime := res.Nodes[0].Srv.CycleTime()
+	fmt.Printf("\n--- summary after %d cycles (%.1f simulated seconds), drained=%v ---\n",
+		res.Cycles, float64(res.Cycles)*cycleTime.Seconds(), res.Drained)
 	fmt.Printf("requests admitted/rejected: %d/%d\n", len(res.Sessions), requests-len(res.Sessions))
 	fmt.Printf("delivered tracks:           %d\n", st.Delivered)
 	fmt.Printf("hiccups:                    %d\n", st.Hiccups)
-	causes := make([]string, 0, len(hiccups))
-	for cause := range hiccups {
+	causes := make([]string, 0, len(out.hiccups))
+	for cause := range out.hiccups {
 		causes = append(causes, cause)
 	}
 	sort.Strings(causes)
 	for _, cause := range causes {
-		fmt.Printf("  %-40s %d\n", cause, hiccups[cause])
+		fmt.Printf("  %-40s %d\n", cause, out.hiccups[cause])
 	}
 	fmt.Printf("reconstructions:            %d\n", st.Reconstructions)
 	fmt.Printf("streams finished:           %d, terminated: %d\n", st.Finished, st.Terminated)
-	fmt.Printf("buffer peak:                %d tracks\n", st.BufferPeak)
-	fmt.Printf("tertiary stagings:          %d (%v)\n", st.Stagings, staging)
+	fmt.Printf("disk reads:                 %d data, %d parity\n", st.DataReads, st.ParityReads)
+	fmt.Printf("buffer peak:                %d tracks (%v)\n", st.BufferPeak, peakBytes)
+	fmt.Printf("tertiary stagings:          %d (%v), evictions: %d\n", st.Stagings, staging, st.Evictions)
 	fmt.Printf("sessions:                   %d finished, %d re-admitted, %d lost, %d cancelled, %d terminated\n",
 		finished, resumed, lost, cancelled, terminated)
 	for _, s := range res.Sessions {
@@ -344,7 +336,16 @@ func runScenario(path string) error {
 			fmt.Printf("  session %d (%s) lost: %s\n", s.Ordinal, s.Title, s.LostReason)
 		}
 	}
-	fmt.Printf("cycles:                     %d, drained=%v\n", res.Cycles, res.Drained)
+	for _, nd := range res.Nodes {
+		if *showMetrics {
+			fmt.Printf("\n--- engine metrics (%s) ---\n%s", nd.ID, nd.Srv.MetricsSnapshot())
+		}
+		if *metricsJSON {
+			if err := nd.Srv.Metrics().WriteJSON(os.Stdout); err != nil {
+				return err
+			}
+		}
+	}
 	if v := res.Violation; v != nil {
 		return fmt.Errorf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // Ref is a refcounted handle on a delivered track. It exists so one
-// delivered track can be handed to N consumers (session writers, a
-// trace recorder) without copying: the producer Shares or Lends the
+// delivered track can be handed to N consumers (the session writers of
+// a merged read) without copying: the producer Shares or Lends the
 // bytes once, each consumer Retains the Ref, and the last holder's
 // Release ends it. Ref headers themselves are pooled, so steady-state
 // sharing allocates nothing.

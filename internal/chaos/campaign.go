@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"ftmm/internal/failure"
-	"ftmm/internal/sched"
 )
 
 // CampaignConfig configures a batch of generated chaos runs.
@@ -71,9 +70,9 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 		cfg.Schemes = SchemeNames()
 	}
 	records := make([]*RunRecord, cfg.Runs)
-	// sched.RunClusters is the repo's deterministic worker pool: work
-	// item i lands in slot i regardless of which worker ran it or when.
-	err := sched.RunClusters(cfg.Runs, cfg.Workers, func(i int) error {
+	// failure.RunTrials is the repo's deterministic worker pool: run i
+	// lands in slot i regardless of which worker ran it or when.
+	err := failure.RunTrials(cfg.Runs, cfg.Workers, func(i int) error {
 		seed := failure.TrialSeed(cfg.Seed, i)
 		rng := rand.New(rand.NewSource(seed))
 		scheme := cfg.Schemes[i%len(cfg.Schemes)]

@@ -15,8 +15,11 @@
 //   - admission: live streams never exceed the analytic N_p bound
 //     (equations (8)-(11));
 //   - report retention: a Clone of a cycle report stays equal to the
-//     live report, delivered bytes match the stored content, and
-//     per-stream delivery advances one consecutive track at a time.
+//     live report, and its buffer gauge matches the engine's;
+//   - bit-exact continuity (run-wide, on one node or many): every
+//     session receives its title's bytes exactly, one consecutive track
+//     at a time across its whole ownership chain, and a finished session
+//     received all of them. This is the repo's one delivery verifier.
 //
 // A Schedule is also the scenario file format: ParseSchedule reads the
 // files under scenarios/, and a shrunk trace is written out as the

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 
 	"ftmm/internal/analytic"
 	"ftmm/internal/disk"
@@ -11,7 +10,6 @@ import (
 	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
 	"ftmm/internal/server"
-	"ftmm/internal/trace"
 )
 
 // DefaultCheckers returns a fresh instance of every standard invariant
@@ -355,18 +353,14 @@ func (a *AdmissionChecker) AfterStep(rc *RunContext, _ *sched.CycleReport) error
 func (a *AdmissionChecker) End(*RunContext) error { return nil }
 
 // ----------------------------------------------------------------------
-// Report retention and delivery integrity.
+// Report retention.
 
 // RetentionChecker audits the report contract: a Clone taken inside the
-// validity window equals the live report; the report's buffer gauge
-// matches the engine's; every delivered track's bytes are exactly the
-// archived content (a recycled-too-early buffer delivers plausible but
-// wrong bytes — the failure mode the ownership rules exist to prevent);
-// and each stream's deliveries and hiccups together advance one
-// consecutive track run per cycle, with no duplicates or skips.
+// validity window equals the live report, and the report's buffer gauge
+// matches the engine's. Delivered bytes and per-stream track order are
+// the cross-node continuity checker's to audit, on every run, single-node
+// included.
 type RetentionChecker struct {
-	nextTrack map[int]int
-	perStream map[int][]int
 	// rebuildActive tracks whether an online rebuild could have advanced
 	// inside the Step being audited. The server advances rebuilds after
 	// the engine's end-of-cycle snapshot, and completion may release
@@ -383,8 +377,6 @@ func (r *RetentionChecker) Name() string { return "retention" }
 
 // Begin implements Checker.
 func (r *RetentionChecker) Begin(*RunContext) error {
-	r.nextTrack = make(map[int]int)
-	r.perStream = make(map[int][]int)
 	r.rebuildActive = false
 	return nil
 }
@@ -410,42 +402,6 @@ func (r *RetentionChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) err
 			rep.Cycle, rep.BufferInUse, live)
 	}
 	r.rebuildActive = rc.Srv.RebuildRemaining() > 0
-	for id := range r.perStream {
-		delete(r.perStream, id)
-	}
-	for _, d := range rep.Delivered {
-		content, ok := rc.Content[d.ObjectID]
-		if !ok {
-			return fmt.Errorf("cycle %d: delivery for unknown object %q", rep.Cycle, d.ObjectID)
-		}
-		if err := trace.CheckTrack(content, rc.TrackSize, d.Track, d.Data); err != nil {
-			return fmt.Errorf("cycle %d: stream %d: %w", rep.Cycle, d.StreamID, err)
-		}
-		r.perStream[d.StreamID] = append(r.perStream[d.StreamID], d.Track)
-	}
-	for _, h := range rep.Hiccups {
-		r.perStream[h.StreamID] = append(r.perStream[h.StreamID], h.Track)
-	}
-	ids := make([]int, 0, len(r.perStream))
-	for id := range r.perStream {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tracks := r.perStream[id]
-		sort.Ints(tracks)
-		expect, seen := r.nextTrack[id]
-		if !seen && rc.ResumeStart != nil {
-			expect = rc.ResumeStart[id] // failed-over stream: starts at its resume boundary
-		}
-		for i, t := range tracks {
-			if t != expect+i {
-				return fmt.Errorf("cycle %d: stream %d advanced to track %d, expected %d (skipped or duplicated delivery)",
-					rep.Cycle, id, t, expect+i)
-			}
-		}
-		r.nextTrack[id] = expect + len(tracks)
-	}
 	return nil
 }
 

@@ -34,23 +34,19 @@ type RunResult struct {
 	// Drained reports whether every surviving node went idle before
 	// MaxCycles.
 	Drained bool
+	// Nodes is every node of the run, dead ones included, so a caller
+	// can read each server's stats and metrics after the run.
+	Nodes []*NodeRun
 }
 
-// RunContext is what per-node checkers see: one node's live server, the
-// schedule, and the synthetic catalog.
+// RunContext is what per-node checkers see: one node's live server and
+// the schedule. Delivered bytes are audited run-wide, against the
+// catalog in ClusterRunContext.
 type RunContext struct {
 	Srv      *server.Server
 	Schedule *Schedule
-	// Content maps title IDs to the exact bytes archived for them.
-	Content   map[string][]byte
-	TrackSize int
 	// Cycle is the index of the cycle currently being checked.
 	Cycle int
-	// ResumeStart maps engine stream IDs admitted mid-title (session
-	// failover lands on a replica at a group boundary, VCR resume/rewind
-	// re-admits at a group floor) to their first owed track. Checkers
-	// consult it instead of assuming every stream starts at track 0.
-	ResumeStart map[int]int
 }
 
 // Checker audits one per-node invariant over a run. Begin is called
@@ -276,16 +272,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		crc.Nodes = append(crc.Nodes, &NodeRun{
 			Index: i, ID: nodeID, State: cluster.StateActive, Srv: srv,
-			RC: &RunContext{
-				Srv: srv, Schedule: sch, Content: content, TrackSize: trackSize,
-				ResumeStart: make(map[int]int),
-			},
+			RC:       &RunContext{Srv: srv, Schedule: sch},
 			Checkers: cfg.NewCheckers(),
 		})
 	}
 
 	r := &runner{crc: crc, hooks: cfg.Hooks}
-	res := &RunResult{}
+	res := &RunResult{Nodes: crc.Nodes}
 	// violate stamps the breach; prefix names the node a per-node
 	// checker (or a node's engine) spoke for.
 	violate := func(name, prefix string, err error) *RunResult {
@@ -669,7 +662,6 @@ func (r *runner) place(ses *Session, at int) *NodeRun {
 		ses.Chain = append(ses.Chain, nd.Index)
 		ses.Resumes++
 		crc.byStream[[2]int{nd.Index, sid}] = ses
-		nd.RC.ResumeStart[sid] = ses.ResumeFloor
 		return nd
 	}
 	return nil

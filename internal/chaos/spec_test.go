@@ -8,22 +8,19 @@ import (
 	"testing"
 
 	"ftmm/internal/sched"
-	"ftmm/internal/server"
 )
 
 // probe is a test checker for single-node runs: it counts the events
-// that actually applied (so tests can tell an applied verb from one the
-// best-effort contract skipped) and keeps the node's server for a look
-// at its stats after the run.
+// that actually applied, so tests can tell an applied verb from one the
+// best-effort contract skipped.
 type probe struct {
 	applied map[EventKind]int
-	srv     *server.Server
 }
 
 func newProbe() *probe { return &probe{applied: map[EventKind]int{}} }
 
 func (p *probe) Name() string                                    { return "probe" }
-func (p *probe) Begin(rc *RunContext) error                      { p.srv = rc.Srv; return nil }
+func (p *probe) Begin(*RunContext) error                         { return nil }
 func (p *probe) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
 func (p *probe) End(*RunContext) error                           { return nil }
 func (p *probe) OnEvent(_ *RunContext, ev Event) error           { p.applied[ev.Kind]++; return nil }
@@ -174,11 +171,12 @@ func FuzzParse(f *testing.F) {
 }
 
 func TestSpecEndToEnd(t *testing.T) {
-	res, p := runSpec(t, specJSON, nil)
+	res, _ := runSpec(t, specJSON, nil)
 	if len(res.Sessions) != 3 || finished(res) != 3 || !res.Drained {
 		t.Fatalf("sessions/finished/drained = %d/%d/%v, want 3/3/true", len(res.Sessions), finished(res), res.Drained)
 	}
-	st := p.srv.Stats()
+	srv := res.Nodes[0].Srv
+	st := srv.Stats()
 	if st.Finished != 3 {
 		t.Fatalf("server finished = %d", st.Finished)
 	}
@@ -189,7 +187,7 @@ func TestSpecEndToEnd(t *testing.T) {
 	if st.Reconstructions == 0 {
 		t.Fatal("no reconstructions despite failure")
 	}
-	if p.srv.CycleTime() <= 0 || p.srv.StagingTime() <= 0 {
+	if srv.CycleTime() <= 0 || srv.StagingTime() <= 0 {
 		t.Fatal("missing timings")
 	}
 }
@@ -283,15 +281,14 @@ func TestContinuityCatastropheBoundary(t *testing.T) {
 			{Cycle: 5, Kind: EventFail, Drive: 1},
 		},
 	}
-	p := newProbe()
-	res, err := Run(RunConfig{Schedule: sch, NewCheckers: func() []Checker { return append(DefaultCheckers(), p) }})
+	res, err := Run(RunConfig{Schedule: sch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := res.Violation; v != nil {
 		t.Fatalf("two drives down in one cluster: %s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
 	}
-	if p.srv.Stats().Hiccups == 0 {
+	if res.Nodes[0].Srv.Stats().Hiccups == 0 {
 		t.Fatal("two drives down in one cluster produced no hiccups; the schedule does not reach the boundary")
 	}
 

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"ftmm/internal/failure"
 )
 
 // Result is one completed experiment run.
@@ -34,34 +33,10 @@ func Run(e Named, opts Options) Result {
 func RunAll(opts Options, workers int) []Result {
 	exps := All()
 	results := make([]Result, len(exps))
-	run := func(i int) { results[i] = Run(exps[i], opts) }
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers <= 1 {
-		for i := range exps {
-			run(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+	// A failing experiment reports in its Result, so no item fails.
+	_ = failure.RunTrials(len(exps), workers, func(i int) error {
+		results[i] = Run(exps[i], opts)
+		return nil
+	})
 	return results
 }

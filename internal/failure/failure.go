@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ftmm/internal/layout"
 	"ftmm/internal/units"
@@ -184,42 +183,61 @@ func TrialSeed(seed int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// RunTrials is the repo's one worker pool. It runs fn(0..n-1) —
+// independent items such as Monte-Carlo trials, chaos campaign runs or
+// experiments — across at most workers goroutines (workers <= 0 means
+// GOMAXPROCS; 1 runs inline), and fn(i) keeps its result in slot i of
+// the caller's slice, so results come back in item order. Items are
+// statically partitioned — worker w runs items w, w+W, w+2W, … in
+// increasing order — so which goroutine runs an item depends only on the
+// item index and the worker count, never on scheduling. Any worker count
+// yields the same outcome: when several items fail, the error of the
+// lowest index is returned.
+func RunTrials(n, workers int, fn func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				errs[i] = fn(i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sample runs trials independent simulations of fn across at most
 // workers goroutines (workers <= 0 means GOMAXPROCS) and returns the
 // samples in trial order. Results are bit-identical at any worker count.
 func sample(trials int, seed int64, workers int, fn func(*rand.Rand) float64) []float64 {
 	samples := make([]float64, trials)
-	run := func(i int) {
+	_ = RunTrials(trials, workers, func(i int) error { // a trial cannot fail
 		samples[i] = fn(rand.New(rand.NewSource(TrialSeed(seed, i))))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		for i := 0; i < trials; i++ {
-			run(i)
-		}
-		return samples
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= trials {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 	return samples
 }
 

@@ -36,10 +36,11 @@ type engineCore struct {
 	// remains the paper's track-count accounting.
 	arena *buffer.Arena
 	rec   *sched.Recorder
-	// ctx is the persistent cycle context, reset each Step instead of
-	// reallocated — hence a report's one-Step validity
-	// (sched.CycleReport.Clone).
-	ctx *sched.CycleContext
+	// slots are this cycle's per-disk read budgets, and rep the report
+	// under assembly. Both are reset each Step, not reallocated — hence a
+	// report's one-Step validity (sched.CycleReport.Clone).
+	slots *sched.Slots
+	rep   *sched.CycleReport
 	// delivered holds the engine's own reference on every track buffer
 	// shared into the last Step's report; beginCycle releases them.
 	// Consumers that need a track longer Retain its Delivery.Buf.
@@ -55,16 +56,22 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 	if err := cfg.validate(); err != nil {
 		return engineCore{}, err
 	}
-	slots, err := cfg.slotsFor(kPrime)
+	perDisk, err := cfg.slotsFor(kPrime)
+	if err != nil {
+		return engineCore{}, err
+	}
+	slots, err := sched.NewSlots(cfg.Farm.Size(), perDisk)
 	if err != nil {
 		return engineCore{}, err
 	}
 	return engineCore{
 		cfg:          cfg,
-		slotsPerDisk: slots,
+		slotsPerDisk: perDisk,
 		pool:         newPool(),
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
 		rec:          sched.NewRecorder(cfg.Metrics),
+		slots:        slots,
+		rep:          &sched.CycleReport{},
 	}, nil
 }
 
@@ -105,8 +112,8 @@ func (c *engineCore) allocStreamID() int {
 // the platter's view of the track, the report counter (DataReads or
 // ParityReads) bumped. It returns nil — slot kept, as the arm was
 // scheduled — when the drive's budget is spent or the drive has failed.
-func (c *engineCore) readTrack(ctx *sched.CycleContext, loc layout.Location, reads *int) []byte {
-	if !ctx.Slots.Take(loc.Disk) {
+func (c *engineCore) readTrack(loc layout.Location, reads *int) []byte {
+	if !c.slots.Take(loc.Disk) {
 		return nil
 	}
 	return c.read(loc, reads)
@@ -151,15 +158,16 @@ func (c *engineCore) holdBriefly() error {
 	return c.pool.Release(1)
 }
 
-// emit is the one delivery: the stream's track goes out in a handle on
-// buf — or on ref, when an earlier sharer of a merged read already
-// minted it (a second handle on one buffer would double-free it) — and a
-// track with neither hiccups for the given reason. The reconstructed
+// emit is the one delivery: the stream's track goes into the cycle's
+// report in a handle on buf — or on ref, when an earlier sharer of a
+// merged read already minted it (a second handle on one buffer would
+// double-free it) — and a track with neither hiccups for the given
+// reason. The reconstructed
 // flag is also the buffer's kind: a made track is an arena buffer and is
 // Shared, a read track is a platter view and is Lent. It returns the
 // handle delivered, which now owns buf; the engine keeps its own
 // reference on it until the next Step's beginCycle.
-func (c *engineCore) emit(rep *sched.CycleReport, st *sched.Stream, track int, buf []byte, ref *buffer.Ref, reconstructed bool, reason string) *buffer.Ref {
+func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, ref *buffer.Ref, reconstructed bool, reason string) *buffer.Ref {
 	switch {
 	case ref != nil:
 		ref.Retain()
@@ -169,23 +177,21 @@ func (c *engineCore) emit(rep *sched.CycleReport, st *sched.Stream, track int, b
 	case buf != nil:
 		ref = c.arena.Lend(buf)
 	default:
-		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{
+		c.rep.Hiccups = append(c.rep.Hiccups, sched.Hiccup{
 			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason,
 		})
 		return nil
 	}
 	c.delivered = append(c.delivered, ref)
-	rep.Delivered = append(rep.Delivered, sched.Delivery{
+	c.rep.Delivered = append(c.rep.Delivered, sched.Delivery{
 		StreamID: st.ID, ObjectID: st.Obj.ID, Track: track,
 		Data: buf, Buf: ref, Reconstructed: reconstructed,
 	})
 	return ref
 }
 
-// beginCycle opens the cycle's context: cleared slot budgets, the shared
-// pool, an emptied report, and the recorder. The context is persistent —
-// reset, not reallocated.
-func (c *engineCore) beginCycle() (*sched.CycleContext, error) {
+// beginCycle opens the cycle: cleared slot budgets and an emptied report.
+func (c *engineCore) beginCycle() {
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
 	// this cycle's reads can reuse them.
@@ -194,24 +200,17 @@ func (c *engineCore) beginCycle() (*sched.CycleContext, error) {
 		c.delivered[i] = nil
 	}
 	c.delivered = c.delivered[:0]
-	if c.ctx == nil {
-		slots, err := sched.NewSlots(c.cfg.Farm.Size(), c.slotsPerDisk)
-		if err != nil {
-			return nil, err
-		}
-		c.ctx = sched.NewCycleContext(c.cycle, slots, c.pool, c.rec)
-		return c.ctx, nil
-	}
-	c.ctx.Reset(c.cycle)
-	return c.ctx, nil
+	c.slots.Reset()
+	c.rep.Reset(c.cycle)
 }
 
 // endCycle closes the cycle: stamps buffer occupancy, feeds the metrics
-// recorder, and advances the clock.
-func (c *engineCore) endCycle(ctx *sched.CycleContext) *sched.CycleReport {
-	rep := ctx.Finish()
+// recorder, advances the clock, and returns the assembled report.
+func (c *engineCore) endCycle() *sched.CycleReport {
+	c.rep.BufferInUse = c.pool.InUse()
+	c.rec.ObserveCycle(c.rep, c.slots)
 	c.cycle++
-	return rep
+	return c.rep
 }
 
 // releaseGroups drops one sharer's hold on the given buffered groups
@@ -569,7 +568,7 @@ func (e *groupEngine) CancelStream(id int) error {
 // head: many viewers of one hot title in lockstep) share one physical
 // read through the stage cache; see stageGroup for why reports stay
 // bit-identical to the unmerged path.
-func (e *groupEngine) stageReads(ctx *sched.CycleContext) error {
+func (e *groupEngine) stageReads() error {
 	var cache map[*layout.Group]*bufferedGroup
 	if !e.cfg.disableMergedReads {
 		if e.stageCache == nil {
@@ -591,7 +590,7 @@ func (e *groupEngine) stageReads(ctx *sched.CycleContext) error {
 		for j := 0; j < rate; j++ {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
-			staged, err := e.stageGroup(ctx, g, cache)
+			staged, err := e.stageGroup(g, cache)
 			if err != nil {
 				return err
 			}
@@ -621,14 +620,14 @@ func (e *groupEngine) stageReads(ctx *sched.CycleContext) error {
 // bit-identical to an unmerged run's. Slot exhaustion is monotone within
 // a cycle, so a sharer that would have failed admission unmerged fails
 // here too, before the cache is consulted.
-func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache map[*layout.Group]*bufferedGroup) (*bufferedGroup, error) {
+func (c *engineCore) stageGroup(g *layout.Group, cache map[*layout.Group]*bufferedGroup) (*bufferedGroup, error) {
 	ok := true
 	for _, loc := range g.Data {
-		if !ctx.Slots.Take(loc.Disk) {
+		if !c.slots.Take(loc.Disk) {
 			ok = false
 		}
 	}
-	if !ctx.Slots.Take(g.Parity.Disk) {
+	if !c.slots.Take(g.Parity.Disk) {
 		ok = false
 	}
 	if !ok {
@@ -636,10 +635,10 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 	}
 	if bg := cache[g]; bg != nil {
 		bg.shares++
-		ctx.Rep.DataReads += bg.dataReads
-		ctx.Rep.ParityReads += bg.parityReads
+		c.rep.DataReads += bg.dataReads
+		c.rep.ParityReads += bg.parityReads
 		if bg.recovered {
-			ctx.Rep.Reconstructions++
+			c.rep.Reconstructions++
 		}
 		if err := c.pool.Acquire(bg.pooled); err != nil {
 			return nil, err
@@ -654,12 +653,12 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 	// The parity view's only use is the recovery below; it is dropped
 	// with gr.
 	gr.par = c.read(g.Parity, &staged.parityReads)
-	ctx.Rep.DataReads += staged.dataReads
-	ctx.Rep.ParityReads += staged.parityReads
+	c.rep.DataReads += staged.dataReads
+	c.rep.ParityReads += staged.parityReads
 	if rec, recErr := gr.recoverGroup(c); recErr == nil && rec >= 0 {
 		staged.reconstructed[rec] = true
 		staged.recovered = true
-		ctx.Rep.Reconstructions++
+		c.rep.Reconstructions++
 	}
 	staged.pooled = len(g.Data) + 1
 	if err := c.pool.Acquire(staged.pooled); err != nil {
@@ -676,7 +675,7 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 // could not be read or rebuilt (hiccupReason labels the loss). A
 // fast-forward stream delivers its primary group and then its extras in
 // group order, so the tracks on the wire stay consecutive.
-func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string) error {
+func (e *groupEngine) deliverDouble(hiccupReason string) error {
 	for _, s := range e.streams {
 		if s.Terminated || s.Done {
 			continue
@@ -686,7 +685,7 @@ func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string
 		s.delivering, s.staged = s.staged, nil
 		s.deliveringExtra, s.stagedExtra = s.stagedExtra, extras[:0]
 		if bg != nil {
-			if err := e.deliverGroup(ctx, s, bg, hiccupReason); err != nil {
+			if err := e.deliverGroup(s, bg, hiccupReason); err != nil {
 				return err
 			}
 		}
@@ -695,7 +694,7 @@ func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string
 			if ebg == nil {
 				continue
 			}
-			if err := e.deliverGroup(ctx, s, ebg, hiccupReason); err != nil {
+			if err := e.deliverGroup(s, ebg, hiccupReason); err != nil {
 				return err
 			}
 		}
@@ -703,7 +702,7 @@ func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string
 			continue
 		}
 		if s.Done {
-			ctx.Rep.Finished = append(ctx.Rep.Finished, s.ID)
+			e.rep.Finished = append(e.rep.Finished, s.ID)
 		}
 	}
 	return nil
@@ -712,7 +711,7 @@ func (e *groupEngine) deliverDouble(ctx *sched.CycleContext, hiccupReason string
 // deliverGroup ships one buffered group of one stream: tracks out (or
 // hiccups), the sharer's pool hold released, the stream advanced. The
 // caller appends Finished once after all of the stream's groups.
-func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *bufferedGroup, hiccupReason string) error {
+func (c *engineCore) deliverGroup(s *groupStream, bg *bufferedGroup, hiccupReason string) error {
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
@@ -720,7 +719,7 @@ func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *b
 		if bg.refs != nil {
 			ref = bg.refs[off]
 		}
-		ref = c.emit(ctx.Rep, &s.Stream, base+off, bg.data[off], ref, bg.reconstructed[off], hiccupReason)
+		ref = c.emit(&s.Stream, base+off, bg.data[off], ref, bg.reconstructed[off], hiccupReason)
 		if bg.data[off] == nil {
 			continue
 		}

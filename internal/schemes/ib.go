@@ -112,9 +112,9 @@ func (e *ImprovedBandwidth) FailDiskMidCycle(id int) error {
 // >= 0, is the drive failing partway through this cycle: it serves
 // *allowance more of its scheduled reads, then dies, and what it had
 // left to serve is lost with no time to shift.
-func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleContext, midDisk int, allowance *int) error {
+func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, midDisk int, allowance *int) error {
 	for j, loc := range gr.g.Data {
-		onVictim := loc.Disk == midDisk && ctx.Slots.Free(loc.Disk) > 0
+		onVictim := loc.Disk == midDisk && e.slots.Free(loc.Disk) > 0
 		if onVictim && e.midFail >= 0 {
 			if *allowance == 0 {
 				if err := e.failMidCycle(); err != nil {
@@ -124,7 +124,7 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleCon
 				*allowance--
 			}
 		}
-		blk := e.readTrack(ctx, loc, &ctx.Rep.DataReads)
+		blk := e.readTrack(loc, &e.rep.DataReads)
 		if blk == nil {
 			gr.missing = append(gr.missing, j)
 			if onVictim {
@@ -147,10 +147,7 @@ func (e *ImprovedBandwidth) failMidCycle() error {
 
 // Step implements Simulator.
 func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
-	ctx, err := e.beginCycle()
-	if err != nil {
-		return nil, err
-	}
+	e.beginCycle()
 	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
@@ -190,7 +187,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		allowance /= 2
 	}
 	for _, gr := range groups {
-		if err := e.readGroupBlocks(gr, ctx, midDisk, &allowance); err != nil {
+		if err := e.readGroupBlocks(gr, midDisk, &allowance); err != nil {
 			return nil, err
 		}
 	}
@@ -206,7 +203,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	// further).
 	for _, gr := range groups {
 		clear(e.visited)
-		if err := e.resolve(gr, ctx); err != nil {
+		if err := e.resolve(gr); err != nil {
 			return nil, err
 		}
 	}
@@ -226,17 +223,17 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	}
 
 	// Delivery of last cycle's groups.
-	if err := e.deliverDouble(ctx, "unmasked failure"); err != nil {
+	if err := e.deliverDouble("unmasked failure"); err != nil {
 		return nil, err
 	}
 
-	return e.endCycle(ctx), nil
+	return e.endCycle(), nil
 }
 
 // resolve recovers a group's missing blocks via the parity shift.
 // e.visited, cleared per chain, guards against wrapping all the way
 // around the clusters.
-func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) error {
+func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 	if len(gr.missing) == 0 {
 		return nil
 	}
@@ -259,18 +256,18 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) er
 	pCluster := e.cfg.Layout.ParityHomeCluster(gr.g.Cluster)
 	if e.visited[pCluster] {
 		// Wrapped around: no capacity anywhere. Degradation of service.
-		return e.terminate(gr.s, ctx.Rep)
+		return e.terminate(gr.s)
 	}
 	e.visited[pCluster] = true
 
-	par, victim, err := e.readParity(gr, ctx)
+	par, victim, err := e.readParity(gr)
 	if err != nil {
 		return err
 	}
 	if victim != nil {
 		// The victim lost its block on the parity drive and shifts right
 		// itself, before this group's fold.
-		if err := e.resolve(victim, ctx); err != nil {
+		if err := e.resolve(victim); err != nil {
 			return err
 		}
 	}
@@ -291,7 +288,7 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) er
 	}
 	gr.bg.data[j] = rec
 	gr.bg.reconstructed[j] = true
-	ctx.Rep.Reconstructions++
+	e.rep.Reconstructions++
 	return nil
 }
 
@@ -301,17 +298,17 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead, ctx *sched.CycleContext) er
 // catastrophic hiccup; no victim: degradation). victim, when non-nil, is
 // the group whose local read gave up its slot; the caller shifts it
 // right.
-func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext) (par []byte, victim *ibGroupRead, err error) {
+func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibGroupRead, err error) {
 	pDisk := gr.g.Parity.Disk
 	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() != disk.Operational {
 		// Adjacent-cluster double failure: the paper's data-loss case.
 		return nil, nil, nil
 	}
-	if ctx.Slots.Free(pDisk) == 0 {
+	if e.slots.Free(pDisk) == 0 {
 		// Drop a victim's local read on this drive in favor of parity.
 		victim = e.pickVictim(pDisk, gr)
 		if victim == nil {
-			return nil, nil, e.terminate(gr.s, ctx.Rep)
+			return nil, nil, e.terminate(gr.s)
 		}
 		// The victim loses the block it read from pDisk (a view, so it is
 		// just dropped); the freed slot carries our parity read.
@@ -323,9 +320,9 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, ctx *sched.CycleContext)
 				break
 			}
 		}
-		ctx.Slots.Put(pDisk)
+		e.slots.Put(pDisk)
 	}
-	par = e.readTrack(ctx, gr.g.Parity, &ctx.Rep.ParityReads)
+	par = e.readTrack(gr.g.Parity, &e.rep.ParityReads)
 	if par == nil {
 		return nil, victim, nil
 	}
@@ -352,13 +349,13 @@ func (e *ImprovedBandwidth) pickVictim(d int, requester *ibGroupRead) *ibGroupRe
 
 // terminate kills a stream: the paper's degradation of service. Buffers
 // the stream still holds from the previous cycle are returned.
-func (e *ImprovedBandwidth) terminate(s *groupStream, rep *sched.CycleReport) error {
+func (e *ImprovedBandwidth) terminate(s *groupStream) error {
 	if s.Terminated {
 		return nil
 	}
 	s.Terminated = true
 	e.terminations++
-	rep.Terminated = append(rep.Terminated, s.ID)
+	e.rep.Terminated = append(e.rep.Terminated, s.ID)
 	err := e.releaseGroups(s.delivering, s.staged)
 	s.delivering, s.staged = nil, nil
 	return err

@@ -390,10 +390,7 @@ func (e *NonClustered) dropXOR(s *ncStream) error {
 
 // Step implements Simulator.
 func (e *NonClustered) Step() (*sched.CycleReport, error) {
-	ctx, err := e.beginCycle()
-	if err != nil {
-		return nil, err
-	}
+	e.beginCycle()
 	e.streams = dropEnded(e.streams)
 
 	degraded := 0
@@ -409,14 +406,14 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	// cluster degraded the first pass is empty.
 	for _, s := range e.streams {
 		if e.readable(s) && e.isDegradedWork(s) {
-			if err := e.readForStream(s, ctx); err != nil {
+			if err := e.readForStream(s); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for _, s := range e.streams {
 		if e.readable(s) && !e.isDegradedWork(s) {
-			if err := e.readForStream(s, ctx); err != nil {
+			if err := e.readForStream(s); err != nil {
 				return nil, err
 			}
 		}
@@ -433,7 +430,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		if s.lost[r] {
 			reason = "track lost in degraded-mode transition"
 		}
-		e.emit(ctx.Rep, &s.Stream, r, st.data, nil, st.reconstructed, reason)
+		e.emit(&s.Stream, r, st.data, nil, st.reconstructed, reason)
 		if staged {
 			delete(s.staged, r)
 			if err := e.pool.Release(1); err != nil {
@@ -444,7 +441,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 		s.Advance(1)
 		if s.Done {
-			ctx.Rep.Finished = append(ctx.Rep.Finished, s.ID)
+			e.rep.Finished = append(e.rep.Finished, s.ID)
 			// Early reads past the end cannot exist, but be defensive.
 			if err := e.dropBuffers(s); err != nil {
 				return nil, err
@@ -452,7 +449,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle(ctx), nil
+	return e.endCycle(), nil
 }
 
 // readable reports whether the stream has read work this cycle.
@@ -490,8 +487,8 @@ func (e *NonClustered) isDegradedWork(s *ncStream) bool {
 }
 
 // readForStream performs the stream's reads for this cycle, recording
-// into the given cycle context.
-func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error {
+// into the cycle's report.
+func (e *NonClustered) readForStream(s *ncStream) error {
 	if s.startCycle < 0 {
 		s.startCycle = e.cycle
 	}
@@ -511,33 +508,33 @@ func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error
 
 	switch {
 	case state.mode == ncNormal || state.mode == ncParityLost || s.legacyGroup == g:
-		return e.plainRead(s, grp, r, o, ctx)
+		return e.plainRead(s, grp, r, o)
 	case state.mode == ncUnprotected:
 		if o == state.failedOffset {
 			s.lost[r] = true // recurring loss: the paper's degradation
 			s.read++
 			return nil
 		}
-		return e.plainRead(s, grp, r, o, ctx)
+		return e.plainRead(s, grp, r, o)
 	case state.mode == ncDegraded && e.policy == SimpleSwitchover:
 		if o != 0 {
 			// Mid-group on a degraded cluster outside legacy mode should
 			// not happen (transition drops remnants), but read plainly if
 			// it does.
-			return e.plainRead(s, grp, r, o, ctx)
+			return e.plainRead(s, grp, r, o)
 		}
-		return e.groupRead(s, grp, g, state.failedOffset, ctx)
+		return e.groupRead(s, grp, g, state.failedOffset)
 	case state.mode == ncDegraded && e.policy == AlternateSwitchover:
-		return e.xorRead(s, grp, g, o, state.failedOffset, ctx)
+		return e.xorRead(s, grp, g, o, state.failedOffset)
 	}
 	return fmt.Errorf("schemes: unhandled cluster mode %d", state.mode)
 }
 
 // plainRead reads a single track; on slot exhaustion or drive failure the
 // track is lost.
-func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *sched.CycleContext) error {
+func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error {
 	s.read++
-	blk := e.readTrack(ctx, grp.Data[o], &ctx.Rep.DataReads)
+	blk := e.readTrack(grp.Data[o], &e.rep.DataReads)
 	if blk == nil {
 		s.lost[r] = true
 		return nil
@@ -551,7 +548,7 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *
 
 // groupRead stages an entire parity group at once (degraded steady state
 // under the simple policy), reconstructing the failed drive's track.
-func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset int, ctx *sched.CycleContext) error {
+func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset int) error {
 	width := e.width()
 	base := g * width
 	groupEnd := min(base+width, s.Obj.Tracks)
@@ -562,15 +559,15 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	gr := groupRead{data: make([][]byte, len(grp.Data))}
 	for j, loc := range grp.Data {
 		if j != failedOffset {
-			gr.data[j] = e.readTrack(ctx, loc, &ctx.Rep.DataReads)
+			gr.data[j] = e.readTrack(loc, &e.rep.DataReads)
 		}
 	}
 	reconstructedIdx := -1
-	gr.par = e.readTrack(ctx, grp.Parity, &ctx.Rep.ParityReads)
+	gr.par = e.readTrack(grp.Parity, &e.rep.ParityReads)
 	if gr.par != nil {
 		if rec, err := gr.recoverGroup(&e.engineCore); err == nil && rec >= 0 {
 			reconstructedIdx = rec
-			ctx.Rep.Reconstructions++
+			e.rep.Reconstructions++
 		}
 		// Parity occupied a buffer during the read; account and drop it.
 		if err := e.holdBriefly(); err != nil {
@@ -603,14 +600,14 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 // accumulator; at the failed offset the remaining tracks and parity are
 // read early and the missing track reconstructed; tracks beyond are
 // already staged.
-func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffset int, ctx *sched.CycleContext) error {
+func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffset int) error {
 	width := e.width()
 	base := g * width
 	if o > failedOffset {
 		// Past the reconstruction point without staged data (possible
 		// only after an unusual repair/re-fail interleaving): read
 		// plainly; the drive at this offset is healthy.
-		return e.plainRead(s, grp, s.read, o, ctx)
+		return e.plainRead(s, grp, s.read, o)
 	}
 	if o < failedOffset {
 		if s.xorGroup != g {
@@ -625,7 +622,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			s.xorGroup = g
 		}
 		r := s.read
-		if err := e.plainRead(s, grp, r, o, ctx); err != nil {
+		if err := e.plainRead(s, grp, r, o); err != nil {
 			return err
 		}
 		if st, ok := s.staged[r]; ok {
@@ -658,7 +655,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
-		blk := e.readTrack(ctx, grp.Data[r-base], &ctx.Rep.DataReads)
+		blk := e.readTrack(grp.Data[r-base], &e.rep.DataReads)
 		if blk == nil {
 			s.lost[r] = true
 			canRecon = false
@@ -674,7 +671,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			}
 		}
 	}
-	par := e.readTrack(ctx, grp.Parity, &ctx.Rep.ParityReads)
+	par := e.readTrack(grp.Parity, &e.rep.ParityReads)
 	if canRecon && par != nil && s.xor != nil && failedTrack < s.Obj.Tracks {
 		if err := parity.XORInto(s.xor, par); err != nil {
 			return err
@@ -685,7 +682,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		s.xor = nil // buffer ownership moves to the staged track
 		s.xorGroup = -1
 		s.staged[failedTrack] = ncStaged{data: rec, reconstructed: true}
-		ctx.Rep.Reconstructions++
+		e.rep.Reconstructions++
 	} else {
 		if failedTrack < s.Obj.Tracks {
 			s.lost[failedTrack] = true

@@ -3,11 +3,13 @@ package schemes
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"ftmm/internal/disk"
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/layout"
+	"ftmm/internal/rebuild"
 	"ftmm/internal/sched"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
@@ -157,4 +159,28 @@ func verifyStream(t *testing.T, r *rig, obj *layout.Object, deliveries []sched.D
 			t.Fatalf("object %s track %d content differs", obj.ID, i)
 		}
 	}
+}
+
+// repairDrive is an instant repair the way the server does one: replace
+// the drive, run the online rebuilder with an unbounded budget, tell the
+// engine (NC must release its buffer server).
+func repairDrive(e Simulator, r *rig, id int) error {
+	drv, err := r.farm.Drive(id)
+	if err != nil {
+		return err
+	}
+	if err := drv.Replace(); err != nil {
+		return err
+	}
+	rb, err := rebuild.New(r.farm, r.lay, id)
+	if err != nil {
+		return err
+	}
+	if _, err := rb.Step(math.MaxInt); err != nil {
+		return err
+	}
+	if n, ok := e.(interface{ OnDriveRebuilt(int) error }); ok {
+		return n.OnDriveRebuilt(id)
+	}
+	return nil
 }

@@ -32,9 +32,10 @@
 // (DESIGN.md, "Zero-alloc data path"). A track read off a platter is
 // delivered as the drive's own slice, so Delivery.Data is read-only for
 // every consumer. A caller that holds a report across Steps must
-// deep-copy it first with CycleReport.Clone; trace.Recorder.Observe
-// copies delivered bytes for the same reason, and the network layer
-// Retains the Buf of every Delivery it ships before its cycle returns.
+// deep-copy it first with CycleReport.Clone (the chaos harness's
+// retention checker holds every engine to that contract), and the
+// network layer Retains the Buf of every Delivery it ships before its
+// cycle returns.
 // Reading a stale report is a use-after-free the race detector cannot
 // see — the bytes stay valid, just wrong.
 package schemes
@@ -89,6 +90,8 @@ type Simulator interface {
 	// Arena exposes the engine's track-buffer recycler, mainly so leak
 	// tests can assert every shared buffer was Released.
 	Arena() *buffer.Arena
+	// SlotsPerDisk returns the per-disk per-cycle track budget in use.
+	SlotsPerDisk() int
 }
 
 // Config carries what every scheme engine needs.

@@ -122,10 +122,7 @@ func (e *StaggeredGroup) CancelStream(id int) error {
 
 // Step implements Simulator.
 func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
-	ctx, err := e.beginCycle()
-	if err != nil {
-		return nil, err
-	}
+	e.beginCycle()
 	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
@@ -139,7 +136,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		s.nextGroup++
 		// No stage cache: SG streams drain a group over C-1 cycles via a
 		// private cursor, so sharing the struct would tangle cursors.
-		staged, err := e.stageGroup(ctx, g, nil)
+		staged, err := e.stageGroup(g, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +153,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 			continue
 		}
 		if s.buf != nil && s.buf.next < s.buf.group.ValidTracks {
-			e.deliverOne(s, ctx.Rep)
+			e.deliverOne(s)
 			if s.buf.pooled > 0 {
 				if err := e.pool.Release(1); err != nil {
 					return nil, err
@@ -190,21 +187,21 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 			}
 		}
 		if s.Done {
-			ctx.Rep.Finished = append(ctx.Rep.Finished, s.ID)
+			e.rep.Finished = append(e.rep.Finished, s.ID)
 		}
 	}
 
-	return e.endCycle(ctx), nil
+	return e.endCycle(), nil
 }
 
 // deliverOne sends the next track of the stream's buffered group.
-func (e *StaggeredGroup) deliverOne(s *sgStream, rep *sched.CycleReport) {
+func (e *StaggeredGroup) deliverOne(s *sgStream) {
 	bg := s.buf
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	off := bg.next
 	bg.next++
-	e.emit(rep, &s.Stream, base+off, bg.data[off], nil, bg.reconstructed[off], "parity group unrecoverable")
+	e.emit(&s.Stream, base+off, bg.data[off], nil, bg.reconstructed[off], "parity group unrecoverable")
 	// Ownership moved to the Ref (released at the next Step's
 	// beginCycle); clear the slot so group recycling skips it.
 	bg.data[off] = nil

@@ -68,23 +68,20 @@ func (e *StreamingRAID) WeightedActive() int { return e.weightedActive() }
 
 // Step implements Simulator.
 func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
-	ctx, err := e.beginCycle()
-	if err != nil {
-		return nil, err
-	}
+	e.beginCycle()
 	e.streams = dropEnded(e.streams)
 
 	// Read phase: each active stream reads its next whole parity group.
 	// The buffer pool only grows during this phase, so its peak is the
 	// cycle's.
-	if err := e.stageReads(ctx); err != nil {
+	if err := e.stageReads(); err != nil {
 		return nil, err
 	}
 
 	// Delivery phase: groups read in the previous cycle go out now.
-	if err := e.deliverDouble(ctx, "parity group unrecoverable"); err != nil {
+	if err := e.deliverDouble("parity group unrecoverable"); err != nil {
 		return nil, err
 	}
 
-	return e.endCycle(ctx), nil
+	return e.endCycle(), nil
 }

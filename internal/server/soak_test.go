@@ -1,133 +1,81 @@
-package server
+package server_test
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ftmm/internal/analytic"
-	"ftmm/internal/schemes"
-	"ftmm/internal/trace"
-	"ftmm/internal/units"
+	"ftmm/internal/chaos"
 	"ftmm/internal/workload"
 )
 
 // Server-level soak: a Zipf workload drives requests against every
-// scheme while drives fail and get repaired; the delivery trace must
-// stay bit-exact and complete for every finished stream, with losses
-// confined to NC transitions.
+// scheme while drives fail and get repaired, on the one chaos runner.
+// Its checkers keep the delivery bit-exact and complete for every
+// finished session, with losses confined to NC transitions.
 func TestServerSoak(t *testing.T) {
 	for _, scheme := range analytic.Schemes() {
-		scheme := scheme
 		t.Run(scheme.Abbrev(), func(t *testing.T) {
-			serverSoak(t, scheme)
+			serverSoak(t, strings.ToLower(scheme.Abbrev()))
 		})
 	}
 }
 
-func serverSoak(t *testing.T, scheme analytic.Scheme) {
+// soakSchedule requests a Zipf-picked title every third cycle, 30 in
+// all, while a seeded process fails a random drive and later repairs it,
+// at most one down at a time.
+func soakSchedule(t *testing.T, scheme string) chaos.Schedule {
 	t.Helper()
-	const titles = 8
-	const titleTracks = 24
-	opts := testOptions(scheme)
-	opts.Disks = 20
-	p := opts.DiskParams
-	p.Capacity = units.ByteSize(titles*titleTracks/opts.Disks*2+60) * p.TrackSize
-	opts.DiskParams = p
-	opts.K = 3
-	opts.NCPolicy = schemes.AlternateSwitchover
-
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := map[string][]byte{}
-	trackSize := int(p.TrackSize)
-	for i := 0; i < titles; i++ {
-		id := fmt.Sprintf("movie%d", i)
-		c := workload.SyntheticContent(id, titleTracks*trackSize)
-		content[id] = c
-		if err := s.AddTitle(id, units.ByteSize(len(c)), i/3, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec, err := trace.NewRecorder(content, trackSize)
-	if err != nil {
-		t.Fatal(err)
+	const titles, requests = 8, 30
+	sch := chaos.Schedule{
+		Scheme: scheme, Disks: 20, ClusterSize: 5, K: 3,
+		Titles: titles, TitleGroups: 6, MaxCycles: 1000,
 	}
 	gen, err := workload.New(workload.Config{
-		Seed: 5, Objects: workload.ObjectNames("movie", titles), ZipfS: 0.8, ArrivalsPerSecond: 2,
+		Seed: 5, Objects: workload.ObjectNames("title", titles), ZipfS: 0.8, ArrivalsPerSecond: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	rng := rand.New(rand.NewSource(99))
-	streams := map[int]string{}
 	failed := -1
-	requests, rejected := 0, 0
-	for cycle := 0; cycle < 400; cycle++ {
-		// A request every few cycles.
-		if cycle%3 == 0 && requests < 30 {
-			id := gen.Pick()
-			sid, _, err := s.Request(id)
-			if err != nil {
-				rejected++
-			} else {
-				streams[sid] = id
-				requests++
-			}
+	for cycle := 0; cycle < 3*requests+30; cycle++ {
+		if cycle%3 == 0 && cycle < 3*requests {
+			sch.Events = append(sch.Events, chaos.Event{Cycle: cycle, Kind: chaos.EventAdmit, Title: gen.Pick()})
 		}
 		switch {
 		case failed < 0 && rng.Intn(25) == 0:
-			failed = rng.Intn(opts.Disks)
-			if err := s.FailDisk(failed); err != nil {
-				t.Fatal(err)
-			}
+			failed = rng.Intn(sch.Disks)
+			sch.Events = append(sch.Events, chaos.Event{Cycle: cycle, Kind: chaos.EventFail, Drive: failed})
 		case failed >= 0 && rng.Intn(30) == 0:
-			if err := s.RepairDisk(failed); err != nil {
-				t.Fatal(err)
-			}
+			sch.Events = append(sch.Events, chaos.Event{Cycle: cycle, Kind: chaos.EventRepair, Drive: failed})
 			failed = -1
 		}
-		rep, err := s.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Observe(rep)
-		if s.Engine().Active() == 0 && requests >= 30 {
-			break
-		}
 	}
-	// Drain remaining streams.
-	for i := 0; s.Engine().Active() > 0 && i < 600; i++ {
-		rep, err := s.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Observe(rep)
+	return sch
+}
+
+func serverSoak(t *testing.T, scheme string) {
+	t.Helper()
+	sch := soakSchedule(t, scheme)
+	res, err := chaos.Run(chaos.RunConfig{Schedule: sch})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Engine().Active() != 0 {
+	if v := res.Violation; v != nil {
+		t.Fatalf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
+	}
+	if !res.Drained {
 		t.Fatal("streams still active")
 	}
-	if requests < 20 {
-		t.Fatalf("only %d requests admitted (rejected %d); scenario too tight", requests, rejected)
+	if len(res.Sessions) < 20 {
+		t.Fatalf("only %d requests admitted; scenario too tight", len(res.Sessions))
 	}
-
-	if err := rec.VerifyIntegrity(); err != nil {
-		t.Fatalf("integrity: %v", err)
+	st := res.Nodes[0].Srv.Stats()
+	if scheme != "nc" && st.Hiccups != 0 {
+		t.Fatalf("%d hiccups under single-failure soak", st.Hiccups)
 	}
-	if err := rec.VerifyContinuity(); err != nil {
-		t.Fatalf("continuity: %v", err)
-	}
-	if err := rec.VerifyComplete(streams); err != nil {
-		t.Fatalf("completeness: %v", err)
-	}
-	sum := rec.Summarize()
-	if scheme != analytic.NonClustered && sum.Hiccups != 0 {
-		t.Fatalf("%d hiccups under single-failure soak", sum.Hiccups)
-	}
-	st := s.Stats()
 	if st.Terminated != 0 {
 		t.Fatalf("%d terminations", st.Terminated)
 	}

@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"ftmm/internal/sched"
 )
 
 const ts = 4 // track size for tests
@@ -17,181 +15,71 @@ func content(id string, tracks int) []byte {
 	return out
 }
 
-func newTestRecorder(t *testing.T) (*Recorder, map[string][]byte) {
-	t.Helper()
-	c := map[string][]byte{"a": content("a", 3), "b": content("b", 2)}
-	r, err := NewRecorder(c, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, c
-}
-
-func deliver(c map[string][]byte, obj string, track int) sched.Delivery {
-	return sched.Delivery{StreamID: streamOf(obj), ObjectID: obj, Track: track,
-		Data: c[obj][track*ts : (track+1)*ts]}
-}
-
-func streamOf(obj string) int {
-	if obj == "a" {
-		return 1
-	}
-	return 2
-}
+// track returns a correct delivery of track i of c.
+func track(c []byte, i int) []byte { return append([]byte(nil), c[i*ts:(i+1)*ts]...) }
 
 func TestNewRecorderValidation(t *testing.T) {
-	if _, err := NewRecorder(nil, 0); err == nil {
-		t.Error("zero track size accepted")
+	c := content("a", 1)
+	for _, size := range []int{0, -ts} {
+		if err := CheckTrack(c, size, 0, track(c, 0)); err == nil {
+			t.Errorf("track size %d accepted", size)
+		}
+	}
+	if err := CheckTrack(c, ts, 0, track(c, 0)[:ts-1]); err == nil {
+		t.Error("short delivery accepted")
 	}
 }
 
 func TestHappyPath(t *testing.T) {
-	r, c := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Cycle: 0, Delivered: []sched.Delivery{deliver(c, "a", 0), deliver(c, "b", 0)}})
-	r.Observe(&sched.CycleReport{Cycle: 1, Delivered: []sched.Delivery{deliver(c, "a", 1), deliver(c, "b", 1)}})
-	r.Observe(&sched.CycleReport{Cycle: 2, Delivered: []sched.Delivery{deliver(c, "a", 2)}})
-	if err := r.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyContinuity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyComplete(map[int]string{1: "a", 2: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyHiccupsWithin(nil); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Summarize()
-	if s.Delivered != 5 || s.Hiccups != 0 || s.Streams != 2 || s.LastCycle != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if len(r.Events()) != 5 {
-		t.Fatal("events")
+	c := content("a", 3)
+	for i := 0; i < 3; i++ {
+		if err := CheckTrack(c, ts, i, track(c, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestIntegrityCatchesCorruption(t *testing.T) {
-	r, c := newTestRecorder(t)
-	d := deliver(c, "a", 0)
-	bad := append([]byte(nil), d.Data...)
+	c := content("a", 3)
+	bad := track(c, 0)
 	bad[1] ^= 0xFF
-	d.Data = bad
-	r.Observe(&sched.CycleReport{Delivered: []sched.Delivery{d}})
-	err := r.VerifyIntegrity()
+	err := CheckTrack(c, ts, 0, bad)
 	if err == nil || !strings.Contains(err.Error(), "content differs") {
 		t.Fatalf("corruption not caught: %v", err)
+	}
+	// The right bytes at the wrong position are corrupt too.
+	if err := CheckTrack(c, ts, 1, track(c, 0)); err == nil {
+		t.Fatal("track 0's bytes accepted as track 1")
 	}
 }
 
 func TestIntegrityUnknownObject(t *testing.T) {
-	r, _ := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Delivered: []sched.Delivery{{ObjectID: "ghost", Data: make([]byte, ts)}}})
-	if err := r.VerifyIntegrity(); err == nil {
+	// A title the catalog does not hold has no content to match.
+	if err := CheckTrack(nil, ts, 0, make([]byte, ts)); err == nil {
 		t.Fatal("unknown object not caught")
 	}
 }
 
 func TestIntegrityBeyondContent(t *testing.T) {
-	r, _ := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Delivered: []sched.Delivery{{ObjectID: "a", Track: 99, Data: make([]byte, ts)}}})
-	if err := r.VerifyIntegrity(); err == nil {
-		t.Fatal("out-of-range track not caught")
+	c := content("a", 3)
+	for _, tr := range []int{3, 99, -1} {
+		if err := CheckTrack(c, ts, tr, make([]byte, ts)); err == nil {
+			t.Fatalf("out-of-range track %d not caught", tr)
+		}
 	}
 }
 
 func TestIntegrityPaddedFinalTrack(t *testing.T) {
-	// Object "short" is 1.5 tracks long; track 1 is half content, half
-	// zero padding.
-	c := map[string][]byte{"short": content("s", 2)[:6]}
-	r, err := NewRecorder(c, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The object is 1.5 tracks long; track 1 is half content, half zero
+	// padding.
+	c := content("s", 2)[:6]
 	want := make([]byte, ts)
-	copy(want, c["short"][4:6])
-	r.Observe(&sched.CycleReport{Delivered: []sched.Delivery{{ObjectID: "short", Track: 1, Data: want}}})
-	if err := r.VerifyIntegrity(); err != nil {
+	copy(want, c[4:6])
+	if err := CheckTrack(c, ts, 1, want); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestContinuityCatchesGap(t *testing.T) {
-	r, c := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Cycle: 0, Delivered: []sched.Delivery{deliver(c, "a", 0)}})
-	r.Observe(&sched.CycleReport{Cycle: 1, Delivered: []sched.Delivery{deliver(c, "a", 2)}})
-	if err := r.VerifyContinuity(); err == nil {
-		t.Fatal("gap not caught")
-	}
-}
-
-func TestContinuityCountsHiccupsAsAccounted(t *testing.T) {
-	r, c := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Cycle: 0, Delivered: []sched.Delivery{deliver(c, "a", 0)}})
-	r.Observe(&sched.CycleReport{Cycle: 1, Hiccups: []sched.Hiccup{{StreamID: 1, ObjectID: "a", Track: 1, Reason: "x"}}})
-	r.Observe(&sched.CycleReport{Cycle: 2, Delivered: []sched.Delivery{deliver(c, "a", 2)}})
-	if err := r.VerifyContinuity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyComplete(map[int]string{1: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.Hiccups()); got != 1 {
-		t.Fatalf("hiccups = %d", got)
-	}
-}
-
-func TestContinuityCatchesOutOfOrder(t *testing.T) {
-	r, c := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Cycle: 0, Delivered: []sched.Delivery{deliver(c, "a", 1)}})
-	r.Observe(&sched.CycleReport{Cycle: 1, Delivered: []sched.Delivery{deliver(c, "a", 0)}})
-	if err := r.VerifyContinuity(); err == nil {
-		t.Fatal("out-of-order delivery not caught")
-	}
-}
-
-func TestCompleteCatchesMissing(t *testing.T) {
-	r, c := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Delivered: []sched.Delivery{deliver(c, "a", 0)}})
-	if err := r.VerifyComplete(map[int]string{1: "a"}); err == nil {
-		t.Fatal("missing tracks not caught")
-	}
-	if err := r.VerifyComplete(map[int]string{9: "zzz"}); err == nil {
-		t.Fatal("unknown object not caught")
-	}
-}
-
-func TestHiccupWindows(t *testing.T) {
-	r, _ := newTestRecorder(t)
-	r.Observe(&sched.CycleReport{Cycle: 7, Hiccups: []sched.Hiccup{{StreamID: 1, ObjectID: "a", Track: 0, Reason: "transition"}}})
-	if err := r.VerifyHiccupsWithin([][2]int{{5, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyHiccupsWithin([][2]int{{0, 6}}); err == nil {
-		t.Fatal("out-of-window hiccup not caught")
-	}
-	if err := r.VerifyHiccupsWithin(nil); err == nil {
-		t.Fatal("hiccup with no windows not caught")
-	}
-}
-
-func TestSummaryBreakdown(t *testing.T) {
-	r, c := newTestRecorder(t)
-	d := deliver(c, "a", 0)
-	d.Reconstructed = true
-	r.Observe(&sched.CycleReport{Cycle: 3, Delivered: []sched.Delivery{d}})
-	r.Observe(&sched.CycleReport{Cycle: 4, Hiccups: []sched.Hiccup{
-		{StreamID: 1, ObjectID: "a", Track: 1, Reason: "transition"},
-		{StreamID: 2, ObjectID: "b", Track: 0, Reason: "overload"},
-	}})
-	s := r.Summarize()
-	if s.Reconstructed != 1 || s.Hiccups != 2 || s.HiccupStreams != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.HiccupsByCause["transition"] != 1 || s.HiccupsByCause["overload"] != 1 {
-		t.Fatalf("causes = %v", s.HiccupsByCause)
-	}
-	if s.FirstCycle != 3 || s.LastCycle != 4 {
-		t.Fatalf("cycle range = %d..%d", s.FirstCycle, s.LastCycle)
+	want[ts-1] = 1
+	if err := CheckTrack(c, ts, 1, want); err == nil || !strings.Contains(err.Error(), "padding") {
+		t.Fatalf("non-zero padding not caught: %v", err)
 	}
 }
