@@ -13,8 +13,9 @@ import (
 // engines acquire accounting from a Pool and bytes from an Arena.
 //
 // The engines take from it only the tracks they make: reconstructions
-// and XOR accumulators. A track read off a platter is lent, not copied
-// (Lend), and never enters the free list.
+// and XOR accumulators. A track read off a platter is the drive's own
+// slice, never copied, and never enters the free list. The arena also
+// recycles the headers of the Refs it Shares.
 //
 // Ownership rule: a buffer obtained from Get/GetZeroed is owned by the
 // caller until it is passed to Put, after which it must not be touched.
@@ -26,14 +27,14 @@ type Arena struct {
 	trackSize int
 	mu        sync.Mutex
 	// free is a LIFO stack: the most recently returned buffer, the one
-	// most likely still in cache, goes out first. Unlike a sync.Pool it
-	// survives garbage collection and boxes nothing on Put.
+	// most likely still in cache, goes out first. It survives garbage
+	// collection and boxes nothing on Put.
 	free [][]byte
+	// refs is the free list of released Ref headers, guarded by mu too.
+	refs []*Ref
 	gets atomic.Int64
 	puts atomic.Int64
 	news atomic.Int64
-	// lent counts Lend Refs not yet released (see Outstanding).
-	lent atomic.Int64
 }
 
 // NewArena creates an arena handing out buffers of exactly trackSize
@@ -83,22 +84,51 @@ func (a *Arena) GetZeroed() []byte {
 // Put returns a buffer to the arena. nil buffers and buffers of the
 // wrong size (e.g. slices that came from somewhere else) are ignored, so
 // callers can Put unconditionally at their release points. After Put the
-// caller must not touch the buffer again. A lent view must never be Put:
-// the next Get would hand the platter's bytes out to be written.
-func (a *Arena) Put(buf []byte) {
-	if a == nil || buf == nil || len(buf) != a.trackSize {
+// caller must not touch the buffer again. A platter view must never be
+// Put: the next Get would hand the platter's bytes out to be written.
+func (a *Arena) Put(buf []byte) { a.put(buf, nil) }
+
+// put is Put plus, for a released Ref, its header: both go back on their
+// free lists under one lock.
+func (a *Arena) put(buf []byte, r *Ref) {
+	if a == nil {
 		return
 	}
-	a.puts.Add(1)
+	track := buf != nil && len(buf) == a.trackSize
+	if track {
+		a.puts.Add(1)
+	}
 	a.mu.Lock()
-	a.free = append(a.free, buf)
+	if track {
+		a.free = append(a.free, buf)
+	}
+	if r != nil {
+		a.refs = append(a.refs, r)
+	}
 	a.mu.Unlock()
+}
+
+// takeRef returns a spare Ref header, or a fresh one when none is spare
+// (always, on a nil arena).
+func (a *Arena) takeRef() *Ref {
+	if a == nil {
+		return new(Ref)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := len(a.refs)
+	if n == 0 {
+		return new(Ref)
+	}
+	r := a.refs[n-1]
+	a.refs[n-1] = nil
+	a.refs = a.refs[:n-1]
+	return r
 }
 
 // Stats reports lifetime counters: buffers handed out, buffers returned,
 // and fresh allocations made because the free list was empty. gets -
-// news is the number of recycled hand-outs. Lent views count in none of
-// them.
+// news is the number of recycled hand-outs.
 func (a *Arena) Stats() (gets, puts, news int64) {
 	if a == nil {
 		return 0, 0, 0

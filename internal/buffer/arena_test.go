@@ -57,8 +57,9 @@ func TestArenaNilSafe(t *testing.T) {
 	}
 }
 
-// TestArenaConcurrent hammers Get/Put from many goroutines; run with
-// -race in CI to cover the pool paths.
+// TestArenaConcurrent hammers Get/Put, and Share/Release through the
+// Ref header free list, from many goroutines; run with -race in CI to
+// cover the free-list paths.
 func TestArenaConcurrent(t *testing.T) {
 	a := NewArena(256)
 	var wg sync.WaitGroup
@@ -77,11 +78,21 @@ func TestArenaConcurrent(t *testing.T) {
 						return
 					}
 				}
-				a.Put(b)
+				if i%2 == 0 {
+					a.Put(b)
+					continue
+				}
+				ref := a.Share(b)
+				ref.Retain()
+				ref.Release()
+				ref.Release()
 			}
 		}(byte(g))
 	}
 	wg.Wait()
+	if got := a.Outstanding(); got != 0 {
+		t.Fatalf("Outstanding = %d after balanced use, want 0", got)
+	}
 }
 
 // TestArenaSteadyStateAllocs checks that a Get/Put cycle in steady state

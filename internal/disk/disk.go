@@ -114,6 +114,10 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 // reading what the track held when it was taken, with no lock held,
 // whatever happens to the drive afterwards. The caller must not write
 // into it.
+//
+// A failed drive and an unwritten track return the bare ErrFailed and
+// ErrEmptyTrack, so a degraded read allocates nothing; a caller that
+// surfaces the error adds the drive's ID.
 func (d *Drive) View(track int) ([]byte, error) {
 	if track < 0 || track >= d.Tracks() {
 		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
@@ -121,11 +125,11 @@ func (d *Drive) View(track int) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == Failed {
-		return nil, fmt.Errorf("drive %d: %w", d.id, ErrFailed)
+		return nil, ErrFailed
 	}
 	data, ok := d.tracks[track]
 	if !ok {
-		return nil, fmt.Errorf("drive %d track %d: %w", d.id, track, ErrEmptyTrack)
+		return nil, ErrEmptyTrack
 	}
 	d.reads++
 	return data, nil

@@ -523,7 +523,10 @@ func ReadDataTrack(f *disk.Farm, obj *Object, i int) ([]byte, error) {
 		return nil, err
 	}
 	blk, err := viewTrack(f, loc)
-	return bytes.Clone(blk), err
+	if err != nil {
+		return nil, fmt.Errorf("layout: %q track %d on drive %d: %w", obj.ID, i, loc.Disk, err)
+	}
+	return bytes.Clone(blk), nil
 }
 
 // AllObjects returns every placed object, sorted by ID. The order is

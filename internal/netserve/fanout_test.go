@@ -21,9 +21,10 @@ const (
 // fanoutRig builds the farm and a manual-clock front end sized for one
 // lockstep cohort of fanout sessions: the admission budget is lifted to
 // fanout slots per disk (the rig exercises the delivery plane, not the
-// paper's admission bound — with merged reads the physical load is per
-// title, not per session), and the send queue holds a whole title so no
-// client can be shed however fast cycles are pushed.
+// paper's admission bound — every session's read returns the platter's
+// one slice, so the bytes are per title, not per session), and the send
+// queue holds a whole title so no client can be shed however fast
+// cycles are pushed.
 func fanoutRig(tb testing.TB, fanout int) *loopRig {
 	tb.Helper()
 	return newLoopRig(tb, "sr", rigConfig{

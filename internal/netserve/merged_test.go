@@ -7,8 +7,9 @@ import (
 // runHotTitle drives one rig with nHot viewers of the hottest title plus
 // one witness viewer of another title, all in manual-clock lockstep, and
 // returns each consumer's result (hot viewers first, witness last) plus
-// the net_merged_tracks counter.
-func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig, []*clientResult, int64) {
+// the net_merged_tracks counter. failAt >= 0 fails, at that cycle, the
+// drive holding the hot title's first data track of its fourth group.
+func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot, failAt int) (*loopRig, []*clientResult, int64) {
 	t.Helper()
 	r := newLoopRig(t, scheme, cfg)
 	clients := make([]*Client, 0, nHot+1)
@@ -18,6 +19,16 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 	}
 	witness, _ := r.connect(t, r.titles[1])
 	clients = append(clients, witness)
+	if failAt >= 0 {
+		// The title was staged by its first admission, under ns.mu.
+		r.ns.mu.Lock()
+		obj, err := r.srv.Catalog().Object(r.titles[0])
+		r.ns.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ns.ScheduleFailure(failAt, obj.Groups[3].Data[0].Disk)
+	}
 
 	results := make([]*clientResult, len(clients))
 	done := make(chan int, len(clients))
@@ -32,6 +43,7 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 	for range clients {
 		<-done
 	}
+	r.stepUntilBuffersHome(t)
 	merged := r.srv.Metrics().Snapshot().Counters["net_merged_tracks"]
 	return r, results, merged
 }
@@ -39,38 +51,53 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 // TestMergedBurstBitExactEveryScheme is the merged-burst acceptance
 // test: under every scheme, a pack of same-title viewers admitted in the
 // same cycle (the Zipf head, lockstep) plus a witness on another title
-// all receive bit-exact content. Every scheme's runs take the one
-// staging path; under Streaming RAID the engine merges the pack's reads,
-// so one staged run is fanned out to every session (asserted via
-// net_merged_tracks), while under the other schemes each session's run
-// is its own, staged by the same code and never merged.
+// all receive bit-exact content, and the pack's runs are staged once and
+// fanned out to every session (net_merged_tracks > 0): each viewer's
+// read returns the platter's one slice, and netserve merges runs on
+// their payloads. The failure leg fails a data drive under the hot
+// title mid-run, so runs mix read tracks with the tracks each sharer
+// reconstructs for itself, and every made track must come back to the
+// arena.
 func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	const nHot = 4
 	for _, tc := range []struct {
-		scheme     string
-		wantShared bool
+		scheme string
+		cfg    func(*rigConfig)
 	}{
-		{"sr", true},
-		{"sg", false},
-		{"nc-simple", false},
-		{"ib", false},
+		{scheme: "sr"},
+		{scheme: "sg"},
+		{scheme: "nc-simple"},
+		{scheme: "ib"},
+		// Declustered parity over one declustering group of G = 2C-1 = 7
+		// drives.
+		{scheme: "dc", cfg: func(c *rigConfig) { c.disks = 7 }},
 	} {
 		t.Run(tc.scheme, func(t *testing.T) {
-			cfg := defaultRig()
-			// Room for the pack: nHot viewers of title0 land on one
-			// cluster in the same cycle.
-			cfg.slotsPerDisk = nHot + 2
-			cfg.groups = 6
-			r, results, merged := runHotTitle(t, tc.scheme, cfg, nHot)
-			for i := 0; i < nHot; i++ {
-				verifyBitExact(t, r, r.titles[0], results[i])
-			}
-			verifyBitExact(t, r, r.titles[1], results[nHot])
-			if tc.wantShared && merged == 0 {
-				t.Error("expected merged bursts for the lockstep pack, net_merged_tracks = 0")
-			}
-			if !tc.wantShared && merged != 0 {
-				t.Errorf("unexpected merged bursts: net_merged_tracks = %d", merged)
+			for _, leg := range []struct {
+				name   string
+				failAt int
+			}{{"healthy", -1}, {"failure", 2}} {
+				t.Run(leg.name, func(t *testing.T) {
+					cfg := defaultRig()
+					// Room for the pack: nHot viewers of title0 land on
+					// one cluster in the same cycle.
+					cfg.slotsPerDisk = nHot + 2
+					cfg.groups = 6
+					if tc.cfg != nil {
+						tc.cfg(&cfg)
+					}
+					r, results, merged := runHotTitle(t, tc.scheme, cfg, nHot, leg.failAt)
+					for i := 0; i < nHot; i++ {
+						verifyBitExact(t, r, r.titles[0], results[i])
+					}
+					verifyBitExact(t, r, r.titles[1], results[nHot])
+					if merged == 0 {
+						t.Error("expected merged bursts for the lockstep pack, net_merged_tracks = 0")
+					}
+					if recs := r.srv.Stats().Reconstructions; leg.failAt >= 0 && recs == 0 {
+						t.Error("the failure leg reconstructed nothing")
+					}
+				})
 			}
 		})
 	}

@@ -62,10 +62,10 @@ type Options struct {
 	// BatchCycles, when > 0, batches flash-crowd starts: a fresh ADMIT
 	// parks for up to this many engine cycles so that same-title arrivals
 	// inside the window admit together at one cycle boundary — their
-	// engine streams then run in lockstep, so the merged-read/shared-
-	// frame machinery serves the whole cohort with one physical staging
-	// run. 0 (the default) admits immediately. RESUME admissions never
-	// batch: a failover client is already mid-title.
+	// engine streams then run in lockstep, reading the platter's same
+	// slices, so one staged run of shared frames serves the whole cohort.
+	// 0 (the default) admits immediately. RESUME admissions never batch:
+	// a failover client is already mid-title.
 	BatchCycles int
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -96,8 +96,9 @@ type NetServer struct {
 
 	// burstPool recycles burst containers; sharedPool recycles run
 	// containers (each carries its own reusable TRACK-header slab).
-	// Together with refcounted track payloads they make the steady-state
-	// write path allocation-free.
+	// Together with payloads shipped by reference (platter views, and
+	// made tracks under their Refs) they make the steady-state write path
+	// allocation-free.
 	burstPool  sync.Pool
 	sharedPool sync.Pool
 
@@ -132,11 +133,11 @@ type NetServer struct {
 	// but outside mu, so HELLO/ADMIT only ever queue behind the engine's
 	// read phase. Lock order: stepMu before mu.
 	stepMu sync.Mutex
-	// shared maps a run's first payload ref to its staged frames within
-	// the cycle being staged: sessions whose delivered run is
-	// pointer-identical (the engine merged their reads) attach the same
-	// sharedFrames instead of re-staging it.
-	shared map[*buffer.Ref]*sharedFrames
+	// shared maps a run's first payload address to its staged frames
+	// within the cycle being staged: sessions whose delivered run is the
+	// same payloads (lockstep viewers of one title read the platter's one
+	// slice) attach the same sharedFrames instead of re-staging it.
+	shared map[*byte]*sharedFrames
 	// touched lists the sessions with a burst staged this cycle.
 	touched []*session
 
@@ -257,13 +258,14 @@ func (t *sessionTable) drainAll(f func(*session)) {
 
 // sharedFrames is one delivered run's TRACK frames, staged once and
 // written by every session whose delivery this cycle is the same run
-// (same refcounted buffers, in order — the engine's same-title read
-// merging makes these pointer-identical across sessions). iov holds each
-// frame as its header, carved from the hdrs slab, then its payload; refs
-// holds the run's one Retain per track. holders counts the cycle (which
-// holds one reference from creation until every session is staged) plus
-// the bursts that still owe a release; the last one to let go releases
-// the refs and recycles the container, slab and all.
+// (the same payload slices, in order — lockstep viewers of one title
+// read the platter's one slice). iov holds each frame as its header,
+// carved from the hdrs slab, then its payload; refs holds one Retain per
+// made track of the run (a read track has no Ref: it is an immutable
+// platter view). holders counts the cycle (which holds one reference
+// from creation until every session is staged) plus the bursts that
+// still owe a release; the last one to let go releases the refs and
+// recycles the container, slab and all.
 type sharedFrames struct {
 	refs    []*buffer.Ref
 	iov     [][]byte
@@ -437,7 +439,7 @@ func New(opts Options) (*NetServer, error) {
 		hbConns:    make(map[net.Conn]struct{}),
 		batches:    make(map[string]*titleBatch),
 		aliases:    make(map[int]*session),
-		shared:     make(map[*buffer.Ref]*sharedFrames),
+		shared:     make(map[*byte]*sharedFrames),
 		drained:    make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
@@ -760,15 +762,17 @@ func (ns *NetServer) releaseShared(sf *sharedFrames) {
 }
 
 // runMatches verifies a delivered run is frame-for-frame the same
-// physical payloads as an already-staged run. Pointer equality on the
-// refs is exact: the engine's read merging hands sharers the same buffers
-// in the same order, and distinct reads never alias a live ref.
+// payloads as an already-staged run. Address equality on the payloads
+// (a Delivery's Data is a whole track, never empty) is exact within a
+// cycle: every made track in the report is still held by the engine, so
+// it is distinct from every other made track and from every view, and a
+// view is immutable under replace-never-mutate.
 func runMatches(sf *sharedFrames, run []sched.Delivery) bool {
-	if len(sf.refs) != len(run) {
+	if len(sf.iov) != 2*len(run) {
 		return false
 	}
 	for i := range run {
-		if sf.refs[i] != run[i].Buf {
+		if &sf.iov[2*i+1][0] != &run[i].Data[0] {
 			return false
 		}
 	}
@@ -780,14 +784,16 @@ func runMatches(sf *sharedFrames, run []sched.Delivery) bool {
 // once every session is staged — so a writer finishing early can never
 // tear the run down while a later session is still to attach.
 func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged bool) {
-	key := run[0].Buf
+	key := &run[0].Data[0]
 	if sf := ns.shared[key]; sf != nil {
 		if runMatches(sf, run) {
 			return sf, true
 		}
-		// A different run under the same first buffer cannot happen with
-		// the engine's merging; if it ever does, drop the cycle's hold on
-		// the superseded entry rather than leak it.
+		// A different run can start on the same track: a fast-forwarding
+		// viewer's run spans several groups where a 1× viewer's is one,
+		// and under a failure each sharer reconstructs its own copy of
+		// the group's lost track. The newer run takes the key; drop the
+		// cycle's hold on the superseded entry rather than leak it.
 		ns.releaseShared(sf)
 	}
 	sf = ns.sharedPool.Get().(*sharedFrames)
@@ -795,8 +801,10 @@ func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged b
 		d := &run[i]
 		var h []byte
 		sf.hdrs, h = appendTrackHeader(sf.hdrs, d.Track, len(d.Data))
-		d.Buf.Retain()
-		sf.refs = append(sf.refs, d.Buf)
+		if d.Buf != nil {
+			d.Buf.Retain()
+			sf.refs = append(sf.refs, d.Buf)
+		}
 		sf.iov = append(sf.iov, h, d.Data)
 		sf.nbytes += len(d.Data)
 	}
@@ -806,11 +814,10 @@ func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged b
 }
 
 // stageRun stages one stream's contiguous delivered run for this cycle.
-// Every delivery carries its refcounted buffer, so a run is staged once
-// and attached to every session delivering the same buffers — one set of
-// headers, retains, and frame bookkeeping for a whole merged title group
-// instead of O(sessions) copies of it. Cycle driver only, like every
-// stage* function below.
+// A run is staged once and attached to every session delivering the same
+// payloads — one set of headers, retains, and frame bookkeeping for a
+// whole lockstep title group instead of O(sessions) copies of it. Cycle
+// driver only, like every stage* function below.
 func (ns *NetServer) stageRun(sess *session, run []sched.Delivery) {
 	sf, merged := ns.sharedFor(run)
 	if merged {
@@ -848,11 +855,12 @@ func (ns *NetServer) flushStaged(sess *session) {
 	}
 	sess.cur = nil
 	// Tally before the hand-off: the writer may release b immediately.
-	// A merged run counts once per holder — each session really does send
-	// it on its own socket.
+	// A shared run counts once per holder — each session really does send
+	// it on its own socket. Each track is two iov entries: header and
+	// payload.
 	tracks, nbytes := 0, 0
 	for _, sf := range b.runs {
-		tracks += len(sf.refs)
+		tracks += len(sf.iov) / 2
 		nbytes += sf.nbytes
 	}
 	queued, overflow := sess.enqueue(b)
@@ -1274,7 +1282,7 @@ func (ns *NetServer) admit(conn net.Conn, title string, startGroup int) (*sessio
 // blocks until the window closes and the batch flushes at a cycle
 // boundary (StepCycle's flushBatchesLocked admits the whole cohort
 // under one lock hold, so the members' engine streams run in lockstep
-// and merge their reads).
+// and their runs share frames).
 func (ns *NetServer) admitBatched(conn net.Conn, title string) (*session, Reject) {
 	ns.mu.Lock()
 	if ns.closed || ns.draining {
@@ -1308,8 +1316,8 @@ func (ns *NetServer) admitBatched(conn net.Conn, title string) (*session, Reject
 
 // flushBatchesLocked admits every batch whose window has closed. Runs
 // under mu immediately before the engine Step, so the cohort's streams
-// are admitted at the same cycle boundary — the lockstep that lets the
-// engine merge their reads and netserve share one staged run.
+// are admitted at the same cycle boundary — the lockstep that lets
+// netserve share one staged run of the same payloads.
 func (ns *NetServer) flushBatchesLocked(cycle int) {
 	for title, tb := range ns.batches {
 		if tb.due > cycle {
@@ -1451,7 +1459,7 @@ func writeVectored(conn net.Conn, bufs net.Buffers) error {
 }
 
 // drainSendq releases every burst stranded in the queue after a shed,
-// drop, or shutdown so their retained track buffers return to the
+// drop, or shutdown so their retained made tracks return to the
 // arena. By the time it runs the session is dead (kill/dropSession
 // happen before), so no new burst can be enqueued behind the drain.
 func (ns *NetServer) drainSendq(sess *session) {
@@ -1611,8 +1619,9 @@ func (ns *NetServer) idleLocked() bool {
 // the engine lock it applies due scheduled events and steps the engine
 // (the read/XOR phase); outside it, it stages the cycle's deliveries,
 // hiccups, and completions into the sessions' send queues. The report
-// expires at the next Step, and staging has retained every buffer it
-// ships by then; the socket flush overlaps that Step on the writers.
+// expires at the next Step, and staging has retained every made track
+// it ships by then (a read track is an immutable platter view and needs
+// no hold); the socket flush overlaps that Step on the writers.
 //
 // In manual mode (no Clock) this is the only way cycles happen; with a
 // Clock it also serves as a test hook.

@@ -258,7 +258,7 @@ func encodeTrackHeader(hdr *[trackHeaderLen]byte, track, dataLen int) {
 
 // trackFrame encodes a full TRACK wire frame in one contiguous buffer,
 // copying data. The zero-copy server path does not use it (it stages
-// slab-carved headers plus refcounted payloads instead); it remains the
+// slab-carved headers plus payloads by reference instead); it remains the
 // reference encoding, exercised against the vectored path in tests.
 func trackFrame(track int, data []byte) []byte {
 	buf := make([]byte, trackHeaderLen+len(data))

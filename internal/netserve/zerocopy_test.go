@@ -15,7 +15,9 @@ import (
 // mid-stream client disconnect, and a stalled client shed off a full
 // send queue, every track buffer must be back in the arena. A missing
 // Release anywhere — engine report, queued burst, in-flight write —
-// shows up as a non-zero outstanding count.
+// shows up as a non-zero outstanding count. Only made tracks carry a
+// Ref, so a data drive fails before the first cycle: every group on its
+// cluster is reconstructed, and made tracks ride every path above.
 func TestArenaNoLeakAfterShedAndDisconnect(t *testing.T) {
 	cfg := defaultRig()
 	cfg.groups = 10
@@ -30,6 +32,9 @@ func TestArenaNoLeakAfterShedAndDisconnect(t *testing.T) {
 	if arena == nil {
 		t.Fatal("engine has no arena")
 	}
+	// Drive 0 is a data drive of cluster 0, which both titles cross; it
+	// fails at the first cycle, after admission has staged the titles.
+	r.ns.ScheduleFailure(0, 0)
 
 	healthy, hOK := r.connect(t, r.titles[1])
 	defer healthy.Close()
@@ -72,6 +77,9 @@ func TestArenaNoLeakAfterShedAndDisconnect(t *testing.T) {
 		t.Fatalf("healthy stream: err=%v bye=%q", h.err, h.bye)
 	}
 
+	if gets, _, _ := arena.Stats(); gets == 0 {
+		t.Fatal("no made tracks: the leak audit had nothing to audit")
+	}
 	r.stepUntilBuffersHome(t)
 }
 

@@ -290,7 +290,7 @@ func (r *Rebuilder) viewTrack(loc layout.Location) ([]byte, error) {
 	}
 	blk, err := drv.View(loc.Track)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("drive %d track %d: %w", loc.Disk, loc.Track, err)
 	}
 	r.reads++
 	r.readsBy[loc.Disk]++

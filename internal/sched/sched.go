@@ -106,11 +106,13 @@ type Delivery struct {
 	// (disk.Drive.View), so a write into it would change the stored
 	// track for every later reader.
 	Data []byte
-	// Buf is the refcounted handle behind Data; every engine delivery
-	// carries one (netserve ships Data by reference through it). The
-	// engine holds its own reference until the next Step (which is what
-	// bounds the report's validity); a consumer that needs Data to
-	// outlive that calls Buf.Retain and later Release instead of copying.
+	// Buf is the refcounted handle behind a made track's Data (a
+	// reconstruction, an arena buffer the engine recycles); a read track
+	// has none, as its Data is an immutable platter view the GC keeps
+	// alive. The engine holds its own reference until the next Step
+	// (which is what bounds the report's validity); a consumer that
+	// needs a made track's Data to outlive that calls Buf.Retain and
+	// later Release instead of copying.
 	Buf *buffer.Ref
 	// Reconstructed marks tracks rebuilt from parity rather than read.
 	Reconstructed bool
@@ -165,11 +167,11 @@ func (r *CycleReport) Reset(cycle int) {
 
 // Clone deep-copies the report, including every Delivery's Data bytes.
 // This is the one statement of report validity: an engine reuses its
-// report struct and releases its references on the delivered track
-// buffers at the start of the next Step, so a report (and the Data it
+// report struct and releases its references on the made tracks it
+// delivered at the start of the next Step, so a report (and the Data it
 // references) is valid until the next Step and no longer. Callers that
 // keep a report further must Clone it first; callers that keep only
-// track bytes Retain the Delivery's Buf.
+// track bytes Retain the Delivery's Buf where it has one.
 func (r *CycleReport) Clone() *CycleReport {
 	out := *r
 	out.Delivered = make([]Delivery, len(r.Delivered))

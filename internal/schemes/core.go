@@ -32,8 +32,8 @@ type engineCore struct {
 	pool         *buffer.Pool
 	// arena recycles the track-sized buffers the engine makes
 	// (reconstructions, XOR accumulators) across cycles; tracks read off
-	// a platter are lent views and never come from it. pool above
-	// remains the paper's track-count accounting.
+	// a platter are views and never come from it. pool above remains the
+	// paper's track-count accounting.
 	arena *buffer.Arena
 	rec   *sched.Recorder
 	// slots are this cycle's per-disk read budgets, and rep the report
@@ -41,9 +41,10 @@ type engineCore struct {
 	// report's one-Step validity (sched.CycleReport.Clone).
 	slots *sched.Slots
 	rep   *sched.CycleReport
-	// delivered holds the engine's own reference on every track buffer
+	// delivered holds the engine's own reference on every made track
 	// shared into the last Step's report; beginCycle releases them.
-	// Consumers that need a track longer Retain its Delivery.Buf.
+	// Consumers that need a made track longer Retain its Delivery.Buf; a
+	// read track has no Ref and needs none.
 	delivered []*buffer.Ref
 	// spare holds the headers of finished bufferedGroups for newGroup to
 	// reuse.
@@ -159,35 +160,27 @@ func (c *engineCore) holdBriefly() error {
 }
 
 // emit is the one delivery: the stream's track goes into the cycle's
-// report in a handle on buf — or on ref, when an earlier sharer of a
-// merged read already minted it (a second handle on one buffer would
-// double-free it) — and a track with neither hiccups for the given
-// reason. The reconstructed
-// flag is also the buffer's kind: a made track is an arena buffer and is
-// Shared, a read track is a platter view and is Lent. It returns the
-// handle delivered, which now owns buf; the engine keeps its own
-// reference on it until the next Step's beginCycle.
-func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, ref *buffer.Ref, reconstructed bool, reason string) *buffer.Ref {
-	switch {
-	case ref != nil:
-		ref.Retain()
-		buf = ref.Bytes()
-	case buf != nil && reconstructed:
-		ref = c.arena.Share(buf)
-	case buf != nil:
-		ref = c.arena.Lend(buf)
-	default:
+// report, and a nil buf hiccups for the given reason. The reconstructed
+// flag is also the buffer's kind. A made track is an arena buffer: it
+// goes out in a Ref (Arena.Share), which now owns buf, and the engine
+// keeps its own reference until the next Step's beginCycle. A read track
+// is a platter view and goes out with a nil Buf.
+func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed bool, reason string) {
+	if buf == nil {
 		c.rep.Hiccups = append(c.rep.Hiccups, sched.Hiccup{
 			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason,
 		})
-		return nil
+		return
 	}
-	c.delivered = append(c.delivered, ref)
+	var ref *buffer.Ref
+	if reconstructed {
+		ref = c.arena.Share(buf)
+		c.delivered = append(c.delivered, ref)
+	}
 	c.rep.Delivered = append(c.rep.Delivered, sched.Delivery{
 		StreamID: st.ID, ObjectID: st.Obj.ID, Track: track,
 		Data: buf, Buf: ref, Reconstructed: reconstructed,
 	})
-	return ref
 }
 
 // beginCycle opens the cycle: cleared slot budgets and an emptied report.
@@ -213,53 +206,43 @@ func (c *engineCore) endCycle() *sched.CycleReport {
 	return c.rep
 }
 
-// releaseGroups drops one sharer's hold on the given buffered groups
-// (nils are fine): the sharer's pooled tracks return to the pool, and
-// when the last sharer lets go the group is recycled.
+// releaseGroups ends the given buffered groups (nils are fine): their
+// pooled tracks return to the pool and the groups are recycled.
 func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 	for _, bg := range bgs {
-		if bg == nil {
-			continue
-		}
-		if bg.pooled > 0 {
+		if bg != nil && bg.pooled > 0 {
 			if err := c.pool.Release(bg.pooled); err != nil {
 				return err
 			}
-		}
-		if bg.shares > 1 {
-			bg.shares--
-			continue
 		}
 		c.recycleGroup(bg)
 	}
 	return nil
 }
 
-// newGroup returns the staging record for group g with nothing read yet,
-// held by one stream: a recycled header when one is spare, else a fresh
-// one.
+// newGroup returns the staging record for group g with nothing read yet:
+// a recycled header when one is spare, else a fresh one.
 func (c *engineCore) newGroup(g *layout.Group) *bufferedGroup {
 	// Every group of a layout has the same width, so any spare fits.
 	if n := len(c.spare); n > 0 {
 		bg := c.spare[n-1]
 		c.spare[n-1] = nil
 		c.spare = c.spare[:n-1]
-		bg.group, bg.shares = g, 1
+		bg.group = g
 		return bg
 	}
 	return &bufferedGroup{
 		group:         g,
 		data:          make([][]byte, len(g.Data)),
 		reconstructed: make([]bool, len(g.Data)),
-		shares:        1,
 	}
 }
 
-// recycleGroup ends a buffered group whose last holder let go: the
-// tracks it still holds that the engine made go back to the arena, the
-// read ones (views) are dropped, and the cleared header goes on the
-// spare list. A track handed to a delivery has already left bg.data (its
-// Ref owns it), so nothing a live report references is recycled here.
+// recycleGroup ends a buffered group: the tracks it still holds that the
+// engine made go back to the arena, the read ones (views) are dropped,
+// and the cleared header goes on the spare list. A made track handed to
+// a delivery has already left bg.data (its Ref owns it), so nothing a
+// live report references is recycled here.
 func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	if bg == nil {
 		return
@@ -271,8 +254,7 @@ func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	}
 	clear(bg.data)
 	clear(bg.reconstructed)
-	clear(bg.refs)
-	*bg = bufferedGroup{data: bg.data, reconstructed: bg.reconstructed, refs: bg.refs}
+	*bg = bufferedGroup{data: bg.data, reconstructed: bg.reconstructed}
 	c.spare = append(c.spare, bg)
 }
 
@@ -392,9 +374,6 @@ type groupEngine struct {
 	// reserve is the per-drive slot count admission holds back (the
 	// headroom Improved-bandwidth's shift needs; 0 elsewhere).
 	reserve int
-	// stageCache maps group → staged bufferedGroup for same-title read
-	// merging within one cycle's read phase; emptied each Step.
-	stageCache map[*layout.Group]*bufferedGroup
 }
 
 // CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
@@ -565,18 +544,10 @@ func (e *groupEngine) CancelStream(id int) error {
 // its next group, and a rate-r stream its next r (capped at the
 // object's end), the first into staged and the rest into stagedExtra in
 // group order. Streams staging the same group this cycle (the Zipf
-// head: many viewers of one hot title in lockstep) share one physical
-// read through the stage cache; see stageGroup for why reports stay
-// bit-identical to the unmerged path.
+// head: many viewers of one hot title in lockstep) each read it, and
+// every read returns the platter's one slice, so the bytes are shared
+// without the engine knowing (netserve merges their runs on them).
 func (e *groupEngine) stageReads() error {
-	var cache map[*layout.Group]*bufferedGroup
-	if !e.cfg.disableMergedReads {
-		if e.stageCache == nil {
-			e.stageCache = make(map[*layout.Group]*bufferedGroup)
-		}
-		clear(e.stageCache)
-		cache = e.stageCache
-	}
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
@@ -590,7 +561,7 @@ func (e *groupEngine) stageReads() error {
 		for j := 0; j < rate; j++ {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
-			staged, err := e.stageGroup(g, cache)
+			staged, err := e.stageGroup(g)
 			if err != nil {
 				return err
 			}
@@ -611,16 +582,7 @@ func (e *groupEngine) stageReads() error {
 // rebuilt from parity, and the group's buffers are acquired. When the
 // slot budget is exceeded (over-admission under a manual SlotsPerDisk
 // override) the group stays empty and hiccups at delivery.
-//
-// cache, when non-nil, merges same-title reads: a group already staged
-// this cycle is shared instead of re-read. Sharing is physical only —
-// every sharer still takes its slots first, Acquires the same pooled
-// track count, and adds the recorded read/reconstruction counters to the
-// report — so a merged run's CycleReports are
-// bit-identical to an unmerged run's. Slot exhaustion is monotone within
-// a cycle, so a sharer that would have failed admission unmerged fails
-// here too, before the cache is consulted.
-func (c *engineCore) stageGroup(g *layout.Group, cache map[*layout.Group]*bufferedGroup) (*bufferedGroup, error) {
+func (c *engineCore) stageGroup(g *layout.Group) (*bufferedGroup, error) {
 	ok := true
 	for _, loc := range g.Data {
 		if !c.slots.Take(loc.Disk) {
@@ -630,42 +592,24 @@ func (c *engineCore) stageGroup(g *layout.Group, cache map[*layout.Group]*buffer
 	if !c.slots.Take(g.Parity.Disk) {
 		ok = false
 	}
-	if !ok {
-		return c.newGroup(g), nil
-	}
-	if bg := cache[g]; bg != nil {
-		bg.shares++
-		c.rep.DataReads += bg.dataReads
-		c.rep.ParityReads += bg.parityReads
-		if bg.recovered {
-			c.rep.Reconstructions++
-		}
-		if err := c.pool.Acquire(bg.pooled); err != nil {
-			return nil, err
-		}
-		return bg, nil
-	}
 	staged := c.newGroup(g)
+	if !ok {
+		return staged, nil
+	}
 	gr := groupRead{data: staged.data}
 	for i, loc := range g.Data {
-		gr.data[i] = c.read(loc, &staged.dataReads)
+		gr.data[i] = c.read(loc, &c.rep.DataReads)
 	}
 	// The parity view's only use is the recovery below; it is dropped
 	// with gr.
-	gr.par = c.read(g.Parity, &staged.parityReads)
-	c.rep.DataReads += staged.dataReads
-	c.rep.ParityReads += staged.parityReads
+	gr.par = c.read(g.Parity, &c.rep.ParityReads)
 	if rec, recErr := gr.recoverGroup(c); recErr == nil && rec >= 0 {
 		staged.reconstructed[rec] = true
-		staged.recovered = true
 		c.rep.Reconstructions++
 	}
 	staged.pooled = len(g.Data) + 1
 	if err := c.pool.Acquire(staged.pooled); err != nil {
 		return nil, err
-	}
-	if cache != nil {
-		cache[g] = staged
 	}
 	return staged, nil
 }
@@ -709,34 +653,18 @@ func (e *groupEngine) deliverDouble(hiccupReason string) error {
 }
 
 // deliverGroup ships one buffered group of one stream: tracks out (or
-// hiccups), the sharer's pool hold released, the stream advanced. The
-// caller appends Finished once after all of the stream's groups.
+// hiccups), the pool hold released, the stream advanced. The caller
+// appends Finished once after all of the stream's groups.
 func (c *engineCore) deliverGroup(s *groupStream, bg *bufferedGroup, hiccupReason string) error {
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
-		var ref *buffer.Ref
-		if bg.refs != nil {
-			ref = bg.refs[off]
-		}
-		ref = c.emit(&s.Stream, base+off, bg.data[off], ref, bg.reconstructed[off], hiccupReason)
-		if bg.data[off] == nil {
-			continue
-		}
-		// Ownership moved to the Ref; clear the slot so recycleGroup
-		// below does not Put the buffer behind the report's back, and
-		// leave the handle for the group's other sharers.
+		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], hiccupReason)
+		// A made track now belongs to its Ref: clear the slot so
+		// recycleGroup below Puts only the leftovers (padding past
+		// ValidTracks), not a buffer behind the report's back.
 		bg.data[off] = nil
-		if bg.shares > 1 {
-			if bg.refs == nil {
-				bg.refs = make([]*buffer.Ref, len(bg.data))
-			}
-			bg.refs[off] = ref
-		}
 	}
-	// Delivered slots were handed to refs above; the last sharer recycles
-	// only the leftovers (failed reads, padding past ValidTracks) and the
-	// header, so bg is not touched after the release.
 	s.Advance(bg.group.ValidTracks)
 	return c.releaseGroups(bg)
 }

@@ -49,10 +49,7 @@ func platterDigests(t *testing.T, farm *disk.Farm) map[[2]int]uint64 {
 //     took exactly one buffer per reconstruction it reports — except
 //     NC-alternate, whose gets are its XOR accumulators, each of which
 //     becomes at most one reconstruction;
-//   - nothing is outstanding: every lent view and made track was released.
-//
-// Every stream plays its own title, so no read is merged and the gets
-// match the report's counts one for one.
+//   - nothing is outstanding: every made track was released.
 func TestEnginesNeverWritePlatter(t *testing.T) {
 	clustered := func(p layout.Placement) func(*testing.T) *rig {
 		return func(t *testing.T) *rig { return newRig(t, 15, 5, 6, 12, p) }
@@ -179,7 +176,7 @@ func TestEnginesNeverWritePlatter(t *testing.T) {
 				t.Fatalf("%d arena gets for %d reconstructions", gets, recs)
 			}
 			if n := e.Arena().Outstanding(); n != 0 {
-				t.Fatalf("%d arena buffers or lent views outstanding after drain", n)
+				t.Fatalf("%d arena buffers outstanding after drain", n)
 			}
 			if n := e.BufferInUse(); n != 0 {
 				t.Fatalf("%d pool tracks in use after drain", n)

@@ -430,7 +430,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		if s.lost[r] {
 			reason = "track lost in degraded-mode transition"
 		}
-		e.emit(&s.Stream, r, st.data, nil, st.reconstructed, reason)
+		e.emit(&s.Stream, r, st.data, st.reconstructed, reason)
 		if staged {
 			delete(s.staged, r)
 			if err := e.pool.Release(1); err != nil {

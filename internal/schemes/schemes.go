@@ -30,12 +30,12 @@
 // reuse the report's backing slices and recycle the track buffers they
 // make (reconstructions, XOR accumulators) through a buffer.Arena
 // (DESIGN.md, "Zero-alloc data path"). A track read off a platter is
-// delivered as the drive's own slice, so Delivery.Data is read-only for
-// every consumer. A caller that holds a report across Steps must
-// deep-copy it first with CycleReport.Clone (the chaos harness's
-// retention checker holds every engine to that contract), and the
-// network layer Retains the Buf of every Delivery it ships before its
-// cycle returns.
+// delivered as the drive's own slice with a nil Buf, so Delivery.Data is
+// read-only for every consumer. A caller that holds a report across
+// Steps must deep-copy it first with CycleReport.Clone (the chaos
+// harness's retention checker holds every engine to that contract), and
+// the network layer Retains every non-nil Buf it ships before its cycle
+// returns.
 // Reading a stale report is a use-after-free the race detector cannot
 // see — the bytes stay valid, just wrong.
 package schemes
@@ -107,13 +107,6 @@ type Config struct {
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (see sched.NewRecorder for the instrument set).
 	Metrics *metrics.Registry
-	// disableMergedReads turns off same-title read merging in the
-	// whole-group engines (streams staging the same parity group in the
-	// same cycle share one physical read). Merging never changes reports
-	// — every sharer still pays slots, pool tracks, and read counters —
-	// and the unmerged path exists only as the reference in-package
-	// tests prove that against.
-	disableMergedReads bool
 }
 
 func (c Config) validate() error {
@@ -188,15 +181,11 @@ func (gr *groupRead) recoverGroup(c *engineCore) (int, error) {
 }
 
 // bufferedGroup is a fully (or partially) read parity group staged for
-// delivery. Under same-title read merging several streams may stage the
-// same group in one cycle and share this struct; the physical buffers
-// are read once, but every sharer carries its own logical accounting
-// (slots, pooled tracks, report counters), so merged and unmerged runs
-// produce bit-identical reports.
+// one stream's delivery.
 type bufferedGroup struct {
 	group *layout.Group
-	// data[i] holds track i of the group, nil where lost (or after its
-	// ownership moved to refs[i] at delivery).
+	// data[i] holds track i of the group, nil where lost (or after it
+	// was delivered).
 	data [][]byte
 	// reconstructed[i] marks tracks rebuilt from parity. It is also the
 	// track's kind: a reconstructed track is an arena buffer the engine
@@ -204,24 +193,9 @@ type bufferedGroup struct {
 	reconstructed []bool
 	// next is the next in-group offset to deliver.
 	next int
-	// pooled is how many buffer-pool tracks ONE sharer of this group
-	// holds; each sharer Acquires and Releases this amount.
+	// pooled is how many buffer-pool tracks the stream holds for this
+	// group.
 	pooled int
-	// shares counts the streams currently sharing this staged group.
-	// Delivery and cancellation each drop one share; the buffers recycle
-	// only when the last sharer lets go.
-	shares int
-	// refs[i] is the delivery ref for track i, filled by the first
-	// sharer to deliver it; later sharers Retain the same ref instead of
-	// minting a second one: one Ref per physical read is what the network
-	// layer merges sessions on, and two independent refs on one made
-	// buffer would double-free it back to the arena.
-	refs []*buffer.Ref
-	// dataReads/parityReads/recovered snapshot the physical read outcome
-	// so sharers staging after the read replay identical report counters.
-	dataReads   int
-	parityReads int
-	recovered   bool
 }
 
 // newPool builds the unbounded accounting pool every engine uses.

@@ -134,9 +134,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		}
 		g := &s.Obj.Groups[s.nextGroup]
 		s.nextGroup++
-		// No stage cache: SG streams drain a group over C-1 cycles via a
-		// private cursor, so sharing the struct would tangle cursors.
-		staged, err := e.stageGroup(g, nil)
+		staged, err := e.stageGroup(g)
 		if err != nil {
 			return nil, err
 		}
@@ -201,8 +199,8 @@ func (e *StaggeredGroup) deliverOne(s *sgStream) {
 	base := bg.group.Index * width
 	off := bg.next
 	bg.next++
-	e.emit(&s.Stream, base+off, bg.data[off], nil, bg.reconstructed[off], "parity group unrecoverable")
-	// Ownership moved to the Ref (released at the next Step's
+	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], "parity group unrecoverable")
+	// A made track now belongs to its Ref (released at the next Step's
 	// beginCycle); clear the slot so group recycling skips it.
 	bg.data[off] = nil
 	s.Advance(1)
