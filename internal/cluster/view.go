@@ -78,32 +78,6 @@ func (v *View) Member(id string) (Member, bool) {
 	return Member{}, false
 }
 
-// Live returns the IDs of members that can serve new sessions (active,
-// not draining, not dead), sorted.
-func (v *View) Live() []string {
-	var ids []string
-	for _, m := range v.Members {
-		if m.State == StateActive {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Serving returns the IDs of members still carrying sessions (active or
-// draining), sorted.
-func (v *View) Serving() []string {
-	var ids []string
-	for _, m := range v.Members {
-		if m.State == StateActive || m.State == StateDraining {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Candidates returns the members that may take a session of a title
 // whose placement is holders (home first): active members not named in
 // avoid, least-loaded by Sessions first, placement rank breaking ties so

@@ -30,7 +30,6 @@ type Client struct {
 	conn        net.Conn
 	br          *bufio.Reader
 	readTimeout time.Duration
-	admit       AdmitOK
 	reuse       bool
 	buf         []byte
 }
@@ -119,10 +118,11 @@ func (c *Client) admitReply(verb string) (AdmitOK, error) {
 	}
 	switch typ {
 	case frameAdmitOK:
-		if err := json.Unmarshal(payload, &c.admit); err != nil {
+		var ok AdmitOK
+		if err := json.Unmarshal(payload, &ok); err != nil {
 			return AdmitOK{}, fmt.Errorf("netserve: bad ADMIT-OK payload: %w", err)
 		}
-		return c.admit, nil
+		return ok, nil
 	case frameReject:
 		var rej Reject
 		if err := json.Unmarshal(payload, &rej); err != nil {
@@ -301,9 +301,6 @@ func (c *Client) Next() (Event, error) {
 		}
 	}
 }
-
-// Admitted returns the handshake parameters from the last Admit.
-func (c *Client) Admitted() AdmitOK { return c.admit }
 
 // Close sends BYE (best-effort) and closes the connection.
 func (c *Client) Close() error {

@@ -112,9 +112,10 @@ func (ns *NetServer) recentCycles() []cycleRecord {
 // against — a failure scheduled for cycle 40 lands forty cycles into
 // service, not into an idle farm). Parked waiters keep the pacer
 // running: their batch flushes at a cycle boundary, so cycles must keep
-// coming for the window to close.
+// coming for the window to close. A batch exists only while it holds a
+// waiter.
 func (ns *NetServer) idleLocked() bool {
-	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && ns.pendingWaiters == 0
+	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0
 }
 
 // StepCycle runs one transmission cycle on the caller's goroutine. Under
@@ -143,12 +144,6 @@ func (ns *NetServer) step(tick *Tick) error {
 		return nil
 	}
 	cycle := ns.srv.Engine().Cycle()
-	// Retire resumed sessions' old stream-ID aliases: holding stepMu, no
-	// stage call that could still look one up is running.
-	for id, sess := range ns.aliases {
-		ns.sessions.removeID(id, sess)
-		delete(ns.aliases, id)
-	}
 	ns.flushBatchesLocked(cycle)
 	kept := ns.schedule[:0]
 	for _, ev := range ns.schedule {
@@ -262,7 +257,6 @@ func (ns *NetServer) beginDrainLocked() {
 		delete(ns.batches, title)
 		for _, w := range tb.waiters {
 			w.reject = Reject{Reason: "draining"}
-			ns.pendingWaiters--
 			close(w.done)
 		}
 	}
@@ -286,8 +280,6 @@ func (ns *NetServer) expelPausedLocked() {
 			continue
 		}
 		ns.sendCtrl(sess, byeShutdown)
-		sess.paused = false
-		ns.pausedSessions--
 		sess.closeQueue()
 	}
 	if len(expelled) > 0 {

@@ -99,23 +99,15 @@ type NetServer struct {
 
 	// mu is the engine lock, shrunk to control-plane work: it guards
 	// srv (admit/cancel/step), schedule, view, drain state, VCR session
-	// state (paused/rate/resumeTrack), the batch table, and the alias
-	// table. Delivery staging runs outside it, under stepMu.
+	// state (paused/rate/resumeTrack) and the batch table. Delivery
+	// staging runs outside it, under stepMu.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	schedule []scheduledEvent
 	view     *cluster.View
 	// batches parks flash-crowd ADMITs per title until their window
-	// closes (Options.BatchCycles); pendingWaiters counts parked
-	// connections so the pacer keeps stepping toward the flush.
-	batches        map[string]*titleBatch
-	pendingWaiters int
-	// aliases holds resumed sessions' old stream IDs, still registered in
-	// sessions until the next StepCycle (see resumeSessionLocked).
-	aliases map[int]*session
-	// pausedSessions counts sessions parked by PAUSE (no engine stream);
-	// the net_sessions_paused gauge mirrors it.
-	pausedSessions int
+	// closes (Options.BatchCycles).
+	batches map[string]*titleBatch
 	// hbConns tracks live coordinator heartbeat channels so Close can
 	// cut them (their goroutines otherwise sit in a long read).
 	hbConns  map[net.Conn]struct{}
@@ -124,9 +116,9 @@ type NetServer struct {
 	closed   bool
 
 	// stepMu serializes cycle drivers (the pacer, tests, the chaos
-	// harness) and guards the staging state below. Staging runs under it
-	// but outside mu, so HELLO/ADMIT only ever queue behind the engine's
-	// read phase. Lock order: stepMu before mu.
+	// harness) and VCR verbs, and guards the staging state below. Staging
+	// runs under it but outside mu, so HELLO/ADMIT only ever queue behind
+	// the engine's read phase. Lock order: stepMu before mu.
 	stepMu sync.Mutex
 	// shared maps a run's first payload address to its staged frames
 	// within the cycle being staged: sessions whose delivered run is the
@@ -206,7 +198,6 @@ func New(opts Options) (*NetServer, error) {
 		sessions:   sessionTable{m: make(map[int]*session)},
 		hbConns:    make(map[net.Conn]struct{}),
 		batches:    make(map[string]*titleBatch),
-		aliases:    make(map[int]*session),
 		shared:     make(map[*byte]*sharedFrames),
 		drained:    make(chan struct{}),
 		stop:       make(chan struct{}),
@@ -257,7 +248,11 @@ func (ns *NetServer) Sessions() int { return ns.sessions.len() }
 func (ns *NetServer) PendingStarts() int {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.pendingWaiters
+	n := 0
+	for _, tb := range ns.batches {
+		n += len(tb.waiters)
+	}
+	return n
 }
 
 // NodeID returns this node's cluster identity (empty standalone).

@@ -268,7 +268,7 @@ func trackFrame(track int, data []byte) []byte {
 }
 
 // parseTrack splits a TRACK payload into index and content. The content
-// aliases the payload.
+// is a subslice of the payload, not a copy.
 func parseTrack(payload []byte) (int, []byte, error) {
 	if len(payload) < 4 {
 		return 0, nil, fmt.Errorf("netserve: TRACK payload of %d bytes is too short", len(payload))
@@ -287,7 +287,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 const frameReadChunk = 64 << 10
 
 // readFrameBuf reads one frame. With a non-nil scratch the payload is
-// read into (and aliases) *scratch, grown as needed and updated in
+// read into (and shares memory with) *scratch, grown as needed and updated in
 // place — the caller owns the bytes only until its next call with the
 // same scratch. With nil scratch the payload is freshly allocated.
 //

@@ -10,14 +10,11 @@ import (
 	"ftmm/internal/server"
 )
 
-// sessionTable is the stream-ID → session map. count follows sessions,
-// not entries: a session resumed from pause briefly lives under two IDs,
-// the new stream's (sess.id from here on) and its pre-pause stream's,
-// kept as an alias until the next StepCycle.
+// sessionTable is the stream-ID → session map, one entry per session.
+// A resumed session's entry moves to its new stream's ID (rekey).
 type sessionTable struct {
-	mu    sync.RWMutex
-	m     map[int]*session
-	count int
+	mu sync.RWMutex
+	m  map[int]*session
 }
 
 func (t *sessionTable) get(id int) *session {
@@ -30,13 +27,17 @@ func (t *sessionTable) get(id int) *session {
 func (t *sessionTable) put(sess *session) {
 	t.mu.Lock()
 	t.m[sess.id] = sess
-	t.count++
 	t.mu.Unlock()
 }
 
-// putID maps an alias stream ID to the session without counting it.
-func (t *sessionTable) putID(id int, sess *session) {
+// rekey moves a registered session's entry to the stream ID id, which
+// becomes sess.id. The caller holds stepMu and mu, so no stage call is
+// looking the session up under its old ID and no teardown can race the
+// move.
+func (t *sessionTable) rekey(sess *session, id int) {
 	t.mu.Lock()
+	delete(t.m, sess.id)
+	sess.id = id
 	t.m[id] = sess
 	t.mu.Unlock()
 }
@@ -51,22 +52,11 @@ func (t *sessionTable) remove(sess *session) bool {
 		return false
 	}
 	delete(t.m, sess.id)
-	t.count--
 	return true
 }
 
-// removeID deletes one alias entry, count untouched, pointer-checked so a
-// reused stream ID belonging to a different session is never evicted.
-func (t *sessionTable) removeID(id int, sess *session) {
-	t.mu.Lock()
-	if t.m[id] == sess {
-		delete(t.m, id)
-	}
-	t.mu.Unlock()
-}
-
-// forEach visits every registered session (aliased sessions may be
-// visited twice). Callers must not re-enter the table from f.
+// forEach visits every registered session. Callers must not re-enter
+// the table from f.
 func (t *sessionTable) forEach(f func(*session)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -78,7 +68,7 @@ func (t *sessionTable) forEach(f func(*session)) {
 func (t *sessionTable) len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.count
+	return len(t.m)
 }
 
 // drainAll empties the table, invoking f on each removed entry's session.
@@ -89,7 +79,6 @@ func (t *sessionTable) drainAll(f func(*session)) {
 		delete(t.m, id)
 		f(sess)
 	}
-	t.count = 0
 }
 
 // session is one admitted client connection.
@@ -306,23 +295,23 @@ func (ns *NetServer) handleConn(conn net.Conn) {
 		}
 		switch typ {
 		case framePause:
-			ns.handlePause(sess)
+			ns.vcr(sess, func() []byte { return ns.pause(sess) })
 		case frameResumePlay:
-			ns.handleResumePlay(sess)
+			ns.vcr(sess, func() []byte { return ns.resumePlay(sess) })
 		case frameFF:
 			rate, perr := parseFFRate(payload)
 			if perr != nil {
 				ns.dropSession(sess, "malformed FF")
 				return
 			}
-			ns.handleFF(sess, rate)
+			ns.vcr(sess, func() []byte { return ns.fastForward(sess, rate) })
 		case frameRewind:
 			track, perr := parseRewindTrack(payload)
 			if perr != nil {
 				ns.dropSession(sess, "malformed REWIND")
 				return
 			}
-			ns.handleRewind(sess, track)
+			ns.vcr(sess, func() []byte { return ns.rewind(sess, track) })
 		}
 	}
 }
@@ -382,7 +371,6 @@ func (ns *NetServer) admitBatched(conn net.Conn, title string) (*session, Reject
 		ns.batches[title] = tb
 	}
 	tb.waiters = append(tb.waiters, w)
-	ns.pendingWaiters++
 	ns.mu.Unlock()
 	ns.cond.Broadcast() // the pacer may be idling; cycles must now run
 	select {
@@ -418,7 +406,6 @@ func (ns *NetServer) flushBatchesLocked(cycle int) {
 				admitted++
 			}
 			ns.batchWaitMs.Observe(time.Since(w.arrival).Milliseconds())
-			ns.pendingWaiters--
 			close(w.done)
 		}
 		ns.batchedStarts.Add(admitted)
@@ -471,28 +458,11 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 // the session logs why; a session a normal finish already removed stays
 // quiet.
 func (ns *NetServer) dropSession(sess *session, reason string) {
-	if ns.sessions.remove(sess) {
-		ns.mu.Lock()
+	ns.mu.Lock()
+	if ns.teardownLocked(sess) {
 		ns.logf("netserve: dropping stream %d (%s): %s", sess.id, sess.title, reason)
-		_ = ns.srv.Cancel(sess.id)
-		if sess.paused {
-			sess.paused = false
-			ns.pausedSessions--
-			ns.gaugePaused()
-		}
-		ns.checkDrainedLocked()
-		ns.mu.Unlock()
-		ns.gaugeSessions()
 	}
-	sess.kill()
-}
-
-func (ns *NetServer) gaugeSessions() {
-	ns.srv.Metrics().Gauge("net_sessions_active").Set(int64(ns.sessions.len()))
-}
-
-func (ns *NetServer) gaugePaused() {
-	ns.srv.Metrics().Gauge("net_sessions_paused").Set(int64(ns.pausedSessions))
+	ns.mu.Unlock()
 }
 
 // shedLocked evicts a slow client: its queue overflowed, meaning the
@@ -501,16 +471,42 @@ func (ns *NetServer) gaugePaused() {
 // the connection is closed; other sessions never waited.
 func (ns *NetServer) shedLocked(sess *session) {
 	ns.logf("netserve: shedding stream %d (%s): send queue full", sess.id, sess.title)
-	if ns.sessions.remove(sess) {
+	if ns.teardownLocked(sess) {
+		ns.srv.Metrics().Counter("net_sessions_shed").Inc()
+	}
+}
+
+// teardownLocked is the one teardown under mu: remove the session,
+// cancel its back-end stream, refresh the gauges, kill the connection and
+// re-check drain completion. Teardown can race from reader, writer and
+// cycle loop; it reports whether this call was the one that removed the
+// session (and so cancelled its stream).
+func (ns *NetServer) teardownLocked(sess *session) bool {
+	removed := ns.sessions.remove(sess)
+	if removed {
 		_ = ns.srv.Cancel(sess.id)
+		ns.gaugeSessions()
 		if sess.paused {
-			sess.paused = false
-			ns.pausedSessions--
 			ns.gaugePaused()
 		}
-		ns.srv.Metrics().Counter("net_sessions_shed").Inc()
-		ns.gaugeSessions()
 	}
 	sess.kill()
 	ns.checkDrainedLocked()
+	return removed
+}
+
+func (ns *NetServer) gaugeSessions() {
+	ns.srv.Metrics().Gauge("net_sessions_active").Set(int64(ns.sessions.len()))
+}
+
+// gaugePaused sets net_sessions_paused to the registered sessions parked
+// by PAUSE. The caller holds mu, which guards sess.paused.
+func (ns *NetServer) gaugePaused() {
+	n := 0
+	ns.sessions.forEach(func(sess *session) {
+		if sess.paused {
+			n++
+		}
+	})
+	ns.srv.Metrics().Gauge("net_sessions_paused").Set(int64(n))
 }

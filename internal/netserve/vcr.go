@@ -14,53 +14,56 @@ func (ns *NetServer) vcrRejectCtrl(err error) []byte {
 	return mustCtrlFrame(frameReject, ns.rejectFor(err))
 }
 
-// handlePause parks a playing session: its engine stream is cancelled
-// (the slot returns to the admission pool) and its next owed track is
-// recorded for re-admission on resume. Pausing while paused re-acks.
-func (ns *NetServer) handlePause(sess *session) {
+// vcr runs one VCR verb between cycles and queues its reply. It takes
+// stepMu then mu, so no cycle is stepping or staging while the verb
+// moves the session's stream: every track from the old position is
+// queued before the reply, and every track after it starts at the
+// reply's NextTrack. A verb on a closed server, or on a session that has
+// left the table (finished, shed, dropped, expelled by a drain), does
+// nothing; a verb that returns nil sends no reply.
+func (ns *NetServer) vcr(sess *session, verb func() []byte) {
+	ns.stepMu.Lock()
+	defer ns.stepMu.Unlock()
 	ns.mu.Lock()
-	if ns.closed {
-		ns.mu.Unlock()
+	defer ns.mu.Unlock()
+	if ns.closed || ns.sessions.get(sess.id) != sess {
 		return
 	}
+	if reply := verb(); reply != nil {
+		ns.sendCtrl(sess, reply)
+	}
+	ns.gaugePaused()
+}
+
+// pause parks a playing session: its engine stream is cancelled (the
+// slot returns to the admission pool) and its next owed track is
+// recorded for re-admission on resume. Pausing while paused re-acks.
+func (ns *NetServer) pause(sess *session) []byte {
 	if ns.draining {
 		// A paused session could never resume here; keep it playing.
-		ns.mu.Unlock()
-		ns.sendCtrl(sess, ns.vcrRejectCtrl(errors.New("draining")))
-		return
+		return ns.vcrRejectCtrl(errors.New("draining"))
 	}
 	if sess.paused {
-		next := sess.resumeTrack
-		ns.mu.Unlock()
-		ns.sendCtrl(sess, vcrOKCtrl("pause", 0, next, 1))
-		return
+		return vcrOKCtrl("pause", 0, sess.resumeTrack, 1)
 	}
 	next, _, ok := ns.srv.StreamProgress(sess.id)
 	if !ok {
-		// The stream already finished or terminated; the BYE is on its
-		// way to the client and there is nothing to pause.
-		ns.mu.Unlock()
-		return
+		// The stream already ended; its BYE comes with the next cycle and
+		// there is nothing to pause.
+		return nil
 	}
 	_ = ns.srv.Cancel(sess.id)
 	sess.paused = true
 	sess.rate = 1
 	sess.resumeTrack = next
-	ns.pausedSessions++
 	ns.srv.Metrics().Counter("net_vcr_pauses").Inc()
-	ns.gaugePaused()
-	ns.mu.Unlock()
-	ns.sendCtrl(sess, vcrOKCtrl("pause", 0, next, 1))
+	return vcrOKCtrl("pause", 0, next, 1)
 }
 
 // resumeSessionLocked re-admits a paused session at the parity-group
-// floor of track, rekeying its table entry to the new stream ID. The
-// old ID stays registered as an alias until the next StepCycle: the
-// stage call that may be running right now (it holds stepMu, not mu)
-// can still be looking up pre-pause deliveries under it, and dropping
-// the key early would strand those tracks. Returns the VCR-OK to send,
-// or the REJECT when the farm cannot take the stream back (the session
-// stays paused; Retry-After rides the refusal).
+// floor of track and moves its table entry to the new stream ID. Returns
+// the VCR-OK to send, or the REJECT when the farm cannot take the stream
+// back (the session stays paused; Retry-After rides the refusal).
 func (ns *NetServer) resumeSessionLocked(sess *session, verb string, track, rate int) []byte {
 	startGroup := 0
 	if ns.groupWidth > 0 {
@@ -77,65 +80,43 @@ func (ns *NetServer) resumeSessionLocked(sess *session, verb string, track, rate
 		ns.srv.Metrics().Counter("net_vcr_rejects").Inc()
 		return ns.vcrRejectCtrl(err)
 	}
-	oldID := sess.id
-	sess.id = id
-	ns.sessions.putID(id, sess)
-	ns.aliases[oldID] = sess
-	if sess.paused {
-		ns.pausedSessions--
-	}
+	ns.sessions.rekey(sess, id)
 	sess.paused = false
 	sess.rate = rate
 	sess.resumeTrack = 0
-	ns.gaugePaused()
-	ns.cond.Broadcast() // the pacer may be idling on a paused-only farm
 	return vcrOKCtrl(verb, id, startGroup*ns.groupWidth, rate)
 }
 
-// handleResumePlay resumes a paused session at its held position
+// resumePlay resumes a paused session at its held position
 // (re-admission, Retry-After on refusal) or drops a fast-forwarding
 // session back to normal rate.
-func (ns *NetServer) handleResumePlay(sess *session) {
-	ns.mu.Lock()
-	if ns.closed {
-		ns.mu.Unlock()
-		return
-	}
-	var reply []byte
+func (ns *NetServer) resumePlay(sess *session) []byte {
 	if sess.paused {
 		if ns.draining {
-			reply = ns.vcrRejectCtrl(errors.New("draining"))
-		} else {
-			reply = ns.resumeSessionLocked(sess, "resume", sess.resumeTrack, 1)
-			if bytesIsVcrOK(reply) {
-				ns.srv.Metrics().Counter("net_vcr_resumes").Inc()
-			}
+			return ns.vcrRejectCtrl(errors.New("draining"))
 		}
-	} else {
-		if sess.rate > 1 {
-			if err := ns.srv.SetStreamRate(sess.id, 1); err == nil {
-				sess.rate = 1
-			}
+		reply := ns.resumeSessionLocked(sess, "resume", sess.resumeTrack, 1)
+		if bytesIsVcrOK(reply) {
+			ns.srv.Metrics().Counter("net_vcr_resumes").Inc()
 		}
-		next, _, _ := ns.srv.StreamProgress(sess.id)
-		reply = vcrOKCtrl("resume", sess.id, next, 1)
+		return reply
 	}
-	ns.mu.Unlock()
-	ns.sendCtrl(sess, reply)
+	if sess.rate > 1 {
+		if err := ns.srv.SetStreamRate(sess.id, 1); err == nil {
+			sess.rate = 1
+		}
+	}
+	next, _, _ := ns.srv.StreamProgress(sess.id)
+	return vcrOKCtrl("resume", sess.id, next, 1)
 }
 
-// handleFF sets a session's playback multiplier. On a playing session
+// fastForward sets a session's playback multiplier. On a playing session
 // it is a rate change, k′-accounted by the engine: a request the
 // admission bound cannot absorb is refused with Retry-After instead of
 // silently degrading every stream's continuity. On a paused session it
 // resumes directly into fast-forward (re-admission plus rate grant,
 // all-or-nothing).
-func (ns *NetServer) handleFF(sess *session, rate int) {
-	ns.mu.Lock()
-	if ns.closed {
-		ns.mu.Unlock()
-		return
-	}
+func (ns *NetServer) fastForward(sess *session, rate int) []byte {
 	var reply []byte
 	if sess.paused {
 		if ns.draining {
@@ -151,56 +132,45 @@ func (ns *NetServer) handleFF(sess *session, rate int) {
 		next, _, _ := ns.srv.StreamProgress(sess.id)
 		reply = vcrOKCtrl("ff", sess.id, next, rate)
 	}
-	if reply != nil && bytesIsVcrOK(reply) {
+	if bytesIsVcrOK(reply) {
 		ns.srv.Metrics().Counter("net_vcr_ffs").Inc()
 	}
-	ns.mu.Unlock()
-	ns.sendCtrl(sess, reply)
+	return reply
 }
 
 // bytesIsVcrOK reports whether a prebuilt control frame is a VCR-OK.
 func bytesIsVcrOK(frame []byte) bool { return len(frame) > 0 && frame[0] == frameVcrOK }
 
-// handleRewind jumps a session's position backward (or forward — the
-// wire carries an absolute target track, clamped to the title). A paused
+// rewind jumps a session's position backward (or forward — the wire
+// carries an absolute target track, clamped to the title). A paused
 // session just moves its held position; a playing one is cancelled and
 // re-admitted at the target's parity-group floor, dropping to normal
 // rate. If the farm cannot take the re-admission the session is left
 // paused at the target with a Retry-After refusal — the position is not
-// lost.
-func (ns *NetServer) handleRewind(sess *session, track int) {
-	ns.mu.Lock()
-	if ns.closed {
-		ns.mu.Unlock()
-		return
-	}
+// lost. A draining node refuses a playing session's rewind before
+// touching its stream, as it refuses PAUSE: a session parked there could
+// never resume, and the drain would wait on it forever.
+func (ns *NetServer) rewind(sess *session, track int) []byte {
 	track = min(max(track, 0), sess.tracks-1)
-	var reply []byte
 	if sess.paused {
 		sess.resumeTrack = track
 		sess.rate = 1
-		reply = vcrOKCtrl("rewind", 0, track, 1)
 		ns.srv.Metrics().Counter("net_vcr_rewinds").Inc()
-	} else {
-		if _, _, ok := ns.srv.StreamProgress(sess.id); !ok {
-			ns.mu.Unlock()
-			return
-		}
-		_ = ns.srv.Cancel(sess.id)
-		sess.paused = true
-		sess.rate = 1
-		sess.resumeTrack = track
-		ns.pausedSessions++
-		ns.gaugePaused()
-		if ns.draining {
-			reply = ns.vcrRejectCtrl(errors.New("draining"))
-		} else {
-			reply = ns.resumeSessionLocked(sess, "rewind", track, 1)
-		}
-		if bytesIsVcrOK(reply) {
-			ns.srv.Metrics().Counter("net_vcr_rewinds").Inc()
-		}
+		return vcrOKCtrl("rewind", 0, track, 1)
 	}
-	ns.mu.Unlock()
-	ns.sendCtrl(sess, reply)
+	if ns.draining {
+		return ns.vcrRejectCtrl(errors.New("draining"))
+	}
+	if _, _, ok := ns.srv.StreamProgress(sess.id); !ok {
+		return nil
+	}
+	_ = ns.srv.Cancel(sess.id)
+	sess.paused = true
+	sess.rate = 1
+	sess.resumeTrack = track
+	reply := ns.resumeSessionLocked(sess, "rewind", track, 1)
+	if bytesIsVcrOK(reply) {
+		ns.srv.Metrics().Counter("net_vcr_rewinds").Inc()
+	}
+	return reply
 }

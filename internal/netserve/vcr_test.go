@@ -103,10 +103,11 @@ func TestFFCapacityRejectThenPauseAdmits(t *testing.T) {
 }
 
 // TestPauseResumeBitExact plays a title with a pause/resume round-trip
-// in the middle and checks the viewer still ends up with every track of
-// the title, bit-exact: resume rekeys the session mid-flight, possibly
-// while a stage call is still looking up deliveries under the old
-// stream ID.
+// in the middle, a cycle stepping while the pause is in flight, and
+// checks the viewer still ends up with every track of the title,
+// bit-exact. It also pins the VCR contract that a reply splits the
+// session's stream: no TRACK arrives between the pause's VCR-OK and the
+// resume's, and the first TRACK after a VCR-OK is its NextTrack.
 func TestPauseResumeBitExact(t *testing.T) {
 	cfg := defaultRig()
 	cfg.groups = 6
@@ -124,6 +125,8 @@ func TestPauseResumeBitExact(t *testing.T) {
 		// VcrReject arm), and on the resume ack it unblocks the
 		// cycle driver.
 		res := &clientResult{tracks: map[int][]byte{}}
+		var lastOK *VcrOK // the latest VCR-OK, until a TRACK follows it
+		paused := false
 		for {
 			ev, err := c.Next()
 			if err != nil {
@@ -137,6 +140,7 @@ func TestPauseResumeBitExact(t *testing.T) {
 				done <- res
 				return
 			case ev.Vcr != nil:
+				lastOK, paused = ev.Vcr, ev.Vcr.Verb == "pause"
 				switch ev.Vcr.Verb {
 				case "pause":
 					if err := c.ResumePlay(); err != nil {
@@ -157,14 +161,25 @@ func TestPauseResumeBitExact(t *testing.T) {
 			case ev.Hiccup != nil:
 				res.hiccups = append(res.hiccups, *ev.Hiccup)
 			default:
+				if paused {
+					res.err = fmt.Errorf("track %d arrived between the pause's VCR-OK and the resume's", ev.Track)
+				} else if lastOK != nil && ev.Track != lastOK.NextTrack {
+					res.err = fmt.Errorf("first track after the %s VCR-OK is %d, want its NextTrack %d", lastOK.Verb, ev.Track, lastOK.NextTrack)
+				}
+				if res.err != nil {
+					done <- res
+					return
+				}
+				lastOK = nil
 				res.tracks[ev.Track] = ev.Data
 			}
 		}
 	}()
 
-	// Play the stream a few tracks in, then stop the clock — the
-	// pause must land mid-flight, and the VCR round-trip needs no
-	// cycles (verbs are handled on the session's reader).
+	// Play the stream a few tracks in, then pause it mid-flight with one
+	// cycle stepping while the verb is in flight; the rest of the VCR
+	// round-trip needs no cycles (verbs are handled on the session's
+	// reader).
 	for i := 0; ; i++ {
 		next, _, live := r.ns.StreamProgress(ok.StreamID)
 		if !live {
@@ -183,10 +198,15 @@ func TestPauseResumeBitExact(t *testing.T) {
 	if err := c.Pause(); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.ns.StepCycle(); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-resumed:
 	case <-time.After(20 * time.Second):
 		t.Fatal("pause/resume handshake never completed")
+	case res := <-done:
+		t.Fatalf("session ended before the resume: bye %q, err %v", res.bye, res.err)
 	}
 	r.stepUntilIdle(t, 600)
 	res := <-done
@@ -200,15 +220,16 @@ func TestPauseResumeBitExact(t *testing.T) {
 }
 
 // TestSessionsCountsSessionsNotAliases pins Sessions() and the
-// net_sessions_active gauge across a resume: the rekeyed session is
-// briefly registered under two stream IDs but is one session — the
-// figure the coordinator's least-loaded routing and the drain check
-// read — from the VCR-OK through every cycle to its BYE.
+// net_sessions_active gauge across a resume: the resumed session moves to
+// its new stream ID but stays one session — the figure the coordinator's
+// least-loaded routing and the drain check read — from the VCR-OK
+// through every cycle to its BYE. net_sessions_paused reads 1 only while
+// the session is paused.
 func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 	cfg := defaultRig()
 	cfg.groups = 6
 	r := newLoopRig(t, "sr", cfg)
-	check := func(when string, want int) {
+	check := func(when string, want, wantPaused int) {
 		t.Helper()
 		if got := r.ns.Sessions(); got != want {
 			t.Fatalf("%s: Sessions() = %d, want %d", when, got, want)
@@ -216,11 +237,14 @@ func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 		if got := r.srv.Metrics().Gauge("net_sessions_active").Value(); got != int64(want) {
 			t.Fatalf("%s: net_sessions_active = %d, want %d", when, got, want)
 		}
+		if got := r.srv.Metrics().Gauge("net_sessions_paused").Value(); got != int64(wantPaused) {
+			t.Fatalf("%s: net_sessions_paused = %d, want %d", when, got, wantPaused)
+		}
 	}
 
 	c, _ := r.connect(t, r.titles[0])
 	defer c.Close()
-	check("after admit", 1)
+	check("after admit", 1, 0)
 	for i := 0; i < 3; i++ {
 		if err := r.ns.StepCycle(); err != nil {
 			t.Fatal(err)
@@ -232,7 +256,7 @@ func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 	if ev := waitVcr(t, c); ev.Vcr == nil || ev.Vcr.Verb != "pause" {
 		t.Fatalf("pause not acknowledged: %+v", ev)
 	}
-	check("paused", 1)
+	check("paused", 1, 1)
 	if err := c.ResumePlay(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +264,7 @@ func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 	if ev.Vcr == nil || ev.Vcr.Verb != "resume" {
 		t.Fatalf("resume not acknowledged: %+v", ev)
 	}
-	check("after the resume VCR-OK", 1)
+	check("after the resume VCR-OK", 1, 0)
 
 	done := make(chan *clientResult, 1)
 	go func() { done <- consume(c) }()
@@ -256,12 +280,88 @@ func TestSessionsCountsSessionsNotAliases(t *testing.T) {
 		if next, total, live := r.ns.StreamProgress(ev.Vcr.StreamID); !live || next >= total {
 			break
 		}
-		check(fmt.Sprintf("cycle %d after resume", cycle), 1)
+		check(fmt.Sprintf("cycle %d after resume", cycle), 1, 0)
 	}
-	check("after the final cycle", 0)
+	check("after the final cycle", 0, 0)
 	if res := <-done; res.bye != "finished" {
 		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
 	}
+	check("after the BYE", 0, 0)
+}
+
+// TestRewindWhileDrainingKeepsPlaying: a draining node refuses a playing
+// session's REWIND before touching its stream, as it refuses PAUSE, so
+// the session plays on bit-exact to its BYE and the drain completes with
+// every arena buffer home. A rewind that cancelled first would leave the
+// session parked with no stream, and the drain would never end.
+func TestRewindWhileDrainingKeepsPlaying(t *testing.T) {
+	cfg := defaultRig()
+	cfg.groups = 6
+	r := newLoopRig(t, "sr", cfg)
+
+	c, _ := r.connect(t, r.titles[0])
+	defer c.Close()
+	rejected := make(chan Reject, 1)
+	done := make(chan *clientResult, 1)
+	go func() {
+		res := &clientResult{tracks: map[int][]byte{}}
+		defer func() { done <- res }()
+		for {
+			ev, err := c.Next()
+			switch {
+			case err != nil:
+				res.err = err
+				return
+			case ev.Bye != nil:
+				res.bye = ev.Bye.Reason
+				return
+			case ev.Vcr != nil:
+				res.err = fmt.Errorf("rewind granted while draining: %+v", *ev.Vcr)
+				return
+			case ev.VcrReject != nil:
+				rejected <- *ev.VcrReject
+			case ev.Hiccup != nil:
+				res.hiccups = append(res.hiccups, *ev.Hiccup)
+			default:
+				res.tracks[ev.Track] = ev.Data
+			}
+		}
+	}()
+
+	for i := 0; i < 2; i++ {
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.ns.BeginDrain()
+	if err := c.Rewind(0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case rej := <-rejected:
+		if rej.Reason != "draining" {
+			t.Fatalf("rewind refused with %q, want draining", rej.Reason)
+		}
+	case res := <-done:
+		t.Fatalf("session ended before the rewind's reply: bye %q, err %v", res.bye, res.err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("no reply to the rewind")
+	}
+
+	for i := 0; i < 400 && !r.ns.Drained(); i++ {
+		if err := r.ns.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.ns.Drained() {
+		t.Fatalf("drain did not complete: %d sessions, %d live streams", r.ns.Sessions(), r.srv.Engine().Active())
+	}
+	res := <-done
+	if res.bye != "finished" {
+		t.Fatalf("bye = %q (err %v), want finished", res.bye, res.err)
+	}
+	verifyBitExact(t, r, r.titles[0], res)
+	r.stepUntilBuffersHome(t)
 }
 
 // TestPausedRewindPastEndClamps: a paused session rewound past the
