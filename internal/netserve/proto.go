@@ -287,7 +287,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 const frameReadChunk = 64 << 10
 
 // readFrameBuf reads one frame. With a non-nil scratch the payload is
-// read into (and shares memory with) *scratch, grown as needed and updated in
+// read into *scratch and is a slice of it, grown as needed and updated in
 // place — the caller owns the bytes only until its next call with the
 // same scratch. With nil scratch the payload is freshly allocated.
 //

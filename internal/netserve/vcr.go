@@ -38,6 +38,11 @@ func (ns *NetServer) vcr(sess *session, verb func() []byte) {
 // pause parks a playing session: its engine stream is cancelled (the
 // slot returns to the admission pool) and its next owed track is
 // recorded for re-admission on resume. Pausing while paused re-acks.
+//
+// A draining node holds no paused session: the drain expels them
+// (expelPausedLocked), and PAUSE and a playing session's REWIND are
+// refused before they touch the stream, so the resume paths never meet
+// a drain.
 func (ns *NetServer) pause(sess *session) []byte {
 	if ns.draining {
 		// A paused session could never resume here; keep it playing.
@@ -92,9 +97,6 @@ func (ns *NetServer) resumeSessionLocked(sess *session, verb string, track, rate
 // session back to normal rate.
 func (ns *NetServer) resumePlay(sess *session) []byte {
 	if sess.paused {
-		if ns.draining {
-			return ns.vcrRejectCtrl(errors.New("draining"))
-		}
 		reply := ns.resumeSessionLocked(sess, "resume", sess.resumeTrack, 1)
 		if bytesIsVcrOK(reply) {
 			ns.srv.Metrics().Counter("net_vcr_resumes").Inc()
@@ -119,11 +121,7 @@ func (ns *NetServer) resumePlay(sess *session) []byte {
 func (ns *NetServer) fastForward(sess *session, rate int) []byte {
 	var reply []byte
 	if sess.paused {
-		if ns.draining {
-			reply = ns.vcrRejectCtrl(errors.New("draining"))
-		} else {
-			reply = ns.resumeSessionLocked(sess, "ff", sess.resumeTrack, rate)
-		}
+		reply = ns.resumeSessionLocked(sess, "ff", sess.resumeTrack, rate)
 	} else if err := ns.srv.SetStreamRate(sess.id, rate); err != nil {
 		ns.srv.Metrics().Counter("net_vcr_rejects").Inc()
 		reply = ns.vcrRejectCtrl(err)
