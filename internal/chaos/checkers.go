@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 
 	"ftmm/internal/analytic"
@@ -43,8 +44,9 @@ type lossKey struct {
 // unprotected (K exhausted — the paper's degradation of service, whose
 // recurring loss is legitimate). Under every scheme the guarantee ends
 // at the paper's catastrophe boundary: a hiccup on a parity group that
-// had two or more member drives failed when it was read is data parity
-// cannot rebuild, and is accepted.
+// had two or more members down when it was read is data parity cannot
+// rebuild, and is accepted. A member is down when its drive was Failed,
+// or Restoring with that member's track not yet restored.
 type ContinuityChecker struct {
 	isNC, isIB bool
 	// lossCap is the per-stream per-transition hiccup bound: C-1 for the
@@ -56,7 +58,10 @@ type ContinuityChecker struct {
 	// read time, delivery up to a group's width later, plus slack.
 	window int
 	// lastFailed maps a drive to the last cycle it was seen failed.
-	lastFailed      map[int]int
+	lastFailed map[int]int
+	// lastBlank maps a Restoring drive's track to the last cycle whose
+	// reads met it not yet restored.
+	lastBlank       map[layout.Location]int
 	dataFail        map[int][]int
 	lastUnprotected map[int]int
 	losses          map[lossKey]int
@@ -82,15 +87,21 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 	}
 	c.window = rc.Schedule.ClusterSize + 4
 	c.lastFailed = make(map[int]int)
+	c.lastBlank = make(map[layout.Location]int)
 	c.dataFail = make(map[int][]int)
 	c.lastUnprotected = make(map[int]int)
 	c.losses = make(map[lossKey]int)
 	return nil
 }
 
-// OnEvent implements EventObserver: it records data-disk failures per
-// cluster, which open Non-clustered loss windows.
+// OnEvent implements EventObserver: it notes the blank tracks of a
+// drive an online rebuild just replaced, which this cycle's reads meet,
+// and records data-disk failures per cluster, which open Non-clustered
+// loss windows.
 func (c *ContinuityChecker) OnEvent(rc *RunContext, ev Event) error {
+	if ev.Kind == EventRebuild {
+		c.noteBlank(rc, ev.Cycle)
+	}
 	if !c.isNC || ev.Kind != EventFail {
 		return nil
 	}
@@ -109,13 +120,16 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 		return fmt.Errorf("stream %d terminated by a scheme that must never degrade service", rep.Terminated[0])
 	}
 	// Events apply before the Step, so the farm still shows the drive
-	// states this cycle's reads met.
+	// failures this cycle's reads met. A restore may have written tracks
+	// after the reads, so the tracks still blank now are the ones the
+	// next cycle's reads will meet.
 	farm := rc.Srv.Farm()
 	for d := 0; d < farm.Size(); d++ {
 		if drv, err := farm.Drive(d); err == nil && drv.State() == disk.Failed {
 			c.lastFailed[d] = rc.Cycle
 		}
 	}
+	c.noteBlank(rc, rc.Cycle+1)
 	if c.isNC {
 		// Refresh the unprotected-cluster trail before attributing hiccups.
 		if unprot, ok := rc.Srv.Engine().(interface{ ClusterUnprotected(int) bool }); ok {
@@ -165,20 +179,55 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 	return nil
 }
 
-// catastrophic reports whether two or more of the parity group's member
-// drives were failed inside the window a hiccup delivered now could
-// have been read in.
+// noteBlank stamps every not-yet-restored track of a Restoring drive
+// with the cycle whose reads meet it. Restored tracks stay restored
+// until the drive fails again, which lastFailed records.
+func (c *ContinuityChecker) noteBlank(rc *RunContext, cycle int) {
+	farm := rc.Srv.Farm()
+	restoring := make(map[int]*disk.Drive)
+	for d := 0; d < farm.Size(); d++ {
+		if drv, err := farm.Drive(d); err == nil && drv.State() == disk.Restoring {
+			restoring[d] = drv
+		}
+	}
+	if len(restoring) == 0 {
+		return
+	}
+	note := func(loc layout.Location) {
+		if drv, ok := restoring[loc.Disk]; ok {
+			if _, err := drv.View(loc.Track); errors.Is(err, disk.ErrEmptyTrack) {
+				c.lastBlank[loc] = cycle
+			}
+		}
+	}
+	for _, obj := range rc.Srv.Catalog().Layout().AllObjects() {
+		for gi := range obj.Groups {
+			g := &obj.Groups[gi]
+			for _, loc := range g.Data {
+				note(loc)
+			}
+			note(g.Parity)
+		}
+	}
+}
+
+// catastrophic reports whether two or more of the parity group's
+// members were down inside the window a hiccup delivered now could have
+// been read in.
 func (c *ContinuityChecker) catastrophic(cycle int, g *layout.Group) bool {
-	wasDown := func(drive int) bool {
-		last, saw := c.lastFailed[drive]
+	wasDown := func(loc layout.Location) bool {
+		if last, saw := c.lastFailed[loc.Disk]; saw && cycle-last <= c.window {
+			return true
+		}
+		last, saw := c.lastBlank[loc]
 		return saw && cycle-last <= c.window
 	}
 	down := 0
-	if wasDown(g.Parity.Disk) {
+	if wasDown(g.Parity) {
 		down++
 	}
 	for _, loc := range g.Data {
-		if wasDown(loc.Disk) {
+		if wasDown(loc) {
 			down++
 		}
 	}
@@ -256,12 +305,19 @@ func (p *ParityChecker) End(rc *RunContext) error {
 // holds no buffers: every refcounted arena buffer was Released and the
 // track-accounting pool is back to zero (only checked when the run
 // actually drained — a schedule truncated by MaxCycles with streams still
-// playing legitimately holds buffers). And a farm restored to health
-// holds no degraded state: with every drive operational and no rebuild
-// running, no cluster may still run degraded — a restore path that forgot
-// to tell the engine leaks the cluster's buffer server and keeps it
-// reconstructing tracks that sit whole on disk.
-type LeakChecker struct{}
+// playing legitimately holds buffers). Every restore ends: a drive left
+// Restoring must have an online rebuild of it still running or
+// abandoned — a restore path that skipped its tail leaves it Restoring
+// with neither. And a farm restored to health holds no degraded state:
+// with every drive operational, no cluster may still run degraded — a
+// restore path that forgot to tell the engine leaks the cluster's buffer
+// server and keeps it reconstructing tracks that sit whole on disk.
+type LeakChecker struct {
+	// rebuilding is the drive of the online rebuild in flight, or -1.
+	rebuilding int
+	// abandoned marks drives whose last online rebuild was abandoned.
+	abandoned map[int]bool
+}
 
 // NewLeakChecker builds the checker.
 func NewLeakChecker() *LeakChecker { return &LeakChecker{} }
@@ -270,17 +326,53 @@ func NewLeakChecker() *LeakChecker { return &LeakChecker{} }
 func (l *LeakChecker) Name() string { return "leak" }
 
 // Begin implements Checker.
-func (l *LeakChecker) Begin(*RunContext) error { return nil }
+func (l *LeakChecker) Begin(*RunContext) error {
+	l.rebuilding, l.abandoned = -1, make(map[int]bool)
+	return nil
+}
 
-// AfterStep implements Checker.
-func (l *LeakChecker) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
+// OnEvent implements EventObserver.
+func (l *LeakChecker) OnEvent(_ *RunContext, ev Event) error {
+	if ev.Kind == EventRebuild {
+		l.rebuilding = ev.Drive
+		delete(l.abandoned, ev.Drive)
+	}
+	return nil
+}
+
+// AfterStep implements Checker: it notes how the online rebuild in
+// flight ended, once it has.
+func (l *LeakChecker) AfterStep(rc *RunContext, _ *sched.CycleReport) error {
+	if l.rebuilding >= 0 && rc.Srv.RebuildRemaining() == 0 {
+		if rc.Srv.TakeRebuildAbort() != nil {
+			l.abandoned[l.rebuilding] = true
+		}
+		l.rebuilding = -1
+	}
+	return nil
+}
 
 // End implements Checker.
 func (l *LeakChecker) End(rc *RunContext) error {
 	eng := rc.Srv.Engine()
 	farm := rc.Srv.Farm()
-	if deg, ok := eng.(interface{ ClusterDegraded(int) bool }); ok &&
-		len(farm.FailedDrives()) == 0 && rc.Srv.RebuildRemaining() == 0 {
+	whole := true
+	for d := 0; d < farm.Size(); d++ {
+		drv, err := farm.Drive(d)
+		if err != nil {
+			return err
+		}
+		switch drv.State() {
+		case disk.Failed:
+			whole = false
+		case disk.Restoring:
+			if d != l.rebuilding && !l.abandoned[d] {
+				return fmt.Errorf("drive %d still restoring with no rebuild of it running or abandoned", d)
+			}
+			whole = false
+		}
+	}
+	if deg, ok := eng.(interface{ ClusterDegraded(int) bool }); ok && whole {
 		for cl := 0; cl < farm.Clusters(); cl++ {
 			if deg.ClusterDegraded(cl) {
 				return fmt.Errorf("cluster %d still degraded with every drive restored", cl)

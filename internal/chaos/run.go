@@ -517,9 +517,11 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 		if err != nil {
 			return false, nil, err
 		}
-		if failed := drv.State() == disk.Failed; failed == (ev.Kind == EventFail) {
+		if state := drv.State(); ev.Kind == EventFail && state == disk.Failed ||
+			ev.Kind != EventFail && state == disk.Operational {
 			// A subset re-failed a dead drive, or the failure a repair
-			// answers was shrunk away.
+			// answers was shrunk away. A drive still Restoring (its
+			// rebuild abandoned, say) takes a repair as a failed one does.
 			return false, nil, nil
 		}
 		switch ev.Kind {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftmm/internal/disk"
 	"ftmm/internal/sched"
 )
 
@@ -301,5 +302,90 @@ func TestContinuityCatastropheBoundary(t *testing.T) {
 	}
 	if v := res.Violation; v == nil || v.Checker != "continuity" || v.Cycle != 8 {
 		t.Fatalf("a hiccup with one drive down was accepted; violation = %+v", v)
+	}
+}
+
+// restoredHiccup feeds the continuity checker one extra hiccup at a
+// chosen cycle, on a delivered track of the chosen title whose parity
+// group has a member on a Restoring drive that its restore has already
+// written.
+type restoredHiccup struct {
+	*ContinuityChecker
+	at    int
+	title string
+	hit   *bool
+}
+
+func (h restoredHiccup) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
+	if rc.Cycle != h.at {
+		return h.ContinuityChecker.AfterStep(rc, rep)
+	}
+	lay := rc.Srv.Catalog().Layout()
+	for _, d := range rep.Delivered {
+		obj, ok := lay.Object(d.ObjectID)
+		if !ok || d.ObjectID != h.title {
+			continue
+		}
+		g := &obj.Groups[d.Track/lay.GroupWidth()]
+		for _, loc := range g.Data {
+			drv, _ := rc.Srv.Farm().Drive(loc.Disk)
+			if _, err := drv.View(loc.Track); drv.State() == disk.Restoring && err == nil {
+				*h.hit = true
+				rep = rep.Clone()
+				rep.Hiccups = append(rep.Hiccups, sched.Hiccup{StreamID: d.StreamID, ObjectID: d.ObjectID, Track: d.Track, Reason: "injected"})
+				return h.ContinuityChecker.AfterStep(rc, rep)
+			}
+		}
+	}
+	return h.ContinuityChecker.AfterStep(rc, rep)
+}
+
+// TestContinuityCountsRestoringTrack pins the rebuild-mode side of the
+// catastrophe boundary. A replaced drive's track that its online rebuild
+// has not yet restored is down: a second failure in that track's group
+// is two erasures, and the hiccups it causes are accepted. A track the
+// rebuild has already restored is whole: a hiccup on its group is still
+// a violation, with no other member down and with one other Failed.
+func TestContinuityCountsRestoringTrack(t *testing.T) {
+	sch := Schedule{
+		Scheme: "sr", Disks: 8, ClusterSize: 4, K: 1, Titles: 2, TitleGroups: 40, MaxCycles: 400,
+		Events: []Event{
+			{Cycle: 0, Kind: EventAdmit, Title: "title0"},
+			{Cycle: 1, Kind: EventAdmit, Title: "title1"},
+			{Cycle: 2, Kind: EventFail, Drive: 0},
+			{Cycle: 3, Kind: EventRebuild, Drive: 0, Budget: 3},
+			{Cycle: 30, Kind: EventFail, Drive: 1},
+		},
+	}
+	res, err := Run(RunConfig{Schedule: sch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Violation; v != nil {
+		t.Fatalf("failure of a group mate of an unrestored track: %s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
+	}
+	if res.Nodes[0].Srv.Stats().Hiccups == 0 {
+		t.Fatal("the second failure produced no hiccups; the schedule does not reach the boundary")
+	}
+
+	// Drive 0 failed at cycle 2, outside the window by cycle 35, and its
+	// rebuild restored title0's tracks first while it still runs on
+	// title1's: at cycle 35 title0's cluster-0 groups have drive 0 whole
+	// and at most drive 1 down.
+	for _, events := range [][]Event{sch.Events[:4], sch.Events} {
+		sch.Events = events
+		hit := false
+		res, err = Run(RunConfig{Schedule: sch, NewCheckers: func() []Checker {
+			return []Checker{restoredHiccup{NewContinuityChecker(), 35, "title0", &hit}}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit {
+			t.Fatalf("%d events: no delivered title0 track at cycle 35 has a restored member on a Restoring drive", len(events))
+		}
+		if v := res.Violation; v == nil || v.Checker != "continuity" || v.Cycle != 35 {
+			t.Fatalf("%d events: a hiccup on a group whose Restoring member is already restored was accepted; violation = %+v", len(events), v)
+		}
 	}
 }

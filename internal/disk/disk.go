@@ -2,6 +2,15 @@
 // drives that store whole tracks of real bytes, can fail and be replaced,
 // and are organized into fixed clusters of C drives for parity layout.
 //
+// A drive is in one of the paper's three modes. It is Operational, or
+// Failed (its contents gone), or Restoring: replaced by a blank drive
+// whose contents are being rebuilt (§1's rebuild mode — "the disks are
+// still down, but the process of rebuilding the missing information on
+// spare disks is in progress"). Replace moves a drive from Failed to
+// Restoring, and only Restored, called when the restore is complete,
+// makes it Operational again. So the drive itself is the one record of
+// whether it is whole.
+//
 // Timing is not simulated here — the cycle scheduler budgets disk time
 // with the analytic model from internal/diskmodel — but data movement is:
 // every track read returns the stored bytes (or an error from a failed
@@ -26,6 +35,10 @@ const (
 	Operational State = iota
 	// Failed drives reject all I/O; their contents are lost.
 	Failed
+	// Restoring drives are replacements whose contents are still being
+	// rebuilt. They serve reads and writes like an operational drive,
+	// but a track not yet restored reads as ErrEmptyTrack.
+	Restoring
 )
 
 // String names the state.
@@ -35,6 +48,8 @@ func (s State) String() string {
 		return "operational"
 	case Failed:
 		return "failed"
+	case Restoring:
+		return "restoring"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}
@@ -163,7 +178,8 @@ func (d *Drive) ReadTrackInto(dst []byte, track int) error {
 
 // Fail marks the drive failed and discards its contents (the paper's
 // failure model: a failed disk's data is gone until rebuilt from parity
-// or tertiary storage onto a replacement).
+// or tertiary storage onto a replacement). A restoring drive can fail
+// too, losing what its restore had written.
 func (d *Drive) Fail() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -175,17 +191,30 @@ func (d *Drive) Fail() error {
 	return nil
 }
 
-// Replace swaps in a blank operational drive (the physical repair of the
-// paper's MTTR). The replacement starts empty; it is the rebuild
-// machinery's job to restore content.
+// Replace swaps in a blank drive (the physical repair of the paper's
+// MTTR), which starts Restoring: it is the rebuild machinery's job to
+// restore its content and then call Restored.
 func (d *Drive) Replace() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state != Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrNotFailed)
 	}
-	d.state = Operational
+	d.state = Restoring
 	d.tracks = make(map[int][]byte)
+	return nil
+}
+
+// Restored ends a restore: the drive's contents are whole again, and it
+// is Operational. Restoring an operational drive (a tape reload of a
+// healthy one) leaves it so; a failed drive must be replaced first.
+func (d *Drive) Restored() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state == Failed {
+		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
+	}
+	d.state = Operational
 	return nil
 }
 
@@ -258,49 +287,4 @@ func (f *Farm) ClusterOf(driveID int) (int, error) {
 		return 0, fmt.Errorf("disk: drive %d out of range [0,%d)", driveID, len(f.drives))
 	}
 	return driveID / f.clusterSize, nil
-}
-
-// FailedDrives lists the IDs of currently failed drives.
-func (f *Farm) FailedDrives() []int {
-	var out []int
-	for _, d := range f.drives {
-		if d.State() == Failed {
-			out = append(out, d.id)
-		}
-	}
-	return out
-}
-
-// OperationalCount returns the number of drives currently serving I/O.
-func (f *Farm) OperationalCount() int {
-	n := 0
-	for _, d := range f.drives {
-		if d.State() == Operational {
-			n++
-		}
-	}
-	return n
-}
-
-// ClusterFailures returns, per cluster, how many of its drives are
-// failed. A value >= 2 in any cluster is the paper's catastrophic
-// failure for the dedicated-parity schemes.
-func (f *Farm) ClusterFailures() []int {
-	out := make([]int, f.Clusters())
-	for _, d := range f.drives {
-		if d.State() == Failed {
-			out[d.id/f.clusterSize]++
-		}
-	}
-	return out
-}
-
-// Catastrophic reports whether any cluster has lost two or more drives.
-func (f *Farm) Catastrophic() bool {
-	for _, n := range f.ClusterFailures() {
-		if n >= 2 {
-			return true
-		}
-	}
-	return false
 }

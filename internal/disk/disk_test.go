@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -138,15 +139,47 @@ func TestDriveFailureLifecycle(t *testing.T) {
 	if err := d.Fail(); !errors.Is(err, ErrDoubleFault) {
 		t.Errorf("double fail: %v", err)
 	}
+	if err := d.Restored(); !errors.Is(err, ErrFailed) {
+		t.Errorf("restored before replace: %v", err)
+	}
 	if err := d.Replace(); err != nil {
 		t.Fatal(err)
 	}
-	if d.State() != Operational {
-		t.Fatal("state not Operational after replace")
+	if d.State() != Restoring {
+		t.Fatal("state not Restoring after replace")
 	}
 	// Replacement is blank: the old content is gone.
 	if _, err := d.ReadTrack(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("replaced drive should be empty: %v", err)
+	}
+	if err := d.Replace(); !errors.Is(err, ErrNotFailed) {
+		t.Errorf("replace of restoring drive: %v", err)
+	}
+	// A restoring drive takes the restore's writes and serves them.
+	if err := d.WriteTrack(0, track(5)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.ReadTrack(0); err != nil || !bytes.Equal(got, track(5)) {
+		t.Errorf("read of restored track: %v", err)
+	}
+	// It can fail again, losing what the restore wrote.
+	if err := d.Fail(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ReadTrack(0); !errors.Is(err, ErrEmptyTrack) {
+		t.Errorf("re-replaced drive should be empty: %v", err)
+	}
+	if err := d.Restored(); err != nil {
+		t.Fatal(err)
+	}
+	if d.State() != Operational {
+		t.Fatal("state not Operational after restore")
+	}
+	if err := d.Restored(); err != nil {
+		t.Errorf("restore of operational drive: %v", err)
 	}
 	if err := d.Replace(); !errors.Is(err, ErrNotFailed) {
 		t.Errorf("replace of healthy drive: %v", err)
@@ -231,45 +264,49 @@ func TestFarmTopology(t *testing.T) {
 	}
 }
 
+// Each drive of a farm keeps its own state through the lifecycle; the
+// farm's clusters are views of the same drives.
 func TestFarmFailureAccounting(t *testing.T) {
 	f, _ := NewFarm(20, 5, testParams())
-	if got := f.OperationalCount(); got != 20 {
-		t.Fatalf("OperationalCount = %d", got)
+	states := func() map[State][]int {
+		out := make(map[State][]int)
+		for i := 0; i < f.Size(); i++ {
+			d, _ := f.Drive(i)
+			out[d.State()] = append(out[d.State()], i)
+		}
+		return out
 	}
-	if f.Catastrophic() {
-		t.Fatal("fresh farm catastrophic")
+	if got := states(); len(got[Operational]) != 20 {
+		t.Fatalf("fresh farm states = %v", got)
 	}
-	for _, id := range []int{3, 11} {
+	for _, id := range []int{1, 3, 11} {
 		d, _ := f.Drive(id)
 		if err := d.Fail(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := f.FailedDrives(); len(got) != 2 || got[0] != 3 || got[1] != 11 {
-		t.Fatalf("FailedDrives = %v", got)
-	}
-	if f.Catastrophic() {
-		t.Fatal("one failure per cluster flagged catastrophic")
-	}
-	cf := f.ClusterFailures()
-	if cf[0] != 1 || cf[2] != 1 || cf[1] != 0 || cf[3] != 0 {
-		t.Fatalf("ClusterFailures = %v", cf)
-	}
-	// Second failure in cluster 0 => catastrophe.
-	d, _ := f.Drive(1)
-	if err := d.Fail(); err != nil {
+	d, _ := f.Drive(3)
+	if err := d.Replace(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Catastrophic() {
-		t.Fatal("two failures in one cluster not catastrophic")
+	got := states()
+	if !slices.Equal(got[Failed], []int{1, 11}) || !slices.Equal(got[Restoring], []int{3}) || len(got[Operational]) != 17 {
+		t.Fatalf("states = %v, want failed [1 11], restoring [3], 17 operational", got)
 	}
-	if got := f.OperationalCount(); got != 17 {
-		t.Fatalf("OperationalCount = %d, want 17", got)
+	cl, _ := f.Cluster(0)
+	if cl[1].State() != Failed || cl[3].State() != Restoring || cl[0].State() != Operational {
+		t.Fatalf("cluster 0 states %v %v %v", cl[0].State(), cl[1].State(), cl[3].State())
+	}
+	if err := d.Restored(); err != nil {
+		t.Fatal(err)
+	}
+	if got := states(); len(got[Restoring]) != 0 || len(got[Operational]) != 18 {
+		t.Fatalf("states after restore = %v", got)
 	}
 }
 
 func TestStateString(t *testing.T) {
-	if Operational.String() != "operational" || Failed.String() != "failed" {
+	if Operational.String() != "operational" || Failed.String() != "failed" || Restoring.String() != "restoring" {
 		t.Error("state names")
 	}
 	if State(9).String() != "State(9)" {

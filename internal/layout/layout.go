@@ -474,7 +474,7 @@ func writeObject(f *disk.Farm, obj *Object, content []byte, only int, tolerant b
 		if err != nil {
 			return nil, err
 		}
-		if tolerant && drv.State() != disk.Operational {
+		if tolerant && drv.State() == disk.Failed {
 			skipped++
 			return nil, nil
 		}

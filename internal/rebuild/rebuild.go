@@ -56,7 +56,7 @@ type Rebuilder struct {
 }
 
 // New plans the rebuild of the given drive, which must already be
-// replaced (operational and blank). The plan covers every placed
+// replaced (Restoring, not Failed). The plan covers every placed
 // object's tracks that lived on the drive — data and parity.
 func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 	if farm == nil || lay == nil {
@@ -66,7 +66,7 @@ func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if drv.State() != disk.Operational {
+	if drv.State() == disk.Failed {
 		return nil, fmt.Errorf("rebuild: drive %d must be replaced before rebuild (state %v)", driveID, drv.State())
 	}
 	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, readsBy: make([]int, farm.Size()),

@@ -10,13 +10,14 @@ import (
 )
 
 // CheckDrive verifies parity consistency for every parity group that has
-// a member (data or parity) on the given drive. Groups with any failed
-// member drive are skipped — their parity equation cannot be audited
-// until repair. For a fully-operational group the check is strict:
+// a member (data or parity) on the given drive. Groups with a member
+// drive that is not Operational — Failed, or Restoring — are skipped:
+// their parity equation cannot be audited until the restore ends. For a
+// fully-operational group the check is strict:
 //
 //   - every member track must be readable, so an ErrEmptyTrack on a
-//     replaced-and-supposedly-rebuilt drive is itself a violation (a
-//     rebuild that skipped a write leaves exactly this hole), and
+//     restored drive is itself a violation (a rebuild that skipped a
+//     write leaves exactly this hole), and
 //   - the XOR of the data tracks must equal the parity track byte for
 //     byte.
 //
@@ -46,7 +47,8 @@ func CheckDrive(farm *disk.Farm, lay *layout.Layout, driveID int) error {
 }
 
 // CheckAll verifies parity consistency for every parity group of every
-// placed object, with the same skip rule (groups with a failed member)
+// placed object, with the same skip rule (groups with a member not
+// Operational)
 // and strictness as CheckDrive.
 func CheckAll(farm *disk.Farm, lay *layout.Layout) error {
 	if farm == nil || lay == nil {
@@ -64,7 +66,7 @@ func CheckAll(farm *disk.Farm, lay *layout.Layout) error {
 }
 
 // checkGroup audits one parity group, skipping it when any member drive
-// is not operational. The members are read through views and the data
+// is not Operational. The members are read through views and the data
 // folded into scratch (one track, the caller's), so an audit copies
 // nothing.
 func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group, scratch []byte) error {
@@ -77,7 +79,7 @@ func checkGroup(farm *disk.Farm, obj *layout.Object, g *layout.Group, scratch []
 			return err
 		}
 		if drv.State() != disk.Operational {
-			return nil // unauditable until the member is repaired
+			return nil // unauditable until the member's restore ends
 		}
 	}
 	blocks := make([][]byte, 0, len(g.Data))

@@ -300,7 +300,7 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 // right.
 func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibGroupRead, err error) {
 	pDisk := gr.g.Parity.Disk
-	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() != disk.Operational {
+	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() == disk.Failed {
 		// Adjacent-cluster double failure: the paper's data-loss case.
 		return nil, nil, nil
 	}

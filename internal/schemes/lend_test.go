@@ -140,9 +140,15 @@ func TestEnginesNeverWritePlatter(t *testing.T) {
 					if _, err := rb.Step(4 * r.lay.GroupWidth()); err != nil {
 						t.Fatal(err)
 					}
-					if n, ok := e.(interface{ OnDriveRebuilt(int) error }); ok && rb.Done() {
-						if err := n.OnDriveRebuilt(failed); err != nil {
+					if rb.Done() {
+						drv, _ := r.farm.Drive(failed)
+						if err := drv.Restored(); err != nil {
 							t.Fatal(err)
+						}
+						if n, ok := e.(interface{ OnDriveRebuilt(int) error }); ok {
+							if err := n.OnDriveRebuilt(failed); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ftmm/internal/buffer"
+	"ftmm/internal/disk"
 	"ftmm/internal/layout"
 	"ftmm/internal/parity"
 	"ftmm/internal/sched"
@@ -62,10 +63,6 @@ type ncCluster struct {
 	// failedOffset is the in-cluster index of the failed data drive
 	// (0..C-2), meaningful in ncDegraded/ncUnprotected.
 	failedOffset int
-	// down[o] marks the cluster's drives (offset C-1 is parity) failed and
-	// not yet reported restored. Drive state cannot stand in for it: a
-	// replaced drive reads Operational while its rebuild is still running.
-	down []bool
 }
 
 // ncStaged is one staged track. reconstructed is also its kind: a
@@ -130,20 +127,14 @@ func NewNonClustered(cfg Config, policy TransitionPolicy, k int) (*NonClustered,
 	if err != nil {
 		return nil, err
 	}
-	clusters := make([]ncCluster, cfg.Layout.Clusters())
-	for i := range clusters {
-		clusters[i].down = make([]bool, cfg.Farm.ClusterSize())
-	}
 	return &NonClustered{
-		engineCore: core, policy: policy, servers: servers, clusters: clusters,
+		engineCore: core, policy: policy, servers: servers,
+		clusters: make([]ncCluster, cfg.Layout.Clusters()),
 	}, nil
 }
 
 // Name implements Simulator.
 func (e *NonClustered) Name() string { return "Non-clustered" }
-
-// Policy returns the transition policy in use.
-func (e *NonClustered) Policy() TransitionPolicy { return e.policy }
 
 // CycleTime implements Simulator: Tcyc = B/b0 (k' = 1).
 func (e *NonClustered) CycleTime() time.Duration {
@@ -277,7 +268,6 @@ func (e *NonClustered) FailDisk(id int) error {
 	}
 	offset := id % e.cfg.Farm.ClusterSize()
 	st := &e.clusters[cl]
-	st.down[offset] = true
 	if offset == e.cfg.Farm.ClusterSize()-1 {
 		// Dedicated parity drive: no operational impact in normal mode.
 		if st.mode == ncNormal {
@@ -336,7 +326,8 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 // rebuilt from parity, instantly or incrementally, or reloaded from tape.
 // Restores arrive one drive at a time (tape reload is the paper's answer
 // to two failures in one cluster), so the cluster's mode follows from
-// what is still down: another data drive keeps it degraded on that
+// what the cluster's drives say is still down — Failed, or Restoring
+// while a restore runs: another data drive keeps it degraded on that
 // offset, server and all; a lone parity drive costs it only its
 // protection (ncParityLost); otherwise it returns to normal and frees its
 // buffer server.
@@ -345,11 +336,14 @@ func (e *NonClustered) OnDriveRebuilt(id int) error {
 	if err != nil {
 		return err
 	}
+	drives, err := e.cfg.Farm.Cluster(cl)
+	if err != nil {
+		return err
+	}
 	st := &e.clusters[cl]
-	st.down[id%len(st.down)] = false
-	parity := len(st.down) - 1
-	for o, down := range st.down[:parity] {
-		if down {
+	parity := len(drives) - 1
+	for o, drv := range drives[:parity] {
+		if drv.State() != disk.Operational {
 			st.failedOffset = o
 			return nil
 		}
@@ -360,7 +354,7 @@ func (e *NonClustered) OnDriveRebuilt(id int) error {
 		}
 	}
 	st.mode = ncNormal
-	if st.down[parity] {
+	if drives[parity].State() != disk.Operational {
 		st.mode = ncParityLost
 	}
 	// Streams finishing a group in a special mode revert to plain reads.

@@ -387,7 +387,7 @@ func TestNCBufferServerExhaustion(t *testing.T) {
 	verifyStream(t, r, r.object(t, 0), deliveries[id], lost)
 }
 
-// A repair (replace, rebuild from parity, OnDriveRebuilt) frees the
+// A repair (replace, rebuild from parity, Restored, OnDriveRebuilt) frees the
 // buffer server and restores hiccup-free normal operation.
 func TestNCRepairDisk(t *testing.T) {
 	r := figureRig(t, 10)

@@ -162,8 +162,8 @@ func verifyStream(t *testing.T, r *rig, obj *layout.Object, deliveries []sched.D
 }
 
 // repairDrive is an instant repair the way the server does one: replace
-// the drive, run the online rebuilder with an unbounded budget, tell the
-// engine (NC must release its buffer server).
+// the drive, run the online rebuilder with an unbounded budget, mark the
+// drive restored, tell the engine (NC must release its buffer server).
 func repairDrive(e Simulator, r *rig, id int) error {
 	drv, err := r.farm.Drive(id)
 	if err != nil {
@@ -177,6 +177,9 @@ func repairDrive(e Simulator, r *rig, id int) error {
 		return err
 	}
 	if _, err := rb.Step(math.MaxInt); err != nil {
+		return err
+	}
+	if err := drv.Restored(); err != nil {
 		return err
 	}
 	if n, ok := e.(interface{ OnDriveRebuilt(int) error }); ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftmm/internal/analytic"
+	"ftmm/internal/disk"
 	"ftmm/internal/schemes"
 )
 
@@ -241,8 +242,10 @@ func TestCatastrophicFailureAndTertiaryRecovery(t *testing.T) {
 	if err := s.FailDisk(1); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Farm().Catastrophic() {
-		t.Fatal("farm not catastrophic")
+	for _, d := range []int{0, 1} {
+		if drv, _ := s.Farm().Drive(d); drv.State() != disk.Failed {
+			t.Fatalf("drive %d is %v, want failed", d, drv.State())
+		}
 	}
 	if err := s.RunUntilIdle(300); err != nil {
 		t.Fatal(err)

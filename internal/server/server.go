@@ -358,13 +358,11 @@ func (s *Server) FailDisk(id int) error { return s.engine.FailDisk(id) }
 
 // RepairDisk replaces a failed drive and rebuilds its contents from the
 // surviving parity groups at once: an online rebuild with an unbounded
-// budget.
+// budget. A drive already replaced (one whose online rebuild was
+// abandoned) is rebuilt as it stands. If parity cannot restore every
+// track, the drive is left Restoring.
 func (s *Server) RepairDisk(id int) error {
-	drv, err := s.farm.Drive(id)
-	if err != nil {
-		return err
-	}
-	if err := drv.Replace(); err != nil {
+	if err := s.replaceIfFailed(id); err != nil {
 		return err
 	}
 	r, err := rebuild.New(s.farm, s.cat.Layout(), id)
@@ -377,10 +375,32 @@ func (s *Server) RepairDisk(id int) error {
 	return s.driveRestored(id)
 }
 
+// replaceIfFailed swaps a blank Restoring drive in for a failed one; a
+// drive already Restoring or Operational is restored as it stands.
+func (s *Server) replaceIfFailed(id int) error {
+	drv, err := s.farm.Drive(id)
+	if err != nil {
+		return err
+	}
+	if drv.State() != disk.Failed {
+		return nil
+	}
+	return drv.Replace()
+}
+
 // driveRestored is the one tail of every restore path — instant repair,
-// online-rebuild completion, tertiary reload: the drive's contents are
-// whole again, and an engine that tracks degraded state is told so.
+// online-rebuild completion, tertiary reload, and the one place a
+// restore ends: the drive's contents are whole again, so it leaves
+// Restoring for Operational, and an engine that tracks degraded state
+// is told so.
 func (s *Server) driveRestored(id int) error {
+	drv, err := s.farm.Drive(id)
+	if err != nil {
+		return err
+	}
+	if err := drv.Restored(); err != nil {
+		return err
+	}
 	if n, ok := s.engine.(rebuiltNotifier); ok {
 		return n.OnDriveRebuilt(id)
 	}
@@ -396,14 +416,8 @@ func (s *Server) StartOnlineRebuild(id, readBudget int) error {
 	if s.rebuilder != nil && !s.rebuilder.Done() {
 		return fmt.Errorf("server: a rebuild of drive %d is already running", s.rebuildDrive)
 	}
-	drv, err := s.farm.Drive(id)
-	if err != nil {
+	if err := s.replaceIfFailed(id); err != nil {
 		return err
-	}
-	if drv.State() == disk.Failed {
-		if err := drv.Replace(); err != nil {
-			return err
-		}
 	}
 	r, err := rebuild.New(s.farm, s.cat.Layout(), id)
 	if err != nil {
@@ -432,17 +446,20 @@ func (s *Server) TakeRebuildAbort() error {
 	return err
 }
 
-// stepRebuild advances an in-progress online rebuild by one cycle.
+// stepRebuild advances an in-progress online rebuild by one cycle, and
+// ends it once nothing is left to restore (at once, for a drive that
+// held no tracks).
 //
 // A rebuild step fails when a drive it reads from has failed too — a
 // second failure in the parity groups being restored. Such a rebuild is
 // abandoned, not retried: every later step would fail the same way. The
-// replacement drive's unwritten tracks read as disk.ErrEmptyTrack, so the
-// engine reconstructs or hiccups around them exactly as at any two-failure
-// boundary, and a later StartOnlineRebuild or RebuildFromTertiary can
-// still restore the drive. The abort counts in rebuild_aborted.
+// replacement drive stays Restoring, its unwritten tracks read as
+// disk.ErrEmptyTrack, so the engine reconstructs or hiccups around them
+// exactly as at any two-failure boundary, and a later RepairDisk,
+// StartOnlineRebuild or RebuildFromTertiary can still restore the drive.
+// The abort counts in rebuild_aborted.
 func (s *Server) stepRebuild(cycle int) error {
-	if s.rebuilder == nil || s.rebuilder.Done() {
+	if s.rebuilder == nil {
 		return nil
 	}
 	if _, err := s.rebuilder.Step(s.rebuildBudget); err != nil {
@@ -464,14 +481,8 @@ func (s *Server) stepRebuild(cycle int) error {
 // whole objects touching the drive are re-fetched ("portions of many
 // objects to be loaded ... many tapes may need to be referenced").
 func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
-	drv, err := s.farm.Drive(id)
-	if err != nil {
+	if err := s.replaceIfFailed(id); err != nil {
 		return 0, err
-	}
-	if drv.State() == disk.Failed {
-		if err := drv.Replace(); err != nil {
-			return 0, err
-		}
 	}
 	var total time.Duration
 	for _, obj := range s.cat.Layout().AllObjects() {
