@@ -61,15 +61,9 @@ const (
 
 // Schemes lists the paper's four schemes in its presentation order.
 // The golden tables and the paper-reproduction experiments iterate this
-// set; extensions beyond the paper live in AllSchemes.
+// set; declustered parity, the extension beyond the paper, is not in it.
 func Schemes() []Scheme {
 	return []Scheme{StreamingRAID, StaggeredGroup, NonClustered, ImprovedBandwidth}
-}
-
-// AllSchemes lists every implemented scheme: the paper's four plus
-// declustered parity.
-func AllSchemes() []Scheme {
-	return append(Schemes(), DeclusteredParity)
 }
 
 // String returns the paper's name for the scheme.

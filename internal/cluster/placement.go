@@ -142,6 +142,3 @@ func (p *Placement) Counts() map[string]int {
 	}
 	return out
 }
-
-// Len returns the number of placed titles.
-func (p *Placement) Len() int { return len(p.titles) }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -138,41 +137,6 @@ func (c *Client) admitReply(verb string) (AdmitOK, error) {
 	default:
 		return AdmitOK{}, fmt.Errorf("netserve: unexpected frame 0x%02x to %s", typ, verb)
 	}
-}
-
-// AdmitRetry is the reconnect path: dial, admit, and on a transient
-// rejection (Retry-After present) back off as hinted and try again on a
-// fresh connection — the server hangs up after a REJECT, so each retry
-// reconnects. Up to attempts tries; sleep is injectable so tests need
-// no wall clock (nil means time.Sleep). Permanent rejections,
-// redirects, and transport errors return immediately. On success the
-// caller owns the returned connected Client.
-func AdmitRetry(addr, title string, readTimeout time.Duration, attempts int, sleep func(time.Duration)) (*Client, AdmitOK, error) {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	var err error
-	for try := 0; try < attempts; try++ {
-		var c *Client
-		c, err = Dial(addr, readTimeout)
-		if err != nil {
-			return nil, AdmitOK{}, err
-		}
-		var ok AdmitOK
-		ok, err = c.Admit(title)
-		if err == nil {
-			return c, ok, nil
-		}
-		c.Close()
-		var rej *RejectedError
-		if !errors.As(err, &rej) || rej.Reject.RetryAfterMillis <= 0 {
-			return nil, AdmitOK{}, err
-		}
-		if try < attempts-1 {
-			sleep(time.Duration(rej.Reject.RetryAfterMillis) * time.Millisecond)
-		}
-	}
-	return nil, AdmitOK{}, err
 }
 
 // Event is one post-admission frame, decoded.

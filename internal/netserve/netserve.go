@@ -337,20 +337,6 @@ func (ns *NetServer) FailDisk(id int) error {
 	return ns.srv.FailDisk(id)
 }
 
-// RepairDisk replaces a failed drive (offline rebuild).
-func (ns *NetServer) RepairDisk(id int) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.srv.RepairDisk(id)
-}
-
-// StartOnlineRebuild begins a budgeted online rebuild of a drive.
-func (ns *NetServer) StartOnlineRebuild(id, readBudget int) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.srv.StartOnlineRebuild(id, readBudget)
-}
-
 // ScheduleFailure arranges for drive id to fail at the start of the
 // given engine cycle.
 func (ns *NetServer) ScheduleFailure(cycle, id int) {

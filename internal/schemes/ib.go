@@ -91,9 +91,6 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 // Name implements Simulator.
 func (e *ImprovedBandwidth) Name() string { return "Improved-bandwidth" }
 
-// Reserve returns the per-drive reserved slot count.
-func (e *ImprovedBandwidth) Reserve() int { return e.reserve }
-
 // Terminations counts streams killed by degradation of service.
 func (e *ImprovedBandwidth) Terminations() int { return e.terminations }
 

@@ -6,65 +6,6 @@ import (
 	"ftmm/internal/analytic"
 )
 
-// Queued admission: requests beyond capacity park and are admitted FIFO
-// as earlier streams finish — the paper's "rescheduled at a later time".
-func TestQueuedAdmission(t *testing.T) {
-	opts := testOptions(analytic.StreamingRAID)
-	opts.SlotsPerDisk = 1 // one stream per cluster
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadTitles(t, s, 4, 8)
-	// movie0 -> cluster 0, movie1 -> cluster 1: both admitted.
-	for i := 0; i < 2; i++ {
-		if _, q, err := s.QueueRequest("movie0"); err != nil || q != (i == 1) {
-			if i == 0 && err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// The second movie0 request queued (cluster 0 full).
-	if s.QueuedRequests() != 1 {
-		t.Fatalf("queued = %d, want 1", s.QueuedRequests())
-	}
-	// Run: the first stream (8 tracks = 2 groups... runs ~3 cycles)
-	// finishes, freeing the slot; the queued request is admitted and
-	// completes too.
-	deadline := 100
-	for i := 0; i < deadline; i++ {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if s.QueuedRequests() == 0 && s.Engine().Active() == 0 && s.Stats().Finished == 2 {
-			break
-		}
-	}
-	st := s.Stats()
-	if st.Finished != 2 {
-		t.Fatalf("finished = %d, want 2 (queued stream served)", st.Finished)
-	}
-	if st.QueuedAdmitted != 1 {
-		t.Fatalf("queued admitted = %d, want 1", st.QueuedAdmitted)
-	}
-	if st.Hiccups != 0 {
-		t.Fatalf("hiccups = %d", st.Hiccups)
-	}
-}
-
-func TestQueueRequestUnknownTitleFailsFast(t *testing.T) {
-	s, err := New(testOptions(analytic.StreamingRAID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, queued, err := s.QueueRequest("ghost"); err == nil || queued {
-		t.Fatal("unknown title should fail, not queue")
-	}
-	if s.QueuedRequests() != 0 {
-		t.Fatal("ghost request parked")
-	}
-}
-
 // Cancel stops a stream mid-playback: its title unpins (evictable), its
 // buffers return, and the farm keeps serving others cleanly.
 func TestCancelStream(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -95,7 +94,6 @@ var (
 // Stats aggregates a server's lifetime activity.
 type Stats struct {
 	Cycles          int
-	QueuedAdmitted  int
 	Delivered       int
 	Hiccups         int
 	Reconstructions int
@@ -128,8 +126,6 @@ type Server struct {
 	// rebuildAbort says why the last online rebuild was abandoned, until
 	// TakeRebuildAbort hands it to whoever logs it.
 	rebuildAbort error
-	// pending holds queued admission requests (title IDs), FIFO.
-	pending []string
 	// draining, once set, refuses all new admissions (graceful shutdown).
 	draining bool
 }
@@ -292,7 +288,6 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 // An online rebuild that cannot continue does not fail the cycle: see
 // stepRebuild.
 func (s *Server) Step() (*sched.CycleReport, error) {
-	s.drainQueue()
 	rep, err := s.engine.Step()
 	if err != nil {
 		return nil, err
@@ -616,70 +611,15 @@ func (s *Server) WeightedActive() int {
 	return s.engine.Active()
 }
 
-// QueueRequest admits the title's stream now if capacity allows, or
-// parks the request to be retried each cycle — the paper's "terminated
-// and rescheduled at a later time" discipline for requests that cannot
-// be served immediately. Queued requests are retried in FIFO order at
-// the start of every Step; QueuedRequests reports the backlog.
-func (s *Server) QueueRequest(id string) (streamID int, queued bool, err error) {
-	streamID, _, err = s.Request(id)
-	if err == nil {
-		return streamID, false, nil
-	}
-	// Only admission rejections queue; unknown titles, staging failures,
-	// and drain refusals surface immediately.
-	if errors.Is(err, ErrDraining) || !s.cat.Resident(id) {
-		return 0, false, err
-	}
-	s.pending = append(s.pending, id)
-	return 0, true, nil
-}
-
-// QueuedRequests returns the admission backlog length.
-func (s *Server) QueuedRequests() int { return len(s.pending) }
-
-// BeginDrain stops admitting new streams (Request and QueueRequest
-// return ErrDraining, and parked queue entries stop retrying); existing
-// streams keep playing to completion. The network layer uses this for
-// graceful shutdown: pace out what was promised, promise nothing new.
+// BeginDrain stops admitting new streams (Request and RequestAt return
+// ErrDraining); existing streams keep playing to completion. The
+// network layer uses this for graceful shutdown: pace out what was
+// promised, promise nothing new.
 func (s *Server) BeginDrain() { s.draining = true }
-
-// Draining reports whether the server is refusing new admissions.
-func (s *Server) Draining() bool { return s.draining }
-
-// StreamTitle returns the title a live stream is delivering; ok is
-// false once the stream has finished, terminated, or been cancelled.
-func (s *Server) StreamTitle(streamID int) (string, bool) {
-	id, ok := s.objOf[streamID]
-	return id, ok
-}
-
-// ActiveStreamIDs returns the live stream IDs in ascending order.
-func (s *Server) ActiveStreamIDs() []int {
-	ids := make([]int, 0, len(s.objOf))
-	for id := range s.objOf {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // StreamProgress reports how far a stream has played: the next track
 // owed to the client and the object's total tracks. ok is false for
 // streams the engine no longer knows.
 func (s *Server) StreamProgress(streamID int) (next, total int, ok bool) {
 	return s.engine.StreamProgress(streamID)
-}
-
-// drainQueue retries parked requests in order, stopping at the first
-// that still does not fit (FIFO fairness).
-func (s *Server) drainQueue() {
-	for len(s.pending) > 0 {
-		id := s.pending[0]
-		if _, _, err := s.Request(id); err != nil {
-			return
-		}
-		s.pending = s.pending[1:]
-		s.stats.QueuedAdmitted++
-	}
 }
