@@ -7,6 +7,7 @@ import (
 
 	"ftmm/internal/analytic"
 	"ftmm/internal/disk"
+	"ftmm/internal/rebuild"
 	"ftmm/internal/schemes"
 )
 
@@ -329,5 +330,112 @@ func TestTertiaryReloadRestoresNonClustered(t *testing.T) {
 	}
 	if nc.Degradations() != 0 || nc.ClusterUnprotected(1) {
 		t.Fatal("tape reload never released cluster 0's buffer server")
+	}
+}
+
+// A replaced drive is Restoring for as long as its restore runs; only
+// the restore's end makes it Operational. An online rebuild abandoned to
+// a second failure leaves it Restoring, and so does a repair that parity
+// cannot finish while that second drive is down. Once the tape has
+// reloaded the second drive, RepairDisk restores the first as it stands,
+// and the farm audits clean and plays without a reconstruction.
+func TestDriveRestoringUntilRestoreEnds(t *testing.T) {
+	s, err := New(testOptions(analytic.StreamingRAID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadTitles(t, s, 1, 32)
+	if _, _, err := s.Request("movie0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunFor(2); err != nil {
+		t.Fatal(err)
+	}
+	state := func(id int) disk.State {
+		drv, err := s.Farm().Drive(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drv.State()
+	}
+	if err := s.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StartOnlineRebuild(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if s.RebuildRemaining() == 0 || state(1) != disk.Restoring {
+		t.Fatalf("drive 1 is %v with %d tracks left to rebuild, want restoring mid-rebuild", state(1), s.RebuildRemaining())
+	}
+	if err := s.FailDisk(2); err != nil { // same cluster as drive 1
+		t.Fatal(err)
+	}
+	if err := s.RunFor(2); err != nil {
+		t.Fatal(err)
+	}
+	if s.TakeRebuildAbort() == nil || state(1) != disk.Restoring {
+		t.Fatalf("drive 1 is %v after its rebuild was abandoned, want restoring", state(1))
+	}
+	if err := s.RepairDisk(1); err == nil {
+		t.Fatal("repair from parity succeeded with a second drive of the cluster down")
+	}
+	if state(1) != disk.Restoring {
+		t.Fatalf("drive 1 is %v after a repair parity could not finish, want restoring", state(1))
+	}
+	if _, err := s.RebuildFromTertiary(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RepairDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	if state(1) != disk.Operational || state(2) != disk.Operational {
+		t.Fatalf("drives 1, 2 are %v, %v after their restores, want operational", state(1), state(2))
+	}
+	if err := rebuild.CheckAll(s.Farm(), s.Catalog().Layout()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(300); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if _, _, err := s.Request("movie0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(300); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.Hiccups != before.Hiccups || after.Reconstructions != before.Reconstructions {
+		t.Fatalf("playback after the restores: %d hiccups, %d reconstructions, want none",
+			after.Hiccups-before.Hiccups, after.Reconstructions-before.Reconstructions)
+	}
+}
+
+// An online rebuild of a drive that held no tracks has nothing to
+// restore, and still ends: at the next Step the drive is Operational and
+// the Non-clustered engine has its buffer server back.
+func TestOnlineRebuildOfEmptyDriveEnds(t *testing.T) {
+	s, err := New(testOptions(analytic.NonClustered))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StartOnlineRebuild(2, 8); err != nil {
+		t.Fatal(err)
+	}
+	nc := s.Engine().(*schemes.NonClustered)
+	if !nc.ClusterDegraded(0) {
+		t.Fatal("cluster 0 not degraded after the failure")
+	}
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	drv, _ := s.Farm().Drive(2)
+	if drv.State() != disk.Operational || nc.ClusterDegraded(0) {
+		t.Fatalf("after the empty rebuild: drive 2 %v, cluster 0 degraded = %v", drv.State(), nc.ClusterDegraded(0))
 	}
 }
