@@ -408,7 +408,7 @@ func (s *Server) driveRestored(id int) error {
 // the scheme keeps operating degraded; Step advances the rebuild
 // alongside normal service and notifies the engine on completion.
 func (s *Server) StartOnlineRebuild(id, readBudget int) error {
-	if s.rebuilder != nil && !s.rebuilder.Done() {
+	if s.rebuilder != nil {
 		return fmt.Errorf("server: a rebuild of drive %d is already running", s.rebuildDrive)
 	}
 	if err := s.replaceIfFailed(id); err != nil {
