@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -36,18 +37,20 @@ func corruptTrackOnDrive(srv *server.Server, drive int) error {
 				if loc.Disk != drive {
 					continue
 				}
-				data, err := drv.ReadTrack(loc.Track)
+				view, err := drv.View(loc.Track)
 				if err != nil {
 					continue
 				}
+				data := bytes.Clone(view)
 				data[0] ^= 0xFF
 				return drv.WriteTrack(loc.Track, data)
 			}
 			if g.Parity.Disk == drive {
-				data, err := drv.ReadTrack(g.Parity.Track)
+				view, err := drv.View(g.Parity.Track)
 				if err != nil {
 					continue
 				}
+				data := bytes.Clone(view)
 				data[0] ^= 0xFF
 				return drv.WriteTrack(g.Parity.Track, data)
 			}

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"ftmm/internal/analytic"
 	"ftmm/internal/disk"
@@ -34,6 +34,13 @@ type lossKey struct {
 	stream, cluster, failCycle int
 }
 
+// readKey names one stream's read of one parity group.
+type readKey struct {
+	stream int
+	object string
+	group  int
+}
+
 // ContinuityChecker enforces delivery continuity: SR, SG and IB mask
 // boundary failures with zero hiccups (IB may terminate streams when
 // its reserve runs out — that is degradation, not discontinuity; the
@@ -43,10 +50,11 @@ type lossKey struct {
 // stream per transition (Figures 6-7), or hit a cluster running
 // unprotected (K exhausted — the paper's degradation of service, whose
 // recurring loss is legitimate). Under every scheme the guarantee ends
-// at the paper's catastrophe boundary: a hiccup on a parity group that
-// had two or more members down when it was read is data parity cannot
-// rebuild, and is accepted. A member is down when its drive was Failed,
-// or Restoring with that member's track not yet restored.
+// at the paper's catastrophe boundary: a hiccup on a parity group whose
+// read by that stream found two or more members erased is data parity
+// cannot rebuild, and is accepted. The engine reports each erasure its
+// reads met (sched.CycleReport.Erasures), and the checker holds every
+// one to the drive's own record of the cycle (disk.Drive.Missed).
 type ContinuityChecker struct {
 	isNC, isIB bool
 	// lossCap is the per-stream per-transition hiccup bound: C-1 for the
@@ -54,14 +62,13 @@ type ContinuityChecker struct {
 	// alternate switchover (only the failed drive's unread track).
 	lossCap int
 	// window is how many cycles past a failure (or past leaving
-	// unprotected mode) a hiccup may still surface: marking happens at
-	// read time, delivery up to a group's width later, plus slack.
+	// unprotected mode) a Non-clustered hiccup may still surface:
+	// marking happens at read time, delivery up to a group's width
+	// later, plus slack.
 	window int
-	// lastFailed maps a drive to the last cycle it was seen failed.
-	lastFailed map[int]int
-	// lastBlank maps a Restoring drive's track to the last cycle whose
-	// reads met it not yet restored.
-	lastBlank       map[layout.Location]int
+	// erased holds, per stream's read of a group, the distinct members
+	// that read found erased, each confirmed by the drive's record.
+	erased          map[readKey][]layout.Location
 	dataFail        map[int][]int
 	lastUnprotected map[int]int
 	losses          map[lossKey]int
@@ -86,22 +93,16 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 		c.lossCap = 1
 	}
 	c.window = rc.Schedule.ClusterSize + 4
-	c.lastFailed = make(map[int]int)
-	c.lastBlank = make(map[layout.Location]int)
+	c.erased = make(map[readKey][]layout.Location)
 	c.dataFail = make(map[int][]int)
 	c.lastUnprotected = make(map[int]int)
 	c.losses = make(map[lossKey]int)
 	return nil
 }
 
-// OnEvent implements EventObserver: it notes the blank tracks of a
-// drive an online rebuild just replaced, which this cycle's reads meet,
-// and records data-disk failures per cluster, which open Non-clustered
-// loss windows.
+// OnEvent implements EventObserver: it records data-disk failures per
+// cluster, which open Non-clustered loss windows.
 func (c *ContinuityChecker) OnEvent(rc *RunContext, ev Event) error {
-	if ev.Kind == EventRebuild {
-		c.noteBlank(rc, ev.Cycle)
-	}
 	if !c.isNC || ev.Kind != EventFail {
 		return nil
 	}
@@ -119,17 +120,21 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 	if !c.isIB && len(rep.Terminated) > 0 {
 		return fmt.Errorf("stream %d terminated by a scheme that must never degrade service", rep.Terminated[0])
 	}
-	// Events apply before the Step, so the farm still shows the drive
-	// failures this cycle's reads met. A restore may have written tracks
-	// after the reads, so the tracks still blank now are the ones the
-	// next cycle's reads will meet.
 	farm := rc.Srv.Farm()
-	for d := 0; d < farm.Size(); d++ {
-		if drv, err := farm.Drive(d); err == nil && drv.State() == disk.Failed {
-			c.lastFailed[d] = rc.Cycle
+	for _, e := range rep.Erasures {
+		drv, err := farm.Drive(e.Loc.Disk)
+		if err != nil {
+			return err
+		}
+		if got := drv.Missed(e.Loc.Track); got != e.Err {
+			return fmt.Errorf("stream %d read of group %d of %s: engine reports drive %d track %d erased (%v), drive did not record it (%v)",
+				e.StreamID, e.Group, e.ObjectID, e.Loc.Disk, e.Loc.Track, e.Err, got)
+		}
+		k := readKey{stream: e.StreamID, object: e.ObjectID, group: e.Group}
+		if !slices.Contains(c.erased[k], e.Loc) {
+			c.erased[k] = append(c.erased[k], e.Loc)
 		}
 	}
-	c.noteBlank(rc, rc.Cycle+1)
 	if c.isNC {
 		// Refresh the unprotected-cluster trail before attributing hiccups.
 		if unprot, ok := rc.Srv.Engine().(interface{ ClusterUnprotected(int) bool }); ok {
@@ -148,7 +153,7 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 			return fmt.Errorf("hiccup on stream %d references unknown object %q", h.StreamID, h.ObjectID)
 		}
 		g := &obj.Groups[h.Track/width]
-		if c.catastrophic(rc.Cycle, g) {
+		if len(c.erased[readKey{stream: h.StreamID, object: h.ObjectID, group: g.Index}]) >= 2 {
 			continue
 		}
 		if !c.isNC {
@@ -177,61 +182,6 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 		}
 	}
 	return nil
-}
-
-// noteBlank stamps every not-yet-restored track of a Restoring drive
-// with the cycle whose reads meet it. Restored tracks stay restored
-// until the drive fails again, which lastFailed records.
-func (c *ContinuityChecker) noteBlank(rc *RunContext, cycle int) {
-	farm := rc.Srv.Farm()
-	restoring := make(map[int]*disk.Drive)
-	for d := 0; d < farm.Size(); d++ {
-		if drv, err := farm.Drive(d); err == nil && drv.State() == disk.Restoring {
-			restoring[d] = drv
-		}
-	}
-	if len(restoring) == 0 {
-		return
-	}
-	note := func(loc layout.Location) {
-		if drv, ok := restoring[loc.Disk]; ok {
-			if _, err := drv.View(loc.Track); errors.Is(err, disk.ErrEmptyTrack) {
-				c.lastBlank[loc] = cycle
-			}
-		}
-	}
-	for _, obj := range rc.Srv.Catalog().Layout().AllObjects() {
-		for gi := range obj.Groups {
-			g := &obj.Groups[gi]
-			for _, loc := range g.Data {
-				note(loc)
-			}
-			note(g.Parity)
-		}
-	}
-}
-
-// catastrophic reports whether two or more of the parity group's
-// members were down inside the window a hiccup delivered now could have
-// been read in.
-func (c *ContinuityChecker) catastrophic(cycle int, g *layout.Group) bool {
-	wasDown := func(loc layout.Location) bool {
-		if last, saw := c.lastFailed[loc.Disk]; saw && cycle-last <= c.window {
-			return true
-		}
-		last, saw := c.lastBlank[loc]
-		return saw && cycle-last <= c.window
-	}
-	down := 0
-	if wasDown(g.Parity) {
-		down++
-	}
-	for _, loc := range g.Data {
-		if wasDown(loc) {
-			down++
-		}
-	}
-	return down >= 2
 }
 
 // End implements Checker.

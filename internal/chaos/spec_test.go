@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ftmm/internal/disk"
+	"ftmm/internal/layout"
 	"ftmm/internal/sched"
 )
 
@@ -251,27 +252,50 @@ func TestTertiarySurvivesSpecRoundTrip(t *testing.T) {
 	})
 }
 
+// erasedIn is how many distinct members the checker has confirmed that
+// a delivered track's stream found erased when it read the track's group.
+func erasedIn(c *ContinuityChecker, rc *RunContext, d sched.Delivery) int {
+	group := d.Track / rc.Srv.Catalog().Layout().GroupWidth()
+	return len(c.erased[readKey{stream: d.StreamID, object: d.ObjectID, group: group}])
+}
+
+// withHiccup returns a copy of rep with one extra hiccup on delivered
+// track d, standing in for an engine that dropped a track.
+func withHiccup(rep *sched.CycleReport, d sched.Delivery) *sched.CycleReport {
+	rep = rep.Clone()
+	rep.Hiccups = append(rep.Hiccups, sched.Hiccup{StreamID: d.StreamID, ObjectID: d.ObjectID, Track: d.Track, Reason: "injected"})
+	return rep
+}
+
 // hiccupInjector feeds the continuity checker a report with one extra
 // hiccup at a chosen cycle, standing in for an engine that dropped a
-// track it had no excuse to drop.
+// track it had no excuse to drop. It lands on a delivered track whose
+// group's read found exactly one member erased, and says so in hit.
 type hiccupInjector struct {
 	*ContinuityChecker
-	at int
+	at  int
+	hit *bool
 }
 
 func (h hiccupInjector) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
-	if rc.Cycle == h.at && len(rep.Delivered) > 0 {
-		d := rep.Delivered[0]
-		rep = rep.Clone()
-		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{StreamID: d.StreamID, ObjectID: d.ObjectID, Track: d.Track, Reason: "injected"})
+	if rc.Cycle == h.at {
+		for _, d := range rep.Delivered {
+			if erasedIn(h.ContinuityChecker, rc, d) == 1 {
+				*h.hit = true
+				rep = withHiccup(rep, d)
+				break
+			}
+		}
 	}
 	return h.ContinuityChecker.AfterStep(rc, rep)
 }
 
 // TestContinuityCatastropheBoundary pins where the zero-hiccup promise
 // ends: with two drives of one cluster down the lost tracks are the
-// paper's catastrophic failure and are accepted; with one drive down
-// any hiccup is still a violation.
+// paper's catastrophic failure and are accepted; a hiccup on a group
+// whose read found one member erased is still a violation — with one
+// drive down, and with a second drive of the cluster failing just after
+// the first came back, so the two were never down at one read.
 func TestContinuityCatastropheBoundary(t *testing.T) {
 	sch := Schedule{
 		Scheme: "sr", Disks: 10, ClusterSize: 5, K: 2, Titles: 2, TitleGroups: 12, MaxCycles: 100,
@@ -293,22 +317,90 @@ func TestContinuityCatastropheBoundary(t *testing.T) {
 		t.Fatal("two drives down in one cluster produced no hiccups; the schedule does not reach the boundary")
 	}
 
-	sch.Events = sch.Events[:3] // drive 0 only
-	res, err = Run(RunConfig{Schedule: sch, NewCheckers: func() []Checker {
-		return []Checker{hiccupInjector{NewContinuityChecker(), 8}}
+	oneDown := sch
+	oneDown.Events = sch.Events[:3] // drive 0 only
+	back := Schedule{
+		Scheme: "sr", Disks: 8, ClusterSize: 4, K: 1, Titles: 2, TitleGroups: 40, MaxCycles: 400,
+		Events: []Event{
+			{Cycle: 0, Kind: EventAdmit, Title: "title0"},
+			{Cycle: 1, Kind: EventAdmit, Title: "title1"},
+			{Cycle: 10, Kind: EventFail, Drive: 0},
+			{Cycle: 11, Kind: EventRepair, Drive: 0},
+			{Cycle: 12, Kind: EventFail, Drive: 1},
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		sch  Schedule
+		at   int
+	}{{"one drive down", oneDown, 8}, {"second failure after a repair", back, 13}} {
+		hit := false
+		res, err = Run(RunConfig{Schedule: tc.sch, NewCheckers: func() []Checker {
+			return []Checker{hiccupInjector{NewContinuityChecker(), tc.at, &hit}}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit {
+			t.Fatalf("%s: no track delivered at cycle %d was read with exactly one member erased", tc.name, tc.at)
+		}
+		if v := res.Violation; v == nil || v.Checker != "continuity" || v.Cycle != tc.at {
+			t.Fatalf("%s: a hiccup on a group read with one member erased was accepted; violation = %+v", tc.name, v)
+		}
+	}
+}
+
+// TestContinuityChecksReportedErasures: an engine that reports an
+// erasure its drive did not record — here a member read whole — is a
+// violation naming the stream, group, drive and track.
+func TestContinuityChecksReportedErasures(t *testing.T) {
+	sch := Schedule{
+		Scheme: "sr", Disks: 10, ClusterSize: 5, K: 2, Titles: 2, TitleGroups: 12, MaxCycles: 100,
+		Events: []Event{{Cycle: 0, Kind: EventAdmit, Title: "title0"}},
+	}
+	res, err := Run(RunConfig{Schedule: sch, NewCheckers: func() []Checker {
+		return []Checker{erasureInjector{NewContinuityChecker(), 5}}
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := res.Violation; v == nil || v.Checker != "continuity" || v.Cycle != 8 {
-		t.Fatalf("a hiccup with one drive down was accepted; violation = %+v", v)
+	v := res.Violation
+	if v == nil || v.Checker != "continuity" || v.Cycle != 5 {
+		t.Fatalf("an erasure the drive did not record was accepted; violation = %+v", v)
 	}
+	if !strings.Contains(v.Detail, "did not record") {
+		t.Fatalf("violation does not name the missing record: %s", v.Detail)
+	}
+}
+
+// erasureInjector adds to the report at a chosen cycle an erasure of the
+// first delivered track's member, which the drive read whole.
+type erasureInjector struct {
+	*ContinuityChecker
+	at int
+}
+
+func (e erasureInjector) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
+	if rc.Cycle == e.at && len(rep.Delivered) > 0 {
+		d := rep.Delivered[0]
+		lay := rc.Srv.Catalog().Layout()
+		obj, _ := lay.Object(d.ObjectID)
+		g := &obj.Groups[d.Track/lay.GroupWidth()]
+		rep = rep.Clone()
+		rep.Erasures = append(rep.Erasures, sched.Erasure{
+			StreamID: d.StreamID, ObjectID: d.ObjectID, Group: g.Index,
+			Loc: g.Data[d.Track%lay.GroupWidth()], Err: disk.ErrFailed,
+		})
+	}
+	return e.ContinuityChecker.AfterStep(rc, rep)
 }
 
 // restoredHiccup feeds the continuity checker one extra hiccup at a
 // chosen cycle, on a delivered track of the chosen title whose parity
 // group has a member on a Restoring drive that its restore has already
-// written.
+// written. It lands on a read whose recorded erasures are exactly the
+// group's members on a Failed drive, and one at most: the restored
+// member counts none, and the two-erasure rule does not excuse it.
 type restoredHiccup struct {
 	*ContinuityChecker
 	at    int
@@ -327,14 +419,19 @@ func (h restoredHiccup) AfterStep(rc *RunContext, rep *sched.CycleReport) error 
 			continue
 		}
 		g := &obj.Groups[d.Track/lay.GroupWidth()]
-		for _, loc := range g.Data {
+		restored, failed := false, 0
+		for _, loc := range append([]layout.Location{g.Parity}, g.Data...) {
 			drv, _ := rc.Srv.Farm().Drive(loc.Disk)
-			if _, err := drv.View(loc.Track); drv.State() == disk.Restoring && err == nil {
-				*h.hit = true
-				rep = rep.Clone()
-				rep.Hiccups = append(rep.Hiccups, sched.Hiccup{StreamID: d.StreamID, ObjectID: d.ObjectID, Track: d.Track, Reason: "injected"})
-				return h.ContinuityChecker.AfterStep(rc, rep)
+			switch _, err := drv.View(loc.Track); {
+			case drv.State() == disk.Restoring && err == nil:
+				restored = true
+			case drv.State() == disk.Failed:
+				failed++
 			}
+		}
+		if restored && failed <= 1 && erasedIn(h.ContinuityChecker, rc, d) == failed {
+			*h.hit = true
+			return h.ContinuityChecker.AfterStep(rc, withHiccup(rep, d))
 		}
 	}
 	return h.ContinuityChecker.AfterStep(rc, rep)

@@ -11,6 +11,13 @@
 // makes it Operational again. So the drive itself is the one record of
 // whether it is whole.
 //
+// It is also the one record of what a cycle's reads met. Every lookup
+// that finds its track erased — the drive Failed, or the track not yet
+// restored — is noted with its cause until Farm.BeginCycle opens the
+// next cycle, and Missed answers from that note, not from the drive's
+// state now: a restore that writes the track later in the cycle does
+// not undo what the read found.
+//
 // Timing is not simulated here — the cycle scheduler budgets disk time
 // with the analytic model from internal/diskmodel — but data movement is:
 // every track read returns the stored bytes (or an error from a failed
@@ -19,7 +26,6 @@
 package disk
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -75,6 +81,15 @@ type Drive struct {
 	tracks map[int][]byte
 	reads  int64
 	writes int64
+	// missed notes this cycle's lookups that found their track erased.
+	// It is truncated, not reallocated, by Farm.BeginCycle.
+	missed []miss
+}
+
+// miss is one lookup that found its track erased, and the error it got.
+type miss struct {
+	track int
+	err   error
 }
 
 // NewDrive creates an empty operational drive.
@@ -118,10 +133,9 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 }
 
 // View lends one track's stored bytes, read-only, and counts a read. It
-// is the drive's one lookup; ReadTrack and ReadTrackInto are a clone and
-// a copy of it. Every reader that only reads takes the view: the scheme
-// engines' scheduled reads (which deliver it to clients as is), rebuild
-// and scrub.
+// is the drive's one lookup; ReadTrackInto is a copy of it. Every reader
+// that only reads takes the view: the scheme engines' scheduled reads
+// (which deliver it to clients as is), rebuild and scrub.
 //
 // Invariant: a stored track's slice is replaced, never written into.
 // WriteTrack installs a fresh slice, Fail and Replace drop the whole
@@ -132,7 +146,8 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 //
 // A failed drive and an unwritten track return the bare ErrFailed and
 // ErrEmptyTrack, so a degraded read allocates nothing; a caller that
-// surfaces the error adds the drive's ID.
+// surfaces the error adds the drive's ID. Either is noted in the
+// cycle's record (Missed).
 func (d *Drive) View(track int) ([]byte, error) {
 	if track < 0 || track >= d.Tracks() {
 		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
@@ -140,24 +155,30 @@ func (d *Drive) View(track int) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == Failed {
+		d.missed = append(d.missed, miss{track, ErrFailed})
 		return nil, ErrFailed
 	}
 	data, ok := d.tracks[track]
 	if !ok {
+		d.missed = append(d.missed, miss{track, ErrEmptyTrack})
 		return nil, ErrEmptyTrack
 	}
 	d.reads++
 	return data, nil
 }
 
-// ReadTrack returns a copy of one track's data. Allocation-sensitive
-// callers use ReadTrackInto with a recycled buffer, or View.
-func (d *Drive) ReadTrack(track int) ([]byte, error) {
-	data, err := d.View(track)
-	if err != nil {
-		return nil, err
+// Missed reports what this cycle's first lookup of the track that found
+// it erased got: ErrFailed or ErrEmptyTrack, or nil if no lookup since
+// the cycle began found it erased.
+func (d *Drive) Missed(track int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, m := range d.missed {
+		if m.track == track {
+			return m.err
+		}
 	}
-	return bytes.Clone(data), nil
+	return nil
 }
 
 // ReadTrackInto copies one track's data into dst, which must be exactly
@@ -259,6 +280,16 @@ func (f *Farm) Size() int { return len(f.drives) }
 
 // ClusterSize returns C.
 func (f *Farm) ClusterSize() int { return f.clusterSize }
+
+// BeginCycle opens a cycle: every drive's record of the lookups that
+// found their track erased starts empty.
+func (f *Farm) BeginCycle() {
+	for _, d := range f.drives {
+		d.mu.Lock()
+		d.missed = d.missed[:0]
+		d.mu.Unlock()
+	}
+}
 
 // Clusters returns the number of clusters, D/C.
 func (f *Farm) Clusters() int { return len(f.drives) / f.clusterSize }

@@ -31,7 +31,7 @@ func TestDriveReadWrite(t *testing.T) {
 	if err := d.WriteTrack(3, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadTrack(3)
+	got, err := d.View(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,9 @@ func TestDriveCopySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // caller mutates its buffer after write
-	got, _ := d.ReadTrack(0)
+	got, _ := d.View(0)
 	if got[0] != 1 {
 		t.Fatal("WriteTrack did not copy")
-	}
-	got[1] = 77 // caller mutates the returned buffer
-	again, _ := d.ReadTrack(0)
-	if again[1] != 1 {
-		t.Fatal("ReadTrack did not copy")
 	}
 }
 
@@ -111,10 +106,10 @@ func TestDriveErrors(t *testing.T) {
 	if err := d.WriteTrack(0, []byte{1, 2}); !errors.Is(err, ErrBadSize) {
 		t.Errorf("short write: %v", err)
 	}
-	if _, err := d.ReadTrack(0); !errors.Is(err, ErrEmptyTrack) {
+	if _, err := d.View(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("empty track read: %v", err)
 	}
-	if _, err := d.ReadTrack(12); !errors.Is(err, ErrBadTrack) {
+	if _, err := d.View(12); !errors.Is(err, ErrBadTrack) {
 		t.Errorf("bad track read: %v", err)
 	}
 }
@@ -130,7 +125,7 @@ func TestDriveFailureLifecycle(t *testing.T) {
 	if d.State() != Failed {
 		t.Fatal("state not Failed")
 	}
-	if _, err := d.ReadTrack(0); !errors.Is(err, ErrFailed) {
+	if _, err := d.View(0); !errors.Is(err, ErrFailed) {
 		t.Errorf("read from failed drive: %v", err)
 	}
 	if err := d.WriteTrack(0, track(5)); !errors.Is(err, ErrFailed) {
@@ -149,7 +144,7 @@ func TestDriveFailureLifecycle(t *testing.T) {
 		t.Fatal("state not Restoring after replace")
 	}
 	// Replacement is blank: the old content is gone.
-	if _, err := d.ReadTrack(0); !errors.Is(err, ErrEmptyTrack) {
+	if _, err := d.View(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("replaced drive should be empty: %v", err)
 	}
 	if err := d.Replace(); !errors.Is(err, ErrNotFailed) {
@@ -159,7 +154,7 @@ func TestDriveFailureLifecycle(t *testing.T) {
 	if err := d.WriteTrack(0, track(5)); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.ReadTrack(0); err != nil || !bytes.Equal(got, track(5)) {
+	if got, err := d.View(0); err != nil || !bytes.Equal(got, track(5)) {
 		t.Errorf("read of restored track: %v", err)
 	}
 	// It can fail again, losing what the restore wrote.
@@ -169,7 +164,7 @@ func TestDriveFailureLifecycle(t *testing.T) {
 	if err := d.Replace(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadTrack(0); !errors.Is(err, ErrEmptyTrack) {
+	if _, err := d.View(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("re-replaced drive should be empty: %v", err)
 	}
 	if err := d.Restored(); err != nil {
@@ -196,7 +191,7 @@ func TestDriveConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tr := (g*50 + i) % 10
 				_ = d.WriteTrack(tr, track(byte(g)))
-				_, _ = d.ReadTrack(tr)
+				_, _ = d.View(tr)
 			}
 		}(g)
 	}
@@ -365,5 +360,70 @@ func TestViewOutlivesWriteFailReplace(t *testing.T) {
 	}
 	if !bytes.Equal(v, old) {
 		t.Fatal("a lent track changed across Fail, Replace and a rewrite")
+	}
+}
+
+// The cycle's record of erasures: BeginCycle clears it; a lookup on a
+// failed drive notes ErrFailed and one of a blank track on a restoring
+// drive notes ErrEmptyTrack; a lookup that finds its track notes
+// nothing; and a note outlives a restore that writes the track, or ends,
+// later in the same cycle.
+func TestDriveMissedRecord(t *testing.T) {
+	f, err := NewFarm(2, 2, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, _ := f.Drive(0)
+	restoring, _ := f.Drive(1)
+	for _, d := range []*Drive{failed, restoring} {
+		if err := d.WriteTrack(0, track(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Fail(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := restoring.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restoring.WriteTrack(1, track(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _ = failed.View(0)
+	_, _ = restoring.View(0)
+	if _, err := restoring.View(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := failed.Missed(0); err != ErrFailed {
+		t.Errorf("failed drive's record = %v, want ErrFailed", err)
+	}
+	if err := restoring.Missed(0); err != ErrEmptyTrack {
+		t.Errorf("blank track's record = %v, want ErrEmptyTrack", err)
+	}
+	if err := restoring.Missed(1); err != nil {
+		t.Errorf("a read that found its track recorded %v", err)
+	}
+	if err := failed.Missed(1); err != nil {
+		t.Errorf("a track nobody read recorded %v", err)
+	}
+
+	if err := restoring.WriteTrack(0, track(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := restoring.Restored(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restoring.Missed(0); err != ErrEmptyTrack {
+		t.Errorf("record after the restore wrote the track = %v, want ErrEmptyTrack", err)
+	}
+
+	f.BeginCycle()
+	if failed.Missed(0) != nil || restoring.Missed(0) != nil {
+		t.Error("BeginCycle left the last cycle's record")
+	}
+	_, _ = failed.View(0)
+	if err := failed.Missed(0); err != ErrFailed {
+		t.Errorf("record in the new cycle = %v, want ErrFailed", err)
 	}
 }

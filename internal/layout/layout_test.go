@@ -317,7 +317,7 @@ func TestWriteObjectTolerantAndFiltered(t *testing.T) {
 		on := map[int]int{}
 		for _, loc := range locs {
 			drv, _ := f.Drive(loc.Disk)
-			if stored[loc], err = drv.ReadTrack(loc.Track); err != nil {
+			if stored[loc], err = drv.View(loc.Track); err != nil {
 				t.Fatal(err)
 			}
 			on[loc.Disk]++
@@ -362,7 +362,7 @@ func TestWriteObjectTolerantAndFiltered(t *testing.T) {
 		}
 		for _, loc := range locs {
 			drv, _ := f.Drive(loc.Disk)
-			got, err := drv.ReadTrack(loc.Track)
+			got, err := drv.View(loc.Track)
 			if err != nil || !bytes.Equal(got, stored[loc]) {
 				t.Fatalf("%v: drive %d track %d differs from the full write (%v)", placement, loc.Disk, loc.Track, err)
 			}

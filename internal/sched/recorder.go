@@ -8,9 +8,9 @@ import "ftmm/internal/metrics"
 type Recorder struct {
 	// Cycles counts completed cycles.
 	Cycles *metrics.Counter
-	// DataReads/ParityReads/Reconstructions mirror the CycleReport
-	// counters, accumulated across the engine's lifetime.
-	DataReads, ParityReads, Reconstructions *metrics.Counter
+	// DataReads/ParityReads/Reconstructions/Erasures mirror the
+	// CycleReport counters, accumulated across the engine's lifetime.
+	DataReads, ParityReads, Reconstructions, Erasures *metrics.Counter
 	// Deliveries and Hiccups count tracks handed out and lost.
 	Deliveries, Hiccups *metrics.Counter
 	// Finished and Terminated count stream completions and degradations.
@@ -32,6 +32,7 @@ func NewRecorder(reg *metrics.Registry) *Recorder {
 		DataReads:             reg.Counter("engine_data_reads"),
 		ParityReads:           reg.Counter("engine_parity_reads"),
 		Reconstructions:       reg.Counter("engine_reconstructions"),
+		Erasures:              reg.Counter("engine_erasures"),
 		Deliveries:            reg.Counter("engine_deliveries"),
 		Hiccups:               reg.Counter("engine_hiccups"),
 		Finished:              reg.Counter("engine_streams_finished"),
@@ -52,6 +53,7 @@ func (r *Recorder) ObserveCycle(rep *CycleReport, slots *Slots) {
 	r.DataReads.Add(int64(rep.DataReads))
 	r.ParityReads.Add(int64(rep.ParityReads))
 	r.Reconstructions.Add(int64(rep.Reconstructions))
+	r.Erasures.Add(int64(len(rep.Erasures)))
 	r.Deliveries.Add(int64(len(rep.Delivered)))
 	r.Hiccups.Add(int64(len(rep.Hiccups)))
 	r.Finished.Add(int64(len(rep.Finished)))

@@ -129,6 +129,19 @@ type Hiccup struct {
 	Reason string
 }
 
+// Erasure is one group member a stream's read found erased: the read of
+// the member's track, for that stream's parity group, got Err from the
+// drive (disk.ErrFailed or disk.ErrEmptyTrack) — the drive's own record
+// of the cycle (disk.Drive.Missed) holds the same.
+type Erasure struct {
+	StreamID int
+	ObjectID string
+	// Group is the parity group's index in the object.
+	Group int
+	Loc   layout.Location
+	Err   error
+}
+
 // CycleReport summarizes one simulated cycle.
 type CycleReport struct {
 	Cycle int
@@ -141,6 +154,9 @@ type CycleReport struct {
 	ParityReads int
 	// Reconstructions counts tracks rebuilt from parity this cycle.
 	Reconstructions int
+	// Erasures lists, in read order, the group members this cycle's
+	// reads found erased.
+	Erasures []Erasure
 	// Finished lists streams that completed delivery this cycle.
 	Finished []int
 	// Terminated lists streams dropped this cycle because the system
@@ -157,6 +173,7 @@ func (r *CycleReport) Reset(cycle int) {
 	r.Cycle = cycle
 	r.Delivered = r.Delivered[:0]
 	r.Hiccups = r.Hiccups[:0]
+	r.Erasures = r.Erasures[:0]
 	r.Finished = r.Finished[:0]
 	r.Terminated = r.Terminated[:0]
 	r.DataReads = 0
@@ -181,6 +198,7 @@ func (r *CycleReport) Clone() *CycleReport {
 		out.Delivered[i] = d
 	}
 	out.Hiccups = append([]Hiccup(nil), r.Hiccups...)
+	out.Erasures = append([]Erasure(nil), r.Erasures...)
 	out.Finished = append([]int(nil), r.Finished...)
 	out.Terminated = append([]int(nil), r.Terminated...)
 	return &out
@@ -188,7 +206,7 @@ func (r *CycleReport) Clone() *CycleReport {
 
 // Equal reports whether two reports describe the same cycle outcome:
 // same counters and the same deliveries (including content bytes),
-// hiccups, finishes, and terminations in the same order. Buf handles
+// hiccups, erasures, finishes, and terminations in the same order. Buf handles
 // are ignored — a Clone deliberately drops them — so a retained Clone
 // compares Equal to the live report it was taken from for exactly as
 // long as the live report remains valid. The chaos harness's retention
@@ -203,7 +221,7 @@ func (r *CycleReport) Equal(o *CycleReport) bool {
 		return false
 	}
 	if len(r.Delivered) != len(o.Delivered) || len(r.Hiccups) != len(o.Hiccups) ||
-		len(r.Finished) != len(o.Finished) || len(r.Terminated) != len(o.Terminated) {
+		len(r.Erasures) != len(o.Erasures) || len(r.Finished) != len(o.Finished) || len(r.Terminated) != len(o.Terminated) {
 		return false
 	}
 	for i := range r.Delivered {
@@ -216,6 +234,11 @@ func (r *CycleReport) Equal(o *CycleReport) bool {
 	}
 	for i := range r.Hiccups {
 		if r.Hiccups[i] != o.Hiccups[i] {
+			return false
+		}
+	}
+	for i := range r.Erasures {
+		if r.Erasures[i] != o.Erasures[i] {
 			return false
 		}
 	}

@@ -116,6 +116,7 @@ func TestCycleReportResetKeepsBackingSlices(t *testing.T) {
 		Cycle:           3,
 		Delivered:       []Delivery{{StreamID: 1, Data: []byte{1, 2}}},
 		Hiccups:         []Hiccup{{StreamID: 2}},
+		Erasures:        []Erasure{{StreamID: 2}},
 		Finished:        []int{1},
 		Terminated:      []int{2},
 		DataReads:       5,
@@ -125,7 +126,7 @@ func TestCycleReportResetKeepsBackingSlices(t *testing.T) {
 	}
 	d0 := cap(rep.Delivered)
 	rep.Reset(4)
-	if rep.Cycle != 4 || len(rep.Delivered) != 0 || len(rep.Hiccups) != 0 ||
+	if rep.Cycle != 4 || len(rep.Delivered) != 0 || len(rep.Hiccups) != 0 || len(rep.Erasures) != 0 ||
 		len(rep.Finished) != 0 || len(rep.Terminated) != 0 ||
 		rep.DataReads != 0 || rep.ParityReads != 0 || rep.Reconstructions != 0 || rep.BufferInUse != 0 {
 		t.Fatalf("Reset left state behind: %+v", rep)
@@ -141,16 +142,21 @@ func TestCycleReportCloneIsDeep(t *testing.T) {
 		Cycle:     7,
 		Delivered: []Delivery{{StreamID: 1, Data: data}},
 		Hiccups:   []Hiccup{{StreamID: 2, Reason: "x"}},
+		Erasures:  []Erasure{{StreamID: 2, Group: 3}},
 		Finished:  []int{1},
 	}
 	cl := rep.Clone()
+	if !cl.Equal(rep) {
+		t.Fatal("Clone differs from the report it copies")
+	}
 	data[0] = 99 // mutate the original's backing bytes
 	rep.Delivered[0].StreamID = 50
+	rep.Erasures[0].Group = 50
 	rep.Finished[0] = 50
 	if cl.Delivered[0].Data[0] != 1 {
 		t.Fatal("Clone shares Delivery.Data bytes")
 	}
-	if cl.Delivered[0].StreamID != 1 || cl.Finished[0] != 1 {
+	if cl.Delivered[0].StreamID != 1 || cl.Erasures[0].Group != 3 || cl.Finished[0] != 1 {
 		t.Fatal("Clone shares list backing arrays")
 	}
 }

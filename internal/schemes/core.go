@@ -110,31 +110,39 @@ func (c *engineCore) allocStreamID() int {
 }
 
 // readTrack is the one scheduled track read: a slot on the track's drive,
-// the platter's view of the track, the report counter (DataReads or
-// ParityReads) bumped. It returns nil — slot kept, as the arm was
-// scheduled — when the drive's budget is spent or the drive has failed.
-func (c *engineCore) readTrack(loc layout.Location, reads *int) []byte {
+// then read. It returns nil — slot kept, as the arm was scheduled — when
+// the drive's budget is spent or the read found the track erased.
+func (c *engineCore) readTrack(st *sched.Stream, g *layout.Group, loc layout.Location, reads *int) []byte {
 	if !c.slots.Take(loc.Disk) {
 		return nil
 	}
-	return c.read(loc, reads)
+	view, _ := c.read(st, g, loc, reads)
+	return view
 }
 
 // read is readTrack's second half, for stageGroup, which takes a whole
-// group's slots before it reads any of them. The track comes back as
-// the drive's own slice (disk.Drive.View), not a copy: a read track is a
-// view, and nothing in the engine may write into it or Put it.
-func (c *engineCore) read(loc layout.Location, reads *int) []byte {
+// group's slots before it reads any of them. It reads group g's member
+// at loc for stream st: the platter's view of the track (disk.Drive.View),
+// not a copy, so nothing in the engine may write into it or Put it. A
+// read counts in reads (nil for a read whose view goes unused); a read
+// that finds the member erased is the one place an erasure enters the
+// cycle's report, and returns the drive's error.
+func (c *engineCore) read(st *sched.Stream, g *layout.Group, loc layout.Location, reads *int) ([]byte, error) {
 	drv, err := c.cfg.Farm.Drive(loc.Disk)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	view, err := drv.View(loc.Track)
 	if err != nil {
-		return nil
+		c.rep.Erasures = append(c.rep.Erasures, sched.Erasure{
+			StreamID: st.ID, ObjectID: st.Obj.ID, Group: g.Index, Loc: loc, Err: err,
+		})
+		return nil, err
 	}
-	*reads++
-	return view
+	if reads != nil {
+		*reads++
+	}
+	return view, nil
 }
 
 // reconstruct makes a group's missing track: the fold of survivors (the
@@ -183,7 +191,8 @@ func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed
 	})
 }
 
-// beginCycle opens the cycle: cleared slot budgets and an emptied report.
+// beginCycle opens the cycle: cleared slot budgets, an emptied report and
+// an empty record of erasures on every drive.
 func (c *engineCore) beginCycle() {
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
@@ -195,6 +204,7 @@ func (c *engineCore) beginCycle() {
 	c.delivered = c.delivered[:0]
 	c.slots.Reset()
 	c.rep.Reset(c.cycle)
+	c.cfg.Farm.BeginCycle()
 }
 
 // endCycle closes the cycle: stamps buffer occupancy, feeds the metrics
@@ -561,7 +571,7 @@ func (e *groupEngine) stageReads() error {
 		for j := 0; j < rate; j++ {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
-			staged, err := e.stageGroup(g)
+			staged, err := e.stageGroup(&s.Stream, g)
 			if err != nil {
 				return err
 			}
@@ -575,14 +585,14 @@ func (e *groupEngine) stageReads() error {
 	return nil
 }
 
-// stageGroup schedules and reads one whole parity group for later
-// delivery, tolerating failed drives: one slot is taken on every drive
+// stageGroup schedules and reads one whole parity group for stream st's
+// later delivery, tolerating failed drives: one slot is taken on every drive
 // of the group's cluster (failed drives keep their slot — the arm is
 // still scheduled — but yield nothing), a single missing track is
 // rebuilt from parity, and the group's buffers are acquired. When the
 // slot budget is exceeded (over-admission under a manual SlotsPerDisk
 // override) the group stays empty and hiccups at delivery.
-func (c *engineCore) stageGroup(g *layout.Group) (*bufferedGroup, error) {
+func (c *engineCore) stageGroup(st *sched.Stream, g *layout.Group) (*bufferedGroup, error) {
 	ok := true
 	for _, loc := range g.Data {
 		if !c.slots.Take(loc.Disk) {
@@ -598,11 +608,11 @@ func (c *engineCore) stageGroup(g *layout.Group) (*bufferedGroup, error) {
 	}
 	gr := groupRead{data: staged.data}
 	for i, loc := range g.Data {
-		gr.data[i] = c.read(loc, &c.rep.DataReads)
+		gr.data[i], _ = c.read(st, g, loc, &c.rep.DataReads)
 	}
 	// The parity view's only use is the recovery below; it is dropped
 	// with gr.
-	gr.par = c.read(g.Parity, &c.rep.ParityReads)
+	gr.par, _ = c.read(st, g, g.Parity, &c.rep.ParityReads)
 	if rec, recErr := gr.recoverGroup(c); recErr == nil && rec >= 0 {
 		staged.reconstructed[rec] = true
 		c.rep.Reconstructions++

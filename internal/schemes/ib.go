@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"errors"
 	"fmt"
 
 	"ftmm/internal/disk"
@@ -121,7 +122,7 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, midDisk int, allowa
 				*allowance--
 			}
 		}
-		blk := e.readTrack(loc, &e.rep.DataReads)
+		blk := e.readTrack(&gr.s.Stream, gr.g, loc, &e.rep.DataReads)
 		if blk == nil {
 			gr.missing = append(gr.missing, j)
 			if onVictim {
@@ -289,15 +290,17 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 	return nil
 }
 
-// readParity secures a slot on the group's parity drive — dropping a
-// local read in its favor if necessary — and reads the parity block. par
-// is nil after handling the failure modes (failed parity drive:
-// catastrophic hiccup; no victim: degradation). victim, when non-nil, is
-// the group whose local read gave up its slot; the caller shifts it
-// right.
+// readParity reads the group's parity block, securing a slot on its
+// drive — dropping a local read in its favor if necessary. par is nil
+// after handling the failure modes (failed parity drive: catastrophic
+// hiccup; no victim: degradation). victim, when non-nil, is the group
+// whose local read gave up its slot; the caller shifts it right.
 func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibGroupRead, err error) {
 	pDisk := gr.g.Parity.Disk
-	if drv, err := e.cfg.Farm.Drive(pDisk); err != nil || drv.State() == disk.Failed {
+	// The read comes first: a parity drive that has failed takes no
+	// slot. It counts once it holds a slot.
+	par, err = e.read(&gr.s.Stream, gr.g, gr.g.Parity, nil)
+	if errors.Is(err, disk.ErrFailed) {
 		// Adjacent-cluster double failure: the paper's data-loss case.
 		return nil, nil, nil
 	}
@@ -319,10 +322,11 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibG
 		}
 		e.slots.Put(pDisk)
 	}
-	par = e.readTrack(gr.g.Parity, &e.rep.ParityReads)
+	e.slots.Take(pDisk)
 	if par == nil {
 		return nil, victim, nil
 	}
+	e.rep.ParityReads++
 	// The parity block counts as a buffer within this cycle in the
 	// paper's accounting, though the view itself takes no arena buffer.
 	return par, victim, e.holdBriefly()

@@ -505,6 +505,7 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 		return e.plainRead(s, grp, r, o)
 	case state.mode == ncUnprotected:
 		if o == state.failedOffset {
+			e.readFailed(s, grp, o)
 			s.lost[r] = true // recurring loss: the paper's degradation
 			s.read++
 			return nil
@@ -528,7 +529,7 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 // track is lost.
 func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error {
 	s.read++
-	blk := e.readTrack(grp.Data[o], &e.rep.DataReads)
+	blk := e.readTrack(&s.Stream, grp, grp.Data[o], &e.rep.DataReads)
 	if blk == nil {
 		s.lost[r] = true
 		return nil
@@ -538,6 +539,14 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error
 	}
 	s.staged[r] = ncStaged{data: blk}
 	return nil
+}
+
+// readFailed reads the failed offset o of a degraded or unprotected
+// group for its erasure alone, without a slot: the cluster reads around
+// that drive until its restore ends, so a track the restore has already
+// written goes unused, and uncounted, as if it were still erased.
+func (e *NonClustered) readFailed(s *ncStream, grp *layout.Group, o int) {
+	_, _ = e.read(&s.Stream, grp, grp.Data[o], nil)
 }
 
 // groupRead stages an entire parity group at once (degraded steady state
@@ -553,11 +562,13 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	gr := groupRead{data: make([][]byte, len(grp.Data))}
 	for j, loc := range grp.Data {
 		if j != failedOffset {
-			gr.data[j] = e.readTrack(loc, &e.rep.DataReads)
+			gr.data[j] = e.readTrack(&s.Stream, grp, loc, &e.rep.DataReads)
+		} else {
+			e.readFailed(s, grp, j)
 		}
 	}
 	reconstructedIdx := -1
-	gr.par = e.readTrack(grp.Parity, &e.rep.ParityReads)
+	gr.par = e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
 	if gr.par != nil {
 		if rec, err := gr.recoverGroup(&e.engineCore); err == nil && rec >= 0 {
 			reconstructedIdx = rec
@@ -636,6 +647,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	groupEnd := min(base+width, s.Obj.Tracks)
 	failedTrack := base + failedOffset
 	s.read = groupEnd
+	e.readFailed(s, grp, failedOffset)
 
 	canRecon := s.xorGroup == g || failedOffset == 0
 	if s.xorGroup != g && failedOffset == 0 {
@@ -649,7 +661,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
-		blk := e.readTrack(grp.Data[r-base], &e.rep.DataReads)
+		blk := e.readTrack(&s.Stream, grp, grp.Data[r-base], &e.rep.DataReads)
 		if blk == nil {
 			s.lost[r] = true
 			canRecon = false
@@ -665,7 +677,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			}
 		}
 	}
-	par := e.readTrack(grp.Parity, &e.rep.ParityReads)
+	par := e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
 	if canRecon && par != nil && s.xor != nil && failedTrack < s.Obj.Tracks {
 		if err := parity.XORInto(s.xor, par); err != nil {
 			return err

@@ -134,7 +134,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		}
 		g := &s.Obj.Groups[s.nextGroup]
 		s.nextGroup++
-		staged, err := e.stageGroup(g)
+		staged, err := e.stageGroup(&s.Stream, g)
 		if err != nil {
 			return nil, err
 		}
