@@ -167,8 +167,8 @@ func TestEngineReportsGolden(t *testing.T) {
 	}{
 		{"sr", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewStreamingRAID(c) }, false, 0xa3712c82e2ae446c},
 		{"sg", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewStaggeredGroup(c) }, false, 0x2e137f9c84249122},
-		{"nc-simple", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, SimpleSwitchover, 1) }, false, 0xab596d5e0467ff37},
-		{"nc-alternate", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, AlternateSwitchover, 1) }, false, 0xca89dd379feb4c50},
+		{"nc-simple", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, SimpleSwitchover, 1) }, false, 0xf891506737e424ed},
+		{"nc-alternate", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, AlternateSwitchover, 1) }, false, 0x98b9b36865b9a303},
 		{"ib-boundary", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 1) }, false, 0x413eeebfed83cb82},
 		{"ib-midcycle", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 0) }, true, 0xfea0d3553f6d5707},
 		{"dc", func(t *testing.T) *rig { return newDeclusteredRig(t, 26, 13, 4, 4, 20) },

@@ -65,6 +65,18 @@ type ncCluster struct {
 	failedOffset int
 }
 
+// Why a Non-clustered track is lost: the reasons its hiccup gives.
+const (
+	// lostTransition: dropped by the policy's switchover (Figures 6-7).
+	lostTransition = "track lost in degraded-mode transition"
+	// lostUnprotected: the failed drive's track on a cluster no buffer
+	// server carries.
+	lostUnprotected = "failed drive's track lost on an unprotected cluster"
+	// lostUnread: a read that got no track (its member erased, or its
+	// drive's slots spent) and no reconstruction to stand in.
+	lostUnread = "track could not be read or rebuilt"
+)
+
 // ncStaged is one staged track. reconstructed is also its kind: a
 // reconstructed track is an arena buffer the engine made (an XOR
 // accumulator or a group recovery), any other is a platter view.
@@ -82,8 +94,9 @@ type ncStream struct {
 	startCycle int
 	// staged maps absolute track index -> buffered content.
 	staged map[int]ncStaged
-	// lost marks absolute track indices that will hiccup when due.
-	lost map[int]bool
+	// lost maps absolute track indices that will hiccup when due to the
+	// reason they will give.
+	lost map[int]string
 	// legacyGroup, when >= 0, is a group the stream finishes with plain
 	// per-track reads even though its cluster is degraded (alternate
 	// switchover for streams caught mid-group).
@@ -220,7 +233,7 @@ func (e *NonClustered) AddStreamAt(obj *layout.Object, startGroup int) (int, err
 	e.streams = append(e.streams, &ncStream{
 		Stream: sched.Stream{ID: id, Obj: obj, NextDeliver: startTrack},
 		read:   startTrack,
-		staged: make(map[int]ncStaged), lost: make(map[int]bool),
+		staged: make(map[int]ncStaged), lost: make(map[int]string),
 		legacyGroup: -1, xorGroup: -1, startCycle: -1,
 	})
 	return id, nil
@@ -307,7 +320,7 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 		case SimpleSwitchover:
 			// Drop every remaining track of the current group.
 			for r := s.read; r < groupEnd; r++ {
-				s.lost[r] = true
+				s.lost[r] = lostTransition
 			}
 			s.read = groupEnd
 		case AlternateSwitchover:
@@ -315,7 +328,7 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 			// unrecoverable (earlier tracks have left the buffers).
 			failedTrack := g*width + failedOffset
 			if failedTrack >= s.read && failedTrack < groupEnd {
-				s.lost[failedTrack] = true
+				s.lost[failedTrack] = lostTransition
 			}
 			s.legacyGroup = g
 		}
@@ -420,9 +433,9 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 		r := s.NextDeliver
 		st, staged := s.staged[r]
-		reason := "track not staged (overload)"
-		if s.lost[r] {
-			reason = "track lost in degraded-mode transition"
+		reason, lost := s.lost[r]
+		if !lost {
+			reason = "track not staged (overload)"
 		}
 		e.emit(&s.Stream, r, st.data, st.reconstructed, reason)
 		if staged {
@@ -491,7 +504,7 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 		s.read++
 		return nil
 	}
-	if s.lost[r] {
+	if _, lost := s.lost[r]; lost {
 		s.read++
 		return nil
 	}
@@ -506,7 +519,7 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 	case state.mode == ncUnprotected:
 		if o == state.failedOffset {
 			e.readFailed(s, grp, o)
-			s.lost[r] = true // recurring loss: the paper's degradation
+			s.lost[r] = lostUnprotected // recurring loss: the paper's degradation
 			s.read++
 			return nil
 		}
@@ -531,7 +544,7 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error
 	s.read++
 	blk := e.readTrack(&s.Stream, grp, grp.Data[o], &e.rep.DataReads)
 	if blk == nil {
-		s.lost[r] = true
+		s.lost[r] = lostUnread
 		return nil
 	}
 	if err := e.pool.Acquire(1); err != nil {
@@ -582,7 +595,7 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	for r := base; r < groupEnd; r++ {
 		j := r - base
 		if gr.data[j] == nil {
-			s.lost[r] = true
+			s.lost[r] = lostUnread
 			continue
 		}
 		if err := e.pool.Acquire(1); err != nil {
@@ -663,7 +676,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	for r := failedTrack + 1; r < groupEnd; r++ {
 		blk := e.readTrack(&s.Stream, grp, grp.Data[r-base], &e.rep.DataReads)
 		if blk == nil {
-			s.lost[r] = true
+			s.lost[r] = lostUnread
 			canRecon = false
 			continue
 		}
@@ -691,7 +704,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		e.rep.Reconstructions++
 	} else {
 		if failedTrack < s.Obj.Tracks {
-			s.lost[failedTrack] = true
+			s.lost[failedTrack] = lostUnread
 		}
 		return e.dropXOR(s)
 	}
