@@ -11,12 +11,10 @@
 // makes it Operational again. So the drive itself is the one record of
 // whether it is whole.
 //
-// It is also the one record of what a cycle's reads met. Every lookup
-// that finds its track erased — the drive Failed, or the track not yet
-// restored — is noted with its cause until Farm.BeginCycle opens the
-// next cycle, and Missed answers from that note, not from the drive's
-// state now: a restore that writes the track later in the cycle does
-// not undo what the read found.
+// It is also the one record of what a cycle's reads met: every lookup
+// that finds its track erased is noted with its cause until
+// Farm.BeginCycle, and Missed answers from that note, not from the
+// drive's state now, which a restore later in the cycle may change.
 //
 // Timing is not simulated here — the cycle scheduler budgets disk time
 // with the analytic model from internal/diskmodel — but data movement is:
@@ -81,8 +79,7 @@ type Drive struct {
 	tracks map[int][]byte
 	reads  int64
 	writes int64
-	// missed notes this cycle's lookups that found their track erased.
-	// It is truncated, not reallocated, by Farm.BeginCycle.
+	// missed records this cycle's lookups that found their track erased.
 	missed []miss
 }
 

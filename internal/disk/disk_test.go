@@ -395,10 +395,10 @@ func TestDriveMissedRecord(t *testing.T) {
 	if _, err := restoring.View(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := failed.Missed(0); err != ErrFailed {
+	if err := failed.Missed(0); !errors.Is(err, ErrFailed) {
 		t.Errorf("failed drive's record = %v, want ErrFailed", err)
 	}
-	if err := restoring.Missed(0); err != ErrEmptyTrack {
+	if err := restoring.Missed(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("blank track's record = %v, want ErrEmptyTrack", err)
 	}
 	if err := restoring.Missed(1); err != nil {
@@ -414,7 +414,7 @@ func TestDriveMissedRecord(t *testing.T) {
 	if err := restoring.Restored(); err != nil {
 		t.Fatal(err)
 	}
-	if err := restoring.Missed(0); err != ErrEmptyTrack {
+	if err := restoring.Missed(0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("record after the restore wrote the track = %v, want ErrEmptyTrack", err)
 	}
 
@@ -423,7 +423,7 @@ func TestDriveMissedRecord(t *testing.T) {
 		t.Error("BeginCycle left the last cycle's record")
 	}
 	_, _ = failed.View(0)
-	if err := failed.Missed(0); err != ErrFailed {
+	if err := failed.Missed(0); !errors.Is(err, ErrFailed) {
 		t.Errorf("record in the new cycle = %v, want ErrFailed", err)
 	}
 }

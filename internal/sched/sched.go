@@ -129,17 +129,15 @@ type Hiccup struct {
 	Reason string
 }
 
-// Erasure is one group member a stream's read found erased: the read of
-// the member's track, for that stream's parity group, got Err from the
-// drive (disk.ErrFailed or disk.ErrEmptyTrack) — the drive's own record
-// of the cycle (disk.Drive.Missed) holds the same.
+// Erasure is one member of parity group Group (its index in the object)
+// that a stream's read found erased: the read of Loc got Err, which is
+// disk.ErrFailed or disk.ErrEmptyTrack, as disk.Drive.Missed records.
 type Erasure struct {
 	StreamID int
 	ObjectID string
-	// Group is the parity group's index in the object.
-	Group int
-	Loc   layout.Location
-	Err   error
+	Group    int
+	Loc      layout.Location
+	Err      error
 }
 
 // CycleReport summarizes one simulated cycle.
@@ -206,11 +204,12 @@ func (r *CycleReport) Clone() *CycleReport {
 
 // Equal reports whether two reports describe the same cycle outcome:
 // same counters and the same deliveries (including content bytes),
-// hiccups, erasures, finishes, and terminations in the same order. Buf handles
-// are ignored — a Clone deliberately drops them — so a retained Clone
-// compares Equal to the live report it was taken from for exactly as
-// long as the live report remains valid. The chaos harness's retention
-// checker uses this to prove engines honor the report-validity window.
+// hiccups, erasures, finishes, and terminations in the same order. Buf
+// handles are ignored — a Clone deliberately drops them — so a retained
+// Clone compares Equal to the live report it was taken from for exactly
+// as long as the live report remains valid. The chaos harness's
+// retention checker uses this to prove engines honor the report-validity
+// window.
 func (r *CycleReport) Equal(o *CycleReport) bool {
 	if r == nil || o == nil {
 		return r == o
@@ -221,7 +220,8 @@ func (r *CycleReport) Equal(o *CycleReport) bool {
 		return false
 	}
 	if len(r.Delivered) != len(o.Delivered) || len(r.Hiccups) != len(o.Hiccups) ||
-		len(r.Erasures) != len(o.Erasures) || len(r.Finished) != len(o.Finished) || len(r.Terminated) != len(o.Terminated) {
+		len(r.Erasures) != len(o.Erasures) || len(r.Finished) != len(o.Finished) ||
+		len(r.Terminated) != len(o.Terminated) {
 		return false
 	}
 	for i := range r.Delivered {

@@ -121,12 +121,10 @@ func (c *engineCore) readTrack(st *sched.Stream, g *layout.Group, loc layout.Loc
 }
 
 // read is readTrack's second half, for stageGroup, which takes a whole
-// group's slots before it reads any of them. It reads group g's member
-// at loc for stream st: the platter's view of the track (disk.Drive.View),
-// not a copy, so nothing in the engine may write into it or Put it. A
-// read counts in reads (nil for a read whose view goes unused); a read
-// that finds the member erased is the one place an erasure enters the
-// cycle's report, and returns the drive's error.
+// group's slots first. It reads group g's member at loc for stream st:
+// the drive's own slice (disk.Drive.View), which nothing in the engine
+// may write into or Put, counted in reads unless that is nil. A member
+// found erased is the one place an erasure enters the cycle's report.
 func (c *engineCore) read(st *sched.Stream, g *layout.Group, loc layout.Location, reads *int) ([]byte, error) {
 	drv, err := c.cfg.Farm.Drive(loc.Disk)
 	if err != nil {

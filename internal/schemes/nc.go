@@ -65,16 +65,14 @@ type ncCluster struct {
 	failedOffset int
 }
 
-// Why a Non-clustered track is lost: the reasons its hiccup gives.
+// Why a Non-clustered track is lost, as its hiccup says: the switchover
+// dropped it (Figures 6-7), it is the failed drive's on a cluster no
+// buffer server carries, or its read got nothing (the member erased, or
+// the drive's slots spent) and no reconstruction stood in.
 const (
-	// lostTransition: dropped by the policy's switchover (Figures 6-7).
-	lostTransition = "track lost in degraded-mode transition"
-	// lostUnprotected: the failed drive's track on a cluster no buffer
-	// server carries.
+	lostTransition  = "track lost in degraded-mode transition"
 	lostUnprotected = "failed drive's track lost on an unprotected cluster"
-	// lostUnread: a read that got no track (its member erased, or its
-	// drive's slots spent) and no reconstruction to stand in.
-	lostUnread = "track could not be read or rebuilt"
+	lostUnread      = "track could not be read or rebuilt"
 )
 
 // ncStaged is one staged track. reconstructed is also its kind: a
