@@ -34,12 +34,8 @@ type lossKey struct {
 	stream, cluster, failCycle int
 }
 
-// readKey names one stream's read of one parity group.
-type readKey struct {
-	stream int
-	object string
-	group  int
-}
+// readKey names one stream's read of one parity group of its object.
+type readKey struct{ stream, group int }
 
 // ContinuityChecker enforces delivery continuity: SR, SG and IB mask
 // boundary failures with zero hiccups (IB may terminate streams when
@@ -54,7 +50,7 @@ type readKey struct {
 // read by that stream found two or more members erased is data parity
 // cannot rebuild, and is accepted. The engine reports each erasure its
 // reads met (sched.CycleReport.Erasures), and the checker holds every
-// one to the drive's own record of the cycle (disk.Drive.Missed).
+// one to the farm's own record of the cycle (disk.Farm.Missed).
 type ContinuityChecker struct {
 	isNC, isIB bool
 	// lossCap is the per-stream per-transition hiccup bound: C-1 for the
@@ -67,7 +63,7 @@ type ContinuityChecker struct {
 	// later, plus slack.
 	window int
 	// erased holds, per stream's read of a group, the distinct members
-	// that read found erased, each confirmed by the drive's record.
+	// that read found erased, each confirmed by the farm's record.
 	erased          map[readKey][]layout.Location
 	dataFail        map[int][]int
 	lastUnprotected map[int]int
@@ -122,15 +118,11 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 	}
 	farm := rc.Srv.Farm()
 	for _, e := range rep.Erasures {
-		drv, err := farm.Drive(e.Loc.Disk)
-		if err != nil {
-			return err
+		if got := farm.Missed(e.Loc.Disk, e.Loc.Track); got != e.Err {
+			return fmt.Errorf("stream %d read of group %d: engine reports drive %d track %d erased (%v), drive did not record it (%v)",
+				e.StreamID, e.Group, e.Loc.Disk, e.Loc.Track, e.Err, got)
 		}
-		if got := drv.Missed(e.Loc.Track); got != e.Err {
-			return fmt.Errorf("stream %d read of group %d of %s: engine reports drive %d track %d erased (%v), drive did not record it (%v)",
-				e.StreamID, e.Group, e.ObjectID, e.Loc.Disk, e.Loc.Track, e.Err, got)
-		}
-		k := readKey{stream: e.StreamID, object: e.ObjectID, group: e.Group}
+		k := readKey{stream: e.StreamID, group: e.Group}
 		if !slices.Contains(c.erased[k], e.Loc) {
 			c.erased[k] = append(c.erased[k], e.Loc)
 		}
@@ -153,7 +145,7 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 			return fmt.Errorf("hiccup on stream %d references unknown object %q", h.StreamID, h.ObjectID)
 		}
 		g := &obj.Groups[h.Track/width]
-		if len(c.erased[readKey{stream: h.StreamID, object: h.ObjectID, group: g.Index}]) >= 2 {
+		if len(c.erased[readKey{stream: h.StreamID, group: g.Index}]) >= 2 {
 			continue
 		}
 		if !c.isNC {

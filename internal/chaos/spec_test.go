@@ -256,7 +256,7 @@ func TestTertiarySurvivesSpecRoundTrip(t *testing.T) {
 // a delivered track's stream found erased when it read the track's group.
 func erasedIn(c *ContinuityChecker, rc *RunContext, d sched.Delivery) int {
 	group := d.Track / rc.Srv.Catalog().Layout().GroupWidth()
-	return len(c.erased[readKey{stream: d.StreamID, object: d.ObjectID, group: group}])
+	return len(c.erased[readKey{stream: d.StreamID, group: group}])
 }
 
 // withHiccup returns a copy of rep with one extra hiccup on delivered
@@ -388,8 +388,7 @@ func (e erasureInjector) AfterStep(rc *RunContext, rep *sched.CycleReport) error
 		g := &obj.Groups[d.Track/lay.GroupWidth()]
 		rep = rep.Clone()
 		rep.Erasures = append(rep.Erasures, sched.Erasure{
-			StreamID: d.StreamID, ObjectID: d.ObjectID, Group: g.Index,
-			Loc: g.Data[d.Track%lay.GroupWidth()], Err: disk.ErrFailed,
+			StreamID: d.StreamID, Group: g.Index, Loc: g.Data[d.Track%lay.GroupWidth()], Err: disk.ErrFailed,
 		})
 	}
 	return e.ContinuityChecker.AfterStep(rc, rep)

@@ -11,9 +11,9 @@
 // makes it Operational again. So the drive itself is the one record of
 // whether it is whole.
 //
-// It is also the one record of what a cycle's reads met: every lookup
-// that finds its track erased is noted with its cause until
-// Farm.BeginCycle, and Missed answers from that note, not from the
+// A farm's drives are also the one record of what a cycle's reads met:
+// every lookup that finds its track erased is noted with its cause until
+// Farm.BeginCycle, and Farm.Missed answers from that note, not from the
 // drive's state now, which a restore later in the cycle may change.
 //
 // Timing is not simulated here — the cycle scheduler budgets disk time
@@ -79,14 +79,32 @@ type Drive struct {
 	tracks map[int][]byte
 	reads  int64
 	writes int64
-	// missed records this cycle's lookups that found their track erased.
-	missed []miss
+	// rec is the farm's record of erased lookups; nil outside a farm.
+	rec *record
+}
+
+// record notes a cycle's lookups that found their track erased, for
+// every drive of one farm, in a slice Farm.BeginCycle truncates.
+type record struct {
+	mu     sync.Mutex
+	misses []miss
 }
 
 // miss is one lookup that found its track erased, and the error it got.
 type miss struct {
-	track int
-	err   error
+	drive, track int
+	err          error
+}
+
+// note records that a lookup of the drive's track got err, and returns
+// err.
+func (r *record) note(drive, track int, err error) error {
+	if r != nil {
+		r.mu.Lock()
+		r.misses = append(r.misses, miss{drive, track, err})
+		r.mu.Unlock()
+	}
+	return err
 }
 
 // NewDrive creates an empty operational drive.
@@ -143,8 +161,8 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 //
 // A failed drive and an unwritten track return the bare ErrFailed and
 // ErrEmptyTrack, so a degraded read allocates nothing; a caller that
-// surfaces the error adds the drive's ID. Either is noted in the
-// cycle's record (Missed).
+// surfaces the error adds the drive's ID. Either is noted in the farm's
+// record of the cycle (Farm.Missed).
 func (d *Drive) View(track int) ([]byte, error) {
 	if track < 0 || track >= d.Tracks() {
 		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
@@ -152,30 +170,14 @@ func (d *Drive) View(track int) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == Failed {
-		d.missed = append(d.missed, miss{track, ErrFailed})
-		return nil, ErrFailed
+		return nil, d.rec.note(d.id, track, ErrFailed)
 	}
 	data, ok := d.tracks[track]
 	if !ok {
-		d.missed = append(d.missed, miss{track, ErrEmptyTrack})
-		return nil, ErrEmptyTrack
+		return nil, d.rec.note(d.id, track, ErrEmptyTrack)
 	}
 	d.reads++
 	return data, nil
-}
-
-// Missed reports what this cycle's first lookup of the track that found
-// it erased got: ErrFailed or ErrEmptyTrack, or nil if no lookup since
-// the cycle began found it erased.
-func (d *Drive) Missed(track int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, m := range d.missed {
-		if m.track == track {
-			return m.err
-		}
-	}
-	return nil
 }
 
 // ReadTrackInto copies one track's data into dst, which must be exactly
@@ -248,6 +250,7 @@ type Farm struct {
 	params      diskmodel.Params
 	clusterSize int
 	drives      []*Drive
+	rec         *record
 }
 
 // NewFarm builds a farm of d drives in clusters of c (c includes the
@@ -262,9 +265,10 @@ func NewFarm(d, c int, params diskmodel.Params) (*Farm, error) {
 	if d < c || d%c != 0 {
 		return nil, fmt.Errorf("disk: %d drives is not a whole number of clusters of %d", d, c)
 	}
-	f := &Farm{params: params, clusterSize: c, drives: make([]*Drive, d)}
+	f := &Farm{params: params, clusterSize: c, drives: make([]*Drive, d), rec: new(record)}
 	for i := range f.drives {
 		f.drives[i] = NewDrive(i, params)
+		f.drives[i].rec = f.rec
 	}
 	return f, nil
 }
@@ -278,14 +282,26 @@ func (f *Farm) Size() int { return len(f.drives) }
 // ClusterSize returns C.
 func (f *Farm) ClusterSize() int { return f.clusterSize }
 
-// BeginCycle opens a cycle: every drive's record of the lookups that
-// found their track erased starts empty.
+// BeginCycle opens a cycle: the record of lookups that found their track
+// erased starts empty.
 func (f *Farm) BeginCycle() {
-	for _, d := range f.drives {
-		d.mu.Lock()
-		d.missed = d.missed[:0]
-		d.mu.Unlock()
+	f.rec.mu.Lock()
+	f.rec.misses = f.rec.misses[:0]
+	f.rec.mu.Unlock()
+}
+
+// Missed reports what this cycle's first lookup of the drive's track that
+// found it erased got: ErrFailed or ErrEmptyTrack, or nil if no lookup
+// since BeginCycle found it erased.
+func (f *Farm) Missed(drive, track int) error {
+	f.rec.mu.Lock()
+	defer f.rec.mu.Unlock()
+	for _, m := range f.rec.misses {
+		if m.drive == drive && m.track == track {
+			return m.err
+		}
 	}
+	return nil
 }
 
 // Clusters returns the number of clusters, D/C.

@@ -368,7 +368,7 @@ func TestViewOutlivesWriteFailReplace(t *testing.T) {
 // drive notes ErrEmptyTrack; a lookup that finds its track notes
 // nothing; and a note outlives a restore that writes the track, or ends,
 // later in the same cycle.
-func TestDriveMissedRecord(t *testing.T) {
+func TestFarmMissedRecord(t *testing.T) {
 	f, err := NewFarm(2, 2, testParams())
 	if err != nil {
 		t.Fatal(err)
@@ -395,16 +395,16 @@ func TestDriveMissedRecord(t *testing.T) {
 	if _, err := restoring.View(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := failed.Missed(0); !errors.Is(err, ErrFailed) {
+	if err := f.Missed(0, 0); !errors.Is(err, ErrFailed) {
 		t.Errorf("failed drive's record = %v, want ErrFailed", err)
 	}
-	if err := restoring.Missed(0); !errors.Is(err, ErrEmptyTrack) {
+	if err := f.Missed(1, 0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("blank track's record = %v, want ErrEmptyTrack", err)
 	}
-	if err := restoring.Missed(1); err != nil {
+	if err := f.Missed(1, 1); err != nil {
 		t.Errorf("a read that found its track recorded %v", err)
 	}
-	if err := failed.Missed(1); err != nil {
+	if err := f.Missed(0, 1); err != nil {
 		t.Errorf("a track nobody read recorded %v", err)
 	}
 
@@ -414,16 +414,16 @@ func TestDriveMissedRecord(t *testing.T) {
 	if err := restoring.Restored(); err != nil {
 		t.Fatal(err)
 	}
-	if err := restoring.Missed(0); !errors.Is(err, ErrEmptyTrack) {
+	if err := f.Missed(1, 0); !errors.Is(err, ErrEmptyTrack) {
 		t.Errorf("record after the restore wrote the track = %v, want ErrEmptyTrack", err)
 	}
 
 	f.BeginCycle()
-	if failed.Missed(0) != nil || restoring.Missed(0) != nil {
+	if f.Missed(0, 0) != nil || f.Missed(1, 0) != nil {
 		t.Error("BeginCycle left the last cycle's record")
 	}
 	_, _ = failed.View(0)
-	if err := failed.Missed(0); !errors.Is(err, ErrFailed) {
+	if err := f.Missed(0, 0); !errors.Is(err, ErrFailed) {
 		t.Errorf("record in the new cycle = %v, want ErrFailed", err)
 	}
 }

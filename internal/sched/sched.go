@@ -131,13 +131,11 @@ type Hiccup struct {
 
 // Erasure is one member of parity group Group (its index in the object)
 // that a stream's read found erased: the read of Loc got Err, which is
-// disk.ErrFailed or disk.ErrEmptyTrack, as disk.Drive.Missed records.
+// disk.ErrFailed or disk.ErrEmptyTrack, as disk.Farm.Missed records.
 type Erasure struct {
-	StreamID int
-	ObjectID string
-	Group    int
-	Loc      layout.Location
-	Err      error
+	StreamID, Group int
+	Loc             layout.Location
+	Err             error
 }
 
 // CycleReport summarizes one simulated cycle.

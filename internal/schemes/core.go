@@ -132,9 +132,7 @@ func (c *engineCore) read(st *sched.Stream, g *layout.Group, loc layout.Location
 	}
 	view, err := drv.View(loc.Track)
 	if err != nil {
-		c.rep.Erasures = append(c.rep.Erasures, sched.Erasure{
-			StreamID: st.ID, ObjectID: st.Obj.ID, Group: g.Index, Loc: loc, Err: err,
-		})
+		c.rep.Erasures = append(c.rep.Erasures, sched.Erasure{StreamID: st.ID, Group: g.Index, Loc: loc, Err: err})
 		return nil, err
 	}
 	if reads != nil {

@@ -516,8 +516,10 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 		return e.plainRead(s, grp, r, o)
 	case state.mode == ncUnprotected:
 		if o == state.failedOffset {
-			e.readFailed(s, grp, o)
-			s.lost[r] = lostUnprotected // recurring loss: the paper's degradation
+			// Read for the record, as in groupRead. The track is lost
+			// on every pass: the paper's degradation.
+			_, _ = e.read(&s.Stream, grp, grp.Data[o], nil)
+			s.lost[r] = lostUnprotected
 			s.read++
 			return nil
 		}
@@ -552,14 +554,6 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error
 	return nil
 }
 
-// readFailed reads the failed offset o of a degraded or unprotected
-// group for its erasure alone, without a slot: the cluster reads around
-// that drive until its restore ends, so a track the restore has already
-// written goes unused, and uncounted, as if it were still erased.
-func (e *NonClustered) readFailed(s *ncStream, grp *layout.Group, o int) {
-	_, _ = e.read(&s.Stream, grp, grp.Data[o], nil)
-}
-
 // groupRead stages an entire parity group at once (degraded steady state
 // under the simple policy), reconstructing the failed drive's track.
 func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset int) error {
@@ -575,7 +569,10 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 		if j != failedOffset {
 			gr.data[j] = e.readTrack(&s.Stream, grp, loc, &e.rep.DataReads)
 		} else {
-			e.readFailed(s, grp, j)
+			// The failed offset is read for its erasure alone, without a
+			// slot: the cluster reads around that drive until its restore
+			// ends, so a track already restored goes unused and uncounted.
+			_, _ = e.read(&s.Stream, grp, loc, nil)
 		}
 	}
 	reconstructedIdx := -1
@@ -658,7 +655,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	groupEnd := min(base+width, s.Obj.Tracks)
 	failedTrack := base + failedOffset
 	s.read = groupEnd
-	e.readFailed(s, grp, failedOffset)
+	_, _ = e.read(&s.Stream, grp, grp.Data[failedOffset], nil) // for the record, as in groupRead
 
 	canRecon := s.xorGroup == g || failedOffset == 0
 	if s.xorGroup != g && failedOffset == 0 {
