@@ -188,7 +188,7 @@ func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed
 }
 
 // beginCycle opens the cycle: cleared slot budgets, an emptied report and
-// an empty record of erasures on every drive.
+// an emptied record of the farm's erased lookups.
 func (c *engineCore) beginCycle() {
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
