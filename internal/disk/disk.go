@@ -16,6 +16,12 @@
 // Farm.BeginCycle, and Farm.Missed answers from that note, not from the
 // drive's state now, which a restore later in the cycle may change.
 //
+// A drive's track table is a slice indexed by track number, grown on
+// write up to the highest track written and never preallocated to the
+// drive's capacity: the layouts hand tracks out densely from 0, so the
+// table costs one slice header per track up to the highest one in use,
+// and a lookup is one index, no hashing.
+//
 // Timing is not simulated here — the cycle scheduler budgets disk time
 // with the analytic model from internal/diskmodel — but data movement is:
 // every track read returns the stored bytes (or an error from a failed
@@ -26,6 +32,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ftmm/internal/diskmodel"
@@ -73,10 +80,15 @@ var (
 type Drive struct {
 	id     int
 	params diskmodel.Params
+	// ntracks is the drive's capacity in tracks, fixed when it is built.
+	ntracks int
 
-	mu     sync.Mutex
-	state  State
-	tracks map[int][]byte
+	mu    sync.Mutex
+	state State
+	// tracks is the track table: tracks[i] is track i's stored bytes,
+	// nil if never written. It grows on write only as far as the highest
+	// track written, so len(tracks) <= ntracks.
+	tracks [][]byte
 	reads  int64
 	writes int64
 	// rec is the farm's record of erased lookups; nil outside a farm.
@@ -109,7 +121,7 @@ func (r *record) note(drive, track int, err error) error {
 
 // NewDrive creates an empty operational drive.
 func NewDrive(id int, params diskmodel.Params) *Drive {
-	return &Drive{id: id, params: params, tracks: make(map[int][]byte)}
+	return &Drive{id: id, params: params, ntracks: params.TracksPerDisk()}
 }
 
 // ID returns the drive's farm-wide index.
@@ -123,14 +135,15 @@ func (d *Drive) State() State {
 }
 
 // Tracks returns the drive's track count.
-func (d *Drive) Tracks() int { return d.params.TracksPerDisk() }
+func (d *Drive) Tracks() int { return d.ntracks }
 
 // WriteTrack stores one track of data. The data is copied — the one copy
 // a byte pays on its way to a platter — into a fresh slice that replaces
-// the track's previous one.
+// the track's previous one. A track past the table's end grows the table
+// to it.
 func (d *Drive) WriteTrack(track int, data []byte) error {
-	if track < 0 || track >= d.Tracks() {
-		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
+	if track < 0 || track >= d.ntracks {
+		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
 	}
 	if len(data) != int(d.params.TrackSize) {
 		return fmt.Errorf("%w: got %d bytes, track is %d", ErrBadSize, len(data), d.params.TrackSize)
@@ -142,6 +155,9 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	if track >= len(d.tracks) {
+		d.tracks = slices.Grow(d.tracks, track+1-len(d.tracks))[:track+1]
+	}
 	d.tracks[track] = buf
 	d.writes++
 	return nil
@@ -154,7 +170,7 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 //
 // Invariant: a stored track's slice is replaced, never written into.
 // WriteTrack installs a fresh slice, Fail and Replace drop the whole
-// map, and nothing else touches the bytes. A view therefore keeps
+// table, and nothing else touches the bytes. A view therefore keeps
 // reading what the track held when it was taken, with no lock held,
 // whatever happens to the drive afterwards. The caller must not write
 // into it.
@@ -164,16 +180,19 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 // surfaces the error adds the drive's ID. Either is noted in the farm's
 // record of the cycle (Farm.Missed).
 func (d *Drive) View(track int) ([]byte, error) {
-	if track < 0 || track >= d.Tracks() {
-		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.Tracks())
+	if track < 0 || track >= d.ntracks {
+		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state == Failed {
 		return nil, d.rec.note(d.id, track, ErrFailed)
 	}
-	data, ok := d.tracks[track]
-	if !ok {
+	var data []byte
+	if track < len(d.tracks) {
+		data = d.tracks[track]
+	}
+	if data == nil {
 		return nil, d.rec.note(d.id, track, ErrEmptyTrack)
 	}
 	d.reads++
@@ -207,7 +226,7 @@ func (d *Drive) Fail() error {
 		return fmt.Errorf("drive %d: %w", d.id, ErrDoubleFault)
 	}
 	d.state = Failed
-	d.tracks = make(map[int][]byte)
+	d.tracks = nil
 	return nil
 }
 
@@ -221,7 +240,7 @@ func (d *Drive) Replace() error {
 		return fmt.Errorf("drive %d: %w", d.id, ErrNotFailed)
 	}
 	d.state = Restoring
-	d.tracks = make(map[int][]byte)
+	d.tracks = nil
 	return nil
 }
 

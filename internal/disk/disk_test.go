@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -95,8 +96,17 @@ func TestDriveCopySemantics(t *testing.T) {
 	}
 }
 
+// Out-of-range tracks and mis-sized writes are rejected. The track table
+// grows on write, only as far as the highest track written: an in-range
+// track past its end reads as the bare ErrEmptyTrack and is noted in the
+// farm's record, and a write past its end grows it and leaves earlier
+// tracks, and views of them, as they were.
 func TestDriveErrors(t *testing.T) {
-	d := NewDrive(0, testParams())
+	f, err := NewFarm(2, 2, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := f.Drive(1)
 	if err := d.WriteTrack(-1, track(0)); !errors.Is(err, ErrBadTrack) {
 		t.Errorf("negative track: %v", err)
 	}
@@ -111,6 +121,83 @@ func TestDriveErrors(t *testing.T) {
 	}
 	if _, err := d.View(12); !errors.Is(err, ErrBadTrack) {
 		t.Errorf("bad track read: %v", err)
+	}
+	if _, err := d.View(-1); !errors.Is(err, ErrBadTrack) {
+		t.Errorf("negative track read: %v", err)
+	}
+
+	if err := d.WriteTrack(2, track(2)); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := d.View(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.BeginCycle()
+	for _, tr := range []int{0, 3, 9} {
+		if _, err := d.View(tr); err != ErrEmptyTrack {
+			t.Errorf("View(%d) of an unwritten track = %v, want the bare ErrEmptyTrack", tr, err)
+		}
+		if err := f.Missed(1, tr); err != ErrEmptyTrack {
+			t.Errorf("record of track %d = %v, want ErrEmptyTrack", tr, err)
+		}
+	}
+	if err := f.Missed(1, 2); err != nil {
+		t.Errorf("a read that found its track recorded %v", err)
+	}
+	if err := d.WriteTrack(9, track(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.View(9); err != nil || !bytes.Equal(got, track(9)) {
+		t.Errorf("View(9) after a write past the table's end: %v", err)
+	}
+	if got, err := d.View(2); err != nil || !bytes.Equal(got, track(2)) {
+		t.Errorf("View(2) after the table grew: %v", err)
+	}
+	if !bytes.Equal(v2, track(2)) {
+		t.Error("growing the table changed a view taken before")
+	}
+	for _, tr := range []int{0, 1, 3, 8} {
+		if _, err := d.View(tr); err != ErrEmptyTrack {
+			t.Errorf("View(%d) inside the grown table = %v, want ErrEmptyTrack", tr, err)
+		}
+	}
+}
+
+// View is the engines' one per-read lookup: it allocates nothing on a
+// hit, nor on either erasure it notes in the farm's record.
+func TestDriveViewAllocs(t *testing.T) {
+	f, err := NewFarm(2, 2, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := f.Drive(0)
+	failed, _ := f.Drive(1)
+	if err := d.WriteTrack(4, track(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := failed.Fail(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		drive *Drive
+		track int
+		want  error
+	}{
+		{"hit", d, 4, nil},
+		{"empty below the table's end", d, 1, ErrEmptyTrack},
+		{"empty past the table's end", d, 7, ErrEmptyTrack},
+		{"failed", failed, 4, ErrFailed},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			f.BeginCycle()
+			if _, err := c.drive.View(c.track); err != c.want {
+				t.Fatalf("%s: View = %v, want %v", c.name, err, c.want)
+			}
+		}); n != 0 {
+			t.Errorf("%s: View allocates %.1f per run, want 0", c.name, n)
+		}
 	}
 }
 
@@ -361,6 +448,32 @@ func TestViewOutlivesWriteFailReplace(t *testing.T) {
 	if !bytes.Equal(v, old) {
 		t.Fatal("a lent track changed across Fail, Replace and a rewrite")
 	}
+
+	// Fail and Replace drop the whole table, however far it had grown:
+	// every track reads as erased, and views of them keep their bytes.
+	far := track(0x44)
+	if err := d.WriteTrack(9, far); err != nil {
+		t.Fatal(err)
+	}
+	vfar, err := d.View(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = view(old)
+	if err := d.Fail(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []int{0, 9} {
+		if _, err := d.View(tr); err != ErrEmptyTrack {
+			t.Fatalf("View(%d) after Replace = %v, want the bare ErrEmptyTrack", tr, err)
+		}
+	}
+	if !bytes.Equal(v, old) || !bytes.Equal(vfar, far) {
+		t.Fatal("a lent track changed when Fail and Replace dropped the table")
+	}
 }
 
 // The cycle's record of erasures: BeginCycle clears it; a lookup on a
@@ -426,4 +539,86 @@ func TestFarmMissedRecord(t *testing.T) {
 	if err := f.Missed(0, 0); !errors.Is(err, ErrFailed) {
 		t.Errorf("record in the new cycle = %v, want ErrFailed", err)
 	}
+}
+
+// BenchmarkFarmView measures one View on a farm of the cycle benchmark's
+// engine shape: 20 drives in clusters of 5, 470 tracks each, every track
+// read once per pass in shuffled order. The hit leg finds every track;
+// in the erased leg half the drives are failed and half are blank
+// replacements, so every lookup is an erasure noted in the farm's
+// record, which a pass clears the way a cycle does. Tracks are shrunk
+// to 1 KB: a lookup's cost does not depend on their size, and 9400
+// Table-1 tracks would be 470 MB.
+func BenchmarkFarmView(b *testing.B) {
+	const drives, perDrive = 20, 470
+	p := diskmodel.Table1()
+	p.TrackSize = units.KB
+	p.Capacity = perDrive * p.TrackSize
+	type loc struct {
+		d     *Drive
+		track int
+	}
+	build := func(b *testing.B) (*Farm, []loc) {
+		f, err := NewFarm(drives, 5, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := make([]byte, p.TrackSize)
+		var order []loc
+		for i := range drives {
+			d, _ := f.Drive(i)
+			for tr := range perDrive {
+				if err := d.WriteTrack(tr, data); err != nil {
+					b.Fatal(err)
+				}
+				order = append(order, loc{d, tr})
+			}
+		}
+		rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
+		})
+		return f, order
+	}
+	// run reads order round and round, b.N lookups after one untimed
+	// pass that grows the farm's record to a pass's erasures.
+	run := func(b *testing.B, f *Farm, order []loc, want func(*Drive) error) {
+		b.ReportAllocs()
+		for i := range b.N + len(order) {
+			k := i % len(order)
+			if k == 0 {
+				f.BeginCycle()
+			}
+			if i == len(order) {
+				b.ResetTimer()
+			}
+			l := order[k]
+			if _, err := l.d.View(l.track); err != want(l.d) {
+				b.Fatalf("drive %d track %d: %v", l.d.ID(), l.track, err)
+			}
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		f, order := build(b)
+		run(b, f, order, func(*Drive) error { return nil })
+	})
+	b.Run("erased", func(b *testing.B) {
+		f, order := build(b)
+		for i := range drives {
+			d, _ := f.Drive(i)
+			if err := d.Fail(); err != nil {
+				b.Fatal(err)
+			}
+			if i%2 == 1 {
+				if err := d.Replace(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		run(b, f, order, func(d *Drive) error {
+			if d.ID()%2 == 1 {
+				return ErrEmptyTrack
+			}
+			return ErrFailed
+		})
+	})
 }

@@ -137,3 +137,26 @@ func TestSRDegradedCycleAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestNCDegradedCycleAllocBudget pins a degraded Non-clustered cycle to
+// the same budget under the alternate policy: with cluster 0's third
+// data drive failed, a stream's pass over the cluster folds its first two
+// tracks into an XOR accumulator and reconstructs the third on the
+// failed drive's cycle, all out of the stream's window and the arena.
+func TestNCDegradedCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
+	e, err := NewNonClustered(r.config(), AlternateSwitchover, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	reconstructions := 0
+	checkCycleAllocBudget(t, e, r, 2, func(rep *sched.CycleReport) {
+		reconstructions += rep.Reconstructions
+	})
+	if reconstructions == 0 {
+		t.Fatal("no measured cycle reconstructed")
+	}
+}

@@ -75,14 +75,32 @@ const (
 	lostUnread      = "track could not be read or rebuilt"
 )
 
-// ncStaged is one staged track. reconstructed is also its kind: a
-// reconstructed track is an arena buffer the engine made (an XOR
-// accumulator or a group recovery), any other is a platter view.
+// ncStaged is one staged track, held in its stream's window until
+// delivered. reconstructed is also its kind: a reconstructed track is an
+// arena buffer the engine made (an XOR accumulator or a group recovery),
+// any other is a platter view.
 type ncStaged struct {
 	data          []byte
 	reconstructed bool
 }
 
+// errWindowFull is a stream window's refusal of a store: the track's
+// slot still holds another track not yet delivered.
+var errWindowFull = errors.New("schemes: Non-clustered stream window slot taken")
+
+// ncSlot is one track's place in a stream's window. It is live while it
+// holds the track's staged bytes or the reason the track will hiccup
+// when due; a track staged after it was marked lost delivers the bytes.
+type ncSlot struct {
+	track int
+	ncStaged
+	lost string
+}
+
+func (sl *ncSlot) live() bool { return sl.data != nil || sl.lost != "" }
+
+// ncStream is one Non-clustered stream: where it reads and delivers,
+// and in its window the tracks between the two.
 type ncStream struct {
 	sched.Stream
 	// read is the absolute index of the next data track to read.
@@ -90,11 +108,15 @@ type ncStream struct {
 	// startCycle is the cycle of the stream's first read (-1 before);
 	// delivery begins the following cycle.
 	startCycle int
-	// staged maps absolute track index -> buffered content.
-	staged map[int]ncStaged
-	// lost maps absolute track indices that will hiccup when due to the
-	// reason they will give.
-	lost map[int]string
+	// win is the stream's window: every track read or marked lost and
+	// not yet delivered, track r in slot r mod C (C = width+1). C slots
+	// are enough. Delivery lags reads by at most one track, and a group
+	// read or a reconstruction cycle stages up to the end of its group,
+	// so the live tracks run from the one due next to at most width
+	// beyond it: width+1 tracks, no two in one slot. A store into a slot
+	// that holds another live track is refused (errWindowFull), never
+	// overwritten.
+	win []ncSlot
 	// legacyGroup, when >= 0, is a group the stream finishes with plain
 	// per-track reads even though its cluster is degraded (alternate
 	// switchover for streams caught mid-group).
@@ -229,9 +251,9 @@ func (e *NonClustered) AddStreamAt(obj *layout.Object, startGroup int) (int, err
 	startTrack := startGroup * e.width()
 	id := e.allocStreamID()
 	e.streams = append(e.streams, &ncStream{
-		Stream: sched.Stream{ID: id, Obj: obj, NextDeliver: startTrack},
-		read:   startTrack,
-		staged: make(map[int]ncStaged), lost: make(map[int]string),
+		Stream:      sched.Stream{ID: id, Obj: obj, NextDeliver: startTrack},
+		read:        startTrack,
+		win:         make([]ncSlot, e.width()+1),
 		legacyGroup: -1, xorGroup: -1, startCycle: -1,
 	})
 	return id, nil
@@ -251,8 +273,13 @@ func (e *NonClustered) CancelStream(id int) error {
 // dropBuffers returns everything an ended stream still holds: staged
 // tracks and any XOR accumulator.
 func (e *NonClustered) dropBuffers(s *ncStream) error {
-	for r, st := range s.staged {
-		delete(s.staged, r)
+	for i := range s.win {
+		sl := &s.win[i]
+		st := sl.ncStaged
+		*sl = ncSlot{}
+		if st.data == nil {
+			continue
+		}
 		if st.reconstructed {
 			e.arena.Put(st.data)
 		}
@@ -261,6 +288,46 @@ func (e *NonClustered) dropBuffers(s *ncStream) error {
 		}
 	}
 	return e.dropXOR(s)
+}
+
+// slot returns track r's slot in the stream's window, claimed for r, or
+// the window's refusal if it holds another live track.
+func (s *ncStream) slot(r int) (*ncSlot, error) {
+	sl := &s.win[r%len(s.win)]
+	if sl.live() && sl.track != r {
+		return nil, fmt.Errorf("%w: stream %d's track %d meets track %d", errWindowFull, s.ID, r, sl.track)
+	}
+	sl.track = r
+	return sl, nil
+}
+
+// stage stores track r's buffered content in the window.
+func (s *ncStream) stage(r int, st ncStaged) error {
+	sl, err := s.slot(r)
+	if err != nil {
+		return err
+	}
+	sl.ncStaged = st
+	return nil
+}
+
+// markLost notes that track r will hiccup when due, giving reason.
+func (s *ncStream) markLost(r int, reason string) error {
+	sl, err := s.slot(r)
+	if err != nil {
+		return err
+	}
+	sl.lost = reason
+	return nil
+}
+
+// held returns track r's slot if the window holds r, staged or lost,
+// else nil.
+func (s *ncStream) held(r int) *ncSlot {
+	if sl := &s.win[r%len(s.win)]; sl.track == r && sl.live() {
+		return sl
+	}
+	return nil
 }
 
 // FailDisk implements Simulator: the drive fails at the upcoming cycle
@@ -297,13 +364,12 @@ func (e *NonClustered) FailDisk(id int) error {
 	} else {
 		st.mode = ncDegraded
 	}
-	e.transition(cl, offset)
-	return nil
+	return e.transition(cl, offset)
 }
 
 // transition applies the policy to streams caught mid-group on the
 // failed cluster.
-func (e *NonClustered) transition(cl, failedOffset int) {
+func (e *NonClustered) transition(cl, failedOffset int) error {
 	width := e.width()
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.read >= s.Obj.Tracks {
@@ -318,7 +384,9 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 		case SimpleSwitchover:
 			// Drop every remaining track of the current group.
 			for r := s.read; r < groupEnd; r++ {
-				s.lost[r] = lostTransition
+				if err := s.markLost(r, lostTransition); err != nil {
+					return err
+				}
 			}
 			s.read = groupEnd
 		case AlternateSwitchover:
@@ -326,11 +394,14 @@ func (e *NonClustered) transition(cl, failedOffset int) {
 			// unrecoverable (earlier tracks have left the buffers).
 			failedTrack := g*width + failedOffset
 			if failedTrack >= s.read && failedTrack < groupEnd {
-				s.lost[failedTrack] = lostTransition
+				if err := s.markLost(failedTrack, lostTransition); err != nil {
+					return err
+				}
 			}
 			s.legacyGroup = g
 		}
 	}
+	return nil
 }
 
 // OnDriveRebuilt tells the engine a drive's contents are whole again —
@@ -430,19 +501,20 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 			continue
 		}
 		r := s.NextDeliver
-		st, staged := s.staged[r]
-		reason, lost := s.lost[r]
-		if !lost {
-			reason = "track not staged (overload)"
+		var st ncStaged
+		reason := "track not staged (overload)"
+		if sl := s.held(r); sl != nil {
+			st = sl.ncStaged
+			if sl.lost != "" {
+				reason = sl.lost
+			}
+			*sl = ncSlot{}
 		}
 		e.emit(&s.Stream, r, st.data, st.reconstructed, reason)
-		if staged {
-			delete(s.staged, r)
+		if st.data != nil {
 			if err := e.pool.Release(1); err != nil {
 				return nil, err
 			}
-		} else {
-			delete(s.lost, r)
 		}
 		s.Advance(1)
 		if s.Done {
@@ -498,11 +570,8 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 		s.startCycle = e.cycle
 	}
 	r := s.read
-	if _, already := s.staged[r]; already {
-		s.read++
-		return nil
-	}
-	if _, lost := s.lost[r]; lost {
+	if s.held(r) != nil {
+		// Already staged or lost by an earlier group-wide step.
 		s.read++
 		return nil
 	}
@@ -519,9 +588,8 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 			// Read for the record, as in groupRead. The track is lost
 			// on every pass: the paper's degradation.
 			_, _ = e.read(&s.Stream, grp, grp.Data[o], nil)
-			s.lost[r] = lostUnprotected
 			s.read++
-			return nil
+			return s.markLost(r, lostUnprotected)
 		}
 		return e.plainRead(s, grp, r, o)
 	case state.mode == ncDegraded && e.policy == SimpleSwitchover:
@@ -544,14 +612,12 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error
 	s.read++
 	blk := e.readTrack(&s.Stream, grp, grp.Data[o], &e.rep.DataReads)
 	if blk == nil {
-		s.lost[r] = lostUnread
-		return nil
+		return s.markLost(r, lostUnread)
 	}
 	if err := e.pool.Acquire(1); err != nil {
 		return err
 	}
-	s.staged[r] = ncStaged{data: blk}
-	return nil
+	return s.stage(r, ncStaged{data: blk})
 }
 
 // groupRead stages an entire parity group at once (degraded steady state
@@ -590,13 +656,17 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	for r := base; r < groupEnd; r++ {
 		j := r - base
 		if gr.data[j] == nil {
-			s.lost[r] = lostUnread
+			if err := s.markLost(r, lostUnread); err != nil {
+				return err
+			}
 			continue
 		}
 		if err := e.pool.Acquire(1); err != nil {
 			return err
 		}
-		s.staged[r] = ncStaged{data: gr.data[j], reconstructed: j == reconstructedIdx}
+		if err := s.stage(r, ncStaged{data: gr.data[j], reconstructed: j == reconstructedIdx}); err != nil {
+			return err
+		}
 		gr.data[j] = nil
 	}
 	// Padding tracks of a short final group were read for reconstruction
@@ -638,8 +708,8 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		if err := e.plainRead(s, grp, r, o); err != nil {
 			return err
 		}
-		if st, ok := s.staged[r]; ok {
-			if err := parity.XORInto(s.xor, st.data); err != nil {
+		if sl := s.held(r); sl != nil && sl.data != nil {
+			if err := parity.XORInto(s.xor, sl.data); err != nil {
 				return err
 			}
 		} else {
@@ -671,14 +741,18 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	for r := failedTrack + 1; r < groupEnd; r++ {
 		blk := e.readTrack(&s.Stream, grp, grp.Data[r-base], &e.rep.DataReads)
 		if blk == nil {
-			s.lost[r] = lostUnread
+			if err := s.markLost(r, lostUnread); err != nil {
+				return err
+			}
 			canRecon = false
 			continue
 		}
 		if err := e.pool.Acquire(1); err != nil {
 			return err
 		}
-		s.staged[r] = ncStaged{data: blk}
+		if err := s.stage(r, ncStaged{data: blk}); err != nil {
+			return err
+		}
 		if s.xor != nil {
 			if err := parity.XORInto(s.xor, blk); err != nil {
 				return err
@@ -695,13 +769,13 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		rec := s.xor
 		s.xor = nil // buffer ownership moves to the staged track
 		s.xorGroup = -1
-		s.staged[failedTrack] = ncStaged{data: rec, reconstructed: true}
 		e.rep.Reconstructions++
-	} else {
-		if failedTrack < s.Obj.Tracks {
-			s.lost[failedTrack] = lostUnread
-		}
-		return e.dropXOR(s)
+		return s.stage(failedTrack, ncStaged{data: rec, reconstructed: true})
 	}
-	return nil
+	if failedTrack < s.Obj.Tracks {
+		if err := s.markLost(failedTrack, lostUnread); err != nil {
+			return err
+		}
+	}
+	return e.dropXOR(s)
 }
