@@ -38,12 +38,13 @@ func trackCost(trackSize int) uint64 {
 	return least
 }
 
-// The copy count as a gate: staging a title allocates what the platters
-// keep — one track per track written — plus the writer's parity scratch
-// and zero-padded tail track, and nothing else of any size. A second copy
-// anywhere between the tape view and Drive.WriteTrack (a Fetch that
-// clones, a writer that builds every track) doubles the figure.
-func TestEnsureCopiesOnce(t *testing.T) {
+// The copy count as a gate: the drives keep the tape view's slices, so
+// staging a title allocates only what the writer builds — one parity
+// track per group and the zero-padded tail track — and nothing else of
+// any size. A copy anywhere between the tape view and the platter (a
+// Fetch that clones, a WriteTrack that copies, a writer that builds
+// every track) multiplies the figure by the group width.
+func TestEnsureAllocatesOnlyParity(t *testing.T) {
 	const groups, c = 60, 5
 	p := diskmodel.Table1()
 	p.Capacity = units.ByteSize(groups) * p.TrackSize
@@ -81,8 +82,8 @@ func TestEnsureCopiesOnce(t *testing.T) {
 	if written != groups*c {
 		t.Fatalf("staged %d tracks, want %d", written, groups*c)
 	}
-	if budget := (written+2)*perTrack + 64<<10; got > budget {
-		t.Fatalf("staging %d tracks allocated %d bytes (%.2f per byte written), budget %d",
-			written, got, float64(got)/float64(written*perTrack), budget)
+	if budget := (groups+2)*perTrack + 64<<10; got > budget {
+		t.Fatalf("staging %d tracks in %d groups allocated %d bytes = %.2f tracks, budget %d",
+			written, groups, got, float64(got)/float64(perTrack), budget)
 	}
 }

@@ -137,10 +137,13 @@ func (d *Drive) State() State {
 // Tracks returns the drive's track count.
 func (d *Drive) Tracks() int { return d.ntracks }
 
-// WriteTrack stores one track of data. The data is copied — the one copy
-// a byte pays on its way to a platter — into a fresh slice that replaces
-// the track's previous one. A track past the table's end grows the table
-// to it.
+// WriteTrack stores one track of data. The drive keeps data itself, not a
+// copy: the caller hands the slice over and must never write into it
+// again, which is what lets a title byte reach the platter with no copy
+// past the tape archive's. The stored slice's capacity is clipped to its
+// length, so an append to a view cannot reach whatever follows it in
+// the caller's array (the title's next track). It replaces the track's
+// previous slice. A track past the table's end grows the table to it.
 func (d *Drive) WriteTrack(track int, data []byte) error {
 	if track < 0 || track >= d.ntracks {
 		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
@@ -153,12 +156,10 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 	if d.state == Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	if track >= len(d.tracks) {
 		d.tracks = slices.Grow(d.tracks, track+1-len(d.tracks))[:track+1]
 	}
-	d.tracks[track] = buf
+	d.tracks[track] = data[:len(data):len(data)]
 	d.writes++
 	return nil
 }
@@ -169,11 +170,11 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 // (which deliver it to clients as is), rebuild and scrub.
 //
 // Invariant: a stored track's slice is replaced, never written into.
-// WriteTrack installs a fresh slice, Fail and Replace drop the whole
-// table, and nothing else touches the bytes. A view therefore keeps
-// reading what the track held when it was taken, with no lock held,
-// whatever happens to the drive afterwards. The caller must not write
-// into it.
+// WriteTrack installs the slice its caller handed over and writes into
+// no more, Fail and Replace drop the whole table, and nothing else
+// touches the bytes. A view therefore keeps reading what the track held
+// when it was taken, with no lock held, whatever happens to the drive
+// afterwards. The caller must not write into it.
 //
 // A failed drive and an unwritten track return the bare ErrFailed and
 // ErrEmptyTrack, so a degraded read allocates nothing; a caller that

@@ -29,7 +29,7 @@ func track(b byte) []byte {
 func TestDriveReadWrite(t *testing.T) {
 	d := NewDrive(0, testParams())
 	want := track(0xAB)
-	if err := d.WriteTrack(3, want); err != nil {
+	if err := d.WriteTrack(3, bytes.Clone(want)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.View(3)
@@ -83,16 +83,46 @@ func TestDriveReadTrackInto(t *testing.T) {
 	}
 }
 
-func TestDriveCopySemantics(t *testing.T) {
+// WriteTrack keeps the slice it is handed, not a copy, with its capacity
+// clipped so an append to a view cannot reach past the track; a second
+// write replaces the slice and leaves an earlier view reading the old
+// bytes.
+func TestWriteTrackKeepsSlice(t *testing.T) {
 	d := NewDrive(0, testParams())
-	buf := track(1)
-	if err := d.WriteTrack(0, buf); err != nil {
+	size := len(track(0))
+	// Two tracks in one array, as a title's tape view hands them over.
+	title := append(track(1), track(2)...)
+	first := title[:size] // cap reaches into the second track
+	if err := d.WriteTrack(0, first); err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = 99 // caller mutates its buffer after write
-	got, _ := d.View(0)
-	if got[0] != 1 {
-		t.Fatal("WriteTrack did not copy")
+	view, err := d.View(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &view[0] != &first[0] {
+		t.Fatal("view does not share the written slice's array")
+	}
+	if len(view) != size || cap(view) != len(view) {
+		t.Fatalf("view len %d cap %d, want both %d", len(view), cap(view), size)
+	}
+	_ = append(view, 0xFF)
+	if title[size] != 2 {
+		t.Fatal("an append to a view reached the next track")
+	}
+
+	if err := d.WriteTrack(0, track(3)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view, track(1)) {
+		t.Fatal("a second WriteTrack changed an earlier view")
+	}
+	now, err := d.View(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now, track(3)) {
+		t.Fatal("a second WriteTrack did not replace the track")
 	}
 }
 
@@ -398,12 +428,14 @@ func TestStateString(t *testing.T) {
 
 // The replace-never-mutate invariant behind View: a view taken before the
 // track is rewritten, or the drive failed or replaced, still reads the
-// bytes the track held then. A View counts as a read.
+// bytes the track held then. A View counts as a read. The drive keeps
+// what it is handed, so it is handed clones: each check compares a view
+// with an array the drive never saw.
 func TestViewOutlivesWriteFailReplace(t *testing.T) {
 	d := NewDrive(0, testParams())
 	view := func(want []byte) []byte {
 		t.Helper()
-		if err := d.WriteTrack(0, want); err != nil {
+		if err := d.WriteTrack(0, bytes.Clone(want)); err != nil {
 			t.Fatal(err)
 		}
 		reads, _ := d.Counters()
@@ -452,7 +484,7 @@ func TestViewOutlivesWriteFailReplace(t *testing.T) {
 	// Fail and Replace drop the whole table, however far it had grown:
 	// every track reads as erased, and views of them keep their bytes.
 	far := track(0x44)
-	if err := d.WriteTrack(9, far); err != nil {
+	if err := d.WriteTrack(9, bytes.Clone(far)); err != nil {
 		t.Fatal(err)
 	}
 	vfar, err := d.View(9)

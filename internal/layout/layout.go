@@ -423,8 +423,9 @@ const AllDrives = -1
 // WriteObject materializes an object's content onto the farm: the byte
 // stream is cut into tracks, the final group zero-padded, and every
 // group's parity computed and written. content longer than the object's
-// track count is rejected. content is only read: whole tracks are handed
-// to the drives as slices of it, so Drive.WriteTrack's is the only copy.
+// track count is rejected. content is only read, and must not be written
+// into afterwards: whole tracks are handed to the drives as slices of it,
+// which the drives keep (Drive.WriteTrack), so nothing is copied.
 func WriteObject(f *disk.Farm, obj *Object, content []byte) error {
 	_, err := writeObject(f, obj, content, AllDrives, false)
 	return err
@@ -441,10 +442,10 @@ func WriteObjectTolerant(f *disk.Farm, obj *Object, content []byte, only int) (s
 	return writeObject(f, obj, content, only, true)
 }
 
-// writeObject is the one writer. It builds two things: a parity scratch
-// track and, when a track of it is actually written, the zero-padded tail
-// (from the first track content does not fill to the end of the last
-// group).
+// writeObject is the one writer. It builds two things, both kept by the
+// drives: each parity track it writes, encoded into a new slice, and,
+// when a track of it is actually written, the zero-padded tail (from the
+// first track content does not fill to the end of the last group).
 func writeObject(f *disk.Farm, obj *Object, content []byte, only int, tolerant bool) (skipped int, err error) {
 	trackSize := int(f.Params().TrackSize)
 	if len(content) > obj.Tracks*trackSize {
@@ -452,7 +453,6 @@ func writeObject(f *disk.Farm, obj *Object, content []byte, only int, tolerant b
 	}
 	width := len(obj.Groups[0].Data)
 	whole := len(content) / trackSize // tracks that are slices of content
-	par := make([]byte, trackSize)
 	var tail []byte
 	trackData := func(i int) []byte {
 		if i < whole {
@@ -505,6 +505,7 @@ func writeObject(f *disk.Farm, obj *Object, content []byte, only int, tolerant b
 		for off := range blocks {
 			blocks[off] = trackData(g.Index*width + off)
 		}
+		par := make([]byte, trackSize)
 		if err := parity.EncodeInto(par, blocks); err != nil {
 			return skipped, err
 		}

@@ -29,10 +29,13 @@ func (ns *NetServer) vcr(sess *session, verb func() []byte) {
 	if ns.closed || ns.sessions.get(sess.id) != sess {
 		return
 	}
-	if reply := verb(); reply != nil {
+	reply := verb()
+	// The gauge is set before the reply is queued: a client that reads
+	// the reply and then the gauge must see the verb's effect.
+	ns.gaugePaused()
+	if reply != nil {
 		ns.sendCtrl(sess, reply)
 	}
-	ns.gaugePaused()
 }
 
 // pause parks a playing session: its engine stream is cancelled (the

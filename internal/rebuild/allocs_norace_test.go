@@ -50,9 +50,9 @@ func allocRig(t *testing.T) (r *Rebuilder, check func() error, groups int, perTr
 	return r, func() error { return CheckAll(farm, lay) }, 2 * 60, trackCost(int(farm.Params().TrackSize))
 }
 
-// A Step allocates the track Drive.WriteTrack keeps, per
-// restored track, and nothing else of track size: survivors are views and
-// the fold lands in the Rebuilder's own scratch.
+// A Step allocates one track per restored track, and nothing else of
+// track size: survivors are views and the fold lands in a new track,
+// which Drive.WriteTrack keeps.
 func TestRebuilderStepAllocs(t *testing.T) {
 	r, _, _, perTrack := allocRig(t)
 	const tracks = 20

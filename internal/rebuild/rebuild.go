@@ -49,10 +49,9 @@ type Rebuilder struct {
 	// spreads uniformly over the failed drive's G-1 group mates.
 	readsBy []int
 
-	// scratch is the one track a restore folds into and blocks the C-1
-	// views it folds, both reused from track to track.
-	scratch []byte
-	blocks  [][]byte
+	// blocks holds the C-1 views a restore folds, reused from track to
+	// track.
+	blocks [][]byte
 }
 
 // New plans the rebuild of the given drive, which must already be
@@ -70,7 +69,7 @@ func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 		return nil, fmt.Errorf("rebuild: drive %d must be replaced before rebuild (state %v)", driveID, drv.State())
 	}
 	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, readsBy: make([]int, farm.Size()),
-		scratch: make([]byte, farm.Params().TrackSize), blocks: make([][]byte, 0, lay.GroupWidth())}
+		blocks: make([][]byte, 0, lay.GroupWidth())}
 	for _, obj := range lay.AllObjects() {
 		for gi := range obj.Groups {
 			g := &obj.Groups[gi]
@@ -248,7 +247,7 @@ func (r *Rebuilder) Run(readBudget, maxCycles int) (int, error) {
 // restore rebuilds one track onto the replacement drive: the XOR of the
 // group's other members — for a data track the surviving data plus
 // parity, for a parity track every data track — read through views and
-// folded into the Rebuilder's scratch, so the write is the only copy.
+// folded straight into a new track, which the drive keeps.
 func (r *Rebuilder) restore(it item) error {
 	g := &it.obj.Groups[it.group]
 	drv, err := r.farm.Drive(r.drive)
@@ -275,10 +274,11 @@ func (r *Rebuilder) restore(it item) error {
 		}
 		blocks = append(blocks, pblk)
 	}
-	if err := parity.ReconstructInto(r.scratch, blocks); err != nil {
+	track := make([]byte, r.farm.Params().TrackSize)
+	if err := parity.ReconstructInto(track, blocks); err != nil {
 		return err
 	}
-	return drv.WriteTrack(dst.Track, r.scratch)
+	return drv.WriteTrack(dst.Track, track)
 }
 
 // viewTrack lends one surviving track, charging the read to the serving

@@ -34,7 +34,7 @@ func placedRig(t *testing.T, placement layout.Placement) (*disk.Farm, *layout.La
 	trackSize := int(p.TrackSize)
 	for i, id := range []string{"X", "Y"} {
 		c := workload.SyntheticContent(id, 12*trackSize)
-		content[id] = c
+		content[id] = bytes.Clone(c) // the drives keep c itself
 		obj, err := lay.AddObject(id, 12, i, units.MPEG1)
 		if err != nil {
 			t.Fatal(err)

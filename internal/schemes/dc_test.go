@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func newDeclusteredRig(t *testing.T, d, g, c, nObjects, groupsEach int) *rig {
 		if err := layout.WriteObject(farm, obj, content); err != nil {
 			t.Fatal(err)
 		}
-		r.content[id] = content
+		r.content[id] = bytes.Clone(content)
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -42,7 +43,7 @@ func figureRig(t *testing.T, groups int) *rig {
 		if err := layout.WriteObject(farm, obj, content); err != nil {
 			t.Fatal(err)
 		}
-		r.content[id] = content
+		r.content[id] = bytes.Clone(content)
 	}
 	return r
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ftmm/internal/disk"
@@ -17,8 +18,11 @@ import (
 
 // rig is a small farm with placed, materialized objects for engine tests.
 type rig struct {
-	farm    *disk.Farm
-	lay     *layout.Layout
+	farm *disk.Farm
+	lay  *layout.Layout
+	// content is each object's reference bytes: a clone of what was
+	// written, since the drives keep the written slices themselves and a
+	// reference sharing them would compare every delivery with itself.
 	content map[string][]byte
 }
 
@@ -52,7 +56,7 @@ func newRig(t *testing.T, d, c, nObjects, groupsEach int, placement layout.Place
 		if err := layout.WriteObject(farm, obj, content); err != nil {
 			t.Fatal(err)
 		}
-		r.content[id] = content
+		r.content[id] = bytes.Clone(content)
 	}
 	return r
 }
@@ -131,8 +135,6 @@ func runToCompletion(t *testing.T, e Simulator, maxCycles int) (map[int][]sched.
 // content exactly, with lost tracks excused.
 func verifyStream(t *testing.T, r *rig, obj *layout.Object, deliveries []sched.Delivery, lost map[int]bool) {
 	t.Helper()
-	content := r.content[obj.ID]
-	trackSize := int(r.farm.Params().TrackSize)
 	got := map[int][]byte{}
 	for _, d := range deliveries {
 		if d.ObjectID != obj.ID {
@@ -154,11 +156,26 @@ func verifyStream(t *testing.T, r *rig, obj *layout.Object, deliveries []sched.D
 		if lost != nil && lost[i] {
 			t.Fatalf("object %s track %d delivered but expected lost", obj.ID, i)
 		}
-		want := content[i*trackSize : (i+1)*trackSize]
-		if !bytes.Equal(data, want) {
-			t.Fatalf("object %s track %d content differs", obj.ID, i)
+		if err := r.checkTrack(obj.ID, i, data); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// checkTrack is the rig's delivery check: it compares a delivered track
+// with the object's reference bytes and names the first byte that
+// differs.
+func (r *rig) checkTrack(id string, track int, data []byte) error {
+	trackSize := int(r.farm.Params().TrackSize)
+	want := r.content[id][track*trackSize : (track+1)*trackSize]
+	if bytes.Equal(data, want) {
+		return nil
+	}
+	at := 0
+	for at < len(data) && at < len(want) && data[at] == want[at] {
+		at++
+	}
+	return fmt.Errorf("object %s track %d differs from its reference at byte %d", id, track, at)
 }
 
 // repairDrive is an instant repair the way the server does one: replace
@@ -186,4 +203,52 @@ func repairDrive(e Simulator, r *rig, id int) error {
 		return n.OnDriveRebuilt(id)
 	}
 	return nil
+}
+
+// The rig's references are independent of the platters: a byte written
+// into a drive's stored track, against WriteTrack's contract, reaches the
+// delivery and the rig's check reports it. Were the reference the slice
+// the drive keeps, the byte would land in both and the check would pass.
+func TestRigCheckCatchesPlatterWrite(t *testing.T) {
+	r := newRig(t, 10, 5, 1, 2, layout.DedicatedParity)
+	obj := r.object(t, 0)
+	loc, err := obj.DataLocation(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv, err := r.farm.Drive(loc.Disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := drv.View(loc.Track)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 1234
+	view[at] ^= 0xFF
+	e, err := NewStreamingRAID(r.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.AddStream(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 4; cycle++ {
+		deliveries, _, _ := stepN(t, e, 1)
+		for _, d := range deliveries[id] {
+			if d.Track != 0 {
+				continue
+			}
+			err := r.checkTrack(obj.ID, 0, d.Data)
+			if err == nil {
+				t.Fatal("the rig's check passed a track written into on the platter")
+			}
+			if want := fmt.Sprintf("at byte %d", at); !strings.Contains(err.Error(), want) {
+				t.Fatalf("check reported %q, want it %s", err, want)
+			}
+			return
+		}
+	}
+	t.Fatal("track 0 never delivered")
 }

@@ -15,6 +15,11 @@
 // The library owns a title's bytes: Store copies them in once, and from
 // then on an archived slice is replaced (a re-Store) but never written
 // into, which is what makes a lent view safe to read without the lock.
+// That copy is the only one a title byte pays on its way to a platter:
+// the drives keep slices of the view they are handed. Store keeps it on
+// purpose, so the caller's slice stays independent of everything staged
+// from the archive, and a caller that verifies delivered bytes against
+// it compares two arrays, never one with itself.
 package tertiary
 
 import (
@@ -75,7 +80,8 @@ func NewLibrary(cfg Config) (*Library, error) {
 }
 
 // Store archives an object's full content on the given tape. Content is
-// copied. Re-storing an ID overwrites it.
+// copied, so the caller's slice never aliases what the farm stores.
+// Re-storing an ID overwrites it.
 func (l *Library) Store(id string, tape int, content []byte) error {
 	if id == "" {
 		return errors.New("tertiary: empty object id")
