@@ -44,16 +44,19 @@ func FuzzReconstruct(f *testing.F) {
 	})
 }
 
-// FuzzXORKernel differentially tests the word-wise kernel against the
+// FuzzXORKernel differentially tests the production kernel against the
 // byte-wise reference on arbitrary (and in particular unaligned) lengths
-// and offsets. The offset bytes shift both operands off word boundaries
-// so the fuzzer explores misaligned base pointers as well as ragged
-// tails.
+// and offsets. XORInto folds b into a; then both fold kernels fold k
+// sources (1…9, from the count byte) cut end to end from b into a
+// destination cut from a. The offset bytes shift the operands off any
+// alignment, so the fuzzer explores misaligned base pointers as well as
+// ragged tails.
 func FuzzXORKernel(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{4, 5, 6, 7}, uint8(0), uint8(0))
-	f.Add(make([]byte, 129), make([]byte, 64), uint8(3), uint8(5))
-	f.Add([]byte{0xFF}, []byte{0xAA, 0x55}, uint8(7), uint8(1))
-	f.Fuzz(func(t *testing.T, a, b []byte, offA, offB uint8) {
+	f.Add([]byte{1, 2, 3}, []byte{4, 5, 6, 7}, uint8(0), uint8(0), uint8(1))
+	f.Add(make([]byte, 129), make([]byte, 64), uint8(3), uint8(5), uint8(2))
+	f.Add([]byte{0xFF}, []byte{0xAA, 0x55}, uint8(7), uint8(1), uint8(0))
+	f.Add(make([]byte, 300), make([]byte, 1200), uint8(1), uint8(2), uint8(4))
+	f.Fuzz(func(t *testing.T, a, b []byte, offA, offB, kRaw uint8) {
 		da, db := int(offA%8), int(offB%8)
 		if len(a) < da || len(b) < db {
 			return
@@ -80,6 +83,28 @@ func FuzzXORKernel(f *testing.F) {
 		}
 		if !bytes.Equal(dst, a[:n]) {
 			t.Fatalf("len %d: double XOR does not restore input", n)
+		}
+
+		k := int(kRaw%9) + 1
+		m := len(b) / k
+		if len(a) < m {
+			m = len(a)
+		}
+		srcs := make([][]byte, k)
+		for j := range srcs {
+			srcs[j] = b[j*m : (j+1)*m]
+		}
+		want, err := encodeRef(srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kern := range foldKernels {
+			out := make([]byte, da+m)[da:] // dst offset by da as well
+			copy(out, a[:m])
+			kern.fn(out, srcs)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("%s: k=%d len %d offsets (%d,%d): fold differs from reference", kern.name, k, m, da, db)
+			}
 		}
 	})
 }

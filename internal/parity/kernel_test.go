@@ -2,14 +2,15 @@ package parity
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
 
-// TestXORKernelMatchesReference checks the production kernel against
+// TestXORKernelMatchesReference checks XORInto against
 // the byte-wise reference across sizes that exercise every tail path:
-// empty, sub-word, word-aligned, unrolled-block-aligned, and ragged
-// lengths just around both boundaries.
+// empty, shorter than one 128-byte chunk, chunk-aligned, and ragged
+// lengths just around the 16-, 32-, 64- and 128-byte boundaries.
 func TestXORKernelMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	sizes := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 4096, 50_000, 50_001}
@@ -31,7 +32,7 @@ func TestXORKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestXORKernelUnalignedOffsets slides both operands across sub-word
+// TestXORKernelUnalignedOffsets slides both operands across small
 // offsets within a larger backing array, so the kernel runs with every
 // combination of misaligned base pointers.
 func TestXORKernelUnalignedOffsets(t *testing.T) {
@@ -60,8 +61,63 @@ func TestXORKernelUnalignedOffsets(t *testing.T) {
 	}
 }
 
+// foldKernels are the two halves of fold, each called directly so the
+// portable chain is tested on an AVX2 machine too: fold itself (the
+// AVX2 loop plus its portable tail where the CPU has AVX2) and the
+// portable chain over the whole destination.
+var foldKernels = []struct {
+	name string
+	fn   func(dst []byte, srcs [][]byte)
+}{
+	{"fold", fold},
+	{"portable", func(dst []byte, srcs [][]byte) { foldPortable(dst, srcs, 0) }},
+}
+
+// TestFoldMatchesReference checks both fold kernels against the
+// byte-wise reference for 1…9 sources, sizes on both sides of every
+// chunk boundary, base offsets 0…8 on dst and on each source, and dst
+// aliasing srcs[0].
+func TestFoldMatchesReference(t *testing.T) {
+	t.Logf("AVX2: %v", haveAVX2)
+	r := rand.New(rand.NewSource(50))
+	sizes := []int{0, 1, 63, 64, 127, 128, 129, 255, 256, 50_000, 50_001, 51_200}
+	const maxOff, maxK = 8, 9
+	for _, n := range sizes {
+		backing := randBlocks(r, maxK+1, n+maxOff)
+		for k := 1; k <= maxK; k++ {
+			for off := 0; off <= maxOff; off++ {
+				// Each source sits at its own offset, shifted by off, so
+				// dst and the sources are misaligned against each other.
+				srcs := make([][]byte, k)
+				for j := range srcs {
+					o := (off + j) % (maxOff + 1)
+					srcs[j] = backing[j+1][o : o+n]
+				}
+				want, err := encodeRef(srcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kern := range foldKernels {
+					dst := backing[0][off : off+n]
+					kern.fn(dst, srcs)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("%s: k=%d size %d offset %d: differs from reference", kern.name, k, n, off)
+					}
+					// dst aliasing srcs[0]: fold the rest in place.
+					alias := append([]byte(nil), srcs[0]...)
+					aliased := append([][]byte{alias}, srcs[1:]...)
+					kern.fn(alias, aliased)
+					if !bytes.Equal(alias, want) {
+						t.Fatalf("%s: k=%d size %d offset %d: aliased dst differs from reference", kern.name, k, n, off)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEncodeInto checks the destination-buffer encode against the
-// byte-wise oracle, including the dst-aliases-first-block fast path.
+// byte-wise oracle, including dst aliasing the first block.
 func TestEncodeInto(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	data := randBlocks(r, 4, 333)
@@ -96,6 +152,38 @@ func TestEncodeIntoErrors(t *testing.T) {
 	}
 	if err := EncodeInto([]byte{0, 0}, [][]byte{{1, 2}, {3}}); err == nil {
 		t.Error("ragged group accepted")
+	}
+}
+
+// TestEncodeIntoErrorLeavesDst checks that a ragged group is refused
+// before dst is written, even when the short block comes after two
+// well-sized ones.
+func TestEncodeIntoErrorLeavesDst(t *testing.T) {
+	data := randBlocks(rand.New(rand.NewSource(51)), 3, 300)
+	data[2] = data[2][:299]
+	dst := bytes.Repeat([]byte{0x5A}, 300)
+	if err := EncodeInto(dst, data); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("ragged group: err = %v, want ErrSizeMismatch", err)
+	}
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0x5A}, 300)) {
+		t.Fatal("EncodeInto wrote dst before refusing a ragged group")
+	}
+}
+
+// TestReconstructDataIntoErrorLeavesDst checks the same for a group
+// whose last data block was replaced by a short one.
+func TestReconstructDataIntoErrorLeavesDst(t *testing.T) {
+	g, err := NewGroup(randBlocks(rand.New(rand.NewSource(52)), 4, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Data[3] = g.Data[3][:299]
+	dst := bytes.Repeat([]byte{0x5A}, 300)
+	if err := g.ReconstructDataInto(dst, 0); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("ragged group: err = %v, want ErrSizeMismatch", err)
+	}
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0x5A}, 300)) {
+		t.Fatal("ReconstructDataInto wrote dst before refusing a ragged group")
 	}
 }
 
@@ -152,7 +240,7 @@ func TestEncodeIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkXORInto measures the production dispatch (subtle.XORBytes).
+// BenchmarkXORInto measures the production kernel as a two-source fold.
 func BenchmarkXORInto(b *testing.B) {
 	dst := make([]byte, 50_000)
 	src := make([]byte, 50_000)
@@ -193,21 +281,21 @@ func BenchmarkEncodeInto(b *testing.B) {
 }
 
 // TestKernelSpeedup asserts the headline acceptance criterion: the
-// word-wise kernel is at least 4x faster than the byte-wise reference on
-// track-sized (>= 16 KiB) blocks. Run as a test so CI catches kernel
-// regressions without a separate bench pass; skipped in -short mode
-// (timing-sensitive).
+// production kernel behind XORInto (fold over {dst, src}) is at least 4x
+// faster than the byte-wise reference on track-sized (>= 16 KiB) blocks.
+// Run as a test so CI catches kernel regressions without a separate
+// bench pass; skipped in -short mode (timing-sensitive).
 func TestKernelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation penalizes the word kernel's accesses; timing ratio is meaningless")
+		t.Skip("race instrumentation penalizes the reference's byte accesses; timing ratio is meaningless")
 	}
 	const size = 50_000
 	dst := make([]byte, size)
 	src := make([]byte, size)
-	word := testing.Benchmark(func(b *testing.B) {
+	kern := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = XORInto(dst, src)
 		}
@@ -217,11 +305,45 @@ func TestKernelSpeedup(t *testing.T) {
 			_ = XORIntoRef(dst, src)
 		}
 	})
-	speedup := float64(ref.NsPerOp()) / float64(word.NsPerOp())
-	t.Logf("word %d ns/op, ref %d ns/op, speedup %.1fx", word.NsPerOp(), ref.NsPerOp(), speedup)
+	speedup := float64(ref.NsPerOp()) / float64(kern.NsPerOp())
+	t.Logf("kernel %d ns/op, ref %d ns/op, speedup %.1fx", kern.NsPerOp(), ref.NsPerOp(), speedup)
 	if speedup < 4 {
-		t.Errorf("kernel speedup %.1fx, want >= 4x (word %d ns/op, ref %d ns/op)",
-			speedup, word.NsPerOp(), ref.NsPerOp())
+		t.Errorf("kernel speedup %.1fx, want >= 4x (kernel %d ns/op, ref %d ns/op)",
+			speedup, kern.NsPerOp(), ref.NsPerOp())
+	}
+}
+
+// TestFoldSpeedup gates the fused kernel: where AVX2 is present, a
+// C=5 encode (four 50 KB sources, one pass) must run at least 1.5x as
+// fast as the portable subtle.XORBytes chain over the same sources
+// (three passes). Without AVX2 the two are the same code.
+func TestFoldSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts kernel timing ratios")
+	}
+	if !haveAVX2 {
+		t.Skip("no AVX2: fold is the portable chain")
+	}
+	const size = 50_000
+	data := randBlocks(rand.New(rand.NewSource(49)), 4, size)
+	dst := make([]byte, size)
+	fused := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = EncodeInto(dst, data)
+		}
+	})
+	chain := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			foldPortable(dst, data, 0)
+		}
+	})
+	speedup := float64(chain.NsPerOp()) / float64(fused.NsPerOp())
+	t.Logf("fused %d ns/op, portable chain %d ns/op, speedup %.2fx", fused.NsPerOp(), chain.NsPerOp(), speedup)
+	if speedup < 1.5 {
+		t.Errorf("fused fold runs %.2fx the portable chain, want >= 1.5x", speedup)
 	}
 }
 

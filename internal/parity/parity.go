@@ -7,17 +7,19 @@
 // it can verify, bit for bit, that data delivered during degraded-mode
 // operation equals the data that was stored.
 //
-// Two implementations of the XOR fold coexist: the production entry
-// point XORInto, which dispatches to crypto/subtle.XORBytes — the
-// stdlib's architecture-tuned (SIMD on amd64/arm64) XOR that is still
-// portable Go API — and the byte-wise reference XORIntoRef, the oracle
-// XORInto is tested and fuzzed against bit for bit, so the hot path's
-// speed never rests on unverified code.
+// Every entry point — XORInto, EncodeInto, ReconstructInto,
+// Group.ReconstructDataInto and Group.Update — is one call of a single
+// kernel, fold, which XORs any number of sources into a destination in
+// one pass over it. On amd64 with AVX2 fold is an assembly loop that
+// keeps each 128-byte chunk in four 32-byte registers while every source
+// is XORed in; everywhere else, and for the sub-128-byte tail, it is the
+// crypto/subtle.XORBytes chain. The byte-wise XORIntoRef is the oracle
+// both halves are tested and fuzzed against bit for bit, so the hot
+// path's speed never rests on unverified code.
 package parity
 
 import (
 	"bytes"
-	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -28,15 +30,13 @@ var ErrSizeMismatch = errors.New("parity: blocks in a group must have equal leng
 // ErrEmptyGroup is returned for groups with no data blocks.
 var ErrEmptyGroup = errors.New("parity: group needs at least one data block")
 
-// XORInto xors src into dst element-wise: dst[i] ^= src[i]. It performs
-// no allocations and dispatches to crypto/subtle.XORBytes, whose exact
-// dst==x aliasing contract matches this in-place fold and whose
-// amd64/arm64 implementations run SIMD-wide.
+// XORInto xors src into dst element-wise: dst[i] ^= src[i]. It is the
+// two-source fold dst = dst ⊕ src and performs no allocations.
 func XORInto(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: dst %d bytes, src %d", ErrSizeMismatch, len(dst), len(src))
 	}
-	subtle.XORBytes(dst, dst, src)
+	fold(dst, [][]byte{dst, src})
 	return nil
 }
 
@@ -54,30 +54,19 @@ func XORIntoRef(dst, src []byte) error {
 }
 
 // EncodeInto computes the parity of the data blocks into dst without
-// allocating: dst = data[0] ⊕ data[1] ⊕ … The blocks must be non-empty,
-// equally sized, and the same length as dst. dst may alias data[0] (the
-// copy is skipped) but no other block.
+// allocating: dst = data[0] ⊕ data[1] ⊕ … in one pass. The blocks must be
+// non-empty, equally sized, and the same length as dst; on an error dst
+// is left untouched. dst may alias data[0] but no other block.
 func EncodeInto(dst []byte, data [][]byte) error {
 	if len(data) == 0 {
 		return ErrEmptyGroup
 	}
-	if len(dst) != len(data[0]) {
-		return fmt.Errorf("%w: dst %d bytes, blocks %d", ErrSizeMismatch, len(dst), len(data[0]))
-	}
-	next := 1
-	if len(data) > 1 && len(data[1]) == len(dst) {
-		// Fold the first pair in one pass: dst = data[0] ^ data[1] skips
-		// the copy a copy-then-XOR start would spend on data[0].
-		subtle.XORBytes(dst, data[0], data[1])
-		next = 2
-	} else if len(dst) > 0 && &dst[0] != &data[0][0] {
-		copy(dst, data[0])
-	}
-	for i, blk := range data[next:] {
-		if err := XORInto(dst, blk); err != nil {
-			return fmt.Errorf("parity: block %d: %w", i+next, err)
+	for i, blk := range data {
+		if len(blk) != len(dst) {
+			return fmt.Errorf("%w: block %d is %d bytes, dst %d", ErrSizeMismatch, i, len(blk), len(dst))
 		}
 	}
+	fold(dst, data)
 	return nil
 }
 
@@ -131,10 +120,11 @@ func (g *Group) ReconstructData(i int) ([]byte, error) {
 }
 
 // ReconstructDataInto rebuilds data block i into dst from the other
-// data blocks and the parity block, without consulting Data[i] itself
-// and without allocating. It is the same fused fold as EncodeInto —
-// the first survivor pair folds in one pass — so reconstruction runs at
-// encode speed. dst must not alias any of the group's blocks.
+// data blocks and the parity block, without consulting Data[i] itself.
+// It is the same one-pass fold as EncodeInto, so reconstruction runs at
+// encode speed, and it allocates nothing for groups of up to 32 blocks.
+// On an error dst is left untouched. dst must not alias any of the
+// group's blocks.
 func (g *Group) ReconstructDataInto(dst []byte, i int) error {
 	if i < 0 || i >= len(g.Data) {
 		return fmt.Errorf("parity: block index %d out of range [0,%d)", i, len(g.Data))
@@ -142,8 +132,8 @@ func (g *Group) ReconstructDataInto(dst []byte, i int) error {
 	if len(dst) != len(g.Parity) {
 		return fmt.Errorf("%w: dst %d bytes, parity %d", ErrSizeMismatch, len(dst), len(g.Parity))
 	}
-	// prev carries the first operand until a pair is available to fold.
-	prev := g.Parity
+	var stack [32][]byte
+	survivors := append(stack[:0], g.Parity)
 	for j, blk := range g.Data {
 		if j == i {
 			continue
@@ -151,23 +141,15 @@ func (g *Group) ReconstructDataInto(dst []byte, i int) error {
 		if len(blk) != len(dst) {
 			return fmt.Errorf("%w: block %d is %d bytes, parity %d", ErrSizeMismatch, j, len(blk), len(dst))
 		}
-		if prev != nil {
-			subtle.XORBytes(dst, prev, blk)
-			prev = nil
-			continue
-		}
-		subtle.XORBytes(dst, dst, blk)
+		survivors = append(survivors, blk)
 	}
-	if prev != nil {
-		// Single-data-block group: the missing block is the parity itself.
-		copy(dst, prev)
-	}
+	fold(dst, survivors)
 	return nil
 }
 
 // Update recomputes parity after data block i changes from old to new
-// content, using the parity-delta trick (p ^= old ^ new) rather than a
-// full re-encode.
+// content, using the parity-delta trick (p = p ⊕ old ⊕ new, one fold)
+// rather than a full re-encode.
 func (g *Group) Update(i int, oldBlock, newBlock []byte) error {
 	if i < 0 || i >= len(g.Data) {
 		return fmt.Errorf("parity: block index %d out of range [0,%d)", i, len(g.Data))
@@ -175,12 +157,7 @@ func (g *Group) Update(i int, oldBlock, newBlock []byte) error {
 	if len(oldBlock) != len(g.Parity) || len(newBlock) != len(g.Parity) {
 		return ErrSizeMismatch
 	}
-	if err := XORInto(g.Parity, oldBlock); err != nil {
-		return err
-	}
-	if err := XORInto(g.Parity, newBlock); err != nil {
-		return err
-	}
+	fold(g.Parity, [][]byte{g.Parity, oldBlock, newBlock})
 	g.Data[i] = newBlock
 	return nil
 }
