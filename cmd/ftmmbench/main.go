@@ -28,11 +28,12 @@ import (
 )
 
 var (
-	trials  = flag.Int("trials", 1000, "Monte-Carlo trials for the stochastic experiments")
-	streams = flag.Float64("streams", 1200, "required streams for the sizing experiment")
-	list    = flag.Bool("list", false, "list experiments and exit")
-	workers = flag.Int("workers", 1, "experiments run concurrently (0 = GOMAXPROCS)")
-	jsonOut = flag.Bool("json", false, "emit machine-readable JSON results")
+	defaults = experiments.DefaultOptions()
+	trials   = flag.Int("trials", defaults.Trials, "Monte-Carlo trials for the stochastic experiments")
+	streams  = flag.Float64("streams", defaults.RequiredStreams, "required streams for the sizing experiment")
+	list     = flag.Bool("list", false, "list experiments and exit")
+	workers  = flag.Int("workers", 1, "experiments run concurrently (0 = GOMAXPROCS)")
+	jsonOut  = flag.Bool("json", false, "emit machine-readable JSON results")
 )
 
 // jsonResult is the -json wire shape for one experiment.

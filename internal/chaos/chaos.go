@@ -5,10 +5,12 @@
 // the paper's §3-§5 claims about behavior *under failure*:
 //
 //   - delivery continuity: SR/SG/IB mask single failures with zero
-//     hiccups; Non-clustered loses at most one parity group's worth of
-//     tracks per stream, inside a bounded transition window (Figures
-//     6-7), unless the cluster runs unprotected (degradation of
-//     service);
+//     hiccups (an IB drive failing mid-cycle costs each stream at most
+//     its one in-flight track); Non-clustered loses per stream, inside a
+//     bounded transition window, at most the rest of a group under the
+//     simple switchover and the failed drive's one track under the
+//     alternate, plus reads refused for want of a slot (Figures 6-7),
+//     unless the cluster runs unprotected (degradation of service);
 //   - parity-group consistency after every repair and online rebuild;
 //   - buffer accounting: no leaked arena buffers or pool tracks once
 //     the server drains;
@@ -55,6 +57,10 @@ const (
 	EventAdmit EventKind = "admit"
 	// EventFail fails Drive at the cycle boundary.
 	EventFail EventKind = "fail"
+	// EventFailMidCycle (ib schedules only) fails Drive halfway through
+	// the cycle's reads: the tracks it had yet to serve are the §4
+	// isolated hiccups, one per stream at most, and later cycles shift.
+	EventFailMidCycle EventKind = "fail-mid-cycle"
 	// EventRepair replaces Drive and rebuilds it instantly from parity.
 	EventRepair EventKind = "repair"
 	// EventRebuild replaces Drive and starts the paper's online rebuild
@@ -133,6 +139,9 @@ type Schedule struct {
 	TitleGroups    int     `json:"title_groups"`
 	MaxCycles      int     `json:"max_cycles"`
 	Events         []Event `json:"events"`
+	// SlotsPerDisk overrides each drive's per-cycle read budget (0 = the
+	// disk model's); the paper's Figures 5-8 are drawn at 1 or 2.
+	SlotsPerDisk int `json:"slots_per_disk,omitempty"`
 	// Nodes is how many farm-per-node shards the run spreads across; 0
 	// means 1. Replicas and PlacementSeed feed the rendezvous placement
 	// that decides which nodes hold which titles.
@@ -189,7 +198,8 @@ func ParseSchedule(data []byte) (*Schedule, error) {
 
 // Validate checks the schedule's shape.
 func (s *Schedule) Validate() error {
-	if _, _, err := server.ParseScheme(s.Scheme); err != nil {
+	scheme, _, err := server.ParseScheme(s.Scheme)
+	if err != nil {
 		return err
 	}
 	unit := s.FarmUnit()
@@ -202,6 +212,8 @@ func (s *Schedule) Validate() error {
 		return errors.New("chaos: MaxCycles must be positive")
 	case s.K < 0:
 		return errors.New("chaos: negative K")
+	case s.SlotsPerDisk < 0:
+		return errors.New("chaos: negative slots per disk")
 	case s.Nodes < 0:
 		return errors.New("chaos: negative node count")
 	case s.Replicas < 0 || (s.Nodes > 1 && s.Replicas > s.Nodes):
@@ -223,9 +235,12 @@ func (s *Schedule) Validate() error {
 			if ev.Title == "" {
 				return fmt.Errorf("chaos: admit without title at cycle %d", ev.Cycle)
 			}
-		case EventFail, EventRepair, EventTertiary:
+		case EventFail, EventRepair, EventTertiary, EventFailMidCycle:
 			if ev.Drive < 0 || ev.Drive >= s.Disks {
 				return fmt.Errorf("chaos: event %+v on drive outside [0,%d)", ev, s.Disks)
+			}
+			if ev.Kind == EventFailMidCycle && scheme != analytic.ImprovedBandwidth {
+				return fmt.Errorf("chaos: %s at cycle %d under %s: only ib models it", ev.Kind, ev.Cycle, s.Scheme)
 			}
 		case EventRebuild:
 			if ev.Drive < 0 || ev.Drive >= s.Disks {

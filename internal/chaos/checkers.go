@@ -40,12 +40,18 @@ type readKey struct{ stream, group int }
 // ContinuityChecker enforces delivery continuity: SR, SG and IB mask
 // boundary failures with zero hiccups (IB may terminate streams when
 // its reserve runs out — that is degradation, not discontinuity; the
-// other schemes must never terminate). Non-clustered hiccups must fall
+// other schemes must never terminate). An IB drive failing mid-cycle
+// costs each stream at most its one in-flight track (§4's isolated
+// hiccup), delivered the cycle after. Non-clustered hiccups must fall
 // inside the bounded transition window after a data-disk failure on the
-// track's cluster, lose at most one parity group's worth of tracks per
-// stream per transition (Figures 6-7), or hit a cluster running
-// unprotected (K exhausted — the paper's degradation of service, whose
-// recurring loss is legitimate). Under every scheme the guarantee ends
+// track's cluster, or hit a cluster running unprotected (K exhausted —
+// the paper's degradation of service, whose recurring loss is
+// legitimate). Inside the window a stream loses per transition at most
+// the rest of its current group (C-1 tracks) under the simple
+// switchover, and at most the failed drive's one unread track under the
+// alternate (Figures 6-7); reads refused for want of a slot
+// (schemes.LostNoSlot, Figure 7's Y3) come on top of that cap. Under
+// every scheme the guarantee ends
 // at the paper's catastrophe boundary: a hiccup on a parity group whose
 // read by that stream found two or more members erased is data parity
 // cannot rebuild, and is accepted. The engine reports each erasure its
@@ -53,9 +59,10 @@ type readKey struct{ stream, group int }
 // one to the farm's own record of the cycle (disk.Farm.Missed).
 type ContinuityChecker struct {
 	isNC, isIB bool
-	// lossCap is the per-stream per-transition hiccup bound: C-1 for the
-	// simple switchover (the rest of the current group), 1 for the
-	// alternate switchover (only the failed drive's unread track).
+	// lossCap is the per-stream per-transition bound on hiccups other
+	// than slot refusals: C-1 for the simple switchover (the rest of the
+	// current group), 1 for the alternate switchover (only the failed
+	// drive's unread track).
 	lossCap int
 	// window is how many cycles past a failure (or past leaving
 	// unprotected mode) a Non-clustered hiccup may still surface:
@@ -68,6 +75,10 @@ type ContinuityChecker struct {
 	dataFail        map[int][]int
 	lastUnprotected map[int]int
 	losses          map[lossKey]int
+	// midFail holds the cycles of IB mid-cycle failures; midLosses
+	// counts each stream's isolated hiccups per such failure.
+	midFail   []int
+	midLosses map[lossKey]int
 }
 
 // NewContinuityChecker builds the checker.
@@ -93,12 +104,19 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 	c.dataFail = make(map[int][]int)
 	c.lastUnprotected = make(map[int]int)
 	c.losses = make(map[lossKey]int)
+	c.midFail = nil
+	c.midLosses = make(map[lossKey]int)
 	return nil
 }
 
 // OnEvent implements EventObserver: it records data-disk failures per
-// cluster, which open Non-clustered loss windows.
+// cluster, which open Non-clustered loss windows, and IB mid-cycle
+// failures, which allow one isolated hiccup per stream.
 func (c *ContinuityChecker) OnEvent(rc *RunContext, ev Event) error {
+	if ev.Kind == EventFailMidCycle {
+		c.midFail = append(c.midFail, ev.Cycle)
+		return nil
+	}
 	if !c.isNC || ev.Kind != EventFail {
 		return nil
 	}
@@ -149,6 +167,9 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 			continue
 		}
 		if !c.isNC {
+			if c.isolated(rc.Cycle, h.StreamID) {
+				continue
+			}
 			return fmt.Errorf("hiccup on stream %d track %d (%s): scheme must mask failures with zero hiccups",
 				h.StreamID, h.Track, h.Reason)
 		}
@@ -166,6 +187,9 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 			return fmt.Errorf("hiccup on stream %d track %d (%s) at cycle %d with no data-disk failure on cluster %d within the last %d cycles",
 				h.StreamID, h.Track, h.Reason, rc.Cycle, cl, c.window)
 		}
+		if h.Reason == schemes.LostNoSlot {
+			continue // a transition's slot conflict, outside the cap
+		}
 		key := lossKey{stream: h.StreamID, cluster: cl, failCycle: failCycle}
 		c.losses[key]++
 		if c.losses[key] > c.lossCap {
@@ -174,6 +198,22 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 		}
 	}
 	return nil
+}
+
+// isolated reports whether a hiccup on stream at cycle is the one
+// in-flight track an IB mid-cycle failure may cost it: the failure came
+// during this cycle's reads or the last's (whose groups deliver now),
+// and the stream has not had its one yet. It counts the hiccup it
+// admits.
+func (c *ContinuityChecker) isolated(cycle, stream int) bool {
+	for _, f := range c.midFail {
+		key := lossKey{stream: stream, failCycle: f}
+		if cycle-f <= 1 && c.midLosses[key] == 0 {
+			c.midLosses[key]++
+			return true
+		}
+	}
+	return false
 }
 
 // End implements Checker.

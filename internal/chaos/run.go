@@ -7,6 +7,7 @@ import (
 	"ftmm/internal/cluster"
 	"ftmm/internal/disk"
 	"ftmm/internal/sched"
+	"ftmm/internal/schemes"
 	"ftmm/internal/server"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
@@ -256,7 +257,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			Disks: sch.Disks, ClusterSize: sch.ClusterSize,
 			DeclusterGroup: sch.DeclusterGroup,
 			Scheme:         scheme, NCPolicy: policy, K: sch.K,
-			DiskParams: params,
+			DiskParams: params, SlotsPerDisk: sch.SlotsPerDisk,
 		})
 		if err != nil {
 			return nil, err
@@ -508,7 +509,7 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 		}
 		return false, nil, nil // no live holder, or all full: tolerated
 
-	case EventFail, EventRepair, EventRebuild, EventTertiary:
+	case EventFail, EventFailMidCycle, EventRepair, EventRebuild, EventTertiary:
 		nd := crc.Nodes[ev.Node]
 		if nd.State == cluster.StateDead {
 			return false, nil, nil // shard is gone; its drives with it
@@ -517,8 +518,9 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 		if err != nil {
 			return false, nil, err
 		}
-		if state := drv.State(); ev.Kind == EventFail && state == disk.Failed ||
-			ev.Kind != EventFail && state == disk.Operational {
+		failing := ev.Kind == EventFail || ev.Kind == EventFailMidCycle
+		if state := drv.State(); failing && state == disk.Failed ||
+			!failing && state == disk.Operational {
 			// A subset re-failed a dead drive, or the failure a repair
 			// answers was shrunk away. A drive still Restoring (its
 			// rebuild abandoned, say) takes a repair as a failed one does.
@@ -527,6 +529,8 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 		switch ev.Kind {
 		case EventFail:
 			err = nd.Srv.FailDisk(ev.Drive)
+		case EventFailMidCycle:
+			err = nd.Srv.Engine().(*schemes.ImprovedBandwidth).FailDiskMidCycle(ev.Drive)
 		case EventRepair:
 			err = nd.Srv.RepairDisk(ev.Drive)
 			if err == nil && r.hooks.AfterRepair != nil {

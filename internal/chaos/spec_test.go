@@ -111,6 +111,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"unknown kind", `"kind": "repair"`, `"kind": "mend"`},
 		{"rebuild budget below C-1", `"kind": "repair", "drive": 2}`, `"kind": "rebuild", "drive": 2, "budget": 1}`},
 		{"node event on one node", `"kind": "repair", "drive": 2}`, `"kind": "node-kill"}`},
+		{"mid-cycle failure outside ib", `"kind": "repair", "drive": 2}`, `"kind": "fail-mid-cycle", "drive": 2}`},
+		{"negative slots per disk", `"k": 2,`, `"k": 2, "slots_per_disk": -1,`},
 	}
 	for _, c := range cases {
 		bad := strings.Replace(specJSON, c.from, c.to, 1)
@@ -282,6 +284,56 @@ func (h hiccupInjector) AfterStep(rc *RunContext, rep *sched.CycleReport) error 
 		for _, d := range rep.Delivered {
 			if erasedIn(h.ContinuityChecker, rc, d) == 1 {
 				*h.hit = true
+				rep = withHiccup(rep, d)
+				break
+			}
+		}
+	}
+	return h.ContinuityChecker.AfterStep(rc, rep)
+}
+
+// TestContinuityIsolatedHiccup: an IB drive failing mid-cycle costs the
+// stream reading it its one in-flight track (§4's isolated hiccup),
+// which the continuity checker accepts; a second lost track of that
+// stream is still a violation.
+func TestContinuityIsolatedHiccup(t *testing.T) {
+	sch := Schedule{
+		Scheme: "ib", Disks: 10, ClusterSize: 5, K: 1, SlotsPerDisk: 2, Titles: 1, TitleGroups: 8, MaxCycles: 100,
+		Events: []Event{
+			{Cycle: 0, Kind: EventAdmit, Title: "title0"},
+			{Cycle: 1, Kind: EventAdmit, Title: "title0"},
+			{Cycle: 1, Kind: EventFailMidCycle, Drive: 1},
+		},
+	}
+	res, err := Run(RunConfig{Schedule: sch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Violation; v != nil {
+		t.Fatalf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
+	}
+	if n := res.Nodes[0].Srv.Stats().Hiccups; n != 1 {
+		t.Fatalf("mid-cycle failure cost %d tracks, want the one in flight", n)
+	}
+	res, err = Run(RunConfig{Schedule: sch, NewCheckers: func() []Checker {
+		return []Checker{secondHiccup{NewContinuityChecker()}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Violation; v == nil || v.Checker != "continuity" {
+		t.Fatalf("a second lost track after a mid-cycle failure was accepted; violation = %+v", v)
+	}
+}
+
+// secondHiccup adds, to the first report with a hiccup, another hiccup
+// on a track the same stream was delivered.
+type secondHiccup struct{ *ContinuityChecker }
+
+func (h secondHiccup) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
+	if len(rep.Hiccups) > 0 {
+		for _, d := range rep.Delivered {
+			if d.StreamID == rep.Hiccups[0].StreamID {
 				rep = withHiccup(rep, d)
 				break
 			}

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"ftmm/internal/layout"
+	"ftmm/internal/chaos"
 	"ftmm/internal/report"
-	"ftmm/internal/sched"
-	"ftmm/internal/schemes"
 )
 
 // BandwidthResult validates Table 2's "disk bandwidth overhead" row
@@ -25,26 +21,17 @@ type BandwidthResult struct {
 //	       normal mode;
 //	NC/IB: 1.0 in normal mode (the schemes' whole point), rising only in
 //	       degraded operation.
+//
+// The four titles are admitted at cycle 0, so all are staged before the
+// degraded leg fails drive 1 (a title cannot be staged onto a failed
+// drive).
 func Bandwidth() (*BandwidthResult, error) {
 	res := &BandwidthResult{ReadsPerTrack: map[string]map[string]float64{}}
-	type build func(r *simRig) (schemes.Simulator, error)
-	cases := []struct {
-		name  string
-		place layout.Placement
-		build build
-	}{
-		{"Streaming RAID", layout.DedicatedParity, func(r *simRig) (schemes.Simulator, error) {
-			return schemes.NewStreamingRAID(r.config())
-		}},
-		{"Staggered-group", layout.DedicatedParity, func(r *simRig) (schemes.Simulator, error) {
-			return schemes.NewStaggeredGroup(r.config())
-		}},
-		{"Non-clustered", layout.DedicatedParity, func(r *simRig) (schemes.Simulator, error) {
-			return schemes.NewNonClustered(r.config(), schemes.AlternateSwitchover, 2)
-		}},
-		{"Improved-bandwidth", layout.IntermixedParity, func(r *simRig) (schemes.Simulator, error) {
-			return schemes.NewImprovedBandwidth(r.config(), 2)
-		}},
+	cases := []struct{ name, scheme, overhead string }{
+		{"Streaming RAID", "sr", "20.0% (1/C)"},
+		{"Staggered-group", "sg", "20.0% (1/C)"},
+		{"Non-clustered", "nc", "20.0% (1/C)"},
+		{"Improved-bandwidth", "ib", "3.0% (K/D)"},
 	}
 	tbl := report.NewTable(
 		"Reads issued per track delivered (C=5, 4 streams, 12 groups each)",
@@ -52,58 +39,23 @@ func Bandwidth() (*BandwidthResult, error) {
 	for _, tc := range cases {
 		perMode := map[string]float64{}
 		for _, mode := range []string{"normal", "degraded"} {
-			rig, err := newSimRig(10, 5, 4, 12, tc.place, false)
-			if err != nil {
-				return nil, err
-			}
-			e, err := tc.build(rig)
-			if err != nil {
-				return nil, err
-			}
+			sch := figFarm(tc.scheme, 2, 4, 12)
+			admit(&sch, 0, "title0", "title1", "title2", "title3")
 			if mode == "degraded" {
-				if err := e.FailDisk(1); err != nil {
-					return nil, err
-				}
+				sch.Events = append(sch.Events, chaos.Event{Cycle: 0, Kind: chaos.EventFail, Drive: 1})
 			}
-			reads, delivered := 0, 0
-			count := func(rep *sched.CycleReport) {
-				reads += rep.DataReads + rep.ParityReads
-				delivered += len(rep.Delivered)
+			srv, err := play(sch)
+			if err != nil {
+				return nil, err
 			}
-			for i, obj := range rig.objs {
-				if _, err := e.AddStream(obj); err != nil {
-					return nil, fmt.Errorf("%s: stream %d: %w", tc.name, i, err)
-				}
-				rep, err := e.Step()
-				if err != nil {
-					return nil, err
-				}
-				count(rep)
-			}
-			for e.Active() > 0 {
-				rep, err := e.Step()
-				if err != nil {
-					return nil, err
-				}
-				count(rep)
-				if e.Cycle() > 2000 {
-					return nil, fmt.Errorf("%s: did not converge", tc.name)
-				}
-			}
-			if delivered == 0 {
-				return nil, fmt.Errorf("%s: nothing delivered", tc.name)
-			}
-			perMode[mode] = float64(reads) / float64(delivered)
+			st := srv.Stats()
+			perMode[mode] = float64(st.DataReads+st.ParityReads) / float64(st.Delivered)
 		}
 		res.ReadsPerTrack[tc.name] = perMode
-		overhead := "20.0% (1/C)"
-		if tc.name == "Improved-bandwidth" {
-			overhead = "3.0% (K/D)"
-		}
 		tbl.AddRow(tc.name,
 			report.Float(perMode["normal"], 3),
 			report.Float(perMode["degraded"], 3),
-			overhead)
+			tc.overhead)
 		// Note: under failure the *issued* reads drop (a dead drive
 		// serves nothing) — the overhead is about bandwidth that must be
 		// provisioned, which normal mode already consumes for SR/SG.

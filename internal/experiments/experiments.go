@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus this reproduction's own validation experiments. Each
 // experiment returns structured results and renders the same rows the
-// paper reports; cmd/ftmmbench prints them and the root-level benchmarks
-// time them.
+// paper reports; cmd/ftmmbench prints them, the root-level benchmarks
+// time them, and EXPERIMENTS.md holds each one's output under
+// DefaultOptions as a block TestExperimentsDoc checks.
 //
 // Index (see DESIGN.md for the full mapping):
 //

@@ -195,6 +195,11 @@ func TestIBShift(t *testing.T) {
 	if res.SaturatedTerminations == 0 {
 		t.Error("saturated case produced no degradation")
 	}
+	// A displaced group whose own parity sits on the failed drive could
+	// not shift; the engine terminates instead of hiccuping.
+	if res.SaturatedHiccups != 0 {
+		t.Errorf("saturated case: %d hiccups, want 0", res.SaturatedHiccups)
+	}
 	if res.MidCycleHiccups != 1 {
 		t.Errorf("mid-cycle hiccups = %d, want 1", res.MidCycleHiccups)
 	}

@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"ftmm/internal/analytic"
+	"ftmm/internal/chaos"
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/failure"
 	"ftmm/internal/layout"
-	"ftmm/internal/rebuild"
 	"ftmm/internal/report"
+	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
 	"ftmm/internal/tertiary"
 	"ftmm/internal/units"
@@ -80,54 +81,51 @@ func Rebuild() (*RebuildResult, error) {
 	res := &RebuildResult{ParityCycles: map[int]int{}}
 	budgets := []int{4, 8, 16, 32}
 	cycleTime := diskmodel.Table1().CycleTime(1, units.MPEG1)
+	titles := []string{"title0", "title1", "title2", "title3"}
 
+	// The four titles are admitted to stage them onto the farm; then
+	// drive 0 fails and is rebuilt online while they play.
 	var tracks int
 	for _, budget := range budgets {
-		rig, err := newSimRig(10, 5, 4, 20, layout.DedicatedParity, false)
+		sch := figFarm("sr", 0, len(titles), 20)
+		admit(&sch, 0, titles...)
+		sch.Events = append(sch.Events,
+			chaos.Event{Kind: chaos.EventFail, Drive: 0},
+			chaos.Event{Kind: chaos.EventRebuild, Drive: 0, Budget: budget})
+		start, done := -1, -1
+		_, err := play(sch, &recorder{
+			event: func(rc *chaos.RunContext, ev chaos.Event) {
+				if ev.Kind == chaos.EventRebuild {
+					start, tracks = rc.Cycle, rc.Srv.RebuildRemaining()
+				}
+			},
+			step: func(rc *chaos.RunContext, _ *sched.CycleReport) {
+				if done < 0 && start >= 0 && rc.Srv.RebuildRemaining() == 0 {
+					done = rc.Cycle
+				}
+			},
+		})
 		if err != nil {
 			return nil, err
 		}
-		drv, err := rig.farm.Drive(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := drv.Fail(); err != nil {
-			return nil, err
-		}
-		if err := drv.Replace(); err != nil {
-			return nil, err
-		}
-		r, err := rebuild.New(rig.farm, rig.lay, 0)
-		if err != nil {
-			return nil, err
-		}
-		tracks = r.Remaining()
-		cycles, err := r.Run(budget, 1_000_000)
-		if err != nil {
-			return nil, err
-		}
-		res.ParityCycles[budget] = cycles
+		res.ParityCycles[budget] = done - start + 1
 	}
 	res.ParityTime = time.Duration(res.ParityCycles[budgets[len(budgets)-1]]) * cycleTime
 
 	// Tertiary alternative: re-fetch every object that touched the drive.
-	rig, err := newSimRig(10, 5, 4, 20, layout.DedicatedParity, false)
-	if err != nil {
-		return nil, err
-	}
 	lib, err := tertiary.NewLibrary(tertiary.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	var needs []tertiary.Need
-	for i, obj := range rig.objs {
-		size := obj.Tracks * int(rig.farm.Params().TrackSize)
-		if err := lib.Store(obj.ID, i/2, workload.SyntheticContent(obj.ID, size)); err != nil {
+	size := 20 * 4 * int(diskmodel.Table1().TrackSize)
+	for i, id := range titles {
+		if err := lib.Store(id, i/2, workload.SyntheticContent(id, size)); err != nil {
 			return nil, err
 		}
-		// Every object here stripes over both clusters, so all are
-		// affected by the failed drive.
-		needs = append(needs, tertiary.Need{ObjectID: obj.ID, Offset: 0, Length: size})
+		// Every title stripes over both clusters, so all are affected by
+		// the failed drive.
+		needs = append(needs, tertiary.Need{ObjectID: id, Offset: 0, Length: size})
 	}
 	res.TertiaryTime, err = lib.PlanCost(needs)
 	if err != nil {
@@ -172,7 +170,7 @@ type ReliabilityRow struct {
 // higher-order terms both forms drop.
 func Reliability(trials int) (*ReliabilityResult, error) {
 	if trials <= 0 {
-		trials = 1500
+		trials = DefaultOptions().Trials
 	}
 	res := &ReliabilityResult{}
 	add := func(name string, closed, markov float64, mc failure.Estimate) {
@@ -274,15 +272,17 @@ func Ablations() (*AblationResult, error) {
 		tbl.AddRow("NC buffer servers", report.Int(k), fmt.Sprintf("MTTDS %.3g years", years))
 	}
 
-	// IB: terminations under a saturating failure vs per-drive reserve.
-	for _, reserve := range []int{0, 1} {
-		_, term, err := runIBShift(reserve+1, reserve, false)
-		if err != nil {
-			return nil, err
-		}
-		res.IBReserveTerminations[reserve] = term
+	// IB: terminations under a saturating failure vs per-drive reserve,
+	// Figure 8's boundary rows.
+	ib, err := IBShift()
+	if err != nil {
+		return nil, err
+	}
+	res.IBReserveTerminations[0] = ib.SaturatedTerminations
+	res.IBReserveTerminations[1] = ib.MaskedTerminations
+	for reserve := 0; reserve <= 1; reserve++ {
 		tbl.AddRow("IB reserve slots/drive", report.Int(reserve),
-			fmt.Sprintf("%d terminations on failure at full load", term))
+			fmt.Sprintf("%d terminations on failure at full load", res.IBReserveTerminations[reserve]))
 	}
 
 	// NC switchover policy is covered by NCFailure(); summarize it here.

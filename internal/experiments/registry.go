@@ -23,8 +23,14 @@ type Named struct {
 type Options struct {
 	// Trials for Monte-Carlo based experiments (0 = default).
 	Trials int
-	// RequiredStreams for the sizing experiment (0 = 1200).
+	// RequiredStreams for the sizing experiment (0 = default).
 	RequiredStreams float64
+}
+
+// DefaultOptions are ftmmbench's flag defaults, what a zero field means,
+// and the options EXPERIMENTS.md's generated tables are rendered with.
+func DefaultOptions() Options {
+	return Options{Trials: 1000, RequiredStreams: 1200}
 }
 
 // valuer is implemented by result types that export metric values.
@@ -73,7 +79,7 @@ func All() []Named {
 		{"sizing", "§5 worked example: cheapest design for required streams", func(o Options) (Output, error) {
 			streams := o.RequiredStreams
 			if streams <= 0 {
-				streams = 1200
+				streams = DefaultOptions().RequiredStreams
 			}
 			r, err := Sizing(streams)
 			return render(r, err)

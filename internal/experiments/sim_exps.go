@@ -3,62 +3,85 @@ package experiments
 import (
 	"fmt"
 
-	"ftmm/internal/disk"
-	"ftmm/internal/diskmodel"
+	"ftmm/internal/chaos"
 	"ftmm/internal/failure"
 	"ftmm/internal/layout"
 	"ftmm/internal/report"
+	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
-	"ftmm/internal/units"
-	"ftmm/internal/workload"
+	"ftmm/internal/server"
 )
 
-// simRig builds a farm with placed, materialized objects for the
-// operational experiments.
-type simRig struct {
-	farm *disk.Farm
-	lay  *layout.Layout
-	objs []*layout.Object
+// The operational experiments are chaos schedules: each one's farm,
+// admissions and failures go through chaos.Run, the repo's one schedule
+// interpreter, under the default invariant checkers, so every number
+// below comes from a run the checkers passed.
+
+// figFarm is the experiments' farm: ten drives in clusters of five.
+func figFarm(scheme string, k, titles, groups int) chaos.Schedule {
+	return chaos.Schedule{Scheme: scheme, Disks: 10, ClusterSize: 5, K: k,
+		Titles: titles, TitleGroups: groups, MaxCycles: 10_000}
 }
 
-// newSimRig places nObjects objects of groupsEach parity groups. When
-// sameStart is true all objects start on cluster 0 (the Figures 5-7
-// stagger); otherwise starts rotate.
-func newSimRig(d, c, nObjects, groupsEach int, placement layout.Placement, sameStart bool) (*simRig, error) {
-	p := diskmodel.Table1()
-	tracksNeeded := (nObjects*groupsEach*c)/d + groupsEach*c + 10
-	p.Capacity = units.ByteSize(tracksNeeded) * p.TrackSize
-	farm, err := disk.NewFarm(d, c, p)
+// admit appends an admission of each title, the i-th at cycle i·every.
+func admit(sch *chaos.Schedule, every int, titles ...string) {
+	for i, t := range titles {
+		sch.Events = append(sch.Events, chaos.Event{Cycle: i * every, Kind: chaos.EventAdmit, Title: t})
+	}
+}
+
+// play runs sch through the chaos runner under the default checkers
+// plus extra, read-only ones, and returns the server. A violation, a
+// refused admission or a run that does not drain is an error.
+func play(sch chaos.Schedule, extra ...chaos.Checker) (*server.Server, error) {
+	res, err := chaos.Run(chaos.RunConfig{Schedule: sch, NewCheckers: func() []chaos.Checker {
+		return append(chaos.DefaultCheckers(), extra...)
+	}})
 	if err != nil {
 		return nil, err
 	}
-	lay, err := layout.ForFarm(farm, placement)
-	if err != nil {
-		return nil, err
+	if v := res.Violation; v != nil {
+		return nil, fmt.Errorf("experiments: %s: %s violation at cycle %d: %s", sch.Scheme, v.Checker, v.Cycle, v.Detail)
 	}
-	r := &simRig{farm: farm, lay: lay}
-	trackSize := int(p.TrackSize)
-	for i := 0; i < nObjects; i++ {
-		id := fmt.Sprintf("obj%d", i)
-		tracks := groupsEach * (c - 1)
-		start := 0
-		if !sameStart {
-			start = i % lay.Clusters()
+	admits := 0
+	for _, ev := range sch.Events {
+		if ev.Kind == chaos.EventAdmit {
+			admits++
 		}
-		obj, err := lay.AddObject(id, tracks, start, units.MPEG1)
-		if err != nil {
-			return nil, err
-		}
-		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, tracks*trackSize)); err != nil {
-			return nil, err
-		}
-		r.objs = append(r.objs, obj)
 	}
-	return r, nil
+	if len(res.Sessions) != admits {
+		return nil, fmt.Errorf("experiments: %s: %d of %d admissions refused", sch.Scheme, admits-len(res.Sessions), admits)
+	}
+	if !res.Drained {
+		return nil, fmt.Errorf("experiments: %s run did not drain in %d cycles", sch.Scheme, sch.MaxCycles)
+	}
+	return res.Nodes[0].Srv, nil
 }
 
-func (r *simRig) config() schemes.Config {
-	return schemes.Config{Farm: r.farm, Layout: r.lay, Rate: units.MPEG1}
+// recorder is a read-only checker: it hands every applied event to
+// event and every cycle's report to step, either may be nil, and it
+// never objects.
+type recorder struct {
+	event func(rc *chaos.RunContext, ev chaos.Event)
+	step  func(rc *chaos.RunContext, rep *sched.CycleReport)
+}
+
+func (*recorder) Name() string                  { return "recorder" }
+func (*recorder) Begin(*chaos.RunContext) error { return nil }
+func (*recorder) End(*chaos.RunContext) error   { return nil }
+
+func (r *recorder) OnEvent(rc *chaos.RunContext, ev chaos.Event) error {
+	if r.event != nil {
+		r.event(rc, ev)
+	}
+	return nil
+}
+
+func (r *recorder) AfterStep(rc *chaos.RunContext, rep *sched.CycleReport) error {
+	if r.step != nil {
+		r.step(rc, rep)
+	}
+	return nil
 }
 
 // Fig4Result is the staggered-group memory experiment: per-cycle buffer
@@ -75,87 +98,43 @@ type Fig4Result struct {
 	Text           string
 }
 
+// occupancy plays n titles of 12 groups under the scheme, the i-th
+// admitted at cycle i·every, and returns the buffer occupancy at the end
+// of each cycle from the one after the stagger to cycle 40, and the
+// run's within-cycle peak.
+func occupancy(scheme string, n, every int) ([]int, int, error) {
+	titles := []string{"title0", "title1", "title2", "title3"}[:n]
+	sch := figFarm(scheme, 0, n, 12)
+	admit(&sch, every, titles...)
+	var series []int
+	srv, err := play(sch, &recorder{step: func(_ *chaos.RunContext, rep *sched.CycleReport) {
+		if rep.Cycle >= n*every && rep.Cycle < 40 {
+			series = append(series, rep.BufferInUse)
+		}
+	}})
+	if err != nil {
+		return nil, 0, err
+	}
+	return series, srv.Stats().BufferPeak, nil
+}
+
 // Fig4 reproduces Figure 4's claim: C-1 staggered streams under the
 // Staggered-group scheme peak at C(C+1)/2 buffers while Streaming RAID
 // needs 2C per stream — the "approximately 1/2 the memory" saving.
 func Fig4() (*Fig4Result, error) {
-	const cycles = 40
 	res := &Fig4Result{}
-
-	rigSG, err := newSimRig(10, 5, 4, 12, layout.DedicatedParity, false)
-	if err != nil {
+	var err error
+	if res.SG, res.SGPeak, err = occupancy("sg", 4, 1); err != nil {
 		return nil, err
 	}
-	sg, err := schemes.NewStaggeredGroup(rigSG.config())
-	if err != nil {
+	if res.SR, res.SRPeak, err = occupancy("sr", 4, 0); err != nil {
 		return nil, err
 	}
-	for i, obj := range rigSG.objs {
-		if _, err := sg.AddStream(obj); err != nil {
-			return nil, fmt.Errorf("SG stream %d: %w", i, err)
-		}
-		if _, err := sg.Step(); err != nil { // stagger phases
-			return nil, err
-		}
-	}
-	for sg.Cycle() < cycles && sg.Active() > 0 {
-		rep, err := sg.Step()
-		if err != nil {
-			return nil, err
-		}
-		res.SG = append(res.SG, rep.BufferInUse)
-	}
-	res.SGPeak = sg.BufferPeak()
-
-	rigSR, err := newSimRig(10, 5, 4, 12, layout.DedicatedParity, false)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := schemes.NewStreamingRAID(rigSR.config())
-	if err != nil {
-		return nil, err
-	}
-	for i, obj := range rigSR.objs {
-		if _, err := sr.AddStream(obj); err != nil {
-			return nil, fmt.Errorf("SR stream %d: %w", i, err)
-		}
-	}
-	for sr.Cycle() < cycles && sr.Active() > 0 {
-		rep, err := sr.Step()
-		if err != nil {
-			return nil, err
-		}
-		res.SR = append(res.SR, rep.BufferInUse)
-	}
-	res.SRPeak = sr.BufferPeak()
-
 	// Panel (b): one lone SG stream's occupancy sawtooth.
-	rigOne, err := newSimRig(10, 5, 1, 12, layout.DedicatedParity, false)
-	if err != nil {
+	if res.SGOne, _, err = occupancy("sg", 1, 0); err != nil {
 		return nil, err
 	}
-	one, err := schemes.NewStaggeredGroup(rigOne.config())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := one.AddStream(rigOne.objs[0]); err != nil {
-		return nil, err
-	}
-	for one.Cycle() < cycles && one.Active() > 0 {
-		rep, err := one.Step()
-		if err != nil {
-			return nil, err
-		}
-		res.SGOne = append(res.SGOne, rep.BufferInUse)
-	}
-
-	n := len(res.SG)
-	if len(res.SR) < n {
-		n = len(res.SR)
-	}
-	if len(res.SGOne) < n {
-		n = len(res.SGOne)
-	}
+	n := min(len(res.SG), len(res.SR), len(res.SGOne))
 	xs := make([]float64, n)
 	sgY := make([]float64, n)
 	srY := make([]float64, n)
@@ -176,6 +155,27 @@ func Fig4() (*Fig4Result, error) {
 	return res, nil
 }
 
+// figureRun plays the Figures 5-8 schedule and returns the server's
+// stats: one title of groups parity groups admitted once a cycle,
+// streams times, so every stream starts on cluster 0 one track (one
+// group, under IB) behind the last, and a failure of the given kind on
+// drive as the last one arrives.
+func figureRun(scheme string, k, slots, groups, streams int, kind chaos.EventKind, drive int) (server.Stats, error) {
+	sch := figFarm(scheme, k, 1, groups)
+	sch.SlotsPerDisk = slots
+	titles := make([]string, streams)
+	for i := range titles {
+		titles[i] = "title0"
+	}
+	admit(&sch, 1, titles...)
+	sch.Events = append(sch.Events, chaos.Event{Cycle: streams - 1, Kind: kind, Drive: drive})
+	srv, err := play(sch)
+	if err != nil {
+		return server.Stats{}, err
+	}
+	return srv.Stats(), nil
+}
+
 // NCFailureResult records the Figures 5-7 experiment: tracks lost in the
 // degraded-mode transition, per policy and failed-disk position.
 type NCFailureResult struct {
@@ -194,16 +194,17 @@ func NCFailure() (*NCFailureResult, error) {
 		"Failed disk", "Simple switchover", "Alternate switchover")
 	for failed := 0; failed < 4; failed++ {
 		row := []string{report.Int(failed)}
-		for _, policy := range []schemes.TransitionPolicy{schemes.SimpleSwitchover, schemes.AlternateSwitchover} {
-			lost, err := runNCFailure(policy, failed)
+		for _, scheme := range []string{"nc-simple", "nc"} {
+			st, err := figureRun(scheme, 2, 1, 6, 4, chaos.EventFail, failed)
 			if err != nil {
 				return nil, err
 			}
+			_, policy, _ := server.ParseScheme(scheme)
 			if res.Lost[policy] == nil {
 				res.Lost[policy] = map[int]int{}
 			}
-			res.Lost[policy][failed] = lost
-			row = append(row, report.Int(lost))
+			res.Lost[policy][failed] = st.Hiccups
+			row = append(row, report.Int(st.Hiccups))
 		}
 		tbl.AddRow(row...)
 	}
@@ -211,51 +212,13 @@ func NCFailure() (*NCFailureResult, error) {
 	return res, nil
 }
 
-func runNCFailure(policy schemes.TransitionPolicy, failedDisk int) (int, error) {
-	rig, err := newSimRig(10, 5, 4, 6, layout.DedicatedParity, true)
-	if err != nil {
-		return 0, err
-	}
-	cfg := rig.config()
-	cfg.SlotsPerDisk = 1
-	e, err := schemes.NewNonClustered(cfg, policy, 2)
-	if err != nil {
-		return 0, err
-	}
-	for i, obj := range rig.objs {
-		if _, err := e.AddStream(obj); err != nil {
-			return 0, err
-		}
-		if i < len(rig.objs)-1 {
-			if _, err := e.Step(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := e.FailDisk(failedDisk); err != nil {
-		return 0, err
-	}
-	lost := 0
-	for e.Active() > 0 {
-		rep, err := e.Step()
-		if err != nil {
-			return 0, err
-		}
-		lost += len(rep.Hiccups)
-		if e.Cycle() > 500 {
-			return 0, fmt.Errorf("experiments: NC failure run did not converge")
-		}
-	}
-	return lost, nil
-}
-
 // IBShiftResult records the Figure 8 experiment.
 type IBShiftResult struct {
 	// MaskedHiccups/MaskedTerminations: boundary failure with reserve.
 	MaskedHiccups, MaskedTerminations int
-	// SaturatedTerminations: boundary failure with zero reserve on a
-	// saturated farm.
-	SaturatedTerminations int
+	// SaturatedHiccups/SaturatedTerminations: boundary failure with zero
+	// reserve on a saturated farm.
+	SaturatedHiccups, SaturatedTerminations int
 	// MidCycleHiccups: hiccups from a mid-cycle failure with reserve.
 	MidCycleHiccups int
 	Text            string
@@ -267,82 +230,37 @@ type IBShiftResult struct {
 // of service); a mid-cycle failure costs exactly the in-flight tracks as
 // one-time hiccups.
 func IBShift() (*IBShiftResult, error) {
-	res := &IBShiftResult{}
-
-	// Masked case: 3 clusters, reserve 1 slot/drive.
-	{
-		hiccups, term, err := runIBShift(2, 1, false)
-		if err != nil {
-			return nil, err
-		}
-		res.MaskedHiccups, res.MaskedTerminations = hiccups, term
+	// Two streams of one title admitted a cycle apart, so their cluster
+	// rotations are out of phase; drive 1 fails as the second arrives.
+	// K=1 reserves one of two slots per drive; K=0 leaves one slot and
+	// no reserve.
+	run := func(k int, kind chaos.EventKind) (server.Stats, error) {
+		return figureRun("ib", k, k+1, 8, 2, kind, 1)
 	}
-	// Saturated case: 1 slot/drive, no reserve.
-	{
-		_, term, err := runIBShift(1, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		res.SaturatedTerminations = term
+	masked, err := run(1, chaos.EventFail)
+	if err != nil {
+		return nil, err
 	}
-	// Mid-cycle case.
-	{
-		hiccups, _, err := runIBShift(2, 1, true)
-		if err != nil {
-			return nil, err
-		}
-		res.MidCycleHiccups = hiccups
+	saturated, err := run(0, chaos.EventFail)
+	if err != nil {
+		return nil, err
+	}
+	mid, err := run(1, chaos.EventFailMidCycle)
+	if err != nil {
+		return nil, err
+	}
+	res := &IBShiftResult{
+		MaskedHiccups: masked.Hiccups, MaskedTerminations: masked.Terminated,
+		SaturatedHiccups: saturated.Hiccups, SaturatedTerminations: saturated.Terminated,
+		MidCycleHiccups: mid.Hiccups,
 	}
 	tbl := report.NewTable("Improved-bandwidth failure response (C=5)",
 		"Scenario", "Hiccups", "Terminations")
 	tbl.AddRow("boundary failure, 1 slot/drive reserved", report.Int(res.MaskedHiccups), report.Int(res.MaskedTerminations))
-	tbl.AddRow("boundary failure, saturated (no reserve)", "-", report.Int(res.SaturatedTerminations))
-	tbl.AddRow("mid-cycle failure, reserved", report.Int(res.MidCycleHiccups), "0")
+	tbl.AddRow("boundary failure, saturated (no reserve)", report.Int(res.SaturatedHiccups), report.Int(res.SaturatedTerminations))
+	tbl.AddRow("mid-cycle failure, reserved", report.Int(res.MidCycleHiccups), report.Int(mid.Terminated))
 	res.Text = tbl.String()
 	return res, nil
-}
-
-func runIBShift(slots, reserve int, midCycle bool) (hiccups, terminations int, err error) {
-	rig, err := newSimRig(10, 5, 3, 8, layout.IntermixedParity, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	cfg := rig.config()
-	cfg.SlotsPerDisk = slots
-	e, err := schemes.NewImprovedBandwidth(cfg, reserve)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Two streams admitted a cycle apart so their cluster rotations are
-	// out of phase.
-	if _, err := e.AddStream(rig.objs[0]); err != nil {
-		return 0, 0, err
-	}
-	if _, err := e.Step(); err != nil {
-		return 0, 0, err
-	}
-	if _, err := e.AddStream(rig.objs[1]); err != nil {
-		return 0, 0, err
-	}
-	if midCycle {
-		err = e.FailDiskMidCycle(1)
-	} else {
-		err = e.FailDisk(1)
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	for e.Active() > 0 {
-		rep, err := e.Step()
-		if err != nil {
-			return 0, 0, err
-		}
-		hiccups += len(rep.Hiccups)
-		if e.Cycle() > 500 {
-			return 0, 0, fmt.Errorf("experiments: IB run did not converge")
-		}
-	}
-	return hiccups, e.Terminations(), nil
 }
 
 // MonteCarloResult compares simulated reliability with the closed forms.
@@ -364,7 +282,7 @@ type MonteCarloRow struct {
 // reasonable time; the algebraic structure is unchanged.
 func MonteCarlo(trials int) (*MonteCarloResult, error) {
 	if trials <= 0 {
-		trials = 1000
+		trials = DefaultOptions().Trials
 	}
 	res := &MonteCarloResult{}
 	ded := failure.Model{D: 40, C: 4, MTTFHours: 500, MTTRHours: 1, Placement: layout.DedicatedParity, K: 2}
@@ -444,6 +362,7 @@ func (r *IBShiftResult) Values() map[string]float64 {
 	return map[string]float64{
 		"masked_hiccups":         float64(r.MaskedHiccups),
 		"masked_terminations":    float64(r.MaskedTerminations),
+		"saturated_hiccups":      float64(r.SaturatedHiccups),
 		"saturated_terminations": float64(r.SaturatedTerminations),
 		"midcycle_hiccups":       float64(r.MidCycleHiccups),
 	}

@@ -168,9 +168,9 @@ func TestEngineReportsGolden(t *testing.T) {
 		{"sr", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewStreamingRAID(c) }, false, 0xa3712c82e2ae446c},
 		{"sg", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewStaggeredGroup(c) }, false, 0x2e137f9c84249122},
 		{"nc-simple", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, SimpleSwitchover, 1) }, false, 0xf891506737e424ed},
-		{"nc-alternate", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, AlternateSwitchover, 1) }, false, 0x98b9b36865b9a303},
-		{"ib-boundary", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 1) }, false, 0x413eeebfed83cb82},
-		{"ib-midcycle", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 0) }, true, 0xfea0d3553f6d5707},
+		{"nc-alternate", clustered(layout.DedicatedParity), func(c Config) (Simulator, error) { return NewNonClustered(c, AlternateSwitchover, 1) }, false, 0x18c17a2555627b55},
+		{"ib-boundary", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 1) }, false, 0xcb9a18d86ff0ea56},
+		{"ib-midcycle", clustered(layout.IntermixedParity), func(c Config) (Simulator, error) { return NewImprovedBandwidth(c, 0) }, true, 0xa116a4a16540f163},
 		{"dc", func(t *testing.T) *rig { return newDeclusteredRig(t, 26, 13, 4, 4, 20) },
 			func(c Config) (Simulator, error) { return NewDeclustered(c) }, false, 0x903f96374f1d8287},
 	}

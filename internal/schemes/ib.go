@@ -333,10 +333,13 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibG
 }
 
 // pickVictim finds a group of this cycle (other than the requester)
-// holding a normal data-read slot on the drive.
+// holding a normal data-read slot on the drive. A group whose own parity
+// sits on a failed drive is never picked: its shift could not recover
+// the block it gave up, so displacing it would trade the requester's
+// loss for its hiccup.
 func (e *ImprovedBandwidth) pickVictim(d int, requester *ibGroupRead) *ibGroupRead {
 	for _, gr := range e.groups {
-		if gr == requester || gr.s.Terminated {
+		if gr == requester || gr.s.Terminated || e.driveFailed(gr.g.Parity.Disk) {
 			continue
 		}
 		for _, r := range gr.reads {
@@ -346,6 +349,13 @@ func (e *ImprovedBandwidth) pickVictim(d int, requester *ibGroupRead) *ibGroupRe
 		}
 	}
 	return nil
+}
+
+// driveFailed reports whether drive d has failed: a read of it meets
+// disk.ErrFailed, the case readParity gives up on.
+func (e *ImprovedBandwidth) driveFailed(d int) bool {
+	drv, err := e.cfg.Farm.Drive(d)
+	return err == nil && drv.State() == disk.Failed
 }
 
 // terminate kills a stream: the paper's degradation of service. Buffers

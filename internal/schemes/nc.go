@@ -67,13 +67,31 @@ type ncCluster struct {
 
 // Why a Non-clustered track is lost, as its hiccup says: the switchover
 // dropped it (Figures 6-7), it is the failed drive's on a cluster no
-// buffer server carries, or its read got nothing (the member erased, or
-// the drive's slots spent) and no reconstruction stood in.
+// buffer server carries, its read found the member erased and no
+// reconstruction stood in, or its read found the drive's slots for the
+// cycle spent.
 const (
 	lostTransition  = "track lost in degraded-mode transition"
 	lostUnprotected = "failed drive's track lost on an unprotected cluster"
 	lostUnread      = "track could not be read or rebuilt"
+	// LostNoSlot is exported for the chaos continuity checker: under the
+	// alternate switchover a reconstruction's early reads take the slots
+	// a stream caught mid-group still needs (Figure 7's Y3), a loss the
+	// transition may add to the failed drive's own track.
+	LostNoSlot = "track not read: drive out of slots"
 )
+
+// readOrWhy is readTrack that says why it got nothing: the drive had no
+// slot left this cycle (LostNoSlot), or the member was erased.
+func (e *NonClustered) readOrWhy(st *sched.Stream, grp *layout.Group, loc layout.Location) ([]byte, string) {
+	if !e.slots.Take(loc.Disk) {
+		return nil, LostNoSlot
+	}
+	if view, err := e.read(st, grp, loc, &e.rep.DataReads); err == nil {
+		return view, ""
+	}
+	return nil, lostUnread
+}
 
 // ncStaged is one staged track, held in its stream's window until
 // delivered. reconstructed is also its kind: a reconstructed track is an
@@ -610,9 +628,9 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 // track is lost.
 func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error {
 	s.read++
-	blk := e.readTrack(&s.Stream, grp, grp.Data[o], &e.rep.DataReads)
+	blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[o])
 	if blk == nil {
-		return s.markLost(r, lostUnread)
+		return s.markLost(r, why)
 	}
 	if err := e.pool.Acquire(1); err != nil {
 		return err
@@ -631,9 +649,13 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	// Every offset of the group is read, padding tracks included (they
 	// exist on disk as zeros and are needed for reconstruction).
 	gr := groupRead{data: make([][]byte, len(grp.Data))}
+	var noSlot uint64 // bit j: data offset j's drive had no slot left
 	for j, loc := range grp.Data {
 		if j != failedOffset {
-			gr.data[j] = e.readTrack(&s.Stream, grp, loc, &e.rep.DataReads)
+			var why string
+			if gr.data[j], why = e.readOrWhy(&s.Stream, grp, loc); why == LostNoSlot {
+				noSlot |= 1 << j
+			}
 		} else {
 			// The failed offset is read for its erasure alone, without a
 			// slot: the cluster reads around that drive until its restore
@@ -656,7 +678,11 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	for r := base; r < groupEnd; r++ {
 		j := r - base
 		if gr.data[j] == nil {
-			if err := s.markLost(r, lostUnread); err != nil {
+			why := lostUnread
+			if noSlot&(1<<j) != 0 {
+				why = LostNoSlot
+			}
+			if err := s.markLost(r, why); err != nil {
 				return err
 			}
 			continue
@@ -739,9 +765,9 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
-		blk := e.readTrack(&s.Stream, grp, grp.Data[r-base], &e.rep.DataReads)
+		blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[r-base])
 		if blk == nil {
-			if err := s.markLost(r, lostUnread); err != nil {
+			if err := s.markLost(r, why); err != nil {
 				return err
 			}
 			canRecon = false

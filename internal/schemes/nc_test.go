@@ -232,11 +232,20 @@ func TestNCFigure6SimpleSwitchover(t *testing.T) {
 
 // Figure 7: the alternate switchover loses only 3 tracks — Y2 and W2 to
 // the failure itself, Y3 to the slot conflict with A's delayed
-// reconstruction reads.
+// reconstruction reads, which its hiccup names.
 func TestNCFigure7AlternateSwitchover(t *testing.T) {
-	lost, hiccups, _, _, _ := figureFailure(t, AlternateSwitchover)
+	lost, hiccups, _, ids, _ := figureFailure(t, AlternateSwitchover)
 	if len(hiccups) != 3 {
 		t.Fatalf("alternate switchover lost %d tracks, want 3 (paper Fig 7): %v", len(hiccups), lost)
+	}
+	for _, h := range hiccups {
+		want := lostTransition
+		if h.StreamID == ids["Y"] && h.Track == 3 {
+			want = LostNoSlot
+		}
+		if h.Reason != want {
+			t.Errorf("stream %d track %d lost for %q, want %q", h.StreamID, h.Track, h.Reason, want)
+		}
 	}
 	want := map[string][]int{"A": {}, "Y": {2, 3}, "W": {2}, "U": {}}
 	for name, tracks := range want {
