@@ -234,6 +234,8 @@ func (c Config) BandwidthOverhead(s Scheme) units.Rate {
 //
 // The IB exposure is larger because each disk belongs to two parity
 // groups (data for its own cluster, parity for the one to its left).
+// The intermixed placement itself pairs a disk with 3(C-1) others
+// (layout.Layout.SharesGroup; EXP-MC measures the difference).
 func (c Config) MTTFCatastrophic(s Scheme) units.Years {
 	mttf, mttr := c.Disk.MTTFHours, c.Disk.MTTRHours
 	if mttf <= 0 || mttr <= 0 {

@@ -62,7 +62,11 @@ func TestEnsureAllocatesOnlyParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := New(lib, farm, layout.DedicatedParity)
+	lay, err := layout.ForFarm(farm, layout.DedicatedParity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := New(lib, farm, lay)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,29 +48,11 @@ type Catalog struct {
 	stagings  int
 }
 
-// New creates a catalog over the given library and farm using the given
-// parity placement.
-func New(lib *tertiary.Library, farm *disk.Farm, placement layout.Placement) (*Catalog, error) {
-	if lib == nil || farm == nil {
-		return nil, errors.New("catalog: nil library or farm")
-	}
-	lay, err := layout.ForFarm(farm, placement)
-	if err != nil {
-		return nil, err
-	}
-	return &Catalog{lib: lib, farm: farm, lay: lay, resident: make(map[string]*entry)}, nil
-}
-
-// NewDeclustered creates a catalog using declustered parity placement:
-// parity groups of groupC drives mapped onto block-design subsets of the
-// farm's clusters, which serve as G-drive declustering groups.
-func NewDeclustered(lib *tertiary.Library, farm *disk.Farm, groupC int) (*Catalog, error) {
-	if lib == nil || farm == nil {
-		return nil, errors.New("catalog: nil library or farm")
-	}
-	lay, err := layout.ForFarmDeclustered(farm, groupC)
-	if err != nil {
-		return nil, err
+// New creates a catalog over the given library and farm, placing
+// objects with the given layout of the farm's drives.
+func New(lib *tertiary.Library, farm *disk.Farm, lay *layout.Layout) (*Catalog, error) {
+	if lib == nil || farm == nil || lay == nil {
+		return nil, errors.New("catalog: nil library, farm or layout")
 	}
 	return &Catalog{lib: lib, farm: farm, lay: lay, resident: make(map[string]*entry)}, nil
 }

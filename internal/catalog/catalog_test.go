@@ -34,7 +34,11 @@ func testRig(t *testing.T, objects int) (*tertiary.Library, *disk.Farm, *Catalog
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := New(lib, farm, layout.DedicatedParity)
+	lay, err := layout.ForFarm(farm, layout.DedicatedParity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := New(lib, farm, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +225,15 @@ func TestStartClustersRotate(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	lib, farm, _ := testRig(t, 0)
-	if _, err := New(nil, farm, layout.DedicatedParity); err == nil {
+	lib, farm, cat := testRig(t, 0)
+	lay := cat.Layout()
+	if _, err := New(nil, farm, lay); err == nil {
 		t.Error("nil library accepted")
 	}
-	if _, err := New(lib, nil, layout.DedicatedParity); err == nil {
+	if _, err := New(lib, nil, lay); err == nil {
 		t.Error("nil farm accepted")
+	}
+	if _, err := New(lib, farm, nil); err == nil {
+		t.Error("nil layout accepted")
 	}
 }

@@ -120,11 +120,10 @@ func (c *ContinuityChecker) OnEvent(rc *RunContext, ev Event) error {
 	if !c.isNC || ev.Kind != EventFail {
 		return nil
 	}
-	csz := rc.Schedule.ClusterSize
-	if ev.Drive%csz == csz-1 {
-		return nil // dedicated parity drive: no delivery impact
+	if rc.Srv.Catalog().Layout().Role(ev.Drive) == layout.RoleParity {
+		return nil // no delivery impact
 	}
-	cl := ev.Drive / csz
+	cl := ev.Drive / rc.Schedule.ClusterSize
 	c.dataFail[cl] = append(c.dataFail[cl], ev.Cycle)
 	return nil
 }

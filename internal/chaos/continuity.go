@@ -59,9 +59,12 @@ func (c *CrossNodeContinuityChecker) Begin(*ClusterRunContext) error {
 
 // restart points the cursor at the group floor of track at, and syncs
 // the resume count so the failover recompute in AfterStep does not
-// clobber a VCR-established floor.
+// clobber a VCR-established floor. A floor past the high-water mark is a
+// forward seek: the mark jumps to it, so a later failover must resume
+// from the seek, not from the skipped past.
 func (c *CrossNodeContinuityChecker) restart(crc *ClusterRunContext, o, at int) {
 	c.cursor[o] = (at / crc.Width) * crc.Width
+	c.next[o] = max(c.next[o], c.cursor[o])
 	c.seenResumes[o] = crc.Sessions[o].Resumes
 }
 

@@ -74,6 +74,34 @@ func TestCrossNodeContinuityAccepts(t *testing.T) {
 	}
 }
 
+// seekThenFailover applies a live forward seek of the session to track 2
+// and then the death of its serving node, before any track past the
+// seek is delivered: the runner re-admits the session at the seek, and
+// the failover re-admits it once more.
+func seekThenFailover(t *testing.T, c *CrossNodeContinuityChecker, crc *ClusterRunContext) {
+	t.Helper()
+	ses := crc.Sessions[0]
+	if err := c.AfterStep(crc, []*sched.CycleReport{delivered(track(crc, 0))}); err != nil {
+		t.Fatal(err)
+	}
+	ses.Resumes++
+	if err := c.OnEvent(crc, Event{Kind: EventRewind, Stream: 0, Track: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ses.Resumes++
+}
+
+// TestCrossNodeContinuityFailoverAfterSeek: a failover after a forward
+// seek resumes at the seek's floor, which the checker's high-water mark
+// must follow (the shape of scenarios/cluster-seek-then-kill-*.json).
+func TestCrossNodeContinuityFailoverAfterSeek(t *testing.T) {
+	c, crc := unitContinuity(t)
+	seekThenFailover(t, c, crc)
+	if err := feed(c, crc, delivered(track(crc, 2))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrossNodeContinuityCatches(t *testing.T) {
 	cases := []struct {
 		name string
@@ -107,6 +135,12 @@ func TestCrossNodeContinuityCatches(t *testing.T) {
 			crc.Sessions[0].Finished = true
 			return feed(c, crc, delivered(track(crc, 0)), delivered(track(crc, 1)))
 		}, "finished after 2 of 3 tracks"},
+		{"failover-from-pre-seek-watermark", func(c *CrossNodeContinuityChecker, crc *ClusterRunContext) error {
+			// A runner that forgets the seek resumes from the watermark
+			// before it.
+			seekThenFailover(t, c, crc)
+			return feed(c, crc, delivered(track(crc, 1)))
+		}, "received track 1, expected 2"},
 		{"stranded", func(c *CrossNodeContinuityChecker, crc *ClusterRunContext) error {
 			crc.Drained = true
 			return feed(c, crc, delivered(track(crc, 0)))

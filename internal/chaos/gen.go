@@ -2,29 +2,28 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+
+	"ftmm/internal/server"
 )
 
 // Generate draws one randomized schedule for the scheme from the rng,
 // spread across nodes shards (at most one: the classic single-server
 // schedule; more: drive faults pinned to shards and node kill/drain
 // events layered on top, see fanOut).
-// Schedules are interesting but never catastrophic by construction —
-// the invariants under test are the paper's single-failure guarantees,
-// and a two-disks-in-one-parity-group catastrophe would legitimately
-// lose data:
 //
-//   - dedicated-parity schemes (sr, sg, nc*) draw each failure from a
-//     distinct cluster, so no parity group ever misses two members;
-//   - ib failures are serialized: a second failure is scheduled only
-//     after the first was instantly repaired, because intermixed parity
-//     makes a drive a member of groups on two adjacent clusters and any
-//     two of 2-3 clusters are cyclically adjacent;
-//   - dc failures are drawn from distinct G-drive declustering groups:
-//     within one group a second failure could land in the first's
-//     block (λ >= 1 guarantees the pair shares one), losing data;
-//   - at most one online rebuild per schedule (the server runs one at a
-//     time).
+// Schedules are interesting but never catastrophic by construction: the
+// invariants under test are the paper's single-failure guarantees, and
+// two drives of one parity group down at once legitimately lose data.
+// One rule keeps them apart, read from the scheme's layout
+// (layout.Layout.SharesGroup) rather than derived per placement: a
+// drawn failure on a drive that shares a group with an earlier drawn
+// drive not yet back at the drawn cycle is moved to 1-4 cycles after
+// that drive's instant repair, and is dropped when that drive never
+// comes back (an online rebuild, or no repair). Earlier failures are
+// checked in the order they were drawn. At most one online rebuild is
+// drawn per schedule (the server runs one at a time).
 //
 // Non-clustered schedules may exceed K concurrent data-disk failures on
 // purpose: running out of buffer servers is the paper's degradation of
@@ -39,10 +38,8 @@ func Generate(rng *rand.Rand, scheme string, nodes int) Schedule {
 		Titles:      3 + rng.Intn(3),
 		TitleGroups: 3 + rng.Intn(4),
 	}
-	isIB := scheme == "ib"
 	if scheme == "dc" {
-		// Parity groups of C=4 on the (13,4) difference-set design;
-		// failures below are drawn from distinct 13-drive groups.
+		// Parity groups of C=4 on the (13,4) difference-set design.
 		s.DeclusterGroup = 13
 		s.Disks = []int{13, 26}[rng.Intn(2)]
 	}
@@ -56,50 +53,47 @@ func Generate(rng *rand.Rand, scheme string, nodes int) Schedule {
 		})
 	}
 
-	unit := s.FarmUnit() // cluster, or declustering group under dc
-	clusters := s.Disks / unit
-	nFails := rng.Intn(3)
-	usedClusters := make(map[int]bool)
+	sc, _, _ := server.ParseScheme(scheme) // an unknown name fails Validate when run
+	lay, err := server.NewLayout(sc, s.Disks, c, s.DeclusterGroup, 1)
+	if err != nil {
+		panic(err) // every geometry drawn above is a valid farm
+	}
+	unit := lay.ClusterSize() // cluster, or declustering group under dc
+	// back is, per drawn failure in draw order, the cycle of its instant
+	// repair; never when it is not instantly repaired.
+	const never = math.MaxInt
+	type outage struct{ drive, back int }
+	var drawn []outage
 	haveRebuild := false
-	nextFailAfter := 0 // ib: earliest cycle the next failure may occur
+	nFails := rng.Intn(3)
+draws:
 	for i := 0; i < nFails; i++ {
-		cl := rng.Intn(clusters)
-		if usedClusters[cl] {
-			continue // keep failures in distinct clusters; skip, don't redraw
-		}
-		usedClusters[cl] = true
+		cl := rng.Intn(lay.Clusters())
 		failCycle := 2 + rng.Intn(10)
-		if isIB {
-			if i > 0 && nextFailAfter == 0 {
-				break // first failure wasn't instantly repaired: no second
-			}
-			if failCycle <= nextFailAfter {
-				failCycle = nextFailAfter + 1 + rng.Intn(4)
-			}
-		}
 		drive := cl*unit + rng.Intn(unit)
+		for _, o := range drawn {
+			if failCycle > o.back || !lay.SharesGroup(drive, o.drive) {
+				continue
+			}
+			if o.back == never {
+				continue draws
+			}
+			failCycle = o.back + 1 + rng.Intn(4)
+		}
 		s.Events = append(s.Events, Event{Cycle: failCycle, Kind: EventFail, Drive: drive})
 
 		repairCycle := failCycle + 1 + rng.Intn(c+2)
+		back := never // an online rebuild's end, or no repair: not drawn
 		switch p := rng.Float64(); {
 		case p < 0.60:
 			s.Events = append(s.Events, Event{Cycle: repairCycle, Kind: EventRepair, Drive: drive})
-			if isIB {
-				nextFailAfter = repairCycle + 1
-			}
+			back = repairCycle
 		case p < 0.85 && !haveRebuild:
 			budget := (c - 1) * (1 + rng.Intn(3))
 			s.Events = append(s.Events, Event{Cycle: repairCycle, Kind: EventRebuild, Drive: drive, Budget: budget})
 			haveRebuild = true
-			if isIB {
-				nextFailAfter = 0
-			}
-		default:
-			// Never repaired: the scheme carries the failure to the end.
-			if isIB {
-				nextFailAfter = 0
-			}
 		}
+		drawn = append(drawn, outage{drive, back})
 	}
 
 	nCancels := rng.Intn(3)

@@ -8,10 +8,10 @@ import (
 	"ftmm/internal/chaos"
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/failure"
-	"ftmm/internal/layout"
 	"ftmm/internal/report"
 	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
+	"ftmm/internal/server"
 	"ftmm/internal/tertiary"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
@@ -173,40 +173,29 @@ func Reliability(trials int) (*ReliabilityResult, error) {
 		trials = DefaultOptions().Trials
 	}
 	res := &ReliabilityResult{}
-	add := func(name string, closed, markov float64, mc failure.Estimate) {
-		row := ReliabilityRow{
-			Name: name, ClosedHours: closed, MarkovHours: markov,
+	for _, r := range []reliabilityRow{
+		{"catastrophe, dedicated (eq 4)", analytic.StreamingRAID, 40, 0, 500, 41},
+		{"catastrophe, declustered G=13 (eq 4)", analytic.DeclusteredParity, 39, 13, 500, 43},
+		{"degradation, K=3 (eq 6; note the (K-1)! factor)", analytic.NonClustered, 40, 0, 3000, 42},
+	} {
+		closed, markov, estimate, err := r.estimators(3)
+		if err != nil {
+			return nil, err
+		}
+		exact, err := markov()
+		if err != nil {
+			return nil, err
+		}
+		mc, err := estimate(trials, r.seed)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, ReliabilityRow{
+			Name: r.name, ClosedHours: closed, MarkovHours: exact,
 			MCHours: mc.MeanHours, MCErrHours: mc.StdErrHours,
-			MarkovOverClosed: markov / closed,
-		}
-		if markov > 0 {
-			row.MCOverExact = mc.MeanHours / markov
-		}
-		res.Rows = append(res.Rows, row)
+			MarkovOverClosed: exact / closed, MCOverExact: mc.MeanHours / exact,
+		})
 	}
-
-	mttf := failure.Model{D: 40, C: 4, MTTFHours: 500, MTTRHours: 1, Placement: layout.DedicatedParity, K: 3}
-	exact, err := mttf.MarkovMTTFHours()
-	if err != nil {
-		return nil, err
-	}
-	mc, err := mttf.EstimateMTTF(trials, 41)
-	if err != nil {
-		return nil, err
-	}
-	add("catastrophe, dedicated (eq 4)", mttf.AnalyticMTTFHours(), exact, mc)
-
-	ds := mttf
-	ds.MTTFHours = 3000
-	exactDS, err := ds.MarkovMTTDSHours()
-	if err != nil {
-		return nil, err
-	}
-	mcDS, err := ds.EstimateMTTDS(trials, 42)
-	if err != nil {
-		return nil, err
-	}
-	add("degradation, K=3 (eq 6; note the (K-1)! factor)", ds.AnalyticMTTDSHours(), exactDS, mcDS)
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Reliability three ways (scaled MTTF, %d MC trials)", trials),
@@ -226,7 +215,7 @@ func (r *ReliabilityResult) Render() string { return r.Text }
 
 // Values exports each comparison row three ways.
 func (r *ReliabilityResult) Values() map[string]float64 {
-	keys := []string{"mttf_dedicated", "mttds_k3"}
+	keys := []string{"mttf_dedicated", "mttf_declustered", "mttds_k3"}
 	v := map[string]float64{}
 	for i, row := range r.Rows {
 		k := fmt.Sprintf("row%d", i)
@@ -261,8 +250,12 @@ func Ablations() (*AblationResult, error) {
 	// NC: MTTDS vs buffer-server count, paper-scale farm.
 	tbl := report.NewTable("Ablation: reserve depth",
 		"Knob", "Setting", "Outcome")
+	lay, err := server.NewLayout(analytic.NonClustered, 100, 5, 0, 1)
+	if err != nil {
+		return nil, err
+	}
 	for k := 1; k <= 5; k++ {
-		m := failure.Model{D: 100, C: 5, MTTFHours: 300_000, MTTRHours: 1, Placement: layout.DedicatedParity, K: k}
+		m := failure.Model{Layout: lay, MTTFHours: 300_000, MTTRHours: 1, K: k}
 		h, err := m.MarkovMTTDSHours()
 		if err != nil {
 			return nil, err

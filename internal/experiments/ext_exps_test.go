@@ -57,22 +57,25 @@ func TestReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
+	if len(res.Rows) != 3 {
 		t.Fatal("rows")
 	}
-	// MC within 10% of the exact chain for both quantities.
+	// MC within 10% of the exact chain for every quantity.
 	for _, r := range res.Rows {
 		if r.MCOverExact < 0.9 || r.MCOverExact > 1.1 {
 			t.Errorf("%s: MC/Markov = %.3f", r.Name, r.MCOverExact)
 		}
 	}
 	// The degradation row exhibits the (K-1)! = 2 factor.
-	if f := res.Rows[1].MarkovOverClosed; f < 1.8 || f > 2.2 {
+	if f := res.Rows[2].MarkovOverClosed; f < 1.8 || f > 2.2 {
 		t.Errorf("MTTDS Markov/closed = %.3f, want ~2", f)
 	}
-	// The catastrophe row is close to the closed form.
-	if f := res.Rows[0].MarkovOverClosed; f < 0.95 || f > 1.1 {
-		t.Errorf("MTTF Markov/closed = %.3f, want ~1", f)
+	// The catastrophe rows, dedicated and declustered, are close to the
+	// closed form.
+	for _, r := range res.Rows[:2] {
+		if f := r.MarkovOverClosed; f < 0.95 || f > 1.1 {
+			t.Errorf("%s: Markov/closed = %.3f, want ~1", r.Name, f)
+		}
 	}
 	if _, err := Reliability(0); err != nil {
 		t.Fatal(err)

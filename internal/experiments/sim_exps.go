@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"ftmm/internal/analytic"
 	"ftmm/internal/chaos"
+	"ftmm/internal/diskmodel"
 	"ftmm/internal/failure"
-	"ftmm/internal/layout"
 	"ftmm/internal/report"
 	"ftmm/internal/sched"
 	"ftmm/internal/schemes"
@@ -277,6 +278,35 @@ type MonteCarloRow struct {
 	AnalyticHours  float64
 }
 
+// reliabilityRow is one design point of EXP-MC or EXP-REL: d drives in
+// parity groups of C = 4 (declustered over groups of g under DC) at a
+// scaled disk MTTF. A NonClustered row checks degradation of service
+// (equation (6)); the others check catastrophe (equations (4)-(5)).
+type reliabilityRow struct {
+	name   string
+	scheme analytic.Scheme
+	d, g   int
+	mttf   float64
+	seed   int64
+}
+
+// estimators returns the row's closed form in hours and its Markov and
+// Monte-Carlo estimators at reserve depth k, over the scheme's layout.
+// The repair time is the rebuild window: one hour, times (C-1)/(G-1)
+// for a declustered rebuild, which reads every survivor of the group.
+func (r reliabilityRow) estimators(k int) (float64, func() (float64, error), func(int, int64) (failure.Estimate, error), error) {
+	lay, err := server.NewLayout(r.scheme, r.d, 4, r.g, 1)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	cfg := analytic.Config{Disk: diskmodel.Params{MTTFHours: r.mttf, MTTRHours: 1}, D: r.d, C: 4, G: r.g, K: k}
+	m := failure.Model{Layout: lay, MTTFHours: r.mttf, MTTRHours: cfg.RebuildWindowFrac(r.scheme), K: k}
+	if r.scheme == analytic.NonClustered {
+		return cfg.MTTDS(r.scheme).Hours(), m.MarkovMTTDSHours, m.EstimateMTTDS, nil
+	}
+	return cfg.MTTFCatastrophic(r.scheme).Hours(), m.MarkovMTTFHours, m.EstimateMTTF, nil
+}
+
 // MonteCarlo validates equations (4)-(6) with event-driven simulation at
 // a scaled-down MTTF (500 h instead of 300,000 h) so rare events occur in
 // reasonable time; the algebraic structure is unchanged.
@@ -285,35 +315,25 @@ func MonteCarlo(trials int) (*MonteCarloResult, error) {
 		trials = DefaultOptions().Trials
 	}
 	res := &MonteCarloResult{}
-	ded := failure.Model{D: 40, C: 4, MTTFHours: 500, MTTRHours: 1, Placement: layout.DedicatedParity, K: 2}
-	est, err := ded.EstimateMTTF(trials, 11)
-	if err != nil {
-		return nil, err
+	for _, r := range []reliabilityRow{
+		{"MTTF dedicated parity (eq 4)", analytic.StreamingRAID, 40, 0, 500, 11},
+		{"MTTF intermixed parity (eq 5; true exposure is 3(C-1))", analytic.ImprovedBandwidth, 40, 0, 500, 12},
+		{"MTTF declustered G=13 (eq 4; MTTR x (C-1)/(G-1))", analytic.DeclusteredParity, 39, 13, 500, 14},
+		{"MTTDS, K=2 overlapping failures (eq 6)", analytic.NonClustered, 40, 0, 5000, 13},
+	} {
+		closed, _, estimate, err := r.estimators(2)
+		if err != nil {
+			return nil, err
+		}
+		est, err := estimate(trials, r.seed)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, MonteCarloRow{
+			Name: r.name, SimulatedHours: est.MeanHours,
+			StdErrHours: est.StdErrHours, AnalyticHours: closed,
+		})
 	}
-	res.Rows = append(res.Rows, MonteCarloRow{
-		Name: "MTTF dedicated parity (eq 4)", SimulatedHours: est.MeanHours,
-		StdErrHours: est.StdErrHours, AnalyticHours: ded.AnalyticMTTFHours(),
-	})
-	ib := ded
-	ib.Placement = layout.IntermixedParity
-	est, err = ib.EstimateMTTF(trials, 12)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, MonteCarloRow{
-		Name: "MTTF intermixed parity (eq 5, corrected 3C-1 exposure)", SimulatedHours: est.MeanHours,
-		StdErrHours: est.StdErrHours, AnalyticHours: ib.CorrectedIntermixedMTTFHours(),
-	})
-	deg := ded
-	deg.MTTFHours = 5000
-	est, err = deg.EstimateMTTDS(trials, 13)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, MonteCarloRow{
-		Name: "MTTDS, K=2 overlapping failures (eq 6)", SimulatedHours: est.MeanHours,
-		StdErrHours: est.StdErrHours, AnalyticHours: deg.AnalyticMTTDSHours(),
-	})
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Monte-Carlo reliability validation (%d trials, scaled MTTF)", trials),
@@ -373,7 +393,7 @@ func (r *MonteCarloResult) Render() string { return r.Text }
 
 // Values exports each validation row's simulated/analytic hours.
 func (r *MonteCarloResult) Values() map[string]float64 {
-	keys := []string{"mttf_dedicated", "mttf_intermixed", "mttds_k2"}
+	keys := []string{"mttf_dedicated", "mttf_intermixed", "mttf_declustered", "mttds_k2"}
 	v := map[string]float64{}
 	for i, row := range r.Rows {
 		k := fmt.Sprintf("row%d", i)

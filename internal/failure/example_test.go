@@ -3,6 +3,7 @@ package failure_test
 import (
 	"fmt"
 
+	"ftmm/internal/analytic"
 	"ftmm/internal/failure"
 	"ftmm/internal/layout"
 )
@@ -10,17 +11,17 @@ import (
 // Solve the paper's Table 2 reliability point exactly with the
 // birth-death chain and compare with equation (4)'s closed form.
 func ExampleModel_MarkovMTTFHours() {
-	m := failure.Model{
-		D: 100, C: 5,
-		MTTFHours: 300_000, MTTRHours: 1,
-		Placement: layout.DedicatedParity, K: 3,
+	lay, err := layout.New(100, 5, 1, layout.DedicatedParity)
+	if err != nil {
+		panic(err)
 	}
+	m := failure.Model{Layout: lay, MTTFHours: 300_000, MTTRHours: 1, K: 3}
 	exact, err := m.MarkovMTTFHours()
 	if err != nil {
 		panic(err)
 	}
-	closed := m.AnalyticMTTFHours()
-	fmt.Printf("closed form: %.1f years\n", closed/8760)
+	closed := analytic.Table1Config(5, 3).MTTFCatastrophic(analytic.StreamingRAID)
+	fmt.Printf("closed form: %.1f years\n", float64(closed))
 	fmt.Printf("exact chain: %.1f years\n", exact/8760)
 	// Output:
 	// closed form: 25684.9 years

@@ -1,20 +1,15 @@
 // Package failure estimates the reliability quantities of §5 by
-// continuous-time Monte-Carlo simulation, validating the paper's closed
-// forms (equations (4)-(6)).
+// continuous-time Monte-Carlo simulation and exact Markov chains, as
+// checks on the paper's closed forms (equations (4)-(6), package
+// analytic).
 //
 // Disks fail independently at rate 1/MTTF and are repaired in exponential
 // time with mean MTTR. A catastrophic failure is a pair of concurrently
-// failed disks that share a parity group family:
-//
-//   - dedicated parity (SR/SG/NC): two failures in the same cluster;
-//   - intermixed parity (IB): two failures in the same cluster or in
-//     adjacent clusters (cluster i's parity lives on cluster i+1, so a
-//     pair {i, i+1} loses the groups that span both failed drives).
-//
-// Note the intermixed exposure seen by the simulation is 3C-1 (same
-// cluster, next cluster, and previous cluster) where the paper's equation
-// (5) uses 2C-1 — it counts only one adjacent side; the Monte-Carlo
-// results quantify the difference (see EXPERIMENTS.md).
+// failed disks that hold tracks of one parity group, as the layout
+// places them (layout.Layout.SharesGroup): a disk's C-1 cluster mates
+// under dedicated parity, the G-1 others of its declustering group under
+// declustered parity, and 3(C-1) disks under intermixed parity (2(C-1)
+// on two clusters), where the paper's equation (5) counts 2C-1.
 //
 // Degradation of service is K concurrent failures anywhere in the farm
 // (equation (6)): the K-th overlapping failure finds the shared reserve —
@@ -23,35 +18,34 @@ package failure
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 
 	"ftmm/internal/layout"
-	"ftmm/internal/units"
 )
 
 // Model is one reliability design point.
 type Model struct {
-	// D is the number of disks, C the cluster size.
-	D, C int
+	// Layout is the farm: its drives, and the parity groups it places,
+	// which decide what pairs of failures are catastrophic. Only its
+	// topology is read; it may be shared by concurrent estimates.
+	Layout *layout.Layout
 	// MTTFHours and MTTRHours are per-disk failure and repair means.
 	MTTFHours, MTTRHours float64
-	// Placement selects the catastrophe topology.
-	Placement layout.Placement
 	// K is the reserve depth for degradation of service.
 	K int
 }
 
+// disks returns the farm's drive count.
+func (m Model) disks() int { return m.Layout.Clusters() * m.Layout.ClusterSize() }
+
 // Validate reports whether the model is well-formed.
 func (m Model) Validate() error {
 	switch {
-	case m.C < 2:
-		return fmt.Errorf("failure: cluster size %d must be >= 2", m.C)
-	case m.D < m.C || m.D%m.C != 0:
-		return fmt.Errorf("failure: %d disks is not a whole number of clusters of %d", m.D, m.C)
+	case m.Layout == nil:
+		return errors.New("failure: no layout")
 	case m.MTTFHours <= 0 || m.MTTRHours <= 0:
 		return errors.New("failure: MTTF and MTTR must be positive")
 	case m.MTTFHours <= m.MTTRHours:
@@ -64,34 +58,28 @@ func (m Model) Validate() error {
 
 // Estimate is a Monte-Carlo mean with its standard error.
 type Estimate struct {
-	Trials       int
-	MeanHours    float64
-	StdErrHours  float64
-	MeanYears    units.Years
-	AnalyticNote string
+	Trials      int
+	MeanHours   float64
+	StdErrHours float64
 }
 
 // farmState tracks concurrent failures during one trial.
 type farmState struct {
-	m          Model
-	rng        *rand.Rand
-	failed     map[int]float64 // disk -> repair completion time
-	perCluster []int
+	m      Model
+	d      int
+	rng    *rand.Rand
+	failed map[int]float64 // disk -> repair completion time
 }
 
 func newFarmState(m Model, rng *rand.Rand) *farmState {
-	return &farmState{
-		m: m, rng: rng,
-		failed:     make(map[int]float64),
-		perCluster: make([]int, m.D/m.C),
-	}
+	return &farmState{m: m, d: m.disks(), rng: rng, failed: make(map[int]float64)}
 }
 
 // step advances to the next event (failure or repair) and returns the
 // disk that failed, or -1 for a repair event, plus the new clock.
 func (f *farmState) step(now float64) (int, float64) {
 	lambda := 1 / f.m.MTTFHours
-	operational := f.m.D - len(f.failed)
+	operational := f.d - len(f.failed)
 	tFail := now + f.rng.ExpFloat64()/(lambda*float64(operational))
 
 	repairDisk, tRepair := -1, math.Inf(1)
@@ -102,7 +90,6 @@ func (f *farmState) step(now float64) (int, float64) {
 	}
 	if tRepair < tFail {
 		delete(f.failed, repairDisk)
-		f.perCluster[repairDisk/f.m.C]--
 		return -1, tRepair
 	}
 	// Pick a uniformly random operational disk.
@@ -118,20 +105,14 @@ func (f *farmState) step(now float64) (int, float64) {
 		d++
 	}
 	f.failed[d] = tFail + f.rng.ExpFloat64()*f.m.MTTRHours
-	f.perCluster[d/f.m.C]++
 	return d, tFail
 }
 
-// catastrophicWith reports whether the newly failed disk forms a
-// catastrophic pair with any other failed disk.
+// catastrophicWith reports whether the newly failed disk shares a
+// parity group with any other failed disk.
 func (f *farmState) catastrophicWith(d int) bool {
-	cl := d / f.m.C
-	if f.perCluster[cl] >= 2 {
-		return true
-	}
-	if f.m.Placement == layout.IntermixedParity {
-		nc := len(f.perCluster)
-		if f.perCluster[(cl+1)%nc] >= 1 || f.perCluster[(cl+nc-1)%nc] >= 1 {
+	for other := range f.failed {
+		if f.m.Layout.SharesGroup(d, other) {
 			return true
 		}
 	}
@@ -263,7 +244,6 @@ func estimate(samples []float64) Estimate {
 		Trials:      len(samples),
 		MeanHours:   mean,
 		StdErrHours: stderr,
-		MeanYears:   units.YearsFromHours(mean),
 	}
 }
 
@@ -276,15 +256,7 @@ func (m Model) EstimateMTTF(trials int, seed int64) (Estimate, error) {
 // EstimateMTTFWorkers is EstimateMTTF with an explicit worker count
 // (<= 0 means GOMAXPROCS). The estimate is identical at any count.
 func (m Model) EstimateMTTFWorkers(trials int, seed int64, workers int) (Estimate, error) {
-	if err := m.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	if trials < 1 {
-		return Estimate{}, errors.New("failure: need at least one trial")
-	}
-	e := estimate(sample(trials, seed, workers, m.timeToCatastrophe))
-	e.AnalyticNote = "equations (4)-(5)"
-	return e, nil
+	return m.run(trials, seed, workers, false, m.timeToCatastrophe)
 }
 
 // timeToServerExhaustion simulates the Non-clustered scheme's actual
@@ -296,43 +268,29 @@ func (m Model) EstimateMTTFWorkers(trials int, seed int64, workers int) (Estimat
 func (m Model) timeToServerExhaustion(rng *rand.Rand) float64 {
 	f := newFarmState(m, rng)
 	now := 0.0
-	dataPerCluster := make([]int, m.D/m.C)
-	// Recompute cluster data-failure counts from the failed set after
-	// each event (cheap at these sizes, and immune to ordering bugs).
-	recount := func() int {
-		for i := range dataPerCluster {
-			dataPerCluster[i] = 0
-		}
-		busy := 0
-		for d := range f.failed {
-			if d%m.C == m.C-1 {
-				continue // dedicated parity drive
-			}
-			cl := d / m.C
-			if dataPerCluster[cl] == 0 {
-				busy++
-			}
-			dataPerCluster[cl]++
-		}
-		return busy
-	}
+	c := m.Layout.ClusterSize()
+	failedData := make([]int, m.Layout.Clusters()) // per cluster
 	for {
 		d, t := f.step(now)
 		now = t
-		if d < 0 {
-			continue // repair
+		if d < 0 || m.Layout.Role(d) == layout.RoleParity {
+			continue // a repair, or a failure that needs no server
 		}
-		if d%m.C == m.C-1 {
-			continue // parity drive: no server needed
+		// Recount from the failed set, which includes the new failure.
+		clear(failedData)
+		busy := 0
+		for o := range f.failed {
+			if m.Layout.Role(o) != layout.RoleParity {
+				failedData[o/c]++
+				if failedData[o/c] == 1 {
+					busy++
+				}
+			}
 		}
-		busy := recount() // includes the new failure
-		if dataPerCluster[d/m.C] > 1 {
-			// Same cluster again: catastrophic, not a new server demand.
-			continue
-		}
-		// The new cluster demands a server; servers are sticky, so if
-		// demand now exceeds K the newcomer finds none: degradation.
-		if busy > m.K {
+		// A second failure in a degraded cluster is a catastrophe, not a
+		// new server demand. Servers are sticky, so if demand now
+		// exceeds K the newcomer finds none: degradation.
+		if failedData[d/c] == 1 && busy > m.K {
 			return now
 		}
 	}
@@ -350,18 +308,7 @@ func (m Model) EstimateMTTDSNonClustered(trials int, seed int64) (Estimate, erro
 // EstimateMTTDSNonClusteredWorkers is EstimateMTTDSNonClustered with an
 // explicit worker count (<= 0 means GOMAXPROCS).
 func (m Model) EstimateMTTDSNonClusteredWorkers(trials int, seed int64, workers int) (Estimate, error) {
-	if err := m.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	if m.K < 1 {
-		return Estimate{}, errors.New("failure: degradation needs K >= 1")
-	}
-	if trials < 1 {
-		return Estimate{}, errors.New("failure: need at least one trial")
-	}
-	e := estimate(sample(trials, seed, workers, m.timeToServerExhaustion))
-	e.AnalyticNote = "scheme-faithful NC degradation (cf. equation (6))"
-	return e, nil
+	return m.run(trials, seed, workers, true, m.timeToServerExhaustion)
 }
 
 // EstimateMTTDS runs trials degradation simulations (time to K
@@ -373,46 +320,20 @@ func (m Model) EstimateMTTDS(trials int, seed int64) (Estimate, error) {
 // EstimateMTTDSWorkers is EstimateMTTDS with an explicit worker count
 // (<= 0 means GOMAXPROCS).
 func (m Model) EstimateMTTDSWorkers(trials int, seed int64, workers int) (Estimate, error) {
+	return m.run(trials, seed, workers, true, m.timeToKOverlapping)
+}
+
+// run validates the model and the trial count, then folds trials samples
+// of fn. A degradation estimate (needK) needs K >= 1.
+func (m Model) run(trials int, seed int64, workers int, needK bool, fn func(*rand.Rand) float64) (Estimate, error) {
 	if err := m.Validate(); err != nil {
 		return Estimate{}, err
 	}
-	if m.K < 1 {
+	if needK && m.K < 1 {
 		return Estimate{}, errors.New("failure: degradation needs K >= 1")
 	}
 	if trials < 1 {
 		return Estimate{}, errors.New("failure: need at least one trial")
 	}
-	e := estimate(sample(trials, seed, workers, m.timeToKOverlapping))
-	e.AnalyticNote = "equation (6)"
-	return e, nil
-}
-
-// AnalyticMTTFHours returns the paper's closed form for the model:
-// MTTF²/(D·(C-1)·MTTR) for dedicated parity, MTTF²/(D·(2C-1)·MTTR) for
-// intermixed (equations (4)-(5)).
-func (m Model) AnalyticMTTFHours() float64 {
-	exposure := float64(m.C - 1)
-	if m.Placement == layout.IntermixedParity {
-		exposure = float64(2*m.C - 1)
-	}
-	return m.MTTFHours * m.MTTFHours / (float64(m.D) * exposure * m.MTTRHours)
-}
-
-// CorrectedIntermixedMTTFHours returns the exposure the simulation
-// actually sees for intermixed parity — 3C-1 rather than the paper's
-// 2C-1 (both adjacent clusters can pair with a failure, not just the
-// right-hand one). For three or more clusters this is the form the
-// Monte-Carlo results converge to.
-func (m Model) CorrectedIntermixedMTTFHours() float64 {
-	return m.MTTFHours * m.MTTFHours / (float64(m.D) * float64(3*m.C-1) * m.MTTRHours)
-}
-
-// AnalyticMTTDSHours returns equation (6):
-// MTTF^K/(D·(D-1)·…·(D-K+1)·MTTR^(K-1)).
-func (m Model) AnalyticMTTDSHours() float64 {
-	h := math.Pow(m.MTTFHours, float64(m.K))
-	for i := 0; i < m.K; i++ {
-		h /= float64(m.D - i)
-	}
-	return h / math.Pow(m.MTTRHours, float64(m.K-1))
+	return estimate(sample(trials, seed, workers, fn)), nil
 }

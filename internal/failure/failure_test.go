@@ -4,30 +4,68 @@ import (
 	"math"
 	"testing"
 
+	"ftmm/internal/analytic"
+	"ftmm/internal/diskmodel"
 	"ftmm/internal/layout"
 )
+
+// farm returns the layout of d drives in clusters of c.
+func farm(d, c int, placement layout.Placement) *layout.Layout {
+	l, err := layout.New(d, c, 1, placement)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
 
 // scaled returns a model small enough to Monte-Carlo quickly: MTTF is
 // scaled down but stays >> MTTR, preserving the rare-event structure.
 func scaled(placement layout.Placement, k int) Model {
 	return Model{
-		D: 40, C: 4,
+		Layout:    farm(40, 4, placement),
 		MTTFHours: 500, MTTRHours: 1,
-		Placement: placement, K: k,
+		K: k,
 	}
 }
+
+// closedForms is the model's design point in package analytic, which
+// holds the paper's equations (4)-(6).
+func closedForms(m Model) analytic.Config {
+	return analytic.Config{
+		Disk: diskmodel.Params{MTTFHours: m.MTTFHours, MTTRHours: m.MTTRHours},
+		D:    m.disks(), C: m.Layout.GroupWidth() + 1, G: m.Layout.DeclusterGroup(), K: m.K,
+	}
+}
+
+// scheme names the scheme whose catastrophe closed form fits the
+// layout's placement.
+func scheme(m Model) analytic.Scheme {
+	switch m.Layout.Placement() {
+	case layout.IntermixedParity:
+		return analytic.ImprovedBandwidth
+	case layout.DeclusteredParity:
+		return analytic.DeclusteredParity
+	}
+	return analytic.StreamingRAID
+}
+
+// closedMTTFHours is equation (4) or (5) for the model.
+func closedMTTFHours(m Model) float64 { return closedForms(m).MTTFCatastrophic(scheme(m)).Hours() }
+
+// closedMTTDSHours is equation (6) for the model.
+func closedMTTDSHours(m Model) float64 { return closedForms(m).MTTDS(analytic.NonClustered).Hours() }
 
 func TestValidate(t *testing.T) {
 	if err := scaled(layout.DedicatedParity, 3).Validate(); err != nil {
 		t.Fatalf("valid model rejected: %v", err)
 	}
+	l := farm(40, 4, layout.DedicatedParity)
 	bad := []Model{
-		{D: 40, C: 1, MTTFHours: 500, MTTRHours: 1},
-		{D: 41, C: 4, MTTFHours: 500, MTTRHours: 1},
-		{D: 40, C: 4, MTTFHours: 0, MTTRHours: 1},
-		{D: 40, C: 4, MTTFHours: 500, MTTRHours: 0},
-		{D: 40, C: 4, MTTFHours: 1, MTTRHours: 2},
-		{D: 40, C: 4, MTTFHours: 500, MTTRHours: 1, K: -1},
+		{MTTFHours: 500, MTTRHours: 1},
+		{Layout: l, MTTFHours: 0, MTTRHours: 1},
+		{Layout: l, MTTFHours: 500, MTTRHours: 0},
+		{Layout: l, MTTFHours: 1, MTTRHours: 2},
+		{Layout: l, MTTFHours: 500, MTTRHours: 1, K: -1},
 	}
 	for i, m := range bad {
 		if m.Validate() == nil {
@@ -43,31 +81,37 @@ func TestMTTFDedicatedMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.AnalyticMTTFHours() // 500²/(40·3·1) = 2083 h
+	want := closedMTTFHours(m) // 500²/(40·3·1) = 2083 h
 	if math.Abs(est.MeanHours-want) > 4*est.StdErrHours+0.05*want {
 		t.Fatalf("MC MTTF = %.0f ± %.0f h, analytic %.0f h", est.MeanHours, est.StdErrHours, want)
 	}
 }
 
-// The intermixed-parity Monte-Carlo MTTF converges to the corrected
-// 3C-1 exposure, sitting between the paper's 2C-1 form and half of it.
+// The intermixed-parity Monte-Carlo MTTF converges to the exposure the
+// placement has, 3(C-1) = 9 drives per failure on three or more
+// clusters, so it sits at (2C-1)/(3(C-1)) = 7/9 of the paper's
+// equation (5), which counts 2C-1.
 func TestMTTFIntermixedMatchesCorrectedForm(t *testing.T) {
 	m := scaled(layout.IntermixedParity, 3)
 	est, err := m.EstimateMTTF(2000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrected := m.CorrectedIntermixedMTTFHours() // exposure 3C-1 = 11
+	c := float64(m.Layout.ClusterSize())
+	corrected := m.MTTFHours * m.MTTFHours / (float64(m.disks()) * 3 * (c - 1) * m.MTTRHours)
 	if math.Abs(est.MeanHours-corrected) > 4*est.StdErrHours+0.05*corrected {
-		t.Fatalf("MC MTTF = %.0f ± %.0f h, corrected analytic %.0f h", est.MeanHours, est.StdErrHours, corrected)
+		t.Fatalf("MC MTTF = %.0f ± %.0f h, 3(C-1) exposure gives %.0f h", est.MeanHours, est.StdErrHours, corrected)
+	}
+	paper := closedMTTFHours(m)
+	if want := (2*c - 1) / (3 * (c - 1)); math.Abs(corrected/paper-want) > 1e-12 {
+		t.Fatalf("3(C-1) form / equation (5) = %v, want %v", corrected/paper, want)
 	}
 	// And it must be clearly below the paper's 2C-1 form and the
 	// dedicated-parity MTTF (IB is less reliable, §4).
-	if est.MeanHours >= m.AnalyticMTTFHours() {
-		t.Fatalf("MC %.0f h >= paper's optimistic form %.0f h", est.MeanHours, m.AnalyticMTTFHours())
+	if est.MeanHours >= paper {
+		t.Fatalf("MC %.0f h >= paper's optimistic form %.0f h", est.MeanHours, paper)
 	}
-	ded := scaled(layout.DedicatedParity, 3)
-	if est.MeanHours >= ded.AnalyticMTTFHours() {
+	if est.MeanHours >= closedMTTFHours(scaled(layout.DedicatedParity, 3)) {
 		t.Fatal("intermixed MTTF not below dedicated MTTF")
 	}
 }
@@ -82,7 +126,7 @@ func TestMTTDSMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.AnalyticMTTDSHours() // 500²/(40·39·1) = 160.3 h
+	want := closedMTTDSHours(m) // 5000²/(40·39·1) = 16026 h
 	if math.Abs(est.MeanHours-want) > 4*est.StdErrHours+0.08*want {
 		t.Fatalf("MC MTTDS = %.1f ± %.1f h, analytic %.1f h", est.MeanHours, est.StdErrHours, want)
 	}
@@ -115,7 +159,7 @@ func TestEstimateErrors(t *testing.T) {
 		t.Error("zero trials accepted")
 	}
 	bad := m
-	bad.C = 0
+	bad.Layout = nil
 	if _, err := bad.EstimateMTTF(10, 1); err == nil {
 		t.Error("invalid model accepted")
 	}
@@ -168,18 +212,19 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// Sanity on the closed forms themselves at the paper's scale.
+// Sanity on the closed forms the models are checked against, at the
+// paper's scale: package analytic's equations (4)-(6).
 func TestAnalyticFormsPaperScale(t *testing.T) {
-	m := Model{D: 100, C: 5, MTTFHours: 300_000, MTTRHours: 1, Placement: layout.DedicatedParity, K: 3}
-	if got := m.AnalyticMTTFHours(); math.Abs(got-2.25e8) > 1 {
+	m := Model{Layout: farm(100, 5, layout.DedicatedParity), MTTFHours: 300_000, MTTRHours: 1, K: 3}
+	if got := closedMTTFHours(m); math.Abs(got-2.25e8) > 1 {
 		t.Errorf("analytic MTTF = %v, want 2.25e8", got)
 	}
 	mi := m
-	mi.Placement = layout.IntermixedParity
-	if got := mi.AnalyticMTTFHours(); math.Abs(got-1e8) > 1 {
+	mi.Layout = farm(100, 5, layout.IntermixedParity)
+	if got := closedMTTFHours(mi); math.Abs(got-1e8) > 1 {
 		t.Errorf("analytic IB MTTF = %v, want 1e8", got)
 	}
-	if got := m.AnalyticMTTDSHours(); math.Abs(got-2.7e16/970200) > 1e6 {
+	if got := closedMTTDSHours(m); math.Abs(got-2.7e16/970200) > 1e6 {
 		t.Errorf("analytic MTTDS = %v", got)
 	}
 }
@@ -221,7 +266,7 @@ func TestNCDegradationErrors(t *testing.T) {
 		t.Error("zero trials accepted")
 	}
 	bad := m
-	bad.C = 0
+	bad.Layout = nil
 	if _, err := bad.EstimateMTTDSNonClustered(10, 1); err == nil {
 		t.Error("invalid model accepted")
 	}

@@ -10,48 +10,71 @@ import (
 // third, independent check sitting between the paper's closed-form
 // approximations (equations (4)-(6)) and the Monte-Carlo simulation.
 //
-// State j counts concurrently failed disks. For the dedicated-parity
-// catastrophe chain, reachable states have every failed disk in a
-// distinct cluster; from state j a new failure is catastrophic exactly
-// when it hits one of the j damaged clusters' C-1 surviving drives:
+// State j counts concurrently failed disks. When the layout's sharing
+// relation splits the farm into equal cliques of s disks — the C-disk
+// clusters of dedicated parity, the G-disk declustering groups of
+// declustered parity — reachable states have every failed disk in a
+// distinct clique, and from state j a new failure is catastrophic
+// exactly when it hits one of the j damaged cliques' s-1 survivors:
 //
-//	up      a_j = (D - j·C)·λ      (failure in an untouched cluster)
-//	absorb  c_j = j·(C-1)·λ        (second failure in a damaged cluster)
+//	up      a_j = (D - j·s)·λ      (failure in an untouched clique)
+//	absorb  c_j = j·(s-1)·λ        (second failure in a damaged clique)
 //	down    b_j = j·μ              (a repair completes)
 //
 // The mean time to absorption T_0 solves the tridiagonal system
 // (a_j+b_j+c_j)·T_j − a_j·T_{j+1} − b_j·T_{j−1} = 1.
 
-// MarkovMTTFHours returns the exact mean time to catastrophic failure
-// for dedicated parity placement (two failures in one cluster), solving
-// the birth-death chain above. Only the dedicated topology has the
-// product-form state space that keeps the chain one-dimensional; use the
-// Monte-Carlo estimator for intermixed parity.
+// MarkovMTTFHours returns the exact mean time to catastrophic failure,
+// solving the birth-death chain above. Only a relation of equal cliques
+// keeps the chain one-dimensional; intermixed parity's is not one (its
+// groups chain adjacent clusters), so use the Monte-Carlo estimator.
 func (m Model) MarkovMTTFHours() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
+	s := m.cliqueSize()
+	if s == 0 {
+		return 0, fmt.Errorf("failure: the %v sharing relation is not a partition into equal cliques", m.Layout.Placement())
+	}
+	d := m.disks()
 	lambda := 1 / m.MTTFHours
 	mu := 1 / m.MTTRHours
-	nc := m.D / m.C
-	// States j = 0..nc (all clusters damaged at j = nc).
+	nc := d / s
+	// States j = 0..nc (all cliques damaged at j = nc).
 	n := nc + 1
 	a := make([]float64, n)
 	b := make([]float64, n)
 	c := make([]float64, n)
 	for j := 0; j < n; j++ {
-		up := float64(m.D-j*m.C) * lambda
-		if up < 0 {
-			up = 0
-		}
+		up := float64(d-j*s) * lambda
 		if j == n-1 {
-			up = 0 // no untouched cluster left
+			up = 0 // no untouched clique left
 		}
 		a[j] = up
 		b[j] = float64(j) * mu
-		c[j] = float64(j*(m.C-1)) * lambda
+		c[j] = float64(j*(s-1)) * lambda
 	}
 	return solveAbsorption(a, b, c)
+}
+
+// cliqueSize returns s when the relation is exactly "in the same run of
+// s consecutive drives", as clusters and declustering groups are; 0
+// otherwise.
+func (m Model) cliqueSize() int {
+	d, s := m.disks(), 1
+	for b := 1; b < d; b++ {
+		if m.Layout.SharesGroup(0, b) {
+			s++
+		}
+	}
+	for a := 0; a < d; a++ {
+		for b := 0; b < d; b++ {
+			if m.Layout.SharesGroup(a, b) != (a != b && a/s == b/s) {
+				return 0
+			}
+		}
+	}
+	return s
 }
 
 // MarkovMTTDSHours returns the exact mean time until K disks are down
@@ -65,8 +88,9 @@ func (m Model) MarkovMTTDSHours() (float64, error) {
 	if m.K < 1 {
 		return 0, errors.New("failure: degradation needs K >= 1")
 	}
-	if m.K > m.D {
-		return 0, fmt.Errorf("failure: K=%d exceeds D=%d", m.K, m.D)
+	d := m.disks()
+	if m.K > d {
+		return 0, fmt.Errorf("failure: K=%d exceeds D=%d", m.K, d)
 	}
 	lambda := 1 / m.MTTFHours
 	mu := 1 / m.MTTRHours
@@ -76,7 +100,7 @@ func (m Model) MarkovMTTDSHours() (float64, error) {
 	b := make([]float64, n)
 	c := make([]float64, n)
 	for j := 0; j < n; j++ {
-		rate := float64(m.D-j) * lambda
+		rate := float64(d-j) * lambda
 		if j == n-1 {
 			a[j], c[j] = 0, rate // the K-th failure absorbs
 		} else {

@@ -24,7 +24,7 @@ func TestMarkovMTTFMatchesMonteCarlo(t *testing.T) {
 		t.Fatalf("Markov %.1f h vs MC %.1f ± %.1f h", exact, mc.MeanHours, mc.StdErrHours)
 	}
 	// The closed form underestimates slightly; within 10% at this scale.
-	closed := m.AnalyticMTTFHours()
+	closed := closedMTTFHours(m)
 	if ratio := exact / closed; ratio < 0.95 || ratio > 1.10 {
 		t.Fatalf("Markov/closed ratio = %.3f", ratio)
 	}
@@ -48,12 +48,12 @@ func TestMarkovMTTDSMatchesMonteCarlo(t *testing.T) {
 
 // At the paper's scale the closed forms converge to the Markov solution.
 func TestMarkovConvergesToClosedFormAtPaperScale(t *testing.T) {
-	m := Model{D: 100, C: 5, MTTFHours: 300_000, MTTRHours: 1, Placement: layout.DedicatedParity, K: 3}
+	m := Model{Layout: farm(100, 5, layout.DedicatedParity), MTTFHours: 300_000, MTTRHours: 1, K: 3}
 	exact, err := m.MarkovMTTFHours()
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := m.AnalyticMTTFHours()
+	closed := closedMTTFHours(m)
 	if ratio := exact / closed; math.Abs(ratio-1) > 0.002 {
 		t.Fatalf("paper-scale Markov/closed = %.5f, want ~1", ratio)
 	}
@@ -66,7 +66,7 @@ func TestMarkovConvergesToClosedFormAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closedDS := m.AnalyticMTTDSHours()
+	closedDS := closedMTTDSHours(m)
 	if ratio := exactDS / closedDS; math.Abs(ratio-2) > 0.01 {
 		t.Fatalf("paper-scale MTTDS Markov/closed = %.5f, want ~(K-1)! = 2", ratio)
 	}
@@ -89,7 +89,7 @@ func TestMTTDSFactorialFactorConfirmedByMC(t *testing.T) {
 		t.Fatalf("MC %.0f ± %.0f h vs Markov %.0f h", mc.MeanHours, mc.StdErrHours, exact)
 	}
 	// And it is clearly ~2x the closed form, not ~1x.
-	if ratio := mc.MeanHours / m.AnalyticMTTDSHours(); ratio < 1.6 {
+	if ratio := mc.MeanHours / closedMTTDSHours(m); ratio < 1.6 {
 		t.Fatalf("MC/closed ratio = %.2f; expected the (K-1)! factor to show", ratio)
 	}
 }
@@ -97,7 +97,7 @@ func TestMTTDSFactorialFactorConfirmedByMC(t *testing.T) {
 // MTTDS with K=1 is simply the time to first failure, MTTF/D — an exact
 // anchor for the solver.
 func TestMarkovMTTDSKOne(t *testing.T) {
-	m := Model{D: 50, C: 5, MTTFHours: 1000, MTTRHours: 1, Placement: layout.DedicatedParity, K: 1}
+	m := Model{Layout: farm(50, 5, layout.DedicatedParity), MTTFHours: 1000, MTTRHours: 1, K: 1}
 	got, err := m.MarkovMTTDSHours()
 	if err != nil {
 		t.Fatal(err)
@@ -109,21 +109,24 @@ func TestMarkovMTTDSKOne(t *testing.T) {
 
 // With C=2 (mirrored pairs) the chain is still well-formed.
 func TestMarkovMirroredPairs(t *testing.T) {
-	m := Model{D: 10, C: 2, MTTFHours: 1000, MTTRHours: 1, Placement: layout.DedicatedParity, K: 2}
+	m := Model{Layout: farm(10, 2, layout.DedicatedParity), MTTFHours: 1000, MTTRHours: 1, K: 2}
 	got, err := m.MarkovMTTFHours()
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := m.AnalyticMTTFHours() // 1000²/(10·1·1) = 100,000 h
+	closed := closedMTTFHours(m) // 1000²/(10·1·1) = 100,000 h
 	if ratio := got / closed; ratio < 0.95 || ratio > 1.1 {
 		t.Fatalf("mirrored Markov/closed = %.3f", ratio)
 	}
 }
 
 func TestMarkovErrors(t *testing.T) {
-	bad := Model{D: 40, C: 0, MTTFHours: 500, MTTRHours: 1}
+	bad := Model{MTTFHours: 500, MTTRHours: 1}
 	if _, err := bad.MarkovMTTFHours(); err == nil {
 		t.Error("invalid model accepted")
+	}
+	if _, err := scaled(layout.IntermixedParity, 3).MarkovMTTFHours(); err == nil {
+		t.Error("intermixed parity, whose relation is no partition into cliques, accepted")
 	}
 	m := scaled(layout.DedicatedParity, 0)
 	if _, err := m.MarkovMTTDSHours(); err == nil {
@@ -153,9 +156,37 @@ func TestMarkovMonotonicity(t *testing.T) {
 		t.Fatalf("halving MTTR should raise MTTF: %v <= %v", tFast, tBase)
 	}
 	big := base
-	big.D = 80
+	big.Layout = farm(80, 4, layout.DedicatedParity)
 	tBig, _ := big.MarkovMTTFHours()
 	if tBig >= tBase {
 		t.Fatalf("doubling D should lower MTTF: %v >= %v", tBig, tBase)
+	}
+}
+
+// Declustered parity's relation splits the farm into cliques of G
+// drives (λ >= 1: every pair of a declustering group shares a block),
+// so its chain is dedicated parity's with clusters of G, and the
+// Monte-Carlo over the same relation agrees with it.
+func TestMarkovDeclusteredMatchesMonteCarlo(t *testing.T) {
+	lay, err := layout.NewDeclustered(39, 13, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Model{Layout: lay, MTTFHours: 500, MTTRHours: 0.25, K: 3}
+	exact, err := m.MarkovMTTFHours()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := m
+	same.Layout = farm(39, 13, layout.DedicatedParity)
+	if want, _ := same.MarkovMTTFHours(); exact != want {
+		t.Fatalf("declustered chain %v h, dedicated chain over clusters of 13 %v h", exact, want)
+	}
+	mc, err := m.EstimateMTTF(2000, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mc.MeanHours-exact) > 4*mc.StdErrHours {
+		t.Fatalf("Markov %.1f h vs MC %.1f ± %.1f h", exact, mc.MeanHours, mc.StdErrHours)
 	}
 }

@@ -161,6 +161,8 @@ type Layout struct {
 	// the next never-used track.
 	free   [][]int
 	cursor []int
+
+	topology topology
 }
 
 // New creates an empty layout for d drives in clusters of c, each with
@@ -217,13 +219,6 @@ func NewDeclustered(d, g, c, tracksPerDisk int) (*Layout, error) {
 // ForFarm creates a layout matching an existing farm.
 func ForFarm(f *disk.Farm, placement Placement) (*Layout, error) {
 	return New(f.Size(), f.ClusterSize(), f.Params().TracksPerDisk(), placement)
-}
-
-// ForFarmDeclustered creates a declustered layout matching an existing
-// farm whose clusters are the G-drive declustering groups, with parity
-// groups of c tracks.
-func ForFarmDeclustered(f *disk.Farm, c int) (*Layout, error) {
-	return NewDeclustered(f.Size(), f.ClusterSize(), c, f.Params().TracksPerDisk())
 }
 
 // Clusters returns the cluster count.
@@ -329,16 +324,6 @@ func (l *Layout) groupDrives(cl, g int) (data []int, par int) {
 	default:
 		return nil, -1
 	}
-}
-
-// ParityHomeCluster returns the cluster whose drives hold the parity for
-// data stored on cluster cl: cl itself under dedicated parity, cl+1 under
-// intermixed parity.
-func (l *Layout) ParityHomeCluster(cl int) int {
-	if l.placement == IntermixedParity {
-		return (cl + 1) % l.Clusters()
-	}
-	return cl
 }
 
 // AddObject places an object of dataTracks tracks starting at cluster

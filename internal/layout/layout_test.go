@@ -151,14 +151,23 @@ func TestIntermixedPlacementShape(t *testing.T) {
 	}
 }
 
+// A group's parity lives on its own cluster under dedicated parity and
+// on the next cluster (mod Nc) under intermixed parity.
 func TestParityHomeCluster(t *testing.T) {
-	ded, _ := New(10, 5, 100, DedicatedParity)
-	if ded.ParityHomeCluster(1) != 1 {
-		t.Error("dedicated parity home should be same cluster")
-	}
-	ib, _ := New(10, 5, 100, IntermixedParity)
-	if ib.ParityHomeCluster(0) != 1 || ib.ParityHomeCluster(1) != 0 {
-		t.Error("intermixed parity home should be next cluster (mod Nc)")
+	for _, tc := range []struct {
+		placement Placement
+		home      [2]int // parity cluster of a group on cluster 0, 1
+	}{{DedicatedParity, [2]int{0, 1}}, {IntermixedParity, [2]int{1, 0}}} {
+		l, _ := New(10, 5, 100, tc.placement)
+		obj, err := l.AddObject("o", 2*l.GroupWidth(), 0, units.MPEG1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range obj.Groups {
+			if got := g.Parity.Disk / l.ClusterSize(); got != tc.home[g.Cluster] {
+				t.Errorf("%v: group on cluster %d has parity on cluster %d, want %d", tc.placement, g.Cluster, got, tc.home[g.Cluster])
+			}
+		}
 	}
 }
 

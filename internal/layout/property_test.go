@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,7 +87,11 @@ func checkInvariants(t *testing.T, l *Layout) bool {
 				t.Logf("group %s/%d parity on a data drive of the group", obj.ID, gi)
 				return false
 			}
-			if g.Parity.Disk/l.ClusterSize() != l.ParityHomeCluster(g.Cluster) {
+			home := g.Cluster
+			if l.Placement() == IntermixedParity {
+				home = (g.Cluster + 1) % l.Clusters()
+			}
+			if g.Parity.Disk/l.ClusterSize() != home {
 				t.Logf("group %s/%d parity outside its home cluster", obj.ID, gi)
 				return false
 			}
@@ -126,5 +131,119 @@ func TestFreeTracksConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTopologyMatchesPlacedGroups checks SharesGroup and Role against a
+// brute force over placed objects: one object from every start cluster,
+// each long enough to cycle through every rotation of its placement.
+func TestTopologyMatchesPlacedGroups(t *testing.T) {
+	type geom struct {
+		name string
+		make func() (*Layout, error)
+	}
+	const tracks = 1 << 20
+	var geoms []geom
+	for _, p := range []Placement{DedicatedParity, IntermixedParity} {
+		for c := 2; c <= 6; c++ {
+			for nc := 1; nc <= 5; nc++ {
+				if p == IntermixedParity && nc < 2 {
+					continue
+				}
+				p, c, nc := p, c, nc
+				geoms = append(geoms, geom{fmt.Sprintf("%v/C=%d/clusters=%d", p, c, nc),
+					func() (*Layout, error) { return New(nc*c, c, tracks, p) }})
+			}
+		}
+	}
+	// The four tabled designs, and (8,4), which falls back to the
+	// complete design.
+	for _, gc := range [][2]int{{7, 3}, {9, 3}, {13, 4}, {21, 5}, {8, 4}} {
+		for groups := 1; groups <= 2; groups++ {
+			g, c, groups := gc[0], gc[1], groups
+			geoms = append(geoms, geom{fmt.Sprintf("declustered/G=%d/C=%d/groups=%d", g, c, groups),
+				func() (*Layout, error) { return NewDeclustered(groups*g, g, c, tracks) }})
+		}
+	}
+	for _, gm := range geoms {
+		t.Run(gm.name, func(t *testing.T) {
+			l, err := gm.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := l.Clusters() * l.ClusterSize()
+			rounds := l.ClusterSize() * l.Clusters()
+			if ds := l.Design(); ds != nil {
+				rounds *= len(ds.Blocks)
+			}
+			shares := make([][]bool, d)
+			for i := range shares {
+				shares[i] = make([]bool, d)
+			}
+			roles := make([]Role, d)
+			for start := 0; start < l.Clusters(); start++ {
+				obj, err := l.AddObject(fmt.Sprintf("o%d", start), rounds*l.GroupWidth(), start, units.MPEG1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range obj.Groups {
+					members := []int{g.Parity.Disk}
+					roles[g.Parity.Disk] |= RoleParity
+					for _, loc := range g.Data {
+						members = append(members, loc.Disk)
+						roles[loc.Disk] |= RoleData
+					}
+					for _, a := range members {
+						for _, b := range members {
+							shares[a][b] = shares[a][b] || a != b
+						}
+					}
+				}
+			}
+			for a := 0; a < d; a++ {
+				if got := l.Role(a); got != roles[a] {
+					t.Errorf("Role(%d) = %v, placed groups give %v", a, got, roles[a])
+				}
+				degree := 0
+				for b := 0; b < d; b++ {
+					if got := l.SharesGroup(a, b); got != shares[a][b] {
+						t.Errorf("SharesGroup(%d, %d) = %v, placed groups give %v", a, b, got, shares[a][b])
+					}
+					if shares[a][b] {
+						degree++
+					}
+				}
+				if want := wantDegree(l); want >= 0 && degree != want {
+					t.Errorf("drive %d shares a group with %d drives, want %d", a, degree, want)
+				}
+			}
+			if l.SharesGroup(-1, 0) || l.SharesGroup(0, d) || l.Role(d) != 0 {
+				t.Error("a drive outside the farm has a relation")
+			}
+		})
+	}
+}
+
+// wantDegree is how many drives each drive shares a group with, or -1
+// where no closed form is checked. Dedicated parity: the C-1 cluster
+// mates. Declustered: the G-1 others of the declustering group (every
+// pair of a block design meets in λ >= 1 blocks). Intermixed, C >= 3:
+// the C-1 cluster mates plus, on each adjacent cluster, the C-1 drives
+// at another offset — parity rotation keeps same-offset drives of
+// adjacent clusters in different groups — so 3(C-1), or 2(C-1) when
+// the two adjacent clusters are one.
+func wantDegree(l *Layout) int {
+	c := l.ClusterSize()
+	switch {
+	case l.Placement() == DedicatedParity:
+		return c - 1
+	case l.Placement() == DeclusteredParity:
+		return c - 1
+	case c < 3:
+		return -1
+	case l.Clusters() == 2:
+		return 2 * (c - 1)
+	default:
+		return 3 * (c - 1)
 	}
 }

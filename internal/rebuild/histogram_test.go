@@ -115,7 +115,9 @@ func TestRebuildLoadConcentratedVsUniform(t *testing.T) {
 		// 24 groups per object cycle the 12 blocks evenly, so every
 		// survivor pair shares the failed drive's load λ-equally.
 		farm, lay := buildFarm(t, 9, 9,
-			func(f *disk.Farm) (*layout.Layout, error) { return layout.ForFarmDeclustered(f, 3) },
+			func(f *disk.Farm) (*layout.Layout, error) {
+				return layout.NewDeclustered(f.Size(), f.ClusterSize(), 3, f.Params().TracksPerDisk())
+			},
 			2, 24)
 		hist := rebuildHistogram(t, farm, lay, 0)
 		if hist[0] != 0 {
@@ -161,7 +163,9 @@ func TestDeclusteredRebuildWindowHalvesSR(t *testing.T) {
 		return cycles
 	}
 	sr := window(func(f *disk.Farm) (*layout.Layout, error) { return layout.ForFarm(f, layout.DedicatedParity) }, 3)
-	dc := window(func(f *disk.Farm) (*layout.Layout, error) { return layout.ForFarmDeclustered(f, 3) }, 9)
+	dc := window(func(f *disk.Farm) (*layout.Layout, error) {
+		return layout.NewDeclustered(f.Size(), f.ClusterSize(), 3, f.Params().TracksPerDisk())
+	}, 9)
 	if sr == 0 || dc == 0 {
 		t.Fatalf("degenerate windows: sr=%d dc=%d", sr, dc)
 	}

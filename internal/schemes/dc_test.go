@@ -25,7 +25,7 @@ func newDeclusteredRig(t *testing.T, d, g, c, nObjects, groupsEach int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := layout.ForFarmDeclustered(farm, c)
+	lay, err := layout.NewDeclustered(farm.Size(), farm.ClusterSize(), c, farm.Params().TracksPerDisk())
 	if err != nil {
 		t.Fatal(err)
 	}

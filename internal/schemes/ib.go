@@ -251,7 +251,7 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 		// Two blocks gone from one group: catastrophic, nothing to do.
 		return nil
 	}
-	pCluster := e.cfg.Layout.ParityHomeCluster(gr.g.Cluster)
+	pCluster := gr.g.Parity.Disk / e.cfg.Layout.ClusterSize()
 	if e.visited[pCluster] {
 		// Wrapped around: no capacity anywhere. Degradation of service.
 		return e.terminate(gr.s)

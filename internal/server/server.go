@@ -144,29 +144,19 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Under declustered parity the farm's clusters are the G-drive
-	// declustering groups; ClusterSize stays the parity group size C.
-	farmCluster := opts.ClusterSize
-	if opts.Scheme == analytic.DeclusteredParity {
-		if opts.DeclusterGroup == 0 {
-			opts.DeclusterGroup = 2*opts.ClusterSize - 1
-		}
-		farmCluster = opts.DeclusterGroup
+	if opts.Scheme == analytic.DeclusteredParity && opts.DeclusterGroup == 0 {
+		opts.DeclusterGroup = 2*opts.ClusterSize - 1
 	}
-	farm, err := disk.NewFarm(opts.Disks, farmCluster, opts.DiskParams)
+	lay, err := NewLayout(opts.Scheme, opts.Disks, opts.ClusterSize, opts.DeclusterGroup, opts.DiskParams.TracksPerDisk())
 	if err != nil {
 		return nil, err
 	}
-	var cat *catalog.Catalog
-	if opts.Scheme == analytic.DeclusteredParity {
-		cat, err = catalog.NewDeclustered(lib, farm, opts.ClusterSize)
-	} else {
-		placement := layout.DedicatedParity
-		if opts.Scheme == analytic.ImprovedBandwidth {
-			placement = layout.IntermixedParity
-		}
-		cat, err = catalog.New(lib, farm, placement)
+	// Under declustered parity the farm's clusters are the G-drive groups.
+	farm, err := disk.NewFarm(opts.Disks, lay.ClusterSize(), opts.DiskParams)
+	if err != nil {
+		return nil, err
 	}
+	cat, err := catalog.New(lib, farm, lay)
 	if err != nil {
 		return nil, err
 	}
@@ -536,6 +526,19 @@ func (s *Server) GroupWidth() int { return s.cat.Layout().GroupWidth() }
 
 // Rate returns the uniform object bandwidth b0 streams play at.
 func (s *Server) Rate() units.Rate { return s.opts.Rate }
+
+// NewLayout returns the layout the scheme places objects with: parity
+// groups of clusterSize, dedicated (SR, SG, NC), intermixed (IB), or
+// declustered over groups of declusterGroup drives (DC).
+func NewLayout(scheme analytic.Scheme, disks, clusterSize, declusterGroup, tracksPerDisk int) (*layout.Layout, error) {
+	switch scheme {
+	case analytic.DeclusteredParity:
+		return layout.NewDeclustered(disks, declusterGroup, clusterSize, tracksPerDisk)
+	case analytic.ImprovedBandwidth:
+		return layout.New(disks, clusterSize, tracksPerDisk, layout.IntermixedParity)
+	}
+	return layout.New(disks, clusterSize, tracksPerDisk, layout.DedicatedParity)
+}
 
 // ParseScheme maps a command-line scheme name to its scheme and
 // Non-clustered transition policy. Accepted: "sr"/"raid"/
