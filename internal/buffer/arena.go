@@ -13,11 +13,12 @@ import (
 // engines acquire accounting from a Pool and bytes from an Arena.
 //
 // The engines take from it only the tracks they make: reconstructions
-// and XOR accumulators. A track read off a platter is the drive's own
+// and XOR accumulators, each the destination of a fold that writes every
+// byte. A track read off a platter is the drive's own
 // slice, never copied, and never enters the free list. The arena also
 // recycles the headers of the Refs it Shares.
 //
-// Ownership rule: a buffer obtained from Get/GetZeroed is owned by the
+// Ownership rule: a buffer obtained from Get is owned by the
 // caller until it is passed to Put, after which it must not be touched.
 // Put-then-read is the use-after-free of this design; the race detector
 // will not catch it (the free list hands buffers out data-race-free), so
@@ -52,9 +53,9 @@ func (a *Arena) TrackSize() int {
 }
 
 // Get returns a track-sized buffer with undefined contents: the last
-// one returned, or a fresh allocation when the free list is empty.
-// Callers that fully overwrite the buffer (parity folds) should use Get;
-// XOR accumulators need GetZeroed.
+// one returned, or a fresh allocation when the free list is empty. The
+// caller overwrites it whole: an XOR accumulator starts as a copy of its
+// first track, not as zeros.
 func (a *Arena) Get() []byte {
 	if a == nil {
 		return nil
@@ -71,14 +72,6 @@ func (a *Arena) Get() []byte {
 	a.mu.Unlock()
 	a.news.Add(1)
 	return make([]byte, a.trackSize)
-}
-
-// GetZeroed returns a track-sized buffer with every byte zero, for use
-// as an XOR accumulator.
-func (a *Arena) GetZeroed() []byte {
-	buf := a.Get()
-	clear(buf)
-	return buf
 }
 
 // Put returns a buffer to the arena. nil buffers and buffers of the

@@ -18,14 +18,8 @@ func TestArenaGetPut(t *testing.T) {
 		b[i] = 0xAB
 	}
 	a.Put(b)
-	z := a.GetZeroed()
-	if len(z) != 128 {
-		t.Fatalf("GetZeroed returned %d bytes, want 128", len(z))
-	}
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroed byte %d = %#x, want 0", i, v)
-		}
+	if b := a.Get(); len(b) != 128 {
+		t.Fatalf("Get of a recycled buffer returned %d bytes, want 128", len(b))
 	}
 	gets, puts, _ := a.Stats()
 	if gets != 2 || puts != 1 {

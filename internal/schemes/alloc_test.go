@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"runtime"
 	"testing"
 
 	"ftmm/internal/layout"
@@ -12,9 +13,10 @@ import (
 // and carry no Ref, made tracks and their Ref headers come off the
 // arena's free lists, a failed read returns a bare sentinel error,
 // group headers and per-Step scratch are recycled, report slices are
-// reused, and a Step runs on its caller's goroutine. The same holds
-// under -race: nothing on the path goes through a sync.Pool, which the
-// detector makes drop some of what is put back.
+// reused, and the cycle's folds run as one batch on the Step's goroutine
+// and persistent fold workers, handed the batch over a channel. The same
+// holds under -race: nothing on the path goes through a sync.Pool, which
+// the detector makes drop some of what is put back.
 const cycleAllocBudget = 0
 
 // steadyStateAllocs measures allocations per Step once the engine is
@@ -27,7 +29,7 @@ func steadyStateAllocs(t *testing.T, e Simulator, warmup, runs int, check func(*
 			t.Fatal(err)
 		}
 	}
-	return testing.AllocsPerRun(runs, func() {
+	return allocsPerRun(runs, func() {
 		rep, err := e.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -36,6 +38,23 @@ func steadyStateAllocs(t *testing.T, e Simulator, warmup, runs int, check func(*
 			check(rep)
 		}
 	})
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): that
+// would fold every batch of folds inline, so a Step's spread over the
+// fold workers would go unmeasured. It counts at the GOMAXPROCS the test
+// runs at (-cpu), after one warm-up call, and divides as AllocsPerRun
+// does.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.Mallocs - before) / uint64(runs))
 }
 
 // checkCycleAllocBudget admits one stream per object and holds the
@@ -118,45 +137,100 @@ func TestSGSteadyStateCycleAllocBudget(t *testing.T) {
 	checkCycleAllocBudget(t, e, r, 2, nil)
 }
 
+// degradedFolds is the fewest folds the degraded gates' rigs queue in
+// their busiest measured cycle: more than one, so a batch is spread over
+// the fold workers whenever GOMAXPROCS allows, and as many as -cpu 4
+// can use.
+const degradedFolds = 4
+
+// checkDegradedCycleAllocBudget fails the given drives, admits one
+// stream per object and holds the engine's degraded steady-state
+// allocations per Step to the budget. The busiest measured cycle, or
+// with everyCycle each of them, must reconstruct at least degradedFolds
+// tracks, each its own fold, so the gate covers a batch run over the
+// workers and not only inline.
+func checkDegradedCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects int, everyCycle bool, drives ...int) {
+	t.Helper()
+	for _, d := range drives {
+		if err := e.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busiest := 0
+	checkCycleAllocBudget(t, e, r, objects, func(rep *sched.CycleReport) {
+		if everyCycle && rep.Reconstructions < degradedFolds {
+			t.Fatalf("cycle %d reconstructed %d tracks, want at least %d", rep.Cycle, rep.Reconstructions, degradedFolds)
+		}
+		busiest = max(busiest, rep.Reconstructions)
+	})
+	if busiest < degradedFolds {
+		t.Fatalf("busiest measured cycle reconstructed %d tracks, want at least %d", busiest, degradedFolds)
+	}
+}
+
 // TestSRDegradedCycleAllocBudget pins a degraded Streaming RAID cycle to
-// the same budget: with a data drive failed, every measured Step reads
-// around it and reconstructs, and the failed read, the made track and
-// its Ref header allocate nothing.
+// the same budget: with a data drive failed in each cluster, every
+// stream reads around it and reconstructs every Step, four folds a
+// cycle, and the failed reads, the made tracks, their Ref headers and
+// the fold batch allocate nothing.
 func TestSRDegradedCycleAllocBudget(t *testing.T) {
-	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
+	r := newRig(t, 10, 5, 4, 60, layout.DedicatedParity)
 	e, err := NewStreamingRAID(r.config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FailDisk(1); err != nil {
-		t.Fatal(err)
-	}
-	checkCycleAllocBudget(t, e, r, 2, func(rep *sched.CycleReport) {
-		if rep.Reconstructions == 0 {
-			t.Fatalf("cycle %d reconstructed nothing", rep.Cycle)
-		}
-	})
+	checkDegradedCycleAllocBudget(t, e, r, 4, true, 1, 6)
 }
 
-// TestNCDegradedCycleAllocBudget pins a degraded Non-clustered cycle to
-// the same budget under the alternate policy: with cluster 0's third
-// data drive failed, a stream's pass over the cluster folds its first two
-// tracks into an XOR accumulator and reconstructs the third on the
-// failed drive's cycle, all out of the stream's window and the arena.
-func TestNCDegradedCycleAllocBudget(t *testing.T) {
-	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
-	e, err := NewNonClustered(r.config(), AlternateSwitchover, 1)
+// TestDCDegradedCycleAllocBudget pins a degraded Declustered cycle: a
+// drive failed in each declustering group, so the groups whose block
+// holds it reconstruct.
+func TestDCDegradedCycleAllocBudget(t *testing.T) {
+	r := newDeclusteredRig(t, 26, 13, 4, 12, 60)
+	e, err := NewDeclustered(r.config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FailDisk(2); err != nil {
+	checkDegradedCycleAllocBudget(t, e, r, 12, false, 1, 14)
+}
+
+// TestSGDegradedCycleAllocBudget pins a degraded Staggered-group cycle:
+// every stream is admitted in one cycle and so shares one read phase,
+// whose cycles reconstruct a track per stream; the cycles between only
+// deliver.
+func TestSGDegradedCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 10, 5, 4, 60, layout.DedicatedParity)
+	e, err := NewStaggeredGroup(r.config())
+	if err != nil {
 		t.Fatal(err)
 	}
-	reconstructions := 0
-	checkCycleAllocBudget(t, e, r, 2, func(rep *sched.CycleReport) {
-		reconstructions += rep.Reconstructions
-	})
-	if reconstructions == 0 {
-		t.Fatal("no measured cycle reconstructed")
+	checkDegradedCycleAllocBudget(t, e, r, 4, false, 1, 6)
+}
+
+// TestIBDegradedCycleAllocBudget pins a degraded Improved-bandwidth
+// cycle: with a drive failed in clusters 0 and 2, the groups read there
+// shift to their parity on clusters 1 and 3, through the reserve, and
+// reconstruct.
+func TestIBDegradedCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 20, 5, 8, 60, layout.IntermixedParity)
+	e, err := NewImprovedBandwidth(r.config(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkDegradedCycleAllocBudget(t, e, r, 8, false, 1, 11)
+}
+
+// TestNCDegradedCycleAllocBudget pins a degraded Non-clustered cycle to
+// the same budget under the alternate policy: with the last data drive
+// of both clusters failed and a buffer server for each, every stream
+// folds a track into its XOR accumulator, the first as a copy, on three
+// cycles of each pass over a cluster and reconstructs the fourth track
+// on the fourth, all out of the stream's window and the arena.
+func TestNCDegradedCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 10, 5, 4, 60, layout.DedicatedParity)
+	e, err := NewNonClustered(r.config(), AlternateSwitchover, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDegradedCycleAllocBudget(t, e, r, 4, false, 3, 8)
 }

@@ -20,10 +20,11 @@ var ErrCapacity = errors.New("schemes: capacity")
 // engineCore is the chassis shared by the five scheme engines: the
 // validated configuration, the per-disk slot budget, the cycle counter,
 // stream-ID allocation, the buffer pool, the metrics recorder, the one
-// track read (readTrack) and the one delivery (emit). Engines embed it
-// and keep only their scheme-specific scheduling logic. A Step runs on
-// its caller's goroutine: the paper's drives work in parallel, the host
-// only issues their reads.
+// track read (readTrack), the one reconstruction (reconstruct) and the
+// one delivery (emit). Engines embed it and keep only their
+// scheme-specific scheduling logic. A Step issues its reads serially, on
+// its caller's goroutine; the folds that make its missing tracks run as
+// one batch across the CPUs before the report is returned.
 type engineCore struct {
 	cfg          Config
 	slotsPerDisk int
@@ -49,6 +50,11 @@ type engineCore struct {
 	// spare holds the headers of finished bufferedGroups for newGroup to
 	// reuse.
 	spare []*bufferedGroup
+	// folds queues the cycle's folds, runFolds runs them, and foldErr
+	// keeps a refusal for endCycle. survivors gathers one fold's sources.
+	folds     *parity.Batch
+	foldErr   error
+	survivors [][]byte
 }
 
 // newEngineCore validates the config and builds the chassis for an
@@ -65,6 +71,9 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 	if err != nil {
 		return engineCore{}, err
 	}
+	// A fold reads a track this cycle: a cycle queues at most one per slot.
+	folds, reads := new(parity.Batch), cfg.Farm.Size()*perDisk
+	folds.Grow(reads, 2*reads)
 	return engineCore{
 		cfg:          cfg,
 		slotsPerDisk: perDisk,
@@ -73,6 +82,7 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 		rec:          sched.NewRecorder(cfg.Metrics),
 		slots:        slots,
 		rep:          &sched.CycleReport{},
+		folds:        folds,
 	}, nil
 }
 
@@ -141,16 +151,31 @@ func (c *engineCore) read(st *sched.Stream, g *layout.Group, loc layout.Location
 	return view, nil
 }
 
-// reconstruct makes a group's missing track: the fold of survivors (the
-// parity block and every other data block of the group) into a fresh
-// arena buffer, in one pass. The survivors are views and are only read.
+// reconstruct makes a group's missing track: a fresh arena buffer, into
+// which the fold of survivors (the parity block and every other data
+// block of the group) is queued. Until runFolds the buffer holds no
+// track and must not be read or Put. The survivors are only read.
 func (c *engineCore) reconstruct(survivors [][]byte) ([]byte, error) {
 	dst := c.arena.Get()
-	if err := parity.ReconstructInto(dst, survivors); err != nil {
-		c.arena.Put(dst)
+	if err := c.folds.Add(dst, survivors...); err != nil {
+		c.put(dst)
 		return nil, err
 	}
 	return dst, nil
+}
+
+// runFolds runs every queued fold, keeping a refusal for endCycle.
+func (c *engineCore) runFolds() {
+	if err := c.folds.Run(); err != nil && c.foldErr == nil {
+		c.foldErr = fmt.Errorf("schemes: cycle %d: %w", c.cycle, err)
+	}
+}
+
+// put is the one return of a made track to the arena. It runs the
+// queued folds first: buf may be a destination still to be folded.
+func (c *engineCore) put(buf []byte) {
+	c.runFolds()
+	c.arena.Put(buf)
 }
 
 // holdBriefly accounts a buffer that lives only within this cycle (a
@@ -188,7 +213,8 @@ func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed
 }
 
 // beginCycle opens the cycle: cleared slot budgets, an emptied report and
-// an emptied record of the farm's erased lookups.
+// an emptied record of the farm's erased lookups. A Step defers runFolds
+// right after it, so a Step that fails leaves no fold queued.
 func (c *engineCore) beginCycle() {
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
@@ -198,18 +224,24 @@ func (c *engineCore) beginCycle() {
 		c.delivered[i] = nil
 	}
 	c.delivered = c.delivered[:0]
+	c.foldErr = nil
 	c.slots.Reset()
 	c.rep.Reset(c.cycle)
 	c.cfg.Farm.BeginCycle()
 }
 
-// endCycle closes the cycle: stamps buffer occupancy, feeds the metrics
-// recorder, advances the clock, and returns the assembled report.
-func (c *engineCore) endCycle() *sched.CycleReport {
+// endCycle closes the cycle: runs the queued folds, stamps buffer
+// occupancy, feeds the metrics recorder, advances the clock, and returns
+// the assembled report, or the fold queue's refusal.
+func (c *engineCore) endCycle() (*sched.CycleReport, error) {
+	c.runFolds()
+	if c.foldErr != nil {
+		return nil, c.foldErr
+	}
 	c.rep.BufferInUse = c.pool.InUse()
 	c.rec.ObserveCycle(c.rep, c.slots)
 	c.cycle++
-	return c.rep
+	return c.rep, nil
 }
 
 // releaseGroups ends the given buffered groups (nils are fine): their
@@ -255,7 +287,7 @@ func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	}
 	for i, d := range bg.data {
 		if d != nil && bg.reconstructed[i] {
-			c.arena.Put(d)
+			c.put(d)
 		}
 	}
 	clear(bg.data)

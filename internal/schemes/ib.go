@@ -37,12 +37,10 @@ type ImprovedBandwidth struct {
 
 	// Per-Step scratch, reset rather than reallocated each Step:
 	// groups[:n] are this cycle's group reads (the records past n, and
-	// their slices, are reused), visited marks the clusters one shift
-	// chain has crossed, and survivors gathers a reconstruction's
-	// operands.
-	groups    []*ibGroupRead
-	visited   []bool
-	survivors [][]byte
+	// their slices, are reused) and visited marks the clusters one shift
+	// chain has crossed.
+	groups  []*ibGroupRead
+	visited []bool
 }
 
 // ibGroupRead is one group's in-flight read state during a cycle.
@@ -146,6 +144,7 @@ func (e *ImprovedBandwidth) failMidCycle() error {
 // Step implements Simulator.
 func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
+	defer e.runFolds()
 	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
@@ -225,7 +224,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		return nil, err
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
 
 // resolve recovers a group's missing blocks via the parity shift.
@@ -273,12 +272,18 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 		return nil // terminate/hiccup already handled downstream
 	}
 	// Fold the parity view and the surviving blocks into a fresh buffer
-	// for the missing slot.
+	// for the missing slot. A survivor made this cycle (a victim shifted
+	// twice) is a queued destination: run the queue before reading it.
 	e.survivors = append(e.survivors[:0], par)
+	made := false
 	for k, blk := range gr.bg.data {
 		if k != j && blk != nil {
 			e.survivors = append(e.survivors, blk)
+			made = made || gr.bg.reconstructed[k]
 		}
+	}
+	if made {
+		e.runFolds()
 	}
 	rec, err := e.reconstruct(e.survivors)
 	if err != nil {

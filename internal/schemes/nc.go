@@ -8,7 +8,6 @@ import (
 	"ftmm/internal/buffer"
 	"ftmm/internal/disk"
 	"ftmm/internal/layout"
-	"ftmm/internal/parity"
 	"ftmm/internal/sched"
 )
 
@@ -299,7 +298,7 @@ func (e *NonClustered) dropBuffers(s *ncStream) error {
 			continue
 		}
 		if st.reconstructed {
-			e.arena.Put(st.data)
+			e.put(st.data)
 		}
 		if err := e.pool.Release(1); err != nil {
 			return err
@@ -477,7 +476,7 @@ func (e *NonClustered) dropXOR(s *ncStream) error {
 	if s.xor == nil {
 		return nil
 	}
-	e.arena.Put(s.xor)
+	e.put(s.xor)
 	s.xor = nil
 	return e.pool.Release(1)
 }
@@ -485,6 +484,7 @@ func (e *NonClustered) dropXOR(s *ncStream) error {
 // Step implements Simulator.
 func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
+	defer e.runFolds()
 	e.streams = dropEnded(e.streams)
 
 	degraded := 0
@@ -544,7 +544,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
 
 // readable reports whether the stream has read work this cycle.
@@ -699,7 +699,7 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	// but are never staged. They are views, dropped with gr — unless the
 	// failed drive held one, whose reconstruction goes back to the arena.
 	if reconstructedIdx >= 0 {
-		e.arena.Put(gr.data[reconstructedIdx])
+		e.put(gr.data[reconstructedIdx])
 	}
 	return nil
 }
@@ -719,7 +719,8 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		return e.plainRead(s, grp, s.read, o)
 	}
 	if o < failedOffset {
-		if s.xorGroup != g {
+		start := s.xorGroup != g
+		if start {
 			// Start the accumulator (one buffer).
 			if err := e.dropXOR(s); err != nil {
 				return err
@@ -727,23 +728,25 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			if err := e.pool.Acquire(1); err != nil {
 				return err
 			}
-			s.xor = e.arena.GetZeroed()
+			s.xor = e.arena.Get()
 			s.xorGroup = g
 		}
 		r := s.read
 		if err := e.plainRead(s, grp, r, o); err != nil {
 			return err
 		}
-		if sl := s.held(r); sl != nil && sl.data != nil {
-			if err := parity.XORInto(s.xor, sl.data); err != nil {
-				return err
-			}
-		} else {
+		sl := s.held(r)
+		if sl == nil || sl.data == nil {
 			// The read failed; the accumulator is now useless for
 			// reconstruction.
 			return e.dropXOR(s)
 		}
-		return nil
+		// The first track starts the accumulator as its copy; each later
+		// one folds into it.
+		if start {
+			return e.folds.Add(s.xor, sl.data)
+		}
+		return e.folds.Add(s.xor, s.xor, sl.data)
 	}
 
 	// o == failedOffset: the reconstruction cycle. Read every remaining
@@ -753,14 +756,19 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	s.read = groupEnd
 	_, _ = e.read(&s.Stream, grp, grp.Data[failedOffset], nil) // for the record, as in groupRead
 
+	// The reconstruction is one fold: the accumulator so far, every
+	// remaining track of the group and parity.
+	srcs := e.survivors[:0]
+	if s.xorGroup == g {
+		srcs = append(srcs, s.xor)
+	}
 	canRecon := s.xorGroup == g || failedOffset == 0
 	if s.xorGroup != g && failedOffset == 0 {
-		// Group starts at the failed drive: accumulator is trivially
-		// empty.
+		// Group starts at the failed drive: no accumulator to fold in.
 		if err := e.pool.Acquire(1); err != nil {
 			return err
 		}
-		s.xor = e.arena.GetZeroed()
+		s.xor = e.arena.Get()
 		s.xorGroup = g
 	}
 
@@ -779,19 +787,17 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		if err := s.stage(r, ncStaged{data: blk}); err != nil {
 			return err
 		}
-		if s.xor != nil {
-			if err := parity.XORInto(s.xor, blk); err != nil {
-				return err
-			}
-		}
+		srcs = append(srcs, blk)
 	}
+	e.survivors = srcs
 	par := e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
 	if canRecon && par != nil && s.xor != nil && failedTrack < s.Obj.Tracks {
-		if err := parity.XORInto(s.xor, par); err != nil {
+		// Padding tracks of a short final group are zero, so the fold
+		// is complete even when groupEnd < base+width.
+		e.survivors = append(srcs, par)
+		if err := e.folds.Add(s.xor, e.survivors...); err != nil {
 			return err
 		}
-		// Padding tracks of a short final group are zero, so the fold
-		// above is complete even when groupEnd < base+width.
 		rec := s.xor
 		s.xor = nil // buffer ownership moves to the staged track
 		s.xorGroup = -1

@@ -148,9 +148,9 @@ type groupRead struct {
 }
 
 // recoverGroup fills in a single missing data block from the others plus
-// parity: c.reconstruct folds them into a fresh arena buffer, which takes
-// the missing slot. The read blocks, parity included, are views and are
-// only read. It returns the index recovered, or -1 if nothing was
+// parity: c.reconstruct queues their fold into a fresh arena buffer,
+// which takes the missing slot. The read blocks, parity included, are
+// views and are only read. It returns the index recovered, or -1 if nothing was
 // missing, and an error when recovery is impossible (two or more blocks
 // missing, or parity unavailable).
 func (gr *groupRead) recoverGroup(c *engineCore) (int, error) {

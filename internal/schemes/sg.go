@@ -123,6 +123,7 @@ func (e *StaggeredGroup) CancelStream(id int) error {
 // Step implements Simulator.
 func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
+	defer e.runFolds()
 	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
@@ -189,7 +190,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
 
 // deliverOne sends the next track of the stream's buffered group.

@@ -69,6 +69,7 @@ func (e *StreamingRAID) WeightedActive() int { return e.weightedActive() }
 // Step implements Simulator.
 func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
+	defer e.runFolds()
 	e.streams = dropEnded(e.streams)
 
 	// Read phase: each active stream reads its next whole parity group.
@@ -83,5 +84,5 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 		return nil, err
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
