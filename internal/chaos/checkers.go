@@ -379,7 +379,8 @@ func (l *LeakChecker) End(rc *RunContext) error {
 // k′-weighted streams than the analytic N_p of equations (8)-(11)
 // allows for the run's design point: a fast-forwarding stream at rate r
 // counts r times, because it draws r tracks per cycle. The engines'
-// per-cluster slot caps floor earlier than the analytic bound
+// one admission rule caps each drive's reads per cycle at its slot
+// budget, which floors earlier than the analytic bound
 // (⌊x⌋·m <= ⌊x·m⌋), so exceeding N_p is always an engine bug, never
 // rounding.
 type AdmissionChecker struct {

@@ -8,7 +8,7 @@ import (
 
 // Encode a parity group and reconstruct a lost block on the fly — the
 // core operation behind every scheme in the paper.
-func ExampleGroup_ReconstructData() {
+func ExampleGroup_ReconstructDataInto() {
 	tracks := [][]byte{
 		[]byte("track-0!"),
 		[]byte("track-1!"),
@@ -20,8 +20,8 @@ func ExampleGroup_ReconstructData() {
 		panic(err)
 	}
 	// Drive holding track 2 fails; rebuild it from the survivors.
-	rec, err := g.ReconstructData(2)
-	if err != nil {
+	rec := make([]byte, len(g.Parity))
+	if err := g.ReconstructDataInto(rec, 2); err != nil {
 		panic(err)
 	}
 	fmt.Printf("%s\n", rec)

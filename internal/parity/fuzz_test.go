@@ -29,11 +29,11 @@ func FuzzReconstruct(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewGroup: %v", err)
 		}
-		if !g.Verify() {
+		if !consistent(g) {
 			t.Fatal("fresh group does not verify")
 		}
 		for i := range data {
-			rec, err := g.ReconstructData(i)
+			rec, err := reconstructData(g, i)
 			if err != nil {
 				t.Fatalf("reconstruct %d: %v", i, err)
 			}
@@ -109,8 +109,8 @@ func FuzzXORKernel(f *testing.F) {
 	})
 }
 
-// FuzzUpdate checks the parity-delta path against a full re-encode for
-// arbitrary updates.
+// FuzzUpdate checks the parity-delta update (EncodeInto folding into its
+// first source) against a full re-encode for arbitrary updates.
 func FuzzUpdate(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{9, 9}, uint8(0))
 	f.Fuzz(func(t *testing.T, raw, fresh []byte, idxRaw uint8) {
@@ -130,7 +130,7 @@ func FuzzUpdate(f *testing.F) {
 		newBlock := make([]byte, blockSize)
 		copy(newBlock, fresh)
 		old := append([]byte(nil), g.Data[idx]...)
-		if err := g.Update(idx, old, newBlock); err != nil {
+		if err := update(g, idx, old, newBlock); err != nil {
 			t.Fatal(err)
 		}
 		want, err := encodeRef(g.Data)

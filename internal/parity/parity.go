@@ -7,10 +7,10 @@
 // it can verify, bit for bit, that data delivered during degraded-mode
 // operation equals the data that was stored.
 //
-// Every entry point — XORInto, EncodeInto, ReconstructInto,
-// Group.ReconstructDataInto and Group.Update — is one call of a single
-// kernel, fold, which XORs any number of sources into a destination in
-// one pass over it. On amd64 with AVX2 fold is an assembly loop that
+// Every entry point — XORInto, EncodeInto, ReconstructInto and
+// Group.ReconstructDataInto — is one call of a single kernel, fold,
+// which XORs any number of sources into a destination in one pass over
+// it. On amd64 with AVX2 fold is an assembly loop that
 // keeps each 128-byte chunk in four 32-byte registers while every source
 // is XORed in; everywhere else, and for the sub-128-byte tail, it is the
 // crypto/subtle.XORBytes chain. The byte-wise XORIntoRef is the oracle
@@ -19,7 +19,6 @@
 package parity
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -98,27 +97,6 @@ func NewGroup(data [][]byte) (*Group, error) {
 	return &Group{Data: data, Parity: p}, nil
 }
 
-// Verify reports whether the parity block is consistent with the data.
-func (g *Group) Verify() bool {
-	fresh, err := NewGroup(g.Data)
-	return err == nil && bytes.Equal(fresh.Parity, g.Parity)
-}
-
-// ReconstructData rebuilds data block i from the other data blocks and
-// the parity block, without consulting Data[i] itself. The result is
-// freshly allocated; allocation-sensitive callers use
-// ReconstructDataInto.
-func (g *Group) ReconstructData(i int) ([]byte, error) {
-	if i < 0 || i >= len(g.Data) {
-		return nil, fmt.Errorf("parity: block index %d out of range [0,%d)", i, len(g.Data))
-	}
-	rec := make([]byte, len(g.Parity))
-	if err := g.ReconstructDataInto(rec, i); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
 // ReconstructDataInto rebuilds data block i into dst from the other
 // data blocks and the parity block, without consulting Data[i] itself.
 // It is the same one-pass fold as EncodeInto, so reconstruction runs at
@@ -144,20 +122,5 @@ func (g *Group) ReconstructDataInto(dst []byte, i int) error {
 		survivors = append(survivors, blk)
 	}
 	fold(dst, survivors)
-	return nil
-}
-
-// Update recomputes parity after data block i changes from old to new
-// content, using the parity-delta trick (p = p ⊕ old ⊕ new, one fold)
-// rather than a full re-encode.
-func (g *Group) Update(i int, oldBlock, newBlock []byte) error {
-	if i < 0 || i >= len(g.Data) {
-		return fmt.Errorf("parity: block index %d out of range [0,%d)", i, len(g.Data))
-	}
-	if len(oldBlock) != len(g.Parity) || len(newBlock) != len(g.Parity) {
-		return ErrSizeMismatch
-	}
-	fold(g.Parity, [][]byte{g.Parity, oldBlock, newBlock})
-	g.Data[i] = newBlock
 	return nil
 }

@@ -32,6 +32,19 @@ func encodeRef(data [][]byte) ([]byte, error) {
 	return p, nil
 }
 
+// consistent reports whether g's parity block equals a fresh encoding of
+// its data by the byte-wise reference: the check a stored group passes.
+func consistent(g *Group) bool {
+	want, err := encodeRef(g.Data)
+	return err == nil && bytes.Equal(want, g.Parity)
+}
+
+// reconstructData rebuilds g's data block i into a fresh buffer.
+func reconstructData(g *Group, i int) ([]byte, error) {
+	rec := make([]byte, len(g.Parity))
+	return rec, g.ReconstructDataInto(rec, i)
+}
+
 func TestXORInto(t *testing.T) {
 	dst := []byte{0x0F, 0xF0, 0xAA}
 	src := []byte{0xFF, 0xFF, 0xAA}
@@ -94,7 +107,7 @@ func TestReconstructAnySingleErasure(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			got, err := g.ReconstructData(i)
+			got, err := reconstructData(g, i)
 			if err != nil {
 				t.Fatalf("reconstruct %d: %v", i, err)
 			}
@@ -123,7 +136,7 @@ func TestParityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !g.Verify() {
+		if !consistent(g) {
 			return false
 		}
 		rec := make([]byte, len(a))
@@ -137,84 +150,52 @@ func TestParityProperty(t *testing.T) {
 	}
 }
 
+// A single flipped bit in a data block or in the parity block makes
+// the group inconsistent with a fresh encoding of its data.
 func TestVerifyDetectsCorruption(t *testing.T) {
 	data := [][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	g, err := NewGroup(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Verify() {
+	if !consistent(g) {
 		t.Fatal("fresh group does not verify")
 	}
 	g.Data[1][0] ^= 0x80
-	if g.Verify() {
+	if consistent(g) {
 		t.Fatal("corruption not detected")
 	}
 	g.Data[1][0] ^= 0x80
 	g.Parity[2] ^= 1
-	if g.Verify() {
+	if consistent(g) {
 		t.Fatal("parity corruption not detected")
-	}
-}
-
-func TestVerifyRaggedGroup(t *testing.T) {
-	g := &Group{Data: [][]byte{{1, 2}, {3}}, Parity: []byte{0, 0}}
-	if g.Verify() {
-		t.Fatal("ragged group verified")
-	}
-	g2 := &Group{Data: [][]byte{{1, 2}}, Parity: []byte{1}}
-	if g2.Verify() {
-		t.Fatal("short parity verified")
 	}
 }
 
 func TestReconstructDataBounds(t *testing.T) {
 	g, _ := NewGroup([][]byte{{1}, {2}})
-	if _, err := g.ReconstructData(-1); err == nil {
+	dst := make([]byte, 1)
+	if err := g.ReconstructDataInto(dst, -1); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := g.ReconstructData(2); err == nil {
+	if err := g.ReconstructDataInto(dst, 2); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	g, err := NewGroup([][]byte{append([]byte(nil), a...), b})
-	if err != nil {
-		t.Fatal(err)
+// update is the parity-delta update after data block i of g changes
+// from old to fresh: p = p ⊕ old ⊕ fresh, one EncodeInto whose dst is
+// its first source.
+func update(g *Group, i int, old, fresh []byte) error {
+	if err := EncodeInto(g.Parity, [][]byte{g.Parity, old, fresh}); err != nil {
+		return err
 	}
-	newA := []byte{9, 9, 9}
-	if err := g.Update(0, a, newA); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Verify() {
-		t.Fatal("group does not verify after Update")
-	}
-	rec, err := g.ReconstructData(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec, newA) {
-		t.Fatalf("reconstructed %v, want %v", rec, newA)
-	}
+	g.Data[i] = fresh
+	return nil
 }
 
-func TestUpdateErrors(t *testing.T) {
-	g, _ := NewGroup([][]byte{{1}, {2}})
-	if err := g.Update(5, []byte{1}, []byte{2}); err == nil {
-		t.Error("out-of-range update accepted")
-	}
-	if err := g.Update(0, []byte{1, 2}, []byte{2}); err == nil {
-		t.Error("mis-sized old block accepted")
-	}
-	if err := g.Update(0, []byte{1}, []byte{2, 3}); err == nil {
-		t.Error("mis-sized new block accepted")
-	}
-}
-
-// Property: Update is equivalent to re-encoding from scratch.
+// Property: the parity-delta update, EncodeInto folding into its first
+// source, is equivalent to re-encoding from scratch.
 func TestUpdateMatchesReencode(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -229,7 +210,7 @@ func TestUpdateMatchesReencode(t *testing.T) {
 		old := append([]byte(nil), g.Data[i]...)
 		fresh := make([]byte, size)
 		r.Read(fresh)
-		if err := g.Update(i, old, fresh); err != nil {
+		if err := update(g, i, old, fresh); err != nil {
 			t.Fatal(err)
 		}
 		want, err := encodeRef(g.Data)

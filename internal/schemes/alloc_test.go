@@ -234,3 +234,17 @@ func TestNCDegradedCycleAllocBudget(t *testing.T) {
 	}
 	checkDegradedCycleAllocBudget(t, e, r, 4, false, 3, 8)
 }
+
+// TestNCSimpleDegradedCycleAllocBudget pins a degraded Non-clustered
+// cycle under the simple policy: with the last data drive of both
+// clusters failed and a buffer server for each, every stream reads its
+// whole group at the group's first offset and reconstructs the failed
+// drive's track, out of the core's scratch and the arena.
+func TestNCSimpleDegradedCycleAllocBudget(t *testing.T) {
+	r := newRig(t, 10, 5, 4, 60, layout.DedicatedParity)
+	e, err := NewNonClustered(r.config(), SimpleSwitchover, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDegradedCycleAllocBudget(t, e, r, 4, false, 3, 8)
+}

@@ -173,11 +173,11 @@ func TestDegradedCapacity(t *testing.T) {
 			func(cfg Config) (Simulator, error) { return NewNonClustered(cfg, SimpleSwitchover, 1) }, 72},
 		{"ib", clustered(layout.IntermixedParity),
 			func(cfg Config) (Simulator, error) { return NewImprovedBandwidth(cfg, 1) }, 144},
-		// dc is the "conservative floor" of Declustered.AddStreamAt: each
-		// G-drive group is capped at one disk's slot budget, so two
-		// groups of 25 slots admit a third of what sr does on the same
-		// drives. ROADMAP item 2 derives the cap from the design's
-		// replication number instead; that change edits this one number.
+		// dc is the conservative floor of the Declustered footprint: a
+		// stream counts one read on every drive of its G-drive group, so
+		// two groups of 25 slots admit a third of what sr does on the
+		// same drives. ROADMAP item 2 narrows the footprint to what the
+		// design spreads; that change edits this one number.
 		{"dc", func(t *testing.T) *rig { return newDeclusteredRig(t, d, g, c, titles, groupsEach) },
 			func(cfg Config) (Simulator, error) { return NewDeclustered(cfg) }, 50},
 	} {

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -12,10 +13,18 @@ import (
 )
 
 // ErrCapacity marks an admission-bound refusal — a rate change or
-// admission that would push some cluster past its per-disk slot budget.
+// admission that would push some drive past its per-cycle slot budget.
 // Callers distinguish it from unknown-stream or validation errors to
 // decide whether a retry later can succeed.
 var ErrCapacity = errors.New("schemes: capacity")
+
+// LostNoSlot is the hiccup reason of a track whose read was refused for
+// want of a slot on its drive. The chaos continuity checker reads it:
+// under Non-clustered's alternate switchover a reconstruction's early
+// reads take the slots a stream caught mid-group still needs (Figure
+// 7's Y3), a loss the transition may add to the failed drive's own
+// track. Anywhere else it is an over-committed cycle.
+const LostNoSlot = "track not read: drive out of slots"
 
 // engineCore is the chassis shared by the five scheme engines: the
 // validated configuration, the per-disk slot budget, the cycle counter,
@@ -31,6 +40,11 @@ type engineCore struct {
 	cycle        int
 	nextID       int
 	pool         *buffer.Pool
+	// reserve is the per-drive slot count admission holds back (the
+	// headroom Improved-bandwidth's shift needs; 0 elsewhere), and load
+	// admit's per-drive count, recomputed on every admission.
+	reserve int
+	load    []int
 	// arena recycles the track-sized buffers the engine makes
 	// (reconstructions, XOR accumulators) across cycles; tracks read off
 	// a platter are views and never come from it. pool above remains the
@@ -80,6 +94,7 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 		pool:         newPool(),
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
 		rec:          sched.NewRecorder(cfg.Metrics),
+		load:         make([]int, cfg.Farm.Size()),
 		slots:        slots,
 		rep:          &sched.CycleReport{},
 		folds:        folds,
@@ -110,13 +125,6 @@ func (c *engineCore) FailDisk(id int) error {
 		return err
 	}
 	return drv.Fail()
-}
-
-// allocStreamID hands out the next stream ID.
-func (c *engineCore) allocStreamID() int {
-	id := c.nextID
-	c.nextID++
-	return id
 }
 
 // readTrack is the one scheduled track read: a slot on the track's drive,
@@ -344,6 +352,69 @@ func checkStartGroup(obj *layout.Object, startGroup int) error {
 	return nil
 }
 
+// footprint is where a stream reads in its next read cycle: reads
+// track reads on each drive of [lo, hi), in the cycles of the given
+// phase (cycle mod the engine's read period; 0 for the engines that
+// read every cycle). A stream with nothing left to read has none.
+type footprint struct {
+	lo, hi, phase, reads int
+}
+
+// groupFootprint is a whole-group read of obj's group g in phase: one
+// read on every drive of its farm cluster (the G drives of its
+// declustering group under dc, of which its block touches C).
+func (c *engineCore) groupFootprint(obj *layout.Object, g, phase int) footprint {
+	if g >= len(obj.Groups) {
+		return footprint{}
+	}
+	size := c.cfg.Layout.ClusterSize()
+	lo := obj.Groups[g].Cluster * size
+	return footprint{lo: lo, hi: lo + size, phase: phase, reads: 1}
+}
+
+// admit is the one admission rule, for a new stream and a rate rise
+// alike. It counts per drive the reads the other active streams make in
+// cand's phase, as foot states them, and fits cand only if no drive of
+// its footprint then exceeds the budget less the reserve; a refusal
+// wraps ErrCapacity. The count is recomputed on each call, so nothing
+// follows streams as they end or jump. A fit now fits in every later
+// cycle: streams of one phase advance in lockstep, and a fast-forward
+// footprint covers every drive at its worst draw.
+func admit[S engineStream](c *engineCore, streams []S, foot func(S) footprint, cand S) error {
+	self, want := cand.stream(), foot(cand)
+	clear(c.load)
+	for _, s := range streams {
+		if st := s.stream(); st == self || st.Done || st.Terminated {
+			continue
+		}
+		if f := foot(s); f.phase == want.phase {
+			for d := f.lo; d < f.hi; d++ {
+				c.load[d] += f.reads
+			}
+		}
+	}
+	limit := c.slotsPerDisk - c.reserve
+	for d := want.lo; d < want.hi; d++ {
+		if c.load[d]+want.reads > limit {
+			return fmt.Errorf("%w: drive %d has %d of %d reads taken in phase %d", ErrCapacity, d, c.load[d], limit, want.phase)
+		}
+	}
+	return nil
+}
+
+// enroll admits the new stream s (admit) and, if it fits, gives it the
+// next stream ID and appends it to streams.
+func enroll[S engineStream](c *engineCore, streams *[]S, foot func(S) footprint, s S) (int, error) {
+	if err := admit(c, *streams, foot, s); err != nil {
+		return 0, err
+	}
+	st := s.stream()
+	st.ID = c.nextID
+	c.nextID++
+	*streams = append(*streams, s)
+	return st.ID, nil
+}
+
 // activeCount counts streams still being served.
 func activeCount[S engineStream](streams []S) int {
 	n := 0
@@ -409,9 +480,6 @@ func ffRate(s *groupStream) int {
 type groupEngine struct {
 	engineCore
 	streams []*groupStream
-	// reserve is the per-drive slot count admission holds back (the
-	// headroom Improved-bandwidth's shift needs; 0 elsewhere).
-	reserve int
 }
 
 // CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
@@ -433,70 +501,38 @@ func (e *groupEngine) AddStream(obj *layout.Object) (int, error) {
 	return e.AddStreamAt(obj, 0)
 }
 
-// AddStreamAt implements Simulator. A stream consumes one track read on
-// every drive of its current cluster each cycle, and every active stream
-// advances one cluster per cycle, so per-cluster stream counts are
-// invariant over time: admission only needs the start cluster's current
-// count to be under the per-disk budget less the reserve. A stream
-// started at group g is indistinguishable from one admitted earlier that
-// has advanced to g, so only the start cluster moves.
-//
-// Under declustered parity the "cluster" is the declustering group: a
-// stream's reads land on the C drives of one block within it, and which
-// block varies per group, so in the worst case every stream of the
-// declustering group reads the same drive in the same cycle. The same
-// cap keeps that worst case schedulable — a deliberately conservative
-// floor under the analytic N, which assumes the design spreads load
-// evenly.
+// AddStreamAt implements Simulator: the stream is admitted if its
+// footprint fits (admit).
 func (e *groupEngine) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
 	if err := checkStartGroup(obj, startGroup); err != nil {
 		return 0, err
 	}
-	start := obj.Groups[startGroup].Cluster
-	if limit := e.slotsPerDisk - e.reserve; e.clusterLoad(nil)[start] >= limit {
-		return 0, fmt.Errorf("schemes: cluster %d is at its %d-stream capacity", start, limit)
-	}
-	id := e.allocStreamID()
-	e.streams = append(e.streams, &groupStream{
-		Stream:    sched.Stream{ID: id, Obj: obj, NextDeliver: startGroup * e.cfg.Layout.GroupWidth()},
+	return enroll(&e.engineCore, &e.streams, e.footprint, &groupStream{
+		Stream:    sched.Stream{Obj: obj, NextDeliver: startGroup * e.cfg.Layout.GroupWidth()},
 		nextGroup: startGroup,
 	})
-	return id, nil
 }
 
-// ffClusterDraw bounds the extra per-cluster slot draw of every active
-// fast-forward stream (excluding skip). Consecutive parity groups of an
-// object land on consecutive clusters mod N (layout places group g on
-// cluster (start+g) mod N), so the r groups a rate-r stream reads in
-// one cycle spread over r consecutive clusters and hit any single
-// cluster at most ceil(r/N) times. Summing that ceiling over all FF
-// streams gives a per-cluster draw bound that holds on every cluster in
-// every future cycle, which is what lets admission treat FF draw as a
-// position-independent surcharge on top of the rotating rate-1 loads.
-func (e *groupEngine) ffClusterDraw(skip *groupStream) int {
-	n := e.cfg.Layout.Clusters()
-	draw := 0
-	for _, s := range e.streams {
-		if s == skip || s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
-			continue
-		}
-		if r := ffRate(s); r > 1 {
-			draw += (r + n - 1) / n
-		}
+// footprint is a whole-group stream's next read cycle: at rate 1 the
+// cluster of its next group. A rate-r stream reads its next r groups,
+// on r consecutive clusters mod N (layout places group g on cluster
+// (start+g) mod N), so any one drive at most ceil(r/N) times a cycle
+// wherever it is: its footprint is every drive at that draw.
+func (e *groupEngine) footprint(s *groupStream) footprint {
+	if r := ffRate(s); r > 1 && s.nextGroup < len(s.Obj.Groups) {
+		n := e.cfg.Layout.Clusters()
+		return footprint{hi: e.cfg.Farm.Size(), reads: (r + n - 1) / n}
 	}
-	return draw
+	return e.groupFootprint(s.Obj, s.nextGroup, 0)
 }
 
 // setStreamRate changes a stream's playback multiplier (1 = normal,
 // r > 1 = fast-forward reading r groups per cycle). Only the engines
 // that read parity with every group export it: Improved-bandwidth's shift
 // has no fast-forward story. Dropping the rate (or holding it) always
-// succeeds — it only releases draw. Raising it re-runs the admission
-// argument: the worst-case cluster must absorb the stream's new
-// ceil(rate/N) draw on top of every other stream's, or the change is
-// refused wrapping ErrCapacity (the caller can retry after capacity
-// frees up). The stream's current seat — one rate-1 slot or its old FF
-// draw — is excluded from the check, since the new draw replaces it.
+// succeeds — it only releases draw. Raising it is admission again at
+// the new rate: a refusal wraps ErrCapacity (worth a retry once capacity
+// frees up) and keeps the old rate.
 func (e *groupEngine) setStreamRate(id, rate int) error {
 	if rate < 1 {
 		return fmt.Errorf("schemes: rate %d must be at least 1", rate)
@@ -509,36 +545,13 @@ func (e *groupEngine) setStreamRate(id, rate int) error {
 		s.rate = rate
 		return nil
 	}
-	n := e.cfg.Layout.Clusters()
-	maxLoad := 0
-	for _, l := range e.clusterLoad(s) {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	need := (rate + n - 1) / n
-	if maxLoad+e.ffClusterDraw(s)+need > e.slotsPerDisk {
-		return fmt.Errorf("%w: rate %d needs %d slots over the worst cluster's %d-of-%d budget",
-			ErrCapacity, rate, need, maxLoad+e.ffClusterDraw(s), e.slotsPerDisk)
-	}
+	old := s.rate
 	s.rate = rate
-	return nil
-}
-
-// clusterLoad counts the normal-rate streams whose next group read lands
-// on each cluster, leaving out skip — the stream whose seat a rate change
-// is re-pricing (nil at admission). Fast-forward streams are excluded:
-// their draw is not tied to one cluster (a rate-r stream touches up to r
-// clusters per cycle) and is accounted separately by ffClusterDraw.
-func (e *groupEngine) clusterLoad(skip *groupStream) []int {
-	load := make([]int, e.cfg.Layout.Clusters())
-	for _, s := range e.streams {
-		if s == skip || s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) || ffRate(s) > 1 {
-			continue
-		}
-		load[s.Obj.Groups[s.nextGroup].Cluster]++
+	if err := admit(&e.engineCore, e.streams, e.footprint, s); err != nil {
+		s.rate = old
+		return err
 	}
-	return load
+	return nil
 }
 
 // weightedActive sums max(rate, 1) over active streams: the per-cycle
@@ -617,9 +630,10 @@ func (e *groupEngine) stageReads() error {
 // later delivery, tolerating failed drives: one slot is taken on every drive
 // of the group's cluster (failed drives keep their slot — the arm is
 // still scheduled — but yield nothing), a single missing track is
-// rebuilt from parity, and the group's buffers are acquired. When the
-// slot budget is exceeded (over-admission under a manual SlotsPerDisk
-// override) the group stays empty and hiccups at delivery.
+// rebuilt from parity, and the group's buffers are acquired. When a
+// drive's slot budget is spent the group stays empty and its tracks
+// hiccup at delivery with LostNoSlot; admission keeps that from
+// happening on a healthy farm.
 func (c *engineCore) stageGroup(st *sched.Stream, g *layout.Group) (*bufferedGroup, error) {
 	ok := true
 	for _, loc := range g.Data {
@@ -632,6 +646,7 @@ func (c *engineCore) stageGroup(st *sched.Stream, g *layout.Group) (*bufferedGro
 	}
 	staged := c.newGroup(g)
 	if !ok {
+		staged.lost = LostNoSlot
 		return staged, nil
 	}
 	gr := groupRead{data: staged.data}
@@ -697,7 +712,7 @@ func (c *engineCore) deliverGroup(s *groupStream, bg *bufferedGroup, hiccupReaso
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
-		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], hiccupReason)
+		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, hiccupReason))
 		// A made track now belongs to its Ref: clear the slot so
 		// recycleGroup below Puts only the leftovers (padding past
 		// ValidTracks), not a buffer behind the report's back.

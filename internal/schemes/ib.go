@@ -80,8 +80,9 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 	if w := cfg.Layout.GroupWidth(); w > 64 {
 		return nil, fmt.Errorf("schemes: Improved-bandwidth supports groups of at most 64 data tracks, got %d", w)
 	}
+	core.reserve = reserve
 	return &ImprovedBandwidth{
-		groupEngine: groupEngine{engineCore: core, reserve: reserve},
+		groupEngine: groupEngine{engineCore: core},
 		midFail:     -1,
 		visited:     make([]bool, cfg.Layout.Clusters()),
 	}, nil

@@ -3,6 +3,7 @@ package schemes
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ftmm/internal/buffer"
@@ -66,18 +67,13 @@ type ncCluster struct {
 
 // Why a Non-clustered track is lost, as its hiccup says: the switchover
 // dropped it (Figures 6-7), it is the failed drive's on a cluster no
-// buffer server carries, its read found the member erased and no
-// reconstruction stood in, or its read found the drive's slots for the
-// cycle spent.
+// buffer server carries, or its read found the member erased and no
+// reconstruction stood in. A read that found the drive's slots for the
+// cycle spent says LostNoSlot.
 const (
 	lostTransition  = "track lost in degraded-mode transition"
 	lostUnprotected = "failed drive's track lost on an unprotected cluster"
 	lostUnread      = "track could not be read or rebuilt"
-	// LostNoSlot is exported for the chaos continuity checker: under the
-	// alternate switchover a reconstruction's early reads take the slots
-	// a stream caught mid-group still needs (Figure 7's Y3), a loss the
-	// transition may add to the failed drive's own track.
-	LostNoSlot = "track not read: drive out of slots"
 )
 
 // readOrWhy is readTrack that says why it got nothing: the drive had no
@@ -233,47 +229,41 @@ func (e *NonClustered) position(r int) (g, o int) {
 	return r / e.width(), r % e.width()
 }
 
-// AddStream implements Simulator. A Non-clustered stream reads one track
-// per cycle, walking the drives of its current cluster in order; two
-// streams conflict only when they sit at the same (cluster, offset), and
-// they advance in lockstep, so admission checks the occupancy of the new
-// stream's starting position.
+// AddStream implements Simulator.
 func (e *NonClustered) AddStream(obj *layout.Object) (int, error) {
 	return e.AddStreamAt(obj, 0)
 }
 
 // AddStreamAt admits a stream beginning at the given parity group — the
-// session-resume seam. The stream's first read lands at the start
-// group's offset 0, so the occupancy check moves with it; after that it
-// advances in lockstep like any stream that reached the position
-// naturally.
+// session-resume seam — if its footprint fits (admit): its first read
+// is the start group's offset 0.
 func (e *NonClustered) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
 	if err := checkStartGroup(obj, startGroup); err != nil {
 		return 0, err
 	}
-	start := obj.Groups[startGroup].Cluster
-	load := 0
-	for _, s := range e.streams {
-		if s.Done || s.Terminated || s.read >= s.Obj.Tracks {
-			continue
-		}
-		g, o := e.position(s.read)
-		if o == 0 && s.Obj.Groups[g].Cluster == start {
-			load++
-		}
-	}
-	if load >= e.slotsPerDisk {
-		return 0, fmt.Errorf("schemes: position (cluster %d, offset 0) is at its %d-stream capacity", start, e.slotsPerDisk)
-	}
 	startTrack := startGroup * e.width()
-	id := e.allocStreamID()
-	e.streams = append(e.streams, &ncStream{
-		Stream:      sched.Stream{ID: id, Obj: obj, NextDeliver: startTrack},
+	s := &ncStream{
+		Stream:      sched.Stream{Obj: obj, NextDeliver: startTrack},
 		read:        startTrack,
-		win:         make([]ncSlot, e.width()+1),
 		legacyGroup: -1, xorGroup: -1, startCycle: -1,
-	})
-	return id, nil
+	}
+	id, err := enroll(&e.engineCore, &e.streams, e.footprint, s)
+	if err == nil {
+		s.win = make([]ncSlot, e.width()+1) // a refusal allocates no window
+	}
+	return id, err
+}
+
+// footprint is a Non-clustered stream's next read cycle: the drive
+// under its read pointer. In normal mode every stream moves on one data
+// drive a cycle, so streams that do not share a drive now never do.
+func (e *NonClustered) footprint(s *ncStream) footprint {
+	if s.read >= s.Obj.Tracks {
+		return footprint{}
+	}
+	g, o := e.position(s.read)
+	d := s.Obj.Groups[g].Data[o].Disk
+	return footprint{lo: d, hi: d + 1, reads: 1}
 }
 
 // CancelStream stops serving a stream immediately and returns its
@@ -647,8 +637,11 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	s.read = groupEnd
 
 	// Every offset of the group is read, padding tracks included (they
-	// exist on disk as zeros and are needed for reconstruction).
-	gr := groupRead{data: make([][]byte, len(grp.Data))}
+	// exist on disk as zeros and are needed for reconstruction), into the
+	// core's survivors scratch: they are the fold's sources.
+	e.survivors = slices.Grow(e.survivors[:0], len(grp.Data))[:len(grp.Data)]
+	clear(e.survivors)
+	gr := groupRead{data: e.survivors}
 	var noSlot uint64 // bit j: data offset j's drive had no slot left
 	for j, loc := range grp.Data {
 		if j != failedOffset {

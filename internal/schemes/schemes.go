@@ -191,6 +191,9 @@ type bufferedGroup struct {
 	// track's kind: a reconstructed track is an arena buffer the engine
 	// made, any other is a platter view.
 	reconstructed []bool
+	// lost, when set, is why every track hiccups: LostNoSlot for a
+	// group stageGroup was refused slots for, which read nothing.
+	lost string
 	// next is the next in-group offset to deliver.
 	next int
 	// pooled is how many buffer-pool tracks the stream holds for this

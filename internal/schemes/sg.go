@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -63,45 +64,30 @@ func (e *StaggeredGroup) StreamProgress(id int) (next, total int, ok bool) {
 	return streamProgress(e.streams, id)
 }
 
-// AddStream implements Simulator. The stream's read phase is the
-// admission cycle mod C-1; only streams sharing a phase ever touch the
-// same disks in the same cycle (different phases read in different
-// cycles), and same-phase streams advance clusters in lockstep, so
-// admission checks the count of same-phase streams currently on the new
-// stream's start cluster.
+// AddStream implements Simulator.
 func (e *StaggeredGroup) AddStream(obj *layout.Object) (int, error) {
 	return e.AddStreamAt(obj, 0)
 }
 
 // AddStreamAt admits a stream beginning at the given parity group — the
-// session-resume seam. The stream joins the phase of its admission cycle
-// like any newcomer; only its start cluster and delivery origin move.
+// session-resume seam — if its footprint fits (admit). The stream's
+// read phase is its admission cycle mod C-1, like any newcomer's.
 func (e *StaggeredGroup) AddStreamAt(obj *layout.Object, startGroup int) (int, error) {
 	if err := checkStartGroup(obj, startGroup); err != nil {
 		return 0, err
 	}
 	width := e.cfg.Layout.GroupWidth()
-	phase := e.cycle % width
-	start := obj.Groups[startGroup].Cluster
-	load := 0
-	for _, s := range e.streams {
-		if s.Done || s.Terminated || s.phase != phase || s.nextGroup >= len(s.Obj.Groups) {
-			continue
-		}
-		if s.Obj.Groups[s.nextGroup].Cluster == start {
-			load++
-		}
-	}
-	if load >= e.slotsPerDisk {
-		return 0, fmt.Errorf("schemes: phase %d of cluster %d is at its %d-stream capacity", phase, start, e.slotsPerDisk)
-	}
-	id := e.allocStreamID()
-	e.streams = append(e.streams, &sgStream{
-		Stream:    sched.Stream{ID: id, Obj: obj, NextDeliver: startGroup * width},
-		phase:     phase,
+	return enroll(&e.engineCore, &e.streams, e.footprint, &sgStream{
+		Stream:    sched.Stream{Obj: obj, NextDeliver: startGroup * width},
+		phase:     e.cycle % width,
 		nextGroup: startGroup,
 	})
-	return id, nil
+}
+
+// footprint is a Staggered-group stream's next read cycle: the cluster
+// of its next group, in its phase.
+func (e *StaggeredGroup) footprint(s *sgStream) footprint {
+	return e.groupFootprint(s.Obj, s.nextGroup, s.phase)
 }
 
 // CancelStream stops serving a stream immediately and returns its
@@ -200,7 +186,7 @@ func (e *StaggeredGroup) deliverOne(s *sgStream) {
 	base := bg.group.Index * width
 	off := bg.next
 	bg.next++
-	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], "parity group unrecoverable")
+	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, "parity group unrecoverable"))
 	// A made track now belongs to its Ref (released at the next Step's
 	// beginCycle); clear the slot so group recycling skips it.
 	bg.data[off] = nil

@@ -57,9 +57,9 @@ func (e *StreamingRAID) Name() string { return e.name }
 
 // SetStreamRate sets a stream's playback multiplier (1 = normal, r > 1
 // = fast-forward reading r parity groups per cycle). Raising the rate
-// re-runs the admission argument and fails wrapping ErrCapacity when
-// the extra ceil(r/clusters) per-cluster draw would not fit; lowering
-// it always succeeds.
+// is admission again and fails wrapping ErrCapacity when the stream's
+// ceil(r/clusters) reads on every drive would not fit; lowering it
+// always succeeds.
 func (e *StreamingRAID) SetStreamRate(id, rate int) error { return e.setStreamRate(id, rate) }
 
 // WeightedActive sums max(rate,1) over active streams — the true
