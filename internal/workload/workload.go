@@ -149,25 +149,3 @@ func ObjectNames(prefix string, n int) []string {
 	}
 	return out
 }
-
-// SyntheticContent produces size bytes of deterministic, id-dependent
-// content. The same (id, size) always yields the same bytes, and two
-// different IDs almost surely differ — so a delivery trace can prove it
-// carried the right object.
-func SyntheticContent(id string, size int) []byte {
-	out := make([]byte, size)
-	// A tiny xorshift-style stream seeded from the id.
-	var seed uint64 = 1469598103934665603
-	for _, b := range []byte(id) {
-		seed ^= uint64(b)
-		seed *= 1099511628211
-	}
-	x := seed
-	for i := range out {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		out[i] = byte(x)
-	}
-	return out
-}
