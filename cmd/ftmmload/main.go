@@ -65,27 +65,6 @@ type tally struct {
 	// sessionsByNode counts admissions per serving node, resumed
 	// segments included — the cluster's observed load split.
 	sessionsByNode map[string]int
-	// content holds each (title, size)'s expected bytes, made once and
-	// shared read-only by every session of that title.
-	content map[titleSize][]byte
-}
-
-type titleSize struct {
-	title string
-	size  int
-}
-
-// expected returns title's expected content, making it on first use.
-func (tl *tally) expected(title string, size int) []byte {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	k := titleSize{title, size}
-	c, ok := tl.content[k]
-	if !ok {
-		c = workload.SyntheticContent(title, size)
-		tl.content[k] = c
-	}
-	return c
 }
 
 func main() {
@@ -111,7 +90,7 @@ func run() error {
 	fmt.Printf("load   %s  clients=%d requests=%d titles=%d zipf=%.2f\n",
 		strings.Join(endpoints, ","), *clients, *requests, len(titles), *zipf)
 
-	tl := tally{sessionsByNode: make(map[string]int), content: make(map[titleSize][]byte)}
+	tl := tally{sessionsByNode: make(map[string]int)}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < *clients; c++ {
@@ -210,7 +189,7 @@ func playOne(tl *tally, endpoints []string, title string, vrng *rand.Rand) {
 		c.ReuseBuffers(true)
 		if st == nil {
 			st = &playState{
-				content: tl.expected(ok.Title, ok.Size),
+				content: workload.SyntheticContent(ok.Title, ok.Size),
 				covered: make(map[int]bool, ok.Tracks),
 				total:   ok.Tracks,
 				begin:   time.Now(),

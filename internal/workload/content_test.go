@@ -103,7 +103,7 @@ func FuzzSyntheticContent(f *testing.F) {
 func BenchmarkSyntheticContent(b *testing.B) {
 	const size = 3_750_000
 	b.SetBytes(size)
-	for i := 0; b.Loop(); i++ {
+	for i := 0; i < b.N; i++ {
 		SyntheticContent(fmt.Sprint("title", i%24), size)
 	}
 }
