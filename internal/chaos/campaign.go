@@ -70,6 +70,7 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 		cfg.Schemes = SchemeNames()
 	}
 	records := make([]*RunRecord, cfg.Runs)
+	titles := &titleCache{m: make(map[titleKey]*cachedTitle)}
 	// failure.RunTrials is the repo's deterministic worker pool: run i
 	// lands in slot i regardless of which worker ran it or when.
 	err := failure.RunTrials(cfg.Runs, cfg.Workers, func(i int) error {
@@ -79,7 +80,7 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 		run := RunConfig{
 			Schedule:    Generate(rng, scheme, cfg.Nodes),
 			NewCheckers: cfg.NewCheckers, NewClusterCheckers: cfg.NewClusterCheckers,
-			Hooks: cfg.Hooks,
+			Hooks: cfg.Hooks, titles: titles,
 		}
 		res, err := Run(run)
 		if err != nil {

@@ -16,8 +16,9 @@
 //     the server drains;
 //   - admission: live streams never exceed the analytic N_p bound
 //     (equations (8)-(11));
-//   - report retention: a Clone of a cycle report stays equal to the
-//     live report, and its buffer gauge matches the engine's;
+//   - report retention: a read track's delivered bytes (a platter view)
+//     are unchanged after the next Step and the events before it, and
+//     the report's buffer gauge matches the engine's;
 //   - bit-exact continuity (run-wide, on one node or many): every
 //     session receives its title's bytes exactly, one consecutive track
 //     at a time across its whole ownership chain, and a finished session

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ftmm/internal/cluster"
 	"ftmm/internal/disk"
@@ -187,6 +188,45 @@ type RunConfig struct {
 	// DefaultClusterCheckers.
 	NewClusterCheckers func() []ClusterChecker
 	Hooks              Hooks
+	// titles, when set, hands every run that shares it the same bytes
+	// for a (title, size), made once; nil makes them per run.
+	titles *titleCache
+}
+
+// titleCache makes each distinct (title, size)'s synthetic bytes once
+// for all the runs of a campaign. The bytes are read-only to every run:
+// each server's tertiary Store copies them, and the checkers only read
+// them.
+type titleCache struct {
+	mu sync.Mutex
+	m  map[titleKey]*cachedTitle
+}
+
+type titleKey struct {
+	id   string
+	size int
+}
+
+type cachedTitle struct {
+	once sync.Once
+	b    []byte
+}
+
+// get returns the bytes of title id at size, made on first request;
+// concurrent requests for one key wait for the one maker.
+func (c *titleCache) get(id string, size int) []byte {
+	if c == nil {
+		return workload.SyntheticContent(id, size)
+	}
+	c.mu.Lock()
+	e := c.m[titleKey{id, size}]
+	if e == nil {
+		e = new(cachedTitle)
+		c.m[titleKey{id, size}] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.b = workload.SyntheticContent(id, size) })
+	return e.b
 }
 
 // runner carries one run's working state.
@@ -232,7 +272,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	for i := range titles {
 		id := fmt.Sprintf("title%d", i)
 		titles[i] = id
-		content[id] = workload.SyntheticContent(id, sch.TitleGroups*width*trackSize)
+		content[id] = cfg.titles.get(id, sch.TitleGroups*width*trackSize)
 	}
 	nodeIDs := make([]string, max(sch.Nodes, 1))
 	for i := range nodeIDs {

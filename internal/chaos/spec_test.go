@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -536,4 +537,48 @@ func TestContinuityCountsRestoringTrack(t *testing.T) {
 			t.Fatalf("%d events: a hiccup on a group whose Restoring member is already restored was accepted; violation = %+v", len(events), v)
 		}
 	}
+}
+
+// TestRetentionCatchesWrittenView writes into one track a cycle read,
+// right after the retention checker kept its bytes: the platter view
+// changed, and the checker's next AfterStep must say so.
+func TestRetentionCatchesWrittenView(t *testing.T) {
+	sch, err := ParseSchedule([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(RunConfig{Schedule: *sch,
+		NewCheckers:        func() []Checker { return []Checker{&viewWriter{RetentionChecker: NewRetentionChecker()}} },
+		NewClusterCheckers: func() []ClusterChecker { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := res.Violation
+	if v == nil || v.Checker != "retention" || !strings.Contains(v.Detail, "changed after delivery") {
+		t.Fatalf("a platter view written into was accepted; violation = %+v", v)
+	}
+	if v.Cycle != 4 {
+		t.Fatalf("caught at cycle %d, want 4, the Step after the write", v.Cycle)
+	}
+}
+
+// viewWriter flips the first byte of the first read track delivered at
+// cycle 3, after the retention checker has seen the report.
+type viewWriter struct{ *RetentionChecker }
+
+func (w *viewWriter) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
+	if err := w.RetentionChecker.AfterStep(rc, rep); err != nil {
+		return err
+	}
+	if rep.Cycle != 3 {
+		return nil
+	}
+	for _, d := range rep.Delivered {
+		if d.Buf == nil {
+			d.Data[0] ^= 0xff
+			return nil
+		}
+	}
+	return fmt.Errorf("cycle 3 read no track")
 }

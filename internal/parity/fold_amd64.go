@@ -1,25 +1,6 @@
 package parity
 
-// haveAVX2 reports whether the CPU and the OS both support AVX2: the
-// CPU sets the AVX2 feature bit (leaf 7) and the OS has enabled the XMM
-// and YMM register state (OSXSAVE, then XCR0 bits 1 and 2). It is
-// decided once, at package initialisation.
-var haveAVX2 = func() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv()&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}()
+import "ftmm/internal/cpu"
 
 // fold sets dst = srcs[0] ⊕ srcs[1] ⊕ … ⊕ srcs[k-1] in one pass over
 // dst. The caller guarantees k ≥ 1 and that every source is len(dst)
@@ -28,7 +9,7 @@ var haveAVX2 = func() bool {
 // chain; without it the portable chain does it all.
 func fold(dst []byte, srcs [][]byte) {
 	n := 0
-	if haveAVX2 {
+	if cpu.HasAVX2 {
 		n = len(dst) &^ 127
 		if n > 0 {
 			foldAVX2(dst[:n], srcs)
@@ -44,9 +25,3 @@ func fold(dst []byte, srcs [][]byte) {
 //
 //go:noescape
 func foldAVX2(dst []byte, srcs [][]byte)
-
-// cpuid executes CPUID with the given leaf and subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv returns the low half of extended control register 0 (XCR0).
-func xgetbv() (eax uint32)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"ftmm/internal/cpu"
 )
 
 // TestXORKernelMatchesReference checks XORInto against
@@ -78,7 +80,7 @@ var foldKernels = []struct {
 // chunk boundary, base offsets 0…8 on dst and on each source, and dst
 // aliasing srcs[0].
 func TestFoldMatchesReference(t *testing.T) {
-	t.Logf("AVX2: %v", haveAVX2)
+	t.Logf("AVX2: %v", cpu.HasAVX2)
 	r := rand.New(rand.NewSource(50))
 	sizes := []int{0, 1, 63, 64, 127, 128, 129, 255, 256, 50_000, 50_001, 51_200}
 	const maxOff, maxK = 8, 9
@@ -324,7 +326,7 @@ func TestFoldSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts kernel timing ratios")
 	}
-	if !haveAVX2 {
+	if !cpu.HasAVX2 {
 		t.Skip("no AVX2: fold is the portable chain")
 	}
 	const size = 50_000

@@ -205,9 +205,7 @@ func (r *CycleReport) Clone() *CycleReport {
 // hiccups, erasures, finishes, and terminations in the same order. Buf
 // handles are ignored — a Clone deliberately drops them — so a retained
 // Clone compares Equal to the live report it was taken from for exactly
-// as long as the live report remains valid. The chaos harness's
-// retention checker uses this to prove engines honor the report-validity
-// window.
+// as long as the live report remains valid.
 func (r *CycleReport) Equal(o *CycleReport) bool {
 	if r == nil || o == nil {
 		return r == o

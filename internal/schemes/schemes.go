@@ -33,7 +33,8 @@
 // delivered as the drive's own slice with a nil Buf, so Delivery.Data is
 // read-only for every consumer. A caller that holds a report across
 // Steps must deep-copy it first with CycleReport.Clone (the chaos
-// harness's retention checker holds every engine to that contract), and
+// harness's retention checker holds every engine to the read-only
+// platter views across the next Step), and
 // the network layer Retains every non-nil Buf it ships before its cycle
 // returns.
 // Reading a stale report is a use-after-free the race detector cannot

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -30,8 +31,8 @@ func serialContent(id string, size int) []byte {
 func TestSyntheticContentMatchesSerial(t *testing.T) {
 	sizes := []int{
 		0, 1, 7, 8,
-		lanes*minLane - 1, lanes * minLane, lanes*minLane + 1,
-		splitMin - 1, splitMin, splitMin + 1,
+		63, 64, 65,
+		4095, 4096, 4097,
 		3_750_000, 3<<20 + 7,
 	}
 	for _, id := range []string{"", "a", "title3"} {
@@ -39,15 +40,6 @@ func TestSyntheticContentMatchesSerial(t *testing.T) {
 			want := serialContent(id, size)
 			if got := SyntheticContent(id, size); !bytes.Equal(got, want) {
 				t.Fatalf("SyntheticContent(%q, %d): first difference at byte %d", id, size, firstDiff(got, want))
-			}
-			// The split over goroutines, at part counts the test's
-			// GOMAXPROCS may not reach.
-			for _, n := range []int{2, 3, 5} {
-				got := make([]byte, size)
-				synthesize(got, seed(id), n)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%q, %d bytes in %d parts: first difference at byte %d", id, size, n, firstDiff(got, want))
-				}
 			}
 		}
 	}
@@ -62,39 +54,65 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-func TestSyntheticContentJumpAhead(t *testing.T) {
-	for _, x := range []uint64{seed(""), seed("title3"), 1, 1 << 63} {
-		s := x
-		for n := uint64(0); n <= 1000; n++ {
-			if got := jump(x, n); got != s {
-				t.Fatalf("jump(%#x, %d) = %#x, want %#x (%d serial steps)", x, n, got, s, n)
-			}
-			s = step(s)
-		}
-		for _, a := range []uint64{0, 1, 2, 63, 64, 1000, 1 << 40} {
-			for _, b := range []uint64{0, 1, 2, 63, 64, 1000, 3_750_000} {
-				if got, want := jump(jump(x, a), b), jump(x, a+b); got != want {
-					t.Fatalf("jump(jump(%#x, %d), %d) = %#x, want jump(x, %d) = %#x", x, a, b, got, a+b, want)
+// serialBlock is the block after state x and the state after it, by
+// serial steps.
+func serialBlock(x uint64) ([blockLen]byte, uint64) {
+	var b [blockLen]byte
+	for i := range b {
+		x = step(x)
+		b[i] = byte(x)
+	}
+	return b, x
+}
+
+// TestBlockTable checks every table entry, and the XOR of one entry per
+// byte for random states, against serial stepping.
+func TestBlockTable(t *testing.T) {
+	tableOnce.Do(buildTable)
+	block := func(x uint64) ([blockLen]byte, uint64) {
+		var b [blockLen]byte
+		var nx uint64
+		for j := range table.rows {
+			v := byte(x >> (8 * j))
+			for k, w := range table.rows[j][v] {
+				for i := range 8 {
+					b[8*k+i] ^= byte(w >> (8 * i))
 				}
 			}
+			nx ^= table.next[j][v]
+		}
+		return b, nx
+	}
+	check := func(x uint64) {
+		t.Helper()
+		want, wantNext := serialBlock(x)
+		if got, next := block(x); got != want || next != wantNext {
+			t.Fatalf("state %#x: table block %x next %#x, want %x next %#x", x, got, next, want, wantNext)
 		}
 	}
+	for j := range 8 {
+		for v := range 256 {
+			check(uint64(v) << (8 * j))
+		}
+	}
+	r := rand.New(rand.NewSource(45))
+	for range 10_000 {
+		check(r.Uint64())
+	}
+	check(seed(""))
+	check(^uint64(0))
 }
 
 func FuzzSyntheticContent(f *testing.F) {
-	f.Add("", uint16(0), uint8(1))
-	f.Add("a", uint16(lanes*minLane), uint8(2))
-	f.Add("title3", uint16(lanes*minLane+1), uint8(3))
-	f.Add("big-buck-bunny", uint16(65535), uint8(8))
-	f.Fuzz(func(t *testing.T, id string, size uint16, n uint8) {
+	f.Add("", uint16(0))
+	f.Add("a", uint16(blockLen-1))
+	f.Add("title3", uint16(blockLen+1))
+	f.Add("title9", uint16(4097))
+	f.Add("big-buck-bunny", uint16(65535))
+	f.Fuzz(func(t *testing.T, id string, size uint16) {
 		want := serialContent(id, int(size))
 		if got := SyntheticContent(id, int(size)); !bytes.Equal(got, want) {
 			t.Fatalf("SyntheticContent(%q, %d): first difference at byte %d", id, size, firstDiff(got, want))
-		}
-		got := make([]byte, size)
-		synthesize(got, seed(id), int(n%8)+1)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%q, %d bytes in %d parts: first difference at byte %d", id, size, n%8+1, firstDiff(got, want))
 		}
 	})
 }
