@@ -46,6 +46,7 @@ import (
 	"ftmm/internal/cluster"
 	"ftmm/internal/netserve"
 	"ftmm/internal/node"
+	"ftmm/internal/server"
 	"ftmm/internal/workload"
 )
 
@@ -169,12 +170,12 @@ func runNode() error {
 	defer n.Close()
 
 	if *failDisk >= 0 {
-		n.NS().ScheduleFailure(*failCycle, *failDisk)
+		n.NS().Schedule(*failCycle, server.Fault{Kind: server.FaultFail, Drive: *failDisk})
 		if *repairCycle >= 0 {
-			n.NS().ScheduleRepair(*repairCycle, *failDisk)
+			n.NS().Schedule(*repairCycle, server.Fault{Kind: server.FaultRepair, Drive: *failDisk})
 		}
 		if *rebuildCycle >= 0 {
-			n.NS().ScheduleRebuild(*rebuildCycle, *failDisk, *rebuildBudget)
+			n.NS().Schedule(*rebuildCycle, server.Fault{Kind: server.FaultRebuild, Drive: *failDisk, Budget: *rebuildBudget})
 		}
 	}
 

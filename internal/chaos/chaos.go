@@ -56,22 +56,24 @@ const (
 	// EventAdmit requests a stream for Title; admission rejections are
 	// tolerated (the analytic bound is the invariant, not acceptance).
 	EventAdmit EventKind = "admit"
-	// EventFail fails Drive at the cycle boundary.
-	EventFail EventKind = "fail"
+	// EventFail fails Drive at the cycle boundary. It and the next four
+	// are the server's drive faults (server.Server.Apply), spelled as
+	// its fault kinds.
+	EventFail = EventKind(server.FaultFail)
 	// EventFailMidCycle (ib schedules only) fails Drive halfway through
 	// the cycle's reads: the tracks it had yet to serve are the §4
 	// isolated hiccups, one per stream at most, and later cycles shift.
-	EventFailMidCycle EventKind = "fail-mid-cycle"
+	EventFailMidCycle = EventKind(server.FaultFailMidCycle)
 	// EventRepair replaces Drive and rebuilds it instantly from parity.
-	EventRepair EventKind = "repair"
+	EventRepair = EventKind(server.FaultRepair)
 	// EventRebuild replaces Drive and starts the paper's online rebuild
 	// with Budget spare track reads per cycle.
-	EventRebuild EventKind = "rebuild"
+	EventRebuild = EventKind(server.FaultRebuild)
 	// EventTertiary replaces Drive and reloads every object touching it
 	// from the tape library — the only way back from a catastrophic
 	// failure (two drives of one parity group), where parity cannot
 	// rebuild.
-	EventTertiary EventKind = "tertiary"
+	EventTertiary = EventKind(server.FaultTertiary)
 	// EventCancel hangs up the stream of the Stream-th successful
 	// admission (0-based).
 	EventCancel EventKind = "cancel"
@@ -156,10 +158,7 @@ type Schedule struct {
 // cluster C otherwise. Disks must be a whole number of these units.
 func (s *Schedule) FarmUnit() int {
 	if scheme, _, err := server.ParseScheme(s.Scheme); err == nil && scheme == analytic.DeclusteredParity {
-		if s.DeclusterGroup > 0 {
-			return s.DeclusterGroup
-		}
-		return 2*s.ClusterSize - 1
+		return analytic.Config{C: s.ClusterSize, G: s.DeclusterGroup}.DeclusterGroup()
 	}
 	return s.ClusterSize
 }

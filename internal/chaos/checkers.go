@@ -57,7 +57,8 @@ type readKey struct{ stream, group int }
 // read by that stream found two or more members erased is data parity
 // cannot rebuild, and is accepted. The engine reports each erasure its
 // reads met (sched.CycleReport.Erasures), and the checker holds every
-// one to the farm's own record of the cycle (disk.Farm.Missed).
+// one to the farm's own record of the cycle (disk.Farm.Missed). The
+// failures come from the server's drive log.
 type ContinuityChecker struct {
 	isNC, isIB bool
 	// lossCap is the per-stream per-transition bound on hiccups other
@@ -110,27 +111,21 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 	return nil
 }
 
-// OnEvent implements EventObserver: it records data-disk failures per
-// cluster, which open Non-clustered loss windows, and IB mid-cycle
-// failures, which allow one isolated hiccup per stream.
-func (c *ContinuityChecker) OnEvent(rc *RunContext, ev Event) error {
-	if ev.Kind == EventFailMidCycle {
-		c.midFail = append(c.midFail, ev.Cycle)
-		return nil
-	}
-	if !c.isNC || ev.Kind != EventFail {
-		return nil
-	}
-	if rc.Srv.Catalog().Layout().Role(ev.Drive) == layout.RoleParity {
-		return nil // no delivery impact
-	}
-	cl := ev.Drive / rc.Schedule.ClusterSize
-	c.dataFail[cl] = append(c.dataFail[cl], ev.Cycle)
-	return nil
-}
-
-// AfterStep implements Checker.
+// AfterStep implements Checker. The cycle's drive log opens the
+// windows: a data-disk failure opens a Non-clustered loss window on its
+// cluster (a parity drive's has no delivery impact), and an IB mid-cycle
+// failure allows one isolated hiccup per stream.
 func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
+	lay := rc.Srv.Catalog().Layout()
+	for _, e := range rc.Srv.DriveLog() {
+		switch {
+		case e.Kind == server.FaultFailMidCycle:
+			c.midFail = append(c.midFail, e.Cycle)
+		case c.isNC && e.Kind == server.FaultFail && lay.Role(e.Drive) != layout.RoleParity:
+			cl := e.Drive / rc.Schedule.ClusterSize
+			c.dataFail[cl] = append(c.dataFail[cl], e.Cycle)
+		}
+	}
 	if !c.isIB && len(rep.Terminated) > 0 {
 		return fmt.Errorf("stream %d terminated by a scheme that must never degrade service", rep.Terminated[0])
 	}
@@ -156,7 +151,6 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 		}
 	}
 	width := rc.Schedule.ClusterSize - 1
-	lay := rc.Srv.Catalog().Layout()
 	for _, h := range rep.Hiccups {
 		obj, ok := lay.Object(h.ObjectID)
 		if !ok {
@@ -222,15 +216,13 @@ func (c *ContinuityChecker) End(*RunContext) error { return nil }
 // ----------------------------------------------------------------------
 // Parity consistency after repair and rebuild.
 
-// ParityChecker audits the parity equation of every group a repaired
-// drive touches — immediately after an instant repair or a tape
-// reload, and at the cycle an online rebuild completes — and the whole
-// farm once the run drains.
-// A rebuild that skips a write leaves an unreadable (never-written)
-// track in a fully-operational group, which the strict check flags.
-type ParityChecker struct {
-	pending []int
-}
+// ParityChecker audits the parity equation of every group a restored
+// drive touches, in the cycle its restore ended (an instant repair, a
+// tape reload, an online rebuild's last step), and the whole farm once
+// the run drains. A rebuild that skips a write leaves an unreadable
+// (never-written) track in a fully-operational group, which the strict
+// check flags.
+type ParityChecker struct{}
 
 // NewParityChecker builds the checker.
 func NewParityChecker() *ParityChecker { return &ParityChecker{} }
@@ -239,34 +231,19 @@ func NewParityChecker() *ParityChecker { return &ParityChecker{} }
 func (p *ParityChecker) Name() string { return "parity" }
 
 // Begin implements Checker.
-func (p *ParityChecker) Begin(*RunContext) error {
-	p.pending = nil
-	return nil
-}
+func (p *ParityChecker) Begin(*RunContext) error { return nil }
 
-// OnEvent implements EventObserver.
-func (p *ParityChecker) OnEvent(rc *RunContext, ev Event) error {
-	switch ev.Kind {
-	case EventRepair, EventTertiary:
-		return rebuild.CheckDrive(rc.Srv.Farm(), rc.Srv.Catalog().Layout(), ev.Drive)
-	case EventRebuild:
-		p.pending = append(p.pending, ev.Drive)
-	}
-	return nil
-}
-
-// AfterStep implements Checker: when the in-flight online rebuild
-// finishes, its drive must be parity-consistent.
+// AfterStep implements Checker: every drive whose restore ended this
+// cycle must be parity-consistent.
 func (p *ParityChecker) AfterStep(rc *RunContext, _ *sched.CycleReport) error {
-	if len(p.pending) == 0 || rc.Srv.RebuildRemaining() != 0 {
-		return nil
-	}
-	for _, drive := range p.pending {
-		if err := rebuild.CheckDrive(rc.Srv.Farm(), rc.Srv.Catalog().Layout(), drive); err != nil {
+	for _, e := range rc.Srv.DriveLog() {
+		if e.Kind != server.RestoreEnded {
+			continue
+		}
+		if err := rebuild.CheckDrive(rc.Srv.Farm(), rc.Srv.Catalog().Layout(), e.Drive); err != nil {
 			return err
 		}
 	}
-	p.pending = nil
 	return nil
 }
 
@@ -274,7 +251,7 @@ func (p *ParityChecker) AfterStep(rc *RunContext, _ *sched.CycleReport) error {
 // must satisfy the parity equation (failed-member groups are skipped
 // inside CheckAll).
 func (p *ParityChecker) End(rc *RunContext) error {
-	if len(p.pending) > 0 {
+	if rc.Srv.RebuildRemaining() > 0 {
 		return nil // rebuild still running at MaxCycles; drive is legitimately partial
 	}
 	return rebuild.CheckAll(rc.Srv.Farm(), rc.Srv.Catalog().Layout())
@@ -287,10 +264,12 @@ func (p *ParityChecker) End(rc *RunContext) error {
 // holds no buffers: every refcounted arena buffer was Released and the
 // track-accounting pool is back to zero (only checked when the run
 // actually drained — a schedule truncated by MaxCycles with streams still
-// playing legitimately holds buffers). Every restore ends: a drive left
-// Restoring must have an online rebuild of it still running or
-// abandoned — a restore path that skipped its tail leaves it Restoring
-// with neither. And a farm restored to health holds no degraded state:
+// playing legitimately holds buffers). Every restore ends: an online
+// rebuild that stops must log its drive's restore or its abandon, and a
+// drive left Restoring must have an online rebuild of it still running
+// or abandoned — a restore path that skipped its tail leaves it
+// Restoring with neither. And a farm restored to health holds no
+// degraded state:
 // with every drive operational, no cluster may still run degraded — a
 // restore path that forgot to tell the engine leaks the cluster's buffer
 // server and keeps it reconstructing tracks that sit whole on disk.
@@ -313,23 +292,26 @@ func (l *LeakChecker) Begin(*RunContext) error {
 	return nil
 }
 
-// OnEvent implements EventObserver.
-func (l *LeakChecker) OnEvent(_ *RunContext, ev Event) error {
-	if ev.Kind == EventRebuild {
-		l.rebuilding = ev.Drive
-		delete(l.abandoned, ev.Drive)
-	}
-	return nil
-}
-
-// AfterStep implements Checker: it notes how the online rebuild in
-// flight ended, once it has.
+// AfterStep implements Checker: it follows the online rebuilds through
+// the drive log, and fails one the server stopped without logging how
+// it ended.
 func (l *LeakChecker) AfterStep(rc *RunContext, _ *sched.CycleReport) error {
-	if l.rebuilding >= 0 && rc.Srv.RebuildRemaining() == 0 {
-		if rc.Srv.TakeRebuildAbort() != nil {
-			l.abandoned[l.rebuilding] = true
+	for _, e := range rc.Srv.DriveLog() {
+		switch e.Kind {
+		case server.FaultRebuild:
+			l.rebuilding = e.Drive
+			delete(l.abandoned, e.Drive)
+		case server.RebuildAbandoned:
+			l.rebuilding = -1
+			l.abandoned[e.Drive] = true
+		case server.RestoreEnded:
+			if e.Drive == l.rebuilding {
+				l.rebuilding = -1
+			}
 		}
-		l.rebuilding = -1
+	}
+	if l.rebuilding >= 0 && rc.Srv.RebuildRemaining() == 0 {
+		return fmt.Errorf("online rebuild of drive %d stopped with neither its restore nor its abandon logged", l.rebuilding)
 	}
 	return nil
 }
@@ -439,10 +421,12 @@ func (a *AdmissionChecker) End(*RunContext) error { return nil }
 // single-node included.
 type RetentionChecker struct {
 	// rebuildActive tracks whether an online rebuild could have advanced
-	// inside the Step being audited. The server advances rebuilds after
-	// the engine's end-of-cycle snapshot, and completion may release
-	// buffers (Non-clustered drops XOR accumulators), so on those steps
-	// the live gauge may legitimately run below the report's.
+	// inside the Step being audited: one ran after the last Step, or the
+	// cycle's drive log starts one (large budgets may complete it inside
+	// the same Step). The server advances rebuilds after the engine's
+	// end-of-cycle snapshot, and completion may release buffers
+	// (Non-clustered drops XOR accumulators), so on those steps the live
+	// gauge may legitimately run below the report's.
 	rebuildActive bool
 	// views are the previous cycle's read tracks as delivered, and kept
 	// their bytes at that cycle's end, one after another.
@@ -463,16 +447,6 @@ func (r *RetentionChecker) Begin(*RunContext) error {
 	return nil
 }
 
-// OnEvent implements EventObserver: a rebuild started this cycle may
-// also complete inside the same Step (large budgets), so the gauge
-// exemption must cover it.
-func (r *RetentionChecker) OnEvent(_ *RunContext, ev Event) error {
-	if ev.Kind == EventRebuild {
-		r.rebuildActive = true
-	}
-	return nil
-}
-
 // AfterStep implements Checker: it holds the previous cycle's read
 // tracks to their kept bytes, then keeps this cycle's.
 func (r *RetentionChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
@@ -485,6 +459,9 @@ func (r *RetentionChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) err
 			r.views = append(r.views, d)
 			r.kept = append(r.kept, d.Data...)
 		}
+	}
+	if slices.ContainsFunc(rc.Srv.DriveLog(), func(e server.DriveEvent) bool { return e.Kind == server.FaultRebuild }) {
+		r.rebuildActive = true
 	}
 	live := rc.Srv.Engine().BufferInUse()
 	if rep.BufferInUse != live && !(r.rebuildActive && live < rep.BufferInUse) {

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"ftmm/internal/cluster"
-	"ftmm/internal/disk"
 	"ftmm/internal/sched"
-	"ftmm/internal/schemes"
 	"ftmm/internal/server"
 	"ftmm/internal/units"
 	"ftmm/internal/workload"
@@ -42,8 +40,9 @@ type RunResult struct {
 }
 
 // RunContext is what per-node checkers see: one node's live server and
-// the schedule. Delivered bytes are audited run-wide, against the
-// catalog in ClusterRunContext.
+// the schedule. The node's drive faults and restores are the server's
+// own record (server.Server.DriveLog); delivered bytes are audited
+// run-wide, against the catalog in ClusterRunContext.
 type RunContext struct {
 	Srv      *server.Server
 	Schedule *Schedule
@@ -60,15 +59,6 @@ type Checker interface {
 	Begin(rc *RunContext) error
 	AfterStep(rc *RunContext, rep *sched.CycleReport) error
 	End(rc *RunContext) error
-}
-
-// EventObserver is implemented by checkers that need to see schedule
-// events as they are applied. OnEvent fires only for events that took
-// effect on the checker's node (a repair of a healthy drive, say, is
-// skipped, not observed), after any Hooks ran — so a hook-injected
-// engine bug is already in place when the checker looks.
-type EventObserver interface {
-	OnEvent(rc *RunContext, ev Event) error
 }
 
 // NodeRun is one node of a run: a complete server holding its placement
@@ -157,8 +147,10 @@ type ClusterChecker interface {
 }
 
 // ClusterEventObserver is implemented by cluster checkers that need to
-// see schedule events as they are applied — the run-wide analogue of
-// EventObserver, with the same only-applied-events contract.
+// see schedule events as they are applied — the VCR verbs move a
+// session's position. OnEvent fires only for events that took effect (a
+// repair of a healthy drive, say, is skipped, not observed), after any
+// Hooks ran.
 type ClusterEventObserver interface {
 	OnEvent(crc *ClusterRunContext, ev Event) error
 }
@@ -168,7 +160,7 @@ type ClusterEventObserver interface {
 // the harness's own acceptance tests).
 type Hooks struct {
 	// AfterRepair runs right after an instant repair of the drive
-	// succeeds, before checkers observe the event.
+	// succeeds, before the cycle's Step.
 	AfterRepair func(srv *server.Server, drive int) error
 	// ResumeGroupOffset shifts every failover's and VCR re-admission's
 	// restart group by this many groups — a deliberately broken handoff
@@ -360,21 +352,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			nd.RC.Cycle = cycle
 		}
 		for ; next < len(events) && events[next].Cycle == cycle; next++ {
-			applied, target, err := r.apply(events[next])
+			applied, err := r.apply(events[next])
 			if err != nil {
 				return violate("run-error", "", err), nil
 			}
 			if !applied {
 				continue
-			}
-			if target != nil {
-				for _, c := range target.Checkers {
-					if obs, ok := c.(EventObserver); ok {
-						if err := obs.OnEvent(target.RC, events[next]); err != nil {
-							return violate(c.Name(), target.ID, err), nil
-						}
-					}
-				}
 			}
 			for _, c := range clusterCheckers {
 				if obs, ok := c.(ClusterEventObserver); ok {
@@ -507,28 +490,28 @@ func (r *runner) session(ordinal int) *Session {
 }
 
 // unseat cancels a live session's engine stream and takes it off its
-// node, reporting the node it left; nil when the session holds no live
-// stream (parked, gone, or already finished on the engine).
-func (r *runner) unseat(ses *Session) *NodeRun {
+// node, reporting false when the session holds no live stream (parked,
+// gone, or already finished on the engine).
+func (r *runner) unseat(ses *Session) bool {
 	if ses.Paused || ses.Node < 0 {
-		return nil
+		return false
 	}
-	nd := r.crc.Nodes[ses.Node]
-	if err := nd.Srv.Cancel(ses.SID); err != nil {
-		return nil // already finished: tolerated
+	if err := r.crc.Nodes[ses.Node].Srv.Cancel(ses.SID); err != nil {
+		return false // already finished: tolerated
 	}
 	delete(r.crc.byStream, [2]int{ses.Node, ses.SID})
 	ses.Node = -1
-	return nd
+	return true
 }
 
 // apply is the one place a schedule event meets a server. It performs
 // the event best-effort — every subset of a schedule stays runnable, so
 // errors are reserved for states no subset of a well-formed schedule
-// can reach — and reports whether it took effect and on which node
-// (nil for run-wide events), so that node's observers see it. A new
-// event kind is one more case here plus one in Validate.
-func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
+// can reach — and reports whether it took effect. Drive faults are the
+// server's to apply (server.Server.Apply), and its drive log is what
+// the node's checkers read. A new event kind is one more case here plus
+// one in Validate.
+func (r *runner) apply(ev Event) (bool, error) {
 	crc := r.crc
 	switch ev.Kind {
 	case EventAdmit:
@@ -545,151 +528,123 @@ func (r *runner) apply(ev Event) (bool, *NodeRun, error) {
 			}
 			crc.Sessions = append(crc.Sessions, ses)
 			crc.byStream[[2]int{nd.Index, sid}] = ses
-			return true, nd, nil
+			return true, nil
 		}
-		return false, nil, nil // no live holder, or all full: tolerated
+		return false, nil // no live holder, or all full: tolerated
 
 	case EventFail, EventFailMidCycle, EventRepair, EventRebuild, EventTertiary:
 		nd := crc.Nodes[ev.Node]
 		if nd.State == cluster.StateDead {
-			return false, nil, nil // shard is gone; its drives with it
+			return false, nil // shard is gone; its drives with it
 		}
-		drv, err := nd.Srv.Farm().Drive(ev.Drive)
-		if err != nil {
-			return false, nil, err
-		}
-		failing := ev.Kind == EventFail || ev.Kind == EventFailMidCycle
-		if state := drv.State(); failing && state == disk.Failed ||
-			!failing && state == disk.Operational {
-			// A subset re-failed a dead drive, or the failure a repair
-			// answers was shrunk away. A drive still Restoring (its
-			// rebuild abandoned, say) takes a repair as a failed one does.
-			return false, nil, nil
-		}
-		switch ev.Kind {
-		case EventFail:
-			err = nd.Srv.FailDisk(ev.Drive)
-		case EventFailMidCycle:
-			err = nd.Srv.Engine().(*schemes.ImprovedBandwidth).FailDiskMidCycle(ev.Drive)
-		case EventRepair:
-			err = nd.Srv.RepairDisk(ev.Drive)
-			if err == nil && r.hooks.AfterRepair != nil {
-				err = r.hooks.AfterRepair(nd.Srv, ev.Drive)
-			}
-		case EventRebuild:
-			err = nd.Srv.StartOnlineRebuild(ev.Drive, ev.Budget)
-		case EventTertiary:
-			_, err = nd.Srv.RebuildFromTertiary(ev.Drive)
+		applied, err := nd.Srv.Apply(server.Fault{Kind: server.FaultKind(ev.Kind), Drive: ev.Drive, Budget: ev.Budget})
+		if err == nil && applied && ev.Kind == EventRepair && r.hooks.AfterRepair != nil {
+			err = r.hooks.AfterRepair(nd.Srv, ev.Drive)
 		}
 		if err != nil {
-			return false, nil, fmt.Errorf("chaos: %s of drive %d on %s: %w", ev.Kind, ev.Drive, nd.ID, err)
+			return false, fmt.Errorf("chaos: %s of drive %d on %s: %w", ev.Kind, ev.Drive, nd.ID, err)
 		}
-		return true, nd, nil
+		return applied, nil
 
 	case EventNodeKill:
 		nd := crc.Nodes[ev.Node]
 		if nd.State == cluster.StateDead {
-			return false, nil, nil
+			return false, nil
 		}
 		nd.State = cluster.StateDead
 		r.failover(nd)
-		return true, nil, nil
+		return true, nil
 
 	case EventNodeDrain:
 		nd := crc.Nodes[ev.Node]
 		if nd.State != cluster.StateActive {
-			return false, nil, nil
+			return false, nil
 		}
 		nd.State = cluster.StateDraining
-		return true, nil, nil
+		return true, nil
 
 	case EventCancel:
 		ses := r.session(ev.Stream)
 		if ses == nil {
-			return false, nil, nil
+			return false, nil
 		}
 		if ses.Paused {
 			// Hanging up a parked session needs no engine work.
 			ses.Paused = false
 			ses.Cancelled = true
-			return true, nil, nil
+			return true, nil
 		}
-		nd := r.unseat(ses)
-		if nd == nil {
-			return false, nil, nil
+		if !r.unseat(ses) {
+			return false, nil
 		}
 		ses.Cancelled = true
-		return true, nd, nil
+		return true, nil
 
 	case EventPause:
 		ses := r.session(ev.Stream)
 		if ses == nil || ses.Paused || ses.Node < 0 {
-			return false, nil, nil
+			return false, nil
 		}
 		next, _, ok := crc.Nodes[ses.Node].Srv.StreamProgress(ses.SID)
 		if !ok {
-			return false, nil, nil // finished on the engine this very cycle
+			return false, nil // finished on the engine this very cycle
 		}
-		nd := r.unseat(ses)
-		if nd == nil {
-			return false, nil, nil
+		if !r.unseat(ses) {
+			return false, nil
 		}
 		ses.Paused, ses.PausedNext = true, next
-		return true, nd, nil
+		return true, nil
 
 	case EventVcrResume:
 		ses := r.session(ev.Stream)
 		if ses == nil || !ses.Paused {
-			return false, nil, nil // pause was shrunk away, or resume already ran
+			return false, nil // pause was shrunk away, or resume already ran
 		}
-		nd := r.place(ses, ses.PausedNext)
-		if nd == nil {
-			return false, nil, nil // every holder refused: the viewer stays parked
-		}
-		return true, nd, nil
+		// Every holder may refuse: the viewer stays parked.
+		return r.place(ses, ses.PausedNext), nil
 
 	case EventFF:
 		ses := r.session(ev.Stream)
 		if ses == nil || ses.Paused || ses.Node < 0 {
-			return false, nil, nil // parked streams draw nothing; nothing to speed up
+			return false, nil // parked streams draw nothing; nothing to speed up
 		}
 		nd := crc.Nodes[ses.Node]
 		// Refusals (k′ bound) and engines without rate support both leave
 		// the stream at 1x — legitimate, not a harness error.
 		if err := nd.Srv.SetStreamRate(ses.SID, ev.Rate); err != nil {
-			return false, nil, nil
+			return false, nil
 		}
-		return true, nd, nil
+		return true, nil
 
 	case EventRewind:
 		ses := r.session(ev.Stream)
 		if ses == nil {
-			return false, nil, nil
+			return false, nil
 		}
 		target := min(ev.Track, crc.Total-1)
 		if ses.Paused {
 			ses.PausedNext = target // reposition the parked session
-			return true, nil, nil
+			return true, nil
 		}
-		if r.unseat(ses) == nil {
-			return false, nil, nil
+		if !r.unseat(ses) {
+			return false, nil
 		}
-		if to := r.place(ses, target); to != nil {
-			return true, to, nil
+		if r.place(ses, target) {
+			return true, nil
 		}
 		// Every holder refused the re-admission: park at the target, so
 		// the viewer's position survives the refusal.
 		ses.Paused, ses.PausedNext = true, target
-		return true, nil, nil
+		return true, nil
 	}
-	return false, nil, fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
+	return false, fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
 }
 
 // place admits a session's next engine stream at the group floor of
 // track at — the shared work of vcr-resume, rewind and failover. It
-// returns the serving node, or nil when no active holder had capacity
-// (the session is untouched).
-func (r *runner) place(ses *Session, at int) *NodeRun {
+// reports false when no active holder had capacity (the session is
+// untouched).
+func (r *runner) place(ses *Session, at int) bool {
 	crc := r.crc
 	startGroup := at/crc.Width + r.hooks.ResumeGroupOffset
 	for _, nd := range r.candidates(ses.Title) {
@@ -708,9 +663,9 @@ func (r *runner) place(ses *Session, at int) *NodeRun {
 		ses.Chain = append(ses.Chain, nd.Index)
 		ses.Resumes++
 		crc.byStream[[2]int{nd.Index, sid}] = ses
-		return nd
+		return true
 	}
-	return nil
+	return false
 }
 
 // failover moves every session the dead node served onto a surviving
@@ -730,7 +685,7 @@ func (r *runner) failover(dead *NodeRun) {
 			// Everything was delivered; only the finish notice died with
 			// the node.
 			ses.Finished = true
-		case r.place(ses, ses.Next) == nil:
+		case !r.place(ses, ses.Next):
 			ses.Lost = true
 			ses.LostReason = fmt.Sprintf("no surviving holder with capacity for %s after %s died", ses.Title, dead.ID)
 		}

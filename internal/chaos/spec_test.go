@@ -13,20 +13,20 @@ import (
 	"ftmm/internal/sched"
 )
 
-// probe is a test checker for single-node runs: it counts the events
-// that actually applied, so tests can tell an applied verb from one the
-// best-effort contract skipped.
+// probe is a test cluster checker: it counts the events that actually
+// applied, so tests can tell an applied verb from one the best-effort
+// contract skipped.
 type probe struct {
 	applied map[EventKind]int
 }
 
 func newProbe() *probe { return &probe{applied: map[EventKind]int{}} }
 
-func (p *probe) Name() string                                    { return "probe" }
-func (p *probe) Begin(*RunContext) error                         { return nil }
-func (p *probe) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
-func (p *probe) End(*RunContext) error                           { return nil }
-func (p *probe) OnEvent(_ *RunContext, ev Event) error           { p.applied[ev.Kind]++; return nil }
+func (p *probe) Name() string                                             { return "probe" }
+func (p *probe) Begin(*ClusterRunContext) error                           { return nil }
+func (p *probe) AfterStep(*ClusterRunContext, []*sched.CycleReport) error { return nil }
+func (p *probe) End(*ClusterRunContext) error                             { return nil }
+func (p *probe) OnEvent(_ *ClusterRunContext, ev Event) error             { p.applied[ev.Kind]++; return nil }
 
 // specJSON is a scenario file: a Schedule as JSON.
 const specJSON = `{
@@ -58,8 +58,8 @@ func runSpec(t *testing.T, jsonSpec string, edit func(*Schedule)) (*RunResult, *
 	}
 	p := newProbe()
 	res, err := Run(RunConfig{
-		Schedule:    *sch,
-		NewCheckers: func() []Checker { return append(DefaultCheckers(), p) },
+		Schedule:           *sch,
+		NewClusterCheckers: func() []ClusterChecker { return append(DefaultClusterCheckers(), p) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@ func TestVcrScheduleAllSchemes(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			counter := newProbe()
 			res, err := Run(RunConfig{
-				Schedule:    vcrSchedule(scheme),
-				NewCheckers: func() []Checker { return append(DefaultCheckers(), counter) },
+				Schedule:           vcrSchedule(scheme),
+				NewClusterCheckers: func() []ClusterChecker { return append(DefaultClusterCheckers(), counter) },
 			})
 			if err != nil {
 				t.Fatal(err)

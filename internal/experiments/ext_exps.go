@@ -94,14 +94,14 @@ func Rebuild() (*RebuildResult, error) {
 			chaos.Event{Kind: chaos.EventRebuild, Drive: 0, Budget: budget})
 		start, done := -1, -1
 		_, err := play(sch, &recorder{
-			event: func(rc *chaos.RunContext, ev chaos.Event) {
+			event: func(srv *server.Server, ev chaos.Event) {
 				if ev.Kind == chaos.EventRebuild {
-					start, tracks = rc.Cycle, rc.Srv.RebuildRemaining()
+					start, tracks = ev.Cycle, srv.RebuildRemaining()
 				}
 			},
-			step: func(rc *chaos.RunContext, _ *sched.CycleReport) {
-				if done < 0 && start >= 0 && rc.Srv.RebuildRemaining() == 0 {
-					done = rc.Cycle
+			step: func(srv *server.Server, rep *sched.CycleReport) {
+				if done < 0 && start >= 0 && srv.RebuildRemaining() == 0 {
+					done = rep.Cycle
 				}
 			},
 		})

@@ -32,11 +32,12 @@ func admit(sch *chaos.Schedule, every int, titles ...string) {
 }
 
 // play runs sch through the chaos runner under the default checkers
-// plus extra, read-only ones, and returns the server. A violation, a
-// refused admission or a run that does not drain is an error.
-func play(sch chaos.Schedule, extra ...chaos.Checker) (*server.Server, error) {
-	res, err := chaos.Run(chaos.RunConfig{Schedule: sch, NewCheckers: func() []chaos.Checker {
-		return append(chaos.DefaultCheckers(), extra...)
+// plus extra, read-only cluster ones, and returns the server. A
+// violation, a refused admission or a run that does not drain is an
+// error.
+func play(sch chaos.Schedule, extra ...chaos.ClusterChecker) (*server.Server, error) {
+	res, err := chaos.Run(chaos.RunConfig{Schedule: sch, NewClusterCheckers: func() []chaos.ClusterChecker {
+		return append(chaos.DefaultClusterCheckers(), extra...)
 	}})
 	if err != nil {
 		return nil, err
@@ -59,28 +60,28 @@ func play(sch chaos.Schedule, extra ...chaos.Checker) (*server.Server, error) {
 	return res.Nodes[0].Srv, nil
 }
 
-// recorder is a read-only checker: it hands every applied event to
-// event and every cycle's report to step, either may be nil, and it
-// never objects.
+// recorder is a read-only cluster checker of a one-node run: it hands
+// the server with every applied event to event and with every cycle's
+// report to step, either may be nil, and it never objects.
 type recorder struct {
-	event func(rc *chaos.RunContext, ev chaos.Event)
-	step  func(rc *chaos.RunContext, rep *sched.CycleReport)
+	event func(srv *server.Server, ev chaos.Event)
+	step  func(srv *server.Server, rep *sched.CycleReport)
 }
 
-func (*recorder) Name() string                  { return "recorder" }
-func (*recorder) Begin(*chaos.RunContext) error { return nil }
-func (*recorder) End(*chaos.RunContext) error   { return nil }
+func (*recorder) Name() string                         { return "recorder" }
+func (*recorder) Begin(*chaos.ClusterRunContext) error { return nil }
+func (*recorder) End(*chaos.ClusterRunContext) error   { return nil }
 
-func (r *recorder) OnEvent(rc *chaos.RunContext, ev chaos.Event) error {
+func (r *recorder) OnEvent(crc *chaos.ClusterRunContext, ev chaos.Event) error {
 	if r.event != nil {
-		r.event(rc, ev)
+		r.event(crc.Nodes[0].Srv, ev)
 	}
 	return nil
 }
 
-func (r *recorder) AfterStep(rc *chaos.RunContext, rep *sched.CycleReport) error {
+func (r *recorder) AfterStep(crc *chaos.ClusterRunContext, reps []*sched.CycleReport) error {
 	if r.step != nil {
-		r.step(rc, rep)
+		r.step(crc.Nodes[0].Srv, reps[0])
 	}
 	return nil
 }
@@ -108,7 +109,7 @@ func occupancy(scheme string, n, every int) ([]int, int, error) {
 	sch := figFarm(scheme, 0, n, 12)
 	admit(&sch, every, titles...)
 	var series []int
-	srv, err := play(sch, &recorder{step: func(_ *chaos.RunContext, rep *sched.CycleReport) {
+	srv, err := play(sch, &recorder{step: func(_ *server.Server, rep *sched.CycleReport) {
 		if rep.Cycle >= n*every && rep.Cycle < 40 {
 			series = append(series, rep.BufferInUse)
 		}

@@ -108,7 +108,7 @@ func (ns *NetServer) recentCycles() []cycleRecord {
 
 // idleLocked gates the pacer: with no sessions, no live streams, and no
 // parked flash-crowd waiters there is nothing to transmit, so cycles
-// stop (and with them the cycle counter scheduled fault events compare
+// stop (and with them the cycle counter scheduled faults compare
 // against — a failure scheduled for cycle 40 lands forty cycles into
 // service, not into an idle farm). Parked waiters keep the pacer
 // running: their batch flushes at a cycle boundary, so cycles must keep
@@ -119,8 +119,9 @@ func (ns *NetServer) idleLocked() bool {
 }
 
 // StepCycle runs one transmission cycle on the caller's goroutine. Under
-// the engine lock it applies due scheduled events and steps the engine
-// (the read/XOR phase); outside it, it stages the cycle's deliveries,
+// the engine lock it applies due scheduled faults and steps the engine
+// (the read/XOR phase); outside it, it logs the cycle's drive log and
+// stages the cycle's deliveries,
 // hiccups, and completions into the sessions' send queues. The report
 // expires at the next Step, and staging has retained every made track
 // it ships by then (a read track is an immutable platter view and needs
@@ -145,17 +146,17 @@ func (ns *NetServer) step(tick *Tick) error {
 	}
 	cycle := ns.srv.Engine().Cycle()
 	ns.flushBatchesLocked(cycle)
-	kept := ns.schedule[:0]
-	for _, ev := range ns.schedule {
-		if ev.cycle > cycle {
-			kept = append(kept, ev)
+	kept := ns.faults[:0]
+	for _, fa := range ns.faults {
+		if fa.cycle > cycle {
+			kept = append(kept, fa)
 			continue
 		}
-		if err := ev.apply(); err != nil {
-			ns.logf("netserve: scheduled %s at cycle %d: %v", ev.desc, cycle, err)
+		if _, err := ns.srv.Apply(fa.fault); err != nil {
+			ns.logf("netserve: node=%s cycle=%d: %s of drive %d: %v", ns.opts.NodeID, cycle, fa.fault.Kind, fa.fault.Drive, err)
 		}
 	}
-	ns.schedule = kept
+	ns.faults = kept
 
 	start := time.Now()
 	rep, err := ns.srv.Step()
@@ -164,10 +165,11 @@ func (ns *NetServer) step(tick *Tick) error {
 		return err
 	}
 	stepDur := time.Since(start)
-	abort := ns.srv.TakeRebuildAbort()
+	// The log stays valid until the next Step, which needs stepMu.
+	driveLog := ns.srv.DriveLog()
 	ns.mu.Unlock()
-	if abort != nil {
-		ns.logf("netserve: node=%s: %v", ns.opts.NodeID, abort)
+	for _, e := range driveLog {
+		ns.logf("netserve: node=%s cycle=%d: %v", ns.opts.NodeID, e.Cycle, e)
 	}
 
 	ns.phaseRead.Observe(stepDur.Microseconds())

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 // TestPipelineBitExactVsDirectStep is the cycle loop's correctness
 // anchor: a workload — every title streaming, a drive failing
 // mid-stream — run through the front end must deliver bit-exact bytes
-// to every client and produce cycle reports Equal, cycle for cycle, to
+// to every client and produce cycle reports equal, cycle for cycle, to
 // those of a twin server stepped directly with no front end at all —
 // the same number of them, since a finished session is gone before its
 // StepCycle returns. Run at two GOMAXPROCS settings so the race
@@ -100,7 +101,7 @@ func TestPipelineBitExactVsDirectStep(t *testing.T) {
 					}
 					delivered, hiccups := 0, 0
 					for i := range a {
-						if !a[i].Equal(b[i]) {
+						if !reflect.DeepEqual(a[i], b[i]) {
 							t.Errorf("cycle %d: report differs between the front end and the directly stepped twin", a[i].Cycle)
 						}
 						delivered += len(b[i].Delivered)

@@ -66,11 +66,10 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// scheduledEvent is a fault-injection action bound to a cycle number.
-type scheduledEvent struct {
+// faultAt is a drive fault bound to the engine cycle it applies at.
+type faultAt struct {
 	cycle int
-	desc  string
-	apply func() error
+	fault server.Fault
 }
 
 // NetServer accepts framed TCP sessions and paces admitted streams'
@@ -98,13 +97,13 @@ type NetServer struct {
 	sharedPool sync.Pool
 
 	// mu is the engine lock, shrunk to control-plane work: it guards
-	// srv (admit/cancel/step), schedule, view, drain state, VCR session
-	// state (paused/rate/resumeTrack) and the batch table. Delivery
-	// staging runs outside it, under stepMu.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	schedule []scheduledEvent
-	view     *cluster.View
+	// srv (admit/cancel/step), the scheduled faults, view, drain state,
+	// VCR session state (paused/rate/resumeTrack) and the batch table.
+	// Delivery staging runs outside it, under stepMu.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	faults []faultAt
+	view   *cluster.View
 	// batches parks flash-crowd ADMITs per title until their window
 	// closes (Options.BatchCycles).
 	batches map[string]*titleBatch
@@ -330,36 +329,25 @@ func (ns *NetServer) StreamProgress(id int) (next, total int, ok bool) {
 	return ns.srv.StreamProgress(id)
 }
 
-// FailDisk injects a drive failure at the next cycle boundary.
-func (ns *NetServer) FailDisk(id int) error {
+// Schedule arranges for the drive fault to be applied (server.Server.
+// Apply, best-effort) at the start of the given engine cycle, or of the
+// next cycle if that one has passed.
+func (ns *NetServer) Schedule(cycle int, f server.Fault) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.srv.FailDisk(id)
+	ns.faults = append(ns.faults, faultAt{cycle: cycle, fault: f})
+	ns.cond.Broadcast()
 }
 
-// ScheduleFailure arranges for drive id to fail at the start of the
-// given engine cycle.
+// ScheduleFailure schedules drive id to fail at the given cycle.
 func (ns *NetServer) ScheduleFailure(cycle, id int) {
-	ns.scheduleEvent(cycle, fmt.Sprintf("fail disk %d", id), func() error { return ns.srv.FailDisk(id) })
+	ns.Schedule(cycle, server.Fault{Kind: server.FaultFail, Drive: id})
 }
 
-// ScheduleRepair arranges an offline repair of drive id at the given
-// cycle.
-func (ns *NetServer) ScheduleRepair(cycle, id int) {
-	ns.scheduleEvent(cycle, fmt.Sprintf("repair disk %d", id), func() error { return ns.srv.RepairDisk(id) })
-}
-
-// ScheduleRebuild arranges an online rebuild of drive id at the given
+// ScheduleRebuild schedules an online rebuild of drive id at the given
 // cycle.
 func (ns *NetServer) ScheduleRebuild(cycle, id, readBudget int) {
-	ns.scheduleEvent(cycle, fmt.Sprintf("rebuild disk %d", id), func() error { return ns.srv.StartOnlineRebuild(id, readBudget) })
-}
-
-func (ns *NetServer) scheduleEvent(cycle int, desc string, apply func() error) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.schedule = append(ns.schedule, scheduledEvent{cycle: cycle, desc: desc, apply: apply})
-	ns.cond.Broadcast()
+	ns.Schedule(cycle, server.Fault{Kind: server.FaultRebuild, Drive: id, Budget: readBudget})
 }
 
 // Close tears everything down: the listener, the pacer, every live

@@ -265,9 +265,7 @@ func TestLoopbackMidStreamFailure(t *testing.T) {
 							t.Fatal(err)
 						}
 						failedDisk, n0 = loc.Disk, next
-						if err := r.ns.FailDisk(failedDisk); err != nil {
-							t.Fatal(err)
-						}
+						r.ns.ScheduleFailure(0, failedDisk) // due at the next cycle
 					}
 				}
 				if err := r.ns.StepCycle(); err != nil {

@@ -11,7 +11,6 @@
 package sched
 
 import (
-	"bytes"
 	"fmt"
 
 	"ftmm/internal/buffer"
@@ -198,57 +197,6 @@ func (r *CycleReport) Clone() *CycleReport {
 	out.Finished = append([]int(nil), r.Finished...)
 	out.Terminated = append([]int(nil), r.Terminated...)
 	return &out
-}
-
-// Equal reports whether two reports describe the same cycle outcome:
-// same counters and the same deliveries (including content bytes),
-// hiccups, erasures, finishes, and terminations in the same order. Buf
-// handles are ignored — a Clone deliberately drops them — so a retained
-// Clone compares Equal to the live report it was taken from for exactly
-// as long as the live report remains valid.
-func (r *CycleReport) Equal(o *CycleReport) bool {
-	if r == nil || o == nil {
-		return r == o
-	}
-	if r.Cycle != o.Cycle || r.DataReads != o.DataReads ||
-		r.ParityReads != o.ParityReads || r.Reconstructions != o.Reconstructions ||
-		r.BufferInUse != o.BufferInUse {
-		return false
-	}
-	if len(r.Delivered) != len(o.Delivered) || len(r.Hiccups) != len(o.Hiccups) ||
-		len(r.Erasures) != len(o.Erasures) || len(r.Finished) != len(o.Finished) ||
-		len(r.Terminated) != len(o.Terminated) {
-		return false
-	}
-	for i := range r.Delivered {
-		a, b := &r.Delivered[i], &o.Delivered[i]
-		if a.StreamID != b.StreamID || a.ObjectID != b.ObjectID ||
-			a.Track != b.Track || a.Reconstructed != b.Reconstructed ||
-			!bytes.Equal(a.Data, b.Data) {
-			return false
-		}
-	}
-	for i := range r.Hiccups {
-		if r.Hiccups[i] != o.Hiccups[i] {
-			return false
-		}
-	}
-	for i := range r.Erasures {
-		if r.Erasures[i] != o.Erasures[i] {
-			return false
-		}
-	}
-	for i := range r.Finished {
-		if r.Finished[i] != o.Finished[i] {
-			return false
-		}
-	}
-	for i := range r.Terminated {
-		if r.Terminated[i] != o.Terminated[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Stream is one active delivery: a client receiving an object at its

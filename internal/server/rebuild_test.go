@@ -154,6 +154,7 @@ func TestOnlineRebuildAbortsOnSecondFailure(t *testing.T) {
 	if err := s.FailDisk(2); err != nil { // same cluster as drive 1
 		t.Fatal(err)
 	}
+	var abandoned []DriveEvent
 	for i := 0; i < 4; i++ {
 		cycle := s.Engine().Cycle()
 		rep, err := s.Step()
@@ -163,6 +164,12 @@ func TestOnlineRebuildAbortsOnSecondFailure(t *testing.T) {
 		if rep == nil || rep.Cycle != cycle {
 			t.Fatalf("cycle %d: report %+v", cycle, rep)
 		}
+		for _, e := range logged(s, RebuildAbandoned) {
+			if e.Cycle != cycle {
+				t.Errorf("cycle %d logged an abandon stamped %d", cycle, e.Cycle)
+			}
+			abandoned = append(abandoned, e)
+		}
 	}
 	if got := s.Metrics().Counter("rebuild_aborted").Value(); got != 1 {
 		t.Errorf("rebuild_aborted = %d, want 1", got)
@@ -170,11 +177,9 @@ func TestOnlineRebuildAbortsOnSecondFailure(t *testing.T) {
 	if got := s.RebuildRemaining(); got != 0 {
 		t.Errorf("RebuildRemaining = %d after the abort, want 0", got)
 	}
-	if err := s.TakeRebuildAbort(); err == nil || !strings.Contains(err.Error(), "drive 1") {
-		t.Errorf("TakeRebuildAbort = %v, want the abandoned rebuild of drive 1", err)
-	}
-	if err := s.TakeRebuildAbort(); err != nil {
-		t.Errorf("second TakeRebuildAbort = %v, want nil", err)
+	if len(abandoned) != 1 || abandoned[0].Drive != 1 || abandoned[0].Err == nil ||
+		!strings.Contains(abandoned[0].Err.Error(), "drive 2") {
+		t.Errorf("drive logs hold abandons %v, want one of drive 1's rebuild, failing on drive 2", abandoned)
 	}
 	if err := s.RunUntilIdle(300); err != nil {
 		t.Fatal(err)
@@ -373,10 +378,14 @@ func TestDriveRestoringUntilRestoreEnds(t *testing.T) {
 	if err := s.FailDisk(2); err != nil { // same cluster as drive 1
 		t.Fatal(err)
 	}
-	if err := s.RunFor(2); err != nil {
-		t.Fatal(err)
+	var abandoned []DriveEvent
+	for i := 0; i < 2; i++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		abandoned = append(abandoned, logged(s, RebuildAbandoned)...)
 	}
-	if s.TakeRebuildAbort() == nil || state(1) != disk.Restoring {
+	if len(abandoned) != 1 || state(1) != disk.Restoring {
 		t.Fatalf("drive 1 is %v after its rebuild was abandoned, want restoring", state(1))
 	}
 	if err := s.RepairDisk(1); err == nil {
@@ -438,4 +447,16 @@ func TestOnlineRebuildOfEmptyDriveEnds(t *testing.T) {
 	if drv.State() != disk.Operational || nc.ClusterDegraded(0) {
 		t.Fatalf("after the empty rebuild: drive 2 %v, cluster 0 degraded = %v", drv.State(), nc.ClusterDegraded(0))
 	}
+}
+
+// logged returns the entries of the given kind in the last Step's drive
+// log.
+func logged(s *Server, kind FaultKind) []DriveEvent {
+	var out []DriveEvent
+	for _, e := range s.DriveLog() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -10,7 +10,9 @@
 // FailDisk and repaired three ways — RepairDisk (instantly, from parity),
 // StartOnlineRebuild (from parity, a few tracks per cycle) and
 // RebuildFromTertiary (from tape) — which all end by telling the engine
-// the drive is whole again.
+// the drive is whole again. Apply takes the same faults by name, with
+// the best-effort rules a fault schedule needs, and DriveLog records
+// each cycle's faults, restores and abandoned rebuilds.
 package server
 
 import (
@@ -123,9 +125,10 @@ type Server struct {
 	rebuilder     *rebuild.Rebuilder
 	rebuildDrive  int
 	rebuildBudget int
-	// rebuildAbort says why the last online rebuild was abandoned, until
-	// TakeRebuildAbort hands it to whoever logs it.
-	rebuildAbort error
+	// driveLog is the drive log of the last Step's cycle; nextLog
+	// gathers the entries of the cycle to come. Step swaps the two, so
+	// the log reuses their arrays.
+	driveLog, nextLog []DriveEvent
 	// draining, once set, refuses all new admissions (graceful shutdown).
 	draining bool
 }
@@ -144,8 +147,8 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Scheme == analytic.DeclusteredParity && opts.DeclusterGroup == 0 {
-		opts.DeclusterGroup = 2*opts.ClusterSize - 1
+	if opts.Scheme == analytic.DeclusteredParity {
+		opts.DeclusterGroup = analytic.Config{C: opts.ClusterSize, G: opts.DeclusterGroup}.DeclusterGroup()
 	}
 	lay, err := NewLayout(opts.Scheme, opts.Disks, opts.ClusterSize, opts.DeclusterGroup, opts.DiskParams.TracksPerDisk())
 	if err != nil {
@@ -276,7 +279,7 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 // Step advances one scheduling cycle and folds the report into the
 // server's stats. Finished and terminated streams unpin their titles.
 // An online rebuild that cannot continue does not fail the cycle: see
-// stepRebuild.
+// stepRebuild. Once Step returns, DriveLog holds the cycle's drive log.
 func (s *Server) Step() (*sched.CycleReport, error) {
 	rep, err := s.engine.Step()
 	if err != nil {
@@ -299,9 +302,13 @@ func (s *Server) Step() (*sched.CycleReport, error) {
 	for _, id := range rep.Terminated {
 		s.release(id)
 	}
-	if err := s.stepRebuild(rep.Cycle); err != nil {
+	if err := s.stepRebuild(); err != nil {
 		return nil, err
 	}
+	for i := range s.nextLog {
+		s.nextLog[i].Cycle = rep.Cycle
+	}
+	s.driveLog, s.nextLog = s.nextLog, s.driveLog[:0]
 	return rep, nil
 }
 
@@ -338,8 +345,116 @@ func (s *Server) RunUntilIdle(maxCycles int) error {
 	return nil
 }
 
+// FaultKind names a drive fault — a failure, or one of the three ways
+// back — or one of the drive log's two outcomes. The scenario files
+// spell the fault kinds the same way (chaos.EventKind).
+type FaultKind string
+
+const (
+	FaultFail         FaultKind = "fail"           // at the next cycle boundary (FailDisk)
+	FaultFailMidCycle FaultKind = "fail-mid-cycle" // halfway through the next cycle's reads (Improved-bandwidth only)
+	FaultRepair       FaultKind = "repair"         // replace, and rebuild at once from parity (RepairDisk)
+	FaultRebuild      FaultKind = "rebuild"        // replace, and rebuild online at Fault.Budget reads a cycle (StartOnlineRebuild)
+	FaultTertiary     FaultKind = "tertiary"       // replace, and reload from tape (RebuildFromTertiary)
+
+	// The drive log's two outcomes, which Apply does not take.
+	RestoreEnded    FaultKind = "restored"          // a restore ended: the drive is Operational again
+	RebuildAbandoned FaultKind = "rebuild-abandoned" // an online rebuild given up; the entry's Err says why
+)
+
+// Fault is one drive fault for Apply.
+type Fault struct {
+	Kind  FaultKind
+	Drive int
+	// Budget is a rebuild's spare track reads per cycle.
+	Budget int
+}
+
+// DriveEvent is one entry of the drive log, stamped with the cycle it
+// belongs to: a fault that took effect before that cycle's Step, a
+// restore that ended (RestoreEnded), or an online rebuild abandoned in
+// the Step (RebuildAbandoned, with Err).
+type DriveEvent struct {
+	Cycle int
+	Kind  FaultKind
+	Drive int
+	Err   error
+}
+
+func (e DriveEvent) String() string {
+	if e.Kind == RebuildAbandoned {
+		return fmt.Sprintf("online rebuild of drive %d abandoned: %v", e.Drive, e.Err)
+	}
+	return fmt.Sprintf("drive %d: %s", e.Drive, e.Kind)
+}
+
+// DriveLog returns the drive log of the cycle the last Step ran, in
+// order: every fault that took effect in it (applied since the Step
+// before), every restore that ended in it, and every online rebuild
+// abandoned in it. The slice is the server's and valid until the next
+// Step.
+func (s *Server) DriveLog() []DriveEvent { return s.driveLog }
+
+// logDrive appends an entry to the log of the cycle to come, which
+// Step stamps with that cycle.
+func (s *Server) logDrive(kind FaultKind, id int, err error) {
+	s.nextLog = append(s.nextLog, DriveEvent{Kind: kind, Drive: id, Err: err})
+}
+
+// midCycleFailer is implemented by engines that model a drive failing
+// partway through a cycle's reads (Improved-bandwidth).
+type midCycleFailer interface {
+	FailDiskMidCycle(int) error
+}
+
+// Apply performs one drive fault best-effort, so that any subset of a
+// fault schedule stays runnable, and reports whether it took effect.
+// Failing a failed drive is not applied, and neither is restoring an
+// operational one (the failure it answers is gone). A drive still
+// Restoring, its online rebuild running or abandoned, takes a restore
+// as a failed one does. The rest, errors included, is the named
+// method's.
+func (s *Server) Apply(f Fault) (bool, error) {
+	failing := f.Kind == FaultFail || f.Kind == FaultFailMidCycle
+	if !failing && f.Kind != FaultRepair && f.Kind != FaultRebuild && f.Kind != FaultTertiary {
+		return false, fmt.Errorf("server: unknown drive fault %q", f.Kind)
+	}
+	drv, err := s.farm.Drive(f.Drive)
+	if err != nil {
+		return false, err
+	}
+	if state := drv.State(); failing && state == disk.Failed || !failing && state == disk.Operational {
+		return false, nil
+	}
+	switch f.Kind {
+	case FaultFail:
+		err = s.FailDisk(f.Drive)
+	case FaultFailMidCycle:
+		m, ok := s.engine.(midCycleFailer)
+		if !ok {
+			return false, fmt.Errorf("server: %s cannot fail a drive mid-cycle", s.engine.Name())
+		}
+		if err = m.FailDiskMidCycle(f.Drive); err == nil {
+			s.logDrive(f.Kind, f.Drive, nil)
+		}
+	case FaultRepair:
+		err = s.RepairDisk(f.Drive)
+	case FaultRebuild:
+		err = s.StartOnlineRebuild(f.Drive, f.Budget)
+	case FaultTertiary:
+		_, err = s.RebuildFromTertiary(f.Drive)
+	}
+	return err == nil, err
+}
+
 // FailDisk injects a drive failure at the next cycle boundary.
-func (s *Server) FailDisk(id int) error { return s.engine.FailDisk(id) }
+func (s *Server) FailDisk(id int) error {
+	if err := s.engine.FailDisk(id); err != nil {
+		return err
+	}
+	s.logDrive(FaultFail, id, nil)
+	return nil
+}
 
 // RepairDisk replaces a failed drive and rebuilds its contents from the
 // surviving parity groups at once: an online rebuild with an unbounded
@@ -357,6 +472,7 @@ func (s *Server) RepairDisk(id int) error {
 	if _, err := r.Step(math.MaxInt); err != nil {
 		return err
 	}
+	s.logDrive(FaultRepair, id, nil)
 	return s.driveRestored(id)
 }
 
@@ -376,8 +492,8 @@ func (s *Server) replaceIfFailed(id int) error {
 // driveRestored is the one tail of every restore path — instant repair,
 // online-rebuild completion, tertiary reload, and the one place a
 // restore ends: the drive's contents are whole again, so it leaves
-// Restoring for Operational, and an engine that tracks degraded state
-// is told so.
+// Restoring for Operational, the cycle's drive log says so, and an
+// engine that tracks degraded state is told so.
 func (s *Server) driveRestored(id int) error {
 	drv, err := s.farm.Drive(id)
 	if err != nil {
@@ -386,6 +502,7 @@ func (s *Server) driveRestored(id int) error {
 	if err := drv.Restored(); err != nil {
 		return err
 	}
+	s.logDrive(RestoreEnded, id, nil)
 	if n, ok := s.engine.(rebuiltNotifier); ok {
 		return n.OnDriveRebuilt(id)
 	}
@@ -412,6 +529,7 @@ func (s *Server) StartOnlineRebuild(id, readBudget int) error {
 		return fmt.Errorf("server: rebuild budget %d below the %d reads one track needs", readBudget, r.ReadsPerTrack())
 	}
 	s.rebuilder, s.rebuildDrive, s.rebuildBudget = r, id, readBudget
+	s.logDrive(FaultRebuild, id, nil)
 	return nil
 }
 
@@ -421,14 +539,6 @@ func (s *Server) RebuildRemaining() int {
 		return 0
 	}
 	return s.rebuilder.Remaining()
-}
-
-// TakeRebuildAbort returns why the last online rebuild was abandoned, or
-// nil, and forgets it: each abort is reported once.
-func (s *Server) TakeRebuildAbort() error {
-	err := s.rebuildAbort
-	s.rebuildAbort = nil
-	return err
 }
 
 // stepRebuild advances an in-progress online rebuild by one cycle, and
@@ -442,15 +552,16 @@ func (s *Server) TakeRebuildAbort() error {
 // disk.ErrEmptyTrack, so the engine reconstructs or hiccups around them
 // exactly as at any two-failure boundary, and a later RepairDisk,
 // StartOnlineRebuild or RebuildFromTertiary can still restore the drive.
-// The abort counts in rebuild_aborted.
-func (s *Server) stepRebuild(cycle int) error {
+// The abort counts in rebuild_aborted, and its drive log entry carries
+// the error.
+func (s *Server) stepRebuild() error {
 	if s.rebuilder == nil {
 		return nil
 	}
 	if _, err := s.rebuilder.Step(s.rebuildBudget); err != nil {
 		s.rebuilder = nil
 		s.opts.Metrics.Counter("rebuild_aborted").Inc()
-		s.rebuildAbort = fmt.Errorf("server: online rebuild of drive %d abandoned at cycle %d: %w", s.rebuildDrive, cycle, err)
+		s.logDrive(RebuildAbandoned, s.rebuildDrive, err)
 		return nil
 	}
 	if s.rebuilder.Done() {
@@ -487,6 +598,7 @@ func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
 			return total, err
 		}
 	}
+	s.logDrive(FaultTertiary, id, nil)
 	return total, s.driveRestored(id)
 }
 

@@ -3,9 +3,11 @@
 # in-process suite in internal/node: boot three ftmmserve shards and a
 # coordinator, stream through the admission plane with ftmmload, kill
 # one node mid-stream, and require every stream to finish bit-exact.
-# ftmmload verifies each track against the synthetic content and exits
-# non-zero on any missing or corrupt track, so the assertion is simply
-# its exit code.
+# Then a drive-fault leg: one more node loses a drive mid-stream and
+# starts an online rebuild of it, its log must show both, and its
+# streams must finish bit-exact too. ftmmload verifies each track
+# against the synthetic content and exits non-zero on any missing or
+# corrupt track, so that assertion is simply its exit code.
 #
 # Usage: scripts/cluster_smoke.sh [bindir]
 #   bindir: directory with prebuilt ftmmserve/ftmmload (default: builds
@@ -126,4 +128,30 @@ if ! curl -fsS "http://$coord_http/viewz" | grep -q '"dead"'; then
   cat "$workdir/coord.log" >&2
   exit 1
 fi
+
+# Drive-fault leg: a standalone node fails drive 1 at cycle 5 and starts
+# its online rebuild at cycle 10, both mid-stream (the pacer counts
+# cycles from the first admission). Each fault logs one line stamped with
+# the node and the cycle it took effect in.
+drill_addr="127.0.0.1:$((BASE_PORT + 10))"
+drill_http="127.0.0.1:$((BASE_PORT + 85))"
+"$bindir/ftmmserve" -id drill -addr "$drill_addr" -http "$drill_http" \
+  -groups "$TITLE_GROUPS" -speed "$SPEED" \
+  -fail-disk 1 -fail-cycle 5 -rebuild-cycle 10 -rebuild-budget 4 \
+  >"$workdir/drill.log" 2>&1 &
+pids+=($!)
+wait_http "http://$drill_http/statusz"
+if ! "$bindir/ftmmload" -addr "$drill_addr" -http "$drill_http" \
+  -clients 4 -requests 1 >"$workdir/drill-load.out" 2>&1; then
+  echo "=== ftmmload against the drive-fault node failed ===" >&2
+  cat "$workdir/drill-load.out" >&2
+  exit 1
+fi
+cat "$workdir/drill-load.out"
+for want in 'node=drill cycle=5: drive 1: fail' 'node=drill cycle=10: drive 1: rebuild'; do
+  if ! grep -q "$want" "$workdir/drill.log"; then
+    echo "the drive-fault node's log lacks \"$want\"" >&2
+    exit 1
+  fi
+done
 echo "cluster smoke OK"
