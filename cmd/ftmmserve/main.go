@@ -89,7 +89,7 @@ var (
 	failCycle     = flag.Int("fail-cycle", 20, "cycle at which the drive fails")
 	repairCycle   = flag.Int("repair-cycle", -1, "cycle at which the drive is repaired offline (-1: never)")
 	rebuildCycle  = flag.Int("rebuild-cycle", -1, "cycle at which an online rebuild starts (-1: never)")
-	rebuildBudget = flag.Int("rebuild-budget", 2, "spare reads per cycle for the online rebuild")
+	rebuildBudget = flag.Int("rebuild-budget", 0, "spare reads per cycle for the online rebuild, at least C-1 (0: C-1, one track a cycle)")
 )
 
 func main() {
@@ -122,6 +122,15 @@ func catalog() []string { return workload.ObjectNames("title", *titles) }
 // ---- node mode ----
 
 func runNode() error {
+	// One restored track reads its C-1 group mates, so a budget below
+	// that could never restore one.
+	budget := *rebuildBudget
+	if budget == 0 {
+		budget = *clusterSz - 1
+	}
+	if budget < *clusterSz-1 {
+		return fmt.Errorf("-rebuild-budget %d is below the %d reads one track needs at -cluster %d", budget, *clusterSz-1, *clusterSz)
+	}
 	var clock netserve.Clock
 	if *speed > 0 {
 		clock = netserve.WallClock(*speed)
@@ -175,7 +184,7 @@ func runNode() error {
 			n.NS().Schedule(*repairCycle, server.Fault{Kind: server.FaultRepair, Drive: *failDisk})
 		}
 		if *rebuildCycle >= 0 {
-			n.NS().Schedule(*rebuildCycle, server.Fault{Kind: server.FaultRebuild, Drive: *failDisk, Budget: *rebuildBudget})
+			n.NS().Schedule(*rebuildCycle, server.Fault{Kind: server.FaultRebuild, Drive: *failDisk, Budget: budget})
 		}
 	}
 

@@ -5,13 +5,16 @@
 // processors containing a buffer pool to help handle clusters operating
 // in degraded mode", shared by all clusters, sized for K simultaneous
 // degraded clusters.
+//
+// A Pool and a Servers are not safe for concurrent use; the server's
+// owner serializes calls. Only the Arena, whose buffers and Refs are
+// released by the goroutines that ship them, is shared.
 package buffer
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // ErrExhausted is returned when a pool or server allocation cannot be
@@ -22,7 +25,6 @@ var ErrExhausted = errors.New("buffer: exhausted")
 // Pool is a track-granularity buffer pool. A capacity of 0 means
 // unbounded (useful for measuring how much a workload would need).
 type Pool struct {
-	mu       sync.Mutex
 	capacity int
 	inUse    int
 	peak     int
@@ -42,8 +44,6 @@ func (p *Pool) Acquire(n int) error {
 	if n < 0 {
 		return fmt.Errorf("buffer: negative acquire %d", n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.capacity > 0 && p.inUse+n > p.capacity {
 		return fmt.Errorf("%w: need %d tracks, %d of %d in use", ErrExhausted, n, p.inUse, p.capacity)
 	}
@@ -59,8 +59,6 @@ func (p *Pool) Release(n int) error {
 	if n < 0 {
 		return fmt.Errorf("buffer: negative release %d", n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n > p.inUse {
 		return fmt.Errorf("buffer: releasing %d tracks with only %d in use", n, p.inUse)
 	}
@@ -69,34 +67,20 @@ func (p *Pool) Release(n int) error {
 }
 
 // InUse returns the tracks currently held.
-func (p *Pool) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inUse
-}
+func (p *Pool) InUse() int { return p.inUse }
 
 // Peak returns the high-water mark of InUse since creation (or the last
 // ResetPeak).
-func (p *Pool) Peak() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
+func (p *Pool) Peak() int { return p.peak }
 
 // ResetPeak sets the high-water mark to the current usage.
-func (p *Pool) ResetPeak() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.peak = p.inUse
-}
+func (p *Pool) ResetPeak() { p.peak = p.inUse }
 
 // Capacity returns the pool capacity (0 = unbounded).
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Available returns the free tracks, or -1 for an unbounded pool.
 func (p *Pool) Available() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.capacity == 0 {
 		return -1
 	}
@@ -109,7 +93,6 @@ func (p *Pool) Available() int {
 // performs the parity computation and holds the staggered-group-sized
 // buffers for that cluster until the disk is rebuilt.
 type Servers struct {
-	mu       sync.Mutex
 	k        int
 	attached map[int]bool
 }
@@ -127,8 +110,6 @@ func NewServers(k int) (*Servers, error) {
 // attach fails with ErrExhausted — the paper's degradation of service for
 // the Non-clustered scheme.
 func (s *Servers) Attach(cluster int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.attached[cluster] {
 		return nil
 	}
@@ -142,8 +123,6 @@ func (s *Servers) Attach(cluster int) error {
 // Detach releases the server held by the cluster (after its failed disk
 // has been rebuilt).
 func (s *Servers) Detach(cluster int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.attached[cluster] {
 		return fmt.Errorf("buffer: cluster %d holds no server", cluster)
 	}
@@ -152,26 +131,16 @@ func (s *Servers) Detach(cluster int) error {
 }
 
 // InUse returns the number of busy servers.
-func (s *Servers) InUse() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.attached)
-}
+func (s *Servers) InUse() int { return len(s.attached) }
 
 // Free returns the number of idle servers.
-func (s *Servers) Free() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.k - len(s.attached)
-}
+func (s *Servers) Free() int { return s.k - len(s.attached) }
 
 // Size returns K.
 func (s *Servers) Size() int { return s.k }
 
 // Attached lists the clusters currently holding servers, sorted.
 func (s *Servers) Attached() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]int, 0, len(s.attached))
 	for c := range s.attached {
 		out = append(out, c)

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -62,25 +61,6 @@ func TestUnboundedPool(t *testing.T) {
 	}
 	if p.Peak() != 1_000_000 {
 		t.Fatalf("peak = %d", p.Peak())
-	}
-}
-
-func TestPoolConcurrent(t *testing.T) {
-	p, _ := NewPool(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				_ = p.Acquire(2)
-				_ = p.Release(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.InUse() != 8000 {
-		t.Fatalf("InUse = %d, want 8000", p.InUse())
 	}
 }
 

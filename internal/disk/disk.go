@@ -27,13 +27,18 @@
 // every track read returns the stored bytes (or an error from a failed
 // drive), which lets the layers above prove that parity reconstruction
 // reproduces the original content exactly.
+//
+// A Farm, its drives and its record are not safe for concurrent use;
+// the server's owner serializes calls. What a lookup lends may cross
+// goroutines: a view's bytes are never written again (see View), so a
+// reader handed one over a channel, or any other happens-before edge
+// from the owner, reads it with no lock.
 package disk
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"ftmm/internal/diskmodel"
 )
@@ -83,7 +88,6 @@ type Drive struct {
 	// ntracks is the drive's capacity in tracks, fixed when it is built.
 	ntracks int
 
-	mu    sync.Mutex
 	state State
 	// tracks is the track table: tracks[i] is track i's stored bytes,
 	// nil if never written. It grows on write only as far as the highest
@@ -98,7 +102,6 @@ type Drive struct {
 // record notes a cycle's lookups that found their track erased, for
 // every drive of one farm, in a slice Farm.BeginCycle truncates.
 type record struct {
-	mu     sync.Mutex
 	misses []miss
 }
 
@@ -112,9 +115,7 @@ type miss struct {
 // err.
 func (r *record) note(drive, track int, err error) error {
 	if r != nil {
-		r.mu.Lock()
 		r.misses = append(r.misses, miss{drive, track, err})
-		r.mu.Unlock()
 	}
 	return err
 }
@@ -128,11 +129,7 @@ func NewDrive(id int, params diskmodel.Params) *Drive {
 func (d *Drive) ID() int { return d.id }
 
 // State returns the drive's current state.
-func (d *Drive) State() State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state
-}
+func (d *Drive) State() State { return d.state }
 
 // Tracks returns the drive's track count.
 func (d *Drive) Tracks() int { return d.ntracks }
@@ -151,8 +148,6 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 	if len(data) != int(d.params.TrackSize) {
 		return fmt.Errorf("%w: got %d bytes, track is %d", ErrBadSize, len(data), d.params.TrackSize)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state == Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
 	}
@@ -173,8 +168,8 @@ func (d *Drive) WriteTrack(track int, data []byte) error {
 // WriteTrack installs the slice its caller handed over and writes into
 // no more, Fail and Replace drop the whole table, and nothing else
 // touches the bytes. A view therefore keeps reading what the track held
-// when it was taken, with no lock held, whatever happens to the drive
-// afterwards. The caller must not write into it.
+// when it was taken, on whatever goroutine it is handed to, whatever
+// happens to the drive afterwards. The caller must not write into it.
 //
 // A failed drive and an unwritten track return the bare ErrFailed and
 // ErrEmptyTrack, so a degraded read allocates nothing; a caller that
@@ -184,8 +179,6 @@ func (d *Drive) View(track int) ([]byte, error) {
 	if track < 0 || track >= d.ntracks {
 		return nil, fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state == Failed {
 		return nil, d.rec.note(d.id, track, ErrFailed)
 	}
@@ -221,8 +214,6 @@ func (d *Drive) ReadTrackInto(dst []byte, track int) error {
 // or tertiary storage onto a replacement). A restoring drive can fail
 // too, losing what its restore had written.
 func (d *Drive) Fail() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state == Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrDoubleFault)
 	}
@@ -235,8 +226,6 @@ func (d *Drive) Fail() error {
 // MTTR), which starts Restoring: it is the rebuild machinery's job to
 // restore its content and then call Restored.
 func (d *Drive) Replace() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state != Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrNotFailed)
 	}
@@ -249,8 +238,6 @@ func (d *Drive) Replace() error {
 // is Operational. Restoring an operational drive (a tape reload of a
 // healthy one) leaves it so; a failed drive must be replaced first.
 func (d *Drive) Restored() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state == Failed {
 		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
 	}
@@ -259,11 +246,7 @@ func (d *Drive) Restored() error {
 }
 
 // Counters reports lifetime successful reads and writes.
-func (d *Drive) Counters() (reads, writes int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.reads, d.writes
-}
+func (d *Drive) Counters() (reads, writes int64) { return d.reads, d.writes }
 
 // Farm is the full disk subsystem: D drives in clusters of C.
 type Farm struct {
@@ -304,18 +287,12 @@ func (f *Farm) ClusterSize() int { return f.clusterSize }
 
 // BeginCycle opens a cycle: the record of lookups that found their track
 // erased starts empty.
-func (f *Farm) BeginCycle() {
-	f.rec.mu.Lock()
-	f.rec.misses = f.rec.misses[:0]
-	f.rec.mu.Unlock()
-}
+func (f *Farm) BeginCycle() { f.rec.misses = f.rec.misses[:0] }
 
 // Missed reports what this cycle's first lookup of the drive's track that
 // found it erased got: ErrFailed or ErrEmptyTrack, or nil if no lookup
 // since BeginCycle found it erased.
 func (f *Farm) Missed(drive, track int) error {
-	f.rec.mu.Lock()
-	defer f.rec.mu.Unlock()
 	for _, m := range f.rec.misses {
 		if m.drive == drive && m.track == track {
 			return m.err

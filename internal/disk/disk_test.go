@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ftmm/internal/diskmodel"
@@ -298,27 +299,76 @@ func TestDriveFailureLifecycle(t *testing.T) {
 	}
 }
 
-func TestDriveConcurrentAccess(t *testing.T) {
+// TestViewHandOffRace is the drive's concurrency contract, run under
+// -race: one owner calls every Drive method, and the views it takes
+// cross to reader goroutines over a channel, whose send orders the view
+// before the read. The readers read while the owner rewrites every
+// track, fails the drive and replaces it, and once more after; neither
+// read may see a byte move.
+func TestViewHandOffRace(t *testing.T) {
 	d := NewDrive(0, testParams())
+	const rounds = 20
+	// lent is a view, the byte its track held when the view was taken,
+	// and the channel the owner closes once it has rewritten, failed and
+	// replaced the drive.
+	type lent struct {
+		view  []byte
+		want  byte
+		after chan struct{}
+	}
+	holds := func(l lent) bool { return bytes.Count(l.view, []byte{l.want}) == len(l.view) }
+	views := make(chan lent)
+	var moved atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	// One reader per track: each takes one view a round and holds it
+	// until the round's after is closed.
+	for range d.Tracks() {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tr := (g*50 + i) % 10
-				_ = d.WriteTrack(tr, track(byte(g)))
-				_, _ = d.View(tr)
+			for l := range views {
+				during := holds(l)
+				<-l.after
+				if !during || !holds(l) {
+					moved.Add(1)
+				}
 			}
-		}(g)
+		}()
 	}
+	for r := range rounds {
+		for i := range d.Tracks() {
+			if err := d.WriteTrack(i, track(byte(16*r+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := make(chan struct{})
+		for i := range d.Tracks() {
+			v, err := d.View(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views <- lent{v, byte(16*r + i), after}
+		}
+		for i := range d.Tracks() {
+			if err := d.WriteTrack(i, track(0xff)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Fail(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Replace(); err != nil {
+			t.Fatal(err)
+		}
+		close(after)
+	}
+	close(views)
 	wg.Wait()
-	reads, writes := d.Counters()
-	if writes != 400 {
-		t.Fatalf("writes = %d, want 400", writes)
+	if n := moved.Load(); n != 0 {
+		t.Errorf("%d lent views changed under their readers", n)
 	}
-	if reads != 400 {
-		t.Fatalf("reads = %d, want 400", reads)
+	if reads, writes := d.Counters(); reads != rounds*int64(d.Tracks()) || writes != 2*rounds*int64(d.Tracks()) {
+		t.Errorf("counters = %d reads, %d writes, want %d and %d", reads, writes, rounds*d.Tracks(), 2*rounds*d.Tracks())
 	}
 }
 

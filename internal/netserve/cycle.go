@@ -113,9 +113,13 @@ func (ns *NetServer) recentCycles() []cycleRecord {
 // service, not into an idle farm). Parked waiters keep the pacer
 // running: their batch flushes at a cycle boundary, so cycles must keep
 // coming for the window to close. A batch exists only while it holds a
-// waiter.
+// waiter. So does an online rebuild under way: it restores a few tracks
+// a cycle, and a pacer stopped by the last session's end would leave
+// the drive Restoring until the next one. A scheduled fault, in
+// contrast, still waits for service.
 func (ns *NetServer) idleLocked() bool {
-	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0
+	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0 &&
+		ns.srv.RebuildRemaining() == 0
 }
 
 // StepCycle runs one transmission cycle on the caller's goroutine. Under

@@ -25,8 +25,8 @@ const (
 // Options configures a NetServer.
 type Options struct {
 	// Server is the cycle-engine back end. NetServer serializes all
-	// access to it behind one mutex — server.Server itself is not
-	// concurrency-safe.
+	// access to it behind one mutex — server.Server itself, and the
+	// farm and buffer pool it owns, are not concurrency-safe.
 	Server *server.Server
 	// NodeID names this node in a cluster. It rides in ADMIT-OK and on
 	// the HTTP status surface; empty for a standalone server.

@@ -2,6 +2,9 @@ package netserve
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -406,6 +409,138 @@ func TestPacedRebuildAbortKeepsStepping(t *testing.T) {
 	if got := log.count("online rebuild of drive 1 abandoned"); got != 1 {
 		t.Errorf("%d abort log lines, want 1", got)
 	}
+	if err := r.ns.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.stepUntilBuffersHome(t)
+}
+
+// waitLogged waits, for at most ten seconds, for a log line containing
+// substr.
+func waitLogged(t *testing.T, log *logSink, substr string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); log.count(substr) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q logged in 10 s", substr)
+		}
+	}
+}
+
+// TestPacedRebuildOutlivesSessions: an online rebuild keeps the pacer
+// stepping after the last session has ended, so the rebuild ends and
+// the drive log says restored with no session left to bring the cycles
+// back. A scheduled fault still waits for service; a running rebuild
+// does not.
+func TestPacedRebuildOutlivesSessions(t *testing.T) {
+	cfg := defaultRig()
+	cfg.titles, cfg.groups = 4, 12
+	log := &logSink{}
+	cfg.ns = Options{Clock: WallClock(pacerSpeedup), Logf: log.logf}
+	r := newLoopRig(t, "sr", cfg)
+	// Staged, the four titles put a track of each of cluster 0's 24
+	// groups on drive 1, and one restored track costs C-1 = 3 reads: the
+	// rebuild restores a track a cycle and ends well after the 12-group
+	// title does.
+	r.ns.mu.Lock()
+	for _, title := range r.titles {
+		id, _, err := r.srv.Request(title)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = r.srv.Cancel(id)
+	}
+	r.ns.mu.Unlock()
+	r.ns.ScheduleFailure(2, 1)
+	r.ns.ScheduleRebuild(3, 1, 3)
+
+	c, _ := r.connect(t, r.titles[0])
+	res := consume(c)
+	c.Close()
+	verifyBitExact(t, r, r.titles[0], res)
+	r.ns.mu.Lock()
+	left := r.srv.RebuildRemaining()
+	r.ns.mu.Unlock()
+	if left == 0 {
+		t.Fatal("the rebuild ended with the session; nothing is left to test")
+	}
+	waitLogged(t, log, "drive 1: restored")
+}
+
+// TestFarmOwnerRace runs, under the race detector, what the rule that
+// one owner uses a server's farm and buffer pool must survive. While
+// the wall-clock pacer steps, two sessions are admitted, the second for
+// a title nothing has staged yet, so its admission writes tracks onto
+// the farm the cycle reads; /statusz and /admitz (which stages a third
+// title) are polled from their own goroutines; and a drive fails and is
+// rebuilt online mid-stream. Every call into the server is made under
+// the NetServer's lock, and the views a cycle reads reach the socket
+// writers through their send queues.
+func TestFarmOwnerRace(t *testing.T) {
+	cfg := defaultRig()
+	cfg.titles, cfg.groups = 3, 8
+	log := &logSink{}
+	cfg.ns = Options{Clock: WallClock(pacerSpeedup), Logf: log.logf}
+	r := newLoopRig(t, "sr", cfg)
+	r.ns.ScheduleFailure(3, 1)
+	r.ns.ScheduleRebuild(5, 1, 3)
+	hs := httptest.NewServer(r.ns.Handler())
+	defer hs.Close()
+
+	stop := make(chan struct{})
+	var polls sync.WaitGroup
+	for _, poll := range []struct{ method, path string }{
+		{http.MethodGet, "/statusz"},
+		{http.MethodPost, "/admitz?title=" + r.titles[2]},
+	} {
+		polls.Add(1)
+		go func() {
+			defer polls.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				req, _ := http.NewRequest(poll.method, hs.URL+poll.path, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("%s: status %d", poll.path, resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+
+	results := make([]*clientResult, 2)
+	var sessions sync.WaitGroup
+	for i, title := range r.titles[:2] {
+		if i > 0 {
+			time.Sleep(3 * r.ns.CycleTime() / pacerSpeedup) // three paced cycles into the first
+		}
+		c, _ := r.connect(t, title)
+		sessions.Add(1)
+		go func() {
+			defer sessions.Done()
+			defer c.Close()
+			results[i] = consume(c)
+		}()
+	}
+	sessions.Wait()
+	close(stop)
+	polls.Wait()
+	for i, res := range results {
+		verifyBitExact(t, r, r.titles[i], res)
+	}
+	if got := log.count("drive 1: fail"); got != 1 {
+		t.Errorf("%d drive failures logged, want 1", got)
+	}
+	waitLogged(t, log, "drive 1: restored")
 	if err := r.ns.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,14 @@
 // RAID, Improved-bandwidth) ship C-1 tracks per read cycle, per-track
 // schemes (Staggered-group, Non-clustered) one track per transmission
 // cycle.
+//
+// A NetServer is its server.Server's owner: the pacer, the session
+// handlers and the HTTP surface make every call into it under the
+// NetServer's engine lock, so the disk farm and the buffer accounting
+// behind it, which take no lock of their own, see one goroutine at a
+// time. What leaves the lock is bytes: a cycle's platter views and made
+// tracks reach the per-session writers through their send queues, and
+// the writers give made tracks back through the arena, which locks.
 package netserve
 
 import (

@@ -135,8 +135,10 @@ type ncStream struct {
 	// switchover for streams caught mid-group).
 	legacyGroup int
 	// xor is the running accumulator for the group being read on a
-	// degraded cluster under the alternate policy.
-	xor      []byte
+	// degraded cluster under the alternate policy: the first track's
+	// view until a second track folds in, then an arena buffer. While
+	// xorGroup >= 0 the pool is charged one buffer for it.
+	xor      ncStaged
 	xorGroup int
 }
 
@@ -361,15 +363,12 @@ func (e *NonClustered) FailDisk(id int) error {
 		return nil
 	}
 	st.failedOffset = offset
-	if err := e.servers.Attach(cl); err != nil {
-		if errors.Is(err, buffer.ErrExhausted) {
-			st.mode = ncUnprotected
-			e.degradations++
-		} else {
-			return err
-		}
-	} else {
-		st.mode = ncDegraded
+	st.mode = ncDegraded
+	if err := e.servers.Attach(cl); errors.Is(err, buffer.ErrExhausted) {
+		st.mode = ncUnprotected
+		e.degradations++
+	} else if err != nil {
+		return err
 	}
 	return e.transition(cl, offset)
 }
@@ -460,14 +459,16 @@ func (e *NonClustered) OnDriveRebuilt(id int) error {
 	return nil
 }
 
-// dropXOR releases a stream's accumulator buffer (accounting and bytes).
+// dropXOR releases a stream's accumulator (accounting, and the bytes
+// if it made them).
 func (e *NonClustered) dropXOR(s *ncStream) error {
-	s.xorGroup = -1
-	if s.xor == nil {
+	if s.xorGroup < 0 {
 		return nil
 	}
-	e.put(s.xor)
-	s.xor = nil
+	if s.xor.reconstructed {
+		e.put(s.xor.data)
+	}
+	s.xor, s.xorGroup = ncStaged{}, -1
 	return e.pool.Release(1)
 }
 
@@ -711,35 +712,38 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		// plainly; the drive at this offset is healthy.
 		return e.plainRead(s, grp, s.read, o)
 	}
-	if o < failedOffset {
-		start := s.xorGroup != g
-		if start {
-			// Start the accumulator (one buffer).
-			if err := e.dropXOR(s); err != nil {
-				return err
-			}
-			if err := e.pool.Acquire(1); err != nil {
-				return err
-			}
-			s.xor = e.arena.Get()
-			s.xorGroup = g
+	if s.xorGroup != g && (o < failedOffset || failedOffset == 0) {
+		// Start the group's accumulator: one buffer, charged now.
+		if err := e.dropXOR(s); err != nil {
+			return err
 		}
+		if err := e.pool.Acquire(1); err != nil {
+			return err
+		}
+		s.xorGroup = g
+	}
+	if o < failedOffset {
 		r := s.read
 		if err := e.plainRead(s, grp, r, o); err != nil {
 			return err
 		}
 		sl := s.held(r)
 		if sl == nil || sl.data == nil {
-			// The read failed; the accumulator is now useless for
-			// reconstruction.
+			// The read failed: the accumulator cannot reconstruct.
 			return e.dropXOR(s)
 		}
-		// The first track starts the accumulator as its copy; each later
-		// one folds into it.
-		if start {
-			return e.folds.Add(s.xor, sl.data)
+		// A read track is an immutable platter view, so the first is held
+		// as it is; the second folds with it into a buffer, and each later
+		// one into that.
+		acc := s.xor.data
+		if acc == nil {
+			s.xor.data = sl.data
+			return nil
 		}
-		return e.folds.Add(s.xor, s.xor, sl.data)
+		if !s.xor.reconstructed {
+			s.xor = ncStaged{data: e.arena.Get(), reconstructed: true}
+		}
+		return e.folds.Add(s.xor.data, acc, sl.data)
 	}
 
 	// o == failedOffset: the reconstruction cycle. Read every remaining
@@ -749,20 +753,12 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	s.read = groupEnd
 	_, _ = e.read(&s.Stream, grp, grp.Data[failedOffset], nil) // for the record, as in groupRead
 
-	// The reconstruction is one fold: the accumulator so far, every
-	// remaining track of the group and parity.
+	// The reconstruction is one fold: whatever the accumulator holds,
+	// every remaining track of the group and parity.
 	srcs := e.survivors[:0]
-	if s.xorGroup == g {
-		srcs = append(srcs, s.xor)
-	}
-	canRecon := s.xorGroup == g || failedOffset == 0
-	if s.xorGroup != g && failedOffset == 0 {
-		// Group starts at the failed drive: no accumulator to fold in.
-		if err := e.pool.Acquire(1); err != nil {
-			return err
-		}
-		s.xor = e.arena.Get()
-		s.xorGroup = g
+	canRecon := s.xorGroup == g
+	if canRecon && s.xor.data != nil {
+		srcs = append(srcs, s.xor.data)
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
@@ -784,16 +780,19 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 	e.survivors = srcs
 	par := e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
-	if canRecon && par != nil && s.xor != nil && failedTrack < s.Obj.Tracks {
+	if canRecon && par != nil && failedTrack < s.Obj.Tracks {
 		// Padding tracks of a short final group are zero, so the fold
 		// is complete even when groupEnd < base+width.
 		e.survivors = append(srcs, par)
-		if err := e.folds.Add(s.xor, e.survivors...); err != nil {
+		if !s.xor.reconstructed {
+			s.xor = ncStaged{data: e.arena.Get(), reconstructed: true}
+		}
+		rec := s.xor.data
+		if err := e.folds.Add(rec, e.survivors...); err != nil {
 			return err
 		}
-		rec := s.xor
-		s.xor = nil // buffer ownership moves to the staged track
-		s.xorGroup = -1
+		// The buffer and its charge move to the staged track.
+		s.xor, s.xorGroup = ncStaged{}, -1
 		e.rep.Reconstructions++
 		return s.stage(failedTrack, ncStaged{data: rec, reconstructed: true})
 	}

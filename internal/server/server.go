@@ -13,6 +13,15 @@
 // the drive is whole again. Apply takes the same faults by name, with
 // the best-effort rules a fault schedule needs, and DriveLog records
 // each cycle's faults, restores and abandoned rebuilds.
+//
+// A Server is not safe for concurrent use; the server's owner serializes
+// calls (netserve under its mutex, a chaos run on its run goroutine).
+// The owner owns everything the Server built with it: the disk farm, the
+// engine's buffer pool and buffer servers take no lock. Only bytes cross
+// goroutines, each over a happens-before edge the owner makes: platter
+// views and made tracks reach fold workers and socket writers through
+// channels, and the writers give arena buffers back under the arena's
+// own lock.
 package server
 
 import (
@@ -358,7 +367,7 @@ const (
 	FaultTertiary     FaultKind = "tertiary"       // replace, and reload from tape (RebuildFromTertiary)
 
 	// The drive log's two outcomes, which Apply does not take.
-	RestoreEnded    FaultKind = "restored"          // a restore ended: the drive is Operational again
+	RestoreEnded     FaultKind = "restored"          // a restore ended: the drive is Operational again
 	RebuildAbandoned FaultKind = "rebuild-abandoned" // an online rebuild given up; the entry's Err says why
 )
 

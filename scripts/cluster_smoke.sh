@@ -4,8 +4,8 @@
 # coordinator, stream through the admission plane with ftmmload, kill
 # one node mid-stream, and require every stream to finish bit-exact.
 # Then a drive-fault leg: one more node loses a drive mid-stream and
-# starts an online rebuild of it, its log must show both, and its
-# streams must finish bit-exact too. ftmmload verifies each track
+# starts an online rebuild of it, its log must show both and the
+# rebuild's end, and its streams must finish bit-exact too. ftmmload verifies each track
 # against the synthetic content and exits non-zero on any missing or
 # corrupt track, so that assertion is simply its exit code.
 #
@@ -131,13 +131,16 @@ fi
 
 # Drive-fault leg: a standalone node fails drive 1 at cycle 5 and starts
 # its online rebuild at cycle 10, both mid-stream (the pacer counts
-# cycles from the first admission). Each fault logs one line stamped with
-# the node and the cycle it took effect in.
+# cycles from the first admission), at the default budget of C-1 reads,
+# one track a cycle. Each fault logs one line stamped with the node and
+# the cycle it took effect in, and so does the rebuild's end, which may
+# come after the last stream's: the pacer keeps stepping while a rebuild
+# runs.
 drill_addr="127.0.0.1:$((BASE_PORT + 10))"
 drill_http="127.0.0.1:$((BASE_PORT + 85))"
 "$bindir/ftmmserve" -id drill -addr "$drill_addr" -http "$drill_http" \
   -groups "$TITLE_GROUPS" -speed "$SPEED" \
-  -fail-disk 1 -fail-cycle 5 -rebuild-cycle 10 -rebuild-budget 4 \
+  -fail-disk 1 -fail-cycle 5 -rebuild-cycle 10 \
   >"$workdir/drill.log" 2>&1 &
 pids+=($!)
 wait_http "http://$drill_http/statusz"
@@ -153,5 +156,14 @@ for want in 'node=drill cycle=5: drive 1: fail' 'node=drill cycle=10: drive 1: r
     echo "the drive-fault node's log lacks \"$want\"" >&2
     exit 1
   fi
+done
+restored='node=drill cycle=[0-9]+: drive 1: restored'
+for i in $(seq 1 300); do
+  if grep -Eq "$restored" "$workdir/drill.log"; then break; fi
+  if [ "$i" -eq 300 ]; then
+    echo "the drive-fault node's log lacks \"$restored\" after 60 s" >&2
+    exit 1
+  fi
+  sleep 0.2
 done
 echo "cluster smoke OK"
