@@ -4,13 +4,11 @@
 // while pluggable invariant checkers audit each cycle, in the spirit of
 // the paper's §3-§5 claims about behavior *under failure*:
 //
-//   - delivery continuity: SR/SG/IB mask single failures with zero
-//     hiccups (an IB drive failing mid-cycle costs each stream at most
-//     its one in-flight track); Non-clustered loses per stream, inside a
-//     bounded transition window, at most the rest of a group under the
-//     simple switchover and the failed drive's one track under the
-//     alternate, plus reads refused for want of a slot (Figures 6-7),
-//     unless the cluster runs unprotected (degradation of service);
+//   - delivery continuity: SR/SG/DC mask single failures with zero
+//     hiccups, and each NC or IB loss names the drive failure behind it:
+//     per stream and failure, tracks of one parity group, no more than
+//     Figures 6-7's switchover or §4's mid-cycle failure allows, or on a
+//     cluster no buffer server carries, the failed member alone;
 //   - parity-group consistency after every repair and online rebuild;
 //   - buffer accounting: no leaked arena buffers or pool tracks once
 //     the server drains;

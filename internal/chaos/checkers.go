@@ -29,58 +29,50 @@ func DefaultCheckers() []Checker {
 // ----------------------------------------------------------------------
 // Continuity: the paper's central claim per scheme.
 
-// lossKey attributes a Non-clustered hiccup to one (stream, cluster
-// failure) pair for bounding the transition's track loss.
-type lossKey struct {
-	stream, cluster, failCycle int
-}
-
 // readKey names one stream's read of one parity group of its object.
 type readKey struct{ stream, group int }
 
-// ContinuityChecker enforces delivery continuity: SR, SG and IB mask
-// boundary failures with zero hiccups (IB may terminate streams when
-// its reserve runs out — that is degradation, not discontinuity; the
-// other schemes must never terminate). An IB drive failing mid-cycle
-// costs each stream at most its one in-flight track (§4's isolated
-// hiccup), delivered the cycle after. Non-clustered hiccups must fall
-// inside the bounded transition window after a data-disk failure on the
-// track's cluster, or hit a cluster running unprotected (K exhausted —
-// the paper's degradation of service, whose recurring loss is
-// legitimate). Inside the window a stream loses per transition at most
-// the rest of its current group (C-1 tracks) under the simple
-// switchover, and at most the failed drive's one unread track under the
-// alternate (Figures 6-7); reads refused for want of a slot
-// (schemes.LostNoSlot, Figure 7's Y3) come on top of that cap. Under
-// every scheme the guarantee ends
-// at the paper's catastrophe boundary: a hiccup on a parity group whose
-// read by that stream found two or more members erased is data parity
-// cannot rebuild, and is accepted. The engine reports each erasure its
-// reads met (sched.CycleReport.Erasures), and the checker holds every
-// one to the farm's own record of the cycle (disk.Farm.Missed). The
-// failures come from the server's drive log.
+// lossKey names what one stream lost to one drive failure.
+type lossKey struct {
+	stream  int
+	failure sched.Failure
+}
+
+// lossTally is a lossKey's parity group and its losses against lossCap.
+type lossTally struct{ group, capped int }
+
+// ContinuityChecker enforces delivery continuity. SR, SG and DC mask
+// every failure with zero hiccups, and only IB may terminate a stream
+// (degradation of service, not discontinuity). Under every scheme the
+// guarantee ends at the paper's catastrophe boundary: a hiccup on a
+// group whose read by that stream found two or more members erased is
+// accepted. The engine reports each erasure its reads met
+// (sched.CycleReport.Erasures), and the checker holds every one to the
+// farm's record of the cycle (disk.Farm.Missed).
+//
+// Any other NC or IB hiccup names the drive failure it belongs to
+// (sched.Hiccup.Failure), which the server's drive log must have: an NC
+// fail of a data drive of the track's cluster, or an IB fail-mid-cycle.
+// An IB loss, and an NC pass over a cluster no buffer server carries
+// (LostUnprotected, the paper's degradation of service, which recurs),
+// is the failed drive's own member, erased in the stream's read. Per
+// stream and failure, the other NC losses (the switchover's, and slot
+// refusals: LostNoSlot, Figure 7's Y3) and IB's lie in one parity group
+// and number, slot refusals aside, at most lossCap: C-1 under NC's
+// simple switchover (the rest of the group, Figure 6), 1 under the
+// alternate (the failed drive's unread track, Figure 7) and under IB
+// (§4's one track in flight). A stream's read is forgotten once its
+// delivery passes the group, the stream once it ends.
 type ContinuityChecker struct {
-	isNC, isIB bool
-	// lossCap is the per-stream per-transition bound on hiccups other
-	// than slot refusals: C-1 for the simple switchover (the rest of the
-	// current group), 1 for the alternate switchover (only the failed
-	// drive's unread track).
-	lossCap int
-	// window is how many cycles past a failure (or past leaving
-	// unprotected mode) a Non-clustered hiccup may still surface:
-	// marking happens at read time, delivery up to a group's width
-	// later, plus slack.
-	window int
+	// failKind is the drive log kind the scheme's losses may name, if any.
+	failKind server.FaultKind
+	lossCap  int
 	// erased holds, per stream's read of a group, the distinct members
 	// that read found erased, each confirmed by the farm's record.
-	erased          map[readKey][]layout.Location
-	dataFail        map[int][]int
-	lastUnprotected map[int]int
-	losses          map[lossKey]int
-	// midFail holds the cycles of IB mid-cycle failures; midLosses
-	// counts each stream's isolated hiccups per such failure.
-	midFail   []int
-	midLosses map[lossKey]int
+	erased map[readKey][]layout.Location
+	// failures holds every failure of failKind the drive log has had.
+	failures map[sched.Failure]bool
+	losses   map[lossKey]lossTally
 }
 
 // NewContinuityChecker builds the checker.
@@ -95,38 +87,30 @@ func (c *ContinuityChecker) Begin(rc *RunContext) error {
 	if err != nil {
 		return err
 	}
-	c.isNC = scheme == analytic.NonClustered
-	c.isIB = scheme == analytic.ImprovedBandwidth
-	c.lossCap = rc.Schedule.ClusterSize - 1
-	if c.isNC && policy == schemes.AlternateSwitchover {
-		c.lossCap = 1
+	c.failKind, c.lossCap = "", rc.Schedule.ClusterSize-1
+	switch scheme {
+	case analytic.NonClustered:
+		c.failKind = server.FaultFail
+		if policy == schemes.AlternateSwitchover {
+			c.lossCap = 1
+		}
+	case analytic.ImprovedBandwidth:
+		c.failKind, c.lossCap = server.FaultFailMidCycle, 1
 	}
-	c.window = rc.Schedule.ClusterSize + 4
 	c.erased = make(map[readKey][]layout.Location)
-	c.dataFail = make(map[int][]int)
-	c.lastUnprotected = make(map[int]int)
-	c.losses = make(map[lossKey]int)
-	c.midFail = nil
-	c.midLosses = make(map[lossKey]int)
+	c.failures = make(map[sched.Failure]bool)
+	c.losses = make(map[lossKey]lossTally)
 	return nil
 }
 
-// AfterStep implements Checker. The cycle's drive log opens the
-// windows: a data-disk failure opens a Non-clustered loss window on its
-// cluster (a parity drive's has no delivery impact), and an IB mid-cycle
-// failure allows one isolated hiccup per stream.
+// AfterStep implements Checker.
 func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) error {
-	lay := rc.Srv.Catalog().Layout()
 	for _, e := range rc.Srv.DriveLog() {
-		switch {
-		case e.Kind == server.FaultFailMidCycle:
-			c.midFail = append(c.midFail, e.Cycle)
-		case c.isNC && e.Kind == server.FaultFail && lay.Role(e.Drive) != layout.RoleParity:
-			cl := e.Drive / rc.Schedule.ClusterSize
-			c.dataFail[cl] = append(c.dataFail[cl], e.Cycle)
+		if e.Kind == c.failKind {
+			c.failures[sched.Failure{Drive: e.Drive, Cycle: e.Cycle, Named: true}] = true
 		}
 	}
-	if !c.isIB && len(rep.Terminated) > 0 {
+	if c.failKind != server.FaultFailMidCycle && len(rep.Terminated) > 0 {
 		return fmt.Errorf("stream %d terminated by a scheme that must never degrade service", rep.Terminated[0])
 	}
 	farm := rc.Srv.Farm()
@@ -140,74 +124,75 @@ func (c *ContinuityChecker) AfterStep(rc *RunContext, rep *sched.CycleReport) er
 			c.erased[k] = append(c.erased[k], e.Loc)
 		}
 	}
-	if c.isNC {
-		// Refresh the unprotected-cluster trail before attributing hiccups.
-		if unprot, ok := rc.Srv.Engine().(interface{ ClusterUnprotected(int) bool }); ok {
-			for cl := 0; cl < rc.Schedule.Disks/rc.Schedule.ClusterSize; cl++ {
-				if unprot.ClusterUnprotected(cl) {
-					c.lastUnprotected[cl] = rc.Cycle
-				}
-			}
-		}
-	}
-	width := rc.Schedule.ClusterSize - 1
+	lay := rc.Srv.Catalog().Layout()
 	for _, h := range rep.Hiccups {
 		obj, ok := lay.Object(h.ObjectID)
 		if !ok {
 			return fmt.Errorf("hiccup on stream %d references unknown object %q", h.StreamID, h.ObjectID)
 		}
-		g := &obj.Groups[h.Track/width]
-		if len(c.erased[readKey{stream: h.StreamID, group: g.Index}]) >= 2 {
-			continue
-		}
-		if !c.isNC {
-			if c.isolated(rc.Cycle, h.StreamID) {
-				continue
-			}
-			return fmt.Errorf("hiccup on stream %d track %d (%s): scheme must mask failures with zero hiccups",
-				h.StreamID, h.Track, h.Reason)
-		}
-		cl := g.Cluster
-		if last, saw := c.lastUnprotected[cl]; saw && rc.Cycle-last <= c.window {
-			continue // degradation of service: recurring loss is legitimate
-		}
-		failCycle, open := -1, false
-		for _, f := range c.dataFail[cl] {
-			if f <= rc.Cycle && rc.Cycle-f <= c.window && f > failCycle {
-				failCycle, open = f, true
-			}
-		}
-		if !open {
-			return fmt.Errorf("hiccup on stream %d track %d (%s) at cycle %d with no data-disk failure on cluster %d within the last %d cycles",
-				h.StreamID, h.Track, h.Reason, rc.Cycle, cl, c.window)
-		}
-		if h.Reason == schemes.LostNoSlot {
-			continue // a transition's slot conflict, outside the cap
-		}
-		key := lossKey{stream: h.StreamID, cluster: cl, failCycle: failCycle}
-		c.losses[key]++
-		if c.losses[key] > c.lossCap {
-			return fmt.Errorf("stream %d lost %d tracks in the transition after cluster %d's failure at cycle %d; bound is %d",
-				h.StreamID, c.losses[key], cl, failCycle, c.lossCap)
+		if err := c.checkLoss(lay, h, &obj.Groups[h.Track/lay.GroupWidth()]); err != nil {
+			return err
 		}
 	}
+	c.forget(rc.Srv.Engine(), lay.GroupWidth())
 	return nil
 }
 
-// isolated reports whether a hiccup on stream at cycle is the one
-// in-flight track an IB mid-cycle failure may cost it: the failure came
-// during this cycle's reads or the last's (whose groups deliver now),
-// and the stream has not had its one yet. It counts the hiccup it
-// admits.
-func (c *ContinuityChecker) isolated(cycle, stream int) bool {
-	for _, f := range c.midFail {
-		key := lossKey{stream: stream, failCycle: f}
-		if cycle-f <= 1 && c.midLosses[key] == 0 {
-			c.midLosses[key]++
-			return true
+// checkLoss holds one hiccup, on a track of group g, to the rules.
+func (c *ContinuityChecker) checkLoss(lay *layout.Layout, h sched.Hiccup, g *layout.Group) error {
+	read, f := readKey{stream: h.StreamID, group: g.Index}, h.Failure
+	ib := c.failKind == server.FaultFailMidCycle
+	switch {
+	case len(c.erased[read]) >= 2:
+		return nil // the catastrophe boundary
+	case c.failKind == "":
+		return fmt.Errorf("hiccup on stream %d track %d (%s): scheme must mask failures with zero hiccups", h.StreamID, h.Track, h.Reason)
+	case !f.Named:
+		return fmt.Errorf("hiccup on stream %d track %d (%s) names no failure, and its read found fewer than two members erased", h.StreamID, h.Track, h.Reason)
+	case !c.failures[f]:
+		return fmt.Errorf("hiccup on stream %d track %d (%s) names a %s of drive %d at cycle %d, which the drive log does not have",
+			h.StreamID, h.Track, h.Reason, c.failKind, f.Drive, f.Cycle)
+	case !ib && (lay.Role(f.Drive) == layout.RoleParity || f.Drive/lay.ClusterSize() != g.Cluster):
+		return fmt.Errorf("hiccup on stream %d track %d (%s) names drive %d, not a data drive of cluster %d", h.StreamID, h.Track, h.Reason, f.Drive, g.Cluster)
+	}
+	if ib || h.Reason == schemes.LostUnprotected {
+		member := g.Data[h.Track%lay.GroupWidth()]
+		if member.Disk != f.Drive || !slices.Contains(c.erased[read], member) {
+			return fmt.Errorf("hiccup on stream %d track %d (%s): its read of drive %d was not erased by drive %d's failure at cycle %d",
+				h.StreamID, h.Track, h.Reason, member.Disk, f.Drive, f.Cycle)
+		}
+		if !ib {
+			return nil // an unprotected cluster loses its failed member every pass
 		}
 	}
-	return false
+	key := lossKey{stream: h.StreamID, failure: f}
+	t, seen := c.losses[key]
+	if seen && t.group != g.Index {
+		return fmt.Errorf("stream %d lost tracks of groups %d and %d to drive %d's failure at cycle %d", h.StreamID, t.group, g.Index, f.Drive, f.Cycle)
+	}
+	t.group = g.Index
+	if h.Reason != schemes.LostNoSlot {
+		t.capped++
+	}
+	if t.capped > c.lossCap {
+		return fmt.Errorf("stream %d lost %d tracks to drive %d's failure at cycle %d; bound is %d", h.StreamID, t.capped, f.Drive, f.Cycle, c.lossCap)
+	}
+	c.losses[key] = t
+	return nil
+}
+
+// forget drops the reads a stream's delivery has passed, and ended streams.
+func (c *ContinuityChecker) forget(eng schemes.Simulator, width int) {
+	for k := range c.erased {
+		if next, total, ok := eng.StreamProgress(k.stream); !ok || next >= total || k.group < next/width {
+			delete(c.erased, k)
+		}
+	}
+	for k := range c.losses {
+		if next, total, ok := eng.StreamProgress(k.stream); !ok || next >= total {
+			delete(c.losses, k)
+		}
+	}
 }
 
 // End implements Checker.
@@ -269,10 +254,9 @@ func (p *ParityChecker) End(rc *RunContext) error {
 // drive left Restoring must have an online rebuild of it still running
 // or abandoned — a restore path that skipped its tail leaves it
 // Restoring with neither. And a farm restored to health holds no
-// degraded state:
-// with every drive operational, no cluster may still run degraded — a
-// restore path that forgot to tell the engine leaks the cluster's buffer
-// server and keeps it reconstructing tracks that sit whole on disk.
+// degraded state: with every drive operational, no cluster may still run
+// degraded — a restore path that forgot to tell the engine leaks the
+// cluster's buffer server and keeps it reconstructing whole tracks.
 type LeakChecker struct {
 	// rebuilding is the drive of the online rebuild in flight, or -1.
 	rebuilding int

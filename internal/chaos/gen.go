@@ -27,7 +27,8 @@ import (
 //
 // Non-clustered schedules may exceed K concurrent data-disk failures on
 // purpose: running out of buffer servers is the paper's degradation of
-// service, and the continuity checker exempts unprotected clusters.
+// service, and the continuity checker holds an unprotected cluster's
+// losses to its failed member.
 func Generate(rng *rand.Rand, scheme string, nodes int) Schedule {
 	const c = 4
 	s := Schedule{

@@ -72,7 +72,7 @@ func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 	return reports
 }
 
-// TestPipelineBitExactVsDirectStep is the cycle loop's correctness
+// TestCycleLoopBitExactVsDirectStep is the cycle loop's correctness
 // anchor: a workload — every title streaming, a drive failing
 // mid-stream — run through the front end must deliver bit-exact bytes
 // to every client and produce cycle reports equal, cycle for cycle, to
@@ -81,7 +81,7 @@ func runTwinServer(t *testing.T, scheme string) []*sched.CycleReport {
 // StepCycle returns. Run at two GOMAXPROCS settings so the race
 // detector (in CI's -race pass) sees the writers release against the
 // cycle's staging on both a starved and a parallel schedule.
-func TestPipelineBitExactVsDirectStep(t *testing.T) {
+func TestCycleLoopBitExactVsDirectStep(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

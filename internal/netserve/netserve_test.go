@@ -41,7 +41,7 @@ type loopRig struct {
 
 // newRigServer builds the rig's farm and archives its titles: the back
 // end newLoopRig fronts with a NetServer, and the twin
-// TestPipelineBitExactVsDirectStep steps directly.
+// TestCycleLoopBitExactVsDirectStep steps directly.
 func newRigServer(t testing.TB, schemeName string, cfg rigConfig) (*server.Server, []string) {
 	t.Helper()
 	scheme, policy, err := server.ParseScheme(schemeName)

@@ -39,8 +39,6 @@ type Config struct {
 	// (0 = 2·Cluster-1); ignored otherwise. Disks must be a whole
 	// number of declustering groups.
 	Decluster int
-	// SlotsPerDisk caps streams per drive (0 = analytic bound).
-	SlotsPerDisk int
 	// Titles is the catalog this node serves. In a cluster this is the
 	// node's placement slice, not the full library. Nil loads
 	// GenTitles synthetic names.
@@ -111,7 +109,6 @@ func Start(cfg Config) (*Node, error) {
 		Disks: cfg.Disks, ClusterSize: cfg.Cluster,
 		DeclusterGroup: cfg.Decluster,
 		DiskParams:     p, Scheme: scheme, K: cfg.K, NCPolicy: policy,
-		SlotsPerDisk: cfg.SlotsPerDisk,
 	})
 	if err != nil {
 		return nil, err

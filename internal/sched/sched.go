@@ -126,6 +126,16 @@ type Hiccup struct {
 	// Reason explains the loss, e.g. "disk failed mid-read" or "dropped
 	// in degraded-mode transition".
 	Reason string
+	// Failure is the drive failure the loss belongs to; the zero value
+	// names none.
+	Failure Failure
+}
+
+// Failure names one drive failure: Drive failed in Cycle, as the
+// server's drive log stamps it. Named is false only in the zero value.
+type Failure struct {
+	Drive, Cycle int
+	Named        bool
 }
 
 // Erasure is one member of parity group Group (its index in the object)

@@ -197,15 +197,16 @@ func (c *engineCore) holdBriefly() error {
 }
 
 // emit is the one delivery: the stream's track goes into the cycle's
-// report, and a nil buf hiccups for the given reason. The reconstructed
+// report, and a nil buf hiccups for the given reason, naming the drive
+// failure f it belongs to (the zero Failure where none). The reconstructed
 // flag is also the buffer's kind. A made track is an arena buffer: it
 // goes out in a Ref (Arena.Share), which now owns buf, and the engine
 // keeps its own reference until the next Step's beginCycle. A read track
 // is a platter view and goes out with a nil Buf.
-func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed bool, reason string) {
+func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed bool, reason string, f sched.Failure) {
 	if buf == nil {
 		c.rep.Hiccups = append(c.rep.Hiccups, sched.Hiccup{
-			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason,
+			StreamID: st.ID, ObjectID: st.Obj.ID, Track: track, Reason: reason, Failure: f,
 		})
 		return
 	}
@@ -712,7 +713,7 @@ func (c *engineCore) deliverGroup(s *groupStream, bg *bufferedGroup, hiccupReaso
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
-		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, hiccupReason))
+		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, hiccupReason), bg.failure)
 		// A made track now belongs to its Ref: clear the slot so
 		// recycleGroup below Puts only the leftovers (padding past
 		// ValidTracks), not a buffer behind the report's back.

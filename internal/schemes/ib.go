@@ -107,8 +107,8 @@ func (e *ImprovedBandwidth) FailDiskMidCycle(id int) error {
 
 // readGroupBlocks runs one group's phase-1 data reads. midDisk, when
 // >= 0, is the drive failing partway through this cycle: it serves
-// *allowance more of its scheduled reads, then dies, and what it had
-// left to serve is lost with no time to shift.
+// *allowance more of its scheduled reads, then dies, and the group
+// loses what it had left to serve to that failure, with no time to shift.
 func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, midDisk int, allowance *int) error {
 	for j, loc := range gr.g.Data {
 		onVictim := loc.Disk == midDisk && e.slots.Free(loc.Disk) > 0
@@ -126,6 +126,7 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, midDisk int, allowa
 			gr.missing = append(gr.missing, j)
 			if onVictim {
 				gr.unmaskable |= 1 << j
+				gr.bg.failure = sched.Failure{Drive: midDisk, Cycle: e.cycle, Named: true}
 			}
 			continue
 		}

@@ -65,14 +65,19 @@ type ncCluster struct {
 	failedOffset int
 }
 
+// degraded reports whether a failed data drive keeps the cluster degraded
+// or unprotected.
+func (c ncCluster) degraded() bool { return c.mode == ncDegraded || c.mode == ncUnprotected }
+
 // Why a Non-clustered track is lost, as its hiccup says: the switchover
-// dropped it (Figures 6-7), it is the failed drive's on a cluster no
-// buffer server carries, or its read found the member erased and no
-// reconstruction stood in. A read that found the drive's slots for the
-// cycle spent says LostNoSlot.
+// dropped it (Figures 6-7), it is a failed drive's on a cluster no buffer
+// server carries, lost on every pass (LostUnprotected, the paper's
+// degradation of service, which the chaos continuity checker reads), or
+// its read found the member erased and no reconstruction stood in. A read
+// refused a slot says LostNoSlot.
 const (
 	lostTransition  = "track lost in degraded-mode transition"
-	lostUnprotected = "failed drive's track lost on an unprotected cluster"
+	LostUnprotected = "failed drive's track lost on an unprotected cluster"
 	lostUnread      = "track could not be read or rebuilt"
 )
 
@@ -102,12 +107,13 @@ type ncStaged struct {
 var errWindowFull = errors.New("schemes: Non-clustered stream window slot taken")
 
 // ncSlot is one track's place in a stream's window. It is live while it
-// holds the track's staged bytes or the reason the track will hiccup
-// when due; a track staged after it was marked lost delivers the bytes.
+// holds the track's staged bytes or why (and to what failure) the track
+// hiccups when due; a track staged after it was marked lost delivers.
 type ncSlot struct {
 	track int
 	ncStaged
-	lost string
+	lost    string
+	failure sched.Failure
 }
 
 func (sl *ncSlot) live() bool { return sl.data != nil || sl.lost != "" }
@@ -155,6 +161,8 @@ type NonClustered struct {
 	streams  []*ncStream
 	servers  *buffer.Servers
 	clusters []ncCluster
+	// failedAt is, per drive, the cycle its last failure took effect.
+	failedAt []int
 	// degradations counts failures that found no free buffer server.
 	degradations int
 }
@@ -178,6 +186,7 @@ func NewNonClustered(cfg Config, policy TransitionPolicy, k int) (*NonClustered,
 	return &NonClustered{
 		engineCore: core, policy: policy, servers: servers,
 		clusters: make([]ncCluster, cfg.Layout.Clusters()),
+		failedAt: make([]int, cfg.Farm.Size()),
 	}, nil
 }
 
@@ -204,23 +213,7 @@ func (e *NonClustered) Degradations() int { return e.degradations }
 
 // ClusterDegraded reports whether the cluster is running degraded.
 func (e *NonClustered) ClusterDegraded(cl int) bool {
-	if cl < 0 || cl >= len(e.clusters) {
-		return false
-	}
-	return e.clusters[cl].mode == ncDegraded || e.clusters[cl].mode == ncUnprotected
-}
-
-// ClusterUnprotected reports whether the cluster is in the paper's
-// degradation-of-service mode: a data drive failed with every buffer
-// server busy, so the failed drive's track is lost on every pass. The
-// chaos harness's continuity checker exempts streams on unprotected
-// clusters from the bounded-loss-window invariant, which only holds
-// when a buffer server carries the cluster.
-func (e *NonClustered) ClusterUnprotected(cl int) bool {
-	if cl < 0 || cl >= len(e.clusters) {
-		return false
-	}
-	return e.clusters[cl].mode == ncUnprotected
+	return cl >= 0 && cl < len(e.clusters) && e.clusters[cl].degraded()
 }
 
 // width returns C-1.
@@ -320,13 +313,25 @@ func (s *ncStream) stage(r int, st ncStaged) error {
 	return nil
 }
 
-// markLost notes that track r will hiccup when due, giving reason.
-func (s *ncStream) markLost(r int, reason string) error {
+// markLost notes that the stream's track r will hiccup when due, giving
+// reason. A loss on a cluster a data drive's failure left degraded or
+// unprotected names that failure, and an unprotected pass its own
+// drive's; a member read erased with no reconstruction standing in is
+// lost to more than one failure, and names none.
+func (e *NonClustered) markLost(s *ncStream, r int, reason string) error {
 	sl, err := s.slot(r)
 	if err != nil {
 		return err
 	}
-	sl.lost = reason
+	sl.lost, sl.failure = reason, sched.Failure{}
+	g := &s.Obj.Groups[r/e.width()]
+	if st := e.clusters[g.Cluster]; st.degraded() && reason != lostUnread {
+		d := g.Cluster*e.cfg.Farm.ClusterSize() + st.failedOffset
+		if reason == LostUnprotected {
+			d = g.Data[r%e.width()].Disk
+		}
+		sl.failure = sched.Failure{Drive: d, Cycle: e.failedAt[d], Named: true}
+	}
 	return nil
 }
 
@@ -353,6 +358,7 @@ func (e *NonClustered) FailDisk(id int) error {
 	if err != nil {
 		return err
 	}
+	e.failedAt[id] = e.cycle
 	offset := id % e.cfg.Farm.ClusterSize()
 	st := &e.clusters[cl]
 	if offset == e.cfg.Farm.ClusterSize()-1 {
@@ -390,7 +396,7 @@ func (e *NonClustered) transition(cl, failedOffset int) error {
 		case SimpleSwitchover:
 			// Drop every remaining track of the current group.
 			for r := s.read; r < groupEnd; r++ {
-				if err := s.markLost(r, lostTransition); err != nil {
+				if err := e.markLost(s, r, lostTransition); err != nil {
 					return err
 				}
 			}
@@ -400,7 +406,7 @@ func (e *NonClustered) transition(cl, failedOffset int) error {
 			// unrecoverable (earlier tracks have left the buffers).
 			failedTrack := g*width + failedOffset
 			if failedTrack >= s.read && failedTrack < groupEnd {
-				if err := s.markLost(failedTrack, lostTransition); err != nil {
+				if err := e.markLost(s, failedTrack, lostTransition); err != nil {
 					return err
 				}
 			}
@@ -480,7 +486,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 
 	degraded := 0
 	for _, c := range e.clusters {
-		if c.mode == ncDegraded || c.mode == ncUnprotected {
+		if c.degraded() {
 			degraded++
 		}
 	}
@@ -511,15 +517,15 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 		r := s.NextDeliver
 		var st ncStaged
-		reason := "track not staged (overload)"
+		reason, failure := "track not staged (overload)", sched.Failure{}
 		if sl := s.held(r); sl != nil {
-			st = sl.ncStaged
+			st, failure = sl.ncStaged, sl.failure
 			if sl.lost != "" {
 				reason = sl.lost
 			}
 			*sl = ncSlot{}
 		}
-		e.emit(&s.Stream, r, st.data, st.reconstructed, reason)
+		e.emit(&s.Stream, r, st.data, st.reconstructed, reason, failure)
 		if st.data != nil {
 			if err := e.pool.Release(1); err != nil {
 				return nil, err
@@ -590,38 +596,31 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 	state := e.clusters[cl]
 
 	switch {
-	case state.mode == ncNormal || state.mode == ncParityLost || s.legacyGroup == g:
+	case state.mode != ncDegraded || s.legacyGroup == g:
 		return e.plainRead(s, grp, r, o)
-	case state.mode == ncUnprotected:
-		if o == state.failedOffset {
-			// Read for the record, as in groupRead. The track is lost
-			// on every pass: the paper's degradation.
-			_, _ = e.read(&s.Stream, grp, grp.Data[o], nil)
-			s.read++
-			return s.markLost(r, lostUnprotected)
-		}
-		return e.plainRead(s, grp, r, o)
-	case state.mode == ncDegraded && e.policy == SimpleSwitchover:
-		if o != 0 {
-			// Mid-group on a degraded cluster outside legacy mode should
-			// not happen (transition drops remnants), but read plainly if
-			// it does.
-			return e.plainRead(s, grp, r, o)
-		}
-		return e.groupRead(s, grp, g, state.failedOffset)
-	case state.mode == ncDegraded && e.policy == AlternateSwitchover:
+	case e.policy == AlternateSwitchover:
 		return e.xorRead(s, grp, g, o, state.failedOffset)
+	case o != 0:
+		// Mid-group on a degraded cluster outside legacy mode should not
+		// happen under the simple policy (transition drops remnants), but
+		// read plainly if it does.
+		return e.plainRead(s, grp, r, o)
 	}
-	return fmt.Errorf("schemes: unhandled cluster mode %d", state.mode)
+	return e.groupRead(s, grp, g, state.failedOffset)
 }
 
 // plainRead reads a single track; on slot exhaustion or drive failure the
-// track is lost.
+// track is lost. On a cluster no buffer server carries, a failed drive's
+// track is lost on every pass until its restore writes it: the paper's
+// degradation.
 func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error {
 	s.read++
 	blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[o])
 	if blk == nil {
-		return s.markLost(r, why)
+		if why == lostUnread && e.clusters[grp.Cluster].mode == ncUnprotected {
+			why = LostUnprotected
+		}
+		return e.markLost(s, r, why)
 	}
 	if err := e.pool.Acquire(1); err != nil {
 		return err
@@ -676,7 +675,7 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 			if noSlot&(1<<j) != 0 {
 				why = LostNoSlot
 			}
-			if err := s.markLost(r, why); err != nil {
+			if err := e.markLost(s, r, why); err != nil {
 				return err
 			}
 			continue
@@ -764,7 +763,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	for r := failedTrack + 1; r < groupEnd; r++ {
 		blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[r-base])
 		if blk == nil {
-			if err := s.markLost(r, why); err != nil {
+			if err := e.markLost(s, r, why); err != nil {
 				return err
 			}
 			canRecon = false
@@ -797,7 +796,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		return s.stage(failedTrack, ncStaged{data: rec, reconstructed: true})
 	}
 	if failedTrack < s.Obj.Tracks {
-		if err := s.markLost(failedTrack, lostUnread); err != nil {
+		if err := e.markLost(s, failedTrack, lostUnread); err != nil {
 			return err
 		}
 	}

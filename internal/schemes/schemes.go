@@ -195,6 +195,8 @@ type bufferedGroup struct {
 	// lost, when set, is why every track hiccups: LostNoSlot for a
 	// group stageGroup was refused slots for, which read nothing.
 	lost string
+	// failure is the IB mid-cycle failure its lost tracks belong to.
+	failure sched.Failure
 	// next is the next in-group offset to deliver.
 	next int
 	// pooled is how many buffer-pool tracks the stream holds for this

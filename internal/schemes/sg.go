@@ -186,7 +186,7 @@ func (e *StaggeredGroup) deliverOne(s *sgStream) {
 	base := bg.group.Index * width
 	off := bg.next
 	bg.next++
-	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, "parity group unrecoverable"))
+	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, "parity group unrecoverable"), bg.failure)
 	// A made track now belongs to its Ref (released at the next Step's
 	// beginCycle); clear the slot so group recycling skips it.
 	bg.data[off] = nil

@@ -54,8 +54,6 @@ type Options struct {
 	DiskParams diskmodel.Params
 	// Scheme selects the fault-tolerance scheme.
 	Scheme analytic.Scheme
-	// Rate is the uniform object bandwidth b0 (MPEG-1 if zero).
-	Rate units.Rate
 	// K is the reserve depth: buffer servers for Non-clustered, disks'
 	// worth of reserved bandwidth for Improved-bandwidth.
 	K int
@@ -67,27 +65,13 @@ type Options struct {
 	DeclusterGroup int
 	// NCPolicy selects the Non-clustered transition policy.
 	NCPolicy schemes.TransitionPolicy
-	// Tertiary configures the tape library (DefaultConfig if zero).
-	Tertiary tertiary.Config
 	// SlotsPerDisk optionally overrides the per-disk per-cycle budget.
 	SlotsPerDisk int
-	// Metrics receives the engine's instruments; nil installs a fresh
-	// registry (exposed via Metrics/MetricsSnapshot).
-	Metrics *metrics.Registry
 }
 
 func (o *Options) fillDefaults() {
 	if o.DiskParams == (diskmodel.Params{}) {
 		o.DiskParams = diskmodel.Table1()
-	}
-	if o.Rate == 0 {
-		o.Rate = units.MPEG1
-	}
-	if o.Tertiary == (tertiary.Config{}) {
-		o.Tertiary = tertiary.DefaultConfig()
-	}
-	if o.Metrics == nil {
-		o.Metrics = metrics.New()
 	}
 }
 
@@ -124,6 +108,8 @@ type Server struct {
 	lib    *tertiary.Library
 	cat    *catalog.Catalog
 	engine schemes.Simulator
+	// metrics is the registry the engine's instruments live in.
+	metrics *metrics.Registry
 
 	// object IDs by engine stream ID, for unpinning.
 	objOf map[int]string
@@ -152,7 +138,7 @@ type rebuiltNotifier interface {
 // New builds a server. The tape library starts empty; use AddTitle.
 func New(opts Options) (*Server, error) {
 	opts.fillDefaults()
-	lib, err := tertiary.NewLibrary(opts.Tertiary)
+	lib, err := tertiary.NewLibrary(tertiary.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +158,11 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := metrics.New()
 	cfg := schemes.Config{
-		Farm: farm, Layout: cat.Layout(), Rate: opts.Rate,
+		Farm: farm, Layout: cat.Layout(), Rate: units.MPEG1,
 		SlotsPerDisk: opts.SlotsPerDisk,
-		Metrics:      opts.Metrics,
+		Metrics:      reg,
 	}
 	var engine schemes.Simulator
 	switch opts.Scheme {
@@ -197,7 +184,7 @@ func New(opts Options) (*Server, error) {
 	}
 	return &Server{
 		opts: opts, farm: farm, lib: lib, cat: cat, engine: engine,
-		objOf: make(map[int]string),
+		metrics: reg, objOf: make(map[int]string),
 	}, nil
 }
 
@@ -209,7 +196,7 @@ func ibReserveSlots(opts Options) int {
 	}
 	slots := opts.SlotsPerDisk
 	if slots == 0 {
-		window := opts.DiskParams.CycleTime(opts.ClusterSize-1, opts.Rate)
+		window := opts.DiskParams.CycleTime(opts.ClusterSize-1, units.MPEG1)
 		slots = opts.DiskParams.TrackBudget(window)
 	}
 	r := (slots*opts.K + opts.Disks - 1) / opts.Disks
@@ -263,7 +250,7 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 	if s.draining {
 		return 0, 0, ErrDraining
 	}
-	obj, cost, err := s.cat.Ensure(id, s.opts.Rate)
+	obj, cost, err := s.cat.Ensure(id, units.MPEG1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -569,7 +556,7 @@ func (s *Server) stepRebuild() error {
 	}
 	if _, err := s.rebuilder.Step(s.rebuildBudget); err != nil {
 		s.rebuilder = nil
-		s.opts.Metrics.Counter("rebuild_aborted").Inc()
+		s.metrics.Counter("rebuild_aborted").Inc()
 		s.logDrive(RebuildAbandoned, s.rebuildDrive, err)
 		return nil
 	}
@@ -624,11 +611,12 @@ func (s *Server) Stats() Stats {
 // StagingTime returns the cumulative simulated tertiary latency.
 func (s *Server) StagingTime() time.Duration { return s.staging }
 
-// Metrics returns the engine's instrument registry.
-func (s *Server) Metrics() *metrics.Registry { return s.opts.Metrics }
+// Metrics returns the server's instrument registry, the engine's
+// instruments included.
+func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
 // MetricsSnapshot returns a point-in-time copy of every instrument.
-func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.opts.Metrics.Snapshot() }
+func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.metrics.Snapshot() }
 
 // BufferPeakBytes converts the engine's peak buffer occupancy to bytes.
 func (s *Server) BufferPeakBytes() units.ByteSize {
@@ -645,8 +633,8 @@ func (s *Server) CycleTime() time.Duration { return s.engine.CycleTime() }
 // stay C wide.
 func (s *Server) GroupWidth() int { return s.cat.Layout().GroupWidth() }
 
-// Rate returns the uniform object bandwidth b0 streams play at.
-func (s *Server) Rate() units.Rate { return s.opts.Rate }
+// Rate returns the uniform object bandwidth b0 streams play at: MPEG-1.
+func (s *Server) Rate() units.Rate { return units.MPEG1 }
 
 // NewLayout returns the layout the scheme places objects with: parity
 // groups of clusterSize, dedicated (SR, SG, NC), intermixed (IB), or
