@@ -17,35 +17,26 @@ import (
 	"sort"
 )
 
-// ErrExhausted is returned when a pool or server allocation cannot be
+// ErrExhausted is returned when a buffer-server attach cannot be
 // satisfied; at the system level this is the paper's degradation of
 // service.
 var ErrExhausted = errors.New("buffer: exhausted")
 
-// Pool is a track-granularity buffer pool. A capacity of 0 means
-// unbounded (useful for measuring how much a workload would need).
+// Pool is a track-granularity buffer count: the tracks an engine holds
+// and their high-water mark, which is what a workload would need. It is
+// unbounded; it refuses only an accounting fault.
 type Pool struct {
-	capacity int
-	inUse    int
-	peak     int
+	inUse int
+	peak  int
 }
 
-// NewPool creates a pool with the given capacity in tracks; 0 means
-// unbounded.
-func NewPool(capacityTracks int) (*Pool, error) {
-	if capacityTracks < 0 {
-		return nil, fmt.Errorf("buffer: negative capacity %d", capacityTracks)
-	}
-	return &Pool{capacity: capacityTracks}, nil
-}
+// NewPool creates an empty pool.
+func NewPool() *Pool { return &Pool{} }
 
 // Acquire takes n tracks from the pool.
 func (p *Pool) Acquire(n int) error {
 	if n < 0 {
 		return fmt.Errorf("buffer: negative acquire %d", n)
-	}
-	if p.capacity > 0 && p.inUse+n > p.capacity {
-		return fmt.Errorf("%w: need %d tracks, %d of %d in use", ErrExhausted, n, p.inUse, p.capacity)
 	}
 	p.inUse += n
 	if p.inUse > p.peak {
@@ -69,23 +60,8 @@ func (p *Pool) Release(n int) error {
 // InUse returns the tracks currently held.
 func (p *Pool) InUse() int { return p.inUse }
 
-// Peak returns the high-water mark of InUse since creation (or the last
-// ResetPeak).
+// Peak returns the high-water mark of InUse since creation.
 func (p *Pool) Peak() int { return p.peak }
-
-// ResetPeak sets the high-water mark to the current usage.
-func (p *Pool) ResetPeak() { p.peak = p.inUse }
-
-// Capacity returns the pool capacity (0 = unbounded).
-func (p *Pool) Capacity() int { return p.capacity }
-
-// Available returns the free tracks, or -1 for an unbounded pool.
-func (p *Pool) Available() int {
-	if p.capacity == 0 {
-		return -1
-	}
-	return p.capacity - p.inUse
-}
 
 // Servers models the Non-clustered scheme's shared buffer-server pool: K
 // servers, each able to carry exactly one cluster operating in degraded

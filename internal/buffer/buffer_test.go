@@ -7,18 +7,12 @@ import (
 )
 
 func TestPoolBasics(t *testing.T) {
-	p, err := NewPool(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPool()
 	if err := p.Acquire(7); err != nil {
 		t.Fatal(err)
 	}
-	if p.InUse() != 7 || p.Available() != 3 || p.Capacity() != 10 {
-		t.Fatalf("state = %d/%d/%d", p.InUse(), p.Available(), p.Capacity())
-	}
-	if err := p.Acquire(4); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("over-acquire: %v", err)
+	if p.InUse() != 7 {
+		t.Fatalf("in use = %d, want 7", p.InUse())
 	}
 	if err := p.Release(5); err != nil {
 		t.Fatal(err)
@@ -26,20 +20,13 @@ func TestPoolBasics(t *testing.T) {
 	if err := p.Acquire(4); err != nil {
 		t.Fatal(err)
 	}
-	if p.Peak() != 7 {
-		t.Fatalf("peak = %d, want 7", p.Peak())
-	}
-	p.ResetPeak()
-	if p.Peak() != 6 {
-		t.Fatalf("peak after reset = %d, want 6 (current)", p.Peak())
+	if p.InUse() != 6 || p.Peak() != 7 {
+		t.Fatalf("in use %d, peak %d, want 6 and 7", p.InUse(), p.Peak())
 	}
 }
 
 func TestPoolErrors(t *testing.T) {
-	if _, err := NewPool(-1); err == nil {
-		t.Error("negative capacity accepted")
-	}
-	p, _ := NewPool(10)
+	p := NewPool()
 	if err := p.Acquire(-1); err == nil {
 		t.Error("negative acquire accepted")
 	}
@@ -52,12 +39,9 @@ func TestPoolErrors(t *testing.T) {
 }
 
 func TestUnboundedPool(t *testing.T) {
-	p, _ := NewPool(0)
+	p := NewPool()
 	if err := p.Acquire(1_000_000); err != nil {
 		t.Fatal(err)
-	}
-	if p.Available() != -1 {
-		t.Fatalf("unbounded Available = %d, want -1", p.Available())
 	}
 	if p.Peak() != 1_000_000 {
 		t.Fatalf("peak = %d", p.Peak())
@@ -67,7 +51,7 @@ func TestUnboundedPool(t *testing.T) {
 // Property: peak is monotone non-decreasing and >= in-use at all times.
 func TestPoolPeakProperty(t *testing.T) {
 	f := func(ops []int8) bool {
-		p, _ := NewPool(0)
+		p := NewPool()
 		peakSeen := 0
 		for _, op := range ops {
 			n := int(op)

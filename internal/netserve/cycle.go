@@ -32,10 +32,7 @@ func (ns *NetServer) paceLoop() {
 			return
 		}
 		restart = false
-		ns.stepMu.Lock()
-		err := ns.step(&tick)
-		ns.stepMu.Unlock()
-		if err != nil {
+		if err := ns.step(&tick); err != nil {
 			ns.logf("netserve: step: %v", err)
 			return
 		}
@@ -58,7 +55,7 @@ type cycleRecord struct {
 	Sessions int   `json:"sessions"`
 }
 
-// recordCycle files a paced cycle, the caller holding stepMu: on the
+// recordCycle files a paced cycle, the caller holding mu: on the
 // /cyclez ring and, when the clock keeps deadlines, in cycle_slack_us
 // and cycle_overruns. A late episode — cycles overrunning, or a release
 // late enough to move the grid — logs its first overrun and its first
@@ -89,15 +86,15 @@ func (ns *NetServer) recordCycle(cycle int, tick Tick, step, stage time.Duration
 		StepUs:   step.Microseconds(),
 		StageUs:  stage.Microseconds(),
 		SlackUs:  slack.Microseconds(),
-		Sessions: ns.sessions.len(),
+		Sessions: len(ns.sessions),
 	}
 	ns.cycleN++
 }
 
 // recentCycles returns the /cyclez ring, oldest cycle first.
 func (ns *NetServer) recentCycles() []cycleRecord {
-	ns.stepMu.Lock()
-	defer ns.stepMu.Unlock()
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
 	n := min(ns.cycleN, cycleRingLen)
 	out := make([]cycleRecord, 0, n)
 	for i := ns.cycleN - n; i < ns.cycleN; i++ {
@@ -118,34 +115,29 @@ func (ns *NetServer) recentCycles() []cycleRecord {
 // the drive Restoring until the next one. A scheduled fault, in
 // contrast, still waits for service.
 func (ns *NetServer) idleLocked() bool {
-	return ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0 &&
+	return len(ns.sessions) == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0 &&
 		ns.srv.RebuildRemaining() == 0
 }
 
-// StepCycle runs one transmission cycle on the caller's goroutine. Under
-// the engine lock it applies due scheduled faults and steps the engine
-// (the read/XOR phase); outside it, it logs the cycle's drive log and
-// stages the cycle's deliveries,
-// hiccups, and completions into the sessions' send queues. The report
-// expires at the next Step, and staging has retained every made track
-// it ships by then (a read track is an immutable platter view and needs
-// no hold); the socket flush overlaps that Step on the writers.
+// StepCycle runs one transmission cycle on the caller's goroutine,
+// under the node's one lock: it flushes due admission batches, applies
+// due scheduled faults, steps the engine (the read/XOR phase), logs the
+// cycle's drive log and stages the cycle's deliveries, hiccups, and
+// completions into the sessions' send queues. The report expires at the
+// next Step, and staging has retained every made track it ships by then
+// (a read track is an immutable platter view and needs no hold); the
+// socket flush overlaps that Step on the writers.
 //
 // In manual mode (no Clock) this is the only way cycles happen; with a
 // Clock it also serves as a test hook.
-func (ns *NetServer) StepCycle() error {
-	ns.stepMu.Lock()
-	defer ns.stepMu.Unlock()
-	return ns.step(nil)
-}
+func (ns *NetServer) StepCycle() error { return ns.step(nil) }
 
-// step is StepCycle's cycle, run under stepMu. The pacer passes the
-// cycle's tick, and the cycle is recorded (recordCycle) once its work
-// is done.
+// step is StepCycle's cycle. The pacer passes the cycle's tick, and the
+// cycle is recorded (recordCycle) once its work is done.
 func (ns *NetServer) step(tick *Tick) error {
 	ns.mu.Lock()
+	defer ns.mu.Unlock()
 	if ns.closed {
-		ns.mu.Unlock()
 		return nil
 	}
 	cycle := ns.srv.Engine().Cycle()
@@ -165,14 +157,10 @@ func (ns *NetServer) step(tick *Tick) error {
 	start := time.Now()
 	rep, err := ns.srv.Step()
 	if err != nil {
-		ns.mu.Unlock()
 		return err
 	}
 	stepDur := time.Since(start)
-	// The log stays valid until the next Step, which needs stepMu.
-	driveLog := ns.srv.DriveLog()
-	ns.mu.Unlock()
-	for _, e := range driveLog {
+	for _, e := range ns.srv.DriveLog() {
 		ns.logf("netserve: node=%s cycle=%d: %v", ns.opts.NodeID, e.Cycle, e)
 	}
 
@@ -190,9 +178,7 @@ func (ns *NetServer) step(tick *Tick) error {
 		ns.phaseStage.Observe(stageDur.Microseconds())
 	}
 	// Sessions may have finished or shed this cycle.
-	ns.mu.Lock()
 	ns.checkDrainedLocked()
-	ns.mu.Unlock()
 	if tick != nil {
 		ns.recordCycle(rep.Cycle, *tick, stepDur, stageDur)
 	}
@@ -210,13 +196,13 @@ func (ns *NetServer) stage(rep *sched.CycleReport) {
 		for j < len(rep.Delivered) && rep.Delivered[j].StreamID == id {
 			j++
 		}
-		if sess := ns.sessions.get(id); sess != nil {
+		if sess := ns.sessions[id]; sess != nil {
 			ns.stageRun(sess, rep.Delivered[i:j])
 		}
 		i = j
 	}
 	for _, h := range rep.Hiccups {
-		if sess := ns.sessions.get(h.StreamID); sess != nil {
+		if sess := ns.sessions[h.StreamID]; sess != nil {
 			ns.stageCtrl(sess, mustCtrlFrame(frameHiccup, HiccupNote{Track: h.Track, Reason: h.Reason}))
 			ns.hiccupsSent.Inc()
 		}
@@ -275,20 +261,17 @@ func (ns *NetServer) beginDrainLocked() {
 // drain would wait on it forever. Its position is lost — a client that
 // wants to continue resumes on another node (or re-admits later).
 func (ns *NetServer) expelPausedLocked() {
-	var expelled []*session
-	ns.sessions.forEach(func(sess *session) {
-		if sess.paused {
-			expelled = append(expelled, sess)
-		}
-	})
-	for _, sess := range expelled {
-		if !ns.sessions.remove(sess) {
+	expelled := 0
+	for id, sess := range ns.sessions {
+		if !sess.paused {
 			continue
 		}
+		delete(ns.sessions, id)
 		ns.sendCtrl(sess, byeShutdown)
 		sess.closeQueue()
+		expelled++
 	}
-	if len(expelled) > 0 {
+	if expelled > 0 {
 		ns.gaugeSessions()
 		ns.gaugePaused()
 	}
@@ -332,7 +315,7 @@ func (ns *NetServer) checkDrainedLocked() {
 	if !ns.draining {
 		return
 	}
-	if ns.sessions.len() == 0 && ns.srv.Engine().Active() == 0 {
+	if len(ns.sessions) == 0 && ns.srv.Engine().Active() == 0 {
 		select {
 		case <-ns.drained:
 		default:

@@ -71,7 +71,7 @@ func (ns *NetServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Cycle:      ns.srv.Engine().Cycle(),
 		CycleNanos: ns.cycleTime.Nanoseconds(),
 		Burst:      ns.burst,
-		Sessions:   ns.sessions.len(),
+		Sessions:   len(ns.sessions),
 		Active:     ns.srv.Engine().Active(),
 		Draining:   ns.draining,
 		TrackSize:  ns.trackSize,

@@ -25,7 +25,7 @@ const (
 // Options configures a NetServer.
 type Options struct {
 	// Server is the cycle-engine back end. NetServer serializes all
-	// access to it behind one mutex — server.Server itself, and the
+	// access to it behind its one lock — server.Server itself, and the
 	// farm and buffer pool it owns, are not concurrency-safe.
 	Server *server.Server
 	// NodeID names this node in a cluster. It rides in ADMIT-OK and on
@@ -83,11 +83,6 @@ type NetServer struct {
 	trackSize  int
 	groupWidth int
 
-	// sessions has its own lock so admission, teardown from reader/writer
-	// goroutines, and the HTTP surface do not serialize on the engine
-	// lock.
-	sessions sessionTable
-
 	// burstPool recycles burst containers; sharedPool recycles run
 	// containers (each carries its own reusable TRACK-header slab).
 	// Together with payloads shipped by reference (platter views, and
@@ -96,14 +91,18 @@ type NetServer struct {
 	burstPool  sync.Pool
 	sharedPool sync.Pool
 
-	// mu is the engine lock, shrunk to control-plane work: it guards
-	// srv (admit/cancel/step), the scheduled faults, view, drain state,
-	// VCR session state (paused/rate/resumeTrack) and the batch table.
-	// Delivery staging runs outside it, under stepMu.
+	// mu is the node's one lock. A cycle holds it from the due batches
+	// and faults through Step, staging and the /cyclez record; admission,
+	// teardown, the VCR verbs and the HTTP surface take it between
+	// cycles. It guards srv, the fields from here to the pacer's record,
+	// and each session's VCR state, staged burst and queue state.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	faults []faultAt
 	view   *cluster.View
+	// sessions maps stream ID to session, one entry per admitted
+	// session; a resumed session's entry moves to its new stream's ID.
+	sessions map[int]*session
 	// batches parks flash-crowd ADMITs per title until their window
 	// closes (Options.BatchCycles).
 	batches map[string]*titleBatch
@@ -114,11 +113,6 @@ type NetServer struct {
 	drained  chan struct{}
 	closed   bool
 
-	// stepMu serializes cycle drivers (the pacer, tests, the chaos
-	// harness) and VCR verbs, and guards the staging state below. Staging
-	// runs under it but outside mu, so HELLO/ADMIT only ever queue behind
-	// the engine's read phase. Lock order: stepMu before mu.
-	stepMu sync.Mutex
 	// shared maps a run's first payload address to its staged frames
 	// within the cycle being staged: sessions whose delivered run is the
 	// same payloads (lockstep viewers of one title read the platter's one
@@ -143,9 +137,9 @@ type NetServer struct {
 	cycleSlack    *metrics.Histogram
 	cycleOverruns *metrics.Counter
 
-	// The pacer's record, guarded by stepMu: the /cyclez ring of the last
-	// paced cycles (cycleN counts every record ever written), and whether
-	// the current late episode has logged its overrun and its grid move.
+	// The pacer's record: the /cyclez ring of the last paced cycles
+	// (cycleN counts every record ever written), and whether the current
+	// late episode has logged its overrun and its grid move.
 	cycles                    [cycleRingLen]cycleRecord
 	cycleN                    int
 	loggedOverrun, loggedMove bool
@@ -194,7 +188,7 @@ func New(opts Options) (*NetServer, error) {
 		burst:      burstN,
 		trackSize:  trackSize,
 		groupWidth: srv.GroupWidth(),
-		sessions:   sessionTable{m: make(map[int]*session)},
+		sessions:   make(map[int]*session),
 		hbConns:    make(map[net.Conn]struct{}),
 		batches:    make(map[string]*titleBatch),
 		shared:     make(map[*byte]*sharedFrames),
@@ -239,7 +233,11 @@ func (ns *NetServer) CycleTime() time.Duration { return ns.cycleTime }
 func (ns *NetServer) Burst() int { return ns.burst }
 
 // Sessions returns the number of connected, admitted sessions.
-func (ns *NetServer) Sessions() int { return ns.sessions.len() }
+func (ns *NetServer) Sessions() int {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return len(ns.sessions)
+}
 
 // PendingStarts reports connections parked in flash-crowd admission
 // batches, waiting for their title's window to flush at a cycle
@@ -303,8 +301,9 @@ func (ns *NetServer) heartbeatConn(conn net.Conn, payload []byte) {
 			return
 		}
 		ns.SetView(&v)
-		ack := ViewAck{NodeID: ns.opts.NodeID, Sessions: ns.Sessions()}
+		ack := ViewAck{NodeID: ns.opts.NodeID}
 		ns.mu.Lock()
+		ack.Sessions = len(ns.sessions)
 		ack.Active = ns.srv.Engine().Active()
 		if ns.view != nil {
 			ack.View = ns.view.Number
@@ -366,9 +365,12 @@ func (ns *NetServer) Close() error {
 		conn.Close()
 		delete(ns.hbConns, conn)
 	}
-	ns.mu.Unlock()
-	ns.sessions.drainAll(func(sess *session) { sess.kill() })
+	for id, sess := range ns.sessions {
+		delete(ns.sessions, id)
+		sess.kill()
+	}
 	ns.gaugeSessions()
+	ns.mu.Unlock()
 	ns.cond.Broadcast()
 	ns.wg.Wait()
 	return err

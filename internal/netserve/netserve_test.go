@@ -167,12 +167,20 @@ func verifyBitExact(t *testing.T, r *loopRig, title string, res *clientResult) {
 	}
 }
 
+// session reads the session table's entry for a stream under the
+// node's lock.
+func (ns *NetServer) session(id int) *session {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.sessions[id]
+}
+
 // waitQueueDrained blocks until the stream's send queue is empty (its
 // writer has handed every pending burst to the kernel) or the session
 // is gone.
 func (r *loopRig) waitQueueDrained(streamID int) {
 	for i := 0; i < 5000; i++ {
-		sess := r.ns.sessions.get(streamID)
+		sess := r.ns.session(streamID)
 		if sess == nil || len(sess.sendq) == 0 {
 			return
 		}
@@ -422,7 +430,7 @@ func TestWriteStallTimeout(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if r.ns.sessions.get(sOK.StreamID) != nil {
+	if r.ns.session(sOK.StreamID) != nil {
 		t.Error("stalled session still registered after its write timed out")
 	}
 	r.stepUntilIdle(t, 200)

@@ -26,13 +26,17 @@
 // schemes (Staggered-group, Non-clustered) one track per transmission
 // cycle.
 //
-// A NetServer is its server.Server's owner: the pacer, the session
-// handlers and the HTTP surface make every call into it under the
-// NetServer's engine lock, so the disk farm and the buffer accounting
-// behind it, which take no lock of their own, see one goroutine at a
-// time. What leaves the lock is bytes: a cycle's platter views and made
-// tracks reach the per-session writers through their send queues, and
-// the writers give made tracks back through the arena, which locks.
+// A NetServer is its server.Server's owner, and has one lock. A cycle
+// holds it from start to end: the due admission batches and faults, the
+// engine's Step, the drive log, staging every session's burst and the
+// /cyclez record. Admission, teardown, the VCR verbs and the HTTP
+// surface take it between cycles, so the disk farm and the buffer
+// accounting, which take no lock of their own, and the session table
+// and send queues see one goroutine at a time. What leaves the lock is
+// bytes: a cycle's platter views and made tracks reach the per-session
+// writers through their send queues, and the writers give them back
+// through the shared runs' atomic holder counts and the arena, which
+// locks; a writer takes the lock only to drop its session.
 package netserve
 
 import (

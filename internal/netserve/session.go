@@ -10,77 +10,6 @@ import (
 	"ftmm/internal/server"
 )
 
-// sessionTable is the stream-ID → session map, one entry per session.
-// A resumed session's entry moves to its new stream's ID (rekey).
-type sessionTable struct {
-	mu sync.RWMutex
-	m  map[int]*session
-}
-
-func (t *sessionTable) get(id int) *session {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.m[id]
-}
-
-// put registers a newly admitted session under its stream ID.
-func (t *sessionTable) put(sess *session) {
-	t.mu.Lock()
-	t.m[sess.id] = sess
-	t.mu.Unlock()
-}
-
-// rekey moves a registered session's entry to the stream ID id, which
-// becomes sess.id. The caller holds stepMu and mu, so no stage call is
-// looking the session up under its old ID and no teardown can race the
-// move.
-func (t *sessionTable) rekey(sess *session, id int) {
-	t.mu.Lock()
-	delete(t.m, sess.id)
-	sess.id = id
-	t.m[id] = sess
-	t.mu.Unlock()
-}
-
-// remove unregisters the session, reporting whether this call was the
-// one that removed it (teardown can race from reader, writer, and cycle
-// loop; exactly one caller wins and does the back-end cancel).
-func (t *sessionTable) remove(sess *session) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.m[sess.id] != sess {
-		return false
-	}
-	delete(t.m, sess.id)
-	return true
-}
-
-// forEach visits every registered session. Callers must not re-enter
-// the table from f.
-func (t *sessionTable) forEach(f func(*session)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, sess := range t.m {
-		f(sess)
-	}
-}
-
-func (t *sessionTable) len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
-}
-
-// drainAll empties the table, invoking f on each removed entry's session.
-func (t *sessionTable) drainAll(f func(*session)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, sess := range t.m {
-		delete(t.m, id)
-		f(sess)
-	}
-}
-
 // session is one admitted client connection.
 type session struct {
 	id    int
@@ -98,9 +27,9 @@ type session struct {
 	done chan struct{}
 	once sync.Once
 
-	// sendMu orders enqueue against kill: once dead is observed no new
-	// burst can enter sendq, so the writer's final drain is complete.
-	sendMu   sync.Mutex
+	// dead and finished are guarded by ns.mu, as every enqueue is: once
+	// kill sets dead no new burst can enter sendq, so the writer's final
+	// drain is complete.
 	dead     bool
 	finished bool
 
@@ -143,21 +72,19 @@ func (s *session) abort() {
 	})
 }
 
-// kill marks the session dead (no further enqueues) and aborts it.
+// kill marks the session dead (no further enqueues) and aborts it. The
+// caller holds ns.mu.
 func (s *session) kill() {
-	s.sendMu.Lock()
 	s.dead = true
-	s.sendMu.Unlock()
 	s.abort()
 }
 
 // enqueue hands a burst to the writer without blocking. queued=false
 // with overflow=true means the queue is full (shed the session);
 // queued=false with overflow=false means the session is already dead or
-// finished and the caller should just release the burst.
+// finished and the caller should just release the burst. The caller
+// holds ns.mu.
 func (s *session) enqueue(b *burst) (queued, overflow bool) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
 	if s.dead || s.finished {
 		return false, false
 	}
@@ -171,16 +98,13 @@ func (s *session) enqueue(b *burst) (queued, overflow bool) {
 
 // closeQueue ends the graceful-finish path: after the final burst is
 // enqueued the queue closes, the writer flushes and hangs up. Dead
-// sessions skip the close — their writer exits via done and drains.
+// sessions skip the close — their writer exits via done and drains. The
+// caller holds ns.mu.
 func (s *session) closeQueue() {
-	s.sendMu.Lock()
 	if !s.dead && !s.finished {
-		s.finished = true
 		close(s.sendq)
-	} else {
-		s.finished = true
 	}
-	s.sendMu.Unlock()
+	s.finished = true
 }
 
 // ---- accept / per-connection handling ----
@@ -320,7 +244,7 @@ func (ns *NetServer) handleConn(conn net.Conn) {
 // ADMIT-OK, VCR replies and a drain's BYE ride the session's ordered send
 // queue rather than racing the writer on the socket. Overflow just drops
 // the frame (the session is SendQueue cycles behind; its data bursts will
-// shed it).
+// shed it). The caller holds mu.
 func (ns *NetServer) sendCtrl(sess *session, frame []byte) {
 	b := ns.newBurst()
 	b.ctrls = append(b.ctrls, frame)
@@ -379,8 +303,8 @@ func (ns *NetServer) admitBatched(conn net.Conn, title string) (*session, Reject
 	case <-ns.stop:
 		select {
 		case <-w.done:
-			// The flush raced shutdown and won; use its answer (a live
-			// session here is torn down by Close's drainAll momentarily).
+			// The flush raced shutdown and won; use its answer (Close
+			// tears a live session here down momentarily).
 			return w.sess, w.reject
 		default:
 			return nil, Reject{Reason: "shutdown"}
@@ -446,7 +370,7 @@ func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*
 		return nil, Reject{Reason: "internal: " + err.Error()}
 	}
 	ns.sendCtrl(sess, ok)
-	ns.sessions.put(sess)
+	ns.sessions[id] = sess
 	ns.srv.Metrics().Counter("net_admits").Inc()
 	ns.gaugeSessions()
 	ns.cond.Broadcast()
@@ -482,8 +406,9 @@ func (ns *NetServer) shedLocked(sess *session) {
 // cycle loop; it reports whether this call was the one that removed the
 // session (and so cancelled its stream).
 func (ns *NetServer) teardownLocked(sess *session) bool {
-	removed := ns.sessions.remove(sess)
+	removed := ns.sessions[sess.id] == sess
 	if removed {
+		delete(ns.sessions, sess.id)
 		_ = ns.srv.Cancel(sess.id)
 		ns.gaugeSessions()
 		if sess.paused {
@@ -495,18 +420,20 @@ func (ns *NetServer) teardownLocked(sess *session) bool {
 	return removed
 }
 
+// gaugeSessions sets net_sessions_active to the table's length. The
+// caller holds mu, so the gauge and the table move together.
 func (ns *NetServer) gaugeSessions() {
-	ns.srv.Metrics().Gauge("net_sessions_active").Set(int64(ns.sessions.len()))
+	ns.srv.Metrics().Gauge("net_sessions_active").Set(int64(len(ns.sessions)))
 }
 
 // gaugePaused sets net_sessions_paused to the registered sessions parked
 // by PAUSE. The caller holds mu, which guards sess.paused.
 func (ns *NetServer) gaugePaused() {
 	n := 0
-	ns.sessions.forEach(func(sess *session) {
+	for _, sess := range ns.sessions {
 		if sess.paused {
 			n++
 		}
-	})
+	}
 	ns.srv.Metrics().Gauge("net_sessions_paused").Set(int64(n))
 }

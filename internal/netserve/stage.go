@@ -182,8 +182,7 @@ func (ns *NetServer) stageCtrl(sess *session, frame []byte) {
 }
 
 // flushStaged hands the session's staged burst to its writer. Overflow
-// sheds the session; a dead session's burst is simply released. Runs
-// outside the engine lock — only the shed path takes it.
+// sheds the session; a dead session's burst is simply released.
 func (ns *NetServer) flushStaged(sess *session) {
 	b := sess.cur
 	if b == nil {
@@ -206,9 +205,7 @@ func (ns *NetServer) flushStaged(sess *session) {
 		ns.bytesSent.Add(int64(nbytes))
 	case overflow:
 		ns.releaseBurst(b)
-		ns.mu.Lock()
 		ns.shedLocked(sess)
-		ns.mu.Unlock()
 	default:
 		ns.releaseBurst(b)
 	}
@@ -235,12 +232,12 @@ func mustCtrlFrame(typ byte, v any) []byte {
 // final burst, the session is unregistered, and its queue closes behind
 // that burst so the writer flushes everything and hangs up.
 func (ns *NetServer) stageFinish(id int, bye []byte) {
-	sess := ns.sessions.get(id)
+	sess := ns.sessions[id]
 	if sess == nil {
 		return
 	}
 	ns.stageCtrl(sess, bye)
-	ns.sessions.remove(sess)
+	delete(ns.sessions, id)
 	ns.gaugeSessions()
 	ns.flushStaged(sess)
 	sess.closeQueue()

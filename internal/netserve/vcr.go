@@ -15,18 +15,16 @@ func (ns *NetServer) vcrRejectCtrl(err error) []byte {
 }
 
 // vcr runs one VCR verb between cycles and queues its reply. It takes
-// stepMu then mu, so no cycle is stepping or staging while the verb
-// moves the session's stream: every track from the old position is
-// queued before the reply, and every track after it starts at the
-// reply's NextTrack. A verb on a closed server, or on a session that has
-// left the table (finished, shed, dropped, expelled by a drain), does
-// nothing; a verb that returns nil sends no reply.
+// mu, which a cycle holds through its staging, so no cycle is stepping
+// or staging while the verb moves the session's stream: every track from
+// the old position is queued before the reply, and every track after it
+// starts at the reply's NextTrack. A verb on a closed server, or on a
+// session that has left the table (finished, shed, dropped, expelled by
+// a drain), does nothing; a verb that returns nil sends no reply.
 func (ns *NetServer) vcr(sess *session, verb func() []byte) {
-	ns.stepMu.Lock()
-	defer ns.stepMu.Unlock()
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.closed || ns.sessions.get(sess.id) != sess {
+	if ns.closed || ns.sessions[sess.id] != sess {
 		return
 	}
 	reply := verb()
@@ -88,7 +86,9 @@ func (ns *NetServer) resumeSessionLocked(sess *session, verb string, track, rate
 		ns.srv.Metrics().Counter("net_vcr_rejects").Inc()
 		return ns.vcrRejectCtrl(err)
 	}
-	ns.sessions.rekey(sess, id)
+	delete(ns.sessions, sess.id)
+	sess.id = id
+	ns.sessions[id] = sess
 	sess.paused = false
 	sess.rate = rate
 	sess.resumeTrack = 0

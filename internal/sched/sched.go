@@ -35,9 +35,6 @@ func NewSlots(disks, perDisk int) (*Slots, error) {
 	return &Slots{perDisk: perDisk, used: make([]int, disks)}, nil
 }
 
-// PerDisk returns the per-disk budget.
-func (s *Slots) PerDisk() int { return s.perDisk }
-
 // Disks returns the number of disks budgeted.
 func (s *Slots) Disks() int { return len(s.used) }
 

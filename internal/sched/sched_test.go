@@ -46,8 +46,8 @@ func TestSlotsTakePutFree(t *testing.T) {
 	if s.Used(0) != 0 || s.Used(1) != 0 {
 		t.Fatal("Reset incomplete")
 	}
-	if s.PerDisk() != 2 {
-		t.Fatal("PerDisk")
+	if s.Free(0) != 2 || s.Free(1) != 2 {
+		t.Fatal("Reset did not restore the per-disk budget")
 	}
 }
 

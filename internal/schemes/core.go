@@ -91,7 +91,7 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 	return engineCore{
 		cfg:          cfg,
 		slotsPerDisk: perDisk,
-		pool:         newPool(),
+		pool:         buffer.NewPool(),
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
 		rec:          sched.NewRecorder(cfg.Metrics),
 		load:         make([]int, cfg.Farm.Size()),

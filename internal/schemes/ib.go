@@ -32,8 +32,6 @@ type ImprovedBandwidth struct {
 	// midFail, when >= 0, is a drive that fails midway through the next
 	// cycle's reads.
 	midFail int
-	// terminations counts degradation-of-service stream kills.
-	terminations int
 
 	// Per-Step scratch, reset rather than reallocated each Step:
 	// groups[:n] are this cycle's group reads (the records past n, and
@@ -90,9 +88,6 @@ func NewImprovedBandwidth(cfg Config, reserve int) (*ImprovedBandwidth, error) {
 
 // Name implements Simulator.
 func (e *ImprovedBandwidth) Name() string { return "Improved-bandwidth" }
-
-// Terminations counts streams killed by degradation of service.
-func (e *ImprovedBandwidth) Terminations() int { return e.terminations }
 
 // FailDiskMidCycle schedules the drive to fail halfway through the next
 // cycle's reads: tracks it had already read are fine, the rest hiccup
@@ -372,7 +367,6 @@ func (e *ImprovedBandwidth) terminate(s *groupStream) error {
 		return nil
 	}
 	s.Terminated = true
-	e.terminations++
 	e.rep.Terminated = append(e.rep.Terminated, s.ID)
 	err := e.releaseGroups(s.delivering, s.staged)
 	s.delivering, s.staged = nil, nil

@@ -4,7 +4,18 @@ import (
 	"testing"
 
 	"ftmm/internal/layout"
+	"ftmm/internal/sched"
 )
+
+// terminated counts the streams the reports list as terminated: the
+// paper's degradation of service.
+func terminated(reports []*sched.CycleReport) int {
+	n := 0
+	for _, rep := range reports {
+		n += len(rep.Terminated)
+	}
+	return n
+}
 
 func TestIBConstructorValidation(t *testing.T) {
 	r := newRig(t, 15, 5, 1, 6, layout.IntermixedParity)
@@ -50,7 +61,7 @@ func TestIBNormalModeNoParityBandwidth(t *testing.T) {
 	for i, id := range ids {
 		verifyStream(t, r, r.object(t, i), deliveries[id], nil)
 	}
-	if e.Terminations() != 0 {
+	if terminated(reports) != 0 {
 		t.Error("terminations in normal mode")
 	}
 }
@@ -103,7 +114,7 @@ func TestIBBoundaryFailureMasked(t *testing.T) {
 		if parity == 0 {
 			t.Errorf("drive %d: failure masked without parity reads?", failed)
 		}
-		if e.Terminations() != 0 {
+		if terminated(reports) != 0 {
 			t.Errorf("drive %d: terminations despite reserve", failed)
 		}
 	}
@@ -125,14 +136,14 @@ func TestIBMidCycleFailureSingleHiccup(t *testing.T) {
 	if err := e.FailDiskMidCycle(7); err != nil {
 		t.Fatal(err)
 	}
-	deliveries, hiccups, _ := runToCompletion(t, e, 100)
+	deliveries, hiccups, reports := runToCompletion(t, e, 100)
 	if len(hiccups) != 1 {
 		t.Fatalf("hiccups = %v, want exactly 1", hiccups)
 	}
 	lost := map[int]bool{hiccups[0].Track: true}
 	all := merge(early, deliveries)
 	verifyStream(t, r, r.object(t, 0), all[id], lost)
-	if e.Terminations() != 0 {
+	if terminated(reports) != 0 {
 		t.Error("mid-cycle hiccup should not terminate the stream")
 	}
 }
@@ -187,8 +198,8 @@ func TestIBReservePreventsDegradation(t *testing.T) {
 		if err := e.FailDisk(0); err != nil {
 			t.Fatal(err)
 		}
-		_, h, _ := runToCompletion(t, e, 100)
-		return len(h), e.Terminations()
+		_, h, reports := runToCompletion(t, e, 100)
+		return len(h), terminated(reports)
 	}
 
 	// No reserve, one slot per drive: the farm is saturated.
@@ -225,8 +236,8 @@ func TestIBShiftPropagatesRight(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliveries, hiccups, reports := runToCompletion(t, e, 100)
-	if len(hiccups) != 0 || e.Terminations() != 0 {
-		t.Fatalf("hiccups=%d terminations=%d, want 0,0", len(hiccups), e.Terminations())
+	if len(hiccups) != 0 || terminated(reports) != 0 {
+		t.Fatalf("hiccups=%d terminations=%d, want 0,0", len(hiccups), terminated(reports))
 	}
 	for i, id := range ids {
 		verifyStream(t, r, r.object(t, i), deliveries[id], nil)

@@ -95,7 +95,7 @@ func TestNCTwoClustersDegraded(t *testing.T) {
 	if !e.ClusterDegraded(0) || !e.ClusterDegraded(1) {
 		t.Fatal("clusters not degraded")
 	}
-	if e.Degradations() != 0 {
+	if e.clusters[0].mode == ncUnprotected || e.clusters[1].mode == ncUnprotected {
 		t.Fatal("two servers should cover two clusters")
 	}
 	_, hiccups, _ := runToCompletion(t, e, 400)

@@ -163,8 +163,6 @@ type NonClustered struct {
 	clusters []ncCluster
 	// failedAt is, per drive, the cycle its last failure took effect.
 	failedAt []int
-	// degradations counts failures that found no free buffer server.
-	degradations int
 }
 
 // NewNonClustered builds the engine with K shared buffer servers.
@@ -206,10 +204,6 @@ func (e *NonClustered) Active() int { return activeCount(e.streams) }
 func (e *NonClustered) StreamProgress(id int) (next, total int, ok bool) {
 	return streamProgress(e.streams, id)
 }
-
-// Degradations counts data-disk failures that found every buffer server
-// busy (the paper's degradation-of-service events).
-func (e *NonClustered) Degradations() int { return e.degradations }
 
 // ClusterDegraded reports whether the cluster is running degraded.
 func (e *NonClustered) ClusterDegraded(cl int) bool {
@@ -372,7 +366,6 @@ func (e *NonClustered) FailDisk(id int) error {
 	st.mode = ncDegraded
 	if err := e.servers.Attach(cl); errors.Is(err, buffer.ErrExhausted) {
 		st.mode = ncUnprotected
-		e.degradations++
 	} else if err != nil {
 		return err
 	}

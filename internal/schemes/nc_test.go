@@ -225,7 +225,7 @@ func TestNCFigure6SimpleSwitchover(t *testing.T) {
 			}
 		}
 	}
-	if e.Degradations() != 0 {
+	if e.clusters[0].mode == ncUnprotected {
 		t.Error("unexpected degradation")
 	}
 }
@@ -453,8 +453,8 @@ func TestNCBufferServerExhaustion(t *testing.T) {
 	if err := e.FailDisk(6); err != nil { // cluster 1: no server left
 		t.Fatal(err)
 	}
-	if e.Degradations() != 1 {
-		t.Fatalf("degradations = %d, want 1", e.Degradations())
+	if e.clusters[0].mode != ncDegraded || e.clusters[1].mode != ncUnprotected {
+		t.Fatalf("cluster modes %v, %v: want cluster 1 alone unprotected", e.clusters[0].mode, e.clusters[1].mode)
 	}
 	if !e.ClusterDegraded(1) {
 		t.Fatal("cluster 1 not marked degraded")
@@ -501,7 +501,7 @@ func TestNCRepairDisk(t *testing.T) {
 	if err := e.FailDisk(6); err != nil {
 		t.Fatal(err)
 	}
-	if e.Degradations() != 0 {
+	if e.clusters[1].mode == ncUnprotected {
 		t.Fatal("repair did not free the buffer server")
 	}
 	deliveries, hiccups, _ := runToCompletion(t, e, 300)

@@ -203,13 +203,3 @@ type bufferedGroup struct {
 	// group.
 	pooled int
 }
-
-// newPool builds the unbounded accounting pool every engine uses.
-func newPool() *buffer.Pool {
-	p, err := buffer.NewPool(0)
-	if err != nil {
-		// NewPool(0) cannot fail; keep the invariant loud.
-		panic(err)
-	}
-	return p
-}

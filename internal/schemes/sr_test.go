@@ -192,6 +192,9 @@ func TestSRAdmissionLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e.SlotsPerDisk() != 2 || e.slots.Free(0) != 2 {
+		t.Fatalf("per-disk budget %d (%d free on drive 0), want the override 2", e.SlotsPerDisk(), e.slots.Free(0))
+	}
 	// obj0 and obj2 both start on cluster 0 (i%2), obj1 on cluster 1.
 	if _, err := e.AddStream(r.object(t, 0)); err != nil {
 		t.Fatal(err)

@@ -333,8 +333,20 @@ func TestTertiaryReloadRestoresNonClustered(t *testing.T) {
 	if err := s.FailDisk(6); err != nil {
 		t.Fatal(err)
 	}
-	if nc.Degradations() != 0 {
-		t.Fatal("tape reload never released cluster 0's buffer server")
+	// Unprotected, cluster 1 would lose drive 6's track on every pass.
+	if _, _, err := s.Request("movie0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300 && s.Engine().Active() > 0; i++ {
+		rep, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range rep.Hiccups {
+			if h.Reason == schemes.LostUnprotected {
+				t.Fatalf("tape reload never released cluster 0's buffer server: %+v", h)
+			}
+		}
 	}
 }
 

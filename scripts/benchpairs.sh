@@ -10,8 +10,9 @@
 # per pair, swapping which side runs first every pair, and writes both
 # medians, both IQRs, the candidate's wins and a verdict per workload and
 # end-to-end metric of BENCHMARK.json, with the machine, seeds and
-# window. It exits 1 if an exact count of an engine workload differs
-# between the two sides. benchmark/ and BENCHMARK.json are only read.
+# window. Once the file is written it exits 1 if an exact count of an
+# engine workload differs between the two sides or any verdict is
+# "worse". benchmark/ and BENCHMARK.json are only read.
 #
 #   scripts/benchpairs.sh BASE CANDIDATE OUT.json [runner flags]
 #

@@ -6,8 +6,9 @@
 // medians and IQRs, the candidate's wins out of the pairs, and a verdict
 // against the metric's bound; the per-pair values; and the machine and
 // seeds it ran on. For the engine workloads it also runs one traced run
-// per side and exits 1 if any exact count (the list in
-// benchmark/compare.go) differs between them.
+// per side and compares their exact counts (the list in
+// benchmark/compare.go). Once the file is written it exits 1 if any
+// exact count differs or any verdict is "worse".
 //
 // scripts/benchpairs.sh builds the two binaries from two revisions and
 // runs this program from the root of the checkout, whose BENCHMARK.json
@@ -133,7 +134,6 @@ func main() {
 		fail(err)
 	}
 	bf := benchFile{Base: *baseRev, Candidate: *candRev, Box: readBox(), WindowS: *seconds, Rule: rule}
-	moved := false
 	next := *seed
 	for _, p := range plan {
 		w := workloadOut{Name: p.name, Pairs: p.pairs}
@@ -177,7 +177,6 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			moved = moved || len(w.ExactCounts.Differ) > 0
 		}
 		bf.Workloads = append(bf.Workloads, w)
 	}
@@ -191,10 +190,32 @@ func main() {
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fail(err)
 	}
-	if moved {
-		fmt.Fprintln(os.Stderr, "benchpairs: exact counts differ between base and candidate (exact_counts.differ)")
+	if bad := failures(bf); len(bad) > 0 {
+		for _, f := range bad {
+			fmt.Fprintln(os.Stderr, "benchpairs:", f)
+		}
 		os.Exit(1)
 	}
+}
+
+// failures lists what makes a comparison fail: every exact count that
+// differs between the sides, and every metric whose verdict is worse.
+func failures(bf benchFile) []string {
+	var out []string
+	for _, w := range bf.Workloads {
+		if w.ExactCounts != nil {
+			for _, d := range w.ExactCounts.Differ {
+				out = append(out, fmt.Sprintf("%s: exact count differs: %s", w.Name, d))
+			}
+		}
+		for _, m := range w.Metrics {
+			if m.Verdict == "worse" {
+				out = append(out, fmt.Sprintf("%s: %s is worse: median %v -> %v (%+.1f%%, bound %v)",
+					w.Name, m.Name, m.BaseMedian, m.CandMedian, m.ChangePct, m.Bound))
+			}
+		}
+	}
+	return out
 }
 
 func fail(err error) {

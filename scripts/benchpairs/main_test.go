@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -74,6 +75,40 @@ func TestVerdict(t *testing.T) {
 		}
 		if got := verdict(tc.d, tc.base, tc.cand); got != tc.want {
 			t.Errorf("%s: verdict = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestFailures(t *testing.T) {
+	metrics := func(verdicts ...string) []metricOut {
+		var out []metricOut
+		for i, v := range verdicts {
+			out = append(out, metricOut{Name: fmt.Sprintf("m%d", i), Verdict: v})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		bf   benchFile
+		want int
+	}{
+		{"flat, better and unresolved pass", benchFile{Workloads: []workloadOut{
+			{Name: "wire-fanout", Metrics: metrics("flat", "better", "unresolved")},
+			{Name: "engine-normal", Metrics: metrics("flat"), ExactCounts: &exactOut{Differ: []string{}}},
+		}}, 0},
+		{"one worse verdict fails", benchFile{Workloads: []workloadOut{
+			{Name: "cluster-paced", Metrics: metrics("flat", "worse")},
+		}}, 1},
+		{"a differing exact count fails", benchFile{Workloads: []workloadOut{
+			{Name: "engine-degraded", Metrics: metrics("flat"), ExactCounts: &exactOut{Differ: []string{"tracks.lost: base 1, candidate 2"}}},
+		}}, 1},
+		{"each failure is listed", benchFile{Workloads: []workloadOut{
+			{Name: "engine-normal", Metrics: metrics("worse", "worse"), ExactCounts: &exactOut{Differ: []string{"a", "b"}}},
+			{Name: "wire-fanout", Metrics: metrics("worse")},
+		}}, 5},
+	} {
+		if got := failures(tc.bf); len(got) != tc.want {
+			t.Errorf("%s: failures = %q, want %d", tc.name, got, tc.want)
 		}
 	}
 }
