@@ -62,7 +62,6 @@ var (
 	groups     = flag.Int("groups", 20, "parity groups per title")
 	speed      = flag.Float64("speed", 1, "wall-clock speedup for the pacer (0: virtual clock, cycles back to back)")
 	queue      = flag.Int("queue", 64, "per-session send queue depth in bursts (overflow sheds the client)")
-	batchCyc   = flag.Int("batch-cycles", 0, "hold flash-crowd ADMITs per title for up to this many cycles so same-title arrivals share one staged read (0: off)")
 	writeTO    = flag.Duration("write-timeout", 10*time.Second, "per-burst socket write deadline; a write that misses it drops the session")
 	pprofFlag  = flag.Bool("pprof", false, "mount /debug/pprof profiling handlers on the HTTP surface")
 	drainTO    = flag.Duration("drain-timeout", time.Minute, "how long to wait for streams to play out on shutdown")
@@ -148,7 +147,6 @@ func runNode() error {
 		HTTPAddr:     *httpAddr,
 		Clock:        clock,
 		SendQueue:    *queue,
-		BatchCycles:  *batchCyc,
 		WriteTimeout: *writeTO,
 		EnablePprof:  *pprofFlag,
 		Logf: func(format string, args ...any) {

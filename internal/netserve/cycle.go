@@ -103,30 +103,26 @@ func (ns *NetServer) recentCycles() []cycleRecord {
 	return out
 }
 
-// idleLocked gates the pacer: with no sessions, no live streams, and no
-// parked flash-crowd waiters there is nothing to transmit, so cycles
-// stop (and with them the cycle counter scheduled faults compare
-// against — a failure scheduled for cycle 40 lands forty cycles into
-// service, not into an idle farm). Parked waiters keep the pacer
-// running: their batch flushes at a cycle boundary, so cycles must keep
-// coming for the window to close. A batch exists only while it holds a
-// waiter. So does an online rebuild under way: it restores a few tracks
-// a cycle, and a pacer stopped by the last session's end would leave
-// the drive Restoring until the next one. A scheduled fault, in
+// idleLocked gates the pacer: with no sessions and no live streams
+// there is nothing to transmit, so cycles stop (and with them the cycle
+// counter scheduled faults compare against — a failure scheduled for
+// cycle 40 lands forty cycles into service, not into an idle farm). An
+// online rebuild under way keeps the pacer running: it restores a few
+// tracks a cycle, and a pacer stopped by the last session's end would
+// leave the drive Restoring until the next one. A scheduled fault, in
 // contrast, still waits for service.
 func (ns *NetServer) idleLocked() bool {
-	return len(ns.sessions) == 0 && ns.srv.Engine().Active() == 0 && len(ns.batches) == 0 &&
-		ns.srv.RebuildRemaining() == 0
+	return len(ns.sessions) == 0 && ns.srv.Engine().Active() == 0 && ns.srv.RebuildRemaining() == 0
 }
 
 // StepCycle runs one transmission cycle on the caller's goroutine,
-// under the node's one lock: it flushes due admission batches, applies
-// due scheduled faults, steps the engine (the read/XOR phase), logs the
-// cycle's drive log and stages the cycle's deliveries, hiccups, and
-// completions into the sessions' send queues. The report expires at the
-// next Step, and staging has retained every made track it ships by then
-// (a read track is an immutable platter view and needs no hold); the
-// socket flush overlaps that Step on the writers.
+// under the node's one lock: it applies due scheduled faults, steps the
+// engine (the read/XOR phase), logs the cycle's drive log and stages
+// the cycle's deliveries, hiccups, and completions into the sessions'
+// send queues. The report expires at the next Step, and staging has
+// retained every made track it ships by then (a read track is an
+// immutable platter view and needs no hold); the socket flush overlaps
+// that Step on the writers.
 //
 // In manual mode (no Clock) this is the only way cycles happen; with a
 // Clock it also serves as a test hook.
@@ -141,7 +137,6 @@ func (ns *NetServer) step(tick *Tick) error {
 		return nil
 	}
 	cycle := ns.srv.Engine().Cycle()
-	ns.flushBatchesLocked(cycle)
 	kept := ns.faults[:0]
 	for _, fa := range ns.faults {
 		if fa.cycle > cycle {
@@ -185,10 +180,11 @@ func (ns *NetServer) step(tick *Tick) error {
 	return nil
 }
 
-// stage stages one cycle's deliveries, hiccups, and completions, hands
-// every touched session's burst to its writer, and drops the cycle's
-// holds on its shared runs. Delivered is in stream order, so one
-// stream's tracks form one contiguous run.
+// stage stages one cycle's deliveries, hiccups, and completions, and
+// hands every touched session's burst to its writer. Delivered is in
+// stream order, so one stream's tracks form one contiguous run, and the
+// runs are staged before any control frame, so a session's tracks
+// precede its HICCUP and BYE in its burst.
 func (ns *NetServer) stage(rep *sched.CycleReport) {
 	for i := 0; i < len(rep.Delivered); {
 		id := rep.Delivered[i].StreamID
@@ -218,10 +214,6 @@ func (ns *NetServer) stage(rep *sched.CycleReport) {
 	}
 	clear(ns.touched)
 	ns.touched = ns.touched[:0]
-	for key, sf := range ns.shared {
-		ns.releaseShared(sf)
-		delete(ns.shared, key)
-	}
 }
 
 // BeginDrain stops admitting new sessions without waiting: in-flight
@@ -243,15 +235,6 @@ func (ns *NetServer) beginDrainLocked() {
 	}
 	ns.draining = true
 	ns.srv.BeginDrain()
-	// Parked flash-crowd waiters would need a fresh admission; refuse
-	// them now rather than strand them until shutdown.
-	for title, tb := range ns.batches {
-		delete(ns.batches, title)
-		for _, w := range tb.waiters {
-			w.reject = Reject{Reason: "draining"}
-			close(w.done)
-		}
-	}
 	ns.expelPausedLocked()
 	ns.checkDrainedLocked()
 }

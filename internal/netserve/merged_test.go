@@ -6,10 +6,10 @@ import (
 
 // runHotTitle drives one rig with nHot viewers of the hottest title plus
 // one witness viewer of another title, all in manual-clock lockstep, and
-// returns each consumer's result (hot viewers first, witness last) plus
-// the net_merged_tracks counter. failAt >= 0 fails, at that cycle, the
-// drive holding the hot title's first data track of its fourth group.
-func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot, failAt int) (*loopRig, []*clientResult, int64) {
+// returns each consumer's result (hot viewers first, witness last).
+// failAt >= 0 fails, at that cycle, the drive holding the hot title's
+// first data track of its fourth group.
+func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot, failAt int) (*loopRig, []*clientResult) {
 	t.Helper()
 	r := newLoopRig(t, scheme, cfg)
 	clients := make([]*Client, 0, nHot+1)
@@ -44,20 +44,17 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot, failAt int) (
 		<-done
 	}
 	r.stepUntilBuffersHome(t)
-	merged := r.srv.Metrics().Snapshot().Counters["net_merged_tracks"]
-	return r, results, merged
+	return r, results
 }
 
-// TestMergedBurstBitExactEveryScheme is the merged-burst acceptance
+// TestMergedBurstBitExactEveryScheme is the lockstep-pack acceptance
 // test: under every scheme, a pack of same-title viewers admitted in the
 // same cycle (the Zipf head, lockstep) plus a witness on another title
-// all receive bit-exact content, and the pack's runs are staged once and
-// fanned out to every session (net_merged_tracks > 0): each viewer's
-// read returns the platter's one slice, and netserve merges runs on
-// their payloads. The failure leg fails a data drive under the hot
-// title mid-run, so runs mix read tracks with the tracks each sharer
-// reconstructs for itself, and every made track must come back to the
-// arena.
+// all receive bit-exact content. Each viewer's read returns the
+// platter's one slice, and each session's burst ships it by reference.
+// The failure leg fails a data drive under the hot title mid-run, so
+// runs mix read tracks with the tracks each sharer reconstructs for
+// itself, and every made track must come back to the arena.
 func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	const nHot = 4
 	for _, tc := range []struct {
@@ -86,14 +83,11 @@ func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 					if tc.cfg != nil {
 						tc.cfg(&cfg)
 					}
-					r, results, merged := runHotTitle(t, tc.scheme, cfg, nHot, leg.failAt)
+					r, results := runHotTitle(t, tc.scheme, cfg, nHot, leg.failAt)
 					for i := 0; i < nHot; i++ {
 						verifyBitExact(t, r, r.titles[0], results[i])
 					}
 					verifyBitExact(t, r, r.titles[1], results[nHot])
-					if merged == 0 {
-						t.Error("expected merged bursts for the lockstep pack, net_merged_tracks = 0")
-					}
 					if recs := r.srv.Stats().Reconstructions; leg.failAt >= 0 && recs == 0 {
 						t.Error("the failure leg reconstructed nothing")
 					}

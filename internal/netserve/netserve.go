@@ -54,14 +54,6 @@ type Options struct {
 	// /debug/pprof/ on Handler's mux. Opt-in: profile endpoints can
 	// stall a loaded server and should not be exposed by default.
 	EnablePprof bool
-	// BatchCycles, when > 0, batches flash-crowd starts: a fresh ADMIT
-	// parks for up to this many engine cycles so that same-title arrivals
-	// inside the window admit together at one cycle boundary — their
-	// engine streams then run in lockstep, reading the platter's same
-	// slices, so one staged run of shared frames serves the whole cohort.
-	// 0 (the default) admits immediately. RESUME admissions never batch:
-	// a failover client is already mid-title.
-	BatchCycles int
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -83,16 +75,14 @@ type NetServer struct {
 	trackSize  int
 	groupWidth int
 
-	// burstPool recycles burst containers; sharedPool recycles run
-	// containers (each carries its own reusable TRACK-header slab).
-	// Together with payloads shipped by reference (platter views, and
-	// made tracks under their Refs) they make the steady-state write path
-	// allocation-free.
-	burstPool  sync.Pool
-	sharedPool sync.Pool
+	// burstPool recycles burst containers, each with its own TRACK-header
+	// slab and iovec. Together with payloads shipped by reference
+	// (platter views, and made tracks under their Refs) it makes the
+	// steady-state write path allocation-free.
+	burstPool sync.Pool
 
-	// mu is the node's one lock. A cycle holds it from the due batches
-	// and faults through Step, staging and the /cyclez record; admission,
+	// mu is the node's one lock. A cycle holds it from the due faults
+	// through Step, staging and the /cyclez record; admission,
 	// teardown, the VCR verbs and the HTTP surface take it between
 	// cycles. It guards srv, the fields from here to the pacer's record,
 	// and each session's VCR state, staged burst and queue state.
@@ -103,9 +93,6 @@ type NetServer struct {
 	// sessions maps stream ID to session, one entry per admitted
 	// session; a resumed session's entry moves to its new stream's ID.
 	sessions map[int]*session
-	// batches parks flash-crowd ADMITs per title until their window
-	// closes (Options.BatchCycles).
-	batches map[string]*titleBatch
 	// hbConns tracks live coordinator heartbeat channels so Close can
 	// cut them (their goroutines otherwise sit in a long read).
 	hbConns  map[net.Conn]struct{}
@@ -113,21 +100,11 @@ type NetServer struct {
 	drained  chan struct{}
 	closed   bool
 
-	// shared maps a run's first payload address to its staged frames
-	// within the cycle being staged: sessions whose delivered run is the
-	// same payloads (lockstep viewers of one title read the platter's one
-	// slice) attach the same sharedFrames instead of re-staging it.
-	shared map[*byte]*sharedFrames
 	// touched lists the sessions with a burst staged this cycle.
 	touched []*session
 
 	// Cached hot-path instruments (no registry lookup per track).
-	tracksSent, bytesSent, hiccupsSent, mergedTracks *metrics.Counter
-	// Flash-crowd batching instruments: admitted-through-a-batch count,
-	// flush count, and per-waiter wait time (ms) whose percentiles ride
-	// /metricsz.
-	batchedStarts, batchRuns *metrics.Counter
-	batchWaitMs              *metrics.Histogram
+	tracksSent, bytesSent, hiccupsSent *metrics.Counter
 	// Cycle phase histograms: engine read time, staging time of a cycle
 	// that staged anything, and per-burst socket write time (all µs).
 	phaseRead, phaseStage, phaseFlush *metrics.Histogram
@@ -190,22 +167,19 @@ func New(opts Options) (*NetServer, error) {
 		groupWidth: srv.GroupWidth(),
 		sessions:   make(map[int]*session),
 		hbConns:    make(map[net.Conn]struct{}),
-		batches:    make(map[string]*titleBatch),
-		shared:     make(map[*byte]*sharedFrames),
 		drained:    make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
-	ns.burstPool.New = func() any { return new(burst) }
-	ns.sharedPool.New = func() any { return new(sharedFrames) }
+	// A new burst comes sized for a rate-1 cycle: k′ TRACK frames of two
+	// iovec entries each, and one control frame.
+	ns.burstPool.New = func() any {
+		return &burst{hdrs: make([]byte, 0, burstN*trackHeaderLen), bufs: make(net.Buffers, 0, 2*burstN+1)}
+	}
 	ns.cond = sync.NewCond(&ns.mu)
 	m := srv.Metrics()
 	ns.tracksSent = m.Counter("net_tracks_sent")
 	ns.bytesSent = m.Counter("net_bytes_sent")
 	ns.hiccupsSent = m.Counter("net_hiccups_sent")
-	ns.mergedTracks = m.Counter("net_merged_tracks")
-	ns.batchedStarts = m.Counter("net_batched_starts")
-	ns.batchRuns = m.Counter("net_batch_runs")
-	ns.batchWaitMs = m.Histogram("net_batch_wait_ms", 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 	usBounds := []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000}
 	ns.phaseRead = m.Histogram("pipe_read_us", usBounds...)
 	ns.phaseStage = m.Histogram("pipe_stage_us", usBounds...)
@@ -237,19 +211,6 @@ func (ns *NetServer) Sessions() int {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return len(ns.sessions)
-}
-
-// PendingStarts reports connections parked in flash-crowd admission
-// batches, waiting for their title's window to flush at a cycle
-// boundary (Options.BatchCycles).
-func (ns *NetServer) PendingStarts() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	n := 0
-	for _, tb := range ns.batches {
-		n += len(tb.waiters)
-	}
-	return n
 }
 
 // NodeID returns this node's cluster identity (empty standalone).

@@ -27,16 +27,16 @@
 // cycle.
 //
 // A NetServer is its server.Server's owner, and has one lock. A cycle
-// holds it from start to end: the due admission batches and faults, the
-// engine's Step, the drive log, staging every session's burst and the
-// /cyclez record. Admission, teardown, the VCR verbs and the HTTP
-// surface take it between cycles, so the disk farm and the buffer
-// accounting, which take no lock of their own, and the session table
-// and send queues see one goroutine at a time. What leaves the lock is
-// bytes: a cycle's platter views and made tracks reach the per-session
-// writers through their send queues, and the writers give them back
-// through the shared runs' atomic holder counts and the arena, which
-// locks; a writer takes the lock only to drop its session.
+// holds it from start to end: the due faults, the engine's Step, the
+// drive log, staging every session's burst and the /cyclez record.
+// Admission, teardown, the VCR verbs and the HTTP surface take it
+// between cycles, so the disk farm and the buffer accounting, which take
+// no lock of their own, and the session table and send queues see one
+// goroutine at a time. What leaves the lock is bytes: each session's
+// burst, holding its own TRACK headers, iovec and one Retain per made
+// track, passes through its send queue to the session's writer, which
+// writes and recycles it and gives the made tracks back to the arena,
+// which locks. A writer takes the lock only to drop its session.
 package netserve
 
 import (

@@ -46,24 +46,6 @@ type session struct {
 	resumeTrack int
 }
 
-// batchWaiter is one connection parked in a flash-crowd batch. The
-// flusher admits it at the window boundary, fills sess/reject, and
-// closes done; handleConn blocks on done.
-type batchWaiter struct {
-	conn    net.Conn
-	arrival time.Time
-	sess    *session
-	reject  Reject
-	done    chan struct{}
-}
-
-// titleBatch collects same-title ADMITs arriving within one batching
-// window; due is the engine cycle at which the batch flushes.
-type titleBatch struct {
-	due     int
-	waiters []*batchWaiter
-}
-
 // abort closes the connection and releases the writer immediately.
 func (s *session) abort() {
 	s.once.Do(func() {
@@ -193,13 +175,7 @@ func (ns *NetServer) handleConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	var sess *session
-	var reject Reject
-	if typ == frameAdmit && ns.opts.BatchCycles > 0 {
-		sess, reject = ns.admitBatched(conn, title)
-	} else {
-		sess, reject = ns.admit(conn, title, startGroup)
-	}
+	sess, reject := ns.admit(conn, title, startGroup)
 	if sess == nil {
 		_ = writeJSONFrame(conn, frameReject, reject)
 		conn.Close()
@@ -247,7 +223,7 @@ func (ns *NetServer) handleConn(conn net.Conn) {
 // shed it). The caller holds mu.
 func (ns *NetServer) sendCtrl(sess *session, frame []byte) {
 	b := ns.newBurst()
-	b.ctrls = append(b.ctrls, frame)
+	b.bufs = append(b.bufs, frame)
 	if queued, _ := sess.enqueue(b); !queued {
 		ns.releaseBurst(b)
 	}
@@ -274,71 +250,6 @@ func (ns *NetServer) admit(conn net.Conn, title string, startGroup int) (*sessio
 	if ns.closed || ns.draining {
 		return nil, Reject{Reason: "draining"}
 	}
-	return ns.admitLocked(conn, title, startGroup)
-}
-
-// admitBatched parks a fresh ADMIT in its title's flash-crowd batch and
-// blocks until the window closes and the batch flushes at a cycle
-// boundary (StepCycle's flushBatchesLocked admits the whole cohort
-// under one lock hold, so the members' engine streams run in lockstep
-// and their runs share frames).
-func (ns *NetServer) admitBatched(conn net.Conn, title string) (*session, Reject) {
-	ns.mu.Lock()
-	if ns.closed || ns.draining {
-		ns.mu.Unlock()
-		return nil, Reject{Reason: "draining"}
-	}
-	w := &batchWaiter{conn: conn, arrival: time.Now(), done: make(chan struct{})}
-	tb := ns.batches[title]
-	if tb == nil {
-		tb = &titleBatch{due: ns.srv.Engine().Cycle() + ns.opts.BatchCycles}
-		ns.batches[title] = tb
-	}
-	tb.waiters = append(tb.waiters, w)
-	ns.mu.Unlock()
-	ns.cond.Broadcast() // the pacer may be idling; cycles must now run
-	select {
-	case <-w.done:
-		return w.sess, w.reject
-	case <-ns.stop:
-		select {
-		case <-w.done:
-			// The flush raced shutdown and won; use its answer (Close
-			// tears a live session here down momentarily).
-			return w.sess, w.reject
-		default:
-			return nil, Reject{Reason: "shutdown"}
-		}
-	}
-}
-
-// flushBatchesLocked admits every batch whose window has closed. Runs
-// under mu immediately before the engine Step, so the cohort's streams
-// are admitted at the same cycle boundary — the lockstep that lets
-// netserve share one staged run of the same payloads.
-func (ns *NetServer) flushBatchesLocked(cycle int) {
-	for title, tb := range ns.batches {
-		if tb.due > cycle {
-			continue
-		}
-		delete(ns.batches, title)
-		ns.batchRuns.Inc()
-		admitted := int64(0)
-		for _, w := range tb.waiters {
-			w.sess, w.reject = ns.admitLocked(w.conn, title, 0)
-			if w.sess != nil {
-				admitted++
-			}
-			ns.batchWaitMs.Observe(time.Since(w.arrival).Milliseconds())
-			close(w.done)
-		}
-		ns.batchedStarts.Add(admitted)
-	}
-}
-
-// admitLocked is admit's core, shared with the batch flusher; the
-// caller holds mu and has already checked closed/draining.
-func (ns *NetServer) admitLocked(conn net.Conn, title string, startGroup int) (*session, Reject) {
 	id, _, err := ns.srv.RequestAt(title, startGroup)
 	if err != nil {
 		ns.srv.Metrics().Counter("net_rejects").Inc()

@@ -6,38 +6,27 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"ftmm/internal/buffer"
 	"ftmm/internal/sched"
 )
 
-// sharedFrames is one delivered run's TRACK frames, staged once and
-// written by every session whose delivery this cycle is the same run
-// (the same payload slices, in order — lockstep viewers of one title
-// read the platter's one slice). iov holds each frame as its header,
-// carved from the hdrs slab, then its payload; refs holds one Retain per
-// made track of the run (a read track has no Ref: it is an immutable
-// platter view). holders counts the cycle (which holds one reference
-// from creation until every session is staged) plus the bursts that
-// still owe a release; the last one to let go releases the refs and
-// recycles the container, slab and all.
-type sharedFrames struct {
-	refs    []*buffer.Ref
-	iov     [][]byte
-	hdrs    []byte // TRACK-header slab, reused across cycles
-	nbytes  int    // payload bytes in the run
-	holders atomic.Int32
-}
-
 // burst is one cycle's worth of frames for one session, written with a
-// single vectored write: its delivered runs' TRACK frames (normally one
-// run), then its control frames, preserving track-before-control order.
+// single vectored write and owned by one goroutine at a time: the cycle
+// stages it, the session's writer writes and recycles it. bufs is the
+// iovec: each delivered track as its TRACK header, carved from the hdrs
+// slab, then its payload, and after the tracks the control frames
+// (staging stages a cycle's runs before its control frames, which keeps
+// each session's tracks ahead of its HICCUP and BYE). refs holds one
+// Retain per made track in bufs (a read track has no Ref: it is an
+// immutable platter view).
 type burst struct {
-	runs  []*sharedFrames
-	ctrls [][]byte
-	bufs  net.Buffers
+	refs   []*buffer.Ref
+	hdrs   []byte // TRACK-header slab, reused across cycles
+	bufs   net.Buffers
+	tracks int // TRACK frames in bufs
+	nbytes int // their payload bytes
 }
 
 // appendTrackHeader carves the next TRACK header out of slab, returning
@@ -60,108 +49,41 @@ func appendTrackHeader(slab []byte, track, dataLen int) ([]byte, []byte) {
 
 func (ns *NetServer) newBurst() *burst { return ns.burstPool.Get().(*burst) }
 
-// releaseBurst drops the burst's holds on its runs and recycles the
-// container.
+// releaseBurst releases the burst's refs and recycles the container,
+// slab and iovec with it. Called by the burst's one owner: the writer
+// after its write or on teardown, or the cycle for a burst no queue
+// took.
 func (ns *NetServer) releaseBurst(b *burst) {
-	for _, sf := range b.runs {
-		ns.releaseShared(sf)
+	for _, ref := range b.refs {
+		ref.Release()
 	}
-	clear(b.runs)
-	b.runs = b.runs[:0]
-	clear(b.ctrls)
-	b.ctrls = b.ctrls[:0]
+	clear(b.refs)
+	b.refs = b.refs[:0]
+	b.hdrs = b.hdrs[:0]
 	clear(b.bufs)
 	b.bufs = b.bufs[:0]
+	b.tracks, b.nbytes = 0, 0
 	ns.burstPool.Put(b)
 }
 
-// releaseShared drops one holder of a run. The cycle holds a reference
-// from the moment the run is created until every session is staged, and
-// every burst's hold is counted before that release, so the decrement
-// that reaches zero is genuinely the last one; it releases the run's refs
-// and recycles the container with its header slab. Called from writer
-// goroutines and the cycle driver, hence the atomic.
-func (ns *NetServer) releaseShared(sf *sharedFrames) {
-	if sf.holders.Add(-1) != 0 {
-		return
-	}
-	for _, ref := range sf.refs {
-		ref.Release()
-	}
-	clear(sf.refs)
-	sf.refs = sf.refs[:0]
-	clear(sf.iov)
-	sf.iov = sf.iov[:0]
-	sf.hdrs = sf.hdrs[:0]
-	sf.nbytes = 0
-	ns.sharedPool.Put(sf)
-}
-
-// runMatches verifies a delivered run is frame-for-frame the same
-// payloads as an already-staged run. Address equality on the payloads
-// (a Delivery's Data is a whole track, never empty) is exact within a
-// cycle: every made track in the report is still held by the engine, so
-// it is distinct from every other made track and from every view, and a
-// view is immutable under replace-never-mutate.
-func runMatches(sf *sharedFrames, run []sched.Delivery) bool {
-	if len(sf.iov) != 2*len(run) {
-		return false
-	}
-	for i := range run {
-		if &sf.iov[2*i+1][0] != &run[i].Data[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// sharedFor finds or stages the cycle's frames for a delivered run. A
-// newly created run starts with one holder — the cycle's own, released
-// once every session is staged — so a writer finishing early can never
-// tear the run down while a later session is still to attach.
-func (ns *NetServer) sharedFor(run []sched.Delivery) (sf *sharedFrames, merged bool) {
-	key := &run[0].Data[0]
-	if sf := ns.shared[key]; sf != nil {
-		if runMatches(sf, run) {
-			return sf, true
-		}
-		// A different run can start on the same track: a fast-forwarding
-		// viewer's run spans several groups where a 1× viewer's is one,
-		// and under a failure each sharer reconstructs its own copy of
-		// the group's lost track. The newer run takes the key; drop the
-		// cycle's hold on the superseded entry rather than leak it.
-		ns.releaseShared(sf)
-	}
-	sf = ns.sharedPool.Get().(*sharedFrames)
+// stageRun stages one stream's contiguous delivered run for this cycle
+// into its session's burst: a TRACK header and the payload per track,
+// and a Retain per made track. Cycle driver only, like every stage*
+// function below.
+func (ns *NetServer) stageRun(sess *session, run []sched.Delivery) {
+	b := ns.burstFor(sess)
 	for i := range run {
 		d := &run[i]
 		var h []byte
-		sf.hdrs, h = appendTrackHeader(sf.hdrs, d.Track, len(d.Data))
+		b.hdrs, h = appendTrackHeader(b.hdrs, d.Track, len(d.Data))
 		if d.Buf != nil {
 			d.Buf.Retain()
-			sf.refs = append(sf.refs, d.Buf)
+			b.refs = append(b.refs, d.Buf)
 		}
-		sf.iov = append(sf.iov, h, d.Data)
-		sf.nbytes += len(d.Data)
+		b.bufs = append(b.bufs, h, d.Data)
+		b.nbytes += len(d.Data)
 	}
-	sf.holders.Store(1)
-	ns.shared[key] = sf
-	return sf, false
-}
-
-// stageRun stages one stream's contiguous delivered run for this cycle.
-// A run is staged once and attached to every session delivering the same
-// payloads — one set of headers, retains, and frame bookkeeping for a
-// whole lockstep title group instead of O(sessions) copies of it. Cycle
-// driver only, like every stage* function below.
-func (ns *NetServer) stageRun(sess *session, run []sched.Delivery) {
-	sf, merged := ns.sharedFor(run)
-	if merged {
-		ns.mergedTracks.Add(int64(len(run)))
-	}
-	sf.holders.Add(1)
-	b := ns.burstFor(sess)
-	b.runs = append(b.runs, sf)
+	b.tracks += len(run)
 }
 
 // burstFor returns the session's in-progress burst for this cycle,
@@ -178,7 +100,7 @@ func (ns *NetServer) burstFor(sess *session) *burst {
 // stageCtrl adds a control frame to the session's cycle burst.
 func (ns *NetServer) stageCtrl(sess *session, frame []byte) {
 	b := ns.burstFor(sess)
-	b.ctrls = append(b.ctrls, frame)
+	b.bufs = append(b.bufs, frame)
 }
 
 // flushStaged hands the session's staged burst to its writer. Overflow
@@ -190,14 +112,7 @@ func (ns *NetServer) flushStaged(sess *session) {
 	}
 	sess.cur = nil
 	// Tally before the hand-off: the writer may release b immediately.
-	// A shared run counts once per holder — each session really does send
-	// it on its own socket. Each track is two iov entries: header and
-	// payload.
-	tracks, nbytes := 0, 0
-	for _, sf := range b.runs {
-		tracks += len(sf.iov) / 2
-		nbytes += sf.nbytes
-	}
+	tracks, nbytes := b.tracks, b.nbytes
 	queued, overflow := sess.enqueue(b)
 	switch {
 	case queued:
@@ -255,7 +170,7 @@ func (ns *NetServer) writeLoop(sess *session) {
 			return
 		case b, ok := <-sess.sendq:
 			if !ok {
-				sess.abort() // tail flushed; hang up
+				ns.hangUp(sess) // tail flushed
 				return
 			}
 			if err := ns.writeBurst(sess, b); err != nil {
@@ -274,18 +189,36 @@ func (ns *NetServer) writeLoop(sess *session) {
 	}
 }
 
-// writeBurst flattens the burst into an iovec list and writes it with
-// one vectored write under a WriteTimeout deadline. Every socket write
-// after admission comes through here, so the deadline is never cleared.
-// The burst is recycled before returning.
-func (ns *NetServer) writeBurst(sess *session, b *burst) error {
-	bufs := b.bufs[:0]
-	for _, sf := range b.runs {
-		// Every holder reads sf.iov concurrently; the write consumes only
-		// this burst's own copy of it.
-		bufs = append(bufs, sf.iov...)
+// finishLinger bounds how long a finished session's connection stays
+// half-closed after its final burst, waiting for the client to hang up.
+const finishLinger = 5 * time.Second
+
+// hangUp ends a finished session's connection once its final burst is
+// written. It half-closes first, so the client reads its tail and BYE up
+// to the FIN while the session's reader keeps consuming what the client
+// sent late (a VCR verb that crossed the BYE). The full close waits for
+// that reader to see the client hang up (it drops the session, which
+// closes done), for shutdown, or for finishLinger. Closing at once would
+// leave such a frame unread or arriving at a closed socket, and the
+// kernel's reset would cost the client the tail it had not yet read.
+func (ns *NetServer) hangUp(sess *session) {
+	if tc, ok := sess.conn.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		t := time.NewTimer(finishLinger)
+		select {
+		case <-sess.done:
+		case <-ns.stop:
+		case <-t.C:
+		}
+		t.Stop()
 	}
-	b.bufs = append(bufs, b.ctrls...)
+	sess.abort()
+}
+
+// writeBurst writes the burst's iovec with one vectored write under a
+// WriteTimeout deadline. Every socket write after admission comes
+// through here, so the deadline is never cleared. The burst is recycled
+// before returning.
+func (ns *NetServer) writeBurst(sess *session, b *burst) error {
 	start := time.Now()
 	// Only a closed conn refuses a deadline, and then the write fails too.
 	_ = sess.conn.SetWriteDeadline(start.Add(ns.opts.WriteTimeout))

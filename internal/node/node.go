@@ -56,11 +56,8 @@ type Config struct {
 	// Front-end tuning, passed through to netserve.
 	SendQueue    int
 	WriteTimeout time.Duration
-	// BatchCycles holds flash-crowd ADMITs per title for up to this many
-	// cycles so same-title arrivals start as one merged cohort (0: off).
-	BatchCycles int
-	EnablePprof bool
-	Logf        func(format string, args ...any)
+	EnablePprof  bool
+	Logf         func(format string, args ...any)
 }
 
 // Node is one running shard: engine + network front end (+ HTTP).
@@ -138,7 +135,6 @@ func Start(cfg Config) (*Node, error) {
 		Clock:        cfg.Clock,
 		SendQueue:    cfg.SendQueue,
 		WriteTimeout: cfg.WriteTimeout,
-		BatchCycles:  cfg.BatchCycles,
 		EnablePprof:  cfg.EnablePprof,
 		Logf:         cfg.Logf,
 	})
