@@ -108,7 +108,11 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		c.view.Members = append(c.view.Members, m)
 		c.placeIDs = append(c.placeIDs, m.ID)
 	}
+	// No other goroutine sees c yet; the lock keeps reassignLocked's
+	// contract checkable by name (TestLockedCallersHoldTheLock).
+	c.mu.Lock()
 	c.reassignLocked()
+	c.mu.Unlock()
 	c.wg.Add(1)
 	go c.acceptLoop()
 	if opts.HeartbeatInterval > 0 {

@@ -115,9 +115,15 @@ func startCluster(t *testing.T, nodeIDs []string, nTitles, groups int, plCfg clu
 	return rig
 }
 
-func (r *clusterRig) stopStepping(id string) {
+func (r *clusterRig) stopStepping(id string) { r.setStepping(false, id) }
+
+// setStepping hooks the nodes into the stepper, or unhooks them, at
+// once: the stepper's next pass sees all of them changed.
+func (r *clusterRig) setStepping(on bool, ids ...string) {
 	r.mu.Lock()
-	r.stepping[id] = false
+	for _, id := range ids {
+		r.stepping[id] = on
+	}
 	r.mu.Unlock()
 }
 
@@ -135,6 +141,9 @@ type sessionResult struct {
 	title    string
 	tracks   map[int][]byte
 	nodes    []string // every node that served us, in order
+	home     string   // nodes[0], readable once admitted is closed
+	stream   int      // the stream ID on home, readable likewise
+	admitted chan struct{}
 	resumes  int
 	maxJump  int // largest resume rewind (next-needed − StartTrack)
 	received atomic.Int64
@@ -154,7 +163,7 @@ func (s *sessionResult) nextNeeded(total int) int {
 // runSession admits via the coordinator and consumes to the end,
 // failing over with RESUME when the serving node dies mid-stream.
 func (r *clusterRig) runSession(title string) *sessionResult {
-	res := &sessionResult{title: title, tracks: map[int][]byte{}, done: make(chan struct{})}
+	res := &sessionResult{title: title, tracks: map[int][]byte{}, admitted: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(res.done)
 		cl, ok, err := netserve.AdmitVia(r.coordAddr(), title, 20*time.Second)
@@ -163,6 +172,8 @@ func (r *clusterRig) runSession(title string) *sessionResult {
 			return
 		}
 		res.nodes = append(res.nodes, ok.NodeID)
+		res.home, res.stream = ok.NodeID, ok.StreamID
+		close(res.admitted)
 		total := ok.Tracks
 		defer func() { cl.Close() }()
 		for {
@@ -246,6 +257,42 @@ func (r *clusterRig) verify(res *sessionResult) {
 	}
 }
 
+// waitAdmitted waits for the session's ADMIT-OK and returns the node
+// that sent it.
+func waitAdmitted(t *testing.T, s *sessionResult) string {
+	t.Helper()
+	select {
+	case <-s.admitted:
+		return s.home
+	case <-s.done:
+		select {
+		case <-s.admitted: // admitted, then ended
+			return s.home
+		default:
+		}
+		t.Fatalf("session %s ended unadmitted: %v", s.title, s.err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("session %s not admitted after 30s", s.title)
+	}
+	return ""
+}
+
+// waitTracks waits until the session holds n tracks or has ended.
+func waitTracks(t *testing.T, s *sessionResult, n int) {
+	t.Helper()
+	for w := 0; s.received.Load() < int64(n); w++ {
+		select {
+		case <-s.done:
+			return
+		default:
+		}
+		if w > 5000 {
+			t.Fatalf("session %s stuck at %d tracks", s.title, s.received.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitAll(t *testing.T, sessions []*sessionResult, timeout time.Duration) {
 	t.Helper()
 	deadline := time.After(timeout)
@@ -264,31 +311,60 @@ func waitAll(t *testing.T, sessions []*sessionResult, timeout time.Duration) {
 // with at most one parity group of rewind; sessions on survivors must
 // never notice.
 func TestClusterFailoverMidStream(t *testing.T) {
-	rig := startCluster(t, []string{"n0", "n1", "n2"}, 6, 12,
+	nodes := []string{"n0", "n1", "n2"}
+	rig := startCluster(t, nodes, 6, 12,
 		cluster.PlacementConfig{Seed: 4, Replicas: 2}, false)
 
+	// No node steps until every session has its ADMIT-OK (admission needs
+	// no cycle), so the sessions of one node start in the same cycle and
+	// keep pace with each other however slowly each was admitted.
+	rig.setStepping(false, nodes...)
 	sessions := make([]*sessionResult, len(rig.titles))
 	for i, title := range rig.titles {
 		sessions[i] = rig.runSession(title)
 	}
-	// Let every session get solidly mid-stream (a couple of groups in,
-	// far from the 120-track end).
-	for _, s := range sessions {
-		for w := 0; s.received.Load() < int64(2*rig.width); w++ {
-			if w > 5000 {
-				t.Fatalf("session %s stuck at %d tracks", s.title, s.received.Load())
-			}
-			time.Sleep(time.Millisecond)
-		}
+	homes := make([]string, len(sessions))
+	for i, s := range sessions {
+		homes[i] = waitAdmitted(t, s)
 	}
-
-	// Kill the node serving the first session.
-	victim := sessions[0].nodes[0]
+	// Kill the node serving the first session. The stepper drives the
+	// other nodes; the victim is stepped here, one cycle at a time, only
+	// until it has sent that session 2·width tracks (a couple of groups
+	// in, far from the 36-track end). A node runs ahead of its readers,
+	// so stopping it once the client holds them would be too late: its
+	// sessions' whole titles could already sit in their sockets. Once the
+	// client holds them, the other nodes' sessions get mid-stream too.
+	victim := homes[0]
 	if victim == "" {
 		t.Fatal("no node id in ADMIT-OK")
 	}
+	var others []string
+	for _, id := range nodes {
+		if id != victim {
+			others = append(others, id)
+		}
+	}
+	rig.setStepping(true, others...)
+	vns := rig.nodes[victim].NS()
+	for cycles := 0; ; cycles++ {
+		next, _, ok := vns.StreamProgress(sessions[0].stream)
+		if !ok || cycles > rig.groups {
+			t.Fatalf("session %s: stream %d at track %d after %d cycles (live %v)", sessions[0].title, sessions[0].stream, next, cycles, ok)
+		}
+		if next >= 2*rig.width {
+			break
+		}
+		if err := vns.StepCycle(); err != nil {
+			t.Fatalf("step %s: %v", victim, err)
+		}
+	}
+	waitTracks(t, sessions[0], 2*rig.width)
 	before := rig.coord.View()
-	rig.stopStepping(victim)
+	for i, s := range sessions {
+		if homes[i] != victim {
+			waitTracks(t, s, 2*rig.width)
+		}
+	}
 	rig.nodes[victim].Close()
 	// Two missed heartbeats declare it dead and bump the view.
 	rig.coord.Tick()

@@ -17,7 +17,17 @@ import (
 // what the serial fold gives. Run it under -cpu 1,2,4 so the batch runs
 // inline and spread over workers.
 func TestBatchMatchesSerialFold(t *testing.T) {
-	if err := randomBatches(rand.New(rand.NewSource(51)), 40); err != nil {
+	if err := randomBatches(rand.New(rand.NewSource(51)), 40, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchFoldsWhileQueueing is the same differential with the batch
+// opened before each round's first Add, as a cycle opens it, so the
+// workers fold while the caller queues, and with Run called mid-round,
+// as a made track's return to the arena calls it.
+func TestBatchFoldsWhileQueueing(t *testing.T) {
+	if err := randomBatches(rand.New(rand.NewSource(55)), 40, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,25 +38,33 @@ func TestBatchConcurrentBatches(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(seed int64, open bool) {
 			defer wg.Done()
-			if err := randomBatches(rand.New(rand.NewSource(seed)), 12); err != nil {
+			if err := randomBatches(rand.New(rand.NewSource(seed)), 12, open); err != nil {
 				t.Error(err)
 			}
-		}(int64(60 + g))
+		}(int64(60+g), g%2 == 1)
 	}
 	wg.Wait()
 }
 
 // randomBatches runs rounds random batches through one Batch and checks
-// each destination against the serial fold.
-func randomBatches(r *rand.Rand, rounds int) error {
+// each destination against the serial fold. With open, each round opens
+// the batch first and runs it once mid-round too.
+func randomBatches(r *rand.Rand, rounds int, open bool) error {
 	sizes := []int{0, 1, 63, 64, 127, 128, 129, 255, 256, 50_000, 50_001, 51_200}
 	var b Batch
 	for round := 0; round < rounds; round++ {
+		if open {
+			b.Open()
+		}
 		n := sizes[round%len(sizes)]
 		pool := randBlocks(r, 12, n)
 		folds := 1 + r.Intn(12)
+		mid := -1
+		if open {
+			mid = r.Intn(folds)
+		}
 		dsts := make([][]byte, folds)
 		want := make([][]byte, folds)
 		for i := range dsts {
@@ -66,13 +84,22 @@ func randomBatches(r *rand.Rand, rounds int) error {
 			if err := b.Add(dsts[i], srcs...); err != nil {
 				return err
 			}
+			if i == mid {
+				b.Run()
+				if len(b.folds) != 0 {
+					return fmt.Errorf("round %d: %d folds left queued after a mid-round Run", round, len(b.folds))
+				}
+				for j := 0; j <= i; j++ {
+					if !bytes.Equal(dsts[j], want[j]) {
+						return fmt.Errorf("round %d, size %d: fold %d of %d differs from the serial fold after a mid-round Run", round, n, j, folds)
+					}
+				}
+			}
 		}
-		if len(b.folds) != folds {
-			return fmt.Errorf("round %d: %d folds queued, want %d", round, len(b.folds), folds)
+		if queued := folds - mid - 1; len(b.folds) != queued {
+			return fmt.Errorf("round %d: %d folds queued, want %d", round, len(b.folds), queued)
 		}
-		if err := b.Run(); err != nil {
-			return fmt.Errorf("round %d: %w", round, err)
-		}
+		b.Run()
 		if len(b.folds) != 0 {
 			return fmt.Errorf("round %d: %d folds left queued after Run", round, len(b.folds))
 		}
@@ -85,77 +112,98 @@ func randomBatches(r *rand.Rand, rounds int) error {
 	return nil
 }
 
-// runRefused checks that b refuses its queue with ErrAliased, leaves
-// every destination untouched and the queue empty.
-func runRefused(t *testing.T, b *Batch, dsts ...[]byte) {
+// addRefused checks that b refuses the fold dst = srcs… with
+// ErrAliased, queues nothing and leaves dst untouched.
+func addRefused(t *testing.T, b *Batch, dst []byte, srcs ...[]byte) {
 	t.Helper()
-	before := make([][]byte, len(dsts))
-	for i, d := range dsts {
-		before[i] = bytes.Clone(d)
+	before, queued := bytes.Clone(dst), len(b.folds)
+	if err := b.Add(dst, srcs...); !errors.Is(err, ErrAliased) {
+		t.Fatalf("Add = %v, want ErrAliased", err)
 	}
-	if err := b.Run(); !errors.Is(err, ErrAliased) {
-		t.Fatalf("Run = %v, want ErrAliased", err)
+	if len(b.folds) != queued {
+		t.Fatalf("refused fold left %d folds queued, want %d", len(b.folds), queued)
 	}
-	for i, d := range dsts {
-		if !bytes.Equal(d, before[i]) {
-			t.Fatalf("refused batch wrote destination %d", i)
+	if !bytes.Equal(dst, before) {
+		t.Fatal("refused fold wrote its destination")
+	}
+}
+
+// runFolded runs b and checks each dsts[i] against the serial fold of
+// srcs[i].
+func runFolded(t *testing.T, b *Batch, dsts [][]byte, srcs [][][]byte) {
+	t.Helper()
+	want := make([][]byte, len(dsts))
+	for i := range dsts {
+		want[i] = make([]byte, len(dsts[i]))
+		fold(want[i], srcs[i])
+	}
+	b.Run()
+	for i := range dsts {
+		if !bytes.Equal(dsts[i], want[i]) {
+			t.Fatalf("fold %d queued before a refusal differs from the serial fold", i)
 		}
-	}
-	if len(b.folds) != 0 {
-		t.Fatalf("refused batch left %d folds queued", len(b.folds))
 	}
 }
 
 // TestBatchRefusesDestinationQueuedTwice: two folds into one buffer, or
-// into overlapping parts of one, would race.
+// into overlapping parts of one, would race, so Add refuses the second.
+// Run it under -cpu 1,2,4 with the batch opened, so the refusal also
+// comes while workers fold what is queued.
 func TestBatchRefusesDestinationQueuedTwice(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	src := randBlocks(r, 3, 256)
 	dst := make([]byte, 512)
 	var b Batch
 	for _, other := range [][]byte{dst[:256], dst[128:384]} {
-		for _, d := range [][]byte{dst[:256], other} {
-			if err := b.Add(d, src...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.Add(make([]byte, 256), src[0]); err != nil {
+		b.Open()
+		if err := b.Add(dst[:256], src...); err != nil {
 			t.Fatal(err)
 		}
-		runRefused(t, &b, dst)
+		addRefused(t, &b, other, src...)
+		lone := make([]byte, 256)
+		if err := b.Add(lone, src[0]); err != nil {
+			t.Fatal(err)
+		}
+		runFolded(t, &b, [][]byte{dst[:256], lone}, [][][]byte{src, src[:1]})
 	}
 }
 
 // TestBatchRefusesDestinationAsSource: a fold reading a buffer another
-// fold of the batch writes would read it half made; so would a fold
-// reading its own destination anywhere but as srcs[0].
+// fold of the batch writes would read it half made, and a fold writing
+// a buffer another reads would change its input; so would a fold
+// reading its own destination anywhere but as srcs[0]. Add refuses each.
 func TestBatchRefusesDestinationAsSource(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	src := randBlocks(r, 3, 256)
 	made, other := make([]byte, 256), make([]byte, 256)
 	var b Batch
 	// The made track is a later fold's survivor.
+	b.Open()
 	if err := b.Add(made, src...); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(other, src[0], made, src[1]); err != nil {
-		t.Fatal(err)
-	}
-	runRefused(t, &b, made, other)
+	addRefused(t, &b, other, src[0], made, src[1])
+	runFolded(t, &b, [][]byte{made}, [][][]byte{src})
 	// A source overlapping another fold's destination by one byte.
+	b.Open()
 	wide := make([]byte, 512)
 	if err := b.Add(wide[:256], src...); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(other, wide[255:511]); err != nil {
+	addRefused(t, &b, other, wide[255:511])
+	runFolded(t, &b, [][]byte{wide[:256]}, [][][]byte{src})
+	// A destination overlapping another fold's source.
+	b.Open()
+	if err := b.Add(other, wide[256:]); err != nil {
 		t.Fatal(err)
 	}
-	runRefused(t, &b, wide, other)
+	addRefused(t, &b, wide[128:384], src...)
+	runFolded(t, &b, [][]byte{other}, [][][]byte{{wide[256:]}})
 	// A fold whose own destination is its second source.
-	if err := b.Add(made, src[0], made); err != nil {
-		t.Fatal(err)
+	addRefused(t, &b, made, src[0], made)
+	if len(b.folds) != 0 {
+		t.Fatalf("%d folds queued after a refused Add on an empty batch", len(b.folds))
 	}
-	runRefused(t, &b, made)
 }
 
 // TestBatchAddErrors: Add checks the fold as EncodeInto does and queues
@@ -173,24 +221,29 @@ func TestBatchAddErrors(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocs pins Add and Run to no allocations once the queue
-// has grown, with more folds than CPUs so the workers take part.
+// TestBatchZeroAllocs pins Open, Add and Run to no allocations once the
+// queue has grown, with more folds than CPUs so the workers take part,
+// both when Run hands the batch over and when Open has.
 func TestBatchZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	srcs := randBlocks(r, 5, 50_000)
 	dsts := randBlocks(r, 8, 50_000)
-	var b Batch
-	if n := allocsPerRun(50, func() {
-		for _, d := range dsts {
-			if err := b.Add(d, srcs...); err != nil {
-				t.Fatal(err)
+	for _, open := range []bool{false, true} {
+		var b Batch
+		b.Grow(len(dsts), len(dsts)*len(srcs))
+		if n := allocsPerRun(50, func() {
+			if open {
+				b.Open()
 			}
+			for _, d := range dsts {
+				if err := b.Add(d, srcs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.Run()
+		}); n != 0 {
+			t.Errorf("Batch Add+Run (opened %v) allocates %.1f per batch at GOMAXPROCS %d, want 0", open, n, runtime.GOMAXPROCS(0))
 		}
-		if err := b.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("Batch Add+Run allocates %.1f per batch at GOMAXPROCS %d, want 0", n, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -33,7 +33,8 @@ const LostNoSlot = "track not read: drive out of slots"
 // one delivery (emit). Engines embed it and keep only their
 // scheme-specific scheduling logic. A Step issues its reads serially, on
 // its caller's goroutine; the folds that make its missing tracks run as
-// one batch across the CPUs before the report is returned.
+// one batch across the CPUs, folded by idle cores as they are queued and
+// finished before the report is returned.
 type engineCore struct {
 	cfg          Config
 	slotsPerDisk int
@@ -64,10 +65,9 @@ type engineCore struct {
 	// spare holds the headers of finished bufferedGroups for newGroup to
 	// reuse.
 	spare []*bufferedGroup
-	// folds queues the cycle's folds, runFolds runs them, and foldErr
-	// keeps a refusal for endCycle. survivors gathers one fold's sources.
+	// folds queues the cycle's folds; survivors gathers one fold's
+	// sources.
 	folds     *parity.Batch
-	foldErr   error
 	survivors [][]byte
 }
 
@@ -161,8 +161,8 @@ func (c *engineCore) read(st *sched.Stream, g *layout.Group, loc layout.Location
 
 // reconstruct makes a group's missing track: a fresh arena buffer, into
 // which the fold of survivors (the parity block and every other data
-// block of the group) is queued. Until runFolds the buffer holds no
-// track and must not be read or Put. The survivors are only read.
+// block of the group) is queued. Until the queue runs the buffer holds
+// no track and must not be read or Put. The survivors are only read.
 func (c *engineCore) reconstruct(survivors [][]byte) ([]byte, error) {
 	dst := c.arena.Get()
 	if err := c.folds.Add(dst, survivors...); err != nil {
@@ -172,17 +172,10 @@ func (c *engineCore) reconstruct(survivors [][]byte) ([]byte, error) {
 	return dst, nil
 }
 
-// runFolds runs every queued fold, keeping a refusal for endCycle.
-func (c *engineCore) runFolds() {
-	if err := c.folds.Run(); err != nil && c.foldErr == nil {
-		c.foldErr = fmt.Errorf("schemes: cycle %d: %w", c.cycle, err)
-	}
-}
-
 // put is the one return of a made track to the arena. It runs the
 // queued folds first: buf may be a destination still to be folded.
 func (c *engineCore) put(buf []byte) {
-	c.runFolds()
+	c.folds.Run()
 	c.arena.Put(buf)
 }
 
@@ -221,10 +214,14 @@ func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed
 	})
 }
 
-// beginCycle opens the cycle: cleared slot budgets, an emptied report and
-// an emptied record of the farm's erased lookups. A Step defers runFolds
-// right after it, so a Step that fails leaves no fold queued.
+// beginCycle opens the cycle: cleared slot budgets, an emptied report, an
+// emptied record of the farm's erased lookups, and the fold queue opened
+// to the fold workers if the last cycle queued more than one fold, so
+// they fold each reconstruction as it is queued. A Step defers the
+// queue's Run right after it, so a Step that fails leaves no fold queued
+// and no worker holding the queue.
 func (c *engineCore) beginCycle() {
+	c.folds.Open()
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
 	// this cycle's reads can reuse them.
@@ -233,24 +230,20 @@ func (c *engineCore) beginCycle() {
 		c.delivered[i] = nil
 	}
 	c.delivered = c.delivered[:0]
-	c.foldErr = nil
 	c.slots.Reset()
 	c.rep.Reset(c.cycle)
 	c.cfg.Farm.BeginCycle()
 }
 
-// endCycle closes the cycle: runs the queued folds, stamps buffer
-// occupancy, feeds the metrics recorder, advances the clock, and returns
-// the assembled report, or the fold queue's refusal.
-func (c *engineCore) endCycle() (*sched.CycleReport, error) {
-	c.runFolds()
-	if c.foldErr != nil {
-		return nil, c.foldErr
-	}
+// endCycle closes the cycle: runs what is left of the queued folds,
+// stamps buffer occupancy, feeds the metrics recorder, advances the
+// clock, and returns the assembled report.
+func (c *engineCore) endCycle() *sched.CycleReport {
+	c.folds.Run()
 	c.rep.BufferInUse = c.pool.InUse()
 	c.rec.ObserveCycle(c.rep, c.slots)
 	c.cycle++
-	return c.rep, nil
+	return c.rep
 }
 
 // releaseGroups ends the given buffered groups (nils are fine): their

@@ -141,7 +141,7 @@ func (e *ImprovedBandwidth) failMidCycle() error {
 // Step implements Simulator.
 func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.runFolds()
+	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
@@ -221,7 +221,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		return nil, err
 	}
 
-	return e.endCycle()
+	return e.endCycle(), nil
 }
 
 // resolve recovers a group's missing blocks via the parity shift.
@@ -280,7 +280,7 @@ func (e *ImprovedBandwidth) resolve(gr *ibGroupRead) error {
 		}
 	}
 	if made {
-		e.runFolds()
+		e.folds.Run()
 	}
 	rec, err := e.reconstruct(e.survivors)
 	if err != nil {

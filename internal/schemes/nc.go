@@ -474,7 +474,7 @@ func (e *NonClustered) dropXOR(s *ncStream) error {
 // Step implements Simulator.
 func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.runFolds()
+	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 
 	degraded := 0
@@ -534,7 +534,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle()
+	return e.endCycle(), nil
 }
 
 // readable reports whether the stream has read work this cycle.

@@ -109,7 +109,7 @@ func (e *StaggeredGroup) CancelStream(id int) error {
 // Step implements Simulator.
 func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.runFolds()
+	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
@@ -176,7 +176,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle()
+	return e.endCycle(), nil
 }
 
 // deliverOne sends the next track of the stream's buffered group.
