@@ -210,7 +210,7 @@ func BenchmarkCycleStreamingRAID(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
+			if _, err := e.AddStreamAt(o, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -228,7 +228,7 @@ func BenchmarkCycleStaggeredGroup(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
+			if _, err := e.AddStreamAt(o, 0); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := e.Step(); err != nil {
@@ -249,7 +249,7 @@ func BenchmarkCycleNonClustered(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
+			if _, err := e.AddStreamAt(o, 0); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := e.Step(); err != nil {
@@ -273,7 +273,7 @@ func BenchmarkCycleNonClusteredDegraded(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
+			if _, err := e.AddStreamAt(o, 0); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := e.Step(); err != nil {
@@ -297,7 +297,7 @@ func BenchmarkCycleImprovedBandwidth(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
+			if _, err := e.AddStreamAt(o, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -596,7 +596,7 @@ func buildPaperScale(b *testing.B, p diskmodel.Params, d, c, streams int) *schem
 		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, groups*(c-1)*trackSize)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.AddStream(obj); err != nil {
+		if _, err := e.AddStreamAt(obj, 0); err != nil {
 			b.Fatalf("admission of stream %d rejected (engine capacity below Table 2's N)", admitted)
 		}
 		admitted++
@@ -606,7 +606,7 @@ func buildPaperScale(b *testing.B, p diskmodel.Params, d, c, streams int) *schem
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.AddStream(extra); err == nil {
+	if _, err := e.AddStreamAt(extra, 0); err == nil {
 		b.Fatal("stream 1041 admitted beyond the integral schedule")
 	}
 	if err := e.FailDisk(7); err != nil {

@@ -33,16 +33,11 @@ type Pool struct {
 // NewPool creates an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Acquire takes n tracks from the pool.
-func (p *Pool) Acquire(n int) error {
-	if n < 0 {
-		return fmt.Errorf("buffer: negative acquire %d", n)
-	}
+// Acquire takes n ≥ 0 tracks from the pool, which has no bound to
+// refuse them.
+func (p *Pool) Acquire(n int) {
 	p.inUse += n
-	if p.inUse > p.peak {
-		p.peak = p.inUse
-	}
-	return nil
+	p.peak = max(p.peak, p.inUse)
 }
 
 // Release returns n tracks to the pool.

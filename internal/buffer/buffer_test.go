@@ -8,18 +8,14 @@ import (
 
 func TestPoolBasics(t *testing.T) {
 	p := NewPool()
-	if err := p.Acquire(7); err != nil {
-		t.Fatal(err)
-	}
+	p.Acquire(7)
 	if p.InUse() != 7 {
 		t.Fatalf("in use = %d, want 7", p.InUse())
 	}
 	if err := p.Release(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Acquire(4); err != nil {
-		t.Fatal(err)
-	}
+	p.Acquire(4)
 	if p.InUse() != 6 || p.Peak() != 7 {
 		t.Fatalf("in use %d, peak %d, want 6 and 7", p.InUse(), p.Peak())
 	}
@@ -27,9 +23,6 @@ func TestPoolBasics(t *testing.T) {
 
 func TestPoolErrors(t *testing.T) {
 	p := NewPool()
-	if err := p.Acquire(-1); err == nil {
-		t.Error("negative acquire accepted")
-	}
 	if err := p.Release(-1); err == nil {
 		t.Error("negative release accepted")
 	}
@@ -40,9 +33,7 @@ func TestPoolErrors(t *testing.T) {
 
 func TestUnboundedPool(t *testing.T) {
 	p := NewPool()
-	if err := p.Acquire(1_000_000); err != nil {
-		t.Fatal(err)
-	}
+	p.Acquire(1_000_000)
 	if p.Peak() != 1_000_000 {
 		t.Fatalf("peak = %d", p.Peak())
 	}
@@ -56,7 +47,7 @@ func TestPoolPeakProperty(t *testing.T) {
 		for _, op := range ops {
 			n := int(op)
 			if n >= 0 {
-				_ = p.Acquire(n)
+				p.Acquire(n)
 			} else {
 				_ = p.Release(-n)
 			}

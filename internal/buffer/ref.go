@@ -4,10 +4,11 @@ import "sync/atomic"
 
 // Ref is a refcounted handle on a track the engine made (a
 // reconstruction), the one kind of delivered track whose bytes go back
-// to the arena. It exists so one made track can be handed to N
-// consumers (the session writers of a shared run) without copying: the
-// engine Shares the buffer once, each consumer Retains the Ref, and the
-// last holder's Release Puts the buffer back. A track read off a platter
+// to the arena. It exists so a made track can outlive the Step that made
+// it without copying: the engine Shares the buffer once and holds that
+// reference until its next Step, a consumer that ships the track later
+// (a network session's writer) Retains the Ref, and the last holder's
+// Release Puts the buffer back. A track read off a platter
 // carries no Ref: it is the drive's own immutable slice, which the GC
 // keeps alive for as long as anyone holds it. Ref headers are recycled
 // through the arena's own free list, so steady-state sharing allocates

@@ -266,10 +266,11 @@ func (c *Coordinator) heartbeatLoop() {
 }
 
 // Tick runs one heartbeat round: push the current view to every member
-// still serving, fold their load reports into the view, count misses,
-// and apply the consequences — MissThreshold consecutive misses mark a
-// node dead (view change); a draining node reporting empty is removed
-// (drain complete, view change).
+// still serving, all at once so a member that never answers costs the
+// round one HeartbeatTimeout and the others none, fold their load
+// reports into the view, count misses, and apply the consequences —
+// MissThreshold consecutive misses mark a node dead (view change); a
+// draining node reporting empty is removed (drain complete, view change).
 func (c *Coordinator) Tick() {
 	c.mu.Lock()
 	members := append([]cluster.Member(nil), c.view.Members...)
@@ -281,14 +282,18 @@ func (c *Coordinator) Tick() {
 		ack ViewAck
 		err error
 	}
-	results := make([]result, 0, len(members))
-	for _, m := range members {
-		if m.State == cluster.StateDead {
-			continue
-		}
-		ack, err := c.heartbeat(m, view)
-		results = append(results, result{m.ID, ack, err})
+	live := slices.DeleteFunc(members, func(m cluster.Member) bool { return m.State == cluster.StateDead })
+	results := make([]result, len(live))
+	var wg sync.WaitGroup
+	for i, m := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ack, err := c.heartbeat(m, view)
+			results[i] = result{m.ID, ack, err}
+		}()
 	}
+	wg.Wait()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

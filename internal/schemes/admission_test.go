@@ -53,7 +53,7 @@ func fillAdmitted(t *testing.T, e Simulator, r *rig, titles, width int) int {
 	for cycle := 0; cycle < width; cycle++ {
 		for i := 0; i < titles; i++ {
 			for admitted < 10_000 {
-				if _, err := e.AddStream(r.object(t, i)); err != nil {
+				if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 					break
 				}
 				admitted++
@@ -211,10 +211,10 @@ func TestSlotRefusalHiccupsNoSlot(t *testing.T) {
 				t.Fatal(err)
 			}
 			obj := r.object(t, 0)
-			if _, err := e.AddStream(obj); err != nil {
+			if _, err := e.AddStreamAt(obj, 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.AddStream(obj); !errors.Is(err, ErrCapacity) {
+			if _, err := e.AddStreamAt(obj, 0); !errors.Is(err, ErrCapacity) {
 				t.Fatalf("admission onto a full cluster: %v, want ErrCapacity", err)
 			}
 			tc.slip(e, obj)

@@ -57,13 +57,38 @@ func allocsPerRun(runs int, f func()) float64 {
 	return float64((ms.Mallocs - before) / uint64(runs))
 }
 
-// checkCycleAllocBudget admits one stream per object and holds the
-// engine's steady-state allocations per Step to the budget.
-func checkCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects int, check func(*sched.CycleReport)) {
+// checkCycleAllocBudget admits one stream per object, plays the first
+// at rate ff (fast-forward when ff > 1: it must then deliver ff groups
+// every measured cycle) and holds the engine's steady-state allocations
+// per Step to the budget.
+func checkCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects, ff int, check func(*sched.CycleReport)) {
 	t.Helper()
-	for i := 0; i < objects; i++ {
-		if _, err := e.AddStream(r.object(t, i)); err != nil {
+	ids := make([]int, objects)
+	for i := range ids {
+		id, err := e.AddStreamAt(r.object(t, i), 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	if ff > 1 {
+		if err := e.(interface{ SetStreamRate(id, rate int) error }).SetStreamRate(ids[0], ff); err != nil {
+			t.Fatal(err)
+		}
+		inner := check
+		check = func(rep *sched.CycleReport) {
+			n := 0
+			for _, dl := range rep.Delivered {
+				if dl.StreamID == ids[0] {
+					n++
+				}
+			}
+			if want := ff * r.lay.GroupWidth(); n != want {
+				t.Fatalf("cycle %d: fast-forward stream delivered %d tracks, want %d", rep.Cycle, n, want)
+			}
+			if inner != nil {
+				inner(rep)
+			}
 		}
 	}
 	n := steadyStateAllocs(t, e, 5, 20, check)
@@ -77,7 +102,9 @@ func checkCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects int, check
 }
 
 // TestSRSteadyStateCycleAllocBudget pins the Streaming RAID engine's
-// healthy steady-state cycle to the budget.
+// healthy steady-state cycle to the budget, one of its streams
+// fast-forwarding at rate 2 so the per-stream group lists are reused at
+// more than one group a cycle.
 func TestSRSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newRig(t, 10, 5, 2, 60, layout.DedicatedParity)
 	cfg := r.config()
@@ -85,7 +112,7 @@ func TestSRSteadyStateCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCycleAllocBudget(t, e, r, 2, nil)
+	checkCycleAllocBudget(t, e, r, 2, 2, nil)
 }
 
 // TestNCSteadyStateCycleAllocBudget pins the Non-clustered engine's
@@ -97,7 +124,7 @@ func TestNCSteadyStateCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCycleAllocBudget(t, e, r, 2, nil)
+	checkCycleAllocBudget(t, e, r, 2, 1, nil)
 }
 
 // TestIBSteadyStateCycleAllocBudget pins the Improved-bandwidth engine's
@@ -110,11 +137,12 @@ func TestIBSteadyStateCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCycleAllocBudget(t, e, r, 4, nil)
+	checkCycleAllocBudget(t, e, r, 4, 1, nil)
 }
 
 // TestDCSteadyStateCycleAllocBudget pins the Declustered engine, the
-// whole-group chassis over a block-design layout.
+// whole-group chassis over a block-design layout, with one stream
+// fast-forwarding at rate 2.
 func TestDCSteadyStateCycleAllocBudget(t *testing.T) {
 	r := newDeclusteredRig(t, 26, 13, 4, 4, 60)
 	cfg := r.config()
@@ -122,7 +150,7 @@ func TestDCSteadyStateCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCycleAllocBudget(t, e, r, 4, nil)
+	checkCycleAllocBudget(t, e, r, 4, 2, nil)
 }
 
 // TestSGSteadyStateCycleAllocBudget pins the Staggered-group engine:
@@ -134,7 +162,7 @@ func TestSGSteadyStateCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCycleAllocBudget(t, e, r, 2, nil)
+	checkCycleAllocBudget(t, e, r, 2, 1, nil)
 }
 
 // degradedFolds is the fewest folds the degraded gates' rigs queue in
@@ -157,7 +185,7 @@ func checkDegradedCycleAllocBudget(t *testing.T, e Simulator, r *rig, objects in
 		}
 	}
 	busiest := 0
-	checkCycleAllocBudget(t, e, r, objects, func(rep *sched.CycleReport) {
+	checkCycleAllocBudget(t, e, r, objects, 1, func(rep *sched.CycleReport) {
 		if everyCycle && rep.Reconstructions < degradedFolds {
 			t.Fatalf("cycle %d reconstructed %d tracks, want at least %d", rep.Cycle, rep.Reconstructions, degradedFolds)
 		}

@@ -42,12 +42,12 @@ func TestCancelStreamAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			id0, err := e.AddStream(r.object(t, 0))
+			id0, err := e.AddStreamAt(r.object(t, 0), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			stepN(t, e, 1)
-			id1, err := e.AddStream(r.object(t, 1))
+			id1, err := e.AddStreamAt(r.object(t, 1), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,8 +75,60 @@ func TestCancelStreamAllEngines(t *testing.T) {
 				t.Fatalf("buffers leaked after cancel: %d", tc.inUse(e))
 			}
 			// The cancelled stream's slot is reusable.
-			if _, err := e.AddStream(r.object(t, 0)); err != nil {
+			if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 				t.Fatalf("slot not freed: %v", err)
+			}
+		})
+	}
+
+	// A whole-group stream cancelled at rate 3 holds three delivering
+	// groups, some of them reconstructed around a failed drive: the cancel
+	// returns every pool track and made buffer by the next Step.
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (*StreamingRAID, *rig, error)
+	}{
+		{"SR fast-forward", func(t *testing.T) (*StreamingRAID, *rig, error) {
+			r := newRig(t, 10, 5, 1, 10, layout.DedicatedParity)
+			e, err := NewStreamingRAID(r.config())
+			return e, r, err
+		}},
+		{"DC fast-forward", func(t *testing.T) (*StreamingRAID, *rig, error) {
+			r := newDeclusteredRig(t, 26, 13, 4, 1, 10)
+			e, err := NewDeclustered(r.config())
+			return e, r, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, r, err := tc.build(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The second Step reads groups 3 to 5: fail a drive of group 3.
+			obj := r.object(t, 0)
+			if err := e.FailDisk(obj.Groups[3].Data[0].Disk); err != nil {
+				t.Fatal(err)
+			}
+			id, err := e.AddStreamAt(obj, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SetStreamRate(id, 3); err != nil {
+				t.Fatal(err)
+			}
+			_, _, reps := stepN(t, e, 2)
+			if n := len(e.streams[0].delivering); n != 3 {
+				t.Fatalf("%d groups delivering at rate 3, want 3", n)
+			}
+			if reps[1].Reconstructions == 0 || e.Arena().Outstanding() == 0 {
+				t.Fatal("no reconstructed track held")
+			}
+			if err := e.CancelStream(id); err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, e, 1)
+			if n, out := e.BufferInUse(), e.Arena().Outstanding(); n != 0 || out != 0 {
+				t.Fatalf("after cancel and a Step: %d pool tracks, %d arena buffers outstanding", n, out)
 			}
 		})
 	}

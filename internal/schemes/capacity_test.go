@@ -38,7 +38,7 @@ func TestAdmissionMatchesAnalyticBound(t *testing.T) {
 		}
 		admitted := 0
 		for i := 0; ; i++ {
-			if _, err := e.AddStream(rig.object(t, i)); err != nil {
+			if _, err := e.AddStreamAt(rig.object(t, i), 0); err != nil {
 				break
 			}
 			admitted++
@@ -60,7 +60,7 @@ func TestAdmissionMatchesAnalyticBound(t *testing.T) {
 		next := 0
 		for phase := 0; phase < c-1; phase++ {
 			for {
-				if _, err := e.AddStream(rig.object(t, next)); err != nil {
+				if _, err := e.AddStreamAt(rig.object(t, next), 0); err != nil {
 					break
 				}
 				next++
@@ -86,7 +86,7 @@ func TestAdmissionMatchesAnalyticBound(t *testing.T) {
 		next := 0
 		for phase := 0; phase < c-1; phase++ {
 			for {
-				if _, err := e.AddStream(rig.object(t, next)); err != nil {
+				if _, err := e.AddStreamAt(rig.object(t, next), 0); err != nil {
 					break
 				}
 				next++
@@ -111,7 +111,7 @@ func TestAdmissionMatchesAnalyticBound(t *testing.T) {
 		}
 		admitted := 0
 		for i := 0; ; i++ {
-			if _, err := e.AddStream(rig.object(t, i)); err != nil {
+			if _, err := e.AddStreamAt(rig.object(t, i), 0); err != nil {
 				break
 			}
 			admitted++
@@ -195,7 +195,7 @@ func TestDegradedCapacity(t *testing.T) {
 			}
 			admitted := 0
 			for ; admitted < 10_000; admitted++ {
-				if _, err := e.AddStream(r.object(t, admitted%titles)); err != nil {
+				if _, err := e.AddStreamAt(r.object(t, admitted%titles), 0); err != nil {
 					break
 				}
 			}

@@ -26,17 +26,23 @@ var ErrCapacity = errors.New("schemes: capacity")
 // track. Anywhere else it is an over-committed cycle.
 const LostNoSlot = "track not read: drive out of slots"
 
+// lostUnread is the hiccup reason of a track whose read found the member
+// erased and that no reconstruction stood in for.
+const lostUnread = "track could not be read or rebuilt"
+
 // engineCore is the chassis shared by the five scheme engines: the
-// validated configuration, the per-disk slot budget, the cycle counter,
-// stream-ID allocation, the buffer pool, the metrics recorder, the one
-// track read (readTrack), the one reconstruction (reconstruct) and the
-// one delivery (emit). Engines embed it and keep only their
-// scheme-specific scheduling logic. A Step issues its reads serially, on
-// its caller's goroutine; the folds that make its missing tracks run as
-// one batch across the CPUs, folded by idle cores as they are queued and
-// finished before the report is returned.
+// validated configuration, the cycle time and per-disk slot budget, the
+// cycle counter, stream-ID allocation, the buffer pool, the metrics
+// recorder, the one track read (readTrack), the one reconstruction
+// (reconstruct) and the one delivery (emit, per buffered track
+// deliverTrack). Engines embed it and keep only their scheme-specific
+// scheduling logic. A Step issues its reads serially, on its caller's
+// goroutine; the folds that make its missing tracks run as one batch
+// across the CPUs, folded by idle cores as they are queued and finished
+// before the report is returned.
 type engineCore struct {
 	cfg          Config
+	cycleTime    time.Duration // T_cyc = k′·B/b₀ for the engine's k′
 	slotsPerDisk int
 	cycle        int
 	nextID       int
@@ -77,7 +83,8 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 	if err := cfg.validate(); err != nil {
 		return engineCore{}, err
 	}
-	perDisk, err := cfg.slotsFor(kPrime)
+	cycleTime := cfg.Farm.Params().CycleTime(kPrime, cfg.Rate)
+	perDisk, err := cfg.slotsFor(cycleTime)
 	if err != nil {
 		return engineCore{}, err
 	}
@@ -90,6 +97,7 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 	folds.Grow(reads, 2*reads)
 	return engineCore{
 		cfg:          cfg,
+		cycleTime:    cycleTime,
 		slotsPerDisk: perDisk,
 		pool:         buffer.NewPool(),
 		arena:        buffer.NewArena(int(cfg.Farm.Params().TrackSize)),
@@ -103,6 +111,10 @@ func newEngineCore(cfg Config, kPrime int) (engineCore, error) {
 
 // Cycle implements Simulator.
 func (c *engineCore) Cycle() int { return c.cycle }
+
+// CycleTime implements Simulator: T_cyc = k′·B/b₀, k′ being C-1 for the
+// whole-group engines and 1 for Staggered-group and Non-clustered.
+func (c *engineCore) CycleTime() time.Duration { return c.cycleTime }
 
 // SlotsPerDisk returns the per-disk per-cycle track budget in use.
 func (c *engineCore) SlotsPerDisk() int { return c.slotsPerDisk }
@@ -128,14 +140,17 @@ func (c *engineCore) FailDisk(id int) error {
 }
 
 // readTrack is the one scheduled track read: a slot on the track's drive,
-// then read. It returns nil — slot kept, as the arm was scheduled — when
-// the drive's budget is spent or the read found the track erased.
-func (c *engineCore) readTrack(st *sched.Stream, g *layout.Group, loc layout.Location, reads *int) []byte {
+// then read. It returns nil and why when it got nothing: LostNoSlot when
+// the drive's budget is spent, lostUnread (slot kept, as the arm was
+// scheduled) when the read found the track erased.
+func (c *engineCore) readTrack(st *sched.Stream, g *layout.Group, loc layout.Location, reads *int) ([]byte, string) {
 	if !c.slots.Take(loc.Disk) {
-		return nil
+		return nil, LostNoSlot
 	}
-	view, _ := c.read(st, g, loc, reads)
-	return view
+	if view, err := c.read(st, g, loc, reads); err == nil {
+		return view, ""
+	}
+	return nil, lostUnread
 }
 
 // read is readTrack's second half, for stageGroup, which takes a whole
@@ -182,11 +197,9 @@ func (c *engineCore) put(buf []byte) {
 // holdBriefly accounts a buffer that lives only within this cycle (a
 // parity block folded into a reconstruction): it counts toward the
 // pool's peak but not its occupancy.
-func (c *engineCore) holdBriefly() error {
-	if err := c.pool.Acquire(1); err != nil {
-		return err
-	}
-	return c.pool.Release(1)
+func (c *engineCore) holdBriefly() {
+	c.pool.Acquire(1)
+	_ = c.pool.Release(1) // cannot fail: the track was just acquired
 }
 
 // emit is the one delivery: the stream's track goes into the cycle's
@@ -438,22 +451,19 @@ func findActive[S engineStream](streams []S, id int) (S, error) {
 
 // groupStream is the double-buffered stream state shared by the
 // whole-group engines (Streaming RAID, Declustered and
-// Improved-bandwidth): the group read this cycle is staged; the group
-// read last cycle is delivering.
+// Improved-bandwidth): the groups read this cycle are staged; the groups
+// read last cycle are delivering. Each list is in group order and holds
+// one group at rate 1, up to r under fast-forward.
 type groupStream struct {
 	sched.Stream
 	// nextGroup is the next parity-group index to read.
 	nextGroup  int
-	staged     *bufferedGroup
-	delivering *bufferedGroup
+	staged     []*bufferedGroup
+	delivering []*bufferedGroup
 	// rate is the playback multiplier: 0 and 1 mean normal playback (one
 	// group per cycle), r > 1 means fast-forward — r groups staged and
-	// delivered per cycle. The extra groups beyond the first live in
-	// stagedExtra/deliveringExtra, in group order, so the rate-1 fields
-	// above keep their exact pre-VCR behaviour.
-	rate            int
-	stagedExtra     []*bufferedGroup
-	deliveringExtra []*bufferedGroup
+	// delivered per cycle.
+	rate int
 }
 
 func (s *groupStream) stream() *sched.Stream { return &s.Stream }
@@ -476,23 +486,12 @@ type groupEngine struct {
 	streams []*groupStream
 }
 
-// CycleTime implements Simulator: Tcyc = (C-1)·B/b0, C being the parity
-// group size.
-func (e *groupEngine) CycleTime() time.Duration {
-	return e.cfg.Farm.Params().CycleTime(e.cfg.Layout.GroupWidth(), e.cfg.Rate)
-}
-
 // Active implements Simulator.
 func (e *groupEngine) Active() int { return activeCount(e.streams) }
 
 // StreamProgress implements Simulator.
 func (e *groupEngine) StreamProgress(id int) (next, total int, ok bool) {
 	return streamProgress(e.streams, id)
-}
-
-// AddStream implements Simulator.
-func (e *groupEngine) AddStream(obj *layout.Object) (int, error) {
-	return e.AddStreamAt(obj, 0)
 }
 
 // AddStreamAt implements Simulator: the stream is admitted if its
@@ -571,50 +570,41 @@ func (e *groupEngine) CancelStream(id int) error {
 		return err
 	}
 	s.Done = true
-	if err := e.releaseGroups(s.staged, s.delivering); err != nil {
-		return err
+	return e.dropGroups(&s.staged, &s.delivering)
+}
+
+// dropGroups ends every group on the given lists (releaseGroups) and
+// empties the lists, keeping their backing arrays.
+func (c *engineCore) dropGroups(lists ...*[]*bufferedGroup) error {
+	for _, l := range lists {
+		if err := c.releaseGroups(*l...); err != nil {
+			return err
+		}
+		clear(*l)
+		*l = (*l)[:0]
 	}
-	s.staged, s.delivering = nil, nil
-	if err := e.releaseGroups(s.stagedExtra...); err != nil {
-		return err
-	}
-	if err := e.releaseGroups(s.deliveringExtra...); err != nil {
-		return err
-	}
-	s.stagedExtra, s.deliveringExtra = s.stagedExtra[:0], s.deliveringExtra[:0]
 	return nil
 }
 
 // stageReads is the whole-group read phase: every active stream stages
 // its next group, and a rate-r stream its next r (capped at the
-// object's end), the first into staged and the rest into stagedExtra in
-// group order. Streams staging the same group this cycle (the Zipf
-// head: many viewers of one hot title in lockstep) each read it, and
+// object's end), in group order. Streams staging the same group this
+// cycle (the Zipf head: many viewers of one hot title) each read it, and
 // every read returns the platter's one slice, so the bytes are shared
-// without the engine knowing (netserve merges their runs on them).
+// without the engine knowing.
 func (e *groupEngine) stageReads() error {
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || s.nextGroup >= len(s.Obj.Groups) {
 			continue
 		}
-		rate := min(ffRate(s), len(s.Obj.Groups)-s.nextGroup)
-		if need := rate - 1; cap(s.stagedExtra) < need {
-			s.stagedExtra = make([]*bufferedGroup, need)
-		} else {
-			s.stagedExtra = s.stagedExtra[:need]
-		}
-		for j := 0; j < rate; j++ {
+		for range min(ffRate(s), len(s.Obj.Groups)-s.nextGroup) {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
 			staged, err := e.stageGroup(&s.Stream, g)
 			if err != nil {
 				return err
 			}
-			if j == 0 {
-				s.staged = staged
-			} else {
-				s.stagedExtra[j-1] = staged
-			}
+			s.staged = append(s.staged, staged)
 		}
 	}
 	return nil
@@ -655,63 +645,46 @@ func (c *engineCore) stageGroup(st *sched.Stream, g *layout.Group) (*bufferedGro
 		c.rep.Reconstructions++
 	}
 	staged.pooled = len(g.Data) + 1
-	if err := c.pool.Acquire(staged.pooled); err != nil {
-		return nil, err
-	}
+	c.pool.Acquire(staged.pooled)
 	return staged, nil
 }
 
 // deliverDouble runs the delivery phase for double-buffered engines:
-// groups read in the previous cycle go out now, hiccuping tracks that
-// could not be read or rebuilt (hiccupReason labels the loss). A
-// fast-forward stream delivers its primary group and then its extras in
-// group order, so the tracks on the wire stay consecutive.
+// groups read in the previous cycle go out now, in group order, so a
+// fast-forward stream's tracks on the wire stay consecutive, hiccuping
+// tracks that could not be read or rebuilt (hiccupReason labels the
+// loss). Each group's pool hold is released after its tracks.
 func (e *groupEngine) deliverDouble(hiccupReason string) error {
 	for _, s := range e.streams {
 		if s.Terminated || s.Done {
 			continue
 		}
-		bg := s.delivering
-		extras := s.deliveringExtra
-		s.delivering, s.staged = s.staged, nil
-		s.deliveringExtra, s.stagedExtra = s.stagedExtra, extras[:0]
-		if bg != nil {
-			if err := e.deliverGroup(s, bg, hiccupReason); err != nil {
+		groups := s.delivering
+		s.delivering, s.staged = s.staged, groups[:0]
+		for i, bg := range groups {
+			groups[i] = nil
+			for off := 0; off < bg.group.ValidTracks; off++ {
+				e.deliverTrack(&s.Stream, bg, off, hiccupReason)
+			}
+			if err := e.releaseGroups(bg); err != nil {
 				return err
 			}
 		}
-		for i, ebg := range extras {
-			extras[i] = nil
-			if ebg == nil {
-				continue
-			}
-			if err := e.deliverGroup(s, ebg, hiccupReason); err != nil {
-				return err
-			}
-		}
-		if bg == nil && len(extras) == 0 {
-			continue
-		}
-		if s.Done {
+		if len(groups) > 0 && s.Done {
 			e.rep.Finished = append(e.rep.Finished, s.ID)
 		}
 	}
 	return nil
 }
 
-// deliverGroup ships one buffered group of one stream: tracks out (or
-// hiccups), the pool hold released, the stream advanced. The caller
-// appends Finished once after all of the stream's groups.
-func (c *engineCore) deliverGroup(s *groupStream, bg *bufferedGroup, hiccupReason string) error {
-	width := len(bg.group.Data)
-	base := bg.group.Index * width
-	for off := 0; off < bg.group.ValidTracks; off++ {
-		c.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, hiccupReason), bg.failure)
-		// A made track now belongs to its Ref: clear the slot so
-		// recycleGroup below Puts only the leftovers (padding past
-		// ValidTracks), not a buffer behind the report's back.
-		bg.data[off] = nil
-	}
-	s.Advance(bg.group.ValidTracks)
-	return c.releaseGroups(bg)
+// deliverTrack ships the track at in-group offset off of stream st's
+// buffered group bg — out, or a hiccup giving why the group read nothing
+// or else reason — and advances the stream past it.
+func (c *engineCore) deliverTrack(st *sched.Stream, bg *bufferedGroup, off int, reason string) {
+	c.emit(st, bg.group.Index*len(bg.group.Data)+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, reason), bg.failure)
+	// A made track now belongs to its Ref (released at the next Step's
+	// beginCycle): clear the slot so recycleGroup Puts only the leftovers
+	// (padding past ValidTracks), not a buffer behind the report's back.
+	bg.data[off] = nil
+	st.Advance(1)
 }

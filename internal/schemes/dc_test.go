@@ -57,7 +57,7 @@ func TestDeclusteredHappyPath(t *testing.T) {
 	objs := make([]*layout.Object, 3)
 	for i := range ids {
 		objs[i] = r.object(t, i)
-		if ids[i], err = e.AddStream(objs[i]); err != nil {
+		if ids[i], err = e.AddStreamAt(objs[i], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestDeclusteredSingleFailureMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := r.object(t, 0)
-	id, err := e.AddStream(obj)
+	id, err := e.AddStreamAt(obj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDeclusteredSecondFailureDifferentBlockMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := r.object(t, 0)
-	id, err := e.AddStream(obj)
+	id, err := e.AddStreamAt(obj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDeclusteredSameBlockDoubleFailureCatastrophic(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := r.object(t, 0)
-	id, err := e.AddStream(obj)
+	id, err := e.AddStreamAt(obj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestDeclusteredAdmissionCap(t *testing.T) {
 	}
 	obj := r.object(t, 0)
 	for i := 0; i < 2; i++ {
-		if _, err := e.AddStream(obj); err != nil {
+		if _, err := e.AddStreamAt(obj, 0); err != nil {
 			t.Fatalf("admission %d: %v", i, err)
 		}
 	}
-	if _, err := e.AddStream(obj); err == nil {
+	if _, err := e.AddStreamAt(obj, 0); err == nil {
 		t.Fatal("third stream must be rejected at SlotsPerDisk=2")
 	}
 }

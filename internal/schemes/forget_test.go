@@ -88,7 +88,7 @@ func TestEnginesForgetEndedStreams(t *testing.T) {
 					}
 				}
 				for i := 0; i < perCycle && admitted < total; i++ {
-					id, err := e.AddStream(r.object(t, (admitted+i)%4))
+					id, err := e.AddStreamAt(r.object(t, (admitted+i)%4), 0)
 					if err != nil {
 						continue // full at this start position; the next title may fit
 					}

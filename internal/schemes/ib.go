@@ -116,7 +116,7 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, midDisk int, allowa
 				*allowance--
 			}
 		}
-		blk := e.readTrack(&gr.s.Stream, gr.g, loc, &e.rep.DataReads)
+		blk, _ := e.readTrack(&gr.s.Stream, gr.g, loc, &e.rep.DataReads)
 		if blk == nil {
 			gr.missing = append(gr.missing, j)
 			if onVictim {
@@ -210,10 +210,8 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 			continue
 		}
 		gr.bg.pooled = len(gr.g.Data)
-		if err := e.pool.Acquire(gr.bg.pooled); err != nil {
-			return nil, err
-		}
-		gr.s.staged = gr.bg
+		e.pool.Acquire(gr.bg.pooled)
+		gr.s.staged = append(gr.s.staged, gr.bg)
 	}
 
 	// Delivery of last cycle's groups.
@@ -331,7 +329,8 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead) (par []byte, victim *ibG
 	e.rep.ParityReads++
 	// The parity block counts as a buffer within this cycle in the
 	// paper's accounting, though the view itself takes no arena buffer.
-	return par, victim, e.holdBriefly()
+	e.holdBriefly()
+	return par, victim, nil
 }
 
 // pickVictim finds a group of this cycle (other than the requester)
@@ -368,7 +367,5 @@ func (e *ImprovedBandwidth) terminate(s *groupStream) error {
 	}
 	s.Terminated = true
 	e.rep.Terminated = append(e.rep.Terminated, s.ID)
-	err := e.releaseGroups(s.delivering, s.staged)
-	s.delivering, s.staged = nil, nil
-	return err
+	return e.dropGroups(&s.delivering, &s.staged)
 }

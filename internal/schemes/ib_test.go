@@ -44,7 +44,7 @@ func TestIBNormalModeNoParityBandwidth(t *testing.T) {
 	}
 	ids := make([]int, 3)
 	for i := 0; i < 3; i++ {
-		ids[i], err = e.AddStream(r.object(t, i))
+		ids[i], err = e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestIBNormalModeNoParityBandwidth(t *testing.T) {
 func TestIBBufferAccounting(t *testing.T) {
 	r := newRig(t, 15, 5, 1, 6, layout.IntermixedParity)
 	e, _ := NewImprovedBandwidth(r.config(), 0)
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	runToCompletion(t, e, 100)
@@ -88,11 +88,11 @@ func TestIBBoundaryFailureMasked(t *testing.T) {
 	for failed := 0; failed < 5; failed++ {
 		r := newRig(t, 15, 5, 2, 9, layout.IntermixedParity)
 		e, _ := NewImprovedBandwidth(r.config(), 2)
-		id0, err := e.AddStream(r.object(t, 0))
+		id0, err := e.AddStreamAt(r.object(t, 0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		id1, err := e.AddStream(r.object(t, 1))
+		id1, err := e.AddStreamAt(r.object(t, 1), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestIBBoundaryFailureMasked(t *testing.T) {
 func TestIBMidCycleFailureSingleHiccup(t *testing.T) {
 	r := newRig(t, 15, 5, 1, 9, layout.IntermixedParity)
 	e, _ := NewImprovedBandwidth(r.config(), 2)
-	id, err := e.AddStream(r.object(t, 0))
+	id, err := e.AddStreamAt(r.object(t, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestIBAdmissionReserve(t *testing.T) {
 	// at clusters 0,1,2 in the rig, so all three are admitted; a second
 	// stream of obj0 is not.
 	for i := 0; i < 3; i++ {
-		if _, err := e.AddStream(r.object(t, i)); err != nil {
+		if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.AddStream(r.object(t, 0)); err == nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err == nil {
 		t.Fatal("stream beyond reserve-adjusted capacity admitted")
 	}
 }
@@ -188,11 +188,11 @@ func TestIBReservePreventsDegradation(t *testing.T) {
 		// drive the other stream is using — otherwise the parity always
 		// falls on the very drive the next cluster's group happens to
 		// skip.
-		if _, err := e.AddStream(r.object(t, 0)); err != nil {
+		if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 			t.Fatal(err)
 		}
 		stepN(t, e, 1)
-		if _, err := e.AddStream(r.object(t, 2)); err != nil {
+		if _, err := e.AddStreamAt(r.object(t, 2), 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.FailDisk(0); err != nil {
@@ -227,7 +227,7 @@ func TestIBShiftPropagatesRight(t *testing.T) {
 	}
 	ids := make([]int, 3)
 	for i := 0; i < 3; i++ {
-		ids[i], err = e.AddStream(r.object(t, i))
+		ids[i], err = e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

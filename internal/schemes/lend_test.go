@@ -85,7 +85,7 @@ func TestEnginesNeverWritePlatter(t *testing.T) {
 			var ids []int
 			admit := func(objs ...int) {
 				for _, o := range objs {
-					if id, err := e.AddStream(r.object(t, o)); err == nil {
+					if id, err := e.AddStreamAt(r.object(t, o), 0); err == nil {
 						ids = append(ids, id)
 					}
 				}

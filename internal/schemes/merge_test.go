@@ -69,14 +69,14 @@ func TestMergedReadsBitExactReports(t *testing.T) {
 	}
 	obj0, obj1 := r.object(t, 0), r.object(t, 1)
 	for i := 0; i < 4; i++ {
-		if _, err := e.AddStream(obj0); err != nil {
+		if _, err := e.AddStreamAt(obj0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := e.AddStreamAt(obj0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(obj1); err != nil {
+	if _, err := e.AddStreamAt(obj1, 0); err != nil {
 		t.Fatal(err)
 	}
 

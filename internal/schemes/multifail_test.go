@@ -17,7 +17,7 @@ func TestMultiClusterFailuresMaskedSR(t *testing.T) {
 	}
 	ids := make([]int, 3)
 	for i := 0; i < 3; i++ {
-		ids[i], err = e.AddStream(r.object(t, i))
+		ids[i], err = e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestMultiClusterFailuresMaskedSG(t *testing.T) {
 	ids := make([]int, 3)
 	early, _, _ := stepN(t, e, 0)
 	for i := 0; i < 3; i++ {
-		ids[i], err = e.AddStream(r.object(t, i))
+		ids[i], err = e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestNCTwoClustersDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.AddStream(r.object(t, i)); err != nil {
+		if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 			t.Fatal(err)
 		}
 		stepN(t, e, 1)
@@ -118,7 +118,7 @@ func TestIBAdjacentVsDistantClusterFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := e.AddStream(r.object(t, i)); err != nil {
+			if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"ftmm/internal/buffer"
 	"ftmm/internal/disk"
@@ -70,28 +69,15 @@ type ncCluster struct {
 func (c ncCluster) degraded() bool { return c.mode == ncDegraded || c.mode == ncUnprotected }
 
 // Why a Non-clustered track is lost, as its hiccup says: the switchover
-// dropped it (Figures 6-7), it is a failed drive's on a cluster no buffer
-// server carries, lost on every pass (LostUnprotected, the paper's
-// degradation of service, which the chaos continuity checker reads), or
-// its read found the member erased and no reconstruction stood in. A read
-// refused a slot says LostNoSlot.
+// dropped it (Figures 6-7), or it is a failed drive's on a cluster no
+// buffer server carries, lost on every pass (LostUnprotected, the paper's
+// degradation of service, which the chaos continuity checker reads). A
+// read refused a slot says LostNoSlot, and one that found the member
+// erased with no reconstruction standing in lostUnread.
 const (
 	lostTransition  = "track lost in degraded-mode transition"
 	LostUnprotected = "failed drive's track lost on an unprotected cluster"
-	lostUnread      = "track could not be read or rebuilt"
 )
-
-// readOrWhy is readTrack that says why it got nothing: the drive had no
-// slot left this cycle (LostNoSlot), or the member was erased.
-func (e *NonClustered) readOrWhy(st *sched.Stream, grp *layout.Group, loc layout.Location) ([]byte, string) {
-	if !e.slots.Take(loc.Disk) {
-		return nil, LostNoSlot
-	}
-	if view, err := e.read(st, grp, loc, &e.rep.DataReads); err == nil {
-		return view, ""
-	}
-	return nil, lostUnread
-}
 
 // ncStaged is one staged track, held in its stream's window until
 // delivered. reconstructed is also its kind: a reconstructed track is an
@@ -191,11 +177,6 @@ func NewNonClustered(cfg Config, policy TransitionPolicy, k int) (*NonClustered,
 // Name implements Simulator.
 func (e *NonClustered) Name() string { return "Non-clustered" }
 
-// CycleTime implements Simulator: Tcyc = B/b0 (k' = 1).
-func (e *NonClustered) CycleTime() time.Duration {
-	return e.cfg.Farm.Params().CycleTime(1, e.cfg.Rate)
-}
-
 // Active implements Simulator.
 func (e *NonClustered) Active() int { return activeCount(e.streams) }
 
@@ -216,11 +197,6 @@ func (e *NonClustered) width() int { return e.cfg.Layout.GroupWidth() }
 // position splits an absolute track index into (group, offset).
 func (e *NonClustered) position(r int) (g, o int) {
 	return r / e.width(), r % e.width()
-}
-
-// AddStream implements Simulator.
-func (e *NonClustered) AddStream(obj *layout.Object) (int, error) {
-	return e.AddStreamAt(obj, 0)
 }
 
 // AddStreamAt admits a stream beginning at the given parity group — the
@@ -608,16 +584,14 @@ func (e *NonClustered) readForStream(s *ncStream) error {
 // degradation.
 func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int) error {
 	s.read++
-	blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[o])
+	blk, why := e.readTrack(&s.Stream, grp, grp.Data[o], &e.rep.DataReads)
 	if blk == nil {
 		if why == lostUnread && e.clusters[grp.Cluster].mode == ncUnprotected {
 			why = LostUnprotected
 		}
 		return e.markLost(s, r, why)
 	}
-	if err := e.pool.Acquire(1); err != nil {
-		return err
-	}
+	e.pool.Acquire(1)
 	return s.stage(r, ncStaged{data: blk})
 }
 
@@ -639,7 +613,7 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 	for j, loc := range grp.Data {
 		if j != failedOffset {
 			var why string
-			if gr.data[j], why = e.readOrWhy(&s.Stream, grp, loc); why == LostNoSlot {
+			if gr.data[j], why = e.readTrack(&s.Stream, grp, loc, &e.rep.DataReads); why == LostNoSlot {
 				noSlot |= 1 << j
 			}
 		} else {
@@ -650,16 +624,14 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 		}
 	}
 	reconstructedIdx := -1
-	gr.par = e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
+	gr.par, _ = e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
 	if gr.par != nil {
 		if rec, err := gr.recoverGroup(&e.engineCore); err == nil && rec >= 0 {
 			reconstructedIdx = rec
 			e.rep.Reconstructions++
 		}
 		// Parity occupied a buffer during the read; account and drop it.
-		if err := e.holdBriefly(); err != nil {
-			return err
-		}
+		e.holdBriefly()
 	}
 	for r := base; r < groupEnd; r++ {
 		j := r - base
@@ -673,9 +645,7 @@ func (e *NonClustered) groupRead(s *ncStream, grp *layout.Group, g, failedOffset
 			}
 			continue
 		}
-		if err := e.pool.Acquire(1); err != nil {
-			return err
-		}
+		e.pool.Acquire(1)
 		if err := s.stage(r, ncStaged{data: gr.data[j], reconstructed: j == reconstructedIdx}); err != nil {
 			return err
 		}
@@ -709,9 +679,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		if err := e.dropXOR(s); err != nil {
 			return err
 		}
-		if err := e.pool.Acquire(1); err != nil {
-			return err
-		}
+		e.pool.Acquire(1)
 		s.xorGroup = g
 	}
 	if o < failedOffset {
@@ -754,7 +722,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 	}
 
 	for r := failedTrack + 1; r < groupEnd; r++ {
-		blk, why := e.readOrWhy(&s.Stream, grp, grp.Data[r-base])
+		blk, why := e.readTrack(&s.Stream, grp, grp.Data[r-base], &e.rep.DataReads)
 		if blk == nil {
 			if err := e.markLost(s, r, why); err != nil {
 				return err
@@ -762,16 +730,14 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			canRecon = false
 			continue
 		}
-		if err := e.pool.Acquire(1); err != nil {
-			return err
-		}
+		e.pool.Acquire(1)
 		if err := s.stage(r, ncStaged{data: blk}); err != nil {
 			return err
 		}
 		srcs = append(srcs, blk)
 	}
 	e.survivors = srcs
-	par := e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
+	par, _ := e.readTrack(&s.Stream, grp, grp.Parity, &e.rep.ParityReads)
 	if canRecon && par != nil && failedTrack < s.Obj.Tracks {
 		// Padding tracks of a short final group are zero, so the fold
 		// is complete even when groupEnd < base+width.

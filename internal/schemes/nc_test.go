@@ -90,7 +90,7 @@ func TestNCNormalModeDelivery(t *testing.T) {
 	}
 	ids := make([]int, 3)
 	for i := 0; i < 3; i++ {
-		id, err := e.AddStream(r.object(t, i))
+		id, err := e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestNCNormalModeTwoBuffersPerStream(t *testing.T) {
 	r := newRig(t, 10, 5, 2, 6, layout.DedicatedParity)
 	e, _ := NewNonClustered(r.config(), SimpleSwitchover, 2)
 	for i := 0; i < 2; i++ {
-		if _, err := e.AddStream(r.object(t, i)); err != nil {
+		if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestNCParityDiskFailureHarmless(t *testing.T) {
 	e, _ := NewNonClustered(r.config(), SimpleSwitchover, 2)
 	ids := make([]int, 2)
 	for i := 0; i < 2; i++ {
-		ids[i], _ = e.AddStream(r.object(t, i))
+		ids[i], _ = e.AddStreamAt(r.object(t, i), 0)
 	}
 	early, _, _ := stepN(t, e, 3)
 	if err := e.FailDisk(4); err != nil { // cluster 0's parity drive
@@ -171,7 +171,7 @@ func figureFailure(t *testing.T, policy TransitionPolicy) (map[string]map[int]bo
 	collected := map[int][]sched.Delivery{}
 	var allHiccups []sched.Hiccup
 	for i, name := range names {
-		id, err := e.AddStream(r.object(t, i))
+		id, err := e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatalf("admitting %s: %v", name, err)
 		}
@@ -308,7 +308,7 @@ func ncSweepLost(t *testing.T, policy TransitionPolicy, failedDisk, delay int) i
 	}
 	for i := 0; i < 4; i++ {
 		obj := r.object(t, i)
-		id, err := e.AddStream(obj)
+		id, err := e.AddStreamAt(obj, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func TestNCAlternateNeverWorse(t *testing.T) {
 			r := figureRig(t, 6)
 			e := newNC(t, r, policy, 2, 1)
 			for i := 0; i < 4; i++ {
-				if _, err := e.AddStream(r.object(t, i)); err != nil {
+				if _, err := e.AddStreamAt(r.object(t, i), 0); err != nil {
 					t.Fatal(err)
 				}
 				if i < 3 {
@@ -414,7 +414,7 @@ func TestNCDegradedModeReconstructs(t *testing.T) {
 	for _, policy := range []TransitionPolicy{SimpleSwitchover, AlternateSwitchover} {
 		r := figureRig(t, 6)
 		e := newNC(t, r, policy, 2, 1)
-		id, err := e.AddStream(r.object(t, 0))
+		id, err := e.AddStreamAt(r.object(t, 0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestNCDegradedModeReconstructs(t *testing.T) {
 func TestNCBufferServerExhaustion(t *testing.T) {
 	r := figureRig(t, 6)
 	e := newNC(t, r, SimpleSwitchover, 1, 1) // only one server
-	id, err := e.AddStream(r.object(t, 0))
+	id, err := e.AddStreamAt(r.object(t, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestNCBufferServerExhaustion(t *testing.T) {
 func TestNCRepairDisk(t *testing.T) {
 	r := figureRig(t, 10)
 	e := newNC(t, r, SimpleSwitchover, 1, 1)
-	id, err := e.AddStream(r.object(t, 0))
+	id, err := e.AddStreamAt(r.object(t, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,15 +516,15 @@ func TestNCRepairDisk(t *testing.T) {
 func TestNCAdmission(t *testing.T) {
 	r := figureRig(t, 4)
 	e := newNC(t, r, SimpleSwitchover, 2, 1)
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Same cycle, same start position: rejected at slot budget 1.
-	if _, err := e.AddStream(r.object(t, 1)); err == nil {
+	if _, err := e.AddStreamAt(r.object(t, 1), 0); err == nil {
 		t.Fatal("second stream at same position admitted")
 	}
 	stepN(t, e, 1)
-	if _, err := e.AddStream(r.object(t, 1)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 1), 0); err != nil {
 		t.Fatalf("staggered admission rejected: %v", err)
 	}
 }

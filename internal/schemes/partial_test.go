@@ -77,7 +77,7 @@ func TestPartialFinalGroupAllSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				id, err := e.AddStream(r.object(t, 0))
+				id, err := e.AddStreamAt(r.object(t, 0), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +115,7 @@ func TestPartialFinalGroupNCTransition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := e.AddStream(r.object(t, 0))
+		id, err := e.AddStreamAt(r.object(t, 0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestReportRetentionNeedsClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := r.object(t, 0)
-	if _, err := e.AddStream(obj); err != nil {
+	if _, err := e.AddStreamAt(obj, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Every group on the first group's cluster now loses one track.
@@ -91,7 +91,7 @@ func TestReportBackingReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	step := func() *sched.CycleReport {

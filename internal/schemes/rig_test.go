@@ -230,7 +230,7 @@ func TestRigCheckCatchesPlatterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.AddStream(obj)
+	id, err := e.AddStreamAt(obj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,12 +62,11 @@ type Simulator interface {
 	Cycle() int
 	// CycleTime returns the wall-clock length of one cycle.
 	CycleTime() time.Duration
-	// AddStream admits a stream for a placed object, returning its ID.
-	// Admission fails when the scheme's bandwidth budget is exhausted.
-	AddStream(obj *layout.Object) (int, error)
-	// AddStreamAt admits a stream whose delivery begins at the given
-	// parity group instead of the title's start — the session-resume seam
-	// cluster failover rides on. Group 0 is AddStream.
+	// AddStreamAt admits a stream for a placed object, returning its ID;
+	// its delivery begins at the given parity group (0 for the title's
+	// start, later for the session-resume seam cluster failover rides
+	// on). Admission fails when the scheme's bandwidth budget is
+	// exhausted.
 	AddStreamAt(obj *layout.Object, startGroup int) (int, error)
 	// CancelStream stops serving a stream immediately (a client hanging
 	// up, not a degradation event) and returns its buffers.
@@ -127,15 +126,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// slotsFor resolves the per-disk budget for a cycle of the given k'.
-func (c Config) slotsFor(kPrime int) (int, error) {
+// slotsFor resolves the per-disk budget for a cycle of the given length.
+func (c Config) slotsFor(cycle time.Duration) (int, error) {
 	if c.SlotsPerDisk > 0 {
 		return c.SlotsPerDisk, nil
 	}
-	window := c.Farm.Params().CycleTime(kPrime, c.Rate)
-	budget := c.Farm.Params().TrackBudget(window)
+	budget := c.Farm.Params().TrackBudget(cycle)
 	if budget < 1 {
-		return 0, fmt.Errorf("schemes: cycle of k'=%d tracks leaves no read budget", kPrime)
+		return 0, fmt.Errorf("schemes: cycle of %v leaves no read budget", cycle)
 	}
 	return budget, nil
 }

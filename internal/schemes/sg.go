@@ -1,9 +1,7 @@
 package schemes
 
 import (
-	"cmp"
 	"fmt"
-	"time"
 
 	"ftmm/internal/layout"
 	"ftmm/internal/sched"
@@ -50,11 +48,6 @@ func NewStaggeredGroup(cfg Config) (*StaggeredGroup, error) {
 // Name implements Simulator.
 func (e *StaggeredGroup) Name() string { return "Staggered-group" }
 
-// CycleTime implements Simulator: Tcyc = B/b0 (k' = 1).
-func (e *StaggeredGroup) CycleTime() time.Duration {
-	return e.cfg.Farm.Params().CycleTime(1, e.cfg.Rate)
-}
-
 // Active implements Simulator.
 func (e *StaggeredGroup) Active() int { return activeCount(e.streams) }
 
@@ -62,11 +55,6 @@ func (e *StaggeredGroup) Active() int { return activeCount(e.streams) }
 // object's total tracks; ok is false for unknown streams.
 func (e *StaggeredGroup) StreamProgress(id int) (next, total int, ok bool) {
 	return streamProgress(e.streams, id)
-}
-
-// AddStream implements Simulator.
-func (e *StaggeredGroup) AddStream(obj *layout.Object) (int, error) {
-	return e.AddStreamAt(obj, 0)
 }
 
 // AddStreamAt admits a stream beginning at the given parity group — the
@@ -138,7 +126,8 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 			continue
 		}
 		if s.buf != nil && s.buf.next < s.buf.group.ValidTracks {
-			e.deliverOne(s)
+			e.deliverTrack(&s.Stream, s.buf, s.buf.next, "parity group unrecoverable")
+			s.buf.next++
 			if s.buf.pooled > 0 {
 				if err := e.pool.Release(1); err != nil {
 					return nil, err
@@ -177,18 +166,4 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	}
 
 	return e.endCycle(), nil
-}
-
-// deliverOne sends the next track of the stream's buffered group.
-func (e *StaggeredGroup) deliverOne(s *sgStream) {
-	bg := s.buf
-	width := len(bg.group.Data)
-	base := bg.group.Index * width
-	off := bg.next
-	bg.next++
-	e.emit(&s.Stream, base+off, bg.data[off], bg.reconstructed[off], cmp.Or(bg.lost, "parity group unrecoverable"), bg.failure)
-	// A made track now belongs to its Ref (released at the next Step's
-	// beginCycle); clear the slot so group recycling skips it.
-	bg.data[off] = nil
-	s.Advance(1)
 }

@@ -52,7 +52,7 @@ func TestSGNoFailureDeliversEverything(t *testing.T) {
 	ids := map[int]int{}
 	collected, _, _ := stepN(t, e, 0)
 	for i := 0; i < 3; i++ {
-		id, err := e.AddStream(r.object(t, i))
+		id, err := e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSGNoFailureDeliversEverything(t *testing.T) {
 func TestSGDeliveryRateOneTrackPerCycle(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 6, layout.DedicatedParity)
 	e, _ := NewStaggeredGroup(r.config())
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, reports := runToCompletion(t, e, 200)
@@ -97,7 +97,7 @@ func TestSGDeliveryRateOneTrackPerCycle(t *testing.T) {
 func TestSGReadsEveryCMinusOneCycles(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 6, layout.DedicatedParity)
 	e, _ := NewStaggeredGroup(r.config())
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, reports := runToCompletion(t, e, 200)
@@ -119,7 +119,7 @@ func TestSGSingleFailureMaskedBitForBit(t *testing.T) {
 	for failed := 0; failed < 5; failed++ {
 		r := newRig(t, 10, 5, 1, 8, layout.DedicatedParity)
 		e, _ := NewStaggeredGroup(r.config())
-		id, err := e.AddStream(r.object(t, 0))
+		id, err := e.AddStreamAt(r.object(t, 0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestSGSingleFailureMaskedBitForBit(t *testing.T) {
 func TestSGBufferSawtooth(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 6, layout.DedicatedParity)
 	e, _ := NewStaggeredGroup(r.config())
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, reports := runToCompletion(t, e, 200)
@@ -169,7 +169,7 @@ func TestSGAggregateBufferHalfOfSR(t *testing.T) {
 	r := newRig(t, 10, 5, 4, 12, layout.DedicatedParity)
 	sg, _ := NewStaggeredGroup(r.config())
 	for i := 0; i < 4; i++ {
-		if _, err := sg.AddStream(r.object(t, i)); err != nil {
+		if _, err := sg.AddStreamAt(r.object(t, i), 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sg.Step(); err != nil { // stagger phases
@@ -184,7 +184,7 @@ func TestSGAggregateBufferHalfOfSR(t *testing.T) {
 	r2 := newRig(t, 10, 5, 4, 12, layout.DedicatedParity)
 	sr, _ := NewStreamingRAID(r2.config())
 	for i := 0; i < 4; i++ {
-		if _, err := sr.AddStream(r2.object(t, i)); err != nil {
+		if _, err := sr.AddStreamAt(r2.object(t, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,17 +208,17 @@ func TestSGAdmissionLimitPerPhase(t *testing.T) {
 	}
 	// obj0 and obj2 start on cluster 0. Same cycle => same phase: only
 	// one fits.
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 2)); err == nil {
+	if _, err := e.AddStreamAt(r.object(t, 2), 0); err == nil {
 		t.Fatal("second same-phase same-cluster stream admitted")
 	}
 	// Next cycle => next phase: now it fits.
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 2)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 2), 0); err != nil {
 		t.Fatalf("different phase rejected: %v", err)
 	}
 }

@@ -57,7 +57,7 @@ func TestSRNoFailureDeliversEverything(t *testing.T) {
 	}
 	var ids []int
 	for i := 0; i < 3; i++ {
-		id, err := e.AddStream(r.object(t, i))
+		id, err := e.AddStreamAt(r.object(t, i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestSRNoFailureDeliversEverything(t *testing.T) {
 func TestSRDeliveryRate(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 6, layout.DedicatedParity)
 	e, _ := NewStreamingRAID(r.config())
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, reports := runToCompletion(t, e, 100)
@@ -99,11 +99,11 @@ func TestSRSingleFailureMaskedBitForBit(t *testing.T) {
 	for failed := 0; failed < 5; failed++ {
 		r := newRig(t, 10, 5, 2, 8, layout.DedicatedParity)
 		e, _ := NewStreamingRAID(r.config())
-		id0, err := e.AddStream(r.object(t, 0))
+		id0, err := e.AddStreamAt(r.object(t, 0), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		id1, err := e.AddStream(r.object(t, 1))
+		id1, err := e.AddStreamAt(r.object(t, 1), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestSRSingleFailureMaskedBitForBit(t *testing.T) {
 func TestSRReconstructedFlagSet(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 8, layout.DedicatedParity)
 	e, _ := NewStreamingRAID(r.config())
-	id, _ := e.AddStream(r.object(t, 0))
+	id, _ := e.AddStreamAt(r.object(t, 0), 0)
 	if err := e.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSRReconstructedFlagSet(t *testing.T) {
 func TestSRDoubleFailureCatastrophic(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 8, layout.DedicatedParity)
 	e, _ := NewStreamingRAID(r.config())
-	id, _ := e.AddStream(r.object(t, 0))
+	id, _ := e.AddStreamAt(r.object(t, 0), 0)
 	if err := e.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +196,17 @@ func TestSRAdmissionLimit(t *testing.T) {
 		t.Fatalf("per-disk budget %d (%d free on drive 0), want the override 2", e.SlotsPerDisk(), e.slots.Free(0))
 	}
 	// obj0 and obj2 both start on cluster 0 (i%2), obj1 on cluster 1.
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 2)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream(r.object(t, 0)); err == nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err == nil {
 		t.Fatal("third stream on cluster 0 admitted beyond budget")
 	}
 	// Cluster 1 still has room.
-	if _, err := e.AddStream(r.object(t, 1)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 1), 0); err != nil {
 		t.Fatalf("cluster 1 admission failed: %v", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestSRAdmissionLimit(t *testing.T) {
 func TestSRBufferAccounting(t *testing.T) {
 	r := newRig(t, 10, 5, 1, 6, layout.DedicatedParity)
 	e, _ := NewStreamingRAID(r.config())
-	if _, err := e.AddStream(r.object(t, 0)); err != nil {
+	if _, err := e.AddStreamAt(r.object(t, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, reports := runToCompletion(t, e, 100)
@@ -253,9 +253,9 @@ func TestSRMidStreamAdmission(t *testing.T) {
 	// cleanly with full content.
 	r := newRig(t, 10, 5, 2, 8, layout.DedicatedParity)
 	e, _ := NewStreamingRAID(r.config())
-	id0, _ := e.AddStream(r.object(t, 0))
+	id0, _ := e.AddStreamAt(r.object(t, 0), 0)
 	early, _, _ := stepN(t, e, 5)
-	id1, err := e.AddStream(r.object(t, 1))
+	id1, err := e.AddStreamAt(r.object(t, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
