@@ -14,36 +14,29 @@ import (
 // overlaps a queued destination.
 var ErrAliased = errors.New("parity: batch destination aliases another queued buffer")
 
-// Batch is a queue of folds run together: Add queues one, Run runs them
-// all over min(GOMAXPROCS, folds) goroutines — the caller's and idle
-// fold workers — and empties the queue. Open, at the start of a round of
-// Adds, hands the batch to the workers early, and they fold each fold
-// as Add queues it. A batch of one fold runs inline, an empty one costs
-// a length check, and once the queue has grown (Grow) Open, Add and Run
-// allocate nothing. A Batch is used by one goroutine at a time.
+// Batch is a queue of folds run together: Add queues one, Start hands
+// the queue to idle fold workers and returns at once, and Run, the only
+// wait, folds what no worker claimed, waits for the workers and empties
+// the queue. Run without Start spreads the queue over min(GOMAXPROCS,
+// folds) goroutines, the caller's among them; a batch of one fold runs
+// inline, and an empty one costs a length check. Once the queue has grown
+// (Grow), Start, Add and Run allocate nothing. A Batch is used by one
+// goroutine at a time.
 type Batch struct {
 	folds []queued
 	srcs  [][]byte // every fold's sources; Add copies the list, not the bytes
 	// dsts and reads are the address ranges of the queued destinations
-	// and sources, for Add's alias check.
+	// and sources, for Add's alias check and Queued.
 	dsts, reads []span
-	// added counts the folds queued since the last Open, and open says
-	// whether Open handed this round to a worker.
-	added int
-	open  bool
 
-	// What the workers read. shared is the queue's backing array as the
-	// batch was handed over; Add writes a fold into it before it counts
-	// the fold in published. next is the next fold to claim, closed says
-	// Run has begun (nothing more is published), and helpers counts the
-	// workers handed the batch that are not done with it.
-	shared                   []queued
-	published, next, helpers atomic.Int64
-	closed                   atomic.Bool
+	// What the workers read. shared is the queue as it was handed over
+	// (empty until then), next is the next fold to claim, and helpers
+	// counts the workers handed the batch that are not done with it.
+	shared        []queued
+	next, helpers atomic.Int64
 }
 
-// queued is one fold. srcs is its window of Batch.srcs, taken at Add,
-// so a worker reads it safely while a later Add grows Batch.srcs.
+// queued is one fold. srcs is its window of Batch.srcs, taken at Add.
 type queued struct {
 	dst  []byte
 	srcs [][]byte
@@ -75,17 +68,14 @@ func (b *Batch) Grow(folds, srcs int) {
 	b.dsts, b.reads = slices.Grow(b.dsts, folds), slices.Grow(b.reads, srcs)
 }
 
-// Open begins a round of folds, such as a cycle's. If the last round
-// queued more than one fold, it hands the batch to up to
-// min(GOMAXPROCS, that count)−1 idle fold workers now, and they fold
-// what Add queues while the caller goes on, so their wake-up overlaps
-// the caller's work rather than Run's. Run ends the round: an opened
-// batch must be Run, or its workers wait on it for ever.
-func (b *Batch) Open() {
-	last := b.added
-	b.added = 0
-	if !b.open {
-		b.open = b.share(last)
+// Start hands the queued folds to up to min(GOMAXPROCS−1, folds) idle
+// fold workers and returns at once: the folds run behind the caller's
+// own work. Run waits for them; until it returns, no queued buffer may
+// be read or written but by the folds themselves. An Add after Start
+// runs Run first.
+func (b *Batch) Start() {
+	if n := len(b.folds); n > 0 && len(b.shared) == 0 {
+		b.share(min(runtime.GOMAXPROCS(0)-1, n))
 	}
 }
 
@@ -96,6 +86,9 @@ func (b *Batch) Open() {
 // source overlaps a queued destination. A refused fold queues nothing.
 // Neither dst nor any source may be written until Run returns.
 func (b *Batch) Add(dst []byte, srcs ...[]byte) error {
+	if len(b.shared) > 0 {
+		b.Run() // the started folds are the workers': wait for them
+	}
 	if len(srcs) == 0 {
 		return ErrEmptyGroup
 	}
@@ -115,14 +108,16 @@ func (b *Batch) Add(dst []byte, srcs ...[]byte) error {
 			}
 		}
 	}
-	lo, n := len(b.srcs), len(b.folds)
+	lo := len(b.srcs)
 	b.srcs = append(b.srcs, srcs...)
-	b.folds = append(b.folds, queued{dst, b.srcs[lo:len(b.srcs):len(b.srcs)]})
-	b.added++
-	if b.open && n < len(b.shared) {
-		b.published.Store(int64(n + 1))
-	}
+	b.folds = append(b.folds, queued{dst, b.srcs[lo:]})
 	return nil
+}
+
+// Queued reports whether p overlaps the destination of a fold queued
+// and not yet run: bytes that hold no result until Run returns.
+func (b *Batch) Queued(p []byte) bool {
+	return len(p) > 0 && spanOf(p).overlapsAny(b.dsts)
 }
 
 // accumulates reports whether src, a fold's srcs[0], is its destination
@@ -150,23 +145,16 @@ func (b *Batch) check(dst []byte, srcs [][]byte) error {
 }
 
 // Run runs every queued fold, returns once all are done, and empties
-// the queue; it ends the round Open began. The caller folds what no
-// worker has claimed.
+// the queue. The caller folds what no worker has claimed.
 func (b *Batch) Run() {
 	n := len(b.folds)
-	if n == 0 && !b.open {
+	if n == 0 {
 		return
 	}
-	b.closed.Store(true)
-	if !b.open {
-		b.share(n)
+	if len(b.shared) == 0 {
+		b.share(min(runtime.GOMAXPROCS(0), n) - 1)
 	}
 	b.work()
-	// Folds queued past the room the workers were shown were never
-	// published: they are the caller's.
-	for _, f := range b.folds[b.published.Load():] {
-		fold(f.dst, f.srcs)
-	}
 	// Yield, not park, while workers finish: parking would take a wait
 	// record, which can drift to another P's cache and be allocated anew.
 	for b.helpers.Load() > 0 {
@@ -174,62 +162,44 @@ func (b *Batch) Run() {
 	}
 	b.folds, b.srcs = b.folds[:0], b.srcs[:0]
 	b.dsts, b.reads = b.dsts[:0], b.reads[:0]
-	b.open = false
+	b.shared = nil
 	b.next.Store(0)
-	b.published.Store(0)
-	b.closed.Store(false)
 }
 
-// share publishes the queue and hands the batch to up to
-// min(GOMAXPROCS, folds)−1 idle fold workers, starting the workers
-// first if GOMAXPROCS has grown. It reports whether a worker took it.
-func (b *Batch) share(folds int) bool {
+// share hands the queue over: it becomes shared, then goes to up to w
+// idle fold workers, the workers first started if GOMAXPROCS has grown.
+// A fold no worker claims is the caller's, at Run.
+func (b *Batch) share(w int) {
 	procs := runtime.GOMAXPROCS(0)
-	w := min(procs, folds) - 1
-	if w < 1 {
-		return false
-	}
 	for have := workers.Load(); have < int64(procs-1); have = workers.Load() {
 		if workers.CompareAndSwap(have, have+1) {
 			go foldWorker()
 		}
 	}
-	b.shared = b.folds[:cap(b.folds)]
-	b.published.Store(int64(len(b.folds)))
-	handed := false
+	b.shared = b.folds
 	for ; w > 0; w-- {
 		b.helpers.Add(1)
 		select {
 		case idle <- b:
-			handed = true
 		default:
 			b.helpers.Add(-1) // no worker is idle: the caller folds its share
 		}
 	}
-	return handed
 }
 
-// work claims and runs published folds until none is left and Run has
-// begun; before that, it waits for Add to publish more.
+// work claims and runs shared folds until none is left.
 func (b *Batch) work() {
 	for {
-		closed := b.closed.Load()
-		i := b.next.Load()
-		if i < b.published.Load() {
-			if b.next.CompareAndSwap(i, i+1) {
-				f := b.shared[i]
-				fold(f.dst, f.srcs)
-			}
-			continue
-		}
-		if closed {
+		i := b.next.Add(1) - 1
+		if i >= int64(len(b.shared)) {
 			return
 		}
-		runtime.Gosched()
+		f := b.shared[i]
+		fold(f.dst, f.srcs)
 	}
 }
 
-// The fold workers serve every Batch: each parks on idle until an Open
+// The fold workers serve every Batch: each parks on idle until a Start
 // or a Run hands it one (a pointer, so the hand-off allocates nothing)
 // and folds from it. They hold nothing between batches, so they are
 // started as GOMAXPROCS first calls for them and never stopped.

@@ -22,25 +22,29 @@ func TestBatchMatchesSerialFold(t *testing.T) {
 	}
 }
 
-// TestBatchFoldsWhileQueueing is the same differential with the batch
-// opened before each round's first Add, as a cycle opens it, so the
-// workers fold while the caller queues, and with Run called mid-round,
-// as a made track's return to the arena calls it.
-func TestBatchFoldsWhileQueueing(t *testing.T) {
+// TestBatchFoldsBehind is the same differential with each round
+// started once queued, as a cycle's end starts it: the workers fold
+// while the caller writes into buffers no fold touches, and Run, called
+// at the next cycle's start, waits for them. Some rounds Run mid-round
+// first, as a made track's return to the arena does, and some queue a
+// fold after Start that reads a started fold's destination: that Add
+// must wait for the started round, not refuse the fold as aliased.
+func TestBatchFoldsBehind(t *testing.T) {
 	if err := randomBatches(rand.New(rand.NewSource(55)), 40, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestBatchConcurrentBatches runs batches from several goroutines at
-// once, each with its own Batch, over the one set of fold workers.
+// once, each with its own Batch, over the one set of fold workers; half
+// of them start their rounds and fold behind.
 func TestBatchConcurrentBatches(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(seed int64, open bool) {
+		go func(seed int64, behind bool) {
 			defer wg.Done()
-			if err := randomBatches(rand.New(rand.NewSource(seed)), 12, open); err != nil {
+			if err := randomBatches(rand.New(rand.NewSource(seed)), 12, behind); err != nil {
 				t.Error(err)
 			}
 		}(int64(60+g), g%2 == 1)
@@ -49,20 +53,20 @@ func TestBatchConcurrentBatches(t *testing.T) {
 }
 
 // randomBatches runs rounds random batches through one Batch and checks
-// each destination against the serial fold. With open, each round opens
-// the batch first and runs it once mid-round too.
-func randomBatches(r *rand.Rand, rounds int, open bool) error {
+// each destination against the serial fold. With behind, each round
+// runs once mid-round, is started once queued, and is Run only after
+// the caller has written buffers of its own; every other round then
+// queues one more fold, reading a started fold's destination, before
+// that Run.
+func randomBatches(r *rand.Rand, rounds int, behind bool) error {
 	sizes := []int{0, 1, 63, 64, 127, 128, 129, 255, 256, 50_000, 50_001, 51_200}
 	var b Batch
 	for round := 0; round < rounds; round++ {
-		if open {
-			b.Open()
-		}
 		n := sizes[round%len(sizes)]
 		pool := randBlocks(r, 12, n)
 		folds := 1 + r.Intn(12)
 		mid := -1
-		if open {
+		if behind {
 			mid = r.Intn(folds)
 		}
 		dsts := make([][]byte, folds)
@@ -99,14 +103,49 @@ func randomBatches(r *rand.Rand, rounds int, open bool) error {
 		if queued := folds - mid - 1; len(b.folds) != queued {
 			return fmt.Errorf("round %d: %d folds queued, want %d", round, len(b.folds), queued)
 		}
+		if n > 0 && folds-1 > mid && !b.Queued(dsts[folds-1]) {
+			return fmt.Errorf("round %d: the last fold's destination is not reported queued", round)
+		}
+		var copied []byte
+		if behind {
+			b.Start()
+			// The caller's own work while the folds run behind it.
+			own := make([]byte, n)
+			r.Read(own)
+			for i := range own {
+				own[i] ^= byte(i)
+			}
+			if round%2 == 1 {
+				// A fold reading the last fold's destination: the Add
+				// runs the started round, then queues it alone.
+				copied = make([]byte, n)
+				if err := b.Add(copied, dsts[folds-1]); err != nil {
+					return fmt.Errorf("round %d: Add after Start: %v", round, err)
+				}
+				if len(b.folds) != 1 {
+					return fmt.Errorf("round %d: %d folds queued after an Add after Start, want 1", round, len(b.folds))
+				}
+				for i := range dsts {
+					if !bytes.Equal(dsts[i], want[i]) {
+						return fmt.Errorf("round %d, size %d: fold %d of %d not done when an Add after Start returned", round, n, i, folds)
+					}
+				}
+			}
+		}
 		b.Run()
 		if len(b.folds) != 0 {
 			return fmt.Errorf("round %d: %d folds left queued after Run", round, len(b.folds))
+		}
+		if n > 0 && b.Queued(dsts[folds-1]) {
+			return fmt.Errorf("round %d: a destination is reported queued after Run", round)
 		}
 		for i := range dsts {
 			if !bytes.Equal(dsts[i], want[i]) {
 				return fmt.Errorf("round %d, size %d: fold %d of %d differs from the serial fold", round, n, i, folds)
 			}
+		}
+		if copied != nil && !bytes.Equal(copied, want[folds-1]) {
+			return fmt.Errorf("round %d, size %d: the fold queued after Start differs from the serial fold", round, n)
 		}
 	}
 	return nil
@@ -147,15 +186,12 @@ func runFolded(t *testing.T, b *Batch, dsts [][]byte, srcs [][][]byte) {
 
 // TestBatchRefusesDestinationQueuedTwice: two folds into one buffer, or
 // into overlapping parts of one, would race, so Add refuses the second.
-// Run it under -cpu 1,2,4 with the batch opened, so the refusal also
-// comes while workers fold what is queued.
 func TestBatchRefusesDestinationQueuedTwice(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	src := randBlocks(r, 3, 256)
 	dst := make([]byte, 512)
 	var b Batch
 	for _, other := range [][]byte{dst[:256], dst[128:384]} {
-		b.Open()
 		if err := b.Add(dst[:256], src...); err != nil {
 			t.Fatal(err)
 		}
@@ -178,14 +214,12 @@ func TestBatchRefusesDestinationAsSource(t *testing.T) {
 	made, other := make([]byte, 256), make([]byte, 256)
 	var b Batch
 	// The made track is a later fold's survivor.
-	b.Open()
 	if err := b.Add(made, src...); err != nil {
 		t.Fatal(err)
 	}
 	addRefused(t, &b, other, src[0], made, src[1])
 	runFolded(t, &b, [][]byte{made}, [][][]byte{src})
 	// A source overlapping another fold's destination by one byte.
-	b.Open()
 	wide := make([]byte, 512)
 	if err := b.Add(wide[:256], src...); err != nil {
 		t.Fatal(err)
@@ -193,7 +227,6 @@ func TestBatchRefusesDestinationAsSource(t *testing.T) {
 	addRefused(t, &b, other, wide[255:511])
 	runFolded(t, &b, [][]byte{wide[:256]}, [][][]byte{src})
 	// A destination overlapping another fold's source.
-	b.Open()
 	if err := b.Add(other, wide[256:]); err != nil {
 		t.Fatal(err)
 	}
@@ -221,28 +254,28 @@ func TestBatchAddErrors(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocs pins Open, Add and Run to no allocations once the
-// queue has grown, with more folds than CPUs so the workers take part,
-// both when Run hands the batch over and when Open has.
+// TestBatchZeroAllocs pins Add and Run, and Add, Start and Run, to no
+// allocations once the queue has grown, with more folds than CPUs so
+// the workers take part: handed the batch by Run, or by Start.
 func TestBatchZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	srcs := randBlocks(r, 5, 50_000)
 	dsts := randBlocks(r, 8, 50_000)
-	for _, open := range []bool{false, true} {
+	for _, start := range []bool{false, true} {
 		var b Batch
 		b.Grow(len(dsts), len(dsts)*len(srcs))
 		if n := allocsPerRun(50, func() {
-			if open {
-				b.Open()
-			}
 			for _, d := range dsts {
 				if err := b.Add(d, srcs...); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if start {
+				b.Start()
+			}
 			b.Run()
 		}); n != 0 {
-			t.Errorf("Batch Add+Run (opened %v) allocates %.1f per batch at GOMAXPROCS %d, want 0", open, n, runtime.GOMAXPROCS(0))
+			t.Errorf("Batch Add+Run (started %v) allocates %.1f per batch at GOMAXPROCS %d, want 0", start, n, runtime.GOMAXPROCS(0))
 		}
 	}
 }

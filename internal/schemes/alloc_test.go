@@ -13,8 +13,9 @@ import (
 // and carry no Ref, made tracks and their Ref headers come off the
 // arena's free lists, a failed read returns a bare sentinel error,
 // group headers and per-Step scratch are recycled, report slices are
-// reused, and the cycle's folds run as one batch on the Step's goroutine
-// and persistent fold workers, handed the batch over a channel. The same
+// reused, and the cycle's folds run as one batch on persistent fold
+// workers, handed the batch over a channel as the Step returns, and on
+// the next Step's goroutine, which waits for them. The same
 // holds under -race: nothing on the path goes through a sync.Pool, which
 // the detector makes drop some of what is put back.
 const cycleAllocBudget = 0

@@ -82,8 +82,11 @@ func TestCancelStreamAllEngines(t *testing.T) {
 	}
 
 	// A whole-group stream cancelled at rate 3 holds three delivering
-	// groups, some of them reconstructed around a failed drive: the cancel
-	// returns every pool track and made buffer by the next Step.
+	// groups, some of them reconstructed around a failed drive, whose
+	// folds the last Step started and no Step has waited for yet: the
+	// cancel waits for them (put) and returns every pool track and every
+	// made buffer but those the last report lends, which the next Step
+	// takes back.
 	for _, tc := range []struct {
 		name  string
 		build func(t *testing.T) (*StreamingRAID, *rig, error)
@@ -123,8 +126,30 @@ func TestCancelStreamAllEngines(t *testing.T) {
 			if reps[1].Reconstructions == 0 || e.Arena().Outstanding() == 0 {
 				t.Fatal("no reconstructed track held")
 			}
+			started := 0
+			for _, bg := range e.streams[0].delivering {
+				for k, made := range bg.reconstructed {
+					if made && e.folds.Queued(bg.data[k]) {
+						started++
+					}
+				}
+			}
+			if started == 0 {
+				t.Fatal("no delivering track's fold still started when the Step returned")
+			}
 			if err := e.CancelStream(id); err != nil {
 				t.Fatal(err)
+			}
+			// Only the made tracks the last report lends are still out;
+			// the next Step's beginCycle takes them back.
+			lent := int64(0)
+			for _, d := range reps[1].Delivered {
+				if d.Reconstructed {
+					lent++
+				}
+			}
+			if n, out := e.BufferInUse(), e.Arena().Outstanding(); n != 0 || out != lent {
+				t.Fatalf("after cancel between Steps: %d pool tracks, %d arena buffers outstanding, want 0 and the last report's %d", n, out, lent)
 			}
 			stepN(t, e, 1)
 			if n, out := e.BufferInUse(), e.Arena().Outstanding(); n != 0 || out != 0 {

@@ -37,9 +37,10 @@ const lostUnread = "track could not be read or rebuilt"
 // (reconstruct) and the one delivery (emit, per buffered track
 // deliverTrack). Engines embed it and keep only their scheme-specific
 // scheduling logic. A Step issues its reads serially, on its caller's
-// goroutine; the folds that make its missing tracks run as one batch
-// across the CPUs, folded by idle cores as they are queued and finished
-// before the report is returned.
+// goroutine; the folds that make its missing tracks run as one batch,
+// handed to idle cores as the Step returns and finished when the next
+// Step begins. A made track goes out the cycle after it was read, so
+// its fold runs behind the caller's work between the two.
 type engineCore struct {
 	cfg          Config
 	cycleTime    time.Duration // T_cyc = k′·B/b₀ for the engine's k′
@@ -188,7 +189,8 @@ func (c *engineCore) reconstruct(survivors [][]byte) ([]byte, error) {
 }
 
 // put is the one return of a made track to the arena. It runs the
-// queued folds first: buf may be a destination still to be folded.
+// queued folds first, waiting for a started batch: buf may be a
+// destination still to be folded.
 func (c *engineCore) put(buf []byte) {
 	c.folds.Run()
 	c.arena.Put(buf)
@@ -227,14 +229,11 @@ func (c *engineCore) emit(st *sched.Stream, track int, buf []byte, reconstructed
 	})
 }
 
-// beginCycle opens the cycle: cleared slot budgets, an emptied report, an
-// emptied record of the farm's erased lookups, and the fold queue opened
-// to the fold workers if the last cycle queued more than one fold, so
-// they fold each reconstruction as it is queued. A Step defers the
-// queue's Run right after it, so a Step that fails leaves no fold queued
-// and no worker holding the queue.
+// beginCycle opens the cycle: it waits for the folds the last cycle
+// started (on a healthy farm there are none), then clears the slot
+// budgets, the report and the record of the farm's erased lookups.
 func (c *engineCore) beginCycle() {
-	c.folds.Open()
+	c.folds.Run()
 	// Drop the engine's references on last cycle's delivered tracks;
 	// buffers with no other holders return to the arena here, before
 	// this cycle's reads can reuse them.
@@ -248,15 +247,22 @@ func (c *engineCore) beginCycle() {
 	c.cfg.Farm.BeginCycle()
 }
 
-// endCycle closes the cycle: runs what is left of the queued folds,
-// stamps buffer occupancy, feeds the metrics recorder, advances the
-// clock, and returns the assembled report.
-func (c *engineCore) endCycle() *sched.CycleReport {
-	c.folds.Run()
+// endCycle closes the cycle: it stamps buffer occupancy, feeds the
+// metrics recorder, advances the clock, starts the queued folds behind
+// the caller and returns the assembled report. A made track in the
+// report must have been folded in an earlier cycle: one still queued
+// would go out unmade, so the Step fails instead.
+func (c *engineCore) endCycle() (*sched.CycleReport, error) {
+	for _, d := range c.rep.Delivered {
+		if d.Reconstructed && c.folds.Queued(d.Data) {
+			return nil, fmt.Errorf("schemes: stream %d's track %d goes out in the cycle its fold was queued", d.StreamID, d.Track)
+		}
+	}
 	c.rep.BufferInUse = c.pool.InUse()
 	c.rec.ObserveCycle(c.rep, c.slots)
 	c.cycle++
-	return c.rep
+	c.folds.Start()
+	return c.rep, nil
 }
 
 // releaseGroups ends the given buffered groups (nils are fine): their

@@ -32,5 +32,7 @@ func TestPutRunsQueuedFolds(t *testing.T) {
 		t.Fatal("the arena did not hand the put buffer out again")
 	}
 	c.put(again)
-	c.endCycle()
+	if _, err := c.endCycle(); err != nil {
+		t.Fatal(err)
+	}
 }

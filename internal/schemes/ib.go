@@ -141,7 +141,6 @@ func (e *ImprovedBandwidth) failMidCycle() error {
 // Step implements Simulator.
 func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 
 	// Collect this cycle's group reads.
@@ -219,7 +218,7 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		return nil, err
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
 
 // resolve recovers a group's missing blocks via the parity shift.

@@ -450,7 +450,6 @@ func (e *NonClustered) dropXOR(s *ncStream) error {
 // Step implements Simulator.
 func (e *NonClustered) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 
 	degraded := 0
@@ -510,7 +509,7 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
 
 // readable reports whether the stream has read work this cycle.

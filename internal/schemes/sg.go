@@ -97,7 +97,6 @@ func (e *StaggeredGroup) CancelStream(id int) error {
 // Step implements Simulator.
 func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 	width := e.cfg.Layout.GroupWidth()
 
@@ -165,5 +164,5 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		}
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }

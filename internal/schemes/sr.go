@@ -69,7 +69,6 @@ func (e *StreamingRAID) WeightedActive() int { return e.weightedActive() }
 // Step implements Simulator.
 func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 	e.beginCycle()
-	defer e.folds.Run()
 	e.streams = dropEnded(e.streams)
 
 	// Read phase: each active stream reads its next whole parity group.
@@ -84,5 +83,5 @@ func (e *StreamingRAID) Step() (*sched.CycleReport, error) {
 		return nil, err
 	}
 
-	return e.endCycle(), nil
+	return e.endCycle()
 }
