@@ -251,11 +251,14 @@ func (c *engineCore) beginCycle() {
 // metrics recorder, advances the clock, starts the queued folds behind
 // the caller and returns the assembled report. A made track in the
 // report must have been folded in an earlier cycle: one still queued
-// would go out unmade, so the Step fails instead.
+// would go out unmade, so the Step fails instead. A report with no made
+// track (delivered is empty), such as every healthy one, is not walked.
 func (c *engineCore) endCycle() (*sched.CycleReport, error) {
-	for _, d := range c.rep.Delivered {
-		if d.Reconstructed && c.folds.Queued(d.Data) {
-			return nil, fmt.Errorf("schemes: stream %d's track %d goes out in the cycle its fold was queued", d.StreamID, d.Track)
+	if len(c.delivered) > 0 {
+		for _, d := range c.rep.Delivered {
+			if d.Reconstructed && c.folds.Queued(d.Data) {
+				return nil, fmt.Errorf("schemes: stream %d's track %d goes out in the cycle its fold was queued", d.StreamID, d.Track)
+			}
 		}
 	}
 	c.rep.BufferInUse = c.pool.InUse()
