@@ -70,9 +70,9 @@ func (b *Batch) Grow(folds, srcs int) {
 
 // Start hands the queued folds to up to min(GOMAXPROCS−1, folds) idle
 // fold workers and returns at once: the folds run behind the caller's
-// own work. Run waits for them; until it returns, no queued buffer may
-// be read or written but by the folds themselves. An Add after Start
-// runs Run first.
+// own work. Run waits for them; until it returns, no queued destination
+// may be read and no queued buffer written. An Add after Start runs Run
+// first.
 func (b *Batch) Start() {
 	if n := len(b.folds); n > 0 && len(b.shared) == 0 {
 		b.share(min(runtime.GOMAXPROCS(0)-1, n))
