@@ -142,20 +142,30 @@ func (d *Drive) Tracks() int { return d.ntracks }
 // the caller's array (the title's next track). It replaces the track's
 // previous slice. A track past the table's end grows the table to it.
 func (d *Drive) WriteTrack(track int, data []byte) error {
-	if track < 0 || track >= d.ntracks {
-		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
-	}
-	if len(data) != int(d.params.TrackSize) {
-		return fmt.Errorf("%w: got %d bytes, track is %d", ErrBadSize, len(data), d.params.TrackSize)
-	}
-	if d.state == Failed {
-		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
+	if err := d.Writable(track, len(data)); err != nil {
+		return err
 	}
 	if track >= len(d.tracks) {
 		d.tracks = slices.Grow(d.tracks, track+1-len(d.tracks))[:track+1]
 	}
 	d.tracks[track] = data[:len(data):len(data)]
 	d.writes++
+	return nil
+}
+
+// Writable returns the error WriteTrack would return for n bytes at the
+// track, or nil if it would store them: for a caller that writes later
+// and must fail now, as the write would.
+func (d *Drive) Writable(track, n int) error {
+	if track < 0 || track >= d.ntracks {
+		return fmt.Errorf("%w: %d (drive has %d)", ErrBadTrack, track, d.ntracks)
+	}
+	if n != int(d.params.TrackSize) {
+		return fmt.Errorf("%w: got %d bytes, track is %d", ErrBadSize, n, d.params.TrackSize)
+	}
+	if d.state == Failed {
+		return fmt.Errorf("drive %d: %w", d.id, ErrFailed)
+	}
 	return nil
 }
 

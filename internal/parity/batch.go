@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -15,9 +16,9 @@ import (
 var ErrAliased = errors.New("parity: batch destination aliases another queued buffer")
 
 // Batch is a queue of folds run together: Add queues one, Start hands
-// the queue to idle fold workers and returns at once, and Run, the only
-// wait, folds what no worker claimed, waits for the workers and empties
-// the queue. Run without Start spreads the queue over min(GOMAXPROCS,
+// the queue to fold workers and returns at once, and Run, the only wait,
+// folds what no worker claimed, waits for the workers and empties the
+// queue. Run without Start spreads the queue over min(GOMAXPROCS,
 // folds) goroutines, the caller's among them; a batch of one fold runs
 // inline, and an empty one costs a length check. Once the queue has grown
 // (Grow), Start, Add and Run allocate nothing. A Batch is used by one
@@ -26,8 +27,10 @@ type Batch struct {
 	folds []queued
 	srcs  [][]byte // every fold's sources; Add copies the list, not the bytes
 	// dsts and reads are the address ranges of the queued destinations
-	// and sources, for Add's alias check and Queued.
+	// and sources, for Add's alias check and Queued; sorted says dsts is
+	// in address order, as Queued leaves it.
 	dsts, reads []span
+	sorted      bool
 
 	// What the workers read. shared is the queue as it was handed over
 	// (empty until then), next is the next fold to claim, and helpers
@@ -68,9 +71,9 @@ func (b *Batch) Grow(folds, srcs int) {
 	b.dsts, b.reads = slices.Grow(b.dsts, folds), slices.Grow(b.reads, srcs)
 }
 
-// Start hands the queued folds to up to min(GOMAXPROCS−1, folds) idle
-// fold workers and returns at once: the folds run behind the caller's
-// own work. Run waits for them; until it returns, no queued destination
+// Start hands the queued folds to up to min(GOMAXPROCS−1, folds) fold
+// workers and returns at once: the folds run behind the caller's own
+// work. Run waits for them; until it returns, no queued destination
 // may be read and no queued buffer written. An Add after Start runs Run
 // first.
 func (b *Batch) Start() {
@@ -101,7 +104,7 @@ func (b *Batch) Add(dst []byte, srcs ...[]byte) error {
 		if err := b.check(dst, srcs); err != nil {
 			return err
 		}
-		b.dsts = append(b.dsts, spanOf(dst))
+		b.dsts, b.sorted = append(b.dsts, spanOf(dst)), false
 		for k, s := range srcs {
 			if k > 0 || !accumulates(dst, s) {
 				b.reads = append(b.reads, spanOf(s))
@@ -115,9 +118,27 @@ func (b *Batch) Add(dst []byte, srcs ...[]byte) error {
 }
 
 // Queued reports whether p overlaps the destination of a fold queued
-// and not yet run: bytes that hold no result until Run returns.
+// and not yet run: bytes that hold no result until Run returns. The
+// first call after an Add sorts the destinations, which are disjoint, so
+// a call is a binary search.
 func (b *Batch) Queued(p []byte) bool {
-	return len(p) > 0 && spanOf(p).overlapsAny(b.dsts)
+	if len(p) == 0 {
+		return false
+	}
+	if !b.sorted {
+		slices.SortFunc(b.dsts, func(s, t span) int { return cmp.Compare(s.start, t.start) })
+		b.sorted = true
+	}
+	q := spanOf(p)
+	// The first destination that ends past p's start is the one p can
+	// overlap: the ends are in order too.
+	i, _ := slices.BinarySearchFunc(b.dsts, q.start, func(s span, start uintptr) int {
+		if s.end <= start {
+			return -1
+		}
+		return 1
+	})
+	return i < len(b.dsts) && b.dsts[i].start < q.end
 }
 
 // accumulates reports whether src, a fold's srcs[0], is its destination
@@ -167,22 +188,21 @@ func (b *Batch) Run() {
 }
 
 // share hands the queue over: it becomes shared, then goes to up to w
-// idle fold workers, the workers first started if GOMAXPROCS has grown.
-// A fold no worker claims is the caller's, at Run.
+// fold workers, each an idle one or, when none is idle, a new one
+// started on this batch while the pool is below its ceiling. A fold no
+// worker claims is the caller's, at Run.
 func (b *Batch) share(w int) {
-	procs := runtime.GOMAXPROCS(0)
-	for have := workers.Load(); have < int64(procs-1); have = workers.Load() {
-		if workers.CompareAndSwap(have, have+1) {
-			go foldWorker()
-		}
-	}
 	b.shared = b.folds
 	for ; w > 0; w-- {
 		b.helpers.Add(1)
 		select {
 		case idle <- b:
 		default:
-			b.helpers.Add(-1) // no worker is idle: the caller folds its share
+			if addWorker() {
+				go foldWorker(b)
+			} else {
+				b.helpers.Add(-1) // the pool is busy and full: the caller folds its share
+			}
 		}
 	}
 }
@@ -201,16 +221,35 @@ func (b *Batch) work() {
 
 // The fold workers serve every Batch: each parks on idle until a Start
 // or a Run hands it one (a pointer, so the hand-off allocates nothing)
-// and folds from it. They hold nothing between batches, so they are
-// started as GOMAXPROCS first calls for them and never stopped.
+// and folds from it. A batch handed over while every worker is busy
+// starts a new worker on it, so a started batch runs behind its caller
+// even while another batch holds the pool, and one Batch's Run waits
+// only for its own folds. The pool grows to at most 2·(GOMAXPROCS−1):
+// a server starts at most two batches a cycle, its engine's and its
+// online rebuild's, each handed to up to GOMAXPROCS−1 workers. The
+// workers hold nothing between batches and are never stopped.
 var (
 	idle    = make(chan *Batch)
 	workers atomic.Int64
 )
 
-func foldWorker() {
-	for b := range idle {
+// addWorker counts one more fold worker, unless the pool is at its
+// ceiling.
+func addWorker() bool {
+	ceiling := int64(2 * (runtime.GOMAXPROCS(0) - 1))
+	for have := workers.Load(); have < ceiling; have = workers.Load() {
+		if workers.CompareAndSwap(have, have+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// foldWorker folds from b, then from every batch idle hands it.
+func foldWorker(b *Batch) {
+	for {
 		b.work()
 		b.helpers.Add(-1)
+		b = <-idle
 	}
 }

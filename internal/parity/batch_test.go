@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestBatchMatchesSerialFold is the batch's differential test: random
@@ -254,30 +256,117 @@ func TestBatchAddErrors(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocs pins Add and Run, and Add, Start and Run, to no
-// allocations once the queue has grown, with more folds than CPUs so
-// the workers take part: handed the batch by Run, or by Start.
+// TestBatchZeroAllocs pins Add and Run, Add, Start and Run, and two
+// batches queued, started and run at once, to no allocations once the
+// queues have grown, with more folds than CPUs so the workers take part:
+// handed the batch by Run, or by Start.
 func TestBatchZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	srcs := randBlocks(r, 5, 50_000)
 	dsts := randBlocks(r, 8, 50_000)
-	for _, start := range []bool{false, true} {
-		var b Batch
-		b.Grow(len(dsts), len(dsts)*len(srcs))
+	for _, mode := range []string{"run", "start", "start two"} {
+		batches := []*Batch{new(Batch)}
+		if mode == "start two" {
+			batches = append(batches, new(Batch))
+		}
+		share := len(dsts) / len(batches)
+		for _, b := range batches {
+			b.Grow(share, share*len(srcs))
+		}
 		if n := allocsPerRun(50, func() {
-			for _, d := range dsts {
-				if err := b.Add(d, srcs...); err != nil {
-					t.Fatal(err)
+			for i, b := range batches {
+				for _, d := range dsts[i*share : (i+1)*share] {
+					if err := b.Add(d, srcs...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if mode != "run" {
+					b.Start()
 				}
 			}
-			if start {
-				b.Start()
+			for _, b := range batches {
+				b.Run()
 			}
-			b.Run()
 		}); n != 0 {
-			t.Errorf("Batch Add+Run (started %v) allocates %.1f per batch at GOMAXPROCS %d, want 0", start, n, runtime.GOMAXPROCS(0))
+			t.Errorf("Batch %s allocates %.1f per round at GOMAXPROCS %d, want 0", mode, n, runtime.GOMAXPROCS(0))
 		}
 	}
+}
+
+// TestBatchStartedBehindBusyPool: a batch started while another started
+// batch holds the fold workers still goes to a worker, which folds it
+// with no Run from the caller. At GOMAXPROCS 2 a Start hands its batch to
+// one worker, so without a new worker the second batch would wait for
+// its caller's Run.
+func TestBatchStartedBehindBusyPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := rand.New(rand.NewSource(57))
+	srcs := randBlocks(r, 6, 51_200)
+	var busy, behind Batch
+	busyDsts := randBlocks(r, 16, 51_200)
+	for _, d := range busyDsts {
+		if err := busy.Add(d, srcs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy.Start()
+	dst := make([]byte, 51_200)
+	if err := behind.Add(dst, srcs...); err != nil {
+		t.Fatal(err)
+	}
+	behind.Start()
+	for deadline := time.Now().Add(10 * time.Second); behind.next.Load() < 1 || behind.helpers.Load() > 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("a batch started behind a busy pool was not folded without its Run")
+		}
+	}
+	want := make([]byte, len(dst))
+	fold(want, srcs)
+	if !bytes.Equal(dst, want) {
+		t.Fatal("the worker's fold differs from the serial fold")
+	}
+	behind.Run()
+	busySrcs := make([][][]byte, len(busyDsts))
+	for i := range busySrcs {
+		busySrcs[i] = srcs
+	}
+	runFolded(t, &busy, busyDsts, busySrcs)
+}
+
+// TestBatchQueuedAfterAdds: Queued answers for the folds queued so far,
+// in any order of addresses, a part of a destination and a buffer next
+// to one included, and again after more Adds.
+func TestBatchQueuedAfterAdds(t *testing.T) {
+	arena := make([]byte, 64*10)
+	part := func(i int) []byte { return arena[i*64 : (i+1)*64] }
+	src := make([]byte, 64)
+	var b Batch
+	for _, i := range []int{7, 2, 5} {
+		if err := b.Add(part(i), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(queued ...int) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			if got, want := b.Queued(part(i)), slices.Contains(queued, i); got != want {
+				t.Fatalf("Queued(part %d) = %v, want %v", i, got, want)
+			}
+		}
+	}
+	check(2, 5, 7)
+	if !b.Queued(arena[2*64+10:2*64+11]) || !b.Queued(arena[3*64-1:3*64+1]) || b.Queued(arena[2*64:2*64]) {
+		t.Fatal("Queued misjudges a byte inside a destination, a buffer straddling its end or an empty one")
+	}
+	if err := b.Add(part(0), src); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(part(9), src); err != nil {
+		t.Fatal(err)
+	}
+	check(0, 2, 5, 7, 9)
+	b.Run()
+	check()
 }
 
 // allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1), under

@@ -12,6 +12,11 @@
 // duration in cycles is therefore ceil(tracks·(C-1)/readBudget), which
 // the paper's MTTR parameter summarizes — this package lets experiments
 // measure it instead of assuming it.
+//
+// A cycle's restores run in two halves: Begin queues the folds and hands
+// them to the fold workers (parity.Batch.Start), and Finish waits for
+// them and writes the restored tracks. Step is the two at once; a server
+// runs them a cycle apart, so the folds run behind its cycle.
 package rebuild
 
 import (
@@ -35,9 +40,10 @@ type item struct {
 
 // Rebuilder restores one replaced drive incrementally.
 type Rebuilder struct {
-	farm  *disk.Farm
-	lay   *layout.Layout
-	drive int
+	farm   *disk.Farm
+	lay    *layout.Layout
+	drive  int
+	target *disk.Drive
 
 	queue    []item
 	done     int
@@ -48,10 +54,23 @@ type Rebuilder struct {
 	// the load lands on exactly C-1 drives; under declustered parity it
 	// spreads uniformly over the failed drive's G-1 group mates.
 	readsBy []int
+	// used[d] counts drive d's reads in one StepPerDrive call.
+	used []int
 
 	// blocks holds the C-1 views a restore folds, reused from track to
 	// track.
 	blocks [][]byte
+	// folds queues the restores in flight, and landing holds their
+	// destination tracks until Finish writes them.
+	folds   parity.Batch
+	landing []landing
+}
+
+// landing is one restored track in flight: its fold's destination and
+// where on the drive it goes.
+type landing struct {
+	track int
+	data  []byte
 }
 
 // New plans the rebuild of the given drive, which must already be
@@ -68,7 +87,8 @@ func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 	if drv.State() == disk.Failed {
 		return nil, fmt.Errorf("rebuild: drive %d must be replaced before rebuild (state %v)", driveID, drv.State())
 	}
-	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, readsBy: make([]int, farm.Size()),
+	r := &Rebuilder{farm: farm, lay: lay, drive: driveID, target: drv,
+		readsBy: make([]int, farm.Size()), used: make([]int, farm.Size()),
 		blocks: make([][]byte, 0, lay.GroupWidth())}
 	for _, obj := range lay.AllObjects() {
 		for gi := range obj.Groups {
@@ -86,8 +106,9 @@ func New(farm *disk.Farm, lay *layout.Layout, driveID int) (*Rebuilder, error) {
 	return r, nil
 }
 
-// Remaining returns the tracks still to restore.
-func (r *Rebuilder) Remaining() int { return len(r.queue) - r.done }
+// Remaining returns the tracks still to restore, those in flight
+// included: a track is restored once Finish has written it.
+func (r *Rebuilder) Remaining() int { return len(r.queue) - r.done + len(r.landing) }
 
 // Restored returns the tracks restored so far.
 func (r *Rebuilder) Restored() int { return r.restored }
@@ -122,21 +143,57 @@ func (r *Rebuilder) CyclesNeeded(readBudget int) int {
 }
 
 // Step restores as many tracks as the given read budget allows this
-// cycle and returns the number restored. A budget below C-1 restores
-// nothing (one track needs a whole group's worth of reads within the
-// cycle, per Observation 2's all-at-once requirement).
+// cycle and returns the number restored: Begin, then Finish. A budget
+// below C-1 restores nothing (one track needs a whole group's worth of
+// reads within the cycle, per Observation 2's all-at-once requirement).
 func (r *Rebuilder) Step(readBudget int) (int, error) {
-	restored := 0
+	before := r.restored
+	_, err := r.Begin(readBudget)
+	if ferr := r.Finish(); err == nil {
+		err = ferr
+	}
+	return r.restored - before, err
+}
+
+// Begin starts the restores Step would make under the read budget and
+// returns how many it queued: it reads their survivors, queues each fold
+// into a new track and hands the folds to the fold workers. No track is
+// on the drive until Finish. A restore that cannot be made (a survivor
+// or the drive itself has failed) ends Begin with its error, as Step
+// would end, and what was queued before it still lands at Finish.
+// Restores still in flight are finished first.
+func (r *Rebuilder) Begin(readBudget int) (int, error) {
+	if err := r.Finish(); err != nil {
+		return 0, err
+	}
+	queued := 0
 	for r.done < len(r.queue) && readBudget >= r.ReadsPerTrack() {
 		if err := r.restore(r.queue[r.done]); err != nil {
-			return restored, err
+			return queued, err
 		}
 		readBudget -= r.ReadsPerTrack()
 		r.done++
-		r.restored++
-		restored++
+		queued++
 	}
-	return restored, nil
+	r.folds.Start()
+	return queued, nil
+}
+
+// Finish waits for the folds in flight and writes their tracks to the
+// drive, which keeps them. With nothing in flight it does nothing. A
+// write that fails (the drive failed after Begin) drops the tracks left.
+func (r *Rebuilder) Finish() error {
+	r.folds.Run()
+	var err error
+	for _, l := range r.landing {
+		if err = r.target.WriteTrack(l.track, l.data); err != nil {
+			break
+		}
+		r.restored++
+	}
+	clear(r.landing)
+	r.landing = r.landing[:0]
+	return err
 }
 
 // sourceDrives appends the drives a restore of it would read from: the
@@ -162,14 +219,19 @@ func (r *Rebuilder) sourceDrives(dst []int, it item) []int {
 // clustered schemes (whole rebuild through C-1 drives) from declustered
 // parity (load spread over G-1 drives, window shrunk by (C-1)/(G-1)).
 // Tracks whose sources are saturated are skipped this cycle and retried
-// the next, so declustered rebuilds fill every drive's budget.
+// the next, so declustered rebuilds fill every drive's budget. Its
+// restores are Begin's, and it finishes them before it returns.
 func (r *Rebuilder) StepPerDrive(budget int) (int, error) {
 	if budget < 1 {
 		return 0, nil
 	}
-	used := make(map[int]int)
+	if err := r.Finish(); err != nil {
+		return 0, err
+	}
+	before := r.restored
+	clear(r.used)
 	var srcs []int
-	restored := 0
+	var err error
 	pending := r.queue[r.done:]
 	kept := 0
 	for i := 0; i < len(pending); i++ {
@@ -177,7 +239,7 @@ func (r *Rebuilder) StepPerDrive(budget int) (int, error) {
 		srcs = r.sourceDrives(srcs[:0], it)
 		feasible := true
 		for _, d := range srcs {
-			if used[d]+1 > budget {
+			if r.used[d]+1 > budget {
 				feasible = false
 				break
 			}
@@ -187,20 +249,20 @@ func (r *Rebuilder) StepPerDrive(budget int) (int, error) {
 			kept++
 			continue
 		}
-		if err := r.restore(it); err != nil {
+		if err = r.restore(it); err != nil {
 			// Preserve the unprocessed tail before reporting.
 			kept += copy(pending[kept:], pending[i+1:])
-			r.queue = r.queue[:r.done+kept]
-			return restored, err
+			break
 		}
 		for _, d := range srcs {
-			used[d]++
+			r.used[d]++
 		}
-		r.restored++
-		restored++
 	}
 	r.queue = r.queue[:r.done+kept]
-	return restored, nil
+	if ferr := r.Finish(); err == nil {
+		err = ferr
+	}
+	return r.restored - before, err
 }
 
 // RunPerDrive drives StepPerDrive until done and returns the rebuild
@@ -244,16 +306,13 @@ func (r *Rebuilder) Run(readBudget, maxCycles int) (int, error) {
 	return maxCycles, nil
 }
 
-// restore rebuilds one track onto the replacement drive: the XOR of the
-// group's other members — for a data track the surviving data plus
-// parity, for a parity track every data track — read through views and
-// folded straight into a new track, which the drive keeps.
+// restore queues the rebuild of one track onto the replacement drive:
+// the XOR of the group's other members — for a data track the surviving
+// data plus parity, for a parity track every data track — read through
+// views and folded straight into a new track, which Finish hands to the
+// drive. It fails as the write would if the drive cannot take it now.
 func (r *Rebuilder) restore(it item) error {
 	g := &it.obj.Groups[it.group]
-	drv, err := r.farm.Drive(r.drive)
-	if err != nil {
-		return err
-	}
 	dst := g.Parity
 	blocks := r.blocks[:0]
 	for j, loc := range g.Data {
@@ -275,10 +334,14 @@ func (r *Rebuilder) restore(it item) error {
 		blocks = append(blocks, pblk)
 	}
 	track := make([]byte, r.farm.Params().TrackSize)
-	if err := parity.ReconstructInto(track, blocks); err != nil {
+	if err := r.target.Writable(dst.Track, len(track)); err != nil {
 		return err
 	}
-	return drv.WriteTrack(dst.Track, track)
+	if err := r.folds.Add(track, blocks...); err != nil {
+		return err
+	}
+	r.landing = append(r.landing, landing{dst.Track, track})
+	return nil
 }
 
 // viewTrack lends one surviving track, charging the read to the serving

@@ -250,6 +250,9 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 	if s.draining {
 		return 0, 0, ErrDraining
 	}
+	if !s.cat.Resident(id) {
+		s.landRebuild() // staging writes the farm: the restores in flight land first
+	}
 	obj, cost, err := s.cat.Ensure(id, units.MPEG1)
 	if err != nil {
 		return 0, 0, err
@@ -276,7 +279,12 @@ func (s *Server) RequestAt(id string, startGroup int) (int, time.Duration, error
 // server's stats. Finished and terminated streams unpin their titles.
 // An online rebuild that cannot continue does not fail the cycle: see
 // stepRebuild. Once Step returns, DriveLog holds the cycle's drive log.
+//
+// Step first lands the online rebuild's restores the last Step began
+// (landRebuild), so the cycle reads every track a rebuild running inside
+// the last Step would have written; its folds ran between the two Steps.
 func (s *Server) Step() (*sched.CycleReport, error) {
+	s.landRebuild()
 	rep, err := s.engine.Step()
 	if err != nil {
 		return nil, err
@@ -430,6 +438,7 @@ func (s *Server) Apply(f Fault) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("server: %s cannot fail a drive mid-cycle", s.engine.Name())
 		}
+		s.landRebuild()
 		if err = m.FailDiskMidCycle(f.Drive); err == nil {
 			s.logDrive(f.Kind, f.Drive, nil)
 		}
@@ -445,6 +454,7 @@ func (s *Server) Apply(f Fault) (bool, error) {
 
 // FailDisk injects a drive failure at the next cycle boundary.
 func (s *Server) FailDisk(id int) error {
+	s.landRebuild()
 	if err := s.engine.FailDisk(id); err != nil {
 		return err
 	}
@@ -458,6 +468,7 @@ func (s *Server) FailDisk(id int) error {
 // abandoned) is rebuilt as it stands. If parity cannot restore every
 // track, the drive is left Restoring.
 func (s *Server) RepairDisk(id int) error {
+	s.landRebuild()
 	if err := s.replaceIfFailed(id); err != nil {
 		return err
 	}
@@ -511,6 +522,7 @@ func (s *Server) driveRestored(id int) error {
 // the scheme keeps operating degraded; Step advances the rebuild
 // alongside normal service and notifies the engine on completion.
 func (s *Server) StartOnlineRebuild(id, readBudget int) error {
+	s.landRebuild()
 	if s.rebuilder != nil {
 		return fmt.Errorf("server: a rebuild of drive %d is already running", s.rebuildDrive)
 	}
@@ -539,7 +551,11 @@ func (s *Server) RebuildRemaining() int {
 
 // stepRebuild advances an in-progress online rebuild by one cycle, and
 // ends it once nothing is left to restore (at once, for a drive that
-// held no tracks).
+// held no tracks). It begins the cycle's restores (Rebuilder.Begin), and
+// their folds run on the fold workers behind the Step; the next Step, or
+// the next method that changes a drive, lands them (landRebuild). The
+// last tracks land at once, so the restore ends in this cycle, and so do
+// those begun before a failure, so an abandoned rebuild keeps them.
 //
 // A rebuild step fails when a drive it reads from has failed too — a
 // second failure in the parity groups being restored. Such a rebuild is
@@ -551,20 +567,48 @@ func (s *Server) RebuildRemaining() int {
 // The abort counts in rebuild_aborted, and its drive log entry carries
 // the error.
 func (s *Server) stepRebuild() error {
-	if s.rebuilder == nil {
+	r := s.rebuilder
+	if r == nil {
 		return nil
 	}
-	if _, err := s.rebuilder.Step(s.rebuildBudget); err != nil {
-		s.rebuilder = nil
-		s.metrics.Counter("rebuild_aborted").Inc()
-		s.logDrive(RebuildAbandoned, s.rebuildDrive, err)
+	queued, err := r.Begin(s.rebuildBudget)
+	last := err == nil && r.Remaining() == queued
+	if err != nil || last {
+		if ferr := r.Finish(); err == nil {
+			err = ferr
+		}
+	}
+	if err != nil {
+		s.abandonRebuild(err)
 		return nil
 	}
-	if s.rebuilder.Done() {
+	if last {
 		s.rebuilder = nil
 		return s.driveRestored(s.rebuildDrive)
 	}
 	return nil
+}
+
+// landRebuild writes the online rebuild's restores in flight to the
+// drive (Rebuilder.Finish). Step calls it first, and so does every
+// method that fails, replaces or restores a drive or stages a title, so
+// each meets the farm a rebuild inside the last Step would have left. A
+// write that fails abandons the rebuild.
+func (s *Server) landRebuild() {
+	if s.rebuilder == nil {
+		return
+	}
+	if err := s.rebuilder.Finish(); err != nil {
+		s.abandonRebuild(err)
+	}
+}
+
+// abandonRebuild gives the online rebuild up: it counts in
+// rebuild_aborted and logs its error.
+func (s *Server) abandonRebuild(err error) {
+	s.rebuilder = nil
+	s.metrics.Counter("rebuild_aborted").Inc()
+	s.logDrive(RebuildAbandoned, s.rebuildDrive, err)
 }
 
 // RebuildFromTertiary restores a replaced drive by re-staging the
@@ -573,6 +617,7 @@ func (s *Server) stepRebuild() error {
 // whole objects touching the drive are re-fetched ("portions of many
 // objects to be loaded ... many tapes may need to be referenced").
 func (s *Server) RebuildFromTertiary(id int) (time.Duration, error) {
+	s.landRebuild()
 	if err := s.replaceIfFailed(id); err != nil {
 		return 0, err
 	}
